@@ -1,5 +1,5 @@
 //! Criterion bench for the §6.2 fault-degradation artifact: measuring a
-//! faulty network window (the full sweep is `--bin fault_sweep`).
+//! faulty network window (the full sweep is `metro run fault_sweep`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use metro_sim::experiment::{run_fault_point, SweepConfig};

@@ -1,6 +1,6 @@
 //! Criterion bench for the Figure 3 artifact: short latency-versus-load
 //! measurement windows on the paper's 64-endpoint network (the full
-//! curve is produced by `cargo run -p metro-bench --bin fig3`).
+//! curve is produced by `metro run fig3`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use metro_sim::experiment::{run_load_point, unloaded_latency, SweepConfig};

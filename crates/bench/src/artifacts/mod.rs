@@ -4,13 +4,12 @@
 //! [`metro_harness::Artifact`]: the run function builds the human
 //! report into a string, returns the machine-readable JSON document,
 //! and reports its point count and parameters for the results
-//! manifest. The binaries in `src/bin/` are thin shims over these
-//! entries; the `metro` binary fronts them all.
+//! manifest. The `metro` binary fronts them all.
 //!
 //! Simulation artifacts honour `RunCtx::quick` by shortening their
-//! measurement windows (the same `--quick` the binaries always had)
-//! and `RunCtx::jobs` by running independent sweep points on the
-//! shared worker pool ([`metro_harness::par_map`]). Both profiles of a
+//! measurement windows and `RunCtx::jobs` by running independent sweep
+//! points on the shared worker pool ([`metro_harness::par_map`]). Both
+//! profiles of a
 //! sweep come from one construction path ([`crate::scenarios`]), and
 //! sim-backed artifacts emit the declarative [`Scenario`] describing
 //! their configuration for the `results/<name>.scenario.json` sidecar

@@ -12,9 +12,7 @@
 //! Each run prints the human report, writes machine-readable
 //! `results/<artifact>.json`, and appends a record (git revision,
 //! wall-clock, point count, worker count, parameters) to
-//! `results/manifest.json`. The historical one-artifact binaries
-//! (`fig3`, `table3`, …) still exist as thin shims over the same
-//! registry entries.
+//! `results/manifest.json`.
 //!
 //! | artifact | reproduces |
 //! |----------|------------|

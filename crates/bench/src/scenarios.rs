@@ -2,8 +2,7 @@
 //!
 //! Every sim-backed artifact builds its [`SweepConfig`] through
 //! [`sweep_for`], so the quick and full profiles are two parameter sets
-//! of *one* construction path — the shim binaries and `metro run`
-//! cannot drift apart. The same configs convert to declarative
+//! of *one* construction path. The same configs convert to declarative
 //! [`Scenario`] values ([`load_scenario`]) for the
 //! `results/<artifact>.scenario.json` sidecars and the manifest's
 //! `scenario_hash`, and [`named`] builds the checked-in

@@ -2,10 +2,9 @@
 //!
 //! A paper artifact — a figure, a table, an ablation, a benchmark — is
 //! a named, deterministic experiment with a quick and a full profile.
-//! The 20 artifacts of the METRO evaluation register here (see
+//! The artifacts of the METRO evaluation register here (see
 //! `metro_bench::artifacts::registry`) and the single `metro` CLI
-//! fronts them all; the historical one-artifact binaries are thin shims
-//! over the same registry entries.
+//! fronts them all.
 
 use crate::json::Json;
 use crate::results::ResultsDir;

@@ -8,9 +8,8 @@
 //!
 //! `run` executes each named artifact, prints its human report (or the
 //! JSON document with `--json`), writes `results/<artifact>.json`, and
-//! appends a record to `results/manifest.json`. The legacy
-//! one-artifact binaries call [`shim`], which maps their historical
-//! flags (`--quick`, `--dot`, …) onto the same path.
+//! appends a record to `results/manifest.json`. Flags the harness
+//! does not know (`--dot`, `--csv`, …) pass through to the artifact.
 
 use crate::artifact::{Registry, RunCtx};
 use crate::json::Json;
@@ -383,41 +382,6 @@ pub fn main_with(registry: &Registry) -> i32 {
             } else {
                 0
             }
-        }
-    }
-}
-
-/// Entry point for the legacy one-artifact binaries: maps their
-/// historical flags onto a [`RunCtx`] and runs the named artifact.
-/// `--quick` selects the quick profile; any other `--flag` is passed
-/// through (e.g. `fig1 --dot`, `fig3 --csv`). Returns an exit code.
-#[must_use]
-pub fn shim(registry: &Registry, name: &str) -> i32 {
-    let mut ctx = RunCtx::new();
-    ctx.jobs = crate::executor::default_jobs();
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--quick" => ctx.quick = true,
-            "--verbose" => log::set_verbosity(Verbosity::Verbose),
-            "--deadline" => {
-                ctx.deadline = args
-                    .next()
-                    .and_then(|v| v.parse::<f64>().ok())
-                    .filter(|s| *s > 0.0 && s.is_finite())
-                    .map(std::time::Duration::from_secs_f64);
-            }
-            "--retries" => {
-                ctx.retries = args.next().and_then(|v| v.parse().ok()).unwrap_or(0);
-            }
-            other => ctx.flags.push(other.to_string()),
-        }
-    }
-    match run_one(registry, name, &ctx, false) {
-        Ok(_) => 0,
-        Err(e) => {
-            log::error(&format!("{name}: {e}"));
-            1
         }
     }
 }

@@ -25,8 +25,8 @@
 //! * [`supervisor`] — crash-safe artifact execution: panics caught and
 //!   quarantined as typed manifest failures, watchdog deadlines, and
 //!   deterministic retries (`--deadline`, `--retries`).
-//! * [`cli`] — argument parsing and the runner shared by the `metro`
-//!   binary and the legacy one-artifact shims.
+//! * [`cli`] — argument parsing and the runner behind the `metro`
+//!   binary.
 //!
 //! The crate depends only on `std`; it sits below `metro-sim` and
 //! `metro-timing` in the workspace graph so their sweep functions can

@@ -1230,15 +1230,27 @@ mod tests {
 
     #[test]
     fn shards_round_trip_and_stay_back_compatible() {
-        // Non-default shard counts survive the round trip (including
-        // 0 = host auto) and render byte-stably.
-        for shards in [2usize, 4, 0] {
-            let mut s = rich_scenario();
+        // Every shard count a file can carry — 0 = host auto and a
+        // hostile one included — survives the round trip, renders
+        // byte-stably, resolves to at most one shard per router, and
+        // changes nothing about the result.
+        let mut base = rich_scenario();
+        base.sim.engine = EngineKind::Flat;
+        let expect = crate::scenario::run_scenario(&base).unwrap();
+        for shards in [0usize, 1, 2, 4, 1_000_000] {
+            let mut s = base.clone();
             s.sim.shards = shards;
             let doc = encode(&s);
             assert_eq!(decode(&doc).unwrap(), s, "shards={shards}");
             let text = doc.render();
             assert_eq!(encode(&from_text(&text).unwrap()).render(), text);
+            let (got, sim) = crate::scenario::run_scenario_with_sim(&s).unwrap();
+            assert!(
+                (1..=sim.topology().total_routers()).contains(&sim.shards()),
+                "shards={shards} resolved to {}",
+                sim.shards()
+            );
+            assert_eq!(got, expect, "shards={shards}");
         }
 
         // Back-compat: the default (1, single-threaded) is never
@@ -1250,6 +1262,14 @@ mod tests {
         let old_doc = encode(&old);
         assert!(old_doc.render().find("shards").is_none());
         assert_eq!(decode(&old_doc).unwrap().sim.shards, 1);
+
+        // The one corpus file that carries the key keeps its bytes and
+        // its hash.
+        let text = include_str!("../../../../scenarios/metro1k.json");
+        let metro1k = from_text(text).unwrap();
+        assert_eq!(metro1k.sim.shards, 0);
+        assert_eq!(encode(&metro1k).render(), text);
+        assert_eq!(scenario_hash(&metro1k), "0x450992347c3103a3");
     }
 
     #[test]

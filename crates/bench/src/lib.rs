@@ -39,9 +39,6 @@
 //! | `shard_bench` | sharded flat-engine throughput at 1/2/4 shards (metro1k) |
 //! | `workload_bench` | flat-engine throughput, uniform vs bursty hotspot traffic |
 //! | `estimate_bench` | analytic estimator vs flat engine on metro1k |
-//!
-//! Criterion benches (`cargo bench`) cover the same artifacts at
-//! micro scale plus router/allocator microbenchmarks.
 
 #![forbid(unsafe_code)]
 

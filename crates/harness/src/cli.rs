@@ -12,6 +12,7 @@
 //! does not know (`--dot`, `--csv`, …) pass through to the artifact.
 
 use crate::artifact::{Registry, RunCtx};
+use crate::document::hex64;
 use crate::json::Json;
 use crate::log::{self, Verbosity};
 use crate::results::{git_describe, unix_time_now, RunRecord};
@@ -269,7 +270,7 @@ pub fn run_one(
                 .results
                 .write_json(&format!("{name}.scenario"), scenario)
                 .map_err(|e| e.to_string())?;
-            let hash = format!("{:#018x}", scenario.canonical_hash());
+            let hash = hex64(scenario.canonical_hash());
             log::debug(&format!("[metro] wrote {} ({hash})", p.display()));
             Some(hash)
         }
@@ -281,7 +282,7 @@ pub fn run_one(
                 .results
                 .write_json(&format!("{name}.telemetry"), telemetry)
                 .map_err(|e| e.to_string())?;
-            let hash = format!("{:#018x}", telemetry.canonical_hash());
+            let hash = hex64(telemetry.canonical_hash());
             log::debug(&format!("[metro] wrote {} ({hash})", p.display()));
             Some(hash)
         }

@@ -187,7 +187,7 @@ impl Json {
         }
     }
 
-    fn write_compact(&self, out: &mut String) {
+    pub(crate) fn write_compact(&self, out: &mut String) {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(true) => out.push_str("true"),
@@ -226,12 +226,7 @@ impl Json {
     /// or result document).
     #[must_use]
     pub fn canonical_hash(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in self.render_compact().bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-        h
+        fnv1a(&self.render_compact())
     }
 
     /// Parses a JSON document.
@@ -255,6 +250,16 @@ impl Json {
     }
 }
 
+/// 64-bit FNV-1a — the digest behind every hash a document carries.
+pub(crate) fn fnv1a(text: &str) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for b in text.bytes() {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01B3);
+    }
+    h
+}
+
 fn indent(out: &mut String, depth: usize) {
     for _ in 0..depth {
         out.push_str("  ");
@@ -272,7 +277,7 @@ fn write_number(out: &mut String, v: f64) {
     }
 }
 
-fn write_string(out: &mut String, s: &str) {
+pub(crate) fn write_string(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {

@@ -19,6 +19,9 @@
 //!   every artifact emits through, and a small parser used to
 //!   round-trip-validate everything written and to update the results
 //!   manifest in place.
+//! * [`document`] — the decode discipline every document shares: a
+//!   path-tracking cursor with typed leaf readers and unknown-field
+//!   rejection, one `DecodeError`, one digest seal.
 //! * [`results`] — the results layer: one `results/<artifact>.json`
 //!   per run plus `results/manifest.json` recording artifact name, git
 //!   revision, wall-clock, point count, worker count, and parameters.
@@ -41,6 +44,7 @@
 
 pub mod artifact;
 pub mod cli;
+pub mod document;
 pub mod executor;
 pub mod json;
 pub mod log;

@@ -17,11 +17,12 @@
 //!    the [`WorkloadDriver`]'s stream positions), hex-chunked into the
 //!    JSON document.
 //!
-//! The envelope follows the scenario codec's conventions exactly:
-//! unknown fields are rejected at every object level, the schema
-//! version is checked first, and `checkpoint_hash` is the FNV-1a
-//! digest of the rest of the document — a corrupt or truncated file
-//! fails loudly at decode, never as a silently divergent resume.
+//! The envelope follows the scenario codec's conventions exactly (one
+//! cursor, [`metro_harness::document`], reads both): unknown fields
+//! are rejected at every object level, the schema version is checked
+//! first, and `checkpoint_hash` is the FNV-1a digest of the rest of
+//! the document — a corrupt or truncated file fails loudly at decode,
+//! never as a silently divergent resume.
 //!
 //! Because every component snapshot is taken at a tick boundary and
 //! the sharded engine rewrites its `next` arena completely each tick,
@@ -31,10 +32,13 @@
 //! restore, run `M` more ≡ run `N + M` straight — is proven by the
 //! `checkpoint_identity` proptest suite in `tests/`.
 
+#![deny(clippy::cast_possible_truncation)]
+
 use crate::network::NetworkSim;
-use crate::scenario::codec::{self, check_fields, dec_arr, dec_str, dec_u64, err, get, CodecError};
+use crate::scenario::codec::{self, dec_schema, CodecError};
 use crate::scenario::{apply_due_injections, Scenario, ScenarioResult, WorkloadSpec};
 use crate::workload::{StreamRecipe, StreamSeeds, WorkloadDriver};
+use metro_harness::document::{seal, Fields, Node};
 use metro_harness::Json;
 use metro_telemetry::{StateError, StateReader, StateWriter};
 
@@ -166,10 +170,7 @@ impl Checkpoint {
         ]);
         // The digest covers everything above it; appending it last
         // keeps "hash the document minus this field" well-defined.
-        doc.set(
-            "checkpoint_hash",
-            Json::from(format!("{:#018x}", doc.canonical_hash())),
-        );
+        seal(&mut doc, "checkpoint_hash");
         doc
     }
 
@@ -181,90 +182,27 @@ impl Checkpoint {
     ///
     /// Returns a [`CodecError`] naming the offending field.
     pub fn from_json(doc: &Json) -> Result<Self, CodecError> {
-        check_fields(
-            doc,
-            &[
-                "checkpoint_schema",
-                "scenario",
-                "scenario_hash",
-                "runner",
-                "state",
-                "checkpoint_hash",
-            ],
-            "checkpoint",
-        )?;
-        let schema = dec_u64(
-            get(doc, "checkpoint_schema", "checkpoint")?,
-            "checkpoint.checkpoint_schema",
-        )?;
-        if schema == 0 || schema > CHECKPOINT_SCHEMA {
-            return err(
-                "checkpoint.checkpoint_schema",
-                format!(
-                    "unsupported schema version {schema} \
-                     (this build reads 1..={CHECKPOINT_SCHEMA})"
-                ),
-            );
-        }
-        // Integrity first: a flipped bit anywhere in the document is a
-        // digest mismatch, not a subtly different restored machine.
-        let declared = dec_str(
-            get(doc, "checkpoint_hash", "checkpoint")?,
-            "checkpoint.checkpoint_hash",
-        )?;
-        let mut stripped = doc.clone();
-        if let Json::Obj(pairs) = &mut stripped {
-            pairs.retain(|(k, _)| k != "checkpoint_hash");
-        }
-        let actual = format!("{:#018x}", stripped.canonical_hash());
-        if declared != actual {
-            return err(
-                "checkpoint.checkpoint_hash",
-                format!("digest mismatch: document hashes to {actual}, header says {declared}"),
-            );
-        }
-        let scenario =
-            codec::decode(get(doc, "scenario", "checkpoint")?).map_err(|e| CodecError {
-                path: format!("checkpoint.{}", e.path),
-                message: e.message,
-            })?;
-        let declared_scenario = dec_str(
-            get(doc, "scenario_hash", "checkpoint")?,
-            "checkpoint.scenario_hash",
-        )?;
-        let actual_scenario = codec::scenario_hash(&scenario);
-        if declared_scenario != actual_scenario {
-            return err(
-                "checkpoint.scenario_hash",
-                format!(
-                    "embedded scenario hashes to {actual_scenario}, \
-                     header says {declared_scenario}"
-                ),
-            );
-        }
-        let runner = get(doc, "runner", "checkpoint")?;
-        check_fields(runner, &["phase", "cycle"], "checkpoint.runner")?;
-        let phase_name = dec_str(
-            get(runner, "phase", "checkpoint.runner")?,
-            "checkpoint.runner.phase",
-        )?;
-        let Some(phase) = RunPhase::from_name(phase_name) else {
-            return err(
-                "checkpoint.runner.phase",
-                format!("unknown run phase {phase_name:?}"),
-            );
-        };
-        let cycle = dec_u64(
-            get(runner, "cycle", "checkpoint.runner")?,
-            "checkpoint.runner.cycle",
-        )?;
-        validate_position(&scenario, phase, cycle)?;
-        let state = dec_state(get(doc, "state", "checkpoint")?, "checkpoint.state")?;
-        Ok(Self {
-            scenario,
-            phase,
-            cycle,
-            state,
+        Node::root("checkpoint", "checkpoint", doc).object(|f| {
+            dec_schema(f, "checkpoint_schema", CHECKPOINT_SCHEMA)?;
+            // Integrity first: a flipped bit anywhere in the document
+            // is a digest mismatch, not a subtly different restored
+            // machine.
+            f.verify_seal("checkpoint_hash")?;
+            let scenario = codec::decode_node(&f.req("scenario")?)?;
+            let header = f.req("scenario_hash")?;
+            let (declared, actual) = (header.str()?, codec::scenario_hash(&scenario));
+            if declared != actual {
+                return header.err(format!(
+                    "embedded scenario hashes to {actual}, header says {declared}"
+                ));
+            }
+            let (phase, cycle) = f.req("runner")?.object(|f| dec_position(&scenario, f))?;
+            Ok(Self {
+                scenario,
+                phase,
+                cycle,
+                state: dec_state(&f.req("state")?)?,
+            })
         })
     }
 
@@ -280,9 +218,17 @@ impl Checkpoint {
     }
 }
 
-/// Rejects runner positions the scenario's own loops could never have
-/// produced — a mislabelled or hand-mangled file, caught at decode.
-fn validate_position(scenario: &Scenario, phase: RunPhase, cycle: u64) -> Result<(), CodecError> {
+/// Reads the runner position, rejecting one the scenario's own loops
+/// could never have produced — a mislabelled or hand-mangled file,
+/// caught at decode.
+fn dec_position(
+    scenario: &Scenario,
+    f: &mut Fields<'_, '_>,
+) -> Result<(RunPhase, u64), CodecError> {
+    let phase_node = f.req("phase")?;
+    let phase = phase_node.variant("run phase", RunPhase::from_name)?;
+    let cycle_node = f.req("cycle")?;
+    let cycle = cycle_node.u64()?;
     match &scenario.workload {
         WorkloadSpec::Load {
             warmup,
@@ -296,32 +242,25 @@ fn validate_position(scenario: &Scenario, phase: RunPhase, cycle: u64) -> Result
                 RunPhase::Drain => cycle >= total && cycle <= total + drain,
             };
             if !ok {
-                return err(
-                    "checkpoint.runner.cycle",
-                    format!(
-                        "cycle {cycle} is outside the {} phase of a \
-                         warmup={warmup} measure={measure} drain={drain} workload",
-                        phase.name()
-                    ),
-                );
+                return cycle_node.err(format!(
+                    "cycle {cycle} is outside the {} phase of a \
+                     warmup={warmup} measure={measure} drain={drain} workload",
+                    phase.name()
+                ));
             }
         }
         WorkloadSpec::Sends { cycles, .. } => {
             if phase == RunPhase::Drain {
-                return err(
-                    "checkpoint.runner.phase",
-                    "a scripted workload has no drain phase",
-                );
+                return phase_node.err("a scripted workload has no drain phase");
             }
             if cycle > *cycles {
-                return err(
-                    "checkpoint.runner.cycle",
-                    format!("cycle {cycle} is beyond the schedule's {cycles} cycles"),
-                );
+                return cycle_node.err(format!(
+                    "cycle {cycle} is beyond the schedule's {cycles} cycles"
+                ));
             }
         }
     }
-    Ok(())
+    Ok((phase, cycle))
 }
 
 /// Renders the state words as fixed-width hex, split into chunks.
@@ -341,30 +280,30 @@ fn state_chunks(words: &[u64]) -> Vec<String> {
         .collect()
 }
 
-/// Reassembles the state words from the document's hex chunks.
-fn dec_state(doc: &Json, path: &str) -> Result<Vec<u64>, CodecError> {
-    let chunks = dec_arr(doc, path)?;
-    let mut hex = String::new();
-    for (i, c) in chunks.iter().enumerate() {
-        hex.push_str(dec_str(c, &format!("{path}[{i}]"))?);
+/// Reassembles the state words from the document's hex chunks. A word
+/// may straddle two chunks: the boundaries carry no meaning.
+fn dec_state(node: &Node<'_>) -> Result<Vec<u64>, CodecError> {
+    let mut words = Vec::new();
+    let (mut word, mut digits) = (0u64, 0usize);
+    node.list(|chunk| {
+        for b in chunk.str()?.bytes() {
+            let Some(digit) = char::from(b).to_digit(16) else {
+                return chunk.err("expected a string of hex digits");
+            };
+            word = word << 4 | u64::from(digit);
+            digits += 1;
+            if digits.is_multiple_of(16) {
+                words.push(word);
+            }
+        }
+        Ok(())
+    })?;
+    if !digits.is_multiple_of(16) {
+        return node.err(format!(
+            "{digits} hex digits is not a whole number of 64-bit words"
+        ));
     }
-    if !hex.len().is_multiple_of(16) {
-        return err(
-            path,
-            format!(
-                "{} hex digits is not a whole number of 64-bit words",
-                hex.len()
-            ),
-        );
-    }
-    (0..hex.len() / 16)
-        .map(|i| {
-            u64::from_str_radix(&hex[i * 16..(i + 1) * 16], 16).map_err(|_| CodecError {
-                path: path.to_string(),
-                message: format!("word {i} is not hex"),
-            })
-        })
-        .collect()
+    Ok(words)
 }
 
 /// A checkpoint receiver: called with each periodic snapshot; an error
@@ -511,7 +450,7 @@ pub fn run_scenario_resumable(
             if let Some(c) = resume {
                 c.restore_into(&mut sim, Some(&mut driver))?;
             }
-            let payload: Vec<u16> = (0..*payload_words).map(|k| k as u16).collect();
+            let payload: Vec<u16> = (0..=u16::MAX).cycle().take(*payload_words).collect();
             let total = warmup + measure;
             let main_start = match start_phase {
                 RunPhase::Main => start_cycle,
@@ -527,7 +466,7 @@ pub fn run_scenario_resumable(
                         sim.send(a.src, a.dest, &payload);
                     } else {
                         // Trace entries may carry their own sizes.
-                        let p: Vec<u16> = (0..a.payload_words).map(|k| k as u16).collect();
+                        let p: Vec<u16> = (0..=u16::MAX).cycle().take(a.payload_words).collect();
                         sim.send(a.src, a.dest, &p);
                     }
                 });
@@ -838,6 +777,29 @@ mod tests {
         sc.phase = RunPhase::Drain;
         let e = Checkpoint::from_json(&sc.to_json()).unwrap_err();
         assert_eq!(e.path, "checkpoint.runner.phase");
+    }
+
+    #[test]
+    fn a_non_hex_state_chunk_is_a_typed_error_not_a_panic() {
+        // 32 bytes — a whole number of words by length — whose byte 16
+        // is inside the two-byte `é`: slicing words out by byte offset
+        // used to panic on the char boundary.
+        let s = load_scenario();
+        let (_straight, ckpt) = checkpoint_at(&s, 80);
+        let mut doc = ckpt.to_json();
+        let chunk = format!("{0}é{0}", "a".repeat(15));
+        assert_eq!(chunk.len(), 32);
+        doc.set("state", Json::arr([Json::from(chunk)]));
+        if let Json::Obj(pairs) = &mut doc {
+            pairs.retain(|(k, _)| k != "checkpoint_hash");
+        }
+        seal(&mut doc, "checkpoint_hash");
+        let e = Checkpoint::from_json(&doc).unwrap_err();
+        assert_eq!(e.path, "checkpoint.state[0]");
+        assert_eq!(
+            e.to_string(),
+            "checkpoint decode error at checkpoint.state[0]: expected a string of hex digits"
+        );
     }
 
     #[test]

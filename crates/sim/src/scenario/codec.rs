@@ -13,9 +13,13 @@
 //!   round-trip contract is *byte* equality.
 //! * **Unknown fields are errors** at every object level, so schema
 //!   drift (a typo'd key, a field from a future schema) fails loudly
-//!   instead of silently running a different experiment.
+//!   instead of silently running a different experiment. The decoders
+//!   read through [`metro_harness::document`]'s cursor, which enforces
+//!   this and names the path of every error.
 //! * **`scenario_schema` is checked first**; documents from a different
 //!   schema version are rejected before any field parsing.
+
+#![deny(clippy::cast_possible_truncation)]
 
 use super::{FaultInjection, RepairSet, Scenario, SendSpec, WorkloadSpec};
 use crate::endpoint::{EndpointConfig, ReplyPolicy};
@@ -23,6 +27,7 @@ use crate::network::{EngineKind, SimConfig};
 use crate::traffic::TrafficPattern;
 use crate::workload::{ArrivalProcess, RateMap, TraceEntry};
 use metro_core::SelectionPolicy;
+use metro_harness::document::{hex64, DecodeError, Fields, Node};
 use metro_harness::Json;
 use metro_topo::fault::{FaultKind, FaultSet};
 use metro_topo::graph::LinkId;
@@ -56,96 +61,22 @@ fn schema_for(scenario: &Scenario) -> u64 {
 
 /// A scenario decode failure: where in the document and what went
 /// wrong.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CodecError {
-    /// Dotted path to the offending field (e.g. `"sim.endpoint.reply"`).
-    pub path: String,
-    /// What went wrong.
-    pub message: String,
-}
+pub type CodecError = DecodeError;
 
-impl std::fmt::Display for CodecError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "scenario decode error at {}: {}",
-            self.path, self.message
-        )
+/// Reads the schema version at `key`, accepting `1..=newest`.
+pub(crate) fn dec_schema(
+    f: &mut Fields<'_, '_>,
+    key: &str,
+    newest: u64,
+) -> Result<u64, CodecError> {
+    let node = f.req(key)?;
+    let schema = node.u64()?;
+    if schema == 0 || schema > newest {
+        return node.err(format!(
+            "unsupported schema version {schema} (this build reads 1..={newest})"
+        ));
     }
-}
-
-impl std::error::Error for CodecError {}
-
-pub(crate) fn err<T>(path: &str, message: impl Into<String>) -> Result<T, CodecError> {
-    Err(CodecError {
-        path: path.to_string(),
-        message: message.into(),
-    })
-}
-
-/// Rejects keys outside the allowed set — the schema-drift tripwire.
-pub(crate) fn check_fields(doc: &Json, allowed: &[&str], path: &str) -> Result<(), CodecError> {
-    let Json::Obj(pairs) = doc else {
-        return err(path, "expected an object");
-    };
-    for (k, _) in pairs {
-        if !allowed.contains(&k.as_str()) {
-            return err(path, format!("unknown field {k:?}"));
-        }
-    }
-    Ok(())
-}
-
-pub(crate) fn get<'a>(doc: &'a Json, key: &str, path: &str) -> Result<&'a Json, CodecError> {
-    match doc.get(key) {
-        Some(v) => Ok(v),
-        None => err(path, format!("missing field {key:?}")),
-    }
-}
-
-fn dec_bool(doc: &Json, path: &str) -> Result<bool, CodecError> {
-    match doc {
-        Json::Bool(b) => Ok(*b),
-        _ => err(path, "expected a boolean"),
-    }
-}
-
-fn dec_f64(doc: &Json, path: &str) -> Result<f64, CodecError> {
-    doc.as_f64()
-        .ok_or(())
-        .or_else(|()| err(path, "expected a number"))
-}
-
-pub(crate) fn dec_u64(doc: &Json, path: &str) -> Result<u64, CodecError> {
-    let v = dec_f64(doc, path)?;
-    if v.fract() != 0.0 || !(0.0..9.0e15).contains(&v) {
-        return err(path, format!("expected a non-negative integer, got {v}"));
-    }
-    Ok(v as u64)
-}
-
-fn dec_usize(doc: &Json, path: &str) -> Result<usize, CodecError> {
-    Ok(dec_u64(doc, path)? as usize)
-}
-
-fn dec_u16(doc: &Json, path: &str) -> Result<u16, CodecError> {
-    let v = dec_u64(doc, path)?;
-    u16::try_from(v)
-        .ok()
-        .ok_or(())
-        .or_else(|()| err(path, format!("{v} does not fit in 16 bits")))
-}
-
-pub(crate) fn dec_str<'a>(doc: &'a Json, path: &str) -> Result<&'a str, CodecError> {
-    doc.as_str()
-        .ok_or(())
-        .or_else(|()| err(path, "expected a string"))
-}
-
-pub(crate) fn dec_arr<'a>(doc: &'a Json, path: &str) -> Result<&'a [Json], CodecError> {
-    doc.as_arr()
-        .ok_or(())
-        .or_else(|()| err(path, "expected an array"))
+    Ok(schema)
 }
 
 fn enc_seed(seed: u64) -> Json {
@@ -154,21 +85,17 @@ fn enc_seed(seed: u64) -> Json {
 
 /// Seeds are written as hex strings; decimal strings and exact small
 /// integers are also accepted on input (hand-written files).
-fn dec_seed(doc: &Json, path: &str) -> Result<u64, CodecError> {
-    match doc {
+fn dec_seed(node: &Node<'_>) -> Result<u64, CodecError> {
+    match node.json() {
         Json::Str(s) => {
-            let parsed = if let Some(hex) = s.strip_prefix("0x").or_else(|| s.strip_prefix("0X")) {
-                u64::from_str_radix(hex, 16)
-            } else {
-                s.parse::<u64>()
+            let parsed = match s.strip_prefix("0x").or_else(|| s.strip_prefix("0X")) {
+                Some(hex) => u64::from_str_radix(hex, 16),
+                None => s.parse(),
             };
-            parsed
-                .ok()
-                .ok_or(())
-                .or_else(|()| err(path, format!("invalid seed string {s:?}")))
+            parsed.or_else(|_| node.err(format!("invalid seed string {s:?}")))
         }
-        Json::Num(_) => dec_u64(doc, path),
-        _ => err(path, "expected a seed (hex string or integer)"),
+        Json::Num(_) => node.u64(),
+        _ => node.err("expected a seed (hex string or integer)"),
     }
 }
 
@@ -201,38 +128,27 @@ fn enc_topology(spec: &MultibutterflySpec) -> Json {
     ])
 }
 
-fn dec_topology(doc: &Json, path: &str) -> Result<MultibutterflySpec, CodecError> {
-    check_fields(
-        doc,
-        &["endpoints", "endpoint_ports", "stages", "wiring", "seed"],
-        path,
-    )?;
-    let stages_doc = dec_arr(get(doc, "stages", path)?, &format!("{path}.stages"))?;
-    let mut stages = Vec::with_capacity(stages_doc.len());
-    for (i, s) in stages_doc.iter().enumerate() {
-        let sp = format!("{path}.stages[{i}]");
-        check_fields(s, &["forward_ports", "backward_ports", "dilation"], &sp)?;
-        stages.push(StageSpec {
-            forward_ports: dec_usize(get(s, "forward_ports", &sp)?, &sp)?,
-            backward_ports: dec_usize(get(s, "backward_ports", &sp)?, &sp)?,
-            dilation: dec_usize(get(s, "dilation", &sp)?, &sp)?,
-        });
-    }
-    let wiring_path = format!("{path}.wiring");
-    let wiring = match dec_str(get(doc, "wiring", path)?, &wiring_path)? {
-        "deterministic" => WiringStyle::Deterministic,
-        "randomized" => WiringStyle::Randomized,
-        other => return err(&wiring_path, format!("unknown wiring style {other:?}")),
-    };
-    Ok(MultibutterflySpec {
-        endpoints: dec_usize(get(doc, "endpoints", path)?, &format!("{path}.endpoints"))?,
-        endpoint_ports: dec_usize(
-            get(doc, "endpoint_ports", path)?,
-            &format!("{path}.endpoint_ports"),
-        )?,
-        stages,
-        wiring,
-        seed: dec_seed(get(doc, "seed", path)?, &format!("{path}.seed"))?,
+fn dec_topology(node: &Node<'_>) -> Result<MultibutterflySpec, CodecError> {
+    node.object(|f| {
+        Ok(MultibutterflySpec {
+            endpoints: f.req("endpoints")?.usize()?,
+            endpoint_ports: f.req("endpoint_ports")?.usize()?,
+            stages: f.req("stages")?.list(|s| {
+                s.object(|f| {
+                    Ok(StageSpec {
+                        forward_ports: f.req("forward_ports")?.usize()?,
+                        backward_ports: f.req("backward_ports")?.usize()?,
+                        dilation: f.req("dilation")?.usize()?,
+                    })
+                })
+            })?,
+            wiring: f.req("wiring")?.variant("wiring style", |s| match s {
+                "deterministic" => Some(WiringStyle::Deterministic),
+                "randomized" => Some(WiringStyle::Randomized),
+                _ => None,
+            })?,
+            seed: dec_seed(&f.req("seed")?)?,
+        })
     })
 }
 
@@ -252,26 +168,19 @@ fn enc_reply(reply: &ReplyPolicy) -> Json {
     }
 }
 
-fn dec_reply(doc: &Json, path: &str) -> Result<ReplyPolicy, CodecError> {
-    let kind_path = format!("{path}.kind");
-    match dec_str(get(doc, "kind", path)?, &kind_path)? {
-        "ack" => {
-            check_fields(doc, &["kind"], path)?;
-            Ok(ReplyPolicy::Ack)
+fn dec_reply(node: &Node<'_>) -> Result<ReplyPolicy, CodecError> {
+    node.object(|f| {
+        let kind = f.req("kind")?;
+        match kind.str()? {
+            "ack" => Ok(ReplyPolicy::Ack),
+            "read_reply" => Ok(ReplyPolicy::ReadReply {
+                latency: f.req("latency")?.usize()?,
+                words: f.req("words")?.usize()?,
+            }),
+            "conversation" => Ok(ReplyPolicy::Conversation),
+            other => kind.err(format!("unknown reply policy {other:?}")),
         }
-        "read_reply" => {
-            check_fields(doc, &["kind", "latency", "words"], path)?;
-            Ok(ReplyPolicy::ReadReply {
-                latency: dec_usize(get(doc, "latency", path)?, &format!("{path}.latency"))?,
-                words: dec_usize(get(doc, "words", path)?, &format!("{path}.words"))?,
-            })
-        }
-        "conversation" => {
-            check_fields(doc, &["kind"], path)?;
-            Ok(ReplyPolicy::Conversation)
-        }
-        other => err(&kind_path, format!("unknown reply policy {other:?}")),
-    }
+    })
 }
 
 fn enc_endpoint(ep: &EndpointConfig) -> Json {
@@ -289,43 +198,17 @@ fn enc_endpoint(ep: &EndpointConfig) -> Json {
     ])
 }
 
-fn dec_endpoint(doc: &Json, path: &str) -> Result<EndpointConfig, CodecError> {
-    check_fields(
-        doc,
-        &[
-            "reply",
-            "timeout",
-            "open_timeout",
-            "retry_backoff_max",
-            "max_retries",
-            "max_concurrent",
-            "capture_failure_records",
-        ],
-        path,
-    )?;
-    Ok(EndpointConfig {
-        reply: dec_reply(get(doc, "reply", path)?, &format!("{path}.reply"))?,
-        timeout: dec_usize(get(doc, "timeout", path)?, &format!("{path}.timeout"))?,
-        open_timeout: dec_usize(
-            get(doc, "open_timeout", path)?,
-            &format!("{path}.open_timeout"),
-        )?,
-        retry_backoff_max: dec_usize(
-            get(doc, "retry_backoff_max", path)?,
-            &format!("{path}.retry_backoff_max"),
-        )?,
-        max_retries: dec_usize(
-            get(doc, "max_retries", path)?,
-            &format!("{path}.max_retries"),
-        )?,
-        max_concurrent: dec_usize(
-            get(doc, "max_concurrent", path)?,
-            &format!("{path}.max_concurrent"),
-        )?,
-        capture_failure_records: dec_bool(
-            get(doc, "capture_failure_records", path)?,
-            &format!("{path}.capture_failure_records"),
-        )?,
+fn dec_endpoint(node: &Node<'_>) -> Result<EndpointConfig, CodecError> {
+    node.object(|f| {
+        Ok(EndpointConfig {
+            reply: dec_reply(&f.req("reply")?)?,
+            timeout: f.req("timeout")?.usize()?,
+            open_timeout: f.req("open_timeout")?.usize()?,
+            retry_backoff_max: f.req("retry_backoff_max")?.usize()?,
+            max_retries: f.req("max_retries")?.usize()?,
+            max_concurrent: f.req("max_concurrent")?.usize()?,
+            capture_failure_records: f.req("capture_failure_records")?.bool()?,
+        })
     })
 }
 
@@ -368,90 +251,48 @@ fn enc_sim(sim: &SimConfig) -> Json {
     Json::obj(fields)
 }
 
-fn dec_sim(doc: &Json, path: &str) -> Result<SimConfig, CodecError> {
-    check_fields(
-        doc,
-        &[
-            "width",
-            "header_words",
-            "pipestages",
-            "wire_delay",
-            "stage_wire_delays",
-            "fast_reclaim",
-            "selection",
-            "endpoint",
-            "seed",
-            "engine",
-            "telemetry_every",
-            "self_heal",
-            "shards",
-        ],
-        path,
-    )?;
-    let delays_path = format!("{path}.stage_wire_delays");
-    let stage_wire_delays = match get(doc, "stage_wire_delays", path)? {
-        Json::Null => None,
-        arr => {
-            let items = dec_arr(arr, &delays_path)?;
-            let mut ds = Vec::with_capacity(items.len());
-            for (i, d) in items.iter().enumerate() {
-                ds.push(dec_usize(d, &format!("{delays_path}[{i}]"))?);
-            }
-            Some(ds)
-        }
-    };
-    let sel_path = format!("{path}.selection");
-    let selection = match dec_str(get(doc, "selection", path)?, &sel_path)? {
-        "random" => SelectionPolicy::Random,
-        "round_robin" => SelectionPolicy::RoundRobin,
-        "fixed" => SelectionPolicy::Fixed,
-        other => return err(&sel_path, format!("unknown selection policy {other:?}")),
-    };
-    let engine_path = format!("{path}.engine");
-    let engine_name = dec_str(get(doc, "engine", path)?, &engine_path)?;
-    // One canonical spelling per kind (`EngineKind::name`); "analytic"
-    // decodes like any other — cycle-accuracy is enforced where it
-    // matters (NetworkSim construction, chaos campaigns), not here.
-    let engine = match EngineKind::from_name(engine_name) {
-        Some(k) => k,
-        None => return err(&engine_path, format!("unknown engine {engine_name:?}")),
-    };
-    Ok(SimConfig {
-        width: dec_usize(get(doc, "width", path)?, &format!("{path}.width"))?,
-        header_words: dec_usize(
-            get(doc, "header_words", path)?,
-            &format!("{path}.header_words"),
-        )?,
-        pipestages: dec_usize(get(doc, "pipestages", path)?, &format!("{path}.pipestages"))?,
-        wire_delay: dec_usize(get(doc, "wire_delay", path)?, &format!("{path}.wire_delay"))?,
-        stage_wire_delays,
-        fast_reclaim: dec_bool(
-            get(doc, "fast_reclaim", path)?,
-            &format!("{path}.fast_reclaim"),
-        )?,
-        selection,
-        endpoint: dec_endpoint(get(doc, "endpoint", path)?, &format!("{path}.endpoint"))?,
-        seed: dec_seed(get(doc, "seed", path)?, &format!("{path}.seed"))?,
-        engine,
-        // Absent in pre-telemetry scenario files; default matches
-        // `SimConfig::default` so old documents keep their meaning.
-        telemetry_every: match doc.get("telemetry_every") {
-            Some(v) => dec_u64(v, &format!("{path}.telemetry_every"))?,
-            None => 1,
-        },
-        // Absent in pre-healing scenario files; off is the old
-        // behaviour.
-        self_heal: match doc.get("self_heal") {
-            Some(v) => dec_bool(v, &format!("{path}.self_heal"))?,
-            None => false,
-        },
-        // Absent in pre-sharding scenario files; 1 is the classic
-        // single-threaded tick (and every shard count is bit-identical
-        // to it, so this is purely an execution-strategy knob).
-        shards: match doc.get("shards") {
-            Some(v) => dec_usize(v, &format!("{path}.shards"))?,
-            None => 1,
-        },
+fn dec_sim(node: &Node<'_>) -> Result<SimConfig, CodecError> {
+    node.object(|f| {
+        Ok(SimConfig {
+            width: f.req("width")?.usize()?,
+            header_words: f.req("header_words")?.usize()?,
+            pipestages: f.req("pipestages")?.usize()?,
+            wire_delay: f.req("wire_delay")?.usize()?,
+            stage_wire_delays: {
+                let delays = f.req("stage_wire_delays")?;
+                match delays.json() {
+                    Json::Null => None,
+                    _ => Some(delays.list(|d| d.usize())?),
+                }
+            },
+            fast_reclaim: f.req("fast_reclaim")?.bool()?,
+            selection: f
+                .req("selection")?
+                .variant("selection policy", |s| match s {
+                    "random" => Some(SelectionPolicy::Random),
+                    "round_robin" => Some(SelectionPolicy::RoundRobin),
+                    "fixed" => Some(SelectionPolicy::Fixed),
+                    _ => None,
+                })?,
+            endpoint: dec_endpoint(&f.req("endpoint")?)?,
+            seed: dec_seed(&f.req("seed")?)?,
+            // One canonical spelling per kind (`EngineKind::name`);
+            // "analytic" decodes like any other — cycle-accuracy is
+            // enforced where it matters (NetworkSim construction, chaos
+            // campaigns), not here.
+            engine: f.req("engine")?.variant("engine", EngineKind::from_name)?,
+            // Absent in pre-telemetry scenario files; default matches
+            // `SimConfig::default` so old documents keep their meaning.
+            telemetry_every: f.opt("telemetry_every").map_or(Ok(1), |n| n.u64())?,
+            // Absent in pre-healing scenario files; off is the old
+            // behaviour.
+            self_heal: f.opt("self_heal").map_or(Ok(false), |n| n.bool())?,
+            // Absent in pre-sharding scenario files; 1 is the classic
+            // single-threaded tick (and every shard count is
+            // bit-identical to it, so this is purely an
+            // execution-strategy knob).
+            shards: f.opt("shards").map_or(Ok(1), |n| n.usize())?,
+        })
     })
 }
 
@@ -505,69 +346,53 @@ fn enc_faults(faults: &FaultSet) -> Json {
     ])
 }
 
-fn dec_faults(doc: &Json, path: &str) -> Result<FaultSet, CodecError> {
-    check_fields(doc, &["routers", "links", "endpoints"], path)?;
-    let mut faults = FaultSet::new();
-    let routers_path = format!("{path}.routers");
-    for (i, r) in dec_arr(get(doc, "routers", path)?, &routers_path)?
-        .iter()
-        .enumerate()
-    {
-        let rp = format!("{routers_path}[{i}]");
-        let pair = dec_arr(r, &rp)?;
-        if pair.len() != 2 {
-            return err(&rp, "expected a [stage, router] pair");
+fn dec_link(f: &mut Fields<'_, '_>) -> Result<LinkId, CodecError> {
+    Ok(LinkId::new(
+        f.req("stage")?.usize()?,
+        f.req("router")?.usize()?,
+        f.req("port")?.usize()?,
+    ))
+}
+
+fn dec_router(node: &Node<'_>) -> Result<(usize, usize), CodecError> {
+    match node.list(|n| n.usize())?[..] {
+        [stage, router] => Ok((stage, router)),
+        _ => node.err("expected a [stage, router] pair"),
+    }
+}
+
+fn dec_faults(node: &Node<'_>) -> Result<FaultSet, CodecError> {
+    node.object(|f| {
+        let mut faults = FaultSet::new();
+        for (stage, router) in f.req("routers")?.list(|r| dec_router(&r))? {
+            faults.kill_router(stage, router);
         }
-        faults.kill_router(dec_usize(&pair[0], &rp)?, dec_usize(&pair[1], &rp)?);
-    }
-    let links_path = format!("{path}.links");
-    for (i, l) in dec_arr(get(doc, "links", path)?, &links_path)?
-        .iter()
-        .enumerate()
-    {
-        let lp = format!("{links_path}[{i}]");
-        let kind_path = format!("{lp}.kind");
-        let kind = match dec_str(get(l, "kind", &lp)?, &kind_path)? {
-            "dead" => {
-                check_fields(l, &["stage", "router", "port", "kind"], &lp)?;
-                FaultKind::Dead
-            }
-            "corrupt" => {
-                check_fields(l, &["stage", "router", "port", "kind", "xor"], &lp)?;
-                FaultKind::CorruptData {
-                    xor: dec_u16(get(l, "xor", &lp)?, &format!("{lp}.xor"))?,
-                }
-            }
-            "intermittent" => {
-                check_fields(
-                    l,
-                    &["stage", "router", "port", "kind", "xor", "period"],
-                    &lp,
-                )?;
-                FaultKind::Intermittent {
-                    xor: dec_u16(get(l, "xor", &lp)?, &format!("{lp}.xor"))?,
-                    period: dec_u64(get(l, "period", &lp)?, &format!("{lp}.period"))? as u32,
-                }
-            }
-            other => return err(&kind_path, format!("unknown link fault kind {other:?}")),
-        };
-        faults.break_link(
-            LinkId::new(
-                dec_usize(get(l, "stage", &lp)?, &format!("{lp}.stage"))?,
-                dec_usize(get(l, "router", &lp)?, &format!("{lp}.router"))?,
-                dec_usize(get(l, "port", &lp)?, &format!("{lp}.port"))?,
-            ),
-            kind,
-        );
-    }
-    let eps_path = format!("{path}.endpoints");
-    for (i, e) in dec_arr(get(doc, "endpoints", path)?, &eps_path)?
-        .iter()
-        .enumerate()
-    {
-        faults.kill_endpoint(dec_usize(e, &format!("{eps_path}[{i}]"))?);
-    }
-    Ok(faults)
+        let links = f.req("links")?.list(|l| {
+            l.object(|f| {
+                let link = dec_link(f)?;
+                let kind = f.req("kind")?;
+                let kind = match kind.str()? {
+                    "dead" => FaultKind::Dead,
+                    "corrupt" => FaultKind::CorruptData {
+                        xor: f.req("xor")?.u16()?,
+                    },
+                    "intermittent" => FaultKind::Intermittent {
+                        xor: f.req("xor")?.u16()?,
+                        period: f.req("period")?.u32()?,
+                    },
+                    other => return kind.err(format!("unknown link fault kind {other:?}")),
+                };
+                Ok((link, kind))
+            })
+        })?;
+        for (link, kind) in links {
+            faults.break_link(link, kind);
+        }
+        for endpoint in f.req("endpoints")?.list(|e| e.usize())? {
+            faults.kill_endpoint(endpoint);
+        }
+        Ok(faults)
+    })
 }
 
 fn enc_repairs(repairs: &RepairSet) -> Json {
@@ -601,46 +426,14 @@ fn enc_repairs(repairs: &RepairSet) -> Json {
     ])
 }
 
-fn dec_repairs(doc: &Json, path: &str) -> Result<RepairSet, CodecError> {
-    check_fields(doc, &["links", "routers", "endpoints"], path)?;
-    let mut repairs = RepairSet::default();
-    let links_path = format!("{path}.links");
-    for (i, l) in dec_arr(get(doc, "links", path)?, &links_path)?
-        .iter()
-        .enumerate()
-    {
-        let lp = format!("{links_path}[{i}]");
-        check_fields(l, &["stage", "router", "port"], &lp)?;
-        repairs.links.push(LinkId::new(
-            dec_usize(get(l, "stage", &lp)?, &format!("{lp}.stage"))?,
-            dec_usize(get(l, "router", &lp)?, &format!("{lp}.router"))?,
-            dec_usize(get(l, "port", &lp)?, &format!("{lp}.port"))?,
-        ));
-    }
-    let routers_path = format!("{path}.routers");
-    for (i, r) in dec_arr(get(doc, "routers", path)?, &routers_path)?
-        .iter()
-        .enumerate()
-    {
-        let rp = format!("{routers_path}[{i}]");
-        let pair = dec_arr(r, &rp)?;
-        if pair.len() != 2 {
-            return err(&rp, "expected a [stage, router] pair");
-        }
-        repairs
-            .routers
-            .push((dec_usize(&pair[0], &rp)?, dec_usize(&pair[1], &rp)?));
-    }
-    let eps_path = format!("{path}.endpoints");
-    for (i, e) in dec_arr(get(doc, "endpoints", path)?, &eps_path)?
-        .iter()
-        .enumerate()
-    {
-        repairs
-            .endpoints
-            .push(dec_usize(e, &format!("{eps_path}[{i}]"))?);
-    }
-    Ok(repairs)
+fn dec_repairs(node: &Node<'_>) -> Result<RepairSet, CodecError> {
+    node.object(|f| {
+        Ok(RepairSet {
+            links: f.req("links")?.list(|l| l.object(dec_link))?,
+            routers: f.req("routers")?.list(|r| dec_router(&r))?,
+            endpoints: f.req("endpoints")?.list(|e| e.usize())?,
+        })
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -664,40 +457,23 @@ fn enc_pattern(pattern: &TrafficPattern) -> Json {
     }
 }
 
-fn dec_pattern(doc: &Json, path: &str) -> Result<TrafficPattern, CodecError> {
-    let kind_path = format!("{path}.kind");
-    match dec_str(get(doc, "kind", path)?, &kind_path)? {
-        "uniform" => {
-            check_fields(doc, &["kind"], path)?;
-            Ok(TrafficPattern::Uniform)
+fn dec_pattern(node: &Node<'_>) -> Result<TrafficPattern, CodecError> {
+    node.object(|f| {
+        let kind = f.req("kind")?;
+        match kind.str()? {
+            "uniform" => Ok(TrafficPattern::Uniform),
+            "hotspot" => Ok(TrafficPattern::Hotspot {
+                target: f.req("target")?.usize()?,
+                percent: f.req("percent")?.usize()?,
+            }),
+            "transpose" => Ok(TrafficPattern::Transpose),
+            "bit_reversal" => Ok(TrafficPattern::BitReversal),
+            "permutation" => Ok(TrafficPattern::Permutation(
+                f.req("perm")?.list(|d| d.usize())?,
+            )),
+            other => kind.err(format!("unknown traffic pattern {other:?}")),
         }
-        "hotspot" => {
-            check_fields(doc, &["kind", "target", "percent"], path)?;
-            Ok(TrafficPattern::Hotspot {
-                target: dec_usize(get(doc, "target", path)?, &format!("{path}.target"))?,
-                percent: dec_usize(get(doc, "percent", path)?, &format!("{path}.percent"))?,
-            })
-        }
-        "transpose" => {
-            check_fields(doc, &["kind"], path)?;
-            Ok(TrafficPattern::Transpose)
-        }
-        "bit_reversal" => {
-            check_fields(doc, &["kind"], path)?;
-            Ok(TrafficPattern::BitReversal)
-        }
-        "permutation" => {
-            check_fields(doc, &["kind", "perm"], path)?;
-            let perm_path = format!("{path}.perm");
-            let items = dec_arr(get(doc, "perm", path)?, &perm_path)?;
-            let mut perm = Vec::with_capacity(items.len());
-            for (i, d) in items.iter().enumerate() {
-                perm.push(dec_usize(d, &format!("{perm_path}[{i}]"))?);
-            }
-            Ok(TrafficPattern::Permutation(perm))
-        }
-        other => err(&kind_path, format!("unknown traffic pattern {other:?}")),
-    }
+    })
 }
 
 fn enc_arrival(arrival: &ArrivalProcess) -> Json {
@@ -728,42 +504,28 @@ fn enc_arrival(arrival: &ArrivalProcess) -> Json {
     }
 }
 
-fn dec_arrival(doc: &Json, path: &str) -> Result<ArrivalProcess, CodecError> {
-    let kind_path = format!("{path}.kind");
-    match dec_str(get(doc, "kind", path)?, &kind_path)? {
-        "bernoulli" => {
-            check_fields(doc, &["kind"], path)?;
-            Ok(ArrivalProcess::Bernoulli)
+fn dec_process(node: &Node<'_>) -> Result<ArrivalProcess, CodecError> {
+    node.object(|f| {
+        let kind = f.req("kind")?;
+        match kind.str()? {
+            "bernoulli" => Ok(ArrivalProcess::Bernoulli),
+            "on_off" => Ok(ArrivalProcess::OnOff {
+                burst_mean: f.req("burst_mean")?.u64()?,
+                idle_mean: f.req("idle_mean")?.u64()?,
+            }),
+            "trace" => Ok(ArrivalProcess::Trace(f.req("entries")?.list(|e| {
+                e.object(|f| {
+                    Ok(TraceEntry {
+                        at: f.req("at")?.u64()?,
+                        src: f.req("src")?.usize()?,
+                        dest: f.req("dest")?.usize()?,
+                        payload_words: f.req("payload_words")?.usize()?,
+                    })
+                })
+            })?)),
+            other => kind.err(format!("unknown arrival process {other:?}")),
         }
-        "on_off" => {
-            check_fields(doc, &["kind", "burst_mean", "idle_mean"], path)?;
-            Ok(ArrivalProcess::OnOff {
-                burst_mean: dec_u64(get(doc, "burst_mean", path)?, &format!("{path}.burst_mean"))?,
-                idle_mean: dec_u64(get(doc, "idle_mean", path)?, &format!("{path}.idle_mean"))?,
-            })
-        }
-        "trace" => {
-            check_fields(doc, &["kind", "entries"], path)?;
-            let entries_path = format!("{path}.entries");
-            let items = dec_arr(get(doc, "entries", path)?, &entries_path)?;
-            let mut entries = Vec::with_capacity(items.len());
-            for (i, e) in items.iter().enumerate() {
-                let ep = format!("{entries_path}[{i}]");
-                check_fields(e, &["at", "src", "dest", "payload_words"], &ep)?;
-                entries.push(TraceEntry {
-                    at: dec_u64(get(e, "at", &ep)?, &format!("{ep}.at"))?,
-                    src: dec_usize(get(e, "src", &ep)?, &format!("{ep}.src"))?,
-                    dest: dec_usize(get(e, "dest", &ep)?, &format!("{ep}.dest"))?,
-                    payload_words: dec_usize(
-                        get(e, "payload_words", &ep)?,
-                        &format!("{ep}.payload_words"),
-                    )?,
-                });
-            }
-            Ok(ArrivalProcess::Trace(entries))
-        }
-        other => err(&kind_path, format!("unknown arrival process {other:?}")),
-    }
+    })
 }
 
 fn enc_workload(workload: &WorkloadSpec) -> Json {
@@ -821,113 +583,73 @@ fn enc_workload(workload: &WorkloadSpec) -> Json {
     }
 }
 
+fn dec_load(f: &mut Fields<'_, '_>, schema: u64) -> Result<WorkloadSpec, CodecError> {
+    let arrival = f.opt("arrival");
+    let rates = f.opt("rates");
+    // Schema gate: the workload-subsystem fields only exist from
+    // schema 2 — a schema-1 document carrying them is mislabelled, not
+    // merely old.
+    if schema < 2 {
+        for (key, node) in [("arrival", &arrival), ("rates", &rates)] {
+            if let Some(node) = node {
+                return node.err(format!(
+                    "field {key:?} requires scenario schema 2 (document declares {schema})"
+                ));
+            }
+        }
+    }
+    Ok(WorkloadSpec::Load {
+        pattern: dec_pattern(&f.req("pattern")?)?,
+        arrival: arrival.map_or(Ok(ArrivalProcess::Bernoulli), |a| dec_process(&a))?,
+        rates: match rates {
+            Some(r) => RateMap::PerEndpoint(r.list(|v| v.f64())?),
+            None => RateMap::Uniform,
+        },
+        load: f.req("load")?.f64()?,
+        payload_words: f.req("payload_words")?.usize()?,
+        warmup: f.req("warmup")?.u64()?,
+        measure: f.req("measure")?.u64()?,
+        drain: f.req("drain")?.u64()?,
+    })
+}
+
 fn dec_workload(
-    doc: &Json,
-    path: &str,
+    node: &Node<'_>,
     endpoints: usize,
     schema: u64,
 ) -> Result<WorkloadSpec, CodecError> {
-    let kind_path = format!("{path}.kind");
-    match dec_str(get(doc, "kind", path)?, &kind_path)? {
-        "load" => {
-            check_fields(
-                doc,
-                &[
-                    "kind",
-                    "pattern",
-                    "arrival",
-                    "rates",
-                    "load",
-                    "payload_words",
-                    "warmup",
-                    "measure",
-                    "drain",
-                ],
-                path,
-            )?;
-            // Schema gate: the workload-subsystem fields only exist
-            // from schema 2 — a schema-1 document carrying them is
-            // mislabelled, not merely old.
-            if schema < 2 {
-                for key in ["arrival", "rates"] {
-                    if doc.get(key).is_some() {
-                        return err(
-                            &format!("{path}.{key}"),
-                            format!(
-                                "field {key:?} requires scenario schema 2 \
-                                 (document declares {schema})"
-                            ),
-                        );
-                    }
+    node.object(|f| {
+        let kind = f.req("kind")?;
+        match kind.str()? {
+            "load" => {
+                let spec = dec_load(f, schema)?;
+                // Shape validation against the document's own topology:
+                // out-of-range hotspots/permutation entries,
+                // self-targeting traces, malformed rate maps, and
+                // transpose/bit-reversal on non-power-of-two endpoint
+                // counts are decode errors, not latent run-time
+                // mis-mappings.
+                match spec.validate(endpoints) {
+                    Ok(()) => Ok(spec),
+                    Err(e) => node.err(e.to_string()),
                 }
             }
-            let arrival = match doc.get("arrival") {
-                Some(a) => dec_arrival(a, &format!("{path}.arrival"))?,
-                None => ArrivalProcess::Bernoulli,
-            };
-            let rates = match doc.get("rates") {
-                Some(r) => {
-                    let rates_path = format!("{path}.rates");
-                    let items = dec_arr(r, &rates_path)?;
-                    let mut rates = Vec::with_capacity(items.len());
-                    for (i, v) in items.iter().enumerate() {
-                        rates.push(dec_f64(v, &format!("{rates_path}[{i}]"))?);
-                    }
-                    RateMap::PerEndpoint(rates)
-                }
-                None => RateMap::Uniform,
-            };
-            let spec = WorkloadSpec::Load {
-                pattern: dec_pattern(get(doc, "pattern", path)?, &format!("{path}.pattern"))?,
-                arrival,
-                rates,
-                load: dec_f64(get(doc, "load", path)?, &format!("{path}.load"))?,
-                payload_words: dec_usize(
-                    get(doc, "payload_words", path)?,
-                    &format!("{path}.payload_words"),
-                )?,
-                warmup: dec_u64(get(doc, "warmup", path)?, &format!("{path}.warmup"))?,
-                measure: dec_u64(get(doc, "measure", path)?, &format!("{path}.measure"))?,
-                drain: dec_u64(get(doc, "drain", path)?, &format!("{path}.drain"))?,
-            };
-            // Shape validation against the document's own topology:
-            // out-of-range hotspots/permutation entries, self-targeting
-            // traces, malformed rate maps, and transpose/bit-reversal
-            // on non-power-of-two endpoint counts are decode errors,
-            // not latent run-time mis-mappings.
-            if let Err(e) = spec.validate(endpoints) {
-                return err(path, e.to_string());
-            }
-            Ok(spec)
+            "sends" => Ok(WorkloadSpec::Sends {
+                cycles: f.req("cycles")?.u64()?,
+                sends: f.req("sends")?.list(|s| {
+                    s.object(|f| {
+                        Ok(SendSpec {
+                            at: f.req("at")?.u64()?,
+                            src: f.req("src")?.usize()?,
+                            dest: f.req("dest")?.usize()?,
+                            payload: f.req("payload")?.list(|w| w.u16())?,
+                        })
+                    })
+                })?,
+            }),
+            other => kind.err(format!("unknown workload kind {other:?}")),
         }
-        "sends" => {
-            check_fields(doc, &["kind", "cycles", "sends"], path)?;
-            let sends_path = format!("{path}.sends");
-            let items = dec_arr(get(doc, "sends", path)?, &sends_path)?;
-            let mut sends = Vec::with_capacity(items.len());
-            for (i, s) in items.iter().enumerate() {
-                let sp = format!("{sends_path}[{i}]");
-                check_fields(s, &["at", "src", "dest", "payload"], &sp)?;
-                let payload_path = format!("{sp}.payload");
-                let words = dec_arr(get(s, "payload", &sp)?, &payload_path)?;
-                let mut payload = Vec::with_capacity(words.len());
-                for (j, w) in words.iter().enumerate() {
-                    payload.push(dec_u16(w, &format!("{payload_path}[{j}]"))?);
-                }
-                sends.push(SendSpec {
-                    at: dec_u64(get(s, "at", &sp)?, &format!("{sp}.at"))?,
-                    src: dec_usize(get(s, "src", &sp)?, &format!("{sp}.src"))?,
-                    dest: dec_usize(get(s, "dest", &sp)?, &format!("{sp}.dest"))?,
-                    payload,
-                });
-            }
-            Ok(WorkloadSpec::Sends {
-                sends,
-                cycles: dec_u64(get(doc, "cycles", path)?, &format!("{path}.cycles"))?,
-            })
-        }
-        other => err(&kind_path, format!("unknown workload kind {other:?}")),
-    }
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -973,65 +695,40 @@ pub fn encode(scenario: &Scenario) -> Json {
 ///
 /// Returns a [`CodecError`] naming the offending field.
 pub fn decode(doc: &Json) -> Result<Scenario, CodecError> {
-    check_fields(
-        doc,
-        &[
-            "scenario_schema",
-            "name",
-            "topology",
-            "sim",
-            "seed",
-            "faults",
-            "injections",
-            "workload",
-        ],
-        "scenario",
-    )?;
-    let schema = dec_u64(
-        get(doc, "scenario_schema", "scenario")?,
-        "scenario.scenario_schema",
-    )?;
-    if schema == 0 || schema > SCENARIO_SCHEMA {
-        return err(
-            "scenario.scenario_schema",
-            format!("unsupported schema version {schema} (this build reads 1..={SCENARIO_SCHEMA})"),
-        );
-    }
-    let injections_path = "scenario.injections";
-    let mut injections = Vec::new();
-    for (i, inj) in dec_arr(get(doc, "injections", "scenario")?, injections_path)?
-        .iter()
-        .enumerate()
-    {
-        let ip = format!("{injections_path}[{i}]");
-        check_fields(inj, &["at", "faults", "repairs"], &ip)?;
-        injections.push(FaultInjection {
-            at: dec_u64(get(inj, "at", &ip)?, &format!("{ip}.at"))?,
-            faults: dec_faults(get(inj, "faults", &ip)?, &format!("{ip}.faults"))?,
-            // Absent in pre-repair scenario files (back-compat).
-            repairs: match inj.get("repairs") {
-                Some(r) => dec_repairs(r, &format!("{ip}.repairs"))?,
-                None => RepairSet::default(),
-            },
-        });
-    }
-    // Topology decodes first: the workload decoder validates patterns,
-    // rate maps, and trace entries against the endpoint count.
-    let topology = dec_topology(get(doc, "topology", "scenario")?, "scenario.topology")?;
-    let workload = dec_workload(
-        get(doc, "workload", "scenario")?,
-        "scenario.workload",
-        topology.endpoints,
-        schema,
-    )?;
-    Ok(Scenario {
-        name: dec_str(get(doc, "name", "scenario")?, "scenario.name")?.to_string(),
-        topology,
-        sim: dec_sim(get(doc, "sim", "scenario")?, "scenario.sim")?,
-        seed: dec_seed(get(doc, "seed", "scenario")?, "scenario.seed")?,
-        faults: dec_faults(get(doc, "faults", "scenario")?, "scenario.faults")?,
-        injections,
-        workload,
+    decode_node(&Node::root("scenario", "scenario", doc))
+}
+
+/// [`decode`] at a cursor position — how a checkpoint reads its
+/// embedded scenario under its own paths.
+pub(crate) fn decode_node(node: &Node<'_>) -> Result<Scenario, CodecError> {
+    node.object(|f| {
+        let schema = dec_schema(f, "scenario_schema", SCENARIO_SCHEMA)?;
+        let name = f.req("name")?.str()?.to_string();
+        // Topology decodes before the workload, which validates
+        // patterns, rate maps, and trace entries against the endpoint
+        // count.
+        let topology = dec_topology(&f.req("topology")?)?;
+        Ok(Scenario {
+            name,
+            sim: dec_sim(&f.req("sim")?)?,
+            seed: dec_seed(&f.req("seed")?)?,
+            faults: dec_faults(&f.req("faults")?)?,
+            injections: f.req("injections")?.list(|i| {
+                i.object(|f| {
+                    Ok(FaultInjection {
+                        at: f.req("at")?.u64()?,
+                        faults: dec_faults(&f.req("faults")?)?,
+                        // Absent in pre-repair scenario files
+                        // (back-compat).
+                        repairs: f
+                            .opt("repairs")
+                            .map_or(Ok(RepairSet::default()), |r| dec_repairs(&r))?,
+                    })
+                })
+            })?,
+            workload: dec_workload(&f.req("workload")?, topology.endpoints, schema)?,
+            topology,
+        })
     })
 }
 
@@ -1050,7 +747,7 @@ pub fn from_text(text: &str) -> Result<Scenario, String> {
 /// results manifest records as `scenario_hash`.
 #[must_use]
 pub fn scenario_hash(scenario: &Scenario) -> String {
-    format!("{:#018x}", encode(scenario).canonical_hash())
+    hex64(encode(scenario).canonical_hash())
 }
 
 #[cfg(test)]
@@ -1558,6 +1255,22 @@ mod tests {
         doc.set("topology", topo);
         let e = decode(&doc).unwrap_err();
         assert_eq!(e.path, "scenario.topology.wiring");
+    }
+
+    #[test]
+    fn an_intermittent_period_beyond_32_bits_is_a_decode_error() {
+        // 2^32 + 1 used to be read `as u32`: period 1, a different
+        // experiment, without a word.
+        let mut doc = encode(&rich_scenario());
+        let mut faults = doc.get("faults").unwrap().clone();
+        let mut links = faults.get("links").unwrap().as_arr().unwrap().to_vec();
+        assert_eq!(links[2].get("kind").unwrap().as_str(), Some("intermittent"));
+        links[2].set("period", Json::from(4_294_967_297u64));
+        faults.set("links", Json::arr(links));
+        doc.set("faults", faults);
+        let e = decode(&doc).unwrap_err();
+        assert_eq!(e.path, "scenario.faults.links[2].period");
+        assert_eq!(e.message, "4294967297 does not fit in 32 bits");
     }
 
     #[test]

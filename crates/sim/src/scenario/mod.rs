@@ -26,6 +26,7 @@ use crate::message::MessageOutcome;
 use crate::network::{NetworkSim, SimConfig};
 use crate::traffic::TrafficPattern;
 use crate::workload::{ArrivalProcess, RateMap, WorkloadError};
+use metro_harness::document::hex64;
 use metro_harness::Json;
 use metro_topo::fault::FaultSet;
 use metro_topo::graph::LinkId;
@@ -304,10 +305,7 @@ impl ScenarioResult {
             ("payload_words", Json::from(self.payload_words)),
             ("fabric_idle", Json::from(self.fabric_idle)),
             ("telemetry_every", Json::from(self.telemetry_every)),
-            (
-                "outcome_digest",
-                Json::from(format!("{:#018x}", self.outcome_digest())),
-            ),
+            ("outcome_digest", Json::from(hex64(self.outcome_digest()))),
             ("point", point),
         ])
     }

@@ -4,42 +4,28 @@
 //! (stage, router) counter cells, a latency summary, and the decimated
 //! network-total series — into a value with a canonical JSON form on
 //! the harness [`Json`] model. The codec follows the scenario codec's
-//! rules: `telemetry_schema` is checked before any field parsing,
+//! rules (and reads through the same [`metro_harness::document`]
+//! cursor): `telemetry_schema` is checked before any field parsing,
 //! unknown fields are rejected at every object level with dotted
 //! paths, and encode∘decode∘encode is the identity on bytes (the
 //! `.telemetry.json` sidecar contract).
+
+#![deny(clippy::cast_possible_truncation)]
 
 use crate::counters::{CounterBlock, CounterCell};
 use crate::histogram::HistogramSummary;
 use crate::metric::RouterCounter;
 use crate::registry::TelemetryRegistry;
+use metro_harness::document::{hex64, DecodeError, Node};
 use metro_harness::Json;
 
 /// Telemetry schema version written into (and required of) every
 /// document.
 pub const TELEMETRY_SCHEMA: u64 = 1;
 
-/// A telemetry decode failure: where in the document and what went
-/// wrong.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SnapshotError {
-    /// Dotted path to the offending field (e.g. `"series[2].stride"`).
-    pub path: String,
-    /// What went wrong.
-    pub message: String,
-}
-
-impl std::fmt::Display for SnapshotError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "telemetry decode error at {}: {}",
-            self.path, self.message
-        )
-    }
-}
-
-impl std::error::Error for SnapshotError {}
+/// A telemetry decode failure: where in the document (paths start at
+/// the top-level key, e.g. `"series[2].stride"`) and what went wrong.
+pub type SnapshotError = DecodeError;
 
 /// One counter's decimated network-total series.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -117,58 +103,6 @@ impl TelemetrySnapshot {
     }
 }
 
-fn err<T>(path: &str, message: impl Into<String>) -> Result<T, SnapshotError> {
-    Err(SnapshotError {
-        path: path.to_string(),
-        message: message.into(),
-    })
-}
-
-fn check_fields(doc: &Json, allowed: &[&str], path: &str) -> Result<(), SnapshotError> {
-    let Json::Obj(pairs) = doc else {
-        return err(path, "expected an object");
-    };
-    for (k, _) in pairs {
-        if !allowed.contains(&k.as_str()) {
-            return err(path, format!("unknown field {k:?}"));
-        }
-    }
-    Ok(())
-}
-
-fn get<'a>(doc: &'a Json, key: &str, path: &str) -> Result<&'a Json, SnapshotError> {
-    match doc.get(key) {
-        Some(v) => Ok(v),
-        None => err(path, format!("missing field {key:?}")),
-    }
-}
-
-fn dec_f64(doc: &Json, path: &str) -> Result<f64, SnapshotError> {
-    doc.as_f64()
-        .ok_or(())
-        .or_else(|()| err(path, "expected a number"))
-}
-
-fn dec_u64(doc: &Json, path: &str) -> Result<u64, SnapshotError> {
-    let v = dec_f64(doc, path)?;
-    if v.fract() != 0.0 || !(0.0..9.0e15).contains(&v) {
-        return err(path, format!("expected a non-negative integer, got {v}"));
-    }
-    Ok(v as u64)
-}
-
-fn dec_str<'a>(doc: &'a Json, path: &str) -> Result<&'a str, SnapshotError> {
-    doc.as_str()
-        .ok_or(())
-        .or_else(|()| err(path, "expected a string"))
-}
-
-fn dec_arr<'a>(doc: &'a Json, path: &str) -> Result<&'a [Json], SnapshotError> {
-    doc.as_arr()
-        .ok_or(())
-        .or_else(|()| err(path, "expected an array"))
-}
-
 fn enc_latency(l: &HistogramSummary) -> Json {
     Json::obj([
         ("count", Json::from(l.count)),
@@ -181,23 +115,17 @@ fn enc_latency(l: &HistogramSummary) -> Json {
     ])
 }
 
-fn dec_latency(doc: &Json, path: &str) -> Result<HistogramSummary, SnapshotError> {
-    check_fields(
-        doc,
-        &["count", "mean", "min", "max", "p50", "p95", "p99"],
-        path,
-    )?;
-    let f = |key: &str| -> Result<u64, SnapshotError> {
-        dec_u64(get(doc, key, path)?, &format!("{path}.{key}"))
-    };
-    Ok(HistogramSummary {
-        count: f("count")?,
-        mean: dec_f64(get(doc, "mean", path)?, &format!("{path}.mean"))?,
-        min: f("min")?,
-        max: f("max")?,
-        p50: f("p50")?,
-        p95: f("p95")?,
-        p99: f("p99")?,
+fn dec_latency(node: &Node<'_>) -> Result<HistogramSummary, SnapshotError> {
+    node.object(|f| {
+        Ok(HistogramSummary {
+            count: f.req("count")?.u64()?,
+            mean: f.req("mean")?.f64()?,
+            min: f.req("min")?.u64()?,
+            max: f.req("max")?.u64()?,
+            p50: f.req("p50")?.u64()?,
+            p95: f.req("p95")?.u64()?,
+            p99: f.req("p99")?.u64()?,
+        })
     })
 }
 
@@ -254,89 +182,70 @@ pub fn encode(s: &TelemetrySnapshot) -> Json {
 /// Returns a [`SnapshotError`] naming the offending field on schema
 /// mismatch, unknown or missing fields, or type errors.
 pub fn decode(doc: &Json) -> Result<TelemetrySnapshot, SnapshotError> {
-    // Schema first: reject foreign documents before parsing fields.
-    let schema = dec_u64(get(doc, "telemetry_schema", "")?, "telemetry_schema")?;
-    if schema != TELEMETRY_SCHEMA {
-        return err(
-            "telemetry_schema",
-            format!("unsupported schema {schema} (this build reads {TELEMETRY_SCHEMA})"),
-        );
-    }
-    check_fields(
-        doc,
-        &[
-            "telemetry_schema",
-            "name",
-            "engine",
-            "cycles",
-            "interval",
-            "counter_names",
-            "counters",
-            "latency",
-            "series",
-        ],
-        "",
-    )?;
-
-    // The counter-name vector is self-describing redundancy: it must
-    // match this build's slot order exactly.
-    let names = dec_arr(get(doc, "counter_names", "")?, "counter_names")?;
-    if names.len() != RouterCounter::COUNT {
-        return err("counter_names", "wrong number of counters");
-    }
-    for (i, (n, c)) in names.iter().zip(RouterCounter::ALL).enumerate() {
-        let p = format!("counter_names[{i}]");
-        if dec_str(n, &p)? != c.name() {
-            return err(&p, format!("expected {:?}", c.name()));
+    Node::root("telemetry", "", doc).object(|f| {
+        // Schema first: reject foreign documents before parsing fields.
+        let version = f.req("telemetry_schema")?;
+        let schema = version.u64()?;
+        if schema != TELEMETRY_SCHEMA {
+            return version.err(format!(
+                "unsupported schema {schema} (this build reads {TELEMETRY_SCHEMA})"
+            ));
         }
-    }
+        let name = f.req("name")?.str()?.to_string();
+        let engine = f.req("engine")?.str()?.to_string();
+        let cycles = f.req("cycles")?.u64()?;
+        let interval = f.req("interval")?.u64()?;
 
-    let stages_doc = dec_arr(get(doc, "counters", "")?, "counters")?;
-    let mut per_stage = Vec::with_capacity(stages_doc.len());
-    for (st, stage) in stages_doc.iter().enumerate() {
-        per_stage.push(dec_arr(stage, &format!("counters[{st}]"))?.len());
-    }
-    let mut counters = CounterBlock::new(&per_stage);
-    for (st, stage) in stages_doc.iter().enumerate() {
-        for (r, cell_doc) in dec_arr(stage, "counters")?.iter().enumerate() {
-            let p = format!("counters[{st}][{r}]");
-            let vals = dec_arr(cell_doc, &p)?;
-            if vals.len() != RouterCounter::COUNT {
-                return err(&p, format!("expected {} counters", RouterCounter::COUNT));
+        // The counter-name vector is self-describing redundancy: it
+        // must match this build's slot order exactly.
+        let names = f.req("counter_names")?;
+        let mut expected = RouterCounter::ALL.into_iter();
+        let named = names.list(|n| match expected.next() {
+            Some(c) if n.str()? != c.name() => n.err(format!("expected {:?}", c.name())),
+            _ => Ok(()),
+        })?;
+        if named.len() != RouterCounter::COUNT {
+            return names.err("wrong number of counters");
+        }
+
+        let cells = f.req("counters")?.list(|stage| {
+            stage.list(|cell| {
+                let vals = cell.list(|v| v.u64())?;
+                if vals.len() != RouterCounter::COUNT {
+                    return cell.err(format!("expected {} counters", RouterCounter::COUNT));
+                }
+                let mut counts = CounterCell::new();
+                for (c, v) in RouterCounter::ALL.into_iter().zip(vals) {
+                    counts.add(c, v);
+                }
+                Ok(counts)
+            })
+        })?;
+        let per_stage: Vec<usize> = cells.iter().map(Vec::len).collect();
+        let mut counters = CounterBlock::new(&per_stage);
+        for (st, stage) in cells.into_iter().enumerate() {
+            for (r, cell) in stage.into_iter().enumerate() {
+                *counters.cell_mut(st, r) = cell;
             }
-            let mut cell = CounterCell::new();
-            for (c, v) in RouterCounter::ALL.into_iter().zip(vals) {
-                cell.add(c, dec_u64(v, &format!("{p}[{}]", c as usize))?);
-            }
-            *counters.cell_mut(st, r) = cell;
         }
-    }
 
-    let series_doc = dec_arr(get(doc, "series", "")?, "series")?;
-    let mut series = Vec::with_capacity(series_doc.len());
-    for (i, s) in series_doc.iter().enumerate() {
-        let p = format!("series[{i}]");
-        check_fields(s, &["metric", "stride", "samples"], &p)?;
-        let samples_doc = dec_arr(get(s, "samples", &p)?, &format!("{p}.samples"))?;
-        let mut samples = Vec::with_capacity(samples_doc.len());
-        for (k, v) in samples_doc.iter().enumerate() {
-            samples.push(dec_u64(v, &format!("{p}.samples[{k}]"))?);
-        }
-        series.push(SeriesSnapshot {
-            metric: dec_str(get(s, "metric", &p)?, &format!("{p}.metric"))?.to_string(),
-            stride: dec_u64(get(s, "stride", &p)?, &format!("{p}.stride"))?,
-            samples,
-        });
-    }
-
-    Ok(TelemetrySnapshot {
-        name: dec_str(get(doc, "name", "")?, "name")?.to_string(),
-        engine: dec_str(get(doc, "engine", "")?, "engine")?.to_string(),
-        cycles: dec_u64(get(doc, "cycles", "")?, "cycles")?,
-        interval: dec_u64(get(doc, "interval", "")?, "interval")?,
-        counters,
-        latency: dec_latency(get(doc, "latency", "")?, "latency")?,
-        series,
+        Ok(TelemetrySnapshot {
+            name,
+            engine,
+            cycles,
+            interval,
+            counters,
+            latency: dec_latency(&f.req("latency")?)?,
+            series: f.req("series")?.list(|s| {
+                s.object(|f| {
+                    Ok(SeriesSnapshot {
+                        metric: f.req("metric")?.str()?.to_string(),
+                        stride: f.req("stride")?.u64()?,
+                        samples: f.req("samples")?.list(|v| v.u64())?,
+                    })
+                })
+            })?,
+        })
     })
 }
 
@@ -347,6 +256,7 @@ pub fn decode(doc: &Json) -> Result<TelemetrySnapshot, SnapshotError> {
 /// Returns a [`SnapshotError`] for both parse and decode failures.
 pub fn from_text(text: &str) -> Result<TelemetrySnapshot, SnapshotError> {
     let doc = Json::parse(text).map_err(|e| SnapshotError {
+        kind: "telemetry",
         path: String::new(),
         message: format!("invalid JSON: {e}"),
     })?;
@@ -358,7 +268,7 @@ pub fn from_text(text: &str) -> Result<TelemetrySnapshot, SnapshotError> {
 /// encoding.
 #[must_use]
 pub fn telemetry_hash(s: &TelemetrySnapshot) -> String {
-    format!("{:#018x}", encode(s).canonical_hash())
+    hex64(encode(s).canonical_hash())
 }
 
 #[cfg(test)]

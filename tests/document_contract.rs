@@ -1,0 +1,228 @@
+//! The document contract, where Tier-1 can see it: every committed
+//! scenario, sidecar and checkpoint decodes and re-encodes to its exact
+//! bytes, and every structurally mutated document is rejected with an
+//! error that names the mutated place.
+
+use metro_harness::document::{seal, DecodeError};
+use metro_harness::Json;
+use metro_sim::checkpoint::{resume_scenario, Checkpoint};
+use metro_sim::scenario::{codec, run_scenario};
+use metro_telemetry::snapshot;
+use std::path::{Path, PathBuf};
+
+fn repo(rel: &str) -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join(rel)
+}
+
+fn read(rel: &str) -> String {
+    std::fs::read_to_string(repo(rel)).unwrap_or_else(|e| panic!("{rel}: {e}"))
+}
+
+/// The files in `dir` (repo-relative) whose names end in `suffix`.
+fn files(dir: &str, suffix: &str) -> Vec<String> {
+    let mut out: Vec<String> = std::fs::read_dir(repo(dir))
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .filter(|n| n.ends_with(suffix))
+        .map(|n| format!("{dir}/{n}"))
+        .collect();
+    out.sort();
+    out
+}
+
+#[test]
+fn committed_scenarios_and_sidecars_re_encode_to_their_bytes() {
+    let mut scenarios = files("scenarios", ".json");
+    assert_eq!(scenarios.len(), 11, "{scenarios:?}");
+    scenarios.extend(files("results", ".scenario.json"));
+    for file in &scenarios {
+        let text = read(file);
+        let scenario = codec::from_text(&text).unwrap_or_else(|e| panic!("{file}: {e}"));
+        assert_eq!(codec::encode(&scenario).render(), text, "{file}");
+    }
+    let telemetry = files("results", ".telemetry.json");
+    assert_eq!(scenarios.len() - 11 + telemetry.len(), 18, "sidecars");
+    for file in &telemetry {
+        let text = read(file);
+        let snap = snapshot::from_text(&text).unwrap_or_else(|e| panic!("{file}: {e}"));
+        assert_eq!(snapshot::encode(&snap).render(), text, "{file}");
+    }
+}
+
+const CKPT_FIXTURE: &str = "tests/fixtures/figure1.ckpt.json";
+
+#[test]
+fn the_checkpoint_fixture_keeps_its_bytes_and_resumes_to_the_straight_run() {
+    // Written by the build before the decoders moved onto the shared
+    // cursor, at cycle 100 of scenarios/figure1.json — mid-traffic.
+    let text = read(CKPT_FIXTURE);
+    let ckpt = Checkpoint::from_text(&text).unwrap();
+    assert_eq!((ckpt.scenario.name.as_str(), ckpt.cycle), ("figure1", 100));
+    let doc = ckpt.to_json();
+    assert_eq!(doc.render(), text);
+    assert_eq!(
+        doc.get("checkpoint_hash").unwrap().as_str().unwrap(),
+        "0x9de0c913a107bb41"
+    );
+    let (resumed, _sim) = resume_scenario(&ckpt).unwrap();
+    let straight = run_scenario(&ckpt.scenario).unwrap();
+    assert_eq!(resumed.to_json().render(), straight.to_json().render());
+}
+
+/// One document kind under mutation: how its paths start, how it
+/// decodes, and the seal to re-stamp after each mutation (if any).
+struct Kind {
+    root: &'static str,
+    seal: Option<&'static str>,
+    decode: fn(&Json) -> Option<DecodeError>,
+}
+
+/// Keys a decoder defaults when absent; removing one is not an error.
+const OPTIONAL: [&str; 6] = [
+    "telemetry_every",
+    "self_heal",
+    "shards",
+    "repairs",
+    "arrival",
+    "rates",
+];
+
+fn join(path: &str, key: &str) -> String {
+    if path.is_empty() {
+        key.to_string()
+    } else {
+        format!("{path}.{key}")
+    }
+}
+
+/// Decodes `doc` with the value at `at` (a trail of object keys and
+/// array indices from the root) replaced by `mutate`'s result, and
+/// demands an error at `want`.
+fn expect_rejection(
+    kind: &Kind,
+    doc: &Json,
+    at: &[String],
+    mutate: &dyn Fn(&mut Json),
+    want: &str,
+    what: &str,
+) {
+    let mut mutant = doc.clone();
+    let mut target = &mut mutant;
+    for step in at {
+        target = match target {
+            Json::Obj(pairs) => &mut pairs.iter_mut().find(|(k, _)| k == step).unwrap().1,
+            Json::Arr(items) => &mut items[step.parse::<usize>().unwrap()],
+            _ => unreachable!(),
+        };
+    }
+    mutate(target);
+    if let (Some(key), Json::Obj(pairs)) = (kind.seal, &mut mutant) {
+        pairs.retain(|(k, _)| k != key);
+        seal(&mut mutant, key);
+    }
+    match (kind.decode)(&mutant) {
+        Some(e) => assert_eq!(e.path, want, "{what}: {e}"),
+        None => panic!("{what} at {want:?} was accepted"),
+    }
+}
+
+/// Walks `node` (found at `trail` / `path` inside `doc`) and, at every
+/// object level, removes each key, adds an unknown key, and swaps each
+/// scalar — array elements included — for a value of another type.
+/// Returns the number of mutants tried.
+fn mutate_everywhere(
+    kind: &Kind,
+    doc: &Json,
+    node: &Json,
+    trail: &mut Vec<String>,
+    path: &str,
+) -> usize {
+    let mut tried = 0;
+    let mut children: Vec<(String, String, &Json)> = Vec::new();
+    match node {
+        Json::Obj(pairs) => {
+            expect_rejection(
+                kind,
+                doc,
+                trail,
+                &|o| o.set("zz_unknown", Json::Null),
+                path,
+                "an unknown key",
+            );
+            tried += 1;
+            for (k, v) in pairs {
+                if trail.is_empty() && kind.seal == Some(k.as_str()) {
+                    continue;
+                }
+                if !OPTIONAL.contains(&k.as_str()) {
+                    let remove = |o: &mut Json| {
+                        let Json::Obj(pairs) = o else { unreachable!() };
+                        pairs.retain(|(name, _)| name != k);
+                    };
+                    expect_rejection(kind, doc, trail, &remove, path, &format!("removing {k:?}"));
+                    tried += 1;
+                }
+                children.push((k.clone(), join(path, k), v));
+            }
+        }
+        Json::Arr(items) => {
+            for (i, v) in items.iter().enumerate() {
+                children.push((i.to_string(), format!("{path}[{i}]"), v));
+            }
+        }
+        scalar => {
+            let other = match scalar {
+                Json::Bool(_) => Json::from("x"),
+                _ => Json::Bool(true),
+            };
+            expect_rejection(
+                kind,
+                doc,
+                trail,
+                &|v| *v = other.clone(),
+                path,
+                "a retyped scalar",
+            );
+            return 1;
+        }
+    }
+    for (step, child_path, child) in children {
+        trail.push(step);
+        tried += mutate_everywhere(kind, doc, child, trail, &child_path);
+        trail.pop();
+    }
+    tried
+}
+
+#[test]
+fn every_structural_mutant_is_rejected_at_the_mutated_path() {
+    let scenario = Kind {
+        root: "scenario",
+        seal: None,
+        decode: |d| codec::decode(d).err(),
+    };
+    let telemetry = Kind {
+        root: "",
+        seal: None,
+        decode: |d| snapshot::decode(d).err(),
+    };
+    let checkpoint = Kind {
+        root: "checkpoint",
+        seal: Some("checkpoint_hash"),
+        decode: |d| Checkpoint::from_json(d).err(),
+    };
+    for (kind, file, at_least) in [
+        (&scenario, "scenarios/hotspot_burst.json", 100),
+        (&scenario, "scenarios/chaos_smoke.json", 300),
+        (&telemetry, "results/chaos.telemetry.json", 400),
+        (&checkpoint, CKPT_FIXTURE, 400),
+    ] {
+        let doc = Json::parse(&read(file)).unwrap();
+        assert!(
+            (kind.decode)(&doc).is_none(),
+            "{file} must decode unmutated"
+        );
+        let tried = mutate_everywhere(kind, &doc, &doc, &mut Vec::new(), kind.root);
+        assert!(tried >= at_least, "{file}: only {tried} mutants");
+    }
+}

@@ -79,7 +79,7 @@ fn run(ctx: &RunCtx) -> Result<ArtifactOutput, String> {
         ("seed", Json::from(cfg.seed)),
         ("points", Json::Arr(rows)),
     ]);
-    let scenario = crate::scenarios::load_scenario("ablation_concurrency", &cfg, LOADS[2]);
+    let scenario = cfg.load_scenario("ablation_concurrency", LOADS[2]);
     Ok(ArtifactOutput {
         human: out,
         json,

@@ -110,7 +110,7 @@ fn run(ctx: &RunCtx) -> Result<ArtifactOutput, String> {
         ("seed", Json::from(base.seed)),
         ("points", Json::Arr(rows)),
     ]);
-    let scenario = crate::scenarios::load_scenario("ablation_dilation", &base, LOADS[1]);
+    let scenario = base.load_scenario("ablation_dilation", LOADS[1]);
     Ok(ArtifactOutput {
         human: out,
         json,

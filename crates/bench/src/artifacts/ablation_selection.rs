@@ -97,7 +97,7 @@ fn run(ctx: &RunCtx) -> Result<ArtifactOutput, String> {
         ("seed", Json::from(cfg.seed)),
         ("points", Json::Arr(rows)),
     ]);
-    let scenario = crate::scenarios::load_scenario("ablation_selection", &cfg, LOADS[1]);
+    let scenario = cfg.load_scenario("ablation_selection", LOADS[1]);
     Ok(ArtifactOutput {
         human: out,
         json,

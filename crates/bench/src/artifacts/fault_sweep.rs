@@ -99,7 +99,7 @@ fn run(ctx: &RunCtx) -> Result<ArtifactOutput, String> {
     // grid cells themselves are fault points with their own arrival
     // RNG discipline; the sidecar records the fault-free
     // configuration they all share.)
-    let scenario = crate::scenarios::load_scenario("fault_sweep", &cfg, LOAD);
+    let scenario = cfg.load_scenario("fault_sweep", LOAD);
     // Telemetry sidecar: the fault-free baseline cell (grid index 0)
     // with its sweep seed, so the snapshot matches the table's first
     // row.

@@ -111,19 +111,16 @@ fn run(ctx: &RunCtx) -> Result<ArtifactOutput, String> {
         ("seed", Json::from(cfg.seed)),
         ("loads", Json::from(LOADS.len())),
     ]);
-    // The declarative scenario for the curve's 0.40-load cell;
-    // `metro scenario run` on the dumped sidecar reproduces that point
-    // bit for bit. The sweep seeds each cell as point_seed(seed, index),
-    // so the scenario carries the derived seed, not the base.
+    // The curve's 0.40-load cell, seeded as the sweep seeds it
+    // (point_seed(seed, index), not the base): its declarative scenario
+    // is the sidecar — `metro scenario run` on it reproduces that point
+    // bit for bit — and re-running it freezes the telemetry sidecar.
     let cell = 7;
-    let mut scenario = crate::scenarios::load_scenario("fig3", &cfg, LOADS[cell]);
-    scenario.seed = point_seed(cfg.seed, cell as u64);
-    // Telemetry sidecar: re-run the same representative cell with its
-    // sweep seed and freeze the registry into a snapshot.
     let cell_cfg = SweepConfig {
         seed: point_seed(cfg.seed, cell as u64),
         ..cfg.clone()
     };
+    let scenario = cell_cfg.load_scenario("fig3", LOADS[cell]);
     let (_, snap) = run_load_point_with_telemetry(&cell_cfg, LOADS[cell], "fig3");
     Ok(ArtifactOutput {
         human: out,

@@ -1,4 +1,4 @@
-//! The 23 paper artifacts, as registry entries.
+//! The 19 paper artifacts, as registry entries.
 //!
 //! Each module moves one historical binary's logic behind a
 //! [`metro_harness::Artifact`]: the run function builds the human
@@ -26,7 +26,6 @@ pub mod ablation_reclaim;
 pub mod ablation_selection;
 pub mod cascade_sim;
 pub mod chaos;
-pub mod estimate_bench;
 pub mod fattree_budget;
 pub mod fault_sweep;
 pub mod fig1;
@@ -34,18 +33,15 @@ pub mod fig3;
 pub mod message_sizes;
 pub mod occupancy;
 pub mod scaling;
-pub mod shard_bench;
 pub mod table2;
 pub mod table3;
 pub mod table4;
 pub mod table5;
-pub mod tick_bench;
 pub mod traffic_patterns;
-pub mod workload_bench;
 
 /// Builds the registry of every paper artifact, in the order the
 /// paper presents them (figures, tables, robustness, ablations,
-/// workload/scale studies, engine benchmark).
+/// workload/scale studies).
 #[must_use]
 pub fn registry() -> Registry {
     let mut r = Registry::new();
@@ -68,9 +64,5 @@ pub fn registry() -> Registry {
     r.register(occupancy::artifact());
     r.register(fattree_budget::artifact());
     r.register(message_sizes::artifact());
-    r.register(tick_bench::artifact());
-    r.register(shard_bench::artifact());
-    r.register(workload_bench::artifact());
-    r.register(estimate_bench::artifact());
     r
 }

@@ -106,11 +106,7 @@ fn run(ctx: &RunCtx) -> Result<ArtifactOutput, String> {
         ("load", Json::from(0.4)),
         ("points", Json::Arr(rows)),
     ]);
-    let scenario = crate::scenarios::load_scenario(
-        "scaling",
-        &crate::scenarios::sweep_for("scaling", quick),
-        0.4,
-    );
+    let scenario = crate::scenarios::sweep_for("scaling", quick).load_scenario("scaling", 0.4);
     Ok(ArtifactOutput {
         human: out,
         json,

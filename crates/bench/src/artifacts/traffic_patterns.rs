@@ -100,7 +100,7 @@ fn run(ctx: &RunCtx) -> Result<ArtifactOutput, String> {
         ("seed", Json::from(cfg.seed)),
         ("points", Json::Arr(rows)),
     ]);
-    let scenario = crate::scenarios::load_scenario("traffic_patterns", &cfg, LOADS[1]);
+    let scenario = cfg.load_scenario("traffic_patterns", LOADS[1]);
     Ok(ArtifactOutput {
         human: out,
         json,

@@ -35,10 +35,6 @@
 //! | `occupancy` | per-router load balance, uniform vs hotspot |
 //! | `fattree_budget` | fat-tree router budgets from METRO parts |
 //! | `message_sizes` | size sweeps and implementation crossovers |
-//! | `tick_bench` | simulator engine throughput (flat vs reference) |
-//! | `shard_bench` | sharded flat-engine throughput at 1/2/4 shards (metro1k) |
-//! | `workload_bench` | flat-engine throughput, uniform vs bursty hotspot traffic |
-//! | `estimate_bench` | analytic estimator vs flat engine on metro1k |
 
 #![forbid(unsafe_code)]
 
@@ -51,7 +47,7 @@ pub mod scenarios;
 use metro_harness::{Json, Registry, ResultsDir, ResultsError};
 use metro_sim::experiment::{FaultSweepPoint, LoadPoint};
 
-/// Builds the full artifact registry (all 23 paper artifacts).
+/// Builds the full artifact registry (all 19 paper artifacts).
 #[must_use]
 pub fn registry() -> Registry {
     artifacts::registry()
@@ -287,25 +283,30 @@ mod tests {
     }
 
     #[test]
-    fn registry_holds_all_twenty_three_artifacts() {
-        let r = registry();
-        assert_eq!(r.len(), 23);
-        for name in [
-            "fig1",
-            "fig3",
-            "table2",
-            "table3",
-            "table4",
-            "table5",
-            "fault_sweep",
-            "chaos",
-            "tick_bench",
-            "shard_bench",
-            "workload_bench",
-            "estimate_bench",
-            "scaling",
-        ] {
-            assert!(r.get(name).is_some(), "missing artifact {name}");
-        }
+    fn registry_holds_all_nineteen_artifacts() {
+        assert_eq!(
+            registry().names(),
+            [
+                "fig1",
+                "fig3",
+                "table2",
+                "table3",
+                "table4",
+                "table5",
+                "fault_sweep",
+                "chaos",
+                "ablation_selection",
+                "ablation_reclaim",
+                "ablation_dilation",
+                "ablation_pipelining",
+                "ablation_concurrency",
+                "traffic_patterns",
+                "scaling",
+                "cascade_sim",
+                "occupancy",
+                "fattree_budget",
+                "message_sizes",
+            ]
+        );
     }
 }

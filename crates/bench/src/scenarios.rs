@@ -1,9 +1,9 @@
-//! The single scenario-construction path for the benchmark suite.
+//! The single scenario-construction path for the artifact suite.
 //!
 //! Every sim-backed artifact builds its [`SweepConfig`] through
 //! [`sweep_for`], so the quick and full profiles are two parameter sets
 //! of *one* construction path. The same configs convert to declarative
-//! [`Scenario`] values ([`load_scenario`]) for the
+//! [`Scenario`] values ([`SweepConfig::load_scenario`]) for the
 //! `results/<artifact>.scenario.json` sidecars and the manifest's
 //! `scenario_hash`, and [`named`] builds the checked-in
 //! `scenarios/*.json` corpus (`metro scenario dump <name>`).
@@ -55,32 +55,6 @@ pub fn sweep_for(artifact: &str, quick: bool) -> SweepConfig {
         _ => {}
     }
     cfg
-}
-
-/// The [`Scenario`] a sweep configuration describes at offered load
-/// `load` — bit-compatible with
-/// [`metro_sim::experiment::run_load_point`] on the same config, so the
-/// emitted sidecar reproduces the artifact's measurement exactly.
-#[must_use]
-pub fn load_scenario(name: &str, cfg: &SweepConfig, load: f64) -> Scenario {
-    Scenario {
-        name: name.to_string(),
-        topology: cfg.spec.clone(),
-        sim: cfg.sim.clone(),
-        seed: cfg.seed,
-        faults: FaultSet::new(),
-        injections: Vec::new(),
-        workload: WorkloadSpec::Load {
-            pattern: cfg.pattern.clone(),
-            arrival: cfg.arrival.clone(),
-            rates: cfg.rates.clone(),
-            load,
-            payload_words: cfg.payload_words,
-            warmup: cfg.warmup,
-            measure: cfg.measure,
-            drain: cfg.drain,
-        },
-    }
 }
 
 /// Encodes a scenario for an [`metro_harness::ArtifactOutput`] sidecar.
@@ -138,7 +112,7 @@ pub fn named(name: &str) -> Option<Scenario> {
             cfg.warmup = 300;
             cfg.measure = 1_200;
             cfg.drain = 600;
-            Some(load_scenario("figure3_load", &cfg, 0.4))
+            Some(cfg.load_scenario("figure3_load", 0.4))
         }
         // Table 4 cells: the 32-node 4-stage network with serial
         // (`hw = 0`) versus pipelined (`hw = 1`) connection setup.
@@ -372,7 +346,7 @@ mod tests {
     #[test]
     fn load_scenarios_carry_the_sweep_windows() {
         let cfg = sweep_for("fig3", true);
-        let s = load_scenario("fig3", &cfg, 0.25);
+        let s = cfg.load_scenario("fig3", 0.25);
         match &s.workload {
             WorkloadSpec::Load {
                 load,

@@ -94,6 +94,23 @@ fn estimator_tracks_the_flat_engine_across_the_corpus() {
 }
 
 #[test]
+fn metro1k_estimate_quantiles_are_pinned() {
+    // The estimator is deterministic: these are its exact total-latency
+    // p50/p95/p99 for scenarios/metro1k.json, so a change to the
+    // analytic model shows up here by name, not only as drift inside
+    // the accuracy bounds above.
+    let (_, scenario) = corpus()
+        .into_iter()
+        .find(|(name, _)| name == "metro1k")
+        .expect("metro1k in corpus");
+    let mut est = estimate_latency(&scenario).unwrap();
+    assert_eq!(
+        [50.0, 95.0, 99.0].map(|q| est.total_latency.percentile(q)),
+        [24, 73, 99]
+    );
+}
+
+#[test]
 fn analytic_scenarios_dispatch_through_run_scenario() {
     // Flipping a corpus scenario's engine to analytic must route
     // run_scenario to the estimator and reproduce estimate_latency's

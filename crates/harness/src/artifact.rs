@@ -1,6 +1,6 @@
 //! The artifact registry.
 //!
-//! A paper artifact — a figure, a table, an ablation, a benchmark — is
+//! A paper artifact — a figure, a table, an ablation, a sweep — is
 //! a named, deterministic experiment with a quick and a full profile.
 //! The artifacts of the METRO evaluation register here (see
 //! `metro_bench::artifacts::registry`) and the single `metro` CLI

@@ -1,6 +1,6 @@
 //! # metro-harness — the unified experiment harness
 //!
-//! Every paper artifact (figure, table, ablation, benchmark) in this
+//! Every paper artifact (figure, table, ablation, sweep) in this
 //! workspace is reproduced by a deterministic experiment. This crate is
 //! the shared machinery those experiments run on:
 //!

@@ -41,6 +41,7 @@ use crate::workload::{StreamRecipe, StreamSeeds, WorkloadDriver};
 use metro_harness::document::{seal, Fields, Node};
 use metro_harness::Json;
 use metro_telemetry::{StateError, StateReader, StateWriter};
+use std::collections::VecDeque;
 
 /// The newest checkpoint schema version this build writes and reads.
 ///
@@ -410,6 +411,7 @@ pub fn run_scenario_resumable(
     let mut active = scenario.faults.clone();
     let mut pending = scenario.injections.clone();
     pending.sort_by_key(|i| i.at);
+    let mut pending = VecDeque::from(pending);
     let (start_phase, start_cycle) = match resume {
         Some(c) => (c.phase, c.cycle),
         None => (RunPhase::Main, 0),
@@ -417,8 +419,7 @@ pub fn run_scenario_resumable(
     // Replay the injection schedule up to the resume point. The loop
     // below applies injections with `at <= now` at the start of cycle
     // `now`, so everything with `at < start_cycle` has already merged.
-    while pending.first().is_some_and(|i| i.at < start_cycle) {
-        let injection = pending.remove(0);
+    while let Some(injection) = pending.pop_front_if(|i| i.at < start_cycle) {
         active.merge(&injection.faults);
         injection.repairs.apply_to(&mut active);
     }
@@ -522,12 +523,9 @@ pub fn run_scenario_resumable(
             // `now`, so the interrupted run had drained everything
             // scheduled before `start_cycle`.
             queue.retain(|s| s.at >= start_cycle);
+            let mut queue = VecDeque::from(queue);
             for now in start_cycle..*cycles {
-                while let Some(s) = queue.first() {
-                    if s.at > now {
-                        break;
-                    }
-                    let s = queue.remove(0);
+                while let Some(s) = queue.pop_front_if(|s| s.at <= now) {
                     sim.send(s.src % n, s.dest % n, &s.payload);
                 }
                 apply_due_injections(&mut sim, &mut pending, &mut active, now);

@@ -594,8 +594,8 @@ mod tests {
             StageModel::for_cluster(ClusterKey::new(2, 0.4, 1, 1.0)),
         );
         // Burst bucket 1 leaves the model exactly where the
-        // pre-burstiness estimator had it (BENCH_estimate pins depend
-        // on this).
+        // pre-burstiness estimator had it (the metro1k quantile pin in
+        // `crates/bench/tests/estimator_accuracy.rs` depends on this).
         assert_eq!(
             StageModel::for_cluster(ClusterKey::new(1, 0.4, 0, 1.0)).block_probability,
             0.55 * 0.4

@@ -24,8 +24,8 @@
 //! under *common* randomness (paired comparison), and callers that want
 //! a derived seed can apply [`point_seed`] themselves.
 
-use crate::endpoint::EndpointConfig;
 use crate::network::{NetworkSim, SimConfig};
+use crate::scenario::{run_scenario_with_sim, Scenario, WorkloadSpec};
 use crate::traffic::TrafficPattern;
 use crate::workload::{ArrivalProcess, RateMap, StreamRecipe, StreamSeeds};
 use metro_core::RandomSource;
@@ -116,6 +116,32 @@ impl SweepConfig {
             seed: 0x511,
         }
     }
+
+    /// The [`Scenario`] this configuration describes at offered load
+    /// `load`. [`run_load_point`] runs exactly this value, so a
+    /// `results/<artifact>.scenario.json` sidecar built from it is the
+    /// run, not a description held equal to it by a test.
+    #[must_use]
+    pub fn load_scenario(&self, name: &str, load: f64) -> Scenario {
+        Scenario {
+            name: name.to_string(),
+            topology: self.spec.clone(),
+            sim: self.sim.clone(),
+            seed: self.seed,
+            faults: FaultSet::new(),
+            injections: Vec::new(),
+            workload: WorkloadSpec::Load {
+                pattern: self.pattern.clone(),
+                arrival: self.arrival.clone(),
+                rates: self.rates.clone(),
+                load,
+                payload_words: self.payload_words,
+                warmup: self.warmup,
+                measure: self.measure,
+                drain: self.drain,
+            },
+        }
+    }
 }
 
 /// One measured point of a latency-versus-load curve.
@@ -175,99 +201,41 @@ pub fn unloaded_latency(cfg: &SweepConfig) -> u64 {
     outcome.network_latency()
 }
 
-/// Runs the load-point simulation to completion (warmup, measurement,
-/// drain) and returns the sim plus the per-message stream length — the
-/// single construction path behind [`run_load_point`] and its
-/// telemetry-carrying variant.
-fn run_load_sim(cfg: &SweepConfig, load: f64) -> (NetworkSim, usize) {
-    let mut sim = NetworkSim::new(&cfg.spec, &cfg.sim).expect("valid spec");
-    let n = sim.topology().endpoints();
-    let stream_words = sim.stream_for(0, &vec![0; cfg.payload_words]).len();
-    let recipe = StreamRecipe {
-        arrival: &cfg.arrival,
-        rates: &cfg.rates,
-        pattern: &cfg.pattern,
-        load,
-        stream_words,
-        payload_words: cfg.payload_words,
-        endpoints: n,
-        seeds: StreamSeeds::load(cfg.seed),
-    };
-    let mut driver = recipe.driver();
-    let payload: Vec<u16> = (0..cfg.payload_words).map(|k| k as u16).collect();
-
-    let total = cfg.warmup + cfg.measure;
-    for cycle in 0..total {
-        if cycle == cfg.warmup {
-            sim.reset_stats();
-        }
-        driver.poll(cycle, |a| {
-            sim.send(a.src, a.dest, &payload);
-        });
-        sim.tick();
-    }
-    // Drain: stop offering, let in-flight messages finish counting.
-    for _ in 0..cfg.drain {
-        if sim.is_quiescent() {
-            break;
-        }
-        sim.tick();
-    }
-    (sim, stream_words)
+/// Runs the scenario [`SweepConfig::load_scenario`] describes on the
+/// scenario runner and returns its measured point with the finished sim.
+fn run_load_scenario(cfg: &SweepConfig, load: f64, name: &str) -> (LoadPoint, NetworkSim) {
+    let (result, sim) =
+        run_scenario_with_sim(&cfg.load_scenario(name, load)).expect("runnable load point");
+    (result.point.expect("a Load workload measures a point"), sim)
 }
 
-/// Summarizes a finished load-point sim into its curve point.
-fn load_point_from(
-    sim: &mut NetworkSim,
-    cfg: &SweepConfig,
-    load: f64,
-    stream_words: usize,
-) -> LoadPoint {
-    let n = sim.topology().endpoints();
-    let stats = sim.stats_mut();
-    let delivered = stats.delivered;
-    LoadPoint {
-        offered: load,
-        // Fraction of injection capacity actually used: each message
-        // occupies `stream_words` cycles of its source's channel.
-        accepted: delivered as f64 * stream_words as f64 / cfg.measure as f64 / n as f64,
-        mean_latency: stats.total_latency.mean(),
-        p50_latency: stats.total_latency.percentile(50.0),
-        p95_latency: stats.total_latency.percentile(95.0),
-        mean_network_latency: stats.network_latency.mean(),
-        retries_per_message: stats.retries_per_message(),
-        delivered,
-    }
-}
-
-/// Runs one load point: Bernoulli arrivals at `load` on every endpoint,
+/// Runs one load point: stochastic arrivals at `load` on every endpoint,
 /// parallelism-limited sources (one outstanding message each).
+///
+/// # Panics
+///
+/// Panics if the configuration is not runnable (invalid topology or
+/// workload, or the analytic engine).
 #[must_use]
 pub fn run_load_point(cfg: &SweepConfig, load: f64) -> LoadPoint {
-    let (mut sim, stream_words) = run_load_sim(cfg, load);
-    load_point_from(&mut sim, cfg, load, stream_words)
+    run_load_scenario(cfg, load, "load_point").0
 }
 
 /// [`run_load_point`], additionally freezing the sim's telemetry into a
 /// snapshot named `name` — the source of the `.telemetry.json` sidecar
 /// an artifact exports for its representative cell.
+///
+/// # Panics
+///
+/// As [`run_load_point`].
 #[must_use]
 pub fn run_load_point_with_telemetry(
     cfg: &SweepConfig,
     load: f64,
     name: &str,
 ) -> (LoadPoint, TelemetrySnapshot) {
-    let (mut sim, stream_words) = run_load_sim(cfg, load);
-    let snapshot = sim.telemetry_snapshot(name);
-    (load_point_from(&mut sim, cfg, load, stream_words), snapshot)
-}
-
-/// Runs a full latency-versus-load sweep (Figure 3) on one worker.
-/// Equivalent to [`load_sweep_jobs`] with `jobs = 1` — and, by the
-/// per-point seeding scheme, bit-identical to any other worker count.
-#[must_use]
-pub fn load_sweep(cfg: &SweepConfig, loads: &[f64]) -> Vec<LoadPoint> {
-    load_sweep_jobs(cfg, loads, NonZeroUsize::MIN)
+    let (point, mut sim) = run_load_scenario(cfg, load, name);
+    (point, sim.telemetry_snapshot(name))
 }
 
 /// Runs a latency-versus-load sweep with up to `jobs` worker threads.
@@ -287,6 +255,12 @@ pub fn load_sweep_jobs(cfg: &SweepConfig, loads: &[f64], jobs: NonZeroUsize) -> 
 
 /// Runs the fault-point simulation to completion and returns the sim,
 /// shared by [`run_fault_point`] and its telemetry-carrying variant.
+///
+/// Deliberately not on the scenario runner, unlike the load point:
+/// [`StreamSeeds::fault`]'s stride and the payload-based `accepted` of
+/// [`FaultSweepPoint`] are pinned by `results/fault_sweep.json` and
+/// `report_tables.rs`, and threading a seed plan through
+/// [`run_scenario_with_sim`] would make shared code branch on its caller.
 fn run_fault_sim(
     cfg: &SweepConfig,
     load: f64,
@@ -406,15 +380,6 @@ pub fn run_fault_point_with_telemetry(
     )
 }
 
-/// Runs a fault-degradation sweep at fixed load on one worker.
-/// Equivalent to [`fault_sweep_jobs`] over `(k, 0)` pairs with
-/// `jobs = 1`.
-#[must_use]
-pub fn fault_sweep(cfg: &SweepConfig, load: f64, router_kills: &[usize]) -> Vec<FaultSweepPoint> {
-    let grid: Vec<(usize, usize)> = router_kills.iter().map(|&k| (k, 0)).collect();
-    fault_sweep_jobs(cfg, load, &grid, NonZeroUsize::MIN)
-}
-
 /// Runs a fault-degradation sweep over a `(dead_routers, dead_links)`
 /// grid with up to `jobs` worker threads. Each grid point is an
 /// independent simulation seeded by [`point_seed`]`(cfg.seed, index)`
@@ -436,12 +401,6 @@ pub fn fault_sweep_jobs(
     })
 }
 
-/// Convenience: the default endpoint configuration used by sweeps.
-#[must_use]
-pub fn default_endpoint_config() -> EndpointConfig {
-    EndpointConfig::default()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -453,6 +412,44 @@ mod tests {
             drain: 800,
             ..SweepConfig::small()
         }
+    }
+
+    #[test]
+    fn load_points_keep_the_values_the_hand_rolled_runner_measured() {
+        // Recorded from the build before `run_load_point` moved onto the
+        // scenario runner (PR 13, its own warmup/measure/drain loop).
+        let cfg = SweepConfig {
+            warmup: 200,
+            measure: 1_000,
+            drain: 500,
+            ..SweepConfig::small()
+        };
+        assert_eq!(
+            run_load_point(&cfg, 0.2),
+            LoadPoint {
+                offered: 0.2,
+                accepted: 0.165,
+                mean_latency: 38.391666666666666,
+                p50_latency: 30,
+                p95_latency: 67,
+                mean_network_latency: 31.033333333333335,
+                retries_per_message: 0.1,
+                delivered: 120,
+            }
+        );
+        assert_eq!(
+            run_load_point_with_telemetry(&cfg, 0.6, "probe").0,
+            LoadPoint {
+                offered: 0.6,
+                accepted: 0.570625,
+                mean_latency: 188.53493975903615,
+                p50_latency: 169,
+                p95_latency: 400,
+                mean_network_latency: 37.019277108433734,
+                retries_per_message: 0.6457831325301204,
+                delivered: 415,
+            }
+        );
     }
 
     #[test]
@@ -537,7 +534,6 @@ mod tests {
         let seq = load_sweep_jobs(&cfg, &loads, NonZeroUsize::MIN);
         let par = load_sweep_jobs(&cfg, &loads, jobs4);
         assert_eq!(seq, par, "load sweep must not depend on worker count");
-        assert_eq!(seq, load_sweep(&cfg, &loads));
 
         let grid = [(0, 0), (1, 0), (2, 2), (0, 4)];
         let seq = fault_sweep_jobs(&cfg, 0.3, &grid, NonZeroUsize::MIN);
@@ -551,9 +547,9 @@ mod tests {
         // differ (per-point seeds), while a single point re-run must
         // not (determinism).
         let cfg = quick();
-        let a = load_sweep(&cfg, &[0.3, 0.3]);
+        let a = load_sweep_jobs(&cfg, &[0.3, 0.3], NonZeroUsize::MIN);
         assert_eq!(a[0], {
-            let again = load_sweep(&cfg, &[0.3, 0.3]);
+            let again = load_sweep_jobs(&cfg, &[0.3, 0.3], NonZeroUsize::MIN);
             again[0].clone()
         });
         assert_ne!(

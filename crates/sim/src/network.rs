@@ -285,12 +285,6 @@ impl NetworkSim {
         self.registry.set_interval(every);
     }
 
-    /// Historical name for [`NetworkSim::set_telemetry_interval`]: the
-    /// trace consumes registry deltas, so the two share one interval.
-    pub fn set_trace_interval(&mut self, every: u64) {
-        self.set_telemetry_interval(every);
-    }
-
     /// The telemetry registry: rebased per-router counters, last-sync
     /// deltas, and decimated per-counter series.
     #[must_use]

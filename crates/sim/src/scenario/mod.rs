@@ -31,6 +31,7 @@ use metro_harness::Json;
 use metro_topo::fault::FaultSet;
 use metro_topo::graph::LinkId;
 use metro_topo::multibutterfly::MultibutterflySpec;
+use std::collections::VecDeque;
 
 /// One scheduled message of a scripted workload.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -51,9 +52,10 @@ pub enum WorkloadSpec {
     /// Open-loop load: stochastic arrivals at `load` on every endpoint
     /// with destinations drawn from `pattern` — the workload of the
     /// paper's Figure 3 and §6.2 sweeps. All randomness derives from
-    /// the scenario's workload seed exactly as
-    /// [`crate::experiment::run_load_point`] derives it, so a scenario
-    /// at load `l` reproduces the equivalent sweep point bit for bit.
+    /// the scenario's workload seed;
+    /// [`crate::experiment::run_load_point`] runs this workload (built
+    /// by [`crate::experiment::SweepConfig::load_scenario`]), so a
+    /// scenario at load `l` is the equivalent sweep point.
     /// The `arrival` process and per-endpoint `rates` generalize the
     /// historical Bernoulli-at-one-rate workload; with
     /// [`ArrivalProcess::Bernoulli`] and [`RateMap::Uniform`] the
@@ -314,13 +316,12 @@ impl ScenarioResult {
 /// Applies every injection due at or before `now`, cumulatively.
 pub(crate) fn apply_due_injections(
     sim: &mut NetworkSim,
-    pending: &mut Vec<FaultInjection>,
+    pending: &mut VecDeque<FaultInjection>,
     active: &mut FaultSet,
     now: u64,
 ) {
     let mut changed = false;
-    while pending.first().is_some_and(|i| i.at <= now) {
-        let injection = pending.remove(0);
+    while let Some(injection) = pending.pop_front_if(|i| i.at <= now) {
         active.merge(&injection.faults);
         injection.repairs.apply_to(active);
         changed = true;
@@ -420,39 +421,45 @@ mod tests {
     }
 
     #[test]
-    fn load_scenario_matches_run_load_point_bitwise() {
-        use crate::experiment::{run_load_point, SweepConfig};
-        let cfg = SweepConfig {
-            warmup: 200,
-            measure: 1_000,
-            drain: 500,
-            ..SweepConfig::small()
-        };
-        let expect = run_load_point(&cfg, 0.2);
-        let s = Scenario {
-            name: "load".to_string(),
-            topology: cfg.spec.clone(),
-            sim: cfg.sim.clone(),
-            seed: cfg.seed,
-            faults: FaultSet::new(),
-            injections: Vec::new(),
-            workload: WorkloadSpec::Load {
-                pattern: cfg.pattern.clone(),
-                arrival: ArrivalProcess::Bernoulli,
-                rates: RateMap::Uniform,
-                load: 0.2,
-                payload_words: cfg.payload_words,
-                warmup: cfg.warmup,
-                measure: cfg.measure,
-                drain: cfg.drain,
-            },
-        };
-        let got = run_scenario(&s).unwrap();
-        assert_eq!(
-            got.point.as_ref(),
-            Some(&expect),
-            "a Load scenario must reproduce the sweep point it describes"
+    fn a_200k_send_schedule_drains_in_stable_cycle_order() {
+        // Draining the schedule with `Vec::remove(0)` made this run
+        // quadratic in the send count (38 s in release at 200k sends).
+        // The order it fixed is the contract: by `at`, ties in listing
+        // order — replayed here by hand with an index cursor.
+        let cycles = 400;
+        let sends: Vec<SendSpec> = (0..200_000usize)
+            .map(|k| SendSpec {
+                at: ((k * 7) % 4) as u64 * 90,
+                src: k % 16,
+                dest: (k * 5 + 3) % 16,
+                payload: vec![(k % 251) as u16],
+            })
+            .collect();
+        let s = Scenario::scripted(
+            "flood",
+            MultibutterflySpec::figure1(),
+            sends.clone(),
+            cycles,
         );
+        let got = run_scenario(&s).unwrap();
+        assert!(got.delivered > 100, "only {} delivered", got.delivered);
+
+        let mut sim = NetworkSim::from_scenario(&s).unwrap();
+        let mut sorted = sends;
+        sorted.sort_by_key(|s| s.at);
+        let mut next = 0;
+        for now in 0..cycles {
+            while sorted.get(next).is_some_and(|s| s.at <= now) {
+                sim.send(sorted[next].src, sorted[next].dest, &sorted[next].payload);
+                next += 1;
+            }
+            sim.tick();
+        }
+        let by_hand = ScenarioResult {
+            outcomes: sim.drain_outcomes(),
+            ..got.clone()
+        };
+        assert_eq!(got.outcome_digest(), by_hand.outcome_digest());
     }
 
     #[test]
@@ -518,7 +525,7 @@ mod tests {
         // Replay manually up to cycle 30 and check the live fault set.
         let mut sim = NetworkSim::from_scenario(&s).unwrap();
         let mut active = s.faults.clone();
-        let mut pending = s.injections.clone();
+        let mut pending = VecDeque::from(s.injections.clone());
         for now in 0..30 {
             apply_due_injections(&mut sim, &mut pending, &mut active, now);
             sim.tick();
@@ -557,7 +564,7 @@ mod tests {
         ];
         let mut sim = NetworkSim::from_scenario(&s).unwrap();
         let mut active = s.faults.clone();
-        let mut pending = s.injections.clone();
+        let mut pending = VecDeque::from(s.injections.clone());
         for now in 0..15 {
             apply_due_injections(&mut sim, &mut pending, &mut active, now);
             sim.tick();

@@ -420,7 +420,7 @@ fn reset_stats_zeroes_every_registry_slot() {
 #[test]
 fn trace_interval_zero_clamps_to_every_cycle() {
     let mut sim = fig1_sim();
-    sim.set_trace_interval(0);
+    sim.set_telemetry_interval(0);
     assert_eq!(sim.telemetry().interval(), 1, "0 clamps to 1");
     sim.enable_trace(0);
     sim.send(4, 13, &[7; 5]);

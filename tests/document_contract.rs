@@ -41,7 +41,7 @@ fn committed_scenarios_and_sidecars_re_encode_to_their_bytes() {
         assert_eq!(codec::encode(&scenario).render(), text, "{file}");
     }
     let telemetry = files("results", ".telemetry.json");
-    assert_eq!(scenarios.len() - 11 + telemetry.len(), 18, "sidecars");
+    assert_eq!(scenarios.len() - 11 + telemetry.len(), 14, "sidecars");
     for file in &telemetry {
         let text = read(file);
         let snap = snapshot::from_text(&text).unwrap_or_else(|e| panic!("{file}: {e}"));

@@ -502,6 +502,15 @@ impl Router {
         self.alloc.in_use_vector()
     }
 
+    /// Whether the router holds no connection state: every forward
+    /// port idle, no backward port allocated — "stateless between
+    /// messages" (paper §2, §5.1). Ticking it without a header word
+    /// arriving is a no-op (the fast path of [`Router::tick_into`]).
+    #[must_use]
+    pub fn is_quiescent(&self) -> bool {
+        self.active == 0 && self.alloc.in_use_mask() == 0
+    }
+
     /// A summary of forward port `f`'s state.
     #[must_use]
     pub fn port_status(&self, f: usize) -> PortStatus {
@@ -775,9 +784,10 @@ impl Router {
                         m |= 1u64 << f;
                     }
                 }
-                m == self.active
+                let unowned = self.alloc.in_use_vector().iter().all(|&u| !u);
+                m == self.active && self.is_quiescent() == (m == 0 && unowned)
             },
-            "activity bitplane out of sync with port FSM states"
+            "activity bitplane or is_quiescent out of sync with port FSM states"
         );
 
         // Fully quiescent fast path: no port mid-connection, no
@@ -786,10 +796,7 @@ impl Router {
         // (no DATA on an idle port), no FSM step, no counter change,
         // and, critically, no random draw (empty arbitration consumes
         // none) — so the stream stays in lockstep with the slow path.
-        if self.active == 0
-            && self.alloc.in_use_mask() == 0
-            && !fwd_in.iter().any(|w| matches!(w, Word::Data(_)))
-        {
+        if self.is_quiescent() && !fwd_in.iter().any(|w| matches!(w, Word::Data(_))) {
             return;
         }
 

@@ -279,19 +279,28 @@ fn write_number(out: &mut String, v: f64) {
 
 pub(crate) fn write_string(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+    // Every byte that needs an escape is ASCII, so the clean runs
+    // between them start and end on char boundaries and are copied
+    // whole.
+    let mut clean = 0;
+    for (at, b) in s.bytes().enumerate() {
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0x20.. => continue,
+            _ => "",
+        };
+        out.push_str(&s[clean..at]);
+        out.push_str(escape);
+        if escape.is_empty() {
+            let _ = write!(out, "\\u{b:04x}");
         }
+        clean = at + 1;
     }
+    out.push_str(&s[clean..]);
     out.push('"');
 }
 

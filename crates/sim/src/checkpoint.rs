@@ -268,8 +268,11 @@ fn dec_position(
 fn state_chunks(words: &[u64]) -> Vec<String> {
     let mut hex = String::with_capacity(words.len() * 16);
     for &w in words {
-        use std::fmt::Write as _;
-        let _ = write!(hex, "{w:016x}");
+        for byte in w.to_be_bytes() {
+            for nibble in [byte >> 4, byte & 0xF] {
+                hex.push(char::from(b"0123456789abcdef"[usize::from(nibble)]));
+            }
+        }
     }
     if hex.is_empty() {
         return Vec::new();

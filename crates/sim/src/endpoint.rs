@@ -403,6 +403,14 @@ impl Endpoint {
         self.engines.iter().any(|e| e.active.is_some()) || !self.queue.is_empty()
     }
 
+    /// Whether ticking this endpoint with all-`Empty` inputs is a
+    /// no-op an engine may skip: nothing queued, in flight or being
+    /// received, or dead (which ignores its inputs outright).
+    #[must_use]
+    pub fn is_quiescent(&self) -> bool {
+        self.dead || (!self.is_busy() && self.rx.iter().all(|s| matches!(s, RxState::Idle)))
+    }
+
     /// Messages waiting behind the in-flight one.
     #[must_use]
     pub fn queue_len(&self) -> usize {

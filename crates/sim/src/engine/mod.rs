@@ -197,6 +197,20 @@ pub trait Engine: sealed::Sealed + std::fmt::Debug + Send {
     /// per tick and does nothing here).
     fn apply_faults(&mut self, topo: &Multibutterfly, faults: &FaultSet);
 
+    /// Endpoint `e` may have been changed from outside a step (a
+    /// message enqueued): an engine that skips quiescent components
+    /// steps it next cycle. Waking a quiescent one is harmless.
+    fn wake_endpoint(&mut self, _e: usize) {}
+
+    /// [`Engine::wake_endpoint`] for router `(stage, router)`.
+    fn wake_router(&mut self, _stage: usize, _router: usize) {}
+
+    /// Components and wires stepped so far, for tests of the skip; 0
+    /// from an engine that walks everything every cycle.
+    fn visits(&self) -> u64 {
+        0
+    }
+
     /// The effective shard count the step runs with (1 for every
     /// single-threaded path).
     fn shards(&self) -> usize;
@@ -208,10 +222,11 @@ pub trait Engine: sealed::Sealed + std::fmt::Debug + Send {
     fn clone_box(&self) -> Box<dyn Engine>;
 
     /// Appends the engine's mutable channel state (arenas and wires)
-    /// to a checkpoint stream. Scratch that is fully rewritten every
-    /// tick (drive buses, shard staging, worker pools) is not state
-    /// and is not written — which is also why a checkpoint taken at a
-    /// tick boundary is shard-count-agnostic.
+    /// to a checkpoint stream. Scratch that is rewritten before it is
+    /// next read (drive buses, shard staging, worker pools, the flat
+    /// step's hot set — restoring marks everything) is not state and
+    /// is not written — which is also why a checkpoint taken at a tick
+    /// boundary is shard-count-agnostic.
     fn save_state(&self, w: &mut metro_telemetry::StateWriter);
 
     /// Overwrites the engine's channel state from a checkpoint stream.

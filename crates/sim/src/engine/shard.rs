@@ -270,6 +270,7 @@ pub(crate) fn step_sharded(eng: &mut FlatEngine, ctx: StepCtx<'_>) {
         inj_transparent,
         stage_transparent,
         shard,
+        ..
     } = eng;
     let state = shard.as_mut().expect("sharded step requires a shard plan");
     let ShardState {

@@ -394,6 +394,7 @@ impl NetworkSim {
             segments.push(self.segment_for(p));
         }
         let payload_words = payloads.iter().map(|p| p.len()).sum();
+        self.engine.wake_endpoint(src);
         self.endpoints[src].enqueue_conversation(dest, segments, payload_words, self.now);
     }
 
@@ -405,6 +406,7 @@ impl NetworkSim {
     pub fn send(&mut self, src: usize, dest: usize, payload: &[u16]) {
         assert!(src < self.topo.endpoints() && dest < self.topo.endpoints());
         let stream = self.stream_for(dest, payload);
+        self.engine.wake_endpoint(src);
         self.endpoints[src].enqueue(dest, payload.to_vec(), stream, self.now);
     }
 
@@ -535,27 +537,28 @@ impl NetworkSim {
     /// machine can context-switch without snapshotting network state.
     #[must_use]
     pub fn fabric_idle(&self) -> bool {
-        let routers_idle = self.routers.iter().enumerate().all(|(s, stage)| {
-            stage.iter().enumerate().all(|(r, router)| {
-                let ports_idle = (0..self.topo.stage_spec(s).forward_ports)
-                    .all(|f| router.port_status(f) == metro_core::PortStatus::Idle);
-                let _ = r;
-                ports_idle && router.in_use_vector().iter().all(|&u| !u)
-            })
-        });
-        routers_idle && self.engine.wires_quiet()
+        self.routers.iter().flatten().all(Router::is_quiescent) && self.engine.wires_quiet()
     }
 
     /// Direct access to an endpoint (for workload injection and
-    /// delivery inspection).
+    /// delivery inspection). Handing out `&mut` tells the engine the
+    /// endpoint may stop being quiescent (a direct `enqueue`).
     pub fn endpoint_mut(&mut self, e: usize) -> &mut Endpoint {
+        self.engine.wake_endpoint(e);
         &mut self.endpoints[e]
     }
 
     /// Direct access to a router (for scan operations and fault
-    /// experiments).
+    /// experiments); wakes it like [`NetworkSim::endpoint_mut`].
     pub fn router_mut(&mut self, stage: usize, index: usize) -> &mut Router {
+        self.engine.wake_router(stage, index);
         &mut self.routers[stage][index]
+    }
+
+    /// [`Engine::visits`]: components and wires stepped so far.
+    #[must_use]
+    pub fn engine_visits(&self) -> u64 {
+        self.engine.visits()
     }
 
     /// Shared access to a router.
@@ -619,8 +622,9 @@ impl NetworkSim {
     /// a fresh trace.
     ///
     /// A checkpoint taken at a tick boundary is shard-count-agnostic:
-    /// engines write every next-tick slot every cycle, so none of the
-    /// shard staging state is live between ticks.
+    /// both arenas hold exactly what a full walk would have written, so
+    /// neither the shard staging state nor the flat step's hot set is
+    /// live between ticks.
     pub fn save_state(&self, w: &mut StateWriter) {
         w.section("network");
         w.u64(self.now);

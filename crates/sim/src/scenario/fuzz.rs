@@ -275,12 +275,13 @@ pub fn differential_check(scenario: &Scenario) -> Result<(), String> {
     Ok(())
 }
 
-/// Replays `scenario` on the Flat engine twice — single-threaded and
-/// sharded into `shards` shards — and checks full bit-identity:
-/// identical outcome streams, run summaries, and telemetry snapshots.
-/// The shard knob must be pure execution strategy; any divergence here
-/// is a partitioning bug (slot ownership, phase ordering, or merge
-/// order), not a protocol difference.
+/// Replays `scenario` on the Flat engine twice — single-threaded (the
+/// activity-driven step) and sharded into `shards` shards (the full
+/// walk) — and checks full bit-identity: identical outcome streams,
+/// run summaries, telemetry snapshots, and final machine state (both
+/// arenas, every wire). The shard knob must be pure execution strategy;
+/// any divergence here is a skipped-component or partitioning bug, not
+/// a protocol difference.
 ///
 /// # Errors
 ///
@@ -321,6 +322,17 @@ pub fn shard_differential_check(scenario: &Scenario, shards: usize) -> Result<()
     if snap_a != snap_b {
         return Err(format!(
             "telemetry snapshots diverged on {:?} between shards=1 and shards={shards}",
+            scenario.name,
+        ));
+    }
+    let state = |sim: &crate::NetworkSim| {
+        let mut w = metro_telemetry::StateWriter::new();
+        sim.save_state(&mut w);
+        w.into_words()
+    };
+    if state(&sim_a) != state(&sim_b) {
+        return Err(format!(
+            "machine state (arenas, wires, components) diverged on {:?} between shards=1 and shards={shards}",
             scenario.name,
         ));
     }

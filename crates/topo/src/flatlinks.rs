@@ -223,6 +223,24 @@ impl FlatLinks {
         self.bwd_target[slot]
     }
 
+    /// `(stage, router)` owning forward slot `slot` ([`Self::fslot`]
+    /// read backwards; a set-up path, not a tick path).
+    #[must_use]
+    pub fn fwd_router(&self, slot: usize) -> (usize, usize) {
+        Self::owner(&self.fbase, &self.fports, slot)
+    }
+
+    /// `(stage, router)` owning backward slot `slot`.
+    #[must_use]
+    pub fn bwd_router(&self, slot: usize) -> (usize, usize) {
+        Self::owner(&self.bbase, &self.bports, slot)
+    }
+
+    fn owner(base: &[u32], ports: &[u32], slot: usize) -> (usize, usize) {
+        let s = base.partition_point(|&b| b as usize <= slot) - 1;
+        (s, (slot - base[s] as usize) / ports[s] as usize)
+    }
+
     /// Slot of port `p` of endpoint `e`.
     #[must_use]
     pub fn ep_slot(&self, e: usize, p: usize) -> usize {
@@ -309,6 +327,21 @@ mod tests {
                     links.inj_target(links.ep_slot(e, p)),
                     links.fslot(0, r0, f0)
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn slot_owners_invert_the_slot_numbering() {
+        let (topo, links) = figure1();
+        for s in 0..topo.stages() {
+            for r in 0..topo.routers_in_stage(s) {
+                for f in 0..topo.stage_spec(s).forward_ports {
+                    assert_eq!(links.fwd_router(links.fslot(s, r, f)), (s, r));
+                }
+                for b in 0..topo.stage_spec(s).backward_ports {
+                    assert_eq!(links.bwd_router(links.bslot(s, r, b)), (s, r));
+                }
             }
         }
     }

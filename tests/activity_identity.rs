@@ -1,0 +1,255 @@
+//! The flat engine's activity-driven step against the full walk.
+//!
+//! The single-threaded flat step visits only hot routers, endpoints and
+//! wires; the sharded step (`shards > 1`) still walks everything every
+//! cycle. Both must leave *both* channel arenas, every wire, every
+//! router and every endpoint in the same state at every tick boundary —
+//! compared here as checkpoint state words, which cover all of it. The
+//! second half checks the skip itself: a cold fabric visits nothing,
+//! one message visits only its path, and every way of creating activity
+//! from outside a step (enqueue, restore) is seen.
+
+use metro::sim::checkpoint::{run_scenario_resumable, Checkpoint, CheckpointSink};
+use metro::sim::scenario::{FaultInjection, RepairSet, Scenario, WorkloadSpec};
+use metro::sim::{ArrivalProcess, NetworkSim, RateMap, SimConfig, TrafficPattern};
+use metro::topo::fault::{FaultKind, FaultSet};
+use metro::topo::graph::LinkId;
+use metro::topo::multibutterfly::{MultibutterflySpec, StageSpec, WiringStyle};
+use metro_telemetry::{StateReader, StateWriter};
+
+/// Figure 3 under load, with a corrupting link and a dead router
+/// injected mid-run and both repaired later.
+fn faulty_load(
+    seed: u64,
+    load: f64,
+    wire_delay: usize,
+    self_heal: bool,
+    shards: usize,
+) -> Scenario {
+    let broken = LinkId::new(0, 2, 1);
+    let dead = (1, 3);
+    let mut faults = FaultSet::new();
+    faults.break_link(broken, FaultKind::CorruptData { xor: 0x08 });
+    faults.kill_router(dead.0, dead.1);
+    Scenario {
+        name: "activity-identity".to_string(),
+        topology: MultibutterflySpec::figure3(),
+        sim: SimConfig {
+            seed: seed ^ 0xAC71,
+            wire_delay,
+            self_heal,
+            shards,
+            telemetry_every: 4,
+            ..SimConfig::default()
+        },
+        seed,
+        faults: FaultSet::new(),
+        injections: vec![
+            FaultInjection {
+                at: 50,
+                faults,
+                repairs: RepairSet::default(),
+            },
+            FaultInjection {
+                at: 120,
+                faults: FaultSet::new(),
+                repairs: RepairSet {
+                    links: vec![broken],
+                    routers: vec![dead],
+                    endpoints: Vec::new(),
+                },
+            },
+        ],
+        workload: WorkloadSpec::Load {
+            pattern: TrafficPattern::Uniform,
+            arrival: ArrivalProcess::Bernoulli,
+            rates: RateMap::Uniform,
+            load,
+            payload_words: 6,
+            warmup: 20,
+            measure: 130,
+            drain: 60,
+        },
+    }
+}
+
+/// Every 7th-cycle checkpoint of one run, as `(cycle, state words)`.
+fn states_every_7(scenario: &Scenario) -> Vec<(u64, Vec<u64>)> {
+    let mut states = Vec::new();
+    let mut sink = |c: &Checkpoint| {
+        states.push((c.cycle, c.state.clone()));
+        Ok(())
+    };
+    run_scenario_resumable(
+        scenario,
+        None,
+        Some(CheckpointSink {
+            every: 7,
+            sink: &mut sink,
+        }),
+    )
+    .unwrap();
+    states
+}
+
+#[test]
+fn activity_step_equals_the_full_walk_word_for_word() {
+    let mut compared = 0;
+    for seed in [0x5EED_0001u64, 0xD15C_0BA1] {
+        for load in [0.02, 0.1, 0.3, 0.5] {
+            for wire_delay in [0, 1, 2] {
+                for self_heal in [false, true] {
+                    let stepped =
+                        states_every_7(&faulty_load(seed, load, wire_delay, self_heal, 1));
+                    let walked = states_every_7(&faulty_load(seed, load, wire_delay, self_heal, 2));
+                    assert_eq!(stepped.len(), walked.len());
+                    // Warm-up and measurement always run; the drain
+                    // ends when the fabric does.
+                    assert!(stepped.len() >= 150 / 7, "checkpoints must span the run");
+                    for ((cycle, a), (_, b)) in stepped.iter().zip(&walked) {
+                        assert!(
+                            a == b,
+                            "seed {seed:#x} load {load} delay {wire_delay} heal {self_heal}: \
+                             state diverged at cycle {cycle} (first differing word {:?})",
+                            a.iter().zip(b).position(|(x, y)| x != y)
+                        );
+                        compared += 1;
+                    }
+                }
+            }
+        }
+    }
+    assert!(compared >= 48 * (150 / 7));
+}
+
+fn metro1k() -> MultibutterflySpec {
+    MultibutterflySpec {
+        endpoints: 1_024,
+        endpoint_ports: 2,
+        stages: vec![
+            StageSpec::new(8, 8, 2),
+            StageSpec::new(8, 8, 2),
+            StageSpec::new(8, 8, 2),
+            StageSpec::new(8, 8, 2),
+            StageSpec::new(4, 4, 1),
+        ],
+        wiring: WiringStyle::Randomized,
+        seed: 0x1024,
+    }
+}
+
+#[test]
+fn a_drained_fabric_visits_nothing() {
+    let mut sim = NetworkSim::new(&metro1k(), &SimConfig::default()).unwrap();
+    for k in 0..200 {
+        sim.send((k * 37) % 1_024, (k * 101 + 5) % 1_024, &[k as u16, 2, 3]);
+    }
+    while !(sim.is_quiescent() && sim.fabric_idle()) {
+        sim.tick();
+        assert!(sim.now() < 5_000, "traffic must drain");
+    }
+    assert_eq!(sim.drain_outcomes().len(), 200);
+    // The last drivers trail for two more cycles.
+    sim.run(2);
+    let before = sim.engine_visits();
+    assert!(before > 0);
+    sim.run(1_000);
+    assert_eq!(sim.engine_visits(), before, "a cold fabric costs nothing");
+}
+
+#[test]
+fn one_message_visits_only_its_path() {
+    let mut sim = NetworkSim::new(&metro1k(), &SimConfig::default()).unwrap();
+    let path = sim.topology().stages() as u64 + 2;
+    sim.send(3, 777, &[1, 2, 3, 4, 5, 6, 7, 8]);
+    let mut outcomes = Vec::new();
+    while outcomes.is_empty() {
+        let before = sim.engine_visits();
+        sim.tick();
+        let visited = sim.engine_visits() - before;
+        assert!(
+            visited <= path,
+            "cycle {}: visited {visited} components for one {path}-hop circuit",
+            sim.now()
+        );
+        assert!(sim.now() < 500);
+        outcomes = sim.drain_outcomes();
+    }
+    assert_eq!(outcomes[0].retries, 0);
+}
+
+#[test]
+fn a_message_enqueued_behind_the_networks_back_is_delivered() {
+    let mut sim = NetworkSim::new(&MultibutterflySpec::figure3(), &SimConfig::default()).unwrap();
+    // Let everything go cold first.
+    sim.run(10);
+    let payload = [9u16, 8, 7];
+    let stream = sim.stream_for(41, &payload);
+    let now = sim.now();
+    sim.endpoint_mut(6)
+        .enqueue(41, payload.to_vec(), stream, now);
+    sim.run(200);
+    let outcomes = sim.drain_outcomes();
+    assert_eq!(outcomes.len(), 1);
+    assert_eq!((outcomes[0].src, outcomes[0].dest), (6, 41));
+    assert_eq!(sim.endpoint_mut(41).take_delivered()[0].payload, payload);
+}
+
+fn state_words(sim: &NetworkSim) -> Vec<u64> {
+    let mut w = StateWriter::new();
+    sim.save_state(&mut w);
+    w.into_words()
+}
+
+#[test]
+fn restoring_into_a_used_engine_resumes_bit_identically() {
+    let spec = MultibutterflySpec::figure3();
+    let config = SimConfig {
+        wire_delay: 1,
+        ..SimConfig::default()
+    };
+    let traffic = |sim: &mut NetworkSim, salt: usize| {
+        for k in 0..40 {
+            sim.send(
+                (k * 7 + salt) % 64,
+                (k * 11 + 3 * salt + 1) % 64,
+                &[k as u16; 5],
+            );
+        }
+    };
+    // The machine the snapshot comes from, stopped mid-flight.
+    let mut origin = NetworkSim::new(&spec, &config).unwrap();
+    traffic(&mut origin, 0);
+    origin.run(23);
+    let snapshot = state_words(&origin);
+    // A machine that has been running something else: its bus, hot set
+    // and trail all describe that other run.
+    let mut used = NetworkSim::new(&spec, &config).unwrap();
+    traffic(&mut used, 5);
+    used.run(31);
+    used.restore_state(&mut StateReader::new(&snapshot))
+        .unwrap();
+    // The full walk, restored from the same snapshot, as the oracle.
+    let mut walked = NetworkSim::new(
+        &spec,
+        &SimConfig {
+            shards: 2,
+            ..config.clone()
+        },
+    )
+    .unwrap();
+    walked
+        .restore_state(&mut StateReader::new(&snapshot))
+        .unwrap();
+    for cycle in 0..150 {
+        assert!(
+            state_words(&used) == state_words(&origin)
+                && state_words(&used) == state_words(&walked),
+            "diverged {cycle} cycles after the restore"
+        );
+        origin.tick();
+        used.tick();
+        walked.tick();
+    }
+    assert!(origin.is_quiescent() && origin.fabric_idle());
+}

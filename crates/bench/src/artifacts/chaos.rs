@@ -5,7 +5,7 @@
 //! bounded latency recovery.
 
 use metro_harness::{Artifact, ArtifactOutput, Json, RunCtx};
-use metro_sim::chaos::{run_campaign_with_telemetry, ChaosCampaign, ChaosReport};
+use metro_sim::chaos::{run_campaign_paired, ChaosCampaign, ChaosReport};
 use metro_sim::network::EngineKind;
 use metro_topo::multibutterfly::MultibutterflySpec;
 use std::fmt::Write as _;
@@ -61,18 +61,9 @@ fn run(ctx: &RunCtx) -> Result<ArtifactOutput, String> {
         let seed = BASE_SEED.wrapping_add(k);
         let campaign = ChaosCampaign::generate(&spec, seed).map_err(|e| e.to_string())?;
         // Flat carries the report; Reference must agree bit for bit.
-        let (flat, snap) = run_campaign_with_telemetry(&campaign, EngineKind::Flat)
-            .map_err(|e| format!("seed {seed:#x} (flat): {e}"))?;
-        let (reference, _) = run_campaign_with_telemetry(&campaign, EngineKind::Reference)
-            .map_err(|e| format!("seed {seed:#x} (reference): {e}"))?;
-        if flat.outcomes != reference.outcomes
-            || flat.masked_links != reference.masked_links
-            || flat.masked_injections != reference.masked_injections
-        {
-            return Err(format!(
-                "seed {seed:#x}: Flat and Reference engines diverged under chaos"
-            ));
-        }
+        let engines = [(EngineKind::Flat, 1), (EngineKind::Reference, 1)];
+        let (flat, snap) =
+            run_campaign_paired(&campaign, engines).map_err(|e| format!("seed {seed:#x}: {e}"))?;
         let _ = writeln!(
             out,
             "{:>8} {:>8} {:>7} {:>9} {:>10} {:>10} {:>8} {:>8} {:>8}",

@@ -17,9 +17,7 @@
 use metro_harness::log;
 use metro_harness::results::{git_describe, unix_time_now, ResultsDir, RunRecord};
 use metro_harness::Json;
-use metro_sim::chaos::{
-    run_campaign, run_campaign_paired, run_campaign_shard_paired, ChaosCampaign, ChaosReport,
-};
+use metro_sim::chaos::{run_campaign, run_campaign_paired, ChaosCampaign, ChaosReport};
 use metro_sim::network::EngineKind;
 use metro_topo::multibutterfly::MultibutterflySpec;
 use std::time::Instant;
@@ -145,16 +143,19 @@ fn run_storm(
     for k in 0..campaigns {
         let seed = base_seed.wrapping_add(k);
         let campaign = ChaosCampaign::generate(&spec, seed).map_err(|e| e.to_string())?;
-        let report = match engine {
-            EngineChoice::One(k) => run_campaign(&campaign, k),
-            EngineChoice::Both => run_campaign_paired(&campaign),
+        let flat = (EngineKind::Flat, 1);
+        let (report, _) = match engine {
+            EngineChoice::One(k) => run_campaign(&campaign, k, 1),
+            EngineChoice::Both => {
+                run_campaign_paired(&campaign, [flat, (EngineKind::Reference, 1)])
+            }
         }
         .map_err(|e| format!("campaign seed {seed:#x}: {e}"))?;
         if shards > 1 {
             // Shard-identity audit: the same campaign on the sharded
             // Flat engine must be bit-identical to single-threaded,
             // telemetry snapshot included.
-            run_campaign_shard_paired(&campaign, shards)
+            run_campaign_paired(&campaign, [flat, (EngineKind::Flat, shards)])
                 .map_err(|e| format!("campaign seed {seed:#x} (shards={shards}): {e}"))?;
         }
         reports.push(report);

@@ -29,9 +29,9 @@ use metro_harness::log;
 use metro_harness::results::{git_describe, unix_time_now, ResultsDir, RunRecord};
 use metro_harness::Json;
 use metro_sim::checkpoint::{resume_scenario_with, run_scenario_resumable, Checkpoint};
-use metro_sim::scenario::fuzz::{fuzz_campaign, shard_fuzz_campaign};
+use metro_sim::scenario::fuzz::fuzz_campaign;
 use metro_sim::scenario::{codec, ScenarioResult};
-use metro_sim::CheckpointSink;
+use metro_sim::{CheckpointSink, EngineKind};
 use std::path::PathBuf;
 use std::time::Instant;
 
@@ -541,18 +541,19 @@ fn cmd_fuzz(args: &[String]) -> i32 {
         }
     }
     let started = Instant::now();
+    let flat = (EngineKind::Flat, 1);
     let outcome = match shards {
         // Shard-differential mode: every seeded scenario replays on the
-        // Flat engine at 1 and N shards and must be bit-identical,
-        // telemetry snapshots included.
-        Some(n) => shard_fuzz_campaign(seed, count, n).map(|done| {
+        // Flat engine at 1 and N shards instead of Flat and Reference.
+        // Either way outcomes, telemetry and machine state must match.
+        Some(n) => fuzz_campaign(seed, count, [flat, (EngineKind::Flat, n)]).map(|done| {
             format!(
                 "shard-differential fuzz: {done} scenarios, shards={n} == shards=1 on \
                  every one ({:.1}s, base seed {seed:#x})",
                 started.elapsed().as_secs_f64()
             )
         }),
-        None => fuzz_campaign(seed, count).map(|done| {
+        None => fuzz_campaign(seed, count, [flat, (EngineKind::Reference, 1)]).map(|done| {
             format!(
                 "differential fuzz: {done} scenarios, Flat == Reference on every one \
                  ({:.1}s, base seed {seed:#x})",

@@ -26,9 +26,10 @@
 //!    masked ports are never selected again.
 //!
 //! [`run_campaign_paired`] additionally replays the identical campaign
-//! on both tick engines and requires bit-identical outcome streams and
-//! healed sets — the healing layer lives in shared code, so the
-//! engines' cycle-for-cycle equivalence must survive it.
+//! under two execution variants — `(engine, shards)` each — and
+//! requires bit-identical outcome streams, healed sets and telemetry:
+//! the healing layer lives in shared code, so the engines'
+//! cycle-for-cycle equivalence must survive it.
 
 use crate::message::MessageOutcome;
 use crate::network::{EngineKind, NetworkSim, SimConfig};
@@ -231,7 +232,7 @@ pub enum ChaosViolation {
         /// Retries the probe recorded (must be 0 after masking).
         retries: usize,
     },
-    /// The two tick engines disagreed on the same campaign.
+    /// Two execution variants disagreed on the same campaign.
     EngineDivergence {
         /// What diverged.
         detail: String,
@@ -273,7 +274,7 @@ impl std::fmt::Display for ChaosViolation {
                 "post-masking probe took {latency} cycles / {retries} retries (bound {bound})"
             ),
             Self::EngineDivergence { detail } => {
-                write!(f, "Flat and Reference engines diverged: {detail}")
+                write!(f, "execution variants diverged: {detail}")
             }
         }
     }
@@ -401,7 +402,10 @@ fn probe(
     Err(ChaosViolation::Lost { src, dest, phase })
 }
 
-/// Runs one campaign on the given engine and checks every invariant.
+/// Runs one campaign on the given engine — for Flat, on `shards` tick
+/// shards ([`SimConfig::shards`]; Reference ignores it) — and checks
+/// every invariant. Returns the report and the run's full telemetry
+/// snapshot (for `results/<artifact>.telemetry.json` sidecars).
 ///
 /// The injected fault set is used *only* by this checker (to audit that
 /// the masked set covers it); the healing layer inside the simulator
@@ -414,35 +418,6 @@ fn probe(
 /// non-cycle-accurate engine ([`EngineKind::Analytic`]) is rejected
 /// with [`crate::engine::NotCycleAccurate`] before any event runs.
 pub fn run_campaign(
-    campaign: &ChaosCampaign,
-    engine: EngineKind,
-) -> Result<ChaosReport, Box<dyn std::error::Error>> {
-    run_campaign_with_telemetry(campaign, engine).map(|(report, _)| report)
-}
-
-/// [`run_campaign`], additionally returning the run's full telemetry
-/// snapshot (for `results/<artifact>.telemetry.json` sidecars).
-///
-/// # Errors
-///
-/// As [`run_campaign`].
-pub fn run_campaign_with_telemetry(
-    campaign: &ChaosCampaign,
-    engine: EngineKind,
-) -> Result<(ChaosReport, metro_telemetry::TelemetrySnapshot), Box<dyn std::error::Error>> {
-    run_campaign_sharded(campaign, engine, 1)
-}
-
-/// [`run_campaign_with_telemetry`] with an explicit shard count for the
-/// Flat engine's partitioned tick ([`SimConfig::shards`]; ignored by
-/// the Reference engine). Sharding is pure execution strategy, so the
-/// report and snapshot must be bit-identical across shard counts —
-/// [`run_campaign_shard_paired`] enforces exactly that.
-///
-/// # Errors
-///
-/// As [`run_campaign`].
-pub fn run_campaign_sharded(
     campaign: &ChaosCampaign,
     engine: EngineKind,
     shards: usize,
@@ -575,82 +550,42 @@ pub fn run_campaign_sharded(
     Ok((report, snap))
 }
 
-/// Runs one campaign on *both* engines and requires bit-identical
-/// outcome streams and healed sets. Returns the Flat report.
-///
-/// # Errors
-///
-/// Returns the first violation on either engine, or
-/// [`ChaosViolation::EngineDivergence`] when the runs disagree.
-pub fn run_campaign_paired(
-    campaign: &ChaosCampaign,
-) -> Result<ChaosReport, Box<dyn std::error::Error>> {
-    let flat = run_campaign(campaign, EngineKind::Flat)?;
-    let reference = run_campaign(campaign, EngineKind::Reference)?;
-    if flat.outcomes != reference.outcomes {
-        return Err(Box::new(ChaosViolation::EngineDivergence {
-            detail: format!(
-                "outcome streams differ ({} vs {} outcomes)",
-                flat.outcomes.len(),
-                reference.outcomes.len()
-            ),
-        }));
-    }
-    if flat.masked_links != reference.masked_links
-        || flat.masked_injections != reference.masked_injections
-    {
-        return Err(Box::new(ChaosViolation::EngineDivergence {
-            detail: format!(
-                "healed sets differ ({:?} vs {:?})",
-                flat.masked_links, reference.masked_links
-            ),
-        }));
-    }
-    Ok(flat)
-}
-
-/// Runs one campaign on the Flat engine twice — single-threaded and
-/// sharded into `shards` shards — and requires bit-identical outcome
-/// streams, healed sets, and telemetry snapshots. The chaos runner
-/// exercises mid-run fault injection, self-healing masks, and
-/// sequential probing, so this is the harshest shard-identity check in
-/// the suite. Returns the single-threaded report.
+/// Runs one campaign under two execution variants — `(engine, shards)`
+/// each — and requires bit-identical outcome streams, healed sets and
+/// telemetry snapshots (the engine's name aside). The chaos runner
+/// exercises mid-run fault injection, self-healing masks and
+/// sequential probing, so this is the harshest identity check in the
+/// suite. Returns the first variant's report and snapshot.
 ///
 /// # Errors
 ///
 /// Returns the first violation on either run, or
 /// [`ChaosViolation::EngineDivergence`] when the runs disagree.
-pub fn run_campaign_shard_paired(
+pub fn run_campaign_paired(
     campaign: &ChaosCampaign,
-    shards: usize,
-) -> Result<ChaosReport, Box<dyn std::error::Error>> {
-    let (single, snap_single) = run_campaign_sharded(campaign, EngineKind::Flat, 1)?;
-    let (sharded, snap_sharded) = run_campaign_sharded(campaign, EngineKind::Flat, shards)?;
-    if single.outcomes != sharded.outcomes {
-        return Err(Box::new(ChaosViolation::EngineDivergence {
-            detail: format!(
-                "outcome streams differ between shards=1 and shards={shards} ({} vs {} outcomes)",
-                single.outcomes.len(),
-                sharded.outcomes.len()
-            ),
-        }));
-    }
-    if single.masked_links != sharded.masked_links
-        || single.masked_injections != sharded.masked_injections
-    {
-        return Err(Box::new(ChaosViolation::EngineDivergence {
-            detail: format!(
-                "healed sets differ between shards=1 and shards={shards} ({:?} vs {:?})",
-                single.masked_links, sharded.masked_links
-            ),
-        }));
-    }
-    if snap_single.to_json() != snap_sharded.to_json() {
-        return Err(Box::new(ChaosViolation::EngineDivergence {
-            detail: format!("telemetry snapshots differ between shards=1 and shards={shards}"),
-        }));
-    }
-    Ok(single)
+    variants: [(EngineKind, usize); 2],
+) -> Result<(ChaosReport, metro_telemetry::TelemetrySnapshot), Box<dyn std::error::Error>> {
+    let [la, lb] = variants.map(|(engine, shards)| format!("{engine} shards={shards}"));
+    let (a, snap_a) = run_campaign(campaign, variants[0].0, variants[0].1)?;
+    let (b, mut snap_b) = run_campaign(campaign, variants[1].0, variants[1].1)?;
+    snap_b.engine.clone_from(&snap_a.engine);
+    let detail = if a.outcomes != b.outcomes {
+        format!(
+            "outcome streams differ between {la} and {lb} ({} vs {} outcomes)",
+            a.outcomes.len(),
+            b.outcomes.len()
+        )
+    } else if (&a.masked_links, &a.masked_injections) != (&b.masked_links, &b.masked_injections) {
+        format!(
+            "healed sets differ between {la} and {lb} ({:?} vs {:?})",
+            a.masked_links, b.masked_links
+        )
+    } else if snap_a != snap_b {
+        format!("telemetry snapshots differ between {la} and {lb}")
+    } else {
+        return Ok((a, snap_a));
+    };
+    Err(Box::new(ChaosViolation::EngineDivergence { detail }))
 }
 
 /// Runs `count` generated campaigns (seeds `base_seed + k`) on both
@@ -668,8 +603,9 @@ pub fn chaos_storm(
     for k in 0..count {
         let seed = base_seed.wrapping_add(k);
         let campaign = ChaosCampaign::generate(spec, seed)?;
-        let report =
-            run_campaign_paired(&campaign).map_err(|e| format!("campaign seed {seed:#x}: {e}"))?;
+        let engines = [(EngineKind::Flat, 1), (EngineKind::Reference, 1)];
+        let (report, _) = run_campaign_paired(&campaign, engines)
+            .map_err(|e| format!("campaign seed {seed:#x}: {e}"))?;
         reports.push(report);
     }
     Ok(reports)
@@ -694,7 +630,7 @@ mod tests {
     fn the_analytic_engine_is_rejected_with_a_typed_error() {
         let spec = MultibutterflySpec::figure1();
         let campaign = ChaosCampaign::generate(&spec, 7).unwrap();
-        let err = run_campaign(&campaign, EngineKind::Analytic).unwrap_err();
+        let err = run_campaign(&campaign, EngineKind::Analytic, 1).unwrap_err();
         let typed = err
             .downcast_ref::<crate::engine::NotCycleAccurate>()
             .expect("NotCycleAccurate, not a panic or stringly error");
@@ -724,7 +660,7 @@ mod tests {
     fn a_campaign_heals_and_recovers_on_the_flat_engine() {
         let spec = MultibutterflySpec::figure1();
         let campaign = ChaosCampaign::generate(&spec, 3).unwrap();
-        let report = run_campaign(&campaign, EngineKind::Flat).expect("invariants hold");
+        let (report, _) = run_campaign(&campaign, EngineKind::Flat, 1).expect("invariants hold");
         assert_eq!(report.events, campaign.events.len());
         for ev in &campaign.events {
             assert!(report.masked_links.contains(&ev.link));
@@ -737,14 +673,19 @@ mod tests {
     fn a_campaign_is_engine_equivalent() {
         let spec = MultibutterflySpec::figure1();
         let campaign = ChaosCampaign::generate(&spec, 11).unwrap();
-        run_campaign_paired(&campaign).expect("Flat == Reference under chaos");
+        run_campaign_paired(
+            &campaign,
+            [(EngineKind::Flat, 1), (EngineKind::Reference, 1)],
+        )
+        .expect("Flat == Reference under chaos");
     }
 
     #[test]
     fn a_campaign_is_shard_equivalent() {
         let spec = MultibutterflySpec::figure1();
         let campaign = ChaosCampaign::generate(&spec, 11).unwrap();
-        run_campaign_shard_paired(&campaign, 4).expect("shards=4 == shards=1 under chaos");
+        run_campaign_paired(&campaign, [(EngineKind::Flat, 1), (EngineKind::Flat, 4)])
+            .expect("shards=4 == shards=1 under chaos");
     }
 
     #[test]
@@ -762,7 +703,11 @@ mod tests {
             .events
             .iter()
             .any(|e| matches!(e.kind, FaultKind::CorruptData { xor: 0x10 })));
-        run_campaign_paired(&campaign).expect("seed 0x57b0 must not deliver silent corruption");
+        run_campaign_paired(
+            &campaign,
+            [(EngineKind::Flat, 1), (EngineKind::Reference, 1)],
+        )
+        .expect("seed 0x57b0 must not deliver silent corruption");
     }
 
     #[test]
@@ -780,8 +725,14 @@ mod tests {
     fn report_json_is_deterministic() {
         let spec = MultibutterflySpec::figure1();
         let campaign = ChaosCampaign::generate(&spec, 3).unwrap();
-        let a = run_campaign(&campaign, EngineKind::Flat).unwrap().to_json();
-        let b = run_campaign(&campaign, EngineKind::Flat).unwrap().to_json();
+        let a = run_campaign(&campaign, EngineKind::Flat, 1)
+            .unwrap()
+            .0
+            .to_json();
+        let b = run_campaign(&campaign, EngineKind::Flat, 1)
+            .unwrap()
+            .0
+            .to_json();
         assert_eq!(a.render(), b.render());
         assert_eq!(Json::parse(&a.render()).unwrap(), a);
     }

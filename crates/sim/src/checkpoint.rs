@@ -24,13 +24,17 @@
 //! the document — a corrupt or truncated file fails loudly at decode,
 //! never as a silently divergent resume.
 //!
-//! Because every component snapshot is taken at a tick boundary and
-//! the sharded engine rewrites its `next` arena completely each tick,
-//! a checkpoint is **shard-count-agnostic**: a run checkpointed under
-//! `shards = 4` resumes bit-identically under `shards = 1` and vice
-//! versa. The bit-identity contract — run `N` cycles, checkpoint,
-//! restore, run `M` more ≡ run `N + M` straight — is proven by the
-//! `checkpoint_identity` proptest suite in `tests/`.
+//! Every cycle engine keeps one buffer of channel inputs and writes it
+//! in the same slot order ([`Engine::save_state`]), so at a tick
+//! boundary the state words do not depend on what stepped the machine:
+//! a run checkpointed under Flat at `shards = 4` resumes bit-identically
+//! under `shards = 1` or under Reference, and vice versa (re-target the
+//! embedded scenario's `sim.engine` / `sim.shards`). The bit-identity
+//! contract — run `N` cycles, checkpoint, restore, run `M` more ≡ run
+//! `N + M` straight — is proven by the `checkpoint_identity` proptest
+//! suite in `tests/`.
+//!
+//! [`Engine::save_state`]: crate::engine::Engine::save_state
 
 #![deny(clippy::cast_possible_truncation)]
 
@@ -43,12 +47,19 @@ use metro_harness::Json;
 use metro_telemetry::{StateError, StateReader, StateWriter};
 use std::collections::VecDeque;
 
-/// The newest checkpoint schema version this build writes and reads.
+/// The checkpoint schema version this build writes, and the only one it
+/// reads: a checkpoint is a crash-recovery file of the build that wrote
+/// it, so no reader for older layouts is kept.
 ///
 /// Version history:
 /// * **1** — original schema: embedded scenario, `(phase, cycle)`
-///   runner position, hex-chunked state words.
-pub const CHECKPOINT_SCHEMA: u64 = 1;
+///   runner position, hex-chunked state words; the engine's part of the
+///   stream was an engine-named section (`flateng` with two arenas, or
+///   nested `refeng`).
+/// * **2** — the engine's part is one engine-neutral `channels`
+///   section. Same envelope, so a version-1 file is refused here, at
+///   `checkpoint.checkpoint_schema`, not deep in the state restore.
+pub const CHECKPOINT_SCHEMA: u64 = 2;
 
 /// Hex characters per `"state"` array entry. Chunking keeps lines
 /// editor- and diff-friendly; the chunk boundaries carry no meaning.
@@ -184,7 +195,11 @@ impl Checkpoint {
     /// Returns a [`CodecError`] naming the offending field.
     pub fn from_json(doc: &Json) -> Result<Self, CodecError> {
         Node::root("checkpoint", "checkpoint", doc).object(|f| {
-            dec_schema(f, "checkpoint_schema", CHECKPOINT_SCHEMA)?;
+            dec_schema(
+                f,
+                "checkpoint_schema",
+                CHECKPOINT_SCHEMA..=CHECKPOINT_SCHEMA,
+            )?;
             // Integrity first: a flipped bit anywhere in the document
             // is a digest mismatch, not a subtly different restored
             // machine.
@@ -807,15 +822,19 @@ mod tests {
     fn wrong_schema_version_is_rejected() {
         let s = load_scenario();
         let (_straight, ckpt) = checkpoint_at(&s, 80);
-        let mut doc = ckpt.to_json();
-        doc.set("checkpoint_schema", Json::from(2u64));
-        if let Json::Obj(pairs) = &mut doc {
-            pairs.retain(|(k, _)| k != "checkpoint_hash");
+        // Re-sealed, so the gate itself is what refuses: the older
+        // layout (same envelope, different state stream) and a newer one.
+        for version in [CHECKPOINT_SCHEMA - 1, CHECKPOINT_SCHEMA + 1] {
+            let mut doc = ckpt.to_json();
+            doc.set("checkpoint_schema", Json::from(version));
+            if let Json::Obj(pairs) = &mut doc {
+                pairs.retain(|(k, _)| k != "checkpoint_hash");
+            }
+            seal(&mut doc, "checkpoint_hash");
+            let e = Checkpoint::from_json(&doc).unwrap_err();
+            assert_eq!(e.path, "checkpoint.checkpoint_schema");
+            assert!(e.message.contains("unsupported schema version"), "{e:?}");
         }
-        let h = format!("{:#018x}", doc.canonical_hash());
-        doc.set("checkpoint_hash", Json::from(h));
-        let e = Checkpoint::from_json(&doc).unwrap_err();
-        assert!(e.message.contains("unsupported schema version"), "{e:?}");
     }
 
     #[test]

@@ -317,11 +317,14 @@ pub fn estimate_scenario(
 ///
 /// # Errors
 ///
-/// Returns an error for scenarios the estimator cannot model (none
-/// today).
+/// A `stage_wire_delays` of the wrong length is a
+/// [`WireDelayCount`](crate::network::WireDelayCount); every other
+/// scenario is modelled.
 pub fn estimate_latency(
     scenario: &Scenario,
 ) -> Result<LatencyEstimate, Box<dyn std::error::Error>> {
+    let stages = scenario.topology.stages.len();
+    scenario.sim.check_wire_delays(stages)?;
     match &scenario.workload {
         WorkloadSpec::Load { .. } => Ok(estimate_load(scenario)),
         WorkloadSpec::Sends { sends, cycles } => Ok(estimate_sends(scenario, sends, *cycles)),

@@ -1,42 +1,49 @@
-//! The allocation-free flat engine: double-buffered channel arenas
-//! walked with precomputed slot indices, stepping only what is active.
+//! The allocation-free flat engine: one channel arena and one drive
+//! bus, walked with precomputed slot indices, stepping only what is
+//! active.
 //!
-//! One copy of every registered channel value lives in a flat arena
-//! indexed by [`FlatLinks`]'s slot scheme; the engine keeps two — `cur`
-//! (read by components this cycle) and `next` (written for the coming
-//! cycle) — and swaps them once per tick. The steady-state step
-//! performs no heap allocation, and fault state is resolved into flat
-//! tables in [`Engine::apply_faults`] so the hot path never queries the
-//! fault set.
+//! It has the Reference engine's shape (a METRO channel is one pipeline
+//! register per wire stage, paper §5.1): the [`ChannelArena`] holds the
+//! value registered at every channel input, indexed by [`FlatLinks`]'s
+//! slot scheme; components read it and drive the [`DriveBus`]; only
+//! when every component has driven is the arena overwritten from the
+//! bus. The steady-state step performs no heap allocation, and fault
+//! state is resolved into flat tables in [`Engine::apply_faults`] so
+//! the hot path never queries the fault set.
 //!
 //! METRO routers are stateless between messages, so the single-thread
 //! step visits only the members of a [`HotSet`] — routers, endpoints,
-//! non-transparent wires — and carries each one's outputs to the `next`
-//! slots they land in ([`Route`]). One invariant stands where the full
+//! non-transparent wires — in three passes: *tick* (hot components read
+//! the arena and drive the bus), *carry* (the same components' bus
+//! slots land in the arena slots they feed, through [`Route`]), *wires*
+//! (hot non-transparent wires advance from the bus and overwrite what
+//! was carried into their slots). One invariant stands where the full
 //! walk rewrites everything:
 //!
 //! > *Anything not visited this cycle has quiescent state, all-`Empty`
-//! > inputs, and all-`Empty` outputs already sitting in the bus and in
-//! > both arenas.*
+//! > inputs in the arena, and all-`Empty` outputs already in the bus
+//! > and in the arena slots they feed.*
 //!
 //! Ticking such a member would change nothing, draw no randomness and
-//! drive `Empty` over `Empty`; leaving it out is exact. A member stays
+//! drive `Empty` over `Empty`; leaving it out is exact. A member *stays*
 //! hot while its FSM is non-quiescent or it drove a live (non-`Empty`)
-//! value, one cycle more after its last live drive (the arenas
-//! alternate: clearing both copies of a slot takes two writes), and
-//! joins when a live value is carried into one of its inputs. Changes
-//! from outside a step — a message enqueued, a checkpoint restored, a
-//! fault applied or repaired — mark what they touched
+//! value — the next visit is what returns those slots to `Empty` — and
+//! *wakes* when a live value lands in one of its inputs. Changes from
+//! outside a step — a message enqueued, a checkpoint restored, a fault
+//! applied or repaired — mark what they touched
 //! ([`Engine::wake_endpoint`], [`Engine::wake_router`]) or everything;
 //! marking too much is always exact. With `SimConfig::shards > 1` the
-//! full walk of [`super::shard`] runs instead, bit-identically: it is
-//! this step's differential oracle.
+//! full walk of [`super::shard`] runs instead, bit-identically: with
+//! the Reference engine it is this step's state-word oracle.
 
-use super::{boundary_delay, shard::ShardState, Engine, StepCtx};
+use super::shard::ShardState;
+use super::{
+    boundary_delay, get_flag, get_word, put_flag, put_word, restore_lane, save_lane, Engine,
+    StepCtx,
+};
 use crate::network::SimConfig;
 use crate::shard::ShardPlan;
 use crate::wire::Wire;
-use metro_core::word::phit;
 use metro_core::Word;
 use metro_telemetry::{StateError, StateReader, StateWriter};
 use metro_topo::fault::FaultSet;
@@ -44,59 +51,11 @@ use metro_topo::flatlinks::{FlatLinks, FlatTarget};
 use metro_topo::graph::LinkId;
 use metro_topo::multibutterfly::Multibutterfly;
 
-/// Appends a word lane to a checkpoint stream (length-prefixed packed
-/// cells). Shared by both engines' snapshots.
-pub(crate) fn save_words(w: &mut StateWriter, lane: &[Word]) {
-    w.usize(lane.len());
-    for &word in lane {
-        w.u64(phit::pack(word));
-    }
-}
+/// The most shards a step runs on, whatever a scenario file asks for:
+/// every shard is a spinning thread.
+const MAX_SHARDS: usize = 64;
 
-/// Overwrites a word lane from a checkpoint stream, in place.
-pub(crate) fn restore_words(r: &mut StateReader<'_>, lane: &mut [Word]) -> Result<(), StateError> {
-    let bad = |detail: String| StateError::BadValue {
-        section: String::from("arena"),
-        detail,
-    };
-    let n = r.usize()?;
-    if n != lane.len() {
-        return Err(bad(format!(
-            "saved lane of {n}, engine holds {}",
-            lane.len()
-        )));
-    }
-    for word in lane.iter_mut() {
-        let cell = r.u64()?;
-        *word = phit::unpack(cell).ok_or_else(|| bad(format!("{cell:#x} is not a packed word")))?;
-    }
-    Ok(())
-}
-
-/// Appends a BCB lane to a checkpoint stream.
-pub(crate) fn save_flags(w: &mut StateWriter, lane: &[bool]) {
-    w.usize(lane.len());
-    for &b in lane {
-        w.bool(b);
-    }
-}
-
-/// Overwrites a BCB lane from a checkpoint stream, in place.
-pub(crate) fn restore_flags(r: &mut StateReader<'_>, lane: &mut [bool]) -> Result<(), StateError> {
-    let n = r.usize()?;
-    if n != lane.len() {
-        return Err(StateError::BadValue {
-            section: String::from("arena"),
-            detail: format!("saved lane of {n}, engine holds {}", lane.len()),
-        });
-    }
-    for b in lane.iter_mut() {
-        *b = r.bool()?;
-    }
-    Ok(())
-}
-
-/// One copy of every registered channel value in the network, indexed
+/// The value registered at every channel input in the network, indexed
 /// by the flat slot scheme of [`FlatLinks`].
 #[derive(Debug, Clone)]
 pub(crate) struct ChannelArena {
@@ -125,24 +84,6 @@ impl ChannelArena {
             ep_out_bcb: vec![false; links.n_ep_slots()],
             ep_in_fwd: vec![Word::Empty; links.n_ep_slots()],
         }
-    }
-
-    fn save_state(&self, w: &mut StateWriter) {
-        save_words(w, &self.fwd_in);
-        save_words(w, &self.rev_in);
-        save_flags(w, &self.bcb_in);
-        save_words(w, &self.ep_out_rev);
-        save_flags(w, &self.ep_out_bcb);
-        save_words(w, &self.ep_in_fwd);
-    }
-
-    fn restore_state(&mut self, r: &mut StateReader<'_>) -> Result<(), StateError> {
-        restore_words(r, &mut self.fwd_in)?;
-        restore_words(r, &mut self.rev_in)?;
-        restore_flags(r, &mut self.bcb_in)?;
-        restore_words(r, &mut self.ep_out_rev)?;
-        restore_flags(r, &mut self.ep_out_bcb)?;
-        restore_words(r, &mut self.ep_in_fwd)
     }
 }
 
@@ -182,7 +123,7 @@ impl DriveBus {
 /// Where one driven bus slot lands.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct Route {
-    /// The `next`-arena slot the value is carried into.
+    /// The arena slot the value is carried into.
     dest: u32,
     /// The hot-set member a live value wakes: the reader of `dest`, or
     /// the wire between when it is not transparent (it then overwrites
@@ -226,9 +167,6 @@ pub(crate) struct HotSet {
     /// bits are consumed in the same step: wires advance after the
     /// components that feed them.
     wake: Vec<u64>,
-    /// Members whose last visit drove a live value: one more visit
-    /// returns the other arena's copy of their slots to `Empty`.
-    trail: Vec<u64>,
     /// Visits so far.
     visited: u64,
 }
@@ -238,24 +176,24 @@ impl HotSet {
         let words = vec![0; members.div_ceil(64)];
         Self {
             hot: words.clone(),
-            wake: words.clone(),
-            trail: words,
+            wake: words,
             visited: 0,
         }
     }
 
-    /// Visits every hot member in `members` — for wires (`woken_too`)
-    /// also those woken earlier in this step. `visit(k, wake)` steps
-    /// the range's `k`-th member, wakes who it feeds, and reports
-    /// `(drove a live value, still busy)`: either keeps the member hot,
-    /// and the former leaves a trail.
+    /// Runs one pass over every hot member in `members` — for wires
+    /// (`woken_too`) also those woken earlier in this step.
+    /// `visit(k, wake)` handles the range's `k`-th member, wakes who it
+    /// feeds, and reports whether the member itself stays hot. Returns
+    /// how many members the pass covered.
     #[inline(always)]
     fn sweep(
         &mut self,
         members: std::ops::Range<usize>,
         woken_too: bool,
-        mut visit: impl FnMut(usize, &mut [u64]) -> (bool, bool),
-    ) {
+        mut visit: impl FnMut(usize, &mut [u64]) -> bool,
+    ) -> u64 {
+        let mut covered = 0;
         for wi in members.start / 64..members.end.div_ceil(64) {
             // The part of this word that lies in the range.
             let last = (members.end - 1).min(wi * 64 + 63) % 64;
@@ -263,34 +201,31 @@ impl HotSet {
             let woken = if woken_too { self.wake[wi] & mask } else { 0 };
             self.wake[wi] &= !woken;
             let mut bits = self.hot[wi] & mask | woken;
-            self.visited += u64::from(bits.count_ones());
-            let (mut stay, mut drove) = (0u64, 0u64);
+            covered += u64::from(bits.count_ones());
+            let mut stay = 0u64;
             while bits != 0 {
                 let k = bits.trailing_zeros();
                 bits &= bits - 1;
-                let (live, busy) = visit(wi * 64 + k as usize - members.start, &mut self.wake);
-                drove |= u64::from(live) << k;
-                stay |= u64::from(live | busy) << k;
+                let member = wi * 64 + k as usize - members.start;
+                stay |= u64::from(visit(member, &mut self.wake)) << k;
             }
-            self.wake[wi] |= stay | self.trail[wi] & mask;
-            self.trail[wi] = self.trail[wi] & !mask | drove;
+            self.wake[wi] |= stay;
         }
+        covered
     }
 
-    /// Marks everything, for two steps: enough to rewrite the bus and
-    /// both arenas in full. (Padding bits are never swept.)
+    /// Marks everything for one step: enough to rewrite the bus and the
+    /// arena in full. (Padding bits are never swept.)
     fn mark_all(&mut self) {
         self.hot.fill(!0);
-        self.trail.fill(!0);
     }
 }
 
-/// The allocation-free tick engine: flat arenas + precomputed slots.
+/// The allocation-free tick engine: flat arena + precomputed slots.
 #[derive(Debug, Clone)]
 pub struct FlatEngine {
     pub(crate) links: FlatLinks,
-    pub(crate) cur: ChannelArena,
-    pub(crate) next: ChannelArena,
+    pub(crate) arena: ChannelArena,
     pub(crate) bus: DriveBus,
     /// Injection wires, one per endpoint slot.
     pub(crate) inj_wires: Vec<Wire>,
@@ -323,7 +258,8 @@ pub struct FlatEngine {
 
 impl FlatEngine {
     /// Builds the flat engine for `topo` under `config`, resolving the
-    /// shard knob (0 = host parallelism, capped at the router count).
+    /// shard knob (0 = host parallelism; capped at the router count and
+    /// [`MAX_SHARDS`]).
     #[must_use]
     pub(crate) fn build(topo: &Multibutterfly, config: &SimConfig) -> Self {
         let links = FlatLinks::build(topo);
@@ -340,13 +276,14 @@ impl FlatEngine {
         let inj_transparent = inj_wires.iter().map(Wire::is_transparent).collect();
         let stage_transparent = stage_wires.iter().map(Wire::is_transparent).collect();
         // Resolve the shard knob: 0 = host parallelism, then cap at
-        // the router count (a shard without routers is pure overhead);
-        // one effective shard means the single-threaded step.
+        // the router count (a shard without routers is pure overhead)
+        // and at MAX_SHARDS; one effective shard means the
+        // single-threaded step.
         let requested = match config.shards {
             0 => metro_harness::default_jobs().get(),
             n => n,
         };
-        let effective = requested.min(links.n_routers()).max(1);
+        let effective = requested.min(links.n_routers()).clamp(1, MAX_SHARDS);
         let shard = (effective > 1).then(|| {
             Box::new(ShardState {
                 plan: ShardPlan::build(&links, effective),
@@ -359,8 +296,7 @@ impl FlatEngine {
         let keep = usize::from(shard.is_none());
         let routes = |n: usize| vec![Route::default(); n * keep];
         let mut engine = Self {
-            cur: ChannelArena::idle(&links),
-            next: ChannelArena::idle(&links),
+            arena: ChannelArena::idle(&links),
             bus: DriveBus::idle(&links),
             inj_wires,
             stage_wires,
@@ -418,71 +354,87 @@ impl FlatEngine {
     }
 
     /// The single-threaded flat cycle, over the hot set only (the
-    /// [module documentation](self) says why that is exact): visited
-    /// components read `cur`, drive the bus and have their outputs
-    /// carried into `next`; hot non-transparent wires then advance from
-    /// the bus; the arenas swap. Nothing here allocates.
+    /// [module documentation](self) says why that is exact): the tick
+    /// pass, the carry pass, then the hot wires. Nothing here allocates.
     fn step_single(&mut self, ctx: StepCtx<'_>) {
-        let (links, cur, bus, next) = (&self.links, &self.cur, &mut self.bus, &mut self.next);
+        let (links, arena, bus, hot) = (&self.links, &mut self.arena, &mut self.bus, &mut self.hot);
         let (ep, stages) = (links.ep_ports(), links.stages());
         let (ep_base, inj_base, stage_base) = member_bases(links);
+        // First slots of stage `s`'s `r`-th router: (fslot, bslot).
+        let slots = |s: usize, r: usize| (links.fslot(s, r, 0), links.bslot(s, r, 0));
 
-        // 1. Hot endpoints compute their outputs from last cycle's
-        // inputs; the outputs are carried to the slots they feed.
-        self.hot.sweep(ep_base..inj_base, false, |e, wake| {
+        // 1. Tick pass: hot endpoints, then hot routers, compute their
+        // outputs from last cycle's inputs into the bus and stay hot
+        // while busy. A dead router drives nothing, and its frozen FSM
+        // keeps it in the set no longer than that.
+        let mut visited = hot.sweep(ep_base..inj_base, false, |e, _| {
             let (lo, hi) = (e * ep, (e + 1) * ep);
             let endpoint = &mut ctx.endpoints[e];
             endpoint.tick_into(
                 ctx.now,
-                &cur.ep_out_rev[lo..hi],
-                &cur.ep_out_bcb[lo..hi],
-                &cur.ep_in_fwd[lo..hi],
+                &arena.ep_out_rev[lo..hi],
+                &arena.ep_out_bcb[lo..hi],
+                &arena.ep_in_fwd[lo..hi],
                 &mut bus.ep_out_fwd[lo..hi],
                 &mut bus.ep_in_rev[lo..hi],
             );
-            let mut live = false;
-            for (&w, r) in bus.ep_out_fwd[lo..hi].iter().zip(&self.inj_routes[lo..hi]) {
-                live |= r.carry(w, false, &mut next.fwd_in, wake);
-            }
-            for (&w, r) in bus.ep_in_rev[lo..hi].iter().zip(&self.reply_routes[lo..hi]) {
-                live |= r.carry(w, false, &mut next.rev_in, wake);
-            }
-            (live, !endpoint.is_quiescent())
+            !endpoint.is_quiescent()
         });
-
-        // 2. Hot routers likewise. A dead router drives nothing, and
-        // its frozen FSM keeps it in the set no longer than that.
         for (s, stage) in ctx.routers.iter_mut().enumerate() {
             let (nf, nb) = (links.forward_ports(s), links.backward_ports(s));
-            let down = if s + 1 == stages {
-                &mut next.ep_in_fwd
-            } else {
-                &mut next.fwd_in
-            };
-            let (up, up_bcb) = if s == 0 {
-                (&mut next.ep_out_rev, &mut next.ep_out_bcb)
-            } else {
-                (&mut next.rev_in, &mut next.bcb_in)
-            };
             let r0 = links.router_index(s, 0);
-            self.hot.sweep(r0..r0 + stage.len(), false, |r, wake| {
-                let (f0, b0) = (links.fslot(s, r, 0), links.bslot(s, r, 0));
+            visited += hot.sweep(r0..r0 + stage.len(), false, |r, _| {
+                let (f0, b0) = slots(s, r);
                 let (f1, b1) = (f0 + nf, b0 + nb);
-                let dead = self.router_dead[r0 + r];
-                if dead {
+                if self.router_dead[r0 + r] {
                     bus.out_bwd[b0..b1].fill(Word::Empty);
                     bus.out_fwd[f0..f1].fill(Word::Empty);
                     bus.out_bcb[f0..f1].fill(false);
-                } else {
-                    stage[r].tick_into(
-                        &cur.fwd_in[f0..f1],
-                        &cur.rev_in[b0..b1],
-                        &cur.bcb_in[b0..b1],
-                        &mut bus.out_bwd[b0..b1],
-                        &mut bus.out_fwd[f0..f1],
-                        &mut bus.out_bcb[f0..f1],
-                    );
+                    return false;
                 }
+                stage[r].tick_into(
+                    &arena.fwd_in[f0..f1],
+                    &arena.rev_in[b0..b1],
+                    &arena.bcb_in[b0..b1],
+                    &mut bus.out_bwd[b0..b1],
+                    &mut bus.out_fwd[f0..f1],
+                    &mut bus.out_bcb[f0..f1],
+                );
+                !stage[r].is_quiescent()
+            });
+        }
+
+        // 2. Carry pass: every input has been read, so the same members'
+        // bus slots land in the arena slots they feed; a member that
+        // drove a live value stays hot. Component state is not touched
+        // again here.
+        hot.sweep(ep_base..inj_base, false, |e, wake| {
+            let (lo, hi) = (e * ep, (e + 1) * ep);
+            let mut live = false;
+            for (&w, r) in bus.ep_out_fwd[lo..hi].iter().zip(&self.inj_routes[lo..hi]) {
+                live |= r.carry(w, false, &mut arena.fwd_in, wake);
+            }
+            for (&w, r) in bus.ep_in_rev[lo..hi].iter().zip(&self.reply_routes[lo..hi]) {
+                live |= r.carry(w, false, &mut arena.rev_in, wake);
+            }
+            live
+        });
+        for s in 0..stages {
+            let (nf, nb) = (links.forward_ports(s), links.backward_ports(s));
+            let down = if s + 1 == stages {
+                &mut arena.ep_in_fwd
+            } else {
+                &mut arena.fwd_in
+            };
+            let (up, up_bcb) = if s == 0 {
+                (&mut arena.ep_out_rev, &mut arena.ep_out_bcb)
+            } else {
+                (&mut arena.rev_in, &mut arena.bcb_in)
+            };
+            let r0 = links.router_index(s, 0);
+            hot.sweep(r0..r0 + links.routers_in_stage(s), false, |r, wake| {
+                let (f0, b0) = slots(s, r);
+                let (f1, b1) = (f0 + nf, b0 + nb);
                 let mut live = false;
                 for (&w, r) in bus.out_bwd[b0..b1].iter().zip(&self.bwd_routes[b0..b1]) {
                     live |= r.carry(w, false, down, wake);
@@ -492,52 +444,52 @@ impl FlatEngine {
                     live |= r.carry(w, bcb, up, wake);
                     up_bcb[r.dest as usize] = bcb;
                 }
-                (live, !(dead || stage[r].is_quiescent()))
+                live
             });
         }
 
         // 3. Non-transparent wires (delay > 0 or faulty) that hold
-        // words, were driven just now, or are trailing advance from the
-        // bus and overwrite what was carried into their slots above,
-        // waking whoever reads a live result.
+        // words, were driven just now, or produced a live value last
+        // cycle advance from the bus and overwrite what was carried
+        // into their slots above, waking whoever reads a live result.
         let router = |(s, r): (usize, usize)| links.router_index(s, r);
         let landed = |wake: &mut [u64], wire: &Wire, f: (Word, usize), r: (Word, bool, usize)| {
             let (f_live, r_live) = (f.0 != Word::Empty, r.0 != Word::Empty || r.1);
             mark(wake, f.1, f_live);
             mark(wake, r.2, r_live);
-            (f_live || r_live, !wire.is_quiet())
+            f_live || r_live || !wire.is_quiet()
         };
-        self.hot.sweep(inj_base..stage_base, true, |i, wake| {
+        visited += hot.sweep(inj_base..stage_base, true, |i, wake| {
             let (t, wire) = (links.inj_target(i), &mut self.inj_wires[i]);
             let (f, r, b) = wire.advance(bus.ep_out_fwd[i], bus.out_fwd[t], bus.out_bcb[t]);
-            (next.fwd_in[t], next.ep_out_rev[i], next.ep_out_bcb[i]) = (f, r, b);
+            (arena.fwd_in[t], arena.ep_out_rev[i], arena.ep_out_bcb[i]) = (f, r, b);
             let reader = router(links.fwd_router(t));
             landed(wake, wire, (f, reader), (r, b, ep_base + i / ep))
         });
         let stage_wires = stage_base..stage_base + self.stage_wires.len();
-        self.hot.sweep(stage_wires, true, |j, wake| {
+        visited += hot.sweep(stage_wires, true, |j, wake| {
             let wire = &mut self.stage_wires[j];
             let (f, r, b) = match links.bwd_target(j) {
                 FlatTarget::Fwd(t) => {
                     let t = t as usize;
                     let (f, r, b) = wire.advance(bus.out_bwd[j], bus.out_fwd[t], bus.out_bcb[t]);
-                    next.fwd_in[t] = f;
+                    arena.fwd_in[t] = f;
                     ((f, router(links.fwd_router(t))), r, b)
                 }
                 FlatTarget::Endpoint(i) => {
                     let i = i as usize;
                     let (f, r, _) = wire.advance(bus.out_bwd[j], bus.ep_in_rev[i], false);
-                    next.ep_in_fwd[i] = f;
+                    arena.ep_in_fwd[i] = f;
                     ((f, ep_base + i / ep), r, false)
                 }
             };
-            (next.rev_in[j], next.bcb_in[j]) = (r, b);
+            (arena.rev_in[j], arena.bcb_in[j]) = (r, b);
             landed(wake, wire, f, (r, b, router(links.bwd_router(j))))
         });
 
-        std::mem::swap(&mut self.cur, &mut self.next);
-        std::mem::swap(&mut self.hot.hot, &mut self.hot.wake);
-        self.hot.wake.fill(0);
+        hot.visited += visited;
+        std::mem::swap(&mut hot.hot, &mut hot.wake);
+        hot.wake.fill(0);
     }
 }
 
@@ -575,7 +527,7 @@ impl Engine for FlatEngine {
         }
         // Transparency follows the fault set; refresh the cached flags
         // and the routes built on them. Rather than work out who a
-        // kill, break or repair touches, step everything twice.
+        // kill, break or repair touches, step everything once.
         for (t, w) in self.stage_transparent.iter_mut().zip(&self.stage_wires) {
             *t = w.is_transparent();
         }
@@ -605,48 +557,30 @@ impl Engine for FlatEngine {
     }
 
     fn save_state(&self, w: &mut StateWriter) {
-        w.section("flateng");
-        self.cur.save_state(w);
-        self.next.save_state(w);
-        w.usize(self.inj_wires.len());
-        for wire in &self.inj_wires {
-            wire.save_state(w);
-        }
-        w.usize(self.stage_wires.len());
-        for wire in &self.stage_wires {
-            wire.save_state(w);
-        }
+        let a = &self.arena;
+        w.section("channels");
+        save_lane(w, a.fwd_in.iter(), put_word);
+        save_lane(w, a.rev_in.iter(), put_word);
+        save_lane(w, a.bcb_in.iter(), put_flag);
+        save_lane(w, a.ep_out_rev.iter(), put_word);
+        save_lane(w, a.ep_out_bcb.iter(), put_flag);
+        save_lane(w, a.ep_in_fwd.iter(), put_word);
+        save_lane(w, self.inj_wires.iter(), Wire::save_state);
+        save_lane(w, self.stage_wires.iter(), Wire::save_state);
     }
 
     fn restore_state(&mut self, r: &mut StateReader<'_>) -> Result<(), StateError> {
-        let bad = |detail: String| StateError::BadValue {
-            section: String::from("flateng"),
-            detail,
-        };
-        r.section("flateng")?;
-        self.cur.restore_state(r)?;
-        self.next.restore_state(r)?;
-        let n_inj = r.usize()?;
-        if n_inj != self.inj_wires.len() {
-            return Err(bad(format!(
-                "saved {n_inj} injection wires, engine holds {}",
-                self.inj_wires.len()
-            )));
-        }
-        for wire in &mut self.inj_wires {
-            wire.restore_state(r)?;
-        }
-        let n_stage = r.usize()?;
-        if n_stage != self.stage_wires.len() {
-            return Err(bad(format!(
-                "saved {n_stage} stage wires, engine holds {}",
-                self.stage_wires.len()
-            )));
-        }
-        for wire in &mut self.stage_wires {
-            wire.restore_state(r)?;
-        }
-        // Arenas and wires may now hold anything; the bus is stale.
+        let a = &mut self.arena;
+        r.section("channels")?;
+        restore_lane(r, a.fwd_in.iter_mut(), get_word)?;
+        restore_lane(r, a.rev_in.iter_mut(), get_word)?;
+        restore_lane(r, a.bcb_in.iter_mut(), get_flag)?;
+        restore_lane(r, a.ep_out_rev.iter_mut(), get_word)?;
+        restore_lane(r, a.ep_out_bcb.iter_mut(), get_flag)?;
+        restore_lane(r, a.ep_in_fwd.iter_mut(), get_word)?;
+        restore_lane(r, self.inj_wires.iter_mut(), Wire::restore_state)?;
+        restore_lane(r, self.stage_wires.iter_mut(), Wire::restore_state)?;
+        // Arena and wires may now hold anything; the bus is stale.
         self.hot.mark_all();
         Ok(())
     }

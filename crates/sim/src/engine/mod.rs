@@ -24,16 +24,18 @@ pub mod shard;
 
 use crate::endpoint::Endpoint;
 use crate::wire::Wire;
-use metro_core::Router;
+use metro_core::word::phit;
+use metro_core::{Router, Word};
+use metro_telemetry::{StateError, StateReader, StateWriter};
 use metro_topo::fault::FaultSet;
 use metro_topo::multibutterfly::Multibutterfly;
 
 /// Which engine drives (or estimates) the fabric.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EngineKind {
-    /// Flat double-buffered channel arenas walked with precomputed slot
-    /// indices ([`metro_topo::flatlinks`]); the steady-state tick path
-    /// performs no heap allocation. The default.
+    /// One flat channel arena walked with precomputed slot indices
+    /// ([`metro_topo::flatlinks`]); the steady-state tick path performs
+    /// no heap allocation. The default.
     #[default]
     Flat,
     /// The original nested-`Vec` engine, rebuilt buffers each tick.
@@ -151,7 +153,7 @@ mod sealed {
 
 /// Everything a cycle engine may touch during one step: the shared
 /// component state owned by the orchestrator. Engines read last-tick
-/// channel state from their own arenas and drive components through
+/// channel state from their own buffers and drive components through
 /// this borrow bundle; they never see telemetry, stats, or healing
 /// state.
 #[derive(Debug)]
@@ -221,27 +223,87 @@ pub trait Engine: sealed::Sealed + std::fmt::Debug + Send {
     /// [`NetworkSim`]: crate::network::NetworkSim
     fn clone_box(&self) -> Box<dyn Engine>;
 
-    /// Appends the engine's mutable channel state (arenas and wires)
-    /// to a checkpoint stream. Scratch that is rewritten before it is
-    /// next read (drive buses, shard staging, worker pools, the flat
-    /// step's hot set — restoring marks everything) is not state and
-    /// is not written — which is also why a checkpoint taken at a tick
-    /// boundary is shard-count-agnostic.
-    fn save_state(&self, w: &mut metro_telemetry::StateWriter);
+    /// Appends the machine's channel state to a checkpoint stream as
+    /// one `channels` section: the six channel-input lanes (`fwd_in`,
+    /// `rev_in`, `bcb_in`, `ep_out_rev`, `ep_out_bcb`, `ep_in_fwd`),
+    /// then the injection and the stage wires, each a `save_lane` in
+    /// [`FlatLinks`](metro_topo::flatlinks::FlatLinks) slot order. At a
+    /// tick boundary every cycle engine writes the same words at any
+    /// shard count, so a checkpoint does not name the engine that took
+    /// it. Scratch that is rewritten before it is next read (drive
+    /// buses, shard staging, worker pools, the flat step's hot set —
+    /// restoring marks everything) is not state and is not written.
+    fn save_state(&self, w: &mut StateWriter);
 
-    /// Overwrites the engine's channel state from a checkpoint stream.
-    /// Callers must re-apply the active fault set via
+    /// Overwrites the channel state from a checkpoint stream written by
+    /// any cycle engine. Callers must re-apply the active fault set via
     /// [`Engine::apply_faults`] *before* restoring, so wire fault
     /// fields and transparency caches are already consistent.
     ///
     /// # Errors
     ///
-    /// [`metro_telemetry::StateError`] on shape mismatch or a corrupt
-    /// stream.
-    fn restore_state(
-        &mut self,
-        r: &mut metro_telemetry::StateReader<'_>,
-    ) -> Result<(), metro_telemetry::StateError>;
+    /// [`StateError`] on shape mismatch or a corrupt stream.
+    fn restore_state(&mut self, r: &mut StateReader<'_>) -> Result<(), StateError>;
+}
+
+/// Appends one lane of the `channels` section: its length, then every
+/// cell in slot order.
+pub(crate) fn save_lane<'a, T: 'a>(
+    w: &mut StateWriter,
+    lane: impl Iterator<Item = &'a T> + Clone,
+    put: impl Fn(&T, &mut StateWriter),
+) {
+    w.usize(lane.clone().count());
+    for cell in lane {
+        put(cell, w);
+    }
+}
+
+/// Overwrites one lane of the `channels` section in place, reading no
+/// more cells than the engine holds.
+pub(crate) fn restore_lane<'a, T: 'a>(
+    r: &mut StateReader<'_>,
+    lane: impl Iterator<Item = &'a mut T>,
+    get: impl Fn(&mut T, &mut StateReader<'_>) -> Result<(), StateError>,
+) -> Result<(), StateError> {
+    let saved = r.usize()?;
+    let mut held = 0;
+    for cell in lane {
+        get(cell, r)?;
+        held += 1;
+    }
+    if saved == held {
+        return Ok(());
+    }
+    Err(StateError::BadValue {
+        section: String::from("channels"),
+        detail: format!("saved a lane of {saved}, engine holds {held}"),
+    })
+}
+
+// Cell codecs for `save_lane` / `restore_lane`; wires bring their own
+// (`Wire::save_state` / `Wire::restore_state`).
+
+pub(crate) fn put_word(word: &Word, w: &mut StateWriter) {
+    w.u64(phit::pack(*word));
+}
+
+pub(crate) fn get_word(word: &mut Word, r: &mut StateReader<'_>) -> Result<(), StateError> {
+    let cell = r.u64()?;
+    *word = phit::unpack(cell).ok_or_else(|| StateError::BadValue {
+        section: String::from("channels"),
+        detail: format!("{cell:#x} is not a packed word"),
+    })?;
+    Ok(())
+}
+
+pub(crate) fn put_flag(flag: &bool, w: &mut StateWriter) {
+    w.bool(*flag);
+}
+
+pub(crate) fn get_flag(flag: &mut bool, r: &mut StateReader<'_>) -> Result<(), StateError> {
+    *flag = r.bool()?;
+    Ok(())
 }
 
 impl Clone for Box<dyn Engine> {

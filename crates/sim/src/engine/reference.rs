@@ -3,8 +3,10 @@
 //! fault-set queries. Deliberately scalar and simple — it is the
 //! executable spec the flat engine is proven bit-identical against.
 
-use super::flat::{restore_flags, restore_words, save_flags, save_words};
-use super::{boundary_delay, Engine, StepCtx};
+use super::{
+    boundary_delay, get_flag, get_word, put_flag, put_word, restore_lane, save_lane, Engine,
+    StepCtx,
+};
 use crate::endpoint::EndpointIo;
 use crate::network::SimConfig;
 use crate::wire::Wire;
@@ -13,18 +15,6 @@ use metro_telemetry::{StateError, StateReader, StateWriter};
 use metro_topo::fault::FaultSet;
 use metro_topo::graph::{LinkId, LinkTarget};
 use metro_topo::multibutterfly::Multibutterfly;
-
-/// Checks a saved collection count against the live engine's shape.
-fn check_len(saved: usize, live: usize, what: &str) -> Result<(), StateError> {
-    if saved == live {
-        Ok(())
-    } else {
-        Err(StateError::BadValue {
-            section: String::from("refeng"),
-            detail: format!("saved {saved} {what}, engine holds {live}"),
-        })
-    }
-}
 
 /// The original engine: nested `Vec` buffers rebuilt each tick, with
 /// per-tick topology and fault lookups.
@@ -203,102 +193,31 @@ impl Engine for ReferenceEngine {
         Box::new(self.clone())
     }
 
+    // `[stage][router][port]` and `[endpoint][port]` flatten to exactly
+    // the flat slot order `Engine::save_state` specifies.
     fn save_state(&self, w: &mut StateWriter) {
-        w.section("refeng");
-        w.usize(self.inj_wires.len());
-        for per_ep in &self.inj_wires {
-            w.usize(per_ep.len());
-            for wire in per_ep {
-                wire.save_state(w);
-            }
-        }
-        w.usize(self.stage_wires.len());
-        for per_stage in &self.stage_wires {
-            w.usize(per_stage.len());
-            for per_router in per_stage {
-                w.usize(per_router.len());
-                for wire in per_router {
-                    wire.save_state(w);
-                }
-            }
-        }
-        for field in [&self.fwd_in, &self.rev_in] {
-            w.usize(field.len());
-            for per_stage in field {
-                w.usize(per_stage.len());
-                for lane in per_stage {
-                    save_words(w, lane);
-                }
-            }
-        }
-        w.usize(self.bcb_in.len());
-        for per_stage in &self.bcb_in {
-            w.usize(per_stage.len());
-            for lane in per_stage {
-                save_flags(w, lane);
-            }
-        }
-        w.usize(self.ep_out_rev.len());
-        for lane in &self.ep_out_rev {
-            save_words(w, lane);
-        }
-        w.usize(self.ep_out_bcb.len());
-        for lane in &self.ep_out_bcb {
-            save_flags(w, lane);
-        }
-        w.usize(self.ep_in_fwd.len());
-        for lane in &self.ep_in_fwd {
-            save_words(w, lane);
-        }
+        w.section("channels");
+        save_lane(w, self.fwd_in.iter().flatten().flatten(), put_word);
+        save_lane(w, self.rev_in.iter().flatten().flatten(), put_word);
+        save_lane(w, self.bcb_in.iter().flatten().flatten(), put_flag);
+        save_lane(w, self.ep_out_rev.iter().flatten(), put_word);
+        save_lane(w, self.ep_out_bcb.iter().flatten(), put_flag);
+        save_lane(w, self.ep_in_fwd.iter().flatten(), put_word);
+        save_lane(w, self.inj_wires.iter().flatten(), Wire::save_state);
+        let stage_wires = self.stage_wires.iter().flatten().flatten();
+        save_lane(w, stage_wires, Wire::save_state);
     }
 
     fn restore_state(&mut self, r: &mut StateReader<'_>) -> Result<(), StateError> {
-        r.section("refeng")?;
-        check_len(r.usize()?, self.inj_wires.len(), "injection endpoints")?;
-        for per_ep in &mut self.inj_wires {
-            check_len(r.usize()?, per_ep.len(), "injection wires")?;
-            for wire in per_ep {
-                wire.restore_state(r)?;
-            }
-        }
-        check_len(r.usize()?, self.stage_wires.len(), "wire stages")?;
-        for per_stage in &mut self.stage_wires {
-            check_len(r.usize()?, per_stage.len(), "wire routers")?;
-            for per_router in per_stage {
-                check_len(r.usize()?, per_router.len(), "stage wires")?;
-                for wire in per_router {
-                    wire.restore_state(r)?;
-                }
-            }
-        }
-        for field in [&mut self.fwd_in, &mut self.rev_in] {
-            check_len(r.usize()?, field.len(), "word stages")?;
-            for per_stage in field.iter_mut() {
-                check_len(r.usize()?, per_stage.len(), "word routers")?;
-                for lane in per_stage {
-                    restore_words(r, lane)?;
-                }
-            }
-        }
-        check_len(r.usize()?, self.bcb_in.len(), "bcb stages")?;
-        for per_stage in &mut self.bcb_in {
-            check_len(r.usize()?, per_stage.len(), "bcb routers")?;
-            for lane in per_stage {
-                restore_flags(r, lane)?;
-            }
-        }
-        check_len(r.usize()?, self.ep_out_rev.len(), "endpoint rev lanes")?;
-        for lane in &mut self.ep_out_rev {
-            restore_words(r, lane)?;
-        }
-        check_len(r.usize()?, self.ep_out_bcb.len(), "endpoint bcb lanes")?;
-        for lane in &mut self.ep_out_bcb {
-            restore_flags(r, lane)?;
-        }
-        check_len(r.usize()?, self.ep_in_fwd.len(), "endpoint fwd lanes")?;
-        for lane in &mut self.ep_in_fwd {
-            restore_words(r, lane)?;
-        }
-        Ok(())
+        r.section("channels")?;
+        restore_lane(r, self.fwd_in.iter_mut().flatten().flatten(), get_word)?;
+        restore_lane(r, self.rev_in.iter_mut().flatten().flatten(), get_word)?;
+        restore_lane(r, self.bcb_in.iter_mut().flatten().flatten(), get_flag)?;
+        restore_lane(r, self.ep_out_rev.iter_mut().flatten(), get_word)?;
+        restore_lane(r, self.ep_out_bcb.iter_mut().flatten(), get_flag)?;
+        restore_lane(r, self.ep_in_fwd.iter_mut().flatten(), get_word)?;
+        restore_lane(r, self.inj_wires.iter_mut().flatten(), Wire::restore_state)?;
+        let stage_wires = self.stage_wires.iter_mut().flatten().flatten();
+        restore_lane(r, stage_wires, Wire::restore_state)
     }
 }

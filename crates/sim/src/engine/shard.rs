@@ -2,9 +2,10 @@
 //! the [`ShardPlan`]'s disjoint slot ranges with a pool barrier between
 //! phases.
 //!
-//! Phase 1 ticks each shard's endpoints and routers into its bus
-//! regions; phase 2 advances each shard's wires, writing reverse/BCB
-//! lanes directly into owned `next` regions and staging forward-lane
+//! Phase 1 ticks each shard's endpoints and routers from the arena
+//! into its bus regions; phase 2 advances each shard's wires, writing
+//! reverse/BCB lanes directly into owned regions of the arena phase 1
+//! just read (the barrier separates them) and staging forward-lane
 //! words; phase 3 gathers staged words to their (possibly remote)
 //! target slots via the plan's precomputed lists. Every component and
 //! wire is ticked exactly once by exactly one shard, all randomness
@@ -69,7 +70,7 @@ fn split_by_cuts<'a, T>(mut slice: &'a mut [T], cuts: &[usize]) -> Vec<&'a mut [
 }
 
 /// Phase-1 work package: one shard's endpoints and routers read the
-/// shared `cur` arena (last-tick state only — the Moore-machine
+/// shared arena (last-tick state only — the Moore-machine
 /// property that makes partitioned ticking exact) and drive this
 /// shard's disjoint bus regions.
 struct CompShard<'a> {
@@ -83,7 +84,7 @@ struct CompShard<'a> {
     f0: usize,
     b0: usize,
     links: &'a FlatLinks,
-    cur: &'a ChannelArena,
+    arena: &'a ChannelArena,
     router_dead: &'a [bool],
     endpoints: &'a mut [Endpoint],
     /// `(stage, first in-stage router index, routers)` segments tiling
@@ -104,9 +105,9 @@ impl CompShard<'_> {
             let l = g - self.eps0;
             endpoint.tick_into(
                 self.now,
-                &self.cur.ep_out_rev[g..g + ep],
-                &self.cur.ep_out_bcb[g..g + ep],
-                &self.cur.ep_in_fwd[g..g + ep],
+                &self.arena.ep_out_rev[g..g + ep],
+                &self.arena.ep_out_bcb[g..g + ep],
+                &self.arena.ep_in_fwd[g..g + ep],
                 &mut self.ep_out_fwd[l..l + ep],
                 &mut self.ep_in_rev[l..l + ep],
             );
@@ -128,9 +129,9 @@ impl CompShard<'_> {
                     continue;
                 }
                 router.tick_into(
-                    &self.cur.fwd_in[fg..fg + nf],
-                    &self.cur.rev_in[bg..bg + nb],
-                    &self.cur.bcb_in[bg..bg + nb],
+                    &self.arena.fwd_in[fg..fg + nf],
+                    &self.arena.rev_in[bg..bg + nb],
+                    &self.arena.bcb_in[bg..bg + nb],
                     &mut self.out_bwd[bl..bl + nb],
                     &mut self.out_fwd[fl..fl + nf],
                     &mut self.out_bcb[fl..fl + nf],
@@ -142,7 +143,7 @@ impl CompShard<'_> {
 
 /// Phase-2 work package: this shard's wires read the whole bus
 /// (complete after the phase-1 barrier) and write the reverse/BCB
-/// lanes straight into the shard's own `next` regions — a wire's
+/// lanes straight into the shard's own arena regions — a wire's
 /// backward slot and endpoint slot are its owner's by construction.
 /// Only the forward lane can cross shards, so it is parked in the
 /// staging buffers for the gather phase.
@@ -155,10 +156,10 @@ struct WireShard<'a> {
     stage_transparent: &'a [bool],
     inj_wires: &'a mut [Wire],
     stage_wires: &'a mut [Wire],
-    next_ep_out_rev: &'a mut [Word],
-    next_ep_out_bcb: &'a mut [bool],
-    next_rev_in: &'a mut [Word],
-    next_bcb_in: &'a mut [bool],
+    ep_out_rev: &'a mut [Word],
+    ep_out_bcb: &'a mut [bool],
+    rev_in: &'a mut [Word],
+    bcb_in: &'a mut [bool],
     fwd_inj: &'a mut [Word],
     fwd_stage: &'a mut [Word],
 }
@@ -182,8 +183,8 @@ impl WireShard<'_> {
                 )
             };
             self.fwd_inj[l] = fwd_o;
-            self.next_ep_out_rev[l] = rev_o;
-            self.next_ep_out_bcb[l] = bcb_o;
+            self.ep_out_rev[l] = rev_o;
+            self.ep_out_bcb[l] = bcb_o;
         }
         for (l, wire) in self.stage_wires.iter_mut().enumerate() {
             let j = self.b0 + l;
@@ -204,8 +205,8 @@ impl WireShard<'_> {
                         )
                     };
                     self.fwd_stage[l] = fwd_o;
-                    self.next_rev_in[l] = rev_o;
-                    self.next_bcb_in[l] = bcb_o;
+                    self.rev_in[l] = rev_o;
+                    self.bcb_in[l] = bcb_o;
                 }
                 FlatTarget::Endpoint(i) => {
                     let i = i as usize;
@@ -217,8 +218,8 @@ impl WireShard<'_> {
                         (f, r)
                     };
                     self.fwd_stage[l] = fwd_o;
-                    self.next_rev_in[l] = rev_o;
-                    self.next_bcb_in[l] = false;
+                    self.rev_in[l] = rev_o;
+                    self.bcb_in[l] = false;
                 }
             }
         }
@@ -237,32 +238,31 @@ struct GatherShard<'a> {
     ep_in_from_bwd: &'a [(u32, u32)],
     fwd_inj: &'a [Word],
     fwd_stage: &'a [Word],
-    next_fwd_in: &'a mut [Word],
-    next_ep_in_fwd: &'a mut [Word],
+    fwd_in: &'a mut [Word],
+    ep_in_fwd: &'a mut [Word],
 }
 
 impl GatherShard<'_> {
     fn run(&mut self) {
         for &(t, i) in self.fwd_from_inj {
-            self.next_fwd_in[t as usize - self.f0] = self.fwd_inj[i as usize];
+            self.fwd_in[t as usize - self.f0] = self.fwd_inj[i as usize];
         }
         for &(t, j) in self.fwd_from_bwd {
-            self.next_fwd_in[t as usize - self.f0] = self.fwd_stage[j as usize];
+            self.fwd_in[t as usize - self.f0] = self.fwd_stage[j as usize];
         }
         for &(i, j) in self.ep_in_from_bwd {
-            self.next_ep_in_fwd[i as usize - self.eps0] = self.fwd_stage[j as usize];
+            self.ep_in_fwd[i as usize - self.eps0] = self.fwd_stage[j as usize];
         }
     }
 }
 
 /// One sharded flat cycle over `eng`'s shard state (which must be
 /// present): three barrier-separated phases on the persistent worker
-/// pool, then the arena swap.
+/// pool.
 pub(crate) fn step_sharded(eng: &mut FlatEngine, ctx: StepCtx<'_>) {
     let FlatEngine {
         links,
-        cur,
-        next,
+        arena,
         bus,
         inj_wires,
         stage_wires,
@@ -290,7 +290,7 @@ pub(crate) fn step_sharded(eng: &mut FlatEngine, ctx: StepCtx<'_>) {
 
     // Phase 1: components drive the bus.
     {
-        let cur = &*cur;
+        let arena = &*arena;
         let mut eps_it = split_by_cuts(ctx.endpoints, &plan.ep_cut).into_iter();
         // Tile each shard's flat router range into per-stage
         // segments (shard ranges are contiguous in flat router
@@ -333,7 +333,7 @@ pub(crate) fn step_sharded(eng: &mut FlatEngine, ctx: StepCtx<'_>) {
                     f0: plan.f_cut[k],
                     b0: plan.b_cut[k],
                     links,
-                    cur,
+                    arena,
                     router_dead,
                     endpoints: eps_it.next().expect("one endpoint part per shard"),
                     routers: segs_it.next().expect("one segment list per shard"),
@@ -359,7 +359,7 @@ pub(crate) fn step_sharded(eng: &mut FlatEngine, ctx: StepCtx<'_>) {
             ep_out_rev,
             ep_out_bcb,
             ..
-        } = &mut *next;
+        } = &mut *arena;
         let mut inj_it = split_by_cuts(inj_wires, &plan.eps_cut).into_iter();
         let mut stage_it = split_by_cuts(stage_wires, &plan.b_cut).into_iter();
         let mut rev_it = split_by_cuts(rev_in, &plan.b_cut).into_iter();
@@ -379,10 +379,10 @@ pub(crate) fn step_sharded(eng: &mut FlatEngine, ctx: StepCtx<'_>) {
                     stage_transparent,
                     inj_wires: inj_it.next().expect("one wire part per shard"),
                     stage_wires: stage_it.next().expect("one wire part per shard"),
-                    next_ep_out_rev: eor_it.next().expect("one arena part per shard"),
-                    next_ep_out_bcb: eob_it.next().expect("one arena part per shard"),
-                    next_rev_in: rev_it.next().expect("one arena part per shard"),
-                    next_bcb_in: bcb_it.next().expect("one arena part per shard"),
+                    ep_out_rev: eor_it.next().expect("one arena part per shard"),
+                    ep_out_bcb: eob_it.next().expect("one arena part per shard"),
+                    rev_in: rev_it.next().expect("one arena part per shard"),
+                    bcb_in: bcb_it.next().expect("one arena part per shard"),
                     fwd_inj: finj_it.next().expect("one staging part per shard"),
                     fwd_stage: fstage_it.next().expect("one staging part per shard"),
                 })
@@ -397,7 +397,7 @@ pub(crate) fn step_sharded(eng: &mut FlatEngine, ctx: StepCtx<'_>) {
         let fwd_stage = &fwd_stage[..];
         let ChannelArena {
             fwd_in, ep_in_fwd, ..
-        } = &mut *next;
+        } = &mut *arena;
         let mut fin_it = split_by_cuts(fwd_in, &plan.f_cut).into_iter();
         let mut eif_it = split_by_cuts(ep_in_fwd, &plan.eps_cut).into_iter();
         let pkgs: Vec<std::sync::Mutex<GatherShard>> = (0..n)
@@ -410,13 +410,11 @@ pub(crate) fn step_sharded(eng: &mut FlatEngine, ctx: StepCtx<'_>) {
                     ep_in_from_bwd: &plan.ep_in_from_bwd[k],
                     fwd_inj,
                     fwd_stage,
-                    next_fwd_in: fin_it.next().expect("one arena part per shard"),
-                    next_ep_in_fwd: eif_it.next().expect("one arena part per shard"),
+                    fwd_in: fin_it.next().expect("one arena part per shard"),
+                    ep_in_fwd: eif_it.next().expect("one arena part per shard"),
                 })
             })
             .collect();
         pool.run(|w| pkgs[w].try_lock().expect("disjoint shard package").run());
     }
-
-    std::mem::swap(cur, next);
 }

@@ -132,6 +132,45 @@ impl Default for SimConfig {
     }
 }
 
+impl SimConfig {
+    /// Checks `stage_wire_delays`, when present, against a fabric of
+    /// `stages` stages.
+    pub(crate) fn check_wire_delays(&self, stages: usize) -> Result<(), WireDelayCount> {
+        match &self.stage_wire_delays {
+            Some(d) if d.len() != stages + 1 => Err(WireDelayCount {
+                got: d.len(),
+                expected: stages + 1,
+            }),
+            _ => Ok(()),
+        }
+    }
+}
+
+/// [`SimConfig::stage_wire_delays`] does not name one delay per wire
+/// boundary of the fabric it is applied to. Returned (never panicked)
+/// by [`NetworkSim::new`] and the analytic estimator: the field is
+/// reachable from a scenario file.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct WireDelayCount {
+    /// Entries given.
+    pub got: usize,
+    /// Boundaries the fabric has: its stage count plus one.
+    pub expected: usize,
+}
+
+impl std::fmt::Display for WireDelayCount {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "sim.stage_wire_delays has {} entries, but the fabric has {} wire boundaries \
+             (stages + 1)",
+            self.got, self.expected
+        )
+    }
+}
+
+impl std::error::Error for WireDelayCount {}
+
 /// A complete METRO network under simulation.
 #[derive(Debug, Clone)]
 pub struct NetworkSim {
@@ -169,7 +208,8 @@ impl NetworkSim {
     /// boundary error message via panic-free construction. A
     /// non-cycle-accurate engine ([`EngineKind::Analytic`]) is
     /// rejected with [`NotCycleAccurate`] — there is no network to
-    /// tick; use [`crate::engine::analytic::estimate_scenario`].
+    /// tick; use [`crate::engine::analytic::estimate_scenario`]. A
+    /// `stage_wire_delays` of the wrong length is a [`WireDelayCount`].
     pub fn new(
         spec: &MultibutterflySpec,
         config: &SimConfig,
@@ -180,13 +220,7 @@ impl NetworkSim {
             }));
         }
         let topo = Multibutterfly::build(spec)?;
-        if let Some(d) = &config.stage_wire_delays {
-            assert_eq!(
-                d.len(),
-                topo.stages() + 1,
-                "stage_wire_delays must cover every boundary (stages + 1)"
-            );
-        }
+        config.check_wire_delays(topo.stages())?;
         let bd = |b: usize| boundary_delay(config, b);
         let plan = topo.header_plan(config.width, config.header_words);
         let master = RandomSource::new(config.seed);
@@ -614,17 +648,19 @@ impl NetworkSim {
 
     /// Appends the complete mutable simulation state to a checkpoint
     /// stream: the clock, the active fault set, healing decisions,
-    /// every router and endpoint, the engine's channel arenas and
-    /// wires, accumulated statistics, unharvested outcomes, and the
-    /// telemetry registry. Construction-derived state (topology, header
+    /// every router and endpoint, the channel inputs and wires
+    /// ([`Engine::save_state`]), accumulated statistics, unharvested
+    /// outcomes, and the telemetry registry.
+    /// Construction-derived state (topology, header
     /// plan, configuration) and the optional trace log are not written
     /// — a resumed run rebuilds the former from the scenario and starts
     /// a fresh trace.
     ///
-    /// A checkpoint taken at a tick boundary is shard-count-agnostic:
-    /// both arenas hold exactly what a full walk would have written, so
-    /// neither the shard staging state nor the flat step's hot set is
-    /// live between ticks.
+    /// At a tick boundary the words do not depend on which cycle engine
+    /// stepped the machine or on how many shards: every engine keeps
+    /// one buffer of channel inputs and writes it in the same order,
+    /// and neither the shard staging state nor the flat step's hot set
+    /// is live between ticks.
     pub fn save_state(&self, w: &mut StateWriter) {
         w.section("network");
         w.u64(self.now);
@@ -663,8 +699,8 @@ impl NetworkSim {
 
     /// Overwrites the mutable simulation state from a checkpoint stream
     /// ([`NetworkSim::save_state`]'s inverse). The simulation must have
-    /// been freshly built from the same scenario (topology, config, and
-    /// seed), in any shard configuration. The saved fault set is
+    /// been built from the same scenario (topology, config, and seed),
+    /// on either cycle engine at any shard count. The saved fault set is
     /// re-applied through [`NetworkSim::apply_faults`] *before* the
     /// component state is overwritten, so engine fault tables and
     /// endpoint dead flags are consistent by the time wire contents

@@ -63,17 +63,19 @@ fn schema_for(scenario: &Scenario) -> u64 {
 /// wrong.
 pub type CodecError = DecodeError;
 
-/// Reads the schema version at `key`, accepting `1..=newest`.
+/// Reads the schema version at `key`, accepting those in `readable`.
 pub(crate) fn dec_schema(
     f: &mut Fields<'_, '_>,
     key: &str,
-    newest: u64,
+    readable: std::ops::RangeInclusive<u64>,
 ) -> Result<u64, CodecError> {
     let node = f.req(key)?;
     let schema = node.u64()?;
-    if schema == 0 || schema > newest {
+    if !readable.contains(&schema) {
         return node.err(format!(
-            "unsupported schema version {schema} (this build reads 1..={newest})"
+            "unsupported schema version {schema} (this build reads {}..={})",
+            readable.start(),
+            readable.end()
         ));
     }
     Ok(schema)
@@ -702,7 +704,7 @@ pub fn decode(doc: &Json) -> Result<Scenario, CodecError> {
 /// embedded scenario under its own paths.
 pub(crate) fn decode_node(node: &Node<'_>) -> Result<Scenario, CodecError> {
     node.object(|f| {
-        let schema = dec_schema(f, "scenario_schema", SCENARIO_SCHEMA)?;
+        let schema = dec_schema(f, "scenario_schema", 1..=SCENARIO_SCHEMA)?;
         let name = f.req("name")?.str()?.to_string();
         // Topology decodes before the workload, which validates
         // patterns, rate maps, and trace entries against the endpoint

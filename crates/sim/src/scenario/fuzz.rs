@@ -1,5 +1,5 @@
 //! Differential scenario fuzzing: seeded random scenarios, each run
-//! through both tick engines.
+//! under two execution variants.
 //!
 //! PR 1's golden-trace tests proved [`EngineKind::Flat`] equivalent to
 //! [`EngineKind::Reference`] over hand-picked workload shapes. This
@@ -7,12 +7,13 @@
 //! derives a complete [`Scenario`] from a single `u64` (pure function —
 //! the same seed always builds the same scenario, so a CI failure
 //! reproduces from its seed alone), and [`differential_check`] replays
-//! it on both engines and demands identical [`MessageOutcome`] streams,
-//! delivery counters, and fabric state.
+//! it under a pair of `(engine, shards)` variants and demands identical
+//! [`MessageOutcome`] streams, delivery counters, telemetry and machine
+//! state.
 //!
 //! [`MessageOutcome`]: crate::message::MessageOutcome
 
-use super::{codec, run_scenario, FaultInjection, RepairSet, Scenario, SendSpec, WorkloadSpec};
+use super::{codec, FaultInjection, RepairSet, Scenario, SendSpec, WorkloadSpec};
 use crate::network::{EngineKind, SimConfig};
 use crate::traffic::TrafficPattern;
 use crate::workload::{ArrivalProcess, RateMap, TraceEntry};
@@ -217,112 +218,62 @@ fn random_workload(rng: &mut RandomSource, n: usize, cycles: u64) -> WorkloadSpe
     }
 }
 
-/// Replays `scenario` on both engines and checks full agreement:
-/// identical outcome streams, delivery/abandon counters, payload word
-/// totals, and fabric idleness. Also round-trips the scenario through
-/// the codec first — the replayed scenario is the *decoded* one, so a
-/// fuzz pass certifies the serialization path too.
+/// Replays `scenario` under two execution variants — `(engine, shards)`
+/// each — and checks full agreement: identical outcome streams, run
+/// summaries, telemetry snapshots (the engine's name aside) and final
+/// machine state ([`NetworkSim::save_state`](crate::NetworkSim::save_state)
+/// words: every channel input, wire and component). Flat against
+/// Reference checks the implementation against the spec; Flat at 1
+/// shard against `N` checks the activity step against the full walk.
+/// The replayed scenario is the one *decoded* from its own encoding, so
+/// a pass certifies the serialization path too, and the analytic
+/// estimator must accept the scenario and estimate it deterministically.
 ///
 /// # Errors
 ///
 /// Returns a description of the first divergence (or codec failure).
-pub fn differential_check(scenario: &Scenario) -> Result<(), String> {
+pub fn differential_check(
+    scenario: &Scenario,
+    variants: [(EngineKind, usize); 2],
+) -> Result<(), String> {
+    let name = &scenario.name;
     let decoded = codec::decode(&codec::encode(scenario))
-        .map_err(|e| format!("scenario {:?} did not round-trip: {e}", scenario.name))?;
+        .map_err(|e| format!("scenario {name:?} did not round-trip: {e}"))?;
     if &decoded != scenario {
-        return Err(format!(
-            "scenario {:?} changed across encode/decode",
-            scenario.name
-        ));
+        return Err(format!("scenario {name:?} changed across encode/decode"));
     }
-    let mut flat = decoded.clone();
-    flat.sim.engine = EngineKind::Flat;
-    let mut reference = decoded;
-    reference.sim.engine = EngineKind::Reference;
-    let a = run_scenario(&flat).map_err(|e| e.to_string())?;
-    let b = run_scenario(&reference).map_err(|e| e.to_string())?;
+    let [la, lb] = variants.map(|(engine, shards)| format!("{engine} shards={shards}"));
+    let run = |(engine, shards)| {
+        let mut variant = decoded.clone();
+        (variant.sim.engine, variant.sim.shards) = (engine, shards);
+        super::run_scenario_with_sim(&variant).map_err(|e| e.to_string())
+    };
+    let (a, mut sim_a) = run(variants[0])?;
+    let (b, mut sim_b) = run(variants[1])?;
     if a.outcomes != b.outcomes {
         return Err(format!(
-            "MessageOutcome streams diverged on {:?}: flat produced {} outcomes (digest {:#x}), reference {} (digest {:#x})",
-            scenario.name,
+            "MessageOutcome streams diverged on {name:?}: {la} produced {} outcomes (digest {:#x}), {lb} {} (digest {:#x})",
             a.outcomes.len(),
             a.outcome_digest(),
             b.outcomes.len(),
             b.outcome_digest(),
         ));
     }
-    if (a.delivered, a.abandoned, a.payload_words, a.fabric_idle)
-        != (b.delivered, b.abandoned, b.payload_words, b.fabric_idle)
-    {
+    let summary =
+        |r: &super::ScenarioResult| (r.delivered, r.abandoned, r.payload_words, r.fabric_idle);
+    if summary(&a) != summary(&b) {
         return Err(format!(
-            "run summaries diverged on {:?}: flat {:?} vs reference {:?}",
-            scenario.name,
-            (a.delivered, a.abandoned, a.payload_words, a.fabric_idle),
-            (b.delivered, b.abandoned, b.payload_words, b.fabric_idle),
+            "run summaries diverged on {name:?}: {la} {:?} vs {lb} {:?}",
+            summary(&a),
+            summary(&b),
         ));
     }
-    // The analytic engine is exercised differentially too: it must
-    // accept every fuzzed workload (all three arrival processes) and
-    // estimate it deterministically.
-    let e1 = crate::engine::analytic::estimate_scenario(&flat).map_err(|e| e.to_string())?;
-    let e2 = crate::engine::analytic::estimate_scenario(&flat).map_err(|e| e.to_string())?;
-    if e1 != e2 {
-        return Err(format!(
-            "analytic estimates diverged across two runs of {:?}",
-            scenario.name
-        ));
-    }
-    Ok(())
-}
-
-/// Replays `scenario` on the Flat engine twice — single-threaded (the
-/// activity-driven step) and sharded into `shards` shards (the full
-/// walk) — and checks full bit-identity: identical outcome streams,
-/// run summaries, telemetry snapshots, and final machine state (both
-/// arenas, every wire). The shard knob must be pure execution strategy;
-/// any divergence here is a skipped-component or partitioning bug, not
-/// a protocol difference.
-///
-/// # Errors
-///
-/// Returns a description of the first divergence (or codec failure).
-pub fn shard_differential_check(scenario: &Scenario, shards: usize) -> Result<(), String> {
-    let decoded = codec::decode(&codec::encode(scenario))
-        .map_err(|e| format!("scenario {:?} did not round-trip: {e}", scenario.name))?;
-    let mut single = decoded.clone();
-    single.sim.engine = EngineKind::Flat;
-    single.sim.shards = 1;
-    let mut sharded = decoded;
-    sharded.sim.engine = EngineKind::Flat;
-    sharded.sim.shards = shards;
-    let (a, mut sim_a) = super::run_scenario_with_sim(&single).map_err(|e| e.to_string())?;
-    let (b, mut sim_b) = super::run_scenario_with_sim(&sharded).map_err(|e| e.to_string())?;
-    if a.outcomes != b.outcomes {
-        return Err(format!(
-            "MessageOutcome streams diverged on {:?}: shards=1 produced {} outcomes (digest {:#x}), shards={shards} {} (digest {:#x})",
-            scenario.name,
-            a.outcomes.len(),
-            a.outcome_digest(),
-            b.outcomes.len(),
-            b.outcome_digest(),
-        ));
-    }
-    if (a.delivered, a.abandoned, a.payload_words, a.fabric_idle)
-        != (b.delivered, b.abandoned, b.payload_words, b.fabric_idle)
-    {
-        return Err(format!(
-            "run summaries diverged on {:?}: shards=1 {:?} vs shards={shards} {:?}",
-            scenario.name,
-            (a.delivered, a.abandoned, a.payload_words, a.fabric_idle),
-            (b.delivered, b.abandoned, b.payload_words, b.fabric_idle),
-        ));
-    }
-    let snap_a = sim_a.telemetry_snapshot(&scenario.name).to_json();
-    let snap_b = sim_b.telemetry_snapshot(&scenario.name).to_json();
+    let snap_a = sim_a.telemetry_snapshot(name);
+    let mut snap_b = sim_b.telemetry_snapshot(name);
+    snap_b.engine.clone_from(&snap_a.engine);
     if snap_a != snap_b {
         return Err(format!(
-            "telemetry snapshots diverged on {:?} between shards=1 and shards={shards}",
-            scenario.name,
+            "telemetry snapshots diverged on {name:?} between {la} and {lb}"
         ));
     }
     let state = |sim: &crate::NetworkSim| {
@@ -332,41 +283,34 @@ pub fn shard_differential_check(scenario: &Scenario, shards: usize) -> Result<()
     };
     if state(&sim_a) != state(&sim_b) {
         return Err(format!(
-            "machine state (arenas, wires, components) diverged on {:?} between shards=1 and shards={shards}",
-            scenario.name,
+            "machine state (channels, wires, components) diverged on {name:?} between {la} and {lb}"
+        ));
+    }
+    let estimate =
+        || crate::engine::analytic::estimate_scenario(&decoded).map_err(|e| e.to_string());
+    if estimate()? != estimate()? {
+        return Err(format!(
+            "analytic estimates diverged across two runs of {name:?}"
         ));
     }
     Ok(())
 }
 
-/// Runs `count` seeded scenarios starting at `base_seed`, stopping at
-/// the first divergence. Returns the number of scenarios checked.
+/// Runs `count` seeded scenarios starting at `base_seed` through
+/// [`differential_check`] on `variants`, stopping at the first
+/// divergence. Returns the number of scenarios checked.
 ///
 /// # Errors
 ///
 /// Returns the failing seed and the divergence description.
-pub fn fuzz_campaign(base_seed: u64, count: u64) -> Result<u64, String> {
+pub fn fuzz_campaign(
+    base_seed: u64,
+    count: u64,
+    variants: [(EngineKind, usize); 2],
+) -> Result<u64, String> {
     for i in 0..count {
         let seed = crate::experiment::point_seed(base_seed, i);
-        let scenario = random_scenario(seed);
-        differential_check(&scenario)
-            .map_err(|e| format!("seed {seed:#x} (case {i}/{count}): {e}"))?;
-    }
-    Ok(count)
-}
-
-/// Runs `count` seeded scenarios starting at `base_seed`, each checked
-/// for shard bit-identity at `shards` shards (see
-/// [`shard_differential_check`]). Returns the number checked.
-///
-/// # Errors
-///
-/// Returns the failing seed and the divergence description.
-pub fn shard_fuzz_campaign(base_seed: u64, count: u64, shards: usize) -> Result<u64, String> {
-    for i in 0..count {
-        let seed = crate::experiment::point_seed(base_seed, i);
-        let scenario = random_scenario(seed);
-        shard_differential_check(&scenario, shards)
+        differential_check(&random_scenario(seed), variants)
             .map_err(|e| format!("seed {seed:#x} (case {i}/{count}): {e}"))?;
     }
     Ok(count)
@@ -399,7 +343,8 @@ mod tests {
         // The full >= 100-case campaign lives in the integration test
         // suite (tests/scenario_differential.rs); this is the unit-level
         // smoke.
-        assert_eq!(fuzz_campaign(0x5EED, 4).unwrap(), 4);
+        let pair = [(EngineKind::Flat, 1), (EngineKind::Reference, 1)];
+        assert_eq!(fuzz_campaign(0x5EED, 4, pair).unwrap(), 4);
     }
 
     #[test]
@@ -430,6 +375,7 @@ mod tests {
         // Full-corpus shard identity lives in the bench crate's
         // integration suite; this unit smoke keeps the sharded tick and
         // telemetry comparison wired into `cargo test -p metro-sim`.
-        assert_eq!(shard_fuzz_campaign(0x5EED, 2, 4).unwrap(), 2);
+        let pair = [(EngineKind::Flat, 1), (EngineKind::Flat, 4)];
+        assert_eq!(fuzz_campaign(0x5EED, 2, pair).unwrap(), 2);
     }
 }

@@ -4,10 +4,14 @@
 //! observable: the outcome stream, the statistics, the telemetry
 //! snapshot, the healed sets, and the live fault mask. Exercised on
 //! the flat engine at shard counts 1, 2, and 4 and on the reference
-//! engine, plus the shard-count-agnosticism claim: a checkpoint taken
-//! under one shard count resumes bit-identically under another.
+//! engine, plus the portability claim: a checkpoint taken under one
+//! execution variant — Flat at 1, 2 or 4 shards, or Reference — resumes
+//! bit-identically under any other, later checkpoints included.
 
-use metro_sim::checkpoint::{resume_scenario, run_scenario_resumable, Checkpoint, CheckpointSink};
+use metro_sim::checkpoint::{
+    resume_scenario, resume_scenario_with, run_scenario_resumable, Checkpoint, CheckpointSink,
+    RunPhase,
+};
 use metro_sim::scenario::{FaultInjection, RepairSet, Scenario, ScenarioResult, WorkloadSpec};
 use metro_sim::{ArrivalProcess, EngineKind, NetworkSim, RateMap, SimConfig, TrafficPattern};
 use metro_topo::fault::{FaultKind, FaultSet};
@@ -15,10 +19,18 @@ use metro_topo::graph::LinkId;
 use metro_topo::multibutterfly::MultibutterflySpec;
 use proptest::prelude::*;
 
+const BERNOULLI: ArrivalProcess = ArrivalProcess::Bernoulli;
+
 /// A randomized load scenario on the small8 topology, with self-heal
 /// on and a mid-run corrupting injection so retries, telemetry, and
-/// (sometimes) healing all have material to work with.
-fn load_scenario(seed: u64, load_milli: u64, shards: usize, engine: EngineKind) -> Scenario {
+/// (sometimes) healing all have material to work with, run under the
+/// execution variant `(engine, shards)`.
+fn load_scenario(
+    seed: u64,
+    load_milli: u64,
+    (engine, shards): (EngineKind, usize),
+    arrival: ArrivalProcess,
+) -> Scenario {
     let mut injected = FaultSet::new();
     injected.break_link(
         LinkId::new(1, (seed % 4) as usize, 0),
@@ -46,7 +58,7 @@ fn load_scenario(seed: u64, load_milli: u64, shards: usize, engine: EngineKind) 
         }],
         workload: WorkloadSpec::Load {
             pattern: TrafficPattern::Uniform,
-            arrival: ArrivalProcess::Bernoulli,
+            arrival,
             rates: RateMap::Uniform,
             load: load_milli as f64 / 1000.0,
             payload_words: 5,
@@ -79,11 +91,15 @@ fn run_straight(scenario: &Scenario, at: u64) -> (ScenarioResult, NetworkSim, Ch
     (result, sim, taken.expect("checkpoint at requested cycle"))
 }
 
-/// Asserts every observable of the two finished machines matches.
+/// Asserts every observable of the two finished machines matches (the
+/// telemetry snapshot's engine name aside: the machines may have been
+/// stepped by different engines).
 fn assert_machines_equal(straight: &mut NetworkSim, resumed: &mut NetworkSim) {
+    let mut snapshot = resumed.telemetry_snapshot("s");
+    snapshot.engine = straight.config().engine.name().to_string();
     assert_eq!(
         straight.telemetry_snapshot("s"),
-        resumed.telemetry_snapshot("s"),
+        snapshot,
         "telemetry snapshots diverged"
     );
     assert_eq!(
@@ -112,7 +128,7 @@ proptest! {
         at in 1u64..200,
     ) {
         for shards in [1usize, 2, 4] {
-            let s = load_scenario(seed, load_milli, shards, EngineKind::Flat);
+            let s = load_scenario(seed, load_milli, (EngineKind::Flat, shards), BERNOULLI);
             let (straight, mut straight_sim, ckpt) = run_straight(&s, at);
             let (resumed, mut resumed_sim) = resume_scenario(&ckpt).unwrap();
             prop_assert_eq!(
@@ -131,35 +147,67 @@ proptest! {
         load_milli in 100u64..450,
         at in 1u64..200,
     ) {
-        let s = load_scenario(seed, load_milli, 1, EngineKind::Reference);
+        let s = load_scenario(seed, load_milli, (EngineKind::Reference, 1), BERNOULLI);
         let (straight, mut straight_sim, ckpt) = run_straight(&s, at);
         let (resumed, mut resumed_sim) = resume_scenario(&ckpt).unwrap();
         prop_assert_eq!(&resumed, &straight);
         assert_machines_equal(&mut straight_sim, &mut resumed_sim);
     }
 
-    /// A checkpoint is shard-count-agnostic: taken under `from` shards,
-    /// it resumes under `to` shards to the same run.
+    /// A checkpoint does not name what took it: taken every `at` cycles
+    /// under one execution variant, the first resumes under any other
+    /// to the same result document, the same final machine and the
+    /// same later checkpoints — on Bernoulli and on bursty traffic,
+    /// across the mid-run fault injection.
     #[test]
-    fn checkpoints_resume_across_shard_counts(
+    fn checkpoints_resume_across_execution_variants(
         seed in any::<u64>(),
         load_milli in 100u64..450,
         at in 1u64..200,
-        from_idx in 0usize..3,
-        to_idx in 0usize..3,
+        from_idx in 0usize..4,
+        to_idx in 0usize..4,
+        bursty in any::<bool>(),
     ) {
-        let counts = [1usize, 2, 4];
-        let (from, to) = (counts[from_idx], counts[to_idx]);
-        let s = load_scenario(seed, load_milli, from, EngineKind::Flat);
-        let (straight, mut straight_sim, mut ckpt) = run_straight(&s, at);
-        // Re-target the embedded scenario's shard count and resume.
-        ckpt.scenario.sim.shards = to;
-        let (resumed, mut resumed_sim) = resume_scenario(&ckpt).unwrap();
+        let variants = [
+            (EngineKind::Flat, 1),
+            (EngineKind::Flat, 2),
+            (EngineKind::Flat, 4),
+            (EngineKind::Reference, 1),
+        ];
+        let (from, to) = (variants[from_idx], variants[to_idx]);
+        let arrival = if bursty {
+            ArrivalProcess::OnOff { burst_mean: 12, idle_mean: 30 }
+        } else {
+            BERNOULLI
+        };
+        let s = load_scenario(seed, load_milli, from, arrival);
+        type Taken = Vec<(RunPhase, u64, Vec<u64>)>;
+        let (mut first, mut straight_ckpts, mut resumed_ckpts) = (None, Taken::new(), Taken::new());
+        let mut sink = |c: &Checkpoint| {
+            first.get_or_insert_with(|| c.clone());
+            straight_ckpts.push((c.phase, c.cycle, c.state.clone()));
+            Ok(())
+        };
+        let hook = CheckpointSink { every: at, sink: &mut sink };
+        let (straight, mut straight_sim) = run_scenario_resumable(&s, None, Some(hook)).unwrap();
+        // Re-target the embedded scenario and resume.
+        let mut ckpt = first.expect("a checkpoint at the requested cycle");
+        (ckpt.scenario.sim.engine, ckpt.scenario.sim.shards) = to;
+        let mut sink = |c: &Checkpoint| {
+            resumed_ckpts.push((c.phase, c.cycle, c.state.clone()));
+            Ok(())
+        };
+        let hook = CheckpointSink { every: at, sink: &mut sink };
+        let (resumed, mut resumed_sim) = resume_scenario_with(&ckpt, Some(hook)).unwrap();
         prop_assert_eq!(
-            &resumed, &straight,
-            "resume {}→{} shards at={} diverged", from, to, at
+            resumed.to_json().render(), straight.to_json().render(),
+            "resume {:?}→{:?} at={} diverged", from, to, at
         );
         assert_machines_equal(&mut straight_sim, &mut resumed_sim);
+        prop_assert!(
+            resumed_ckpts == straight_ckpts[1..],
+            "later checkpoints diverged after resuming {:?}→{:?} at={}", from, to, at
+        );
     }
 
     /// The round trip through the JSON envelope changes nothing: a
@@ -170,7 +218,7 @@ proptest! {
         seed in any::<u64>(),
         at in 1u64..200,
     ) {
-        let s = load_scenario(seed, 300, 2, EngineKind::Flat);
+        let s = load_scenario(seed, 300, (EngineKind::Flat, 2), BERNOULLI);
         let (straight, _sim, ckpt) = run_straight(&s, at);
         let text = ckpt.to_json().render();
         let back = Checkpoint::from_text(&text).unwrap();

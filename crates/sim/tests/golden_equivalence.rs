@@ -1,4 +1,4 @@
-//! Golden-trace equivalence: the flat double-buffered engine must be
+//! Golden-trace equivalence: the flat arena engine must be
 //! cycle-for-cycle indistinguishable from the reference (nested-`Vec`)
 //! engine it replaced — and the *sharded* flat engine must be
 //! bit-identical to the single-threaded flat tick at every shard

@@ -7,6 +7,7 @@
 use metro_sim::endpoint::{EndpointConfig, ReplyPolicy};
 use metro_sim::message::{DeliveryStatus, FailureKind, ACK_OK};
 use metro_sim::trace::TraceEvent;
+use metro_sim::{resume_scenario, run_scenario, Checkpoint, RunPhase, Scenario};
 use metro_sim::{EngineKind, NetworkSim, SimConfig};
 use metro_telemetry::RouterCounter;
 use metro_topo::fault::{FaultKind, FaultSet};
@@ -200,13 +201,62 @@ fn heterogeneous_wire_delays_deliver_with_expected_latency() {
 }
 
 #[test]
-#[should_panic(expected = "stages + 1")]
-fn wrong_boundary_count_is_rejected() {
-    let config = SimConfig {
-        stage_wire_delays: Some(vec![0, 1]),
-        ..SimConfig::default()
+fn wrong_boundary_count_is_a_typed_error_on_every_build_path() {
+    // `"stage_wire_delays": [0]` in a scenario file decodes; the
+    // 3-stage figure1 fabric has 4 boundaries.
+    let mut scenario = Scenario::scripted("x", MultibutterflySpec::figure1(), vec![], 10);
+    scenario.sim.stage_wire_delays = Some(vec![0]);
+    let ckpt = Checkpoint {
+        scenario: scenario.clone(),
+        phase: RunPhase::Main,
+        cycle: 0,
+        state: Vec::new(),
     };
-    let _ = NetworkSim::new(&MultibutterflySpec::figure1(), &config);
+    let mut estimated = scenario.clone();
+    estimated.sim.engine = EngineKind::Analytic;
+    for err in [
+        NetworkSim::new(&scenario.topology, &scenario.sim).err(),
+        NetworkSim::from_scenario(&scenario).err(),
+        run_scenario(&scenario).err(),
+        run_scenario(&estimated).err(),
+        resume_scenario(&ckpt).err(),
+    ] {
+        let err = err.expect("an Err, not a panic and not a run");
+        let typed = err
+            .downcast_ref::<metro_sim::network::WireDelayCount>()
+            .expect("typed error");
+        assert_eq!((typed.got, typed.expected), (1, 4));
+        assert!(err.to_string().contains("sim.stage_wire_delays"), "{err}");
+    }
+}
+
+#[test]
+fn a_hostile_shard_count_is_clamped_and_changes_nothing() {
+    // Every shard is a spinning thread: a scenario file asking for a
+    // million must not get one per router of a large fabric.
+    let sends = (0..6)
+        .map(|k| metro_sim::SendSpec {
+            at: 10 * k,
+            src: k as usize,
+            dest: (k as usize * 5 + 3) % 16,
+            payload: vec![k as u16; 4],
+        })
+        .collect();
+    let mut scenario = Scenario::scripted("x", MultibutterflySpec::figure1(), sends, 300);
+    let single = run_scenario(&scenario).unwrap();
+    scenario.sim.shards = 1_000_000;
+    let sim = NetworkSim::from_scenario(&scenario).unwrap();
+    assert!((2..=64).contains(&sim.shards()), "{}", sim.shards());
+    assert_eq!(run_scenario(&scenario).unwrap(), single);
+    // A fabric with more routers than the cap (building spawns nothing).
+    let big = MultibutterflySpec {
+        endpoints: 256,
+        stages: vec![metro_topo::multibutterfly::StageSpec::new(4, 4, 1); 4],
+        ..MultibutterflySpec::figure1()
+    };
+    let big = NetworkSim::new(&big, &scenario.sim).unwrap();
+    assert!(big.topology().total_routers() > 64);
+    assert_eq!(big.shards(), 64);
 }
 
 #[test]

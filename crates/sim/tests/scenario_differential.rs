@@ -1,6 +1,7 @@
 //! Differential scenario fuzzing at campaign scale: ≥ 100 seeded
 //! random scenarios, each decoded from its own encoding and replayed
-//! through both tick engines, demanding identical outcome streams.
+//! through both tick engines, demanding identical outcome streams,
+//! telemetry and machine state.
 //!
 //! This is the scenario-space generalization of the golden-equivalence
 //! suite: instead of hand-picked workload shapes, the whole
@@ -11,12 +12,17 @@
 
 use metro_sim::scenario::fuzz::{differential_check, fuzz_campaign, random_scenario};
 use metro_sim::scenario::{codec, run_scenario};
+use metro_sim::EngineKind;
+
+const FLAT_VS_REFERENCE: [(EngineKind, usize); 2] =
+    [(EngineKind::Flat, 1), (EngineKind::Reference, 1)];
 
 /// The acceptance-criteria campaign: 100 seeded scenarios, Flat vs
-/// Reference, full outcome-stream equality.
+/// Reference, full outcome-stream and machine-state equality.
 #[test]
 fn differential_fuzz_100_scenarios() {
-    let checked = fuzz_campaign(0xD1FF_5EED, 100).expect("engines must agree on every scenario");
+    let checked = fuzz_campaign(0xD1FF_5EED, 100, FLAT_VS_REFERENCE)
+        .expect("engines must agree on every scenario");
     assert_eq!(checked, 100);
 }
 
@@ -51,7 +57,7 @@ fn injection_heavy_scenarios_stay_in_lockstep() {
             continue;
         }
         found += 1;
-        differential_check(&scenario).expect("faulted scenario diverged");
+        differential_check(&scenario, FLAT_VS_REFERENCE).expect("faulted scenario diverged");
         if found >= 8 {
             return;
         }

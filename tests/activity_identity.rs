@@ -1,17 +1,19 @@
-//! The flat engine's activity-driven step against the full walk.
+//! The flat engine's activity-driven step against the full walk and
+//! the Reference engine.
 //!
 //! The single-threaded flat step visits only hot routers, endpoints and
-//! wires; the sharded step (`shards > 1`) still walks everything every
-//! cycle. Both must leave *both* channel arenas, every wire, every
-//! router and every endpoint in the same state at every tick boundary —
-//! compared here as checkpoint state words, which cover all of it. The
+//! wires; the sharded step (`shards > 1`) walks everything every cycle;
+//! the Reference engine is the executable spec. All three must leave
+//! every channel input, every wire, every router and every endpoint in
+//! the same state at every tick boundary — compared here as checkpoint
+//! state words, which cover all of it and do not name the engine. The
 //! second half checks the skip itself: a cold fabric visits nothing,
 //! one message visits only its path, and every way of creating activity
 //! from outside a step (enqueue, restore) is seen.
 
 use metro::sim::checkpoint::{run_scenario_resumable, Checkpoint, CheckpointSink};
 use metro::sim::scenario::{FaultInjection, RepairSet, Scenario, WorkloadSpec};
-use metro::sim::{ArrivalProcess, NetworkSim, RateMap, SimConfig, TrafficPattern};
+use metro::sim::{ArrivalProcess, EngineKind, NetworkSim, RateMap, SimConfig, TrafficPattern};
 use metro::topo::fault::{FaultKind, FaultSet};
 use metro::topo::graph::LinkId;
 use metro::topo::multibutterfly::{MultibutterflySpec, StageSpec, WiringStyle};
@@ -24,7 +26,7 @@ fn faulty_load(
     load: f64,
     wire_delay: usize,
     self_heal: bool,
-    shards: usize,
+    (engine, shards): (EngineKind, usize),
 ) -> Scenario {
     let broken = LinkId::new(0, 2, 1);
     let dead = (1, 3);
@@ -38,6 +40,7 @@ fn faulty_load(
             seed: seed ^ 0xAC71,
             wire_delay,
             self_heal,
+            engine,
             shards,
             telemetry_every: 4,
             ..SimConfig::default()
@@ -99,27 +102,32 @@ fn activity_step_equals_the_full_walk_word_for_word() {
         for load in [0.02, 0.1, 0.3, 0.5] {
             for wire_delay in [0, 1, 2] {
                 for self_heal in [false, true] {
-                    let stepped =
-                        states_every_7(&faulty_load(seed, load, wire_delay, self_heal, 1));
-                    let walked = states_every_7(&faulty_load(seed, load, wire_delay, self_heal, 2));
-                    assert_eq!(stepped.len(), walked.len());
+                    let states = |variant| {
+                        states_every_7(&faulty_load(seed, load, wire_delay, self_heal, variant))
+                    };
+                    let stepped = states((EngineKind::Flat, 1));
                     // Warm-up and measurement always run; the drain
                     // ends when the fabric does.
                     assert!(stepped.len() >= 150 / 7, "checkpoints must span the run");
-                    for ((cycle, a), (_, b)) in stepped.iter().zip(&walked) {
-                        assert!(
-                            a == b,
-                            "seed {seed:#x} load {load} delay {wire_delay} heal {self_heal}: \
-                             state diverged at cycle {cycle} (first differing word {:?})",
-                            a.iter().zip(b).position(|(x, y)| x != y)
-                        );
-                        compared += 1;
+                    for oracle in [(EngineKind::Flat, 2), (EngineKind::Reference, 1)] {
+                        let expected = states(oracle);
+                        assert_eq!(stepped.len(), expected.len());
+                        for ((cycle, a), (_, b)) in stepped.iter().zip(&expected) {
+                            assert!(
+                                a == b,
+                                "seed {seed:#x} load {load} delay {wire_delay} heal {self_heal}: \
+                                 state diverged from {oracle:?} at cycle {cycle} \
+                                 (first differing word {:?})",
+                                a.iter().zip(b).position(|(x, y)| x != y)
+                            );
+                            compared += 1;
+                        }
                     }
                 }
             }
         }
     }
-    assert!(compared >= 48 * (150 / 7));
+    assert!(compared >= 2 * 48 * (150 / 7));
 }
 
 fn metro1k() -> MultibutterflySpec {
@@ -149,8 +157,8 @@ fn a_drained_fabric_visits_nothing() {
         assert!(sim.now() < 5_000, "traffic must drain");
     }
     assert_eq!(sim.drain_outcomes().len(), 200);
-    // The last drivers trail for two more cycles.
-    sim.run(2);
+    // The step that consumed the last live word also revisited its
+    // driver, which drove `Empty` over it: nothing trails.
     let before = sim.engine_visits();
     assert!(before > 0);
     sim.run(1_000);
@@ -222,8 +230,8 @@ fn restoring_into_a_used_engine_resumes_bit_identically() {
     traffic(&mut origin, 0);
     origin.run(23);
     let snapshot = state_words(&origin);
-    // A machine that has been running something else: its bus, hot set
-    // and trail all describe that other run.
+    // A machine that has been running something else: its bus and hot
+    // set describe that other run.
     let mut used = NetworkSim::new(&spec, &config).unwrap();
     traffic(&mut used, 5);
     used.run(31);

@@ -53,8 +53,8 @@ const CKPT_FIXTURE: &str = "tests/fixtures/figure1.ckpt.json";
 
 #[test]
 fn the_checkpoint_fixture_keeps_its_bytes_and_resumes_to_the_straight_run() {
-    // Written by the build before the decoders moved onto the shared
-    // cursor, at cycle 100 of scenarios/figure1.json — mid-traffic.
+    // Written at cycle 100 of scenarios/figure1.json — mid-traffic — by
+    // the build that introduced checkpoint schema 2.
     let text = read(CKPT_FIXTURE);
     let ckpt = Checkpoint::from_text(&text).unwrap();
     assert_eq!((ckpt.scenario.name.as_str(), ckpt.cycle), ("figure1", 100));
@@ -62,7 +62,7 @@ fn the_checkpoint_fixture_keeps_its_bytes_and_resumes_to_the_straight_run() {
     assert_eq!(doc.render(), text);
     assert_eq!(
         doc.get("checkpoint_hash").unwrap().as_str().unwrap(),
-        "0x9de0c913a107bb41"
+        "0xcfd54c8e98c4a388"
     );
     let (resumed, _sim) = resume_scenario(&ckpt).unwrap();
     let straight = run_scenario(&ckpt.scenario).unwrap();

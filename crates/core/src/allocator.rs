@@ -281,21 +281,9 @@ impl Allocator {
     /// cursors) to a checkpoint stream. The policy and the arbitration
     /// scratch buffer are construction-derived and not written.
     pub fn save_state(&self, w: &mut StateWriter) {
-        w.usize(self.owner.len());
-        for o in &self.owner {
-            match o {
-                Some(fwd) => {
-                    w.bool(true);
-                    w.usize(*fwd);
-                }
-                None => w.bool(false),
-            }
-        }
+        w.seq(&self.owner, |w, &o| w.opt(o, StateWriter::usize));
         w.u64(self.in_use);
-        w.usize(self.rr_next.len());
-        for &n in &self.rr_next {
-            w.usize(n);
-        }
+        w.seq(&self.rr_next, |w, &n| w.usize(n));
     }
 
     /// Overwrites the allocation state from a checkpoint stream.
@@ -305,20 +293,9 @@ impl Allocator {
     /// [`StateError::BadValue`] on port-count mismatch or an IN-USE
     /// word inconsistent with the owner table.
     pub fn restore_state(&mut self, r: &mut StateReader<'_>) -> Result<(), StateError> {
-        let shape = |detail: String| StateError::BadValue {
-            section: String::from("allocator"),
-            detail,
-        };
-        let n = r.usize()?;
-        if n != self.owner.len() {
-            return Err(shape(format!(
-                "saved {n} backward ports, allocator holds {}",
-                self.owner.len()
-            )));
-        }
-        for o in &mut self.owner {
-            *o = if r.bool()? { Some(r.usize()?) } else { None };
-        }
+        r.lane(&mut self.owner, "backward ports", |r| {
+            r.opt(StateReader::usize)
+        })?;
         self.in_use = r.u64()?;
         let expected: u64 = self
             .owner
@@ -328,21 +305,9 @@ impl Allocator {
             .map(|(b, _)| 1u64 << b)
             .sum();
         if self.in_use != expected {
-            return Err(shape(String::from(
-                "IN-USE word disagrees with the owner table",
-            )));
+            return Err(r.bad("IN-USE word disagrees with the owner table"));
         }
-        let rr = r.usize()?;
-        if rr != self.rr_next.len() {
-            return Err(shape(format!(
-                "saved {rr} round-robin cursors, allocator holds {}",
-                self.rr_next.len()
-            )));
-        }
-        for n in &mut self.rr_next {
-            *n = r.usize()?;
-        }
-        Ok(())
+        r.lane(&mut self.rr_next, "round-robin cursors", StateReader::usize)
     }
 }
 

@@ -116,11 +116,6 @@ impl CascadeGroup {
         &self.slices[k]
     }
 
-    /// Mutable access to an individual slice.
-    pub fn slice_mut(&mut self, k: usize) -> &mut Router {
-        &mut self.slices[k]
-    }
-
     /// IN-USE disagreements detected so far.
     #[must_use]
     pub fn faults(&self) -> &[CascadeError] {

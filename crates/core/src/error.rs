@@ -17,6 +17,12 @@ pub enum ParamError {
         /// The rejected value of `o`.
         o: usize,
     },
+    /// A side of the router has more ports than the 64-bit port
+    /// bitplanes (IN-USE, enabled, active) can hold.
+    TooManyPorts {
+        /// The rejected port count (`i` or `o`).
+        ports: usize,
+    },
     /// `max_d` must be a power of two.
     MaxDilationNotPowerOfTwo {
         /// The rejected value of `max_d`.
@@ -60,6 +66,12 @@ impl fmt::Display for ParamError {
             }
             Self::BackwardPortsNotPowerOfTwo { o } => {
                 write!(f, "backward port count {o} is not a nonzero power of two")
+            }
+            Self::TooManyPorts { ports } => {
+                write!(
+                    f,
+                    "forward/backward port count {ports} exceeds the 64-port model limit"
+                )
             }
             Self::MaxDilationNotPowerOfTwo { max_d } => {
                 write!(f, "maximum dilation {max_d} is not a nonzero power of two")

@@ -19,8 +19,6 @@
 //! header packs into words and which stages must be configured to
 //! swallow; [`RouteHeader`] packs a concrete digit sequence.
 
-use crate::params::log2_exact;
-
 /// The per-stage layout of a route header for one path through a
 /// multistage network.
 ///
@@ -259,12 +257,6 @@ pub fn consume_digit(
     let mask = if w == 16 { u16::MAX } else { (1u16 << w) - 1 };
     let shifted = (head << digit_bits) & mask;
     (digit, if swallow { None } else { Some(shifted) })
-}
-
-/// `log2(radix)` helper re-exported for plan construction from radices.
-#[must_use]
-pub fn digit_bits_of_radix(radix: usize) -> usize {
-    log2_exact(radix)
 }
 
 #[cfg(test)]

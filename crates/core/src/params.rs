@@ -61,7 +61,8 @@ impl ArchParams {
     /// # Errors
     ///
     /// Returns a [`ParamError`] if any Table 1 constraint is violated:
-    /// `i`/`o`/`max_d` not powers of two, `max_d > o`, `w < log2(o)`,
+    /// `i`/`o`/`max_d` not powers of two, `i` or `o` above 64 (the
+    /// model's bitplane limit), `max_d > o`, `w == 0`, `w < log2(o)`,
     /// `w > 16` (the model's word limit), or `dp == 0`.
     pub fn new(
         i: usize,
@@ -106,14 +107,6 @@ impl ArchParams {
     #[must_use]
     pub fn metro8() -> Self {
         Self::new(8, 8, 4, 2, 0, 1).expect("METRO-8 parameters are valid")
-    }
-
-    /// An 8-bit-wide radix-4-capable router like those in the Figure 3
-    /// aggregate-performance simulation (8 forward ports, 8 backward
-    /// ports, 8-bit channel, dilation up to 2).
-    #[must_use]
-    pub fn fig3_router() -> Self {
-        Self::new(8, 8, 8, 2, 0, 1).expect("figure 3 parameters are valid")
     }
 
     /// Sets the number of random input bit streams (`ri >= 1`).
@@ -182,6 +175,10 @@ impl ArchParams {
         if self.o == 0 || !self.o.is_power_of_two() {
             return Err(ParamError::BackwardPortsNotPowerOfTwo { o: self.o });
         }
+        let ports = self.i.max(self.o);
+        if ports > 64 {
+            return Err(ParamError::TooManyPorts { ports });
+        }
         if self.max_d == 0 || !self.max_d.is_power_of_two() {
             return Err(ParamError::MaxDilationNotPowerOfTwo { max_d: self.max_d });
         }
@@ -191,7 +188,7 @@ impl ArchParams {
                 o: self.o,
             });
         }
-        if self.w < log2_exact(self.o) {
+        if self.w == 0 || self.w < log2_exact(self.o) {
             return Err(ParamError::WidthTooNarrow {
                 w: self.w,
                 o: self.o,
@@ -365,6 +362,12 @@ mod tests {
             ArchParams::new(0, 4, 4, 2, 0, 1),
             Err(ParamError::ForwardPortsNotPowerOfTwo { i: 0 })
         );
+        // The port bitplanes are one 64-bit word per side.
+        assert_eq!(
+            ArchParams::new(64, 128, 8, 2, 0, 1),
+            Err(ParamError::TooManyPorts { ports: 128 })
+        );
+        assert!(ArchParams::new(64, 64, 8, 2, 0, 1).is_ok());
     }
 
     #[test]
@@ -375,6 +378,11 @@ mod tests {
             Err(ParamError::WidthTooNarrow { w: 3, o: 16 })
         );
         assert!(ArchParams::new(16, 16, 4, 2, 0, 1).is_ok());
+        // A radix-1 router addresses nothing, but still needs a channel.
+        assert_eq!(
+            ArchParams::new(1, 1, 0, 1, 0, 1),
+            Err(ParamError::WidthTooNarrow { w: 0, o: 1 })
+        );
     }
 
     #[test]

@@ -282,59 +282,23 @@ impl Port {
     }
 }
 
-/// Decode-side error helper for the router's checkpoint section.
-fn bad(detail: String) -> StateError {
-    StateError::BadValue {
-        section: String::from("router"),
-        detail,
-    }
-}
-
-/// Reads one packed channel word from a checkpoint stream.
-fn read_word(r: &mut StateReader<'_>) -> Result<Word, StateError> {
-    let cell = r.u64()?;
-    phit::unpack(cell).ok_or_else(|| bad(format!("{cell:#x} is not a packed channel word")))
-}
-
-/// Appends a word queue (pipeline or reply queue) to a checkpoint
-/// stream via the phit packing.
-fn save_word_queue(w: &mut StateWriter, q: &VecDeque<Word>) {
-    w.usize(q.len());
-    for &word in q {
-        w.u64(phit::pack(word));
-    }
-}
-
-/// Refills a word queue from a checkpoint stream.
-fn restore_word_queue(r: &mut StateReader<'_>, q: &mut VecDeque<Word>) -> Result<(), StateError> {
-    let n = r.usize()?;
-    if n > r.remaining() {
-        return Err(bad(format!("queue length {n} exceeds remaining stream")));
-    }
-    q.clear();
-    for _ in 0..n {
-        q.push_back(read_word(r)?);
-    }
-    Ok(())
-}
-
 /// Checkpoint code for a port mode (the one piece of [`RouterConfig`]
 /// the self-healing layer mutates at runtime).
-fn mode_code(mode: PortMode) -> u64 {
-    match mode {
+fn put_mode(w: &mut StateWriter, mode: PortMode) {
+    w.u64(match mode {
         PortMode::Enabled => 0,
         PortMode::DisabledDriven => 1,
         PortMode::DisabledTristate => 2,
-    }
+    });
 }
 
-/// Inverts [`mode_code`].
-fn mode_from_code(code: u64) -> Result<PortMode, StateError> {
-    Ok(match code {
+/// Inverts [`put_mode`].
+fn get_mode(r: &mut StateReader<'_>) -> Result<PortMode, StateError> {
+    Ok(match r.u64()? {
         0 => PortMode::Enabled,
         1 => PortMode::DisabledDriven,
         2 => PortMode::DisabledTristate,
-        other => return Err(bad(format!("{other} is not a port mode"))),
+        other => return Err(r.bad(format!("{other} is not a port mode"))),
     })
 }
 
@@ -578,16 +542,10 @@ impl Router {
         self.alloc.save_state(w);
         w.u64(self.active);
         self.counters.save_state(w);
-        w.usize(self.params.forward_ports());
-        for f in 0..self.params.forward_ports() {
-            w.u64(mode_code(self.config.forward_mode(f)));
-        }
-        w.usize(self.params.backward_ports());
-        for b in 0..self.params.backward_ports() {
-            w.u64(mode_code(self.config.backward_mode(b)));
-        }
-        w.usize(self.ports.len());
-        for port in &self.ports {
+        let (i, o) = (self.params.forward_ports(), self.params.backward_ports());
+        w.seq((0..i).map(|f| self.config.forward_mode(f)), put_mode);
+        w.seq((0..o).map(|b| self.config.backward_mode(b)), put_mode);
+        w.seq(&self.ports, |w, port| {
             match port.state {
                 State::Idle => w.u64(0),
                 State::Setup { bwd, remaining } => {
@@ -613,11 +571,11 @@ impl Router {
                 }
                 State::Draining => w.u64(7),
             }
-            save_word_queue(w, &port.fpipe);
-            save_word_queue(w, &port.rpipe);
-            save_word_queue(w, &port.rq);
-            w.u64(u64::from(port.cksum.value()));
-        }
+            for q in [&port.fpipe, &port.rpipe, &port.rq] {
+                w.seq(q.iter().copied(), phit::put);
+            }
+            w.u16(port.cksum.value());
+        });
     }
 
     /// Overwrites the router's mutable state from a checkpoint stream.
@@ -642,60 +600,42 @@ impl Router {
         self.counters.restore_state(r)?;
         let i = self.params.forward_ports();
         let o = self.params.backward_ports();
-        if r.usize()? != i {
-            return Err(bad(String::from("forward port count mismatch")));
-        }
+        r.shape(i, "forward port modes")?;
         for f in 0..i {
-            let mode = mode_from_code(r.u64()?)?;
-            self.config.set_forward_mode(f, mode);
+            self.config.set_forward_mode(f, get_mode(r)?);
         }
-        if r.usize()? != o {
-            return Err(bad(String::from("backward port count mismatch")));
-        }
+        r.shape(o, "backward port modes")?;
         for b in 0..o {
-            let mode = mode_from_code(r.u64()?)?;
-            self.config.set_backward_mode(b, mode);
+            self.config.set_backward_mode(b, get_mode(r)?);
         }
-        if r.usize()? != self.ports.len() {
-            return Err(bad(String::from("port count mismatch")));
-        }
-        let check_bwd = |bwd: usize| {
-            if bwd < o {
-                Ok(bwd)
-            } else {
-                Err(bad(format!("backward port {bwd} out of range (o = {o})")))
-            }
-        };
+        r.shape(self.ports.len(), "forward ports")?;
         for port in &mut self.ports {
             port.state = match r.u64()? {
                 0 => State::Idle,
                 1 => State::Setup {
-                    bwd: check_bwd(r.usize()?)?,
+                    bwd: r.index(o, "backward port")?,
                     remaining: r.usize()?,
                 },
                 2 => State::Forward {
-                    bwd: check_bwd(r.usize()?)?,
+                    bwd: r.index(o, "backward port")?,
                     settle: r.usize()?,
                 },
                 3 => State::Reverse {
-                    bwd: check_bwd(r.usize()?)?,
+                    bwd: r.index(o, "backward port")?,
                     settle: r.usize()?,
                 },
                 4 => State::BlockedDetailed,
                 5 => State::BlockedReply,
                 6 => State::ClosingFwd {
-                    bwd: check_bwd(r.usize()?)?,
+                    bwd: r.index(o, "backward port")?,
                 },
                 7 => State::Draining,
-                other => return Err(bad(format!("{other} is not a port FSM state"))),
+                other => return Err(r.bad(format!("{other} is not a port FSM state"))),
             };
-            restore_word_queue(r, &mut port.fpipe)?;
-            restore_word_queue(r, &mut port.rpipe)?;
-            restore_word_queue(r, &mut port.rq)?;
-            let cksum = r.u64()?;
-            let cksum =
-                u16::try_from(cksum).map_err(|_| bad(format!("{cksum} overflows a checksum")))?;
-            port.cksum = StreamChecksum::from_value(cksum);
+            for q in [&mut port.fpipe, &mut port.rpipe, &mut port.rq] {
+                *q = r.seq(phit::get)?;
+            }
+            port.cksum = StreamChecksum::from_value(r.u16()?);
         }
         let mut expected = 0u64;
         for (f, p) in self.ports.iter().enumerate() {
@@ -704,9 +644,7 @@ impl Router {
             }
         }
         if active != expected {
-            return Err(bad(String::from(
-                "activity bitplane disagrees with the restored FSM states",
-            )));
+            return Err(r.bad("activity bitplane disagrees with the restored FSM states"));
         }
         self.active = active;
         Ok(())

@@ -55,12 +55,6 @@ impl ScanChain {
         &self.devices[k]
     }
 
-    /// Mutable access to the device at position `k` (e.g. to hand its
-    /// committed configuration to a router).
-    pub fn device_mut(&mut self, k: usize) -> &mut ScanDevice {
-        &mut self.devices[k]
-    }
-
     /// Applies one TCK to the whole chain: shared TMS, TDI into device
     /// 0, each TDO feeding the next TDI. Returns the chain's TDO.
     pub fn clock(&mut self, tms: bool, tdi: bool) -> bool {

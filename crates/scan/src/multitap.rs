@@ -54,12 +54,6 @@ impl MultiTap {
         self.active
     }
 
-    /// Whether TAP `k` is marked broken.
-    #[must_use]
-    pub fn is_broken(&self, k: usize) -> bool {
-        self.broken[k]
-    }
-
     /// The shared register file / device.
     #[must_use]
     pub fn device(&self) -> &ScanDevice {

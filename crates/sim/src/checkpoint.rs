@@ -24,6 +24,15 @@
 //! the document — a corrupt or truncated file fails loudly at decode,
 //! never as a silently divergent resume.
 //!
+//! That cursor stops at the `state` array. The words inside are read
+//! by the second cursor, [`metro_telemetry::state`], and a valid seal
+//! is one FNV-1a away, so they are outside input too:
+//! [`Checkpoint::restore_into`] returns a [`StateError`] — naming the
+//! section and the word — for any word that does not fit the machine
+//! the scenario builds, including every index a later tick would use
+//! and every timestamp it would subtract from the clock
+//! ([`NetworkSim::restore_state`]).
+//!
 //! Every cycle engine keeps one buffer of channel inputs and writes it
 //! in the same slot order ([`Engine::save_state`]), so at a tick
 //! boundary the state words do not depend on what stepped the machine:

@@ -20,64 +20,12 @@
 //! latency (paper §5.1, DATA-IDLE use 1).
 
 use crate::message::{
-    read_u16s, save_u16s, DeliveryRecord, DeliveryStatus, FailureKind, MessageOutcome, ACK_CORRUPT,
-    ACK_OK,
+    DeliveryRecord, DeliveryStatus, FailureKind, MachineExtent, MessageOutcome, ACK_CORRUPT, ACK_OK,
 };
 use metro_core::word::phit;
 use metro_core::{RandomSource, StreamChecksum, Word};
 use metro_telemetry::{StateError, StateReader, StateWriter};
 use std::collections::VecDeque;
-
-fn bad(detail: String) -> StateError {
-    StateError::BadValue {
-        section: String::from("endpoint"),
-        detail,
-    }
-}
-
-fn save_stream(w: &mut StateWriter, stream: &[Word]) {
-    w.usize(stream.len());
-    for &word in stream {
-        w.u64(phit::pack(word));
-    }
-}
-
-fn read_stream(r: &mut StateReader<'_>) -> Result<Vec<Word>, StateError> {
-    let n = r.usize()?;
-    if n > r.remaining() {
-        return Err(bad(format!("{n}-word stream exceeds the checkpoint")));
-    }
-    (0..n)
-        .map(|_| {
-            let cell = r.u64()?;
-            phit::unpack(cell).ok_or_else(|| bad(format!("{cell:#x} is not a packed word")))
-        })
-        .collect()
-}
-
-fn save_streams(w: &mut StateWriter, streams: &[Vec<Word>]) {
-    w.usize(streams.len());
-    for s in streams {
-        save_stream(w, s);
-    }
-}
-
-fn read_streams(r: &mut StateReader<'_>) -> Result<Vec<Vec<Word>>, StateError> {
-    let n = r.usize()?;
-    if n > r.remaining() {
-        return Err(bad(format!("{n}-stream list exceeds the checkpoint")));
-    }
-    (0..n).map(|_| read_stream(r)).collect()
-}
-
-/// Reads a `n > remaining`-guarded element count for a list restore.
-fn read_count(r: &mut StateReader<'_>, what: &str) -> Result<usize, StateError> {
-    let n = r.usize()?;
-    if n > r.remaining() {
-        return Err(bad(format!("{n}-entry {what} list exceeds the checkpoint")));
-    }
-    Ok(n)
-}
 
 /// How a destination responds once a message has fully arrived.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -478,18 +426,6 @@ impl Endpoint {
         }
         self.port_masked[p] = true;
         true
-    }
-
-    /// Unmasks an output port (e.g. after a repair).
-    pub fn unmask_out_port(&mut self, p: usize) {
-        assert!(p < self.out_ports, "output port {p} out of range");
-        self.port_masked[p] = false;
-    }
-
-    /// Whether an output port is currently masked.
-    #[must_use]
-    pub fn out_port_masked(&self, p: usize) -> bool {
-        self.port_masked[p]
     }
 
     /// Advances the endpoint one clock cycle.
@@ -970,68 +906,70 @@ impl ActiveMessage {
     fn save_state(&self, w: &mut StateWriter) {
         w.usize(self.dest);
         w.usize(self.payload_words);
-        save_stream(w, &self.stream);
-        w.usize(self.pending_segments.len());
-        for seg in &self.pending_segments {
-            save_stream(w, seg);
-        }
-        save_streams(w, &self.all_segments);
+        w.seq(self.stream.iter().copied(), phit::put);
+        w.seq(&self.pending_segments, |w, s| {
+            w.seq(s.iter().copied(), phit::put)
+        });
+        w.seq(&self.all_segments, |w, s| {
+            w.seq(s.iter().copied(), phit::put)
+        });
         w.u64(self.requested_at);
-        w.opt_u64(self.first_injection_at);
+        w.opt(self.first_injection_at, StateWriter::u64);
         w.u64(self.attempt_started_at);
         w.usize(self.retries);
-        w.usize(self.failures.len());
-        for f in &self.failures {
-            f.save_state(w);
-        }
+        w.seq(&self.failures, |w, f| f.save_state(w));
         self.record.save_state(w);
-        w.usize(self.failure_records.len());
-        for (port, record) in &self.failure_records {
+        w.seq(&self.failure_records, |w, (port, record)| {
             w.usize(*port);
             record.save_state(w);
-        }
+        });
         w.usize(self.port);
-        w.opt_u64(self.success_at);
+        w.opt(self.success_at, StateWriter::u64);
         w.bool(self.saw_reverse_activity);
     }
 
-    fn restore_state(r: &mut StateReader<'_>) -> Result<Self, StateError> {
-        let dest = r.usize()?;
-        let payload_words = r.usize()?;
-        let stream = read_stream(r)?;
-        let n = read_count(r, "pending-segment")?;
-        let pending_segments = (0..n).map(|_| read_stream(r)).collect::<Result<_, _>>()?;
-        let all_segments = read_streams(r)?;
-        let requested_at = r.u64()?;
-        let first_injection_at = r.opt_u64()?;
-        let attempt_started_at = r.u64()?;
-        let retries = r.usize()?;
-        let n = read_count(r, "failure")?;
-        let failures = (0..n)
-            .map(|_| FailureKind::restore_state(r))
-            .collect::<Result<_, _>>()?;
-        let record = DeliveryRecord::restore_state(r)?;
-        let n = read_count(r, "failure-record")?;
-        let failure_records = (0..n)
-            .map(|_| Ok((r.usize()?, DeliveryRecord::restore_state(r)?)))
-            .collect::<Result<_, StateError>>()?;
-        Ok(Self {
-            dest,
-            payload_words,
-            stream,
-            pending_segments,
-            all_segments,
-            requested_at,
-            first_injection_at,
-            attempt_started_at,
-            retries,
-            failures,
-            record,
-            failure_records,
-            port: r.usize()?,
-            success_at: r.opt_u64()?,
+    /// Reads a message in flight on one of `out_ports` output ports,
+    /// refusing whatever the transmit engine would index or subtract
+    /// with: a port or destination the machine does not have, a
+    /// missing or empty segment, a timestamp out of order or past the
+    /// saved clock.
+    fn restore_state(
+        r: &mut StateReader<'_>,
+        out_ports: usize,
+        within: MachineExtent,
+    ) -> Result<Self, StateError> {
+        let msg = Self {
+            dest: r.index(within.endpoints, "destination")?,
+            payload_words: r.usize()?,
+            stream: r.seq(phit::get)?,
+            pending_segments: r.seq(|r| r.seq(phit::get))?,
+            all_segments: r.seq(|r| r.seq(phit::get))?,
+            requested_at: r.u64()?,
+            first_injection_at: r.opt(StateReader::u64)?,
+            attempt_started_at: r.u64()?,
+            retries: r.usize()?,
+            failures: r.seq(|r| FailureKind::restore_state(r, within.stages))?,
+            record: DeliveryRecord::restore_state(r)?,
+            failure_records: r.seq(|r| Ok((r.usize()?, DeliveryRecord::restore_state(r)?)))?,
+            port: r.index(out_ports, "output port")?,
+            success_at: r.opt(StateReader::u64)?,
             saw_reverse_activity: r.bool()?,
-        })
+        };
+        let mut segments = msg.all_segments.iter().chain(&msg.pending_segments);
+        if msg.all_segments.is_empty() || msg.stream.is_empty() || segments.any(Vec::is_empty) {
+            return Err(r.bad("a message in flight has a missing or empty segment"));
+        }
+        let stamps = [
+            Some(msg.requested_at),
+            msg.first_injection_at,
+            Some(msg.attempt_started_at),
+            msg.success_at,
+            Some(within.now),
+        ];
+        if !stamps.iter().flatten().is_sorted() {
+            return Err(r.bad("message timestamps run backwards or past the clock"));
+        }
+        Ok(msg)
     }
 }
 
@@ -1054,34 +992,34 @@ impl TxEngine {
             }
         }
         w.u64(self.gap_until);
-        match &self.active {
-            None => w.bool(false),
-            Some(msg) => {
-                w.bool(true);
-                msg.save_state(w);
-            }
-        }
+        w.opt(self.active.as_ref(), |w, msg| msg.save_state(w));
     }
 
-    fn restore_state(r: &mut StateReader<'_>) -> Result<Self, StateError> {
+    fn restore_state(
+        r: &mut StateReader<'_>,
+        out_ports: usize,
+        within: MachineExtent,
+    ) -> Result<Self, StateError> {
         let state = match r.u64()? {
             0 => TxState::Idle,
             1 => TxState::Backoff { until: r.u64()? },
             2 => TxState::Sending { idx: r.usize()? },
             3 => TxState::Awaiting,
             4 => TxState::Aborting { step: r.usize()? },
-            k => return Err(bad(format!("{k} is not a transmit state"))),
+            k => return Err(r.bad(format!("{k} is not a transmit state"))),
         };
         let gap_until = r.u64()?;
-        let active = if r.bool()? {
-            Some(Box::new(ActiveMessage::restore_state(r)?))
-        } else {
-            None
-        };
-        if active.is_none() && !matches!(state, TxState::Idle) {
-            return Err(bad(String::from(
-                "a non-idle transmit state requires an active message",
-            )));
+        let active = r.opt(|r| ActiveMessage::restore_state(r, out_ports, within).map(Box::new))?;
+        match (state, &active) {
+            (TxState::Idle, None) => {}
+            (TxState::Idle, Some(_)) | (_, None) => {
+                return Err(r.bad("a transmit engine is non-idle exactly when it holds a message"));
+            }
+            (TxState::Sending { idx }, Some(msg)) if idx >= msg.stream.len() => {
+                let n = msg.stream.len();
+                return Err(r.bad(format!("send index {idx} is past a {n}-word stream")));
+            }
+            _ => {}
         }
         Ok(Self {
             state,
@@ -1101,16 +1039,13 @@ impl RxState {
                 cksum,
             } => {
                 w.u64(1);
-                save_u16s(w, payload);
-                w.opt_u64(expected.map(u64::from));
-                w.u64(u64::from(cksum.value()));
+                w.seq(payload.iter().copied(), StateWriter::u16);
+                w.opt(*expected, StateWriter::u16);
+                w.u16(cksum.value());
             }
             RxState::Replying { queue } => {
                 w.u64(2);
-                w.usize(queue.len());
-                for &word in queue {
-                    w.u64(phit::pack(word));
-                }
+                w.seq(queue.iter().copied(), phit::put);
             }
         }
     }
@@ -1118,37 +1053,15 @@ impl RxState {
     fn restore_state(r: &mut StateReader<'_>) -> Result<Self, StateError> {
         Ok(match r.u64()? {
             0 => RxState::Idle,
-            1 => {
-                let payload = read_u16s(r).map_err(|e| bad(e.to_string()))?;
-                let expected = match r.opt_u64()? {
-                    None => None,
-                    Some(v) => Some(
-                        u16::try_from(v)
-                            .map_err(|_| bad(format!("checksum {v} overflows 16 bits")))?,
-                    ),
-                };
-                let sum = r.u64()?;
-                let sum = u16::try_from(sum)
-                    .map_err(|_| bad(format!("checksum state {sum} overflows 16 bits")))?;
-                RxState::Receiving {
-                    payload,
-                    expected,
-                    cksum: StreamChecksum::from_value(sum),
-                }
-            }
-            2 => {
-                let n = read_count(r, "reply-queue")?;
-                let mut queue = VecDeque::with_capacity(n);
-                for _ in 0..n {
-                    let cell = r.u64()?;
-                    queue.push_back(
-                        phit::unpack(cell)
-                            .ok_or_else(|| bad(format!("{cell:#x} is not a packed word")))?,
-                    );
-                }
-                RxState::Replying { queue }
-            }
-            k => return Err(bad(format!("{k} is not a receive state"))),
+            1 => RxState::Receiving {
+                payload: r.seq(StateReader::u16)?,
+                expected: r.opt(StateReader::u16)?,
+                cksum: StreamChecksum::from_value(r.u16()?),
+            },
+            2 => RxState::Replying {
+                queue: r.seq(phit::get)?,
+            },
+            k => return Err(r.bad(format!("{k} is not a receive state"))),
         })
     }
 }
@@ -1164,121 +1077,91 @@ impl Endpoint {
     pub fn save_state(&self, w: &mut StateWriter) {
         w.section("endpoint");
         w.u64(self.rng.state_bits());
-        w.usize(self.engines.len());
-        for eng in &self.engines {
-            eng.save_state(w);
-        }
-        w.usize(self.queue.len());
-        for q in &self.queue {
+        w.seq(&self.engines, |w, eng| eng.save_state(w));
+        w.seq(&self.queue, |w, q| {
             w.usize(q.dest);
             w.usize(q.payload_words);
-            save_streams(w, &q.segments);
+            w.seq(&q.segments, |w, s| w.seq(s.iter().copied(), phit::put));
             w.u64(q.requested_at);
-        }
-        w.usize(self.rx.len());
-        for rx in &self.rx {
-            rx.save_state(w);
-        }
-        w.usize(self.completed.len());
-        for o in &self.completed {
-            o.save_state(w);
-        }
-        w.usize(self.abandoned.len());
-        for o in &self.abandoned {
-            o.save_state(w);
-        }
-        w.usize(self.delivered.len());
-        for d in &self.delivered {
-            save_u16s(w, &d.payload);
+        });
+        w.seq(&self.rx, |w, rx| rx.save_state(w));
+        w.seq(&self.completed, |w, o| o.save_state(w));
+        w.seq(&self.abandoned, |w, o| o.save_state(w));
+        w.seq(&self.delivered, |w, d| {
+            w.seq(d.payload.iter().copied(), StateWriter::u16);
             w.u64(d.at);
-        }
-        w.usize(self.evidence.len());
-        for ev in &self.evidence {
+        });
+        w.seq(&self.evidence, |w, ev| {
             w.usize(ev.src);
             w.usize(ev.dest);
             w.usize(ev.port);
             ev.kind.save_state(w);
             ev.record.save_state(w);
-            save_stream(w, &ev.stream);
+            w.seq(ev.stream.iter().copied(), phit::put);
             w.bool(ev.entry_alive);
-        }
+        });
         for &m in &self.port_masked {
             w.bool(m);
         }
     }
 
     /// Overwrites the endpoint's mutable state from a checkpoint
-    /// stream ([`Endpoint::save_state`]'s inverse).
+    /// stream ([`Endpoint::save_state`]'s inverse) taken at cycle
+    /// `within.now` of a machine of `within.endpoints` endpoints and
+    /// `within.stages` stages.
     ///
     /// # Errors
     ///
     /// [`StateError`] on a shape mismatch (engine or port counts differ
-    /// from the scenario-built endpoint) or a corrupt stream.
-    pub fn restore_state(&mut self, r: &mut StateReader<'_>) -> Result<(), StateError> {
+    /// from the scenario-built endpoint), a corrupt stream, or a value
+    /// [`Endpoint::tick_into`] would index out of range or subtract
+    /// below zero with.
+    pub fn restore_state(
+        &mut self,
+        r: &mut StateReader<'_>,
+        within: MachineExtent,
+    ) -> Result<(), StateError> {
+        let out_ports = self.out_ports;
         r.section("endpoint")?;
         self.rng = RandomSource::from_state_bits(r.u64()?);
-        let n = r.usize()?;
-        if n != self.engines.len() {
-            return Err(bad(format!(
-                "saved {n} transmit engines, endpoint has {}",
-                self.engines.len()
-            )));
-        }
-        for eng in &mut self.engines {
-            *eng = TxEngine::restore_state(r)?;
-        }
-        let n = read_count(r, "queued-message")?;
-        self.queue = (0..n)
-            .map(|_| {
-                Ok(QueuedMessage {
-                    dest: r.usize()?,
-                    payload_words: r.usize()?,
-                    segments: read_streams(r)?,
-                    requested_at: r.u64()?,
-                })
+        r.lane(&mut self.engines, "transmit engines", |r| {
+            TxEngine::restore_state(r, out_ports, within)
+        })?;
+        self.queue = r.seq(|r| {
+            let q = QueuedMessage {
+                dest: r.index(within.endpoints, "destination")?,
+                payload_words: r.usize()?,
+                segments: r.seq(|r| r.seq(phit::get))?,
+                requested_at: r.u64()?,
+            };
+            if q.segments.is_empty() || q.segments.iter().any(Vec::is_empty) {
+                return Err(r.bad("a queued message has a missing or empty segment"));
+            }
+            if q.requested_at > within.now {
+                return Err(r.bad("a queued message was requested past the clock"));
+            }
+            Ok(q)
+        })?;
+        r.lane(&mut self.rx, "receive engines", RxState::restore_state)?;
+        self.completed = r.seq(|r| MessageOutcome::restore_state(r, within))?;
+        self.abandoned = r.seq(|r| MessageOutcome::restore_state(r, within))?;
+        self.delivered = r.seq(|r| {
+            Ok(Delivered {
+                payload: r.seq(StateReader::u16)?,
+                at: r.u64()?,
             })
-            .collect::<Result<_, StateError>>()?;
-        let n = r.usize()?;
-        if n != self.rx.len() {
-            return Err(bad(format!(
-                "saved {n} receive engines, endpoint has {}",
-                self.rx.len()
-            )));
-        }
-        for rx in &mut self.rx {
-            *rx = RxState::restore_state(r)?;
-        }
-        let n = read_count(r, "completed-outcome")?;
-        self.completed = (0..n)
-            .map(|_| MessageOutcome::restore_state(r))
-            .collect::<Result<_, _>>()?;
-        let n = read_count(r, "abandoned-outcome")?;
-        self.abandoned = (0..n)
-            .map(|_| MessageOutcome::restore_state(r))
-            .collect::<Result<_, _>>()?;
-        let n = read_count(r, "delivery")?;
-        self.delivered = (0..n)
-            .map(|_| {
-                Ok(Delivered {
-                    payload: read_u16s(r)?,
-                    at: r.u64()?,
-                })
+        })?;
+        self.evidence = r.seq(|r| {
+            Ok(AttemptEvidence {
+                src: r.index(within.endpoints, "source")?,
+                dest: r.index(within.endpoints, "destination")?,
+                port: r.index(out_ports, "output port")?,
+                kind: FailureKind::restore_state(r, within.stages)?,
+                record: DeliveryRecord::restore_state(r)?,
+                stream: r.seq(phit::get)?,
+                entry_alive: r.bool()?,
             })
-            .collect::<Result<_, StateError>>()?;
-        let n = read_count(r, "evidence")?;
-        self.evidence = (0..n)
-            .map(|_| {
-                Ok(AttemptEvidence {
-                    src: r.usize()?,
-                    dest: r.usize()?,
-                    port: r.usize()?,
-                    kind: FailureKind::restore_state(r)?,
-                    record: DeliveryRecord::restore_state(r)?,
-                    stream: read_stream(r)?,
-                    entry_alive: r.bool()?,
-                })
-            })
-            .collect::<Result<_, StateError>>()?;
+        })?;
         for m in &mut self.port_masked {
             *m = r.bool()?;
         }
@@ -1541,6 +1424,13 @@ mod tests {
         assert_eq!(e.queue_len(), 1);
     }
 
+    /// The machine the save/restore tests below stop in: 20 cycles run.
+    const WITHIN: MachineExtent = MachineExtent {
+        now: 20,
+        endpoints: 16,
+        stages: 3,
+    };
+
     #[test]
     fn save_restore_resumes_mid_message_bit_identically() {
         let cfg = EndpointConfig {
@@ -1563,7 +1453,7 @@ mod tests {
 
         let mut twin = Endpoint::new(0, 2, 2, cfg, 77);
         let mut r = StateReader::new(&words);
-        twin.restore_state(&mut r).expect("restore");
+        twin.restore_state(&mut r, WITHIN).expect("restore");
         r.finish().expect("no trailing state");
 
         for now in 20..80 {
@@ -1587,10 +1477,10 @@ mod tests {
         };
         let mut other = Endpoint::new(0, 2, 2, two, 7);
         let mut r = StateReader::new(&words);
-        assert!(other.restore_state(&mut r).is_err());
+        assert!(other.restore_state(&mut r, WITHIN).is_err());
         // And the original still restores cleanly.
         let mut r = StateReader::new(&words);
-        one.restore_state(&mut r).expect("self-restore");
+        one.restore_state(&mut r, WITHIN).expect("self-restore");
     }
 
     #[test]

@@ -37,13 +37,11 @@
 //! the Reference engine it is this step's state-word oracle.
 
 use super::shard::ShardState;
-use super::{
-    boundary_delay, get_flag, get_word, put_flag, put_word, restore_lane, save_lane, Engine,
-    StepCtx,
-};
+use super::{boundary_delay, Engine, StepCtx};
 use crate::network::SimConfig;
 use crate::shard::ShardPlan;
 use crate::wire::Wire;
+use metro_core::word::phit;
 use metro_core::Word;
 use metro_telemetry::{StateError, StateReader, StateWriter};
 use metro_topo::fault::FaultSet;
@@ -559,27 +557,33 @@ impl Engine for FlatEngine {
     fn save_state(&self, w: &mut StateWriter) {
         let a = &self.arena;
         w.section("channels");
-        save_lane(w, a.fwd_in.iter(), put_word);
-        save_lane(w, a.rev_in.iter(), put_word);
-        save_lane(w, a.bcb_in.iter(), put_flag);
-        save_lane(w, a.ep_out_rev.iter(), put_word);
-        save_lane(w, a.ep_out_bcb.iter(), put_flag);
-        save_lane(w, a.ep_in_fwd.iter(), put_word);
-        save_lane(w, self.inj_wires.iter(), Wire::save_state);
-        save_lane(w, self.stage_wires.iter(), Wire::save_state);
+        w.seq(a.fwd_in.iter().copied(), phit::put);
+        w.seq(a.rev_in.iter().copied(), phit::put);
+        w.seq(a.bcb_in.iter().copied(), StateWriter::bool);
+        w.seq(a.ep_out_rev.iter().copied(), phit::put);
+        w.seq(a.ep_out_bcb.iter().copied(), StateWriter::bool);
+        w.seq(a.ep_in_fwd.iter().copied(), phit::put);
+        w.seq(&self.inj_wires, |w, wire| wire.save_state(w));
+        w.seq(&self.stage_wires, |w, wire| wire.save_state(w));
     }
 
     fn restore_state(&mut self, r: &mut StateReader<'_>) -> Result<(), StateError> {
         let a = &mut self.arena;
         r.section("channels")?;
-        restore_lane(r, a.fwd_in.iter_mut(), get_word)?;
-        restore_lane(r, a.rev_in.iter_mut(), get_word)?;
-        restore_lane(r, a.bcb_in.iter_mut(), get_flag)?;
-        restore_lane(r, a.ep_out_rev.iter_mut(), get_word)?;
-        restore_lane(r, a.ep_out_bcb.iter_mut(), get_flag)?;
-        restore_lane(r, a.ep_in_fwd.iter_mut(), get_word)?;
-        restore_lane(r, self.inj_wires.iter_mut(), Wire::restore_state)?;
-        restore_lane(r, self.stage_wires.iter_mut(), Wire::restore_state)?;
+        r.lane(&mut a.fwd_in, "forward-lane words", phit::get)?;
+        r.lane(&mut a.rev_in, "reverse-lane words", phit::get)?;
+        r.lane(&mut a.bcb_in, "BCB flags", StateReader::bool)?;
+        r.lane(&mut a.ep_out_rev, "endpoint reverse-lane words", phit::get)?;
+        r.lane(&mut a.ep_out_bcb, "endpoint BCB flags", StateReader::bool)?;
+        r.lane(&mut a.ep_in_fwd, "endpoint forward-lane words", phit::get)?;
+        r.shape(self.inj_wires.len(), "injection wires")?;
+        for wire in &mut self.inj_wires {
+            wire.restore_state(r)?;
+        }
+        r.shape(self.stage_wires.len(), "stage wires")?;
+        for wire in &mut self.stage_wires {
+            wire.restore_state(r)?;
+        }
         // Arena and wires may now hold anything; the bus is stale.
         self.hot.mark_all();
         Ok(())

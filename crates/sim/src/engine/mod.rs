@@ -24,8 +24,7 @@ pub mod shard;
 
 use crate::endpoint::Endpoint;
 use crate::wire::Wire;
-use metro_core::word::phit;
-use metro_core::{Router, Word};
+use metro_core::Router;
 use metro_telemetry::{StateError, StateReader, StateWriter};
 use metro_topo::fault::FaultSet;
 use metro_topo::multibutterfly::Multibutterfly;
@@ -226,7 +225,8 @@ pub trait Engine: sealed::Sealed + std::fmt::Debug + Send {
     /// Appends the machine's channel state to a checkpoint stream as
     /// one `channels` section: the six channel-input lanes (`fwd_in`,
     /// `rev_in`, `bcb_in`, `ep_out_rev`, `ep_out_bcb`, `ep_in_fwd`),
-    /// then the injection and the stage wires, each a `save_lane` in
+    /// then the injection and the stage wires, each one
+    /// [`StateWriter::seq`] in
     /// [`FlatLinks`](metro_topo::flatlinks::FlatLinks) slot order. At a
     /// tick boundary every cycle engine writes the same words at any
     /// shard count, so a checkpoint does not name the engine that took
@@ -244,66 +244,6 @@ pub trait Engine: sealed::Sealed + std::fmt::Debug + Send {
     ///
     /// [`StateError`] on shape mismatch or a corrupt stream.
     fn restore_state(&mut self, r: &mut StateReader<'_>) -> Result<(), StateError>;
-}
-
-/// Appends one lane of the `channels` section: its length, then every
-/// cell in slot order.
-pub(crate) fn save_lane<'a, T: 'a>(
-    w: &mut StateWriter,
-    lane: impl Iterator<Item = &'a T> + Clone,
-    put: impl Fn(&T, &mut StateWriter),
-) {
-    w.usize(lane.clone().count());
-    for cell in lane {
-        put(cell, w);
-    }
-}
-
-/// Overwrites one lane of the `channels` section in place, reading no
-/// more cells than the engine holds.
-pub(crate) fn restore_lane<'a, T: 'a>(
-    r: &mut StateReader<'_>,
-    lane: impl Iterator<Item = &'a mut T>,
-    get: impl Fn(&mut T, &mut StateReader<'_>) -> Result<(), StateError>,
-) -> Result<(), StateError> {
-    let saved = r.usize()?;
-    let mut held = 0;
-    for cell in lane {
-        get(cell, r)?;
-        held += 1;
-    }
-    if saved == held {
-        return Ok(());
-    }
-    Err(StateError::BadValue {
-        section: String::from("channels"),
-        detail: format!("saved a lane of {saved}, engine holds {held}"),
-    })
-}
-
-// Cell codecs for `save_lane` / `restore_lane`; wires bring their own
-// (`Wire::save_state` / `Wire::restore_state`).
-
-pub(crate) fn put_word(word: &Word, w: &mut StateWriter) {
-    w.u64(phit::pack(*word));
-}
-
-pub(crate) fn get_word(word: &mut Word, r: &mut StateReader<'_>) -> Result<(), StateError> {
-    let cell = r.u64()?;
-    *word = phit::unpack(cell).ok_or_else(|| StateError::BadValue {
-        section: String::from("channels"),
-        detail: format!("{cell:#x} is not a packed word"),
-    })?;
-    Ok(())
-}
-
-pub(crate) fn put_flag(flag: &bool, w: &mut StateWriter) {
-    w.bool(*flag);
-}
-
-pub(crate) fn get_flag(flag: &mut bool, r: &mut StateReader<'_>) -> Result<(), StateError> {
-    *flag = r.bool()?;
-    Ok(())
 }
 
 impl Clone for Box<dyn Engine> {

@@ -3,13 +3,11 @@
 //! fault-set queries. Deliberately scalar and simple — it is the
 //! executable spec the flat engine is proven bit-identical against.
 
-use super::{
-    boundary_delay, get_flag, get_word, put_flag, put_word, restore_lane, save_lane, Engine,
-    StepCtx,
-};
+use super::{boundary_delay, Engine, StepCtx};
 use crate::endpoint::EndpointIo;
 use crate::network::SimConfig;
 use crate::wire::Wire;
+use metro_core::word::phit;
 use metro_core::{BwdIn, FwdIn, TickOutput, Word};
 use metro_telemetry::{StateError, StateReader, StateWriter};
 use metro_topo::fault::FaultSet;
@@ -197,27 +195,45 @@ impl Engine for ReferenceEngine {
     // the flat slot order `Engine::save_state` specifies.
     fn save_state(&self, w: &mut StateWriter) {
         w.section("channels");
-        save_lane(w, self.fwd_in.iter().flatten().flatten(), put_word);
-        save_lane(w, self.rev_in.iter().flatten().flatten(), put_word);
-        save_lane(w, self.bcb_in.iter().flatten().flatten(), put_flag);
-        save_lane(w, self.ep_out_rev.iter().flatten(), put_word);
-        save_lane(w, self.ep_out_bcb.iter().flatten(), put_flag);
-        save_lane(w, self.ep_in_fwd.iter().flatten(), put_word);
-        save_lane(w, self.inj_wires.iter().flatten(), Wire::save_state);
+        w.seq(self.fwd_in.iter().flatten().flatten().copied(), phit::put);
+        w.seq(self.rev_in.iter().flatten().flatten().copied(), phit::put);
+        w.seq(
+            self.bcb_in.iter().flatten().flatten().copied(),
+            StateWriter::bool,
+        );
+        w.seq(self.ep_out_rev.iter().flatten().copied(), phit::put);
+        w.seq(self.ep_out_bcb.iter().flatten().copied(), StateWriter::bool);
+        w.seq(self.ep_in_fwd.iter().flatten().copied(), phit::put);
+        w.seq(self.inj_wires.iter().flatten(), |w, wire| {
+            wire.save_state(w)
+        });
         let stage_wires = self.stage_wires.iter().flatten().flatten();
-        save_lane(w, stage_wires, Wire::save_state);
+        w.seq(stage_wires, |w, wire| wire.save_state(w));
     }
 
     fn restore_state(&mut self, r: &mut StateReader<'_>) -> Result<(), StateError> {
         r.section("channels")?;
-        restore_lane(r, self.fwd_in.iter_mut().flatten().flatten(), get_word)?;
-        restore_lane(r, self.rev_in.iter_mut().flatten().flatten(), get_word)?;
-        restore_lane(r, self.bcb_in.iter_mut().flatten().flatten(), get_flag)?;
-        restore_lane(r, self.ep_out_rev.iter_mut().flatten(), get_word)?;
-        restore_lane(r, self.ep_out_bcb.iter_mut().flatten(), get_flag)?;
-        restore_lane(r, self.ep_in_fwd.iter_mut().flatten(), get_word)?;
-        restore_lane(r, self.inj_wires.iter_mut().flatten(), Wire::restore_state)?;
-        let stage_wires = self.stage_wires.iter_mut().flatten().flatten();
-        restore_lane(r, stage_wires, Wire::restore_state)
+        let cells = self.fwd_in.iter_mut().flatten().flatten();
+        r.lane(cells, "forward-lane words", phit::get)?;
+        let cells = self.rev_in.iter_mut().flatten().flatten();
+        r.lane(cells, "reverse-lane words", phit::get)?;
+        let cells = self.bcb_in.iter_mut().flatten().flatten();
+        r.lane(cells, "BCB flags", StateReader::bool)?;
+        let cells = self.ep_out_rev.iter_mut().flatten();
+        r.lane(cells, "endpoint reverse-lane words", phit::get)?;
+        let cells = self.ep_out_bcb.iter_mut().flatten();
+        r.lane(cells, "endpoint BCB flags", StateReader::bool)?;
+        let cells = self.ep_in_fwd.iter_mut().flatten();
+        r.lane(cells, "endpoint forward-lane words", phit::get)?;
+        r.shape(self.inj_wires.iter().flatten().count(), "injection wires")?;
+        for wire in self.inj_wires.iter_mut().flatten() {
+            wire.restore_state(r)?;
+        }
+        let held = self.stage_wires.iter().flatten().flatten().count();
+        r.shape(held, "stage wires")?;
+        for wire in self.stage_wires.iter_mut().flatten().flatten() {
+            wire.restore_state(r)?;
+        }
+        Ok(())
     }
 }

@@ -19,17 +19,6 @@ use metro_telemetry::RouterCounter;
 use metro_topo::graph::{LinkId, LinkTarget};
 
 impl NetworkSim {
-    /// Turns the self-healing loop on or off at runtime (see
-    /// [`crate::network::SimConfig::self_heal`]). Turning it off also
-    /// drops any not-yet-processed evidence; applied masks stay in
-    /// force.
-    pub fn set_self_heal(&mut self, on: bool) {
-        self.config.self_heal = on;
-        for e in &mut self.endpoints {
-            e.set_collect_evidence(on);
-        }
-    }
-
     /// Links the self-healing layer has masked so far (both port ends
     /// disabled), in masking order. Diagnosis-driven: derived from
     /// reply evidence and behavioral wire probes, never from the
@@ -80,14 +69,20 @@ impl NetworkSim {
 
         // Reconstruct the path the attempt switched: entry router from
         // the injection map, then one hop per STATUS-reported backward
-        // port.
+        // port. STATUS and checksum words are data off the wire (a
+        // restored wire may hold any): a port its stage does not have
+        // ends the trail like a blocked one, and checksums past the
+        // trail are not evidence about it.
         let mut ports_taken = Vec::with_capacity(ev.record.statuses.len());
-        for s in &ev.record.statuses {
-            match s.port() {
-                Some(p) => ports_taken.push(p),
-                None => break,
+        for (s, status) in ev.record.statuses.iter().enumerate() {
+            match status.port() {
+                Some(p) if s < self.topo.stages() && p < self.topo.stage_spec(s).backward_ports => {
+                    ports_taken.push(p);
+                }
+                _ => break,
             }
         }
+        let reported = &ev.record.checksums[..ev.record.checksums.len().min(ports_taken.len())];
         let (entry, f0) = self.topo.injection(ev.src, ev.port);
         let mut routers_on_path = vec![entry];
         let mut fwd_ports = vec![f0];
@@ -122,7 +117,7 @@ impl NetworkSim {
         let delivery_failed = matches!(ev.kind, FailureKind::Corrupt | FailureKind::NoAck);
         match diagnose_attempt(
             &expected,
-            &ev.record.checksums,
+            reported,
             &ports_taken,
             &fwd_ports,
             delivery_failed,
@@ -274,5 +269,46 @@ impl NetworkSim {
             }
         })
         .passed()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::message::DeliveryRecord;
+    use crate::network::SimConfig;
+    use metro_core::StatusWord;
+    use metro_topo::multibutterfly::MultibutterflySpec;
+
+    #[test]
+    fn status_words_off_the_wire_are_not_trusted_as_indices() {
+        let config = SimConfig {
+            self_heal: true,
+            ..SimConfig::default()
+        };
+        let mut sim = NetworkSim::new(&MultibutterflySpec::figure1(), &config).unwrap();
+        let stream = sim.stream_for(3, &[1, 2]);
+        // A port no figure-1 stage has; more hops than the fabric has
+        // stages; more checksums than hops.
+        for statuses in [
+            vec![StatusWord::connected(127)],
+            vec![StatusWord::connected(1); 5],
+            vec![StatusWord::connected(1)],
+        ] {
+            sim.heal_from(&AttemptEvidence {
+                src: 0,
+                dest: 3,
+                port: 0,
+                kind: FailureKind::NoAck,
+                record: DeliveryRecord {
+                    statuses,
+                    checksums: vec![0xBAD; 4],
+                    ack: None,
+                    reply_words: Vec::new(),
+                },
+                stream: stream.clone(),
+                entry_alive: true,
+            });
+        }
     }
 }

@@ -3,38 +3,25 @@
 use metro_core::StatusWord;
 use metro_telemetry::{StateError, StateReader, StateWriter};
 
-fn bad(detail: String) -> StateError {
-    StateError::BadValue {
-        section: String::from("message"),
-        detail,
-    }
-}
-
-pub(crate) fn read_u16(r: &mut StateReader<'_>) -> Result<u16, StateError> {
-    let v = r.u64()?;
-    u16::try_from(v).map_err(|_| bad(format!("{v} overflows a 16-bit field")))
-}
-
-pub(crate) fn save_u16s(w: &mut StateWriter, vals: &[u16]) {
-    w.usize(vals.len());
-    for &v in vals {
-        w.u64(u64::from(v));
-    }
-}
-
-pub(crate) fn read_u16s(r: &mut StateReader<'_>) -> Result<Vec<u16>, StateError> {
-    let n = r.usize()?;
-    if n > r.remaining() {
-        return Err(bad(format!("{n}-entry list exceeds the stream")));
-    }
-    (0..n).map(|_| read_u16(r)).collect()
-}
-
 /// The acknowledgment code a destination returns for an intact message.
 pub const ACK_OK: u16 = 0x5A;
 /// The acknowledgment code for a message whose end-to-end checksum
 /// failed (the source must retry).
 pub const ACK_CORRUPT: u16 = 0x66;
+
+/// The machine a restored NIC must fit: the saved clock and the sizes
+/// its messages refer to. Restore refuses a timestamp past `now`, a
+/// destination not below `endpoints`, a blocked stage not below
+/// `stages` — whatever a later tick would index or subtract with.
+#[derive(Debug, Clone, Copy)]
+pub struct MachineExtent {
+    /// The clock cycle the state was saved at.
+    pub now: u64,
+    /// Endpoints in the network.
+    pub endpoints: usize,
+    /// Routing stages in the network.
+    pub stages: usize,
+}
 
 /// Why a transmission attempt failed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -70,15 +57,21 @@ impl FailureKind {
         }
     }
 
-    /// Reads a failure kind back from a checkpoint stream.
-    pub(crate) fn restore_state(r: &mut StateReader<'_>) -> Result<Self, StateError> {
+    /// Reads a failure kind back from a checkpoint stream of a machine
+    /// with `stages` stages.
+    pub(crate) fn restore_state(
+        r: &mut StateReader<'_>,
+        stages: usize,
+    ) -> Result<Self, StateError> {
         Ok(match r.u64()? {
-            0 => FailureKind::Blocked { stage: r.usize()? },
+            0 => FailureKind::Blocked {
+                stage: r.index(stages, "blocked stage")?,
+            },
             1 => FailureKind::FastReclaimed,
             2 => FailureKind::Corrupt,
             3 => FailureKind::NoAck,
             4 => FailureKind::Timeout,
-            k => return Err(bad(format!("{k} is not a failure kind"))),
+            k => return Err(r.bad(format!("{k} is not a failure kind"))),
         })
     }
 }
@@ -123,7 +116,7 @@ impl DeliveryStatus {
             1 => DeliveryStatus::Undeliverable {
                 attempts: r.usize()?,
             },
-            k => return Err(bad(format!("{k} is not a delivery status"))),
+            k => return Err(r.bad(format!("{k} is not a delivery status"))),
         })
     }
 }
@@ -192,58 +185,43 @@ impl MessageOutcome {
         w.u64(self.first_injection_at);
         w.u64(self.completed_at);
         w.usize(self.retries);
-        w.usize(self.failures.len());
-        for f in &self.failures {
-            f.save_state(w);
-        }
+        w.seq(&self.failures, |w, f| f.save_state(w));
         w.usize(self.payload_words);
-        save_u16s(w, &self.payload_delivered);
-        save_u16s(w, &self.reply_received);
-        w.usize(self.failure_records.len());
-        for (port, record) in &self.failure_records {
+        w.seq(self.payload_delivered.iter().copied(), StateWriter::u16);
+        w.seq(self.reply_received.iter().copied(), StateWriter::u16);
+        w.seq(&self.failure_records, |w, (port, record)| {
             w.usize(*port);
             record.save_state(w);
-        }
+        });
         self.status.save_state(w);
     }
 
-    /// Reads an outcome back from a checkpoint stream.
-    pub(crate) fn restore_state(r: &mut StateReader<'_>) -> Result<Self, StateError> {
+    /// Reads an outcome back from a checkpoint stream, refusing one
+    /// whose latencies would underflow.
+    pub(crate) fn restore_state(
+        r: &mut StateReader<'_>,
+        within: MachineExtent,
+    ) -> Result<Self, StateError> {
         let src = r.usize()?;
         let dest = r.usize()?;
         let requested_at = r.u64()?;
         let first_injection_at = r.u64()?;
         let completed_at = r.u64()?;
-        let retries = r.usize()?;
-        let n = r.usize()?;
-        if n > r.remaining() {
-            return Err(bad(format!("{n}-entry failure list exceeds the stream")));
+        if ![requested_at, first_injection_at, completed_at, within.now].is_sorted() {
+            return Err(r.bad("outcome timestamps run backwards or past the clock"));
         }
-        let failures = (0..n)
-            .map(|_| FailureKind::restore_state(r))
-            .collect::<Result<_, _>>()?;
-        let payload_words = r.usize()?;
-        let payload_delivered = read_u16s(r)?;
-        let reply_received = read_u16s(r)?;
-        let n = r.usize()?;
-        if n > r.remaining() {
-            return Err(bad(format!("{n}-entry record list exceeds the stream")));
-        }
-        let failure_records = (0..n)
-            .map(|_| Ok((r.usize()?, DeliveryRecord::restore_state(r)?)))
-            .collect::<Result<_, StateError>>()?;
         Ok(Self {
             src,
             dest,
             requested_at,
             first_injection_at,
             completed_at,
-            retries,
-            failures,
-            payload_words,
-            payload_delivered,
-            reply_received,
-            failure_records,
+            retries: r.usize()?,
+            failures: r.seq(|r| FailureKind::restore_state(r, within.stages))?,
+            payload_words: r.usize()?,
+            payload_delivered: r.seq(StateReader::u16)?,
+            reply_received: r.seq(StateReader::u16)?,
+            failure_records: r.seq(|r| Ok((r.usize()?, DeliveryRecord::restore_state(r)?)))?,
             status: DeliveryStatus::restore_state(r)?,
         })
     }
@@ -282,36 +260,19 @@ impl DeliveryRecord {
 
     /// Appends the record to a checkpoint stream.
     pub(crate) fn save_state(&self, w: &mut StateWriter) {
-        w.usize(self.statuses.len());
-        for s in &self.statuses {
-            w.u64(u64::from(s.encode()));
-        }
-        save_u16s(w, &self.checksums);
-        w.opt_u64(self.ack.map(u64::from));
-        save_u16s(w, &self.reply_words);
+        w.seq(&self.statuses, |w, s| w.u16(s.encode()));
+        w.seq(self.checksums.iter().copied(), StateWriter::u16);
+        w.opt(self.ack, StateWriter::u16);
+        w.seq(self.reply_words.iter().copied(), StateWriter::u16);
     }
 
     /// Reads a record back from a checkpoint stream.
     pub(crate) fn restore_state(r: &mut StateReader<'_>) -> Result<Self, StateError> {
-        let n = r.usize()?;
-        if n > r.remaining() {
-            return Err(bad(format!("{n}-entry status list exceeds the stream")));
-        }
-        let statuses = (0..n)
-            .map(|_| Ok(StatusWord::decode(read_u16(r)?)))
-            .collect::<Result<_, StateError>>()?;
-        let checksums = read_u16s(r)?;
-        let ack = match r.opt_u64()? {
-            None => None,
-            Some(v) => {
-                Some(u16::try_from(v).map_err(|_| bad(format!("ack {v} overflows 16 bits")))?)
-            }
-        };
         Ok(Self {
-            statuses,
-            checksums,
-            ack,
-            reply_words: read_u16s(r)?,
+            statuses: r.seq(|r| Ok(StatusWord::decode(r.u16()?)))?,
+            checksums: r.seq(StateReader::u16)?,
+            ack: r.opt(StateReader::u16)?,
+            reply_words: r.seq(StateReader::u16)?,
         })
     }
 }

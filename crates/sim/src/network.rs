@@ -23,7 +23,7 @@ use crate::endpoint::{Endpoint, EndpointConfig};
 use crate::engine::flat::FlatEngine;
 use crate::engine::reference::ReferenceEngine;
 use crate::engine::{boundary_delay, Engine, NotCycleAccurate, StepCtx};
-use crate::message::MessageOutcome;
+use crate::message::{MachineExtent, MessageOutcome};
 use crate::stats::NetworkStats;
 use metro_core::header::HeaderPlan;
 use metro_core::{
@@ -222,21 +222,29 @@ impl NetworkSim {
         let topo = Multibutterfly::build(spec)?;
         config.check_wire_delays(topo.stages())?;
         let bd = |b: usize| boundary_delay(config, b);
+        // Every stage's parameters are validated before anything is
+        // built from them: `header_plan` and the routers assert what
+        // `ArchParams` has already refused.
+        let stage_params = (0..topo.stages())
+            .map(|s| {
+                let st = topo.stage_spec(s);
+                ArchParams::new(
+                    st.forward_ports,
+                    st.backward_ports,
+                    config.width,
+                    st.dilation,
+                    config.header_words,
+                    config.pipestages,
+                )?
+                .with_max_turn_delay(bd(s).max(bd(s + 1)).max(7))
+            })
+            .collect::<Result<Vec<_>, _>>()?;
         let plan = topo.header_plan(config.width, config.header_words);
         let master = RandomSource::new(config.seed);
 
         let mut routers = Vec::with_capacity(topo.stages());
-        for s in 0..topo.stages() {
+        for (s, &params) in stage_params.iter().enumerate() {
             let st = topo.stage_spec(s);
-            let params = ArchParams::new(
-                st.forward_ports,
-                st.backward_ports,
-                config.width,
-                st.dilation,
-                config.header_words,
-                config.pipestages,
-            )?
-            .with_max_turn_delay(bd(s).max(bd(s + 1)).max(7))?;
             // Program every port's variable turn delay with the wire's
             // pipeline depth (paper §5.1) — the routers use it to size
             // the post-reversal settle window.
@@ -330,11 +338,6 @@ impl NetworkSim {
     #[must_use]
     pub fn trace(&self) -> Option<&crate::trace::TraceLog> {
         self.trace.as_ref()
-    }
-
-    /// Mutable trace access (for clearing between phases).
-    pub fn trace_mut(&mut self) -> Option<&mut crate::trace::TraceLog> {
-        self.trace.as_mut()
     }
 
     /// The topology under simulation.
@@ -666,34 +669,18 @@ impl NetworkSim {
         w.u64(self.now);
         w.u64(self.stats_from);
         save_fault_set(w, &self.faults);
-        w.usize(self.healed_links.len());
-        for l in &self.healed_links {
-            w.usize(l.stage);
-            w.usize(l.router);
-            w.usize(l.port);
-        }
-        w.usize(self.healed_injections.len());
-        for &(e, p) in &self.healed_injections {
+        w.seq(&self.healed_links, put_link);
+        w.seq(&self.healed_injections, |w, &(e, p)| {
             w.usize(e);
             w.usize(p);
-        }
-        w.usize(self.routers.len());
-        for stage in &self.routers {
-            w.usize(stage.len());
-            for router in stage {
-                router.save_state(w);
-            }
-        }
-        w.usize(self.endpoints.len());
-        for endpoint in &self.endpoints {
-            endpoint.save_state(w);
-        }
+        });
+        w.seq(&self.routers, |w, stage| {
+            w.seq(stage, |w, router| router.save_state(w));
+        });
+        w.seq(&self.endpoints, |w, endpoint| endpoint.save_state(w));
         self.engine.save_state(w);
         self.stats.save_state(w);
-        w.usize(self.outcomes.len());
-        for o in &self.outcomes {
-            o.save_state(w);
-        }
+        w.seq(&self.outcomes, |w, o| o.save_state(w));
         self.registry.save_state(w);
     }
 
@@ -711,63 +698,33 @@ impl NetworkSim {
     /// [`StateError`] on any shape mismatch (the checkpoint was taken
     /// on a different topology or configuration) or a corrupt stream.
     pub fn restore_state(&mut self, r: &mut StateReader<'_>) -> Result<(), StateError> {
-        let bad = |detail: String| StateError::BadValue {
-            section: String::from("network"),
-            detail,
-        };
         r.section("network")?;
         self.now = r.u64()?;
         self.stats_from = r.u64()?;
         let faults = restore_fault_set(r)?;
         self.apply_faults(faults);
-        let n = r.usize()?;
-        self.healed_links = (0..n)
-            .map(|_| Ok(LinkId::new(r.usize()?, r.usize()?, r.usize()?)))
-            .collect::<Result<_, StateError>>()?;
-        let n = r.usize()?;
-        self.healed_injections = (0..n)
-            .map(|_| Ok((r.usize()?, r.usize()?)))
-            .collect::<Result<_, StateError>>()?;
-        let n = r.usize()?;
-        if n != self.routers.len() {
-            return Err(bad(format!(
-                "saved {n} router stages, network has {}",
-                self.routers.len()
-            )));
-        }
+        self.healed_links = r.seq(get_link)?;
+        self.healed_injections = r.seq(|r| Ok((r.usize()?, r.usize()?)))?;
+        r.shape(self.routers.len(), "router stages")?;
         for stage in &mut self.routers {
-            let n = r.usize()?;
-            if n != stage.len() {
-                return Err(bad(format!(
-                    "saved {n} routers in a stage of {}",
-                    stage.len()
-                )));
-            }
+            r.shape(stage.len(), "routers in a stage")?;
             for router in stage {
                 router.restore_state(r)?;
             }
         }
-        let n = r.usize()?;
-        if n != self.endpoints.len() {
-            return Err(bad(format!(
-                "saved {n} endpoints, network has {}",
-                self.endpoints.len()
-            )));
-        }
+        let within = MachineExtent {
+            now: self.now,
+            endpoints: self.endpoints.len(),
+            stages: self.routers.len(),
+        };
+        r.shape(self.endpoints.len(), "endpoints")?;
         for endpoint in &mut self.endpoints {
-            endpoint.restore_state(r)?;
+            endpoint.restore_state(r, within)?;
         }
         self.engine.restore_state(r)?;
         self.stats.restore_state(r)?;
-        let n = r.usize()?;
-        if n > r.remaining() {
-            return Err(bad(format!("{n}-entry outcome list exceeds the stream")));
-        }
-        self.outcomes = (0..n)
-            .map(|_| MessageOutcome::restore_state(r))
-            .collect::<Result<_, _>>()?;
-        self.registry.restore_state(r)?;
-        Ok(())
+        self.outcomes = r.seq(|r| MessageOutcome::restore_state(r, within))?;
+        self.registry.restore_state(r)
     }
 
     /// Freezes the current telemetry into a schema-versioned snapshot:
@@ -795,74 +752,69 @@ pub(crate) fn save_fault_set(w: &mut StateWriter, faults: &FaultSet) {
     w.section("faults");
     let mut routers: Vec<(usize, usize)> = faults.dead_routers().collect();
     routers.sort_unstable();
-    w.usize(routers.len());
-    for (s, r) in routers {
+    w.seq(routers, |w, (s, r)| {
         w.usize(s);
         w.usize(r);
-    }
+    });
     let mut links: Vec<(LinkId, FaultKind)> = faults.faulty_links().collect();
     links.sort_unstable_by_key(|(l, _)| (l.stage, l.router, l.port));
-    w.usize(links.len());
-    for (l, kind) in links {
-        w.usize(l.stage);
-        w.usize(l.router);
-        w.usize(l.port);
+    w.seq(links, |w, (l, kind)| {
+        put_link(w, &l);
         match kind {
             FaultKind::Dead => w.u64(0),
             FaultKind::CorruptData { xor } => {
                 w.u64(1);
-                w.u64(u64::from(xor));
+                w.u16(xor);
             }
             FaultKind::Intermittent { xor, period } => {
                 w.u64(2);
-                w.u64(u64::from(xor));
-                w.u64(u64::from(period));
+                w.u16(xor);
+                w.u32(period);
             }
         }
-    }
+    });
     let mut endpoints: Vec<usize> = faults.dead_endpoints().collect();
     endpoints.sort_unstable();
-    w.usize(endpoints.len());
-    for e in endpoints {
-        w.usize(e);
-    }
+    w.seq(endpoints, StateWriter::usize);
 }
 
 /// Reads a fault set back from a checkpoint stream.
 pub(crate) fn restore_fault_set(r: &mut StateReader<'_>) -> Result<FaultSet, StateError> {
-    let bad = |detail: String| StateError::BadValue {
-        section: String::from("faults"),
-        detail,
-    };
-    let read_u16 = |r: &mut StateReader<'_>| -> Result<u16, StateError> {
-        let v = r.u64()?;
-        u16::try_from(v).map_err(|_| bad(format!("{v} overflows an XOR mask")))
-    };
     r.section("faults")?;
     let mut faults = FaultSet::new();
-    for _ in 0..r.usize()? {
-        let (s, router) = (r.usize()?, r.usize()?);
-        faults.kill_router(s, router);
-    }
-    for _ in 0..r.usize()? {
-        let link = LinkId::new(r.usize()?, r.usize()?, r.usize()?);
+    r.seq::<_, ()>(|r| {
+        faults.kill_router(r.usize()?, r.usize()?);
+        Ok(())
+    })?;
+    r.seq::<_, ()>(|r| {
+        let link = get_link(r)?;
         let kind = match r.u64()? {
             0 => FaultKind::Dead,
-            1 => FaultKind::CorruptData { xor: read_u16(r)? },
-            2 => {
-                let xor = read_u16(r)?;
-                let period = r.u64()?;
-                let period = u32::try_from(period)
-                    .map_err(|_| bad(format!("{period} overflows a fault period")))?;
-                FaultKind::Intermittent { xor, period }
-            }
-            k => return Err(bad(format!("{k} is not a fault kind"))),
+            1 => FaultKind::CorruptData { xor: r.u16()? },
+            2 => FaultKind::Intermittent {
+                xor: r.u16()?,
+                period: r.u32()?,
+            },
+            k => return Err(r.bad(format!("{k} is not a fault kind"))),
         };
         faults.break_link(link, kind);
-    }
-    for _ in 0..r.usize()? {
-        let e = r.usize()?;
-        faults.kill_endpoint(e);
-    }
+        Ok(())
+    })?;
+    r.seq::<_, ()>(|r| {
+        faults.kill_endpoint(r.usize()?);
+        Ok(())
+    })?;
     Ok(faults)
+}
+
+/// Appends a link's `(stage, router, port)` to a checkpoint stream.
+fn put_link(w: &mut StateWriter, l: &LinkId) {
+    w.usize(l.stage);
+    w.usize(l.router);
+    w.usize(l.port);
+}
+
+/// Inverts [`put_link`].
+fn get_link(r: &mut StateReader<'_>) -> Result<LinkId, StateError> {
+    Ok(LinkId::new(r.usize()?, r.usize()?, r.usize()?))
 }

@@ -207,12 +207,6 @@ impl ShardPlan {
         self.router_cut[k]..self.router_cut[k + 1]
     }
 
-    /// Shard `k`'s endpoint range.
-    #[must_use]
-    pub fn endpoint_range(&self, k: usize) -> std::ops::Range<usize> {
-        self.ep_cut[k]..self.ep_cut[k + 1]
-    }
-
     /// Shard `k`'s router port weight (`Σ fports + bports` over its
     /// routers).
     #[must_use]

@@ -123,13 +123,11 @@ impl NetworkStats {
         self.delivered = r.u64()?;
         self.abandoned = r.u64()?;
         self.retries = r.u64()?;
-        let counts = r.u64_vec()?;
-        self.failure_counts = counts
-            .try_into()
-            .map_err(|v: Vec<u64>| StateError::BadValue {
-                section: String::from("netstats"),
-                detail: format!("{} failure counters, expected 5", v.len()),
-            })?;
+        r.lane(
+            &mut self.failure_counts,
+            "failure counters",
+            StateReader::u64,
+        )?;
         self.payload_words = r.u64()?;
         self.blocked_by_stage = r.u64_vec()?;
         Ok(())

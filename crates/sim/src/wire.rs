@@ -142,16 +142,13 @@ impl Wire {
     /// written.
     pub fn save_state(&self, w: &mut StateWriter) {
         w.usize(self.fwd.len());
-        for &word in &self.fwd {
-            w.u64(phit::pack(word));
-        }
-        for &word in &self.rev {
-            w.u64(phit::pack(word));
+        for &word in self.fwd.iter().chain(&self.rev) {
+            phit::put(w, word);
         }
         for &b in &self.bcb {
             w.bool(b);
         }
-        w.u64(u64::from(self.words_seen));
+        w.u32(self.words_seen);
     }
 
     /// Overwrites the in-flight state from a checkpoint stream. Never
@@ -163,35 +160,14 @@ impl Wire {
     /// [`StateError::BadValue`] on a delay mismatch or a corrupt packed
     /// word.
     pub fn restore_state(&mut self, r: &mut StateReader<'_>) -> Result<(), StateError> {
-        let bad = |detail: String| StateError::BadValue {
-            section: String::from("wire"),
-            detail,
-        };
-        let n = r.usize()?;
-        if n != self.delay {
-            return Err(bad(format!("saved delay {n}, wire has {}", self.delay)));
+        r.shape(self.delay, "wire pipeline registers")?;
+        for word in self.fwd.iter_mut().chain(&mut self.rev) {
+            *word = phit::get(r)?;
         }
-        let read_lane = |r: &mut StateReader<'_>| -> Result<VecDeque<Word>, StateError> {
-            let mut lane = VecDeque::with_capacity(n);
-            for _ in 0..n {
-                let cell = r.u64()?;
-                lane.push_back(
-                    phit::unpack(cell)
-                        .ok_or_else(|| bad(format!("{cell:#x} is not a packed channel word")))?,
-                );
-            }
-            Ok(lane)
-        };
-        self.fwd = read_lane(r)?;
-        self.rev = read_lane(r)?;
-        let mut bcb = VecDeque::with_capacity(n);
-        for _ in 0..n {
-            bcb.push_back(r.bool()?);
+        for b in &mut self.bcb {
+            *b = r.bool()?;
         }
-        self.bcb = bcb;
-        let seen = r.u64()?;
-        self.words_seen =
-            u32::try_from(seen).map_err(|_| bad(format!("{seen} overflows the word counter")))?;
+        self.words_seen = r.u32()?;
         Ok(())
     }
 }

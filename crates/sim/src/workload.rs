@@ -471,10 +471,9 @@ impl ArrivalSource {
                 g.on = r.bool()?;
                 Ok(())
             }
-            (k, _) => Err(StateError::BadValue {
-                section: String::from("workload"),
-                detail: format!("saved arrival process {k} does not match the scenario's"),
-            }),
+            (k, _) => Err(r.bad(format!(
+                "saved arrival process {k} does not match the scenario's"
+            ))),
         }
     }
 }
@@ -734,10 +733,7 @@ impl WorkloadDriver {
             } => {
                 w.u64(0);
                 w.u64(pattern_rng.state_bits());
-                w.usize(sources.len());
-                for s in sources {
-                    s.save_state(w);
-                }
+                w.seq(sources, |w, s| s.save_state(w));
             }
             DriverKind::Replay { cursor, .. } => {
                 w.u64(1);
@@ -755,10 +751,6 @@ impl WorkloadDriver {
     /// [`StateError`] when the saved driver kind, source count, or
     /// replay cursor does not fit this driver.
     pub fn restore_state(&mut self, r: &mut StateReader<'_>) -> Result<(), StateError> {
-        let bad = |detail: String| StateError::BadValue {
-            section: String::from("workload"),
-            detail,
-        };
         r.section("workload")?;
         let kind = r.u64()?;
         match (&mut self.kind, kind) {
@@ -771,30 +763,18 @@ impl WorkloadDriver {
                 0,
             ) => {
                 *pattern_rng = RandomSource::from_state_bits(r.u64()?);
-                let n = r.usize()?;
-                if n != sources.len() {
-                    return Err(bad(format!(
-                        "saved {n} arrival sources, driver has {}",
-                        sources.len()
-                    )));
-                }
+                r.shape(sources.len(), "arrival sources")?;
                 for s in sources {
                     s.restore_state(r)?;
                 }
                 Ok(())
             }
             (DriverKind::Replay { entries, cursor }, 1) => {
-                let c = r.usize()?;
-                if c > entries.len() {
-                    return Err(bad(format!(
-                        "saved replay cursor {c} beyond the {}-entry trace",
-                        entries.len()
-                    )));
-                }
-                *cursor = c;
+                // One past the last entry is a finished replay.
+                *cursor = r.index(entries.len() + 1, "replay cursor")?;
                 Ok(())
             }
-            (_, k) => Err(bad(format!(
+            (_, k) => Err(r.bad(format!(
                 "saved driver kind {k} does not match the scenario's workload"
             ))),
         }

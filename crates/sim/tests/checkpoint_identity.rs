@@ -14,10 +14,12 @@ use metro_sim::checkpoint::{
 };
 use metro_sim::scenario::{FaultInjection, RepairSet, Scenario, ScenarioResult, WorkloadSpec};
 use metro_sim::{ArrivalProcess, EngineKind, NetworkSim, RateMap, SimConfig, TrafficPattern};
+use metro_telemetry::{StateReader, StateWriter};
 use metro_topo::fault::{FaultKind, FaultSet};
 use metro_topo::graph::LinkId;
 use metro_topo::multibutterfly::MultibutterflySpec;
 use proptest::prelude::*;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 const BERNOULLI: ArrivalProcess = ArrivalProcess::Bernoulli;
 
@@ -114,6 +116,68 @@ fn assert_machines_equal(straight: &mut NetworkSim, resumed: &mut NetworkSim) {
     );
     assert_eq!(straight.faults(), resumed.faults(), "fault masks diverged");
     assert_eq!(straight.now(), resumed.now(), "clocks diverged");
+}
+
+/// The hostile-word sweep of `tests/document_contract.rs`, over a
+/// busier machine than the committed fixture: figure 1 nine cycles in,
+/// every endpoint with one message on the wire and one queued behind
+/// it, the healer collecting evidence. Every state word, replaced by a
+/// small wrong value and by a large one, is refused with a typed error
+/// or runs on cleanly. CI runs this in `--release`, where an unchecked
+/// timestamp does not panic but wraps into a ~2⁶⁴-cycle latency.
+#[test]
+fn every_mutated_word_of_a_busy_machine_is_refused_or_runs_clean() {
+    let config = SimConfig {
+        self_heal: true,
+        ..SimConfig::default()
+    };
+    let built = NetworkSim::new(&MultibutterflySpec::figure1(), &config).unwrap();
+    let mut busy = built.clone();
+    let mut faults = FaultSet::new();
+    faults.break_link(LinkId::new(0, 2, 1), FaultKind::CorruptData { xor: 0x21 });
+    faults.break_link(LinkId::new(1, 5, 3), FaultKind::Dead);
+    busy.apply_faults(faults);
+    for e in 0..16 {
+        busy.send(e, (e + 5) % 16, &[1, 2, 3]);
+        busy.send(e, (e + 11) % 16, &[4, 5]);
+    }
+    busy.run(9);
+    let mut w = StateWriter::new();
+    busy.save_state(&mut w);
+    let state = w.into_words();
+
+    let (mut refused, mut ran, mut broke) = (0, 0, Vec::new());
+    for at in 0..state.len() {
+        for value in [999, 1 << 40] {
+            let mut mutant = state.clone();
+            mutant[at] = value;
+            let mut sim = built.clone();
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
+                let mut r = StateReader::new(&mutant);
+                if sim.restore_state(&mut r).and_then(|()| r.finish()).is_err() {
+                    return false;
+                }
+                sim.run(64);
+                let now = sim.now();
+                for o in sim.drain_outcomes() {
+                    let latency = o.total_latency().max(o.network_latency());
+                    assert!(latency <= now, "wrapped latency {latency}");
+                }
+                true
+            }));
+            match outcome {
+                Ok(false) => refused += 1,
+                Ok(true) => ran += 1,
+                Err(_) => broke.push((at, value)),
+            }
+        }
+    }
+    assert!(
+        broke.is_empty(),
+        "{} mutants restored, then broke the run: (word, value) {broke:?}",
+        broke.len()
+    );
+    assert!(refused > 1000 && ran > 1000, "{refused} refused, {ran} ran");
 }
 
 proptest! {

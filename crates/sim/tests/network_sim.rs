@@ -231,6 +231,43 @@ fn wrong_boundary_count_is_a_typed_error_on_every_build_path() {
 }
 
 #[test]
+fn hostile_port_counts_and_widths_are_typed_errors_on_every_build_path() {
+    // Three small edits of scenarios/figure1.json that used to reach an
+    // assert or a `clamp` panic: no endpoint ports, one 128×128 stage
+    // (the port bitplanes hold 64), a 0-bit channel.
+    let figure1 = Scenario::scripted("x", MultibutterflySpec::figure1(), vec![], 10);
+    let mut no_ports = figure1.clone();
+    no_ports.topology.endpoint_ports = 0;
+    let mut wide = figure1.clone();
+    wide.topology.endpoints = 128;
+    wide.topology.endpoint_ports = 1;
+    wide.topology.stages = vec![metro_topo::multibutterfly::StageSpec::new(128, 128, 1)];
+    let mut no_width = figure1;
+    no_width.sim.width = 0;
+    for (scenario, names) in [
+        (no_ports, "endpoint_ports"),
+        (wide, "port count 128"),
+        (no_width, "width 0"),
+    ] {
+        let ckpt = Checkpoint {
+            scenario: scenario.clone(),
+            phase: RunPhase::Main,
+            cycle: 0,
+            state: Vec::new(),
+        };
+        for err in [
+            NetworkSim::new(&scenario.topology, &scenario.sim).err(),
+            NetworkSim::from_scenario(&scenario).err(),
+            run_scenario(&scenario).err(),
+            resume_scenario(&ckpt).err(),
+        ] {
+            let err = err.expect("an Err, not a panic and not a run");
+            assert!(err.to_string().contains(names), "{err}");
+        }
+    }
+}
+
+#[test]
 fn a_hostile_shard_count_is_clamped_and_changes_nothing() {
     // Every shard is a spinning thread: a scenario file asking for a
     // million must not get one per router of a large fabric.

@@ -215,10 +215,7 @@ impl CounterBlock {
     /// Appends every cell, in slot order, to a checkpoint stream. The
     /// offset table is construction-derived and not written.
     pub fn save_state(&self, w: &mut StateWriter) {
-        w.usize(self.cells.len());
-        for cell in &self.cells {
-            cell.save_state(w);
-        }
+        w.seq(&self.cells, |w, cell| cell.save_state(w));
     }
 
     /// Overwrites every cell from a checkpoint stream. The block must
@@ -229,13 +226,7 @@ impl CounterBlock {
     /// [`StateError::BadValue`] when the saved cell count does not
     /// match this block's shape.
     pub fn restore_state(&mut self, r: &mut StateReader<'_>) -> Result<(), StateError> {
-        let n = r.usize()?;
-        if n != self.cells.len() {
-            return Err(StateError::BadValue {
-                section: String::from("counter-block"),
-                detail: format!("saved {n} cells, block holds {}", self.cells.len()),
-            });
-        }
+        r.shape(self.cells.len(), "counter cells")?;
         for cell in &mut self.cells {
             cell.restore_state(r)?;
         }

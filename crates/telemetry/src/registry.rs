@@ -145,10 +145,7 @@ impl TelemetryRegistry {
         self.baseline.save_state(w);
         self.current.save_state(w);
         self.deltas.save_state(w);
-        w.usize(self.series.len());
-        for s in &self.series {
-            s.save_state(w);
-        }
+        w.seq(&self.series, |w, s| s.save_state(w));
     }
 
     /// Overwrites the registry from a checkpoint stream. The registry
@@ -165,13 +162,7 @@ impl TelemetryRegistry {
         self.baseline.restore_state(r)?;
         self.current.restore_state(r)?;
         self.deltas.restore_state(r)?;
-        let n = r.usize()?;
-        if n != self.series.len() {
-            return Err(StateError::BadValue {
-                section: String::from("telreg"),
-                detail: format!("saved {n} series, registry holds {}", self.series.len()),
-            });
-        }
+        r.shape(self.series.len(), "series")?;
         for s in &mut self.series {
             s.restore_state(r)?;
         }

@@ -121,24 +121,15 @@ impl TimeSeries {
     /// series' capacity or the stride is zero.
     pub fn restore_state(&mut self, r: &mut StateReader<'_>) -> Result<(), StateError> {
         let stride = r.u64()?;
+        if stride == 0 {
+            return Err(r.bad("stride must be nonzero"));
+        }
         let pending_sum = r.u64()?;
         let pending_n = r.u64()?;
         let samples = r.u64_vec()?;
-        if stride == 0 {
-            return Err(StateError::BadValue {
-                section: String::from("time-series"),
-                detail: String::from("stride must be nonzero"),
-            });
-        }
         if samples.len() > self.capacity {
-            return Err(StateError::BadValue {
-                section: String::from("time-series"),
-                detail: format!(
-                    "saved {} buckets, capacity is {}",
-                    samples.len(),
-                    self.capacity
-                ),
-            });
+            let (n, cap) = (samples.len(), self.capacity);
+            return Err(r.bad(format!("saved {n} buckets, capacity is {cap}")));
         }
         self.stride = stride;
         self.pending_sum = pending_sum;

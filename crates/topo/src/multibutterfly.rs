@@ -102,6 +102,9 @@ pub enum TopologyError {
         /// The offending stage.
         stage: usize,
     },
+    /// `endpoint_ports` is zero: an endpoint needs a way into the
+    /// network.
+    NoEndpointPorts,
 }
 
 impl fmt::Display for TopologyError {
@@ -131,6 +134,7 @@ impl fmt::Display for TopologyError {
             Self::NotPowerOfTwo { stage } => {
                 write!(f, "stage {stage} radix is not a power of two")
             }
+            Self::NoEndpointPorts => write!(f, "endpoint_ports must be at least 1"),
         }
     }
 }
@@ -318,6 +322,9 @@ impl Multibutterfly {
         let mut rng = RandomSource::new(spec.seed);
 
         // --- validation ---
+        if spec.endpoint_ports == 0 {
+            return Err(TopologyError::NoEndpointPorts);
+        }
         let mut radix_product = 1usize;
         for (s, st) in spec.stages.iter().enumerate() {
             if st.dilation == 0 || st.backward_ports % st.dilation != 0 {
@@ -804,6 +811,16 @@ mod tests {
             Multibutterfly::build(&spec),
             Err(TopologyError::AddressSpaceMismatch { .. })
         ));
+    }
+
+    #[test]
+    fn rejects_an_endpoint_with_no_ports() {
+        let mut spec = MultibutterflySpec::figure1();
+        spec.endpoint_ports = 0;
+        assert_eq!(
+            Multibutterfly::build(&spec).err(),
+            Some(TopologyError::NoEndpointPorts)
+        );
     }
 
     #[test]

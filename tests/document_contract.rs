@@ -7,7 +7,9 @@ use metro_harness::document::{seal, DecodeError};
 use metro_harness::Json;
 use metro_sim::checkpoint::{resume_scenario, Checkpoint};
 use metro_sim::scenario::{codec, run_scenario};
+use metro_sim::NetworkSim;
 use metro_telemetry::snapshot;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 
 fn repo(rel: &str) -> PathBuf {
@@ -67,6 +69,50 @@ fn the_checkpoint_fixture_keeps_its_bytes_and_resumes_to_the_straight_run() {
     let (resumed, _sim) = resume_scenario(&ckpt).unwrap();
     let straight = run_scenario(&ckpt.scenario).unwrap();
     assert_eq!(resumed.to_json().render(), straight.to_json().render());
+}
+
+/// The state stream is the one part of a checkpoint the document
+/// cursor cannot see into, and a valid seal is one FNV-1a away: every
+/// word of the fixture's state, replaced by a small wrong value and by
+/// a large one, must be refused by the restore with a typed error or
+/// run on cleanly — never restore into a machine that a later tick
+/// indexes out of range with, or whose latencies it underflows.
+#[test]
+fn every_mutated_state_word_is_refused_or_runs_clean() {
+    let mut ckpt = Checkpoint::from_text(&read(CKPT_FIXTURE)).unwrap();
+    let built = NetworkSim::from_scenario(&ckpt.scenario).unwrap();
+    let (mut refused, mut ran, mut broke) = (0, 0, Vec::new());
+    for at in 0..ckpt.state.len() {
+        for value in [999, 1 << 40] {
+            let saved = std::mem::replace(&mut ckpt.state[at], value);
+            let mut sim = built.clone();
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
+                if ckpt.restore_into(&mut sim, None).is_err() {
+                    return false;
+                }
+                sim.run(48);
+                let now = sim.now();
+                for o in sim.drain_outcomes() {
+                    let latency = o.total_latency().max(o.network_latency());
+                    assert!(latency <= now, "wrapped latency {latency}");
+                }
+                true
+            }));
+            ckpt.state[at] = saved;
+            match outcome {
+                Ok(false) => refused += 1,
+                Ok(true) => ran += 1,
+                Err(_) => broke.push((at, value)),
+            }
+        }
+    }
+    assert!(
+        broke.is_empty(),
+        "{} mutants restored, then broke the run: (word, value) {broke:?}",
+        broke.len()
+    );
+    // The sweep saw both verdicts, so it is looking at a live machine.
+    assert!(refused > 1000 && ran > 1000, "{refused} refused, {ran} ran");
 }
 
 /// One document kind under mutation: how its paths start, how it

@@ -14,9 +14,8 @@
 //! recovery, engine divergence). Results land in `results/chaos.json`
 //! with a manifest record, the same trail `metro run` leaves.
 
-use metro_harness::log;
 use metro_harness::results::{git_describe, unix_time_now, ResultsDir, RunRecord};
-use metro_harness::Json;
+use metro_harness::{cli, log, Json};
 use metro_sim::chaos::{run_campaign, run_campaign_paired, ChaosCampaign, ChaosReport};
 use metro_sim::network::EngineKind;
 use metro_topo::multibutterfly::MultibutterflySpec;
@@ -46,10 +45,9 @@ enum EngineChoice {
     Both,
 }
 
-/// Entry point for `metro chaos <args…>`; returns the process exit
-/// code.
-#[must_use]
-pub fn main(args: &[String]) -> i32 {
+/// Parses the flags into `(campaigns, seed, engine, shards)`;
+/// `Ok(None)` is `--help`, an `Err` the usage message.
+fn parse_flags(args: &[String]) -> Result<Option<(u64, u64, EngineChoice, usize)>, String> {
     let mut campaigns = 4u64;
     let mut seed = 0x57A6u64;
     let mut engine = EngineChoice::Both;
@@ -57,49 +55,57 @@ pub fn main(args: &[String]) -> i32 {
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--help" | "-h" => {
-                log::output(&usage());
-                return 0;
-            }
-            "--campaigns" => match parse_u64(it.next(), "--campaigns") {
-                Ok(v) => campaigns = v,
-                Err(e) => return arg_error(&e),
-            },
-            "--seed" => match parse_u64(it.next(), "--seed") {
-                Ok(v) => seed = v,
-                Err(e) => return arg_error(&e),
-            },
-            "--shards" => match parse_u64(it.next(), "--shards") {
-                Ok(0) => {
-                    return arg_error(
-                        "--shards expects a count >= 1 (0/auto is scenario-file only)",
+            "--help" | "-h" => return Ok(None),
+            "--campaigns" => campaigns = cli::u64(&mut it, a)?,
+            "--seed" => seed = cli::u64(&mut it, a)?,
+            "--shards" => match usize::try_from(cli::u64(&mut it, a)?) {
+                Ok(n) if n >= 1 => shards = n,
+                _ => {
+                    return Err(
+                        "--shards expects a count >= 1 (0/auto is scenario-file only)".to_string(),
                     )
                 }
-                Ok(v) => shards = v as usize,
-                Err(e) => return arg_error(&e),
             },
-            "--engine" => match it.next().map(String::as_str) {
-                Some("both") => engine = EngineChoice::Both,
-                Some(name) => match EngineKind::from_name(name) {
+            "--engine" => match cli::value(&mut it, a)? {
+                "both" => engine = EngineChoice::Both,
+                name => match EngineKind::from_name(name) {
                     Some(k) if k.is_cycle_accurate() => engine = EngineChoice::One(k),
                     Some(k) => {
-                        return arg_error(&format!(
+                        return Err(format!(
                             "--engine {}: chaos invariants are cycle-exact; \
                              the analytic estimator cannot run them",
                             k.name()
                         ))
                     }
                     None => {
-                        return arg_error(&format!(
+                        return Err(format!(
                             "--engine expects flat|reference|both, got {name:?}"
                         ))
                     }
                 },
-                None => return arg_error("--engine needs a value"),
             },
-            other => return arg_error(&format!("unknown flag {other:?}")),
+            other => return Err(format!("unknown flag {other:?}")),
         }
     }
+    Ok(Some((campaigns, seed, engine, shards)))
+}
+
+/// Entry point for `metro chaos <args…>`; returns the process exit
+/// code.
+#[must_use]
+pub fn main(args: &[String]) -> i32 {
+    let (campaigns, seed, engine, shards) = match parse_flags(args) {
+        Ok(Some(parsed)) => parsed,
+        Ok(None) => {
+            log::output(&usage());
+            return 0;
+        }
+        Err(msg) => {
+            log::error(&format!("metro chaos: {msg}\n"));
+            log::error_text(&usage());
+            return 2;
+        }
+    };
     match run_storm(campaigns, seed, engine, shards, &ResultsDir::standard()) {
         Ok(summary) => {
             log::output(&summary);
@@ -110,21 +116,6 @@ pub fn main(args: &[String]) -> i32 {
             1
         }
     }
-}
-
-fn arg_error(msg: &str) -> i32 {
-    log::error(&format!("metro chaos: {msg}\n"));
-    log::error_text(&usage());
-    2
-}
-
-fn parse_u64(v: Option<&String>, flag: &str) -> Result<u64, String> {
-    let s = v.ok_or_else(|| format!("{flag} needs a value"))?;
-    let parsed = match s.strip_prefix("0x") {
-        Some(hex) => u64::from_str_radix(hex, 16),
-        None => s.parse(),
-    };
-    parsed.map_err(|e| format!("{flag}: {e}"))
 }
 
 /// Runs the storm and records `results/chaos.json` plus a manifest

@@ -12,7 +12,7 @@
 //! blocks (with block rate), fast reclaims, turns, drops, forwarded
 //! words, and channel utilization, plus the latency distribution line.
 
-use metro_harness::log;
+use metro_harness::{cli, log};
 use metro_telemetry::{report, snapshot};
 use std::path::{Path, PathBuf};
 
@@ -106,13 +106,13 @@ pub fn main(args: &[String]) -> i32 {
                 log::output(&usage());
                 return 0;
             }
-            "--dir" => {
-                let Some(v) = it.next() else {
-                    log::error("metro report: --dir needs a value");
+            "--dir" => match cli::value(&mut it, a) {
+                Ok(v) => dir = PathBuf::from(v),
+                Err(e) => {
+                    log::error(&format!("metro report: {e}"));
                     return 2;
-                };
-                dir = PathBuf::from(v);
-            }
+                }
+            },
             flag if flag.starts_with("--") => {
                 log::error(&format!("metro report: unknown flag {flag:?}\n"));
                 log::error_text(&usage());

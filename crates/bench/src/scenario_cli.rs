@@ -25,13 +25,13 @@
 //! result document is byte-identical to the uninterrupted run's.
 
 use crate::scenarios;
-use metro_harness::log;
 use metro_harness::results::{git_describe, unix_time_now, ResultsDir, RunRecord};
-use metro_harness::Json;
+use metro_harness::{cli, log, Json};
 use metro_sim::checkpoint::{resume_scenario_with, run_scenario_resumable, Checkpoint};
 use metro_sim::scenario::fuzz::fuzz_campaign;
 use metro_sim::scenario::{codec, ScenarioResult};
 use metro_sim::{CheckpointSink, EngineKind};
+use std::num::NonZeroU64;
 use std::path::PathBuf;
 use std::time::Instant;
 
@@ -89,44 +89,22 @@ pub fn main(args: &[String]) -> i32 {
 }
 
 /// Parses the flags shared by `scenario run` and `resume`: `--shards`,
-/// `--checkpoint-every`, `--checkpoint-dir`.
-fn parse_run_flags(
-    verb: &str,
-    args: &[String],
-) -> Result<(Option<usize>, Option<CheckpointOpts>), i32> {
+/// `--checkpoint-every`, `--checkpoint-dir`; an `Err` is the usage
+/// message.
+fn parse_run_flags(args: &[String]) -> Result<(Option<usize>, Option<CheckpointOpts>), String> {
     let mut shards = None;
     let mut every = None;
     let mut dir = None;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--shards" => match it.next().map(|s| s.parse::<usize>()) {
-                Some(Ok(v)) => shards = Some(v),
-                _ => {
-                    log::error(&format!("{verb}: --shards needs a count (0 = host auto)"));
-                    return Err(2);
-                }
-            },
-            "--checkpoint-every" => match it.next().map(|s| s.parse::<u64>()) {
-                Some(Ok(v)) if v > 0 => every = Some(v),
-                _ => {
-                    log::error(&format!(
-                        "{verb}: --checkpoint-every needs a positive cycle count"
-                    ));
-                    return Err(2);
-                }
-            },
-            "--checkpoint-dir" => match it.next() {
-                Some(d) => dir = Some(PathBuf::from(d)),
-                None => {
-                    log::error(&format!("{verb}: --checkpoint-dir needs a directory"));
-                    return Err(2);
-                }
-            },
-            other => {
-                log::error(&format!("{verb}: unknown flag {other:?}"));
-                return Err(2);
+            "--shards" => shards = Some(cli::parsed(&mut it, a, "a count (0 = host auto)")?),
+            "--checkpoint-every" => {
+                let k: NonZeroU64 = cli::parsed(&mut it, a, "a positive cycle count")?;
+                every = Some(k.get());
             }
+            "--checkpoint-dir" => dir = Some(PathBuf::from(cli::value(&mut it, a)?)),
+            other => return Err(format!("unknown flag {other:?}")),
         }
     }
     let checkpoint = match (every, dir) {
@@ -135,10 +113,9 @@ fn parse_run_flags(
             dir: dir.unwrap_or_else(|| PathBuf::from("checkpoints")),
         }),
         (None, Some(_)) => {
-            log::error(&format!(
-                "{verb}: --checkpoint-dir needs --checkpoint-every to enable checkpointing"
-            ));
-            return Err(2);
+            return Err(
+                "--checkpoint-dir needs --checkpoint-every to enable checkpointing".to_string(),
+            )
         }
         (None, None) => None,
     };
@@ -150,9 +127,12 @@ fn cmd_run(args: &[String], results: &ResultsDir) -> i32 {
         log::error("metro scenario run: missing scenario file");
         return 2;
     };
-    let (shards, checkpoint) = match parse_run_flags("metro scenario run", &args[1..]) {
+    let (shards, checkpoint) = match parse_run_flags(&args[1..]) {
         Ok(parsed) => parsed,
-        Err(code) => return code,
+        Err(e) => {
+            log::error(&format!("metro scenario run: {e}"));
+            return 2;
+        }
     };
     match run_file_with_options(path, results, shards, checkpoint.as_ref()) {
         Ok(summary) => {
@@ -189,9 +169,12 @@ pub fn resume_main(args: &[String]) -> i32 {
         );
         return 0;
     }
-    let (shards, checkpoint) = match parse_run_flags("metro resume", &args[1..]) {
+    let (shards, checkpoint) = match parse_run_flags(&args[1..]) {
         Ok(parsed) => parsed,
-        Err(code) => return code,
+        Err(e) => {
+            log::error(&format!("metro resume: {e}"));
+            return 2;
+        }
     };
     match resume_file(path, &ResultsDir::standard(), shards, checkpoint.as_ref()) {
         Ok(summary) => {
@@ -494,52 +477,35 @@ pub fn validate_file(path: &str) -> Result<String, String> {
     Ok(scenario.name)
 }
 
-fn cmd_fuzz(args: &[String]) -> i32 {
+/// Parses `fuzz`'s `--count`, `--seed` and `--shards`; an `Err` is
+/// the usage message.
+fn parse_fuzz_flags(args: &[String]) -> Result<(u64, u64, Option<usize>), String> {
     let mut count = 25u64;
     let mut seed = 0xD1FF_5EED_u64;
     let mut shards = None;
-    fn parse(v: Option<&String>, flag: &str) -> Result<u64, String> {
-        let s = v.ok_or_else(|| format!("{flag} needs a value"))?;
-        let parsed = match s.strip_prefix("0x") {
-            Some(hex) => u64::from_str_radix(hex, 16),
-            None => s.parse(),
-        };
-        parsed.map_err(|e| format!("{flag}: {e}"))
-    }
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--count" => match parse(it.next(), "--count") {
-                Ok(v) => count = v,
-                Err(e) => {
-                    log::error(&format!("metro scenario fuzz: {e}"));
-                    return 2;
-                }
+            "--count" => count = cli::u64(&mut it, a)?,
+            "--seed" => seed = cli::u64(&mut it, a)?,
+            "--shards" => match usize::try_from(cli::u64(&mut it, a)?) {
+                Ok(n) if n >= 2 => shards = Some(n),
+                _ => return Err("--shards expects a count >= 2".to_string()),
             },
-            "--seed" => match parse(it.next(), "--seed") {
-                Ok(v) => seed = v,
-                Err(e) => {
-                    log::error(&format!("metro scenario fuzz: {e}"));
-                    return 2;
-                }
-            },
-            "--shards" => match parse(it.next(), "--shards") {
-                Ok(0 | 1) => {
-                    log::error("metro scenario fuzz: --shards expects a count >= 2");
-                    return 2;
-                }
-                Ok(v) => shards = Some(v as usize),
-                Err(e) => {
-                    log::error(&format!("metro scenario fuzz: {e}"));
-                    return 2;
-                }
-            },
-            other => {
-                log::error(&format!("metro scenario fuzz: unknown flag {other:?}"));
-                return 2;
-            }
+            other => return Err(format!("unknown flag {other:?}")),
         }
     }
+    Ok((count, seed, shards))
+}
+
+fn cmd_fuzz(args: &[String]) -> i32 {
+    let (count, seed, shards) = match parse_fuzz_flags(args) {
+        Ok(parsed) => parsed,
+        Err(e) => {
+            log::error(&format!("metro scenario fuzz: {e}"));
+            return 2;
+        }
+    };
     let started = Instant::now();
     let flat = (EngineKind::Flat, 1);
     let outcome = match shards {

@@ -48,103 +48,104 @@ pub enum Command {
     Help(Option<String>),
 }
 
+/// The value following `flag`, or "`{flag}` needs a value" — the one
+/// reader every `metro` verb's flag loop shares.
+pub fn value<'a>(it: &mut impl Iterator<Item = &'a String>, flag: &str) -> Result<&'a str, String> {
+    it.next()
+        .map(String::as_str)
+        .ok_or_else(|| format!("{flag} needs a value"))
+}
+
+/// [`value`] as a `u64`, decimal or `0x`-prefixed hex (seeds); a value
+/// that is neither is "`{flag}`: …" with the integer parser's reason.
+pub fn u64<'a>(it: &mut impl Iterator<Item = &'a String>, flag: &str) -> Result<u64, String> {
+    let v = value(it, flag)?;
+    let parsed = match v.strip_prefix("0x") {
+        Some(hex) => u64::from_str_radix(hex, 16),
+        None => v.parse(),
+    };
+    parsed.map_err(|e| format!("{flag}: {e}"))
+}
+
+/// [`value`] parsed as a `T`, or "`{flag}` needs `{what}`, got …" —
+/// `what` names an acceptable value ("a positive integer").
+pub fn parsed<'a, T: std::str::FromStr>(
+    it: &mut impl Iterator<Item = &'a String>,
+    flag: &str,
+    what: &str,
+) -> Result<T, String> {
+    let v = value(it, flag)?;
+    v.parse()
+        .map_err(|_| format!("{flag} needs {what}, got {v:?}"))
+}
+
 /// Parses CLI arguments (without the program name) against a registry.
 #[must_use]
 pub fn parse_args(registry: &Registry, args: &[String]) -> Command {
-    let mut it = args.iter();
-    match it.next().map(String::as_str) {
+    match args.first().map(String::as_str) {
         None | Some("help" | "--help" | "-h") => Command::Help(None),
         Some("list") => Command::List,
         Some("run") => {
-            let mut names = Vec::new();
-            let mut all = false;
-            let mut quick = false;
-            let mut json = false;
-            let mut jobs = None;
-            let mut verbose = false;
-            let mut deadline = None;
-            let mut retries = 0u32;
-            let mut flags = Vec::new();
-            let mut it = it.peekable();
-            while let Some(a) = it.next() {
-                match a.as_str() {
-                    "--all" => all = true,
-                    "--quick" => quick = true,
-                    "--json" => json = true,
-                    "--verbose" => verbose = true,
-                    "--jobs" => {
-                        let Some(v) = it.next() else {
-                            return Command::Help(Some("--jobs needs a value".to_string()));
-                        };
-                        match v.parse::<NonZeroUsize>() {
-                            Ok(n) => jobs = Some(n),
-                            Err(_) => {
-                                return Command::Help(Some(format!(
-                                    "--jobs needs a positive integer, got {v:?}"
-                                )))
-                            }
-                        }
-                    }
-                    "--deadline" => {
-                        let Some(v) = it.next() else {
-                            return Command::Help(Some("--deadline needs a value".to_string()));
-                        };
-                        match v.parse::<f64>() {
-                            Ok(secs) if secs > 0.0 && secs.is_finite() => {
-                                deadline = Some(Duration::from_secs_f64(secs));
-                            }
-                            _ => {
-                                return Command::Help(Some(format!(
-                                    "--deadline needs positive seconds, got {v:?}"
-                                )))
-                            }
-                        }
-                    }
-                    "--retries" => {
-                        let Some(v) = it.next() else {
-                            return Command::Help(Some("--retries needs a value".to_string()));
-                        };
-                        match v.parse::<u32>() {
-                            Ok(n) => retries = n,
-                            Err(_) => {
-                                return Command::Help(Some(format!(
-                                    "--retries needs a non-negative integer, got {v:?}"
-                                )))
-                            }
-                        }
-                    }
-                    f if f.starts_with("--") => flags.push(f.to_string()),
-                    name => {
-                        if registry.get(name).is_none() {
-                            return Command::Help(Some(format!(
-                                "unknown artifact {name:?} (see `metro list`)"
-                            )));
-                        }
-                        names.push(name.to_string());
-                    }
-                }
-            }
-            if all {
-                names = registry.names().iter().map(ToString::to_string).collect();
-            }
-            if names.is_empty() {
-                return Command::Help(Some(
-                    "nothing to run: name artifacts or pass --all".to_string(),
-                ));
-            }
-            Command::Run {
-                names,
-                quick,
-                json,
-                jobs,
-                verbose,
-                deadline,
-                retries,
-                flags,
-            }
+            parse_run(registry, &args[1..]).unwrap_or_else(|msg| Command::Help(Some(msg)))
         }
         Some(other) => Command::Help(Some(format!("unknown command {other:?}"))),
     }
+}
+
+/// The arguments after `metro run`; an `Err` is the usage message.
+fn parse_run(registry: &Registry, args: &[String]) -> Result<Command, String> {
+    let mut names = Vec::new();
+    let mut all = false;
+    let mut quick = false;
+    let mut json = false;
+    let mut jobs = None;
+    let mut verbose = false;
+    let mut deadline = None;
+    let mut retries = 0u32;
+    let mut flags = Vec::new();
+    let mut it = args.iter();
+    while let Some(a) = it.next() {
+        match a.as_str() {
+            "--all" => all = true,
+            "--quick" => quick = true,
+            "--json" => json = true,
+            "--verbose" => verbose = true,
+            "--jobs" => jobs = Some(parsed(&mut it, "--jobs", "a positive integer")?),
+            "--deadline" => {
+                let v = value(&mut it, "--deadline")?;
+                match v.parse::<f64>() {
+                    Ok(secs) if secs > 0.0 && secs.is_finite() => {
+                        deadline = Some(Duration::from_secs_f64(secs));
+                    }
+                    _ => return Err(format!("--deadline needs positive seconds, got {v:?}")),
+                }
+            }
+            "--retries" => retries = parsed(&mut it, "--retries", "a non-negative integer")?,
+            f if f.starts_with("--") => flags.push(f.to_string()),
+            name => {
+                if registry.get(name).is_none() {
+                    return Err(format!("unknown artifact {name:?} (see `metro list`)"));
+                }
+                names.push(name.to_string());
+            }
+        }
+    }
+    if all {
+        names = registry.names().iter().map(ToString::to_string).collect();
+    }
+    if names.is_empty() {
+        return Err("nothing to run: name artifacts or pass --all".to_string());
+    }
+    Ok(Command::Run {
+        names,
+        quick,
+        json,
+        jobs,
+        verbose,
+        deadline,
+        retries,
+        flags,
+    })
 }
 
 /// Renders the `metro list` table.
@@ -520,6 +521,20 @@ mod tests {
                 Command::Help(Some(_))
             ));
         }
+    }
+
+    #[test]
+    fn flag_value_readers_share_one_wording() {
+        let args = s(&["0x1F", "31", "x", "0"]);
+        let mut it = args.iter();
+        assert_eq!(u64(&mut it, "--seed"), Ok(31));
+        assert_eq!(u64(&mut it, "--seed"), Ok(31));
+        assert!(u64(&mut it, "--seed").unwrap_err().starts_with("--seed: "));
+        assert_eq!(
+            parsed::<NonZeroUsize>(&mut it, "--jobs", "a positive integer").unwrap_err(),
+            "--jobs needs a positive integer, got \"0\""
+        );
+        assert_eq!(value(&mut it, "--dir").unwrap_err(), "--dir needs a value");
     }
 
     #[test]

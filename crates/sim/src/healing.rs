@@ -1,12 +1,17 @@
-//! The self-healing loop: evidence-driven diagnosis and live port
-//! masking (paper §5.3, detect → localize → disable, closed online).
+//! The fault loop: evidence-driven diagnosis and port masking (paper
+//! §5.1/§5.3, detect → localize → disable).
 //!
 //! This is an orchestration concern layered on [`NetworkSim`]: the
-//! endpoints capture [`AttemptEvidence`] on failed deliveries, the
-//! network runs each item through `metro-scan` diagnosis, and the
-//! implicated ports are disabled in the live router configurations —
-//! never by reading the injected fault set. Engine access is limited
-//! to [`Engine::probe_wire`](crate::engine::Engine::probe_wire) clones
+//! endpoints capture [`AttemptEvidence`] on failed deliveries,
+//! [`NetworkSim::diagnose`] runs an item through `metro-scan`
+//! diagnosis and names the [`Suspect`] on this network's topology, and
+//! the implicated ports are disabled — never by reading the injected
+//! fault set. Online ([`SimConfig::self_heal`](crate::SimConfig)) the
+//! network drains the evidence itself every tick and masks in the live
+//! router configurations; an offline scan master drains it, asks the
+//! same `diagnose`, and writes the same mask through the TAPs. Engine
+//! access is limited to
+//! [`Engine::probe_wire`](crate::engine::Engine::probe_wire) clones
 //! for the behavioral boundary-scan sweep.
 
 use crate::endpoint::AttemptEvidence;
@@ -17,6 +22,41 @@ use metro_scan::boundary::test_wire;
 use metro_scan::diagnosis::{diagnose_attempt, expected_stage_checksums, AttemptDiagnosis};
 use metro_telemetry::RouterCounter;
 use metro_topo::graph::{LinkId, LinkTarget};
+
+/// The element one failed attempt's reply evidence implicates — what
+/// to disable, whichever transport (live `apply_config`, bit-serial
+/// scan chain) carries the mask.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Suspect {
+    /// The link out of this backward port, inter-stage or delivery:
+    /// corruption entered on it, or the reply trail went cold on it.
+    /// Masked by disabling the port ends on both routers.
+    Link(LinkId),
+    /// The wire from a source endpoint's output port into stage 0.
+    /// Masked at the NIC, which stops injecting there.
+    Injection {
+        /// Source endpoint.
+        endpoint: usize,
+        /// Source output port.
+        port: usize,
+    },
+    /// No reversal evidence at all: a dead element ate the stream
+    /// without replying. Localizing it takes a boundary-scan sweep.
+    Silent,
+}
+
+/// What [`NetworkSim::diagnose`] concluded from one failed attempt.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Diagnosis {
+    /// The element to mask.
+    pub suspect: Suspect,
+    /// The `(stage, router)` that caught the fault: the first whose
+    /// transit checksum mismatched, or the last that reported when the
+    /// failure lay past every transit checksum (the destination's
+    /// end-to-end checksum, or silence, caught it). `None` for a
+    /// [`Suspect::Silent`] stream, which nothing caught.
+    pub caught_at: Option<(usize, usize)>,
+}
 
 impl NetworkSim {
     /// Links the self-healing layer has masked so far (both port ends
@@ -47,24 +87,29 @@ impl NetworkSim {
         }
     }
 
-    /// Runs one piece of failed-attempt evidence through the scan
-    /// diagnosis ([`diagnose_attempt`]) and applies any resulting mask
-    /// to the live router configurations — the paper's §5.3 loop
-    /// (detect → localize → disable) closed online, while the network
-    /// carries traffic.
-    fn heal_from(&mut self, ev: &AttemptEvidence) {
-        // Any failed attempt arriving after the first mask counts as a
-        // post-masking retry, attributed to the entry router.
-        if !self.healed_links.is_empty() || !self.healed_injections.is_empty() {
-            let (r0, _) = self.topo.injection(ev.src, ev.port);
-            self.routers[0][r0].note_event(RouterCounter::RetriesAfterMask);
-        }
-        // Blocking and fast reclamation are congestion, not faults.
-        if matches!(
+    /// Localizes one failed attempt from its reply evidence — the
+    /// paper's §5.1 diagnosis, and the one entry for it: the online
+    /// healer ([`SimConfig::self_heal`](crate::SimConfig)) applies what
+    /// this returns, and an offline caller turns on
+    /// [`Endpoint::set_collect_evidence`](crate::endpoint::Endpoint::set_collect_evidence),
+    /// drains [`take_evidence`](crate::endpoint::Endpoint::take_evidence)
+    /// and asks the same question. Pure: reads the topology, the
+    /// configuration and the evidence, never the injected fault set.
+    ///
+    /// `None` when the evidence implicates nothing: blocking and fast
+    /// reclamation are congestion, clean evidence without a failed
+    /// delivery is an ordinary reversal, and evidence naming an
+    /// endpoint or port this network does not have is not about it.
+    #[must_use]
+    pub fn diagnose(&self, ev: &AttemptEvidence) -> Option<Diagnosis> {
+        let congestion = matches!(
             ev.kind,
             FailureKind::Blocked { .. } | FailureKind::FastReclaimed
-        ) {
-            return;
+        );
+        let addressed =
+            ev.src.max(ev.dest) < self.topo.endpoints() && ev.port < self.topo.endpoint_ports();
+        if congestion || !addressed {
+            return None;
         }
 
         // Reconstruct the path the attempt switched: entry router from
@@ -115,7 +160,12 @@ impl NetworkSim {
             self.config.header_words,
         );
         let delivery_failed = matches!(ev.kind, FailureKind::Corrupt | FailureKind::NoAck);
-        match diagnose_attempt(
+        // Locate the verdict on the reconstructed path. The router that
+        // caught it is the first whose transit checksum mismatched —
+        // or, for a clean report, the last one before the
+        // destination's end-to-end checksum (ACK_CORRUPT) did.
+        let on_path = |s: usize| routers_on_path.get(s).map(|&r| (s, r));
+        let (suspect, caught_at) = match diagnose_attempt(
             &expected,
             reported,
             &ports_taken,
@@ -123,51 +173,89 @@ impl NetworkSim {
             delivery_failed,
         ) {
             AttemptDiagnosis::Corruption(plan) => {
-                let ds = plan.downstream_stage;
-                if ds < routers_on_path.len() {
-                    let dr = routers_on_path[ds];
-                    self.routers[ds][dr].note_event(RouterCounter::ChecksumMismatches);
-                    match (plan.upstream_stage, plan.upstream_backward_port) {
-                        (Some(us), Some(ub)) => {
-                            self.mask_link_ends(us, routers_on_path[us], ub);
-                        }
-                        _ => self.mask_injection(ev.src, ev.port),
-                    }
-                }
+                let caught_at = on_path(plan.downstream_stage)?;
+                let suspect = match (plan.upstream_stage, plan.upstream_backward_port) {
+                    (Some(us), Some(ub)) => Suspect::Link(LinkId::new(us, routers_on_path[us], ub)),
+                    _ => Suspect::Injection {
+                        endpoint: ev.src,
+                        port: ev.port,
+                    },
+                };
+                (suspect, Some(caught_at))
             }
             AttemptDiagnosis::DeliveryBoundary {
                 stage,
                 backward_port,
             } => {
-                // ACK_CORRUPT is the destination's end-to-end checksum
-                // catching the corruption past the last transit
-                // checksum — count it where it was detected.
-                if stage < routers_on_path.len() {
-                    let r = routers_on_path[stage];
-                    self.routers[stage][r].note_event(RouterCounter::ChecksumMismatches);
-                    self.mask_link_ends(stage, r, backward_port);
-                }
+                let (s, r) = on_path(stage)?;
+                (
+                    Suspect::Link(LinkId::new(s, r, backward_port)),
+                    Some((s, r)),
+                )
             }
-            AttemptDiagnosis::NeedsSweep => self.sweep_and_mask(ev),
-            AttemptDiagnosis::Inconclusive => {}
+            AttemptDiagnosis::NeedsSweep => (Suspect::Silent, None),
+            AttemptDiagnosis::Inconclusive => return None,
+        };
+        Some(Diagnosis { suspect, caught_at })
+    }
+
+    /// Applies one piece of failed-attempt evidence: the accounting,
+    /// then whatever mask [`NetworkSim::diagnose`] calls for, in the
+    /// live router configurations — the paper's §5.3 loop (detect →
+    /// localize → disable) closed online, while the network carries
+    /// traffic. No judgement of its own.
+    fn heal_from(&mut self, ev: &AttemptEvidence) {
+        // Any failed attempt arriving after the first mask counts as a
+        // post-masking retry, attributed to the entry router.
+        if !self.healed_links.is_empty() || !self.healed_injections.is_empty() {
+            let (r0, _) = self.topo.injection(ev.src, ev.port);
+            self.routers[0][r0].note_event(RouterCounter::RetriesAfterMask);
+        }
+        let Some(diagnosis) = self.diagnose(ev) else {
+            return;
+        };
+        if let Some((s, r)) = diagnosis.caught_at {
+            self.routers[s][r].note_event(RouterCounter::ChecksumMismatches);
+        }
+        match diagnosis.suspect {
+            Suspect::Link(link) => self.mask_link_ends(link),
+            Suspect::Injection { endpoint, port } => self.mask_injection(endpoint, port),
+            Suspect::Silent => self.sweep_and_mask(ev),
         }
     }
 
-    /// Disables both port ends of the link out of `(stage, router)`'s
-    /// backward port `b` in the live configurations (paper §5.1:
-    /// "Disabled faults are masked"). Refuses to sever an endpoint's
-    /// last unmasked delivery link — redundancy, not reachability, is
-    /// what masking spends. Idempotent per link.
-    fn mask_link_ends(&mut self, stage: usize, router: usize, b: usize) {
-        let link = LinkId::new(stage, router, b);
-        if self.healed_links.contains(&link) {
+    /// Whether `link` may be masked without severing an endpoint's
+    /// last delivery link — redundancy, not reachability, is what
+    /// masking spends. Read from the live router configurations, so
+    /// every masker (the healer's `apply_config`, a scan master
+    /// writing through the TAPs) is refused the same last link
+    /// whoever disabled the others.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `link` is not a link of this network.
+    #[must_use]
+    pub fn may_mask(&self, link: LinkId) -> bool {
+        let LinkTarget::Endpoint { endpoint, .. } =
+            self.topo.link(link.stage, link.router, link.port)
+        else {
+            return true;
+        };
+        let left = (0..self.topo.endpoint_ports())
+            .map(|p| self.topo.delivery(endpoint, p))
+            .filter(|&(r, b)| self.routers[link.stage][r].config().backward_enabled(b))
+            .count();
+        left > 1
+    }
+
+    /// Disables both port ends of `link` in the live configurations
+    /// (paper §5.1: "Disabled faults are masked"), unless
+    /// [`NetworkSim::may_mask`] refuses it. Idempotent per link.
+    fn mask_link_ends(&mut self, link: LinkId) {
+        if self.healed_links.contains(&link) || !self.may_mask(link) {
             return;
         }
-        if let LinkTarget::Endpoint { endpoint, .. } = self.topo.link(stage, router, b) {
-            if self.delivery_links_left(endpoint) <= 1 {
-                return;
-            }
-        }
+        let (stage, router, b) = (link.stage, link.router, link.port);
         let mut cfg = self.routers[stage][router].config().clone();
         cfg.set_backward_mode(b, PortMode::DisabledDriven);
         self.routers[stage][router].apply_config(cfg);
@@ -189,25 +277,6 @@ impl NetworkSim {
         }
     }
 
-    /// How many delivery links into `endpoint` the healer has not yet
-    /// masked.
-    fn delivery_links_left(&self, endpoint: usize) -> usize {
-        let s = self.topo.stages() - 1;
-        let mut left = 0;
-        for r in 0..self.topo.routers_in_stage(s) {
-            for b in 0..self.topo.stage_spec(s).backward_ports {
-                let to_endpoint = matches!(
-                    self.topo.link(s, r, b),
-                    LinkTarget::Endpoint { endpoint: e, .. } if e == endpoint
-                );
-                if to_endpoint && !self.healed_links.contains(&LinkId::new(s, r, b)) {
-                    left += 1;
-                }
-            }
-        }
-        left
-    }
-
     /// No reversal evidence at all: a dead element ate the stream.
     /// Sweeps every inter-stage wire with the boundary-scan test
     /// vectors (paper §5.1 — vectors across the suspect wires while the
@@ -220,11 +289,9 @@ impl NetworkSim {
         for s in 0..self.topo.stages() {
             for r in 0..self.topo.routers_in_stage(s) {
                 for b in 0..self.topo.stage_spec(s).backward_ports {
-                    if self.healed_links.contains(&LinkId::new(s, r, b)) {
-                        continue;
-                    }
-                    if !self.probe_wire_passes(s, r, b) {
-                        found.push((s, r, b));
+                    let link = LinkId::new(s, r, b);
+                    if !self.healed_links.contains(&link) && !self.probe_wire_passes(s, r, b) {
+                        found.push(link);
                     }
                 }
             }
@@ -235,8 +302,8 @@ impl NetworkSim {
             }
             return;
         }
-        for (s, r, b) in found {
-            self.mask_link_ends(s, r, b);
+        for link in found {
+            self.mask_link_ends(link);
         }
     }
 
@@ -310,5 +377,76 @@ mod tests {
                 entry_alive: true,
             });
         }
+    }
+
+    /// The apply step adds no judgement of its own: whatever evidence
+    /// comes in, the masks `heal_from` leaves on a fresh network are
+    /// exactly the suspect `diagnose` named.
+    #[test]
+    fn heal_from_masks_exactly_what_diagnose_names() {
+        let config = SimConfig {
+            self_heal: true,
+            ..SimConfig::default()
+        };
+        let fresh = NetworkSim::new(&MultibutterflySpec::figure1(), &config).unwrap();
+        let digits = fresh.topo.route_digits(13);
+        let payload = [1u16, 2, 3];
+        let clean = expected_stage_checksums(&fresh.plan, &digits, &payload, 8, 0);
+        let garbled_from = |stage: usize| {
+            let mut c = clean.clone();
+            c.iter_mut().skip(stage).for_each(|c| *c ^= 0x0101);
+            c
+        };
+        let mut named = Vec::new();
+        for (kind, checksums) in [
+            (FailureKind::NoAck, clean.clone()),
+            (FailureKind::Corrupt, garbled_from(0)),
+            (FailureKind::Corrupt, garbled_from(2)),
+            (FailureKind::Timeout, Vec::new()),
+            (FailureKind::Blocked { stage: 1 }, garbled_from(1)),
+            (FailureKind::FastReclaimed, garbled_from(1)),
+        ] {
+            let ev = AttemptEvidence {
+                src: 2,
+                dest: 13,
+                port: 0,
+                kind,
+                record: DeliveryRecord {
+                    statuses: digits
+                        .iter()
+                        .take(checksums.len())
+                        .map(|d| StatusWord::connected(d * 2))
+                        .collect(),
+                    checksums,
+                    ack: None,
+                    reply_words: Vec::new(),
+                },
+                stream: fresh.stream_for(13, &payload),
+                entry_alive: true,
+            };
+            let mut sim = fresh.clone();
+            let suspect = sim.diagnose(&ev).map(|d| d.suspect);
+            sim.heal_from(&ev);
+            let (links, injections) = match suspect {
+                Some(Suspect::Link(l)) => (vec![l], vec![]),
+                Some(Suspect::Injection { endpoint, port }) => (vec![], vec![(endpoint, port)]),
+                Some(Suspect::Silent) | None => (vec![], vec![]),
+            };
+            assert_eq!(sim.healed_links(), links, "{kind:?}");
+            assert_eq!(sim.healed_injections(), injections, "{kind:?}");
+            named.push(suspect);
+        }
+        // Every arm of the apply step was reached.
+        assert!(matches!(
+            named[..],
+            [
+                Some(Suspect::Link(LinkId { stage: 2, .. })),
+                Some(Suspect::Injection { .. }),
+                Some(Suspect::Link(LinkId { stage: 1, .. })),
+                Some(Suspect::Silent),
+                None,
+                None
+            ]
+        ));
     }
 }

@@ -28,7 +28,7 @@
 //! | [`endpoint`] | the source-responsible NIC state machines |
 //! | [`engine`] | the sealed engine seam: flat, sharded, reference, analytic |
 //! | [`network`] | the assembled, tickable network (orchestration) |
-//! | [`healing`] | the online self-healing loop (diagnosis → masking) |
+//! | [`healing`] | the fault loop: `NetworkSim::diagnose` (online and offline) → masking |
 //! | [`traffic`] | destination patterns (uniform, hotspot, permutations) |
 //! | [`workload`] | arrival processes, rate maps, and the shared workload driver |
 //! | [`stats`] | latency/throughput/retry statistics |
@@ -68,6 +68,7 @@ pub use checkpoint::{
 };
 pub use endpoint::{AttemptEvidence, EndpointConfig, ReplyPolicy};
 pub use experiment::{FaultSweepPoint, LoadPoint, SweepConfig};
+pub use healing::{Diagnosis, Suspect};
 pub use message::{DeliveryRecord, DeliveryStatus, FailureKind, MessageOutcome};
 pub use network::{EngineKind, NetworkSim, SimConfig};
 pub use scenario::{

@@ -1,139 +1,89 @@
-//! The full fault story of §5.1: a link starts corrupting data words
-//! mid-operation; the end-to-end checksums catch it, the per-router
-//! transit checksums localize it, the scan subsystem disables the two
-//! ports at its ends (masking), and traffic continues over the
-//! network's redundant paths.
+//! The full fault story of §5.1, offline: a link starts corrupting
+//! data words mid-operation; the end-to-end checksums catch it and
+//! retries deliver anyway; `NetworkSim::diagnose` names the link from
+//! nothing but the reply evidence the source collected; a scan master
+//! disables the two ports at its ends bit-serially through the TAPs;
+//! and traffic continues, retry-free, over the redundant paths. The
+//! self-healing layer (`SimConfig::self_heal`) closes the same loop
+//! online, through the same `diagnose`.
 //!
 //! ```sh
 //! cargo run --example fault_masking
 //! ```
 
-use metro_core::PortMode;
-use metro_scan::diagnosis::{expected_stage_checksums, localize_corruption, CorruptionSite};
-use metro_scan::ScanDevice;
-use metro_sim::{NetworkSim, SimConfig};
-use metro_topo::fault::{FaultKind, FaultSet};
-use metro_topo::graph::{LinkId, LinkTarget};
-use metro_topo::MultibutterflySpec;
+use metro::scan_harness::ScanHarness;
+use metro::sim::{NetworkSim, SimConfig, Suspect};
+use metro::topo::fault::{FaultKind, FaultSet};
+use metro::topo::graph::LinkId;
+use metro::topo::MultibutterflySpec;
 
 fn main() {
-    let spec = MultibutterflySpec::figure1();
-    let config = SimConfig {
-        // Detailed reclamation so every reply carries the full status +
-        // transit-checksum record.
-        fast_reclaim: false,
-        ..SimConfig::default()
-    };
-    let mut sim = NetworkSim::new(&spec, &config).expect("valid network");
-    let payload: Vec<u16> = (0..12).map(|k| (k * 5 + 1) & 0xFF).collect();
+    let mut sim = NetworkSim::new(&MultibutterflySpec::figure1(), &SimConfig::default())
+        .expect("valid network");
+    let (src, dest) = (4, 9);
+    let payload = [0x11u16, 0x22, 0x33, 0x44];
 
-    // Healthy round trip first.
-    let clean = sim.send_and_wait(4, 9, &payload, 2_000).expect("delivers");
+    let clean = sim
+        .send_and_wait(src, dest, &payload, 2_000)
+        .expect("delivers");
     println!(
         "healthy transaction: {} cycles, {} retries",
         clean.network_latency(),
         clean.retries
     );
 
-    // A link on endpoint 4's route develops a data-corrupting fault.
-    let digits = sim.topology().route_digits(9);
-    let (entry_router, _) = sim.topology().injection(4, 0);
-    let st0 = sim.topology().stage_spec(0);
-    let bad_link = LinkId::new(0, entry_router, digits[0] * st0.dilation);
+    // A stage-0 link on src's route develops a silent data-corrupting
+    // fault.
+    let digits = sim.topology().route_digits(dest);
+    let (entry, _) = sim.topology().injection(src, 0);
+    let dilation = sim.topology().stage_spec(0).dilation;
+    let victim = LinkId::new(0, entry, digits[0] * dilation);
     let mut faults = FaultSet::new();
-    faults.break_link(bad_link, FaultKind::CorruptData { xor: 0x08 });
+    faults.break_link(victim, FaultKind::CorruptData { xor: 0x05 });
     sim.apply_faults(faults);
-    println!("\ninjected corrupting fault on link {bad_link} (stage 0 -> stage 1)");
+    println!("injected corrupting fault on {victim} (invisible to the fabric)");
 
-    // Traffic still gets through — the destination NACKs corrupted
-    // attempts and random path selection steers retries around.
-    let outcome = sim
-        .send_and_wait(4, 9, &payload, 5_000)
-        .expect("delivers despite fault");
-    println!(
-        "transaction under fault: {} cycles, {} retries, failures: {:?}",
-        outcome.network_latency(),
-        outcome.retries,
-        outcome.failures
-    );
-
-    // Localization: what the source's diagnosis would conclude. The
-    // expected per-stage transit checksums come from the header plan;
-    // a corrupting link between stage 0 and stage 1 garbles the
-    // checksum stage 1 reports.
-    let plan = sim.header_plan().clone();
-    let expected = expected_stage_checksums(&plan, &digits, &payload, 8, 0);
-    let mut reported = expected.clone();
-    for r in reported.iter_mut().skip(1) {
-        *r ^= 0x0404; // what corrupt words downstream of the link produce
+    // Normal traffic, with the source keeping its failed-attempt
+    // evidence: the destination NACKs corrupted attempts and random
+    // path selection steers the retries around, so every transaction
+    // still delivers — and each failure is a diagnosis waiting to be
+    // read.
+    sim.endpoint_mut(src).set_collect_evidence(true);
+    let mut suspect = None;
+    let mut transactions = 0;
+    while suspect.is_none() && transactions < 50 {
+        transactions += 1;
+        let outcome = sim
+            .send_and_wait(src, dest, &payload, 20_000)
+            .expect("delivers despite the fault");
+        assert_eq!(outcome.payload_delivered, payload, "never silently corrupt");
+        for ev in sim.endpoint_mut(src).take_evidence() {
+            if let Some(d) = sim.diagnose(&ev) {
+                let (s, r) = d.caught_at.expect("a checksum caught it");
+                println!("{:?} attempt: r{s}.{r}'s checksum disagreed", ev.kind);
+                suspect = Some(d.suspect);
+            }
+        }
     }
-    let site = localize_corruption(&expected, &reported).expect("mismatch found");
-    assert_eq!(site, CorruptionSite { stage: 1 });
-    println!(
-        "\ndiagnosis: corruption enters at the input of stage {} — the suspect is",
-        site.stage
-    );
-    println!(
-        "the wire out of stage {} (or its end ports)",
-        site.stage - 1
-    );
+    let suspect = suspect.expect("evidence must surface");
+    println!("after {transactions} transactions the diagnosis is {suspect:?}");
+    assert_eq!(suspect, Suspect::Link(victim), "names the injected link");
 
-    // Masking through the scan subsystem: disable the backward port
-    // driving the bad link and the forward port it feeds, serially,
-    // through each router's TAP.
-    let LinkTarget::Router {
-        router: down_router,
-        port: down_port,
-    } = sim
-        .topology()
-        .link(0, entry_router, digits[0] * st0.dilation)
-    else {
-        unreachable!("stage-0 links feed stage 1")
-    };
+    // Masking through the scan subsystem: both port ends, serially,
+    // through each stage's scan chain.
+    let mut scan = ScanHarness::new(&sim);
+    assert!(scan.mask(&mut sim, suspect));
+    println!("masked both ends of {victim} through the scan chains");
 
-    // Upstream router: disable the driving backward port.
-    let up_params = *sim.router(0, entry_router).params();
-    let mut up_dev = ScanDevice::new(up_params);
-    up_dev.write_config(sim.router(0, entry_router).config());
-    let masked_up = metro_core::RouterConfig::new(&up_params)
-        .with_dilation(sim.router(0, entry_router).config().dilation())
-        .with_swallow_all(sim.router(0, entry_router).config().swallow(0))
-        .with_fast_reclaim_all(false)
-        .with_backward_port_mode(digits[0] * st0.dilation, PortMode::DisabledDriven)
-        .build()
-        .unwrap();
-    up_dev.write_config(&masked_up);
-    sim.router_mut(0, entry_router)
-        .apply_config(up_dev.config().clone());
-
-    // Downstream router: disable the fed forward port.
-    let down_params = *sim.router(1, down_router).params();
-    let mut down_dev = ScanDevice::new(down_params);
-    let masked_down = metro_core::RouterConfig::new(&down_params)
-        .with_dilation(sim.router(1, down_router).config().dilation())
-        .with_swallow_all(sim.router(1, down_router).config().swallow(0))
-        .with_fast_reclaim_all(false)
-        .with_forward_port_mode(down_port, PortMode::DisabledDriven)
-        .build()
-        .unwrap();
-    down_dev.write_config(&masked_down);
-    sim.router_mut(1, down_router)
-        .apply_config(down_dev.config().clone());
-    println!(
-        "\nmasked: disabled backward port {} of r0.{entry_router} and forward port {down_port} of r1.{down_router}",
-        digits[0] * st0.dilation
-    );
-
-    // With the faulty link masked, transactions no longer hit it: the
-    // allocator never selects the disabled port, so no retries are
-    // spent discovering the fault.
-    let mut total_retries = 0;
-    for _ in 0..10 {
-        let o = sim.send_and_wait(4, 9, &payload, 5_000).expect("delivers");
-        total_retries += o.retries;
-    }
-    println!(
-        "10 transactions after masking: {total_retries} total retries (fault no longer reachable)"
-    );
-    assert_eq!(total_retries, 0, "masked fault must not cost retries");
+    // With the faulty link masked the allocator never selects it, so
+    // no retries are spent rediscovering the fault.
+    let retries: usize = (0..10)
+        .map(|_| {
+            sim.send_and_wait(src, dest, &payload, 20_000)
+                .expect("delivers")
+                .retries
+        })
+        .sum();
+    println!("10 transactions after masking: {retries} retries");
+    assert_eq!(retries, 0, "a masked fault must not cost retries");
 }

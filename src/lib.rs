@@ -17,6 +17,12 @@
 //!   the `metro` CLI, the deterministic parallel point executor, and
 //!   the machine-readable results layer (`results/*.json` + manifest).
 //!
+//! and adds one module of its own, [`scan_harness`]: a scan master for
+//! a whole simulated network, which masks what
+//! [`sim::NetworkSim::diagnose`] names bit-serially through the TAPs —
+//! the offline transport of the fault loop the simulator's
+//! self-healing layer closes online.
+//!
 //! See `README.md` for a guided tour and `EXPERIMENTS.md` for the
 //! paper-versus-measured record of every table and figure.
 
@@ -30,5 +36,4 @@ pub use metro_sim as sim;
 pub use metro_timing as timing;
 pub use metro_topo as topo;
 
-pub mod doctor;
 pub mod scan_harness;

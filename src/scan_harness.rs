@@ -8,15 +8,16 @@
 //! router — so a configuration change exercises the same machinery
 //! silicon would: Select-IR, BYPASS addressing, Shift-DR, Update-DR.
 //!
-//! Combined with [`crate::doctor`], this closes the §5.1 loop entirely
-//! in-system: localize a fault from reply streams, then mask it through
-//! the scan chains while the rest of the network carries traffic.
+//! Combined with [`NetworkSim::diagnose`], this closes the §5.1 loop
+//! entirely in-system: localize a fault from reply streams, then mask
+//! the [`Suspect`] through the scan chains while the rest of the
+//! network carries traffic — the bit-serial transport for the same
+//! diagnosis the online healer applies with a live `apply_config`.
 
-use crate::doctor::Finding;
-use metro_core::{ArchParams, PortMode, RouterConfig};
+use metro_core::{PortMode, RouterConfig};
 use metro_scan::chain::ScanChain;
 use metro_scan::ScanDevice;
-use metro_sim::NetworkSim;
+use metro_sim::{NetworkSim, Suspect};
 use metro_topo::graph::LinkTarget;
 
 /// A scan master wired to every router of a [`NetworkSim`].
@@ -25,7 +26,6 @@ pub struct ScanHarness {
     /// One chain per stage; device `r` on chain `s` shadows router
     /// `(s, r)`.
     chains: Vec<ScanChain>,
-    params: Vec<ArchParams>,
 }
 
 impl ScanHarness {
@@ -35,27 +35,20 @@ impl ScanHarness {
     #[must_use]
     pub fn new(sim: &NetworkSim) -> Self {
         let topo = sim.topology();
-        let mut chains = Vec::with_capacity(topo.stages());
-        let mut params = Vec::with_capacity(topo.stages());
-        for s in 0..topo.stages() {
-            let stage_params = *sim.router(s, 0).params();
-            params.push(stage_params);
-            let devices: Vec<ScanDevice> = (0..topo.routers_in_stage(s))
-                .map(|_| ScanDevice::new(stage_params))
-                .collect();
-            let mut chain = ScanChain::new(devices);
-            for r in 0..topo.routers_in_stage(s) {
-                chain.write_config(r, sim.router(s, r).config());
-            }
-            chains.push(chain);
-        }
-        Self { chains, params }
-    }
-
-    /// The architectural parameters of stage `s`'s routers.
-    #[must_use]
-    pub fn stage_params(&self, s: usize) -> &ArchParams {
-        &self.params[s]
+        let chains = (0..topo.stages())
+            .map(|s| {
+                let stage_params = *sim.router(s, 0).params();
+                let devices: Vec<ScanDevice> = (0..topo.routers_in_stage(s))
+                    .map(|_| ScanDevice::new(stage_params))
+                    .collect();
+                let mut chain = ScanChain::new(devices);
+                for r in 0..topo.routers_in_stage(s) {
+                    chain.write_config(r, sim.router(s, r).config());
+                }
+                chain
+            })
+            .collect();
+        Self { chains }
     }
 
     /// The shadowed configuration of router `(s, r)`.
@@ -81,74 +74,40 @@ impl ScanHarness {
     /// Disables one backward port of router `(s, r)` (keeping every
     /// other option as committed), through the chain.
     pub fn disable_backward_port(&mut self, sim: &mut NetworkSim, s: usize, r: usize, b: usize) {
-        let cfg = self.rebuild(s, r, |builder| {
-            builder.with_backward_port_mode(b, PortMode::DisabledDriven)
-        });
+        let mut cfg = self.config(s, r).clone();
+        cfg.set_backward_mode(b, PortMode::DisabledDriven);
         self.write_config(sim, s, r, &cfg);
     }
 
     /// Disables one forward port of router `(s, r)` through the chain.
     pub fn disable_forward_port(&mut self, sim: &mut NetworkSim, s: usize, r: usize, f: usize) {
-        let cfg = self.rebuild(s, r, |builder| {
-            builder.with_forward_port_mode(f, PortMode::DisabledDriven)
-        });
+        let mut cfg = self.config(s, r).clone();
+        cfg.set_forward_mode(f, PortMode::DisabledDriven);
         self.write_config(sim, s, r, &cfg);
     }
 
-    /// Masks a [`Finding`] from the doctor: disables the faulty link's
-    /// driving backward port and fed forward port (or the endpoint-side
-    /// elements for boundary findings). Returns `true` if any port was
-    /// disabled.
-    pub fn mask(&mut self, sim: &mut NetworkSim, finding: Finding) -> bool {
-        match finding {
-            Finding::Link(link) | Finding::DeliveryWire(link) => {
-                match sim.topology().link(link.stage, link.router, link.port) {
-                    LinkTarget::Router { router, port } => {
-                        self.disable_backward_port(sim, link.stage, link.router, link.port);
-                        self.disable_forward_port(sim, link.stage + 1, router, port);
-                        true
-                    }
-                    LinkTarget::Endpoint { .. } => {
-                        // Delivery wire: only the router-side port can be
-                        // disabled; the endpoint keeps its other input.
-                        self.disable_backward_port(sim, link.stage, link.router, link.port);
-                        true
-                    }
-                }
-            }
-            Finding::InjectionWire { .. } => {
-                // The endpoint NIC avoids the port on retry; the
-                // router-side forward port could also be disabled, but
-                // which stage-0 port requires the injection map — left
-                // to the caller's policy.
-                false
-            }
+    /// Masks the [`Suspect`] of a [`NetworkSim::diagnose`]: disables
+    /// the link's driving backward port and, between stages, the
+    /// forward port it feeds. Returns `true` if any port was disabled.
+    ///
+    /// A link [`NetworkSim::may_mask`] refuses (an endpoint's last
+    /// delivery link) is left alone. So are the suspects no router TAP
+    /// reaches: an injection wire is the NIC's to avoid on retry, and a
+    /// silent stream names no port until a boundary-scan sweep does.
+    pub fn mask(&mut self, sim: &mut NetworkSim, suspect: Suspect) -> bool {
+        let Suspect::Link(link) = suspect else {
+            return false;
+        };
+        if !sim.may_mask(link) {
+            return false;
         }
-    }
-
-    fn rebuild(
-        &self,
-        s: usize,
-        r: usize,
-        extra: impl FnOnce(metro_core::ConfigBuilder) -> metro_core::ConfigBuilder,
-    ) -> RouterConfig {
-        let params = &self.params[s];
-        let live = self.config(s, r);
-        let mut b = RouterConfig::new(params).with_dilation(live.dilation());
-        for f in 0..params.forward_ports() {
-            b = b
-                .with_forward_port_mode(f, live.forward_mode(f))
-                .with_forward_turn_delay(f, live.forward_turn_delay(f))
-                .with_fast_reclaim(f, live.fast_reclaim(f))
-                .with_swallow(f, live.swallow(f));
+        self.disable_backward_port(sim, link.stage, link.router, link.port);
+        if let LinkTarget::Router { router, port } =
+            sim.topology().link(link.stage, link.router, link.port)
+        {
+            self.disable_forward_port(sim, link.stage + 1, router, port);
         }
-        for p in 0..params.backward_ports() {
-            b = b
-                .with_backward_port_mode(p, live.backward_mode(p))
-                .with_backward_turn_delay(p, live.backward_turn_delay(p))
-                .with_backward_fast_reclaim(p, live.backward_fast_reclaim(p));
-        }
-        extra(b).build().expect("rebuilt config is valid")
+        true
     }
 }
 
@@ -196,7 +155,7 @@ mod tests {
         let LinkTarget::Router { router, port } = sim.topology().link(0, 2, 1) else {
             panic!("stage-0 links are inter-stage");
         };
-        assert!(h.mask(&mut sim, Finding::Link(link)));
+        assert!(h.mask(&mut sim, Suspect::Link(link)));
         assert!(!sim.router(0, 2).config().backward_enabled(1));
         assert!(!sim.router(1, router).config().forward_enabled(port));
         // Traffic still flows around the masked link.
@@ -213,7 +172,7 @@ mod tests {
         let mut h = ScanHarness::new(&sim);
         assert!(!h.mask(
             &mut sim,
-            Finding::InjectionWire {
+            Suspect::Injection {
                 endpoint: 3,
                 port: 1
             }

@@ -13,6 +13,7 @@ use std::fmt::Write as _;
 fn simulate(pattern: &TrafficPattern, cycles: u64) -> NetworkSim {
     let mut sim = NetworkSim::new(&MultibutterflySpec::figure3(), &SimConfig::default())
         .expect("figure 3 spec is valid");
+    sim.set_keep_delivered(false);
     let n = sim.topology().endpoints();
     let stream_words = sim.stream_for(0, &[0; 19]).len();
     let recipe = StreamRecipe {

@@ -311,7 +311,16 @@ pub fn resume_file(
     checkpoint: Option<&CheckpointOpts>,
 ) -> Result<String, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path:?}: {e}"))?;
-    let mut ckpt = Checkpoint::from_text(&text)?;
+    let doc = Json::parse(&text).map_err(|e| e.to_string())?;
+    let mut ckpt = Checkpoint::from_json(&doc).map_err(|e| match e.path.as_str() {
+        // A sound file of another build: what a user upgrading mid-run holds.
+        "checkpoint.checkpoint_schema" => format!(
+            "{e}: a checkpoint is a crash-recovery file of the build that wrote it — a lower \
+             schema comes from an older build, a higher one from a newer build — so restart \
+             the run with `metro scenario run`"
+        ),
+        _ => e.to_string(),
+    })?;
     let hash = codec::scenario_hash(&ckpt.scenario);
     let resumed_at = ckpt.cycle;
     let phase = ckpt.phase;
@@ -655,6 +664,46 @@ mod tests {
         std::fs::write(&ckpt_file, &text[..text.len() / 2]).unwrap();
         let err = resume_file(ckpt_file.to_str().unwrap(), &results, None, None).unwrap_err();
         assert!(!err.is_empty());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn resume_says_a_checkpoint_of_another_build_must_be_restarted() {
+        use metro_sim::CHECKPOINT_SCHEMA;
+        let dir = temp_dir("schema");
+        let s = crate::scenarios::named("figure1").unwrap();
+        let file = dir.join("figure1.json");
+        std::fs::write(&file, codec::encode(&s).render()).unwrap();
+        let opts = CheckpointOpts {
+            every: 64,
+            dir: dir.join("ckpts"),
+        };
+        let results = ResultsDir::new(dir.join("results"));
+        run_file_with_options(file.to_str().unwrap(), &results, None, Some(&opts)).unwrap();
+        let ckpt_file = opts.dir.join("figure1.ckpt.json");
+        let ckpt = std::fs::read_to_string(&ckpt_file).unwrap();
+        // The file a user upgrading mid-run holds: sealed and sound,
+        // one schema back (and, downgrading, one ahead).
+        for version in [CHECKPOINT_SCHEMA - 1, CHECKPOINT_SCHEMA + 1] {
+            let mut doc = Json::parse(&ckpt).unwrap();
+            doc.set("checkpoint_schema", Json::from(version));
+            if let Json::Obj(pairs) = &mut doc {
+                pairs.retain(|(k, _)| k != "checkpoint_hash");
+            }
+            metro_harness::document::seal(&mut doc, "checkpoint_hash");
+            std::fs::write(&ckpt_file, doc.render()).unwrap();
+            let err = resume_file(ckpt_file.to_str().unwrap(), &results, None, None).unwrap_err();
+            assert!(
+                err.starts_with("checkpoint decode error at checkpoint.checkpoint_schema"),
+                "{err}"
+            );
+            assert!(
+                err.contains("an older build") && err.contains("restart the run"),
+                "{err}"
+            );
+        }
+        let args = [ckpt_file.to_str().unwrap().to_string()];
+        assert_eq!(resume_main(&args), 1, "a refused checkpoint exits 1");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

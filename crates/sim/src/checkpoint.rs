@@ -68,7 +68,11 @@ use std::collections::VecDeque;
 /// * **2** — the engine's part is one engine-neutral `channels`
 ///   section. Same envelope, so a version-1 file is refused here, at
 ///   `checkpoint.checkpoint_schema`, not deep in the state restore.
-pub const CHECKPOINT_SCHEMA: u64 = 2;
+/// * **3** — a message in flight is one `segments` sequence and a
+///   cursor (was three sequences), nothing carries a second record of
+///   each failed attempt, and a scenario run keeps no destination-side
+///   delivery log. Same envelope; versions 1 and 2 are refused.
+pub const CHECKPOINT_SCHEMA: u64 = 3;
 
 /// Hex characters per `"state"` array entry. Chunking keeps lines
 /// editor- and diff-friendly; the chunk boundaries carry no meaning.
@@ -434,6 +438,8 @@ pub fn run_scenario_resumable(
     mut hook: Option<CheckpointSink<'_>>,
 ) -> Result<(ScenarioResult, NetworkSim), Box<dyn std::error::Error>> {
     let mut sim = NetworkSim::from_scenario(scenario)?;
+    // The result is the sources' outcomes: nothing reads the destinations' log.
+    sim.set_keep_delivered(false);
     let n = sim.topology().endpoints();
     let mut active = scenario.faults.clone();
     let mut pending = scenario.injections.clone();

@@ -18,6 +18,12 @@
 //! acknowledgment or, for read-style workloads, a reply burst prefixed
 //! by the acknowledgment and padded with DATA-IDLE to model memory
 //! latency (paper §5.1, DATA-IDLE use 1).
+//!
+//! "No messages ever exist solely in the network" (paper §2), so the
+//! source NIC is where a message lives until it is acknowledged — once:
+//! the words handed to [`Endpoint::enqueue`] stay one `segments` value
+//! from the queue through every attempt (a cursor walks them, a retry
+//! rewinds it); the only copy taken is an [`AttemptEvidence`]'s.
 
 use crate::message::{
     DeliveryRecord, DeliveryStatus, FailureKind, MachineExtent, MessageOutcome, ACK_CORRUPT, ACK_OK,
@@ -72,10 +78,6 @@ pub struct EndpointConfig {
     /// a time — the paper's parallelism-limited model — but the
     /// hardware supports a transmit engine per port.
     pub max_concurrent: usize,
-    /// Capture each failed attempt's port and delivery record into the
-    /// final `MessageOutcome` for diagnosis (off by default: records
-    /// cost memory under sustained load).
-    pub capture_failure_records: bool,
 }
 
 impl Default for EndpointConfig {
@@ -87,15 +89,15 @@ impl Default for EndpointConfig {
             retry_backoff_max: 3,
             max_retries: 0,
             max_concurrent: 1,
-            capture_failure_records: false,
         }
     }
 }
 
-/// Evidence from one failed delivery attempt, drained by the network's
-/// self-healing layer for online diagnosis (paper §5.3: reconfiguration
-/// happens while the network carries traffic, driven by the same
-/// checksum/STATUS words the retry protocol already collects).
+/// Evidence from one failed delivery attempt — the only per-attempt
+/// capture the NIC makes — drained by the network's self-healing layer
+/// for online diagnosis (paper §5.3: reconfiguration happens while the
+/// network carries traffic, driven by the same checksum/STATUS words
+/// the retry protocol already collects).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AttemptEvidence {
     /// Source endpoint.
@@ -161,23 +163,20 @@ pub struct EndpointDrive {
     pub in_rev: Vec<Word>,
 }
 
+/// A message in flight: the queued message itself, a cursor into its
+/// segments, and the current attempt's bookkeeping.
 #[derive(Debug, Clone)]
 struct ActiveMessage {
-    dest: usize,
-    payload_words: usize,
-    stream: Vec<Word>,
-    /// Further stream segments of a multi-round conversation, sent one
-    /// per turn-back from the destination. Retries restart from
-    /// `all_segments`.
-    pending_segments: std::collections::VecDeque<Vec<Word>>,
-    all_segments: Vec<Vec<Word>>,
-    requested_at: u64,
+    msg: QueuedMessage,
+    /// The segment being sent or awaiting its reply. A retry rewinds to
+    /// 0; `segments.len()` is the closing DROP of a conversation whose
+    /// last segment has been acknowledged.
+    seg: usize,
     first_injection_at: Option<u64>,
     attempt_started_at: u64,
     retries: usize,
     failures: Vec<FailureKind>,
     record: DeliveryRecord,
-    failure_records: Vec<(usize, DeliveryRecord)>,
     port: usize,
     success_at: Option<u64>,
     /// Whether the reverse lane showed any life this attempt (the
@@ -233,7 +232,8 @@ enum RxState {
     },
 }
 
-/// A message waiting for a free transmit engine.
+/// A message as the NIC holds it: waiting for a free transmit engine,
+/// then inside [`ActiveMessage`] until its outcome.
 #[derive(Debug, Clone)]
 struct QueuedMessage {
     dest: usize,
@@ -259,6 +259,7 @@ pub struct Endpoint {
     delivered: Vec<Delivered>,
     evidence: Vec<AttemptEvidence>,
     collect_evidence: bool,
+    keep_delivered: bool,
     port_masked: Vec<bool>,
     dead: bool,
 }
@@ -287,6 +288,7 @@ impl Endpoint {
             delivered: Vec::new(),
             evidence: Vec::new(),
             collect_evidence: false,
+            keep_delivered: true,
             port_masked: vec![false; out_ports],
             dead: false,
         }
@@ -307,14 +309,10 @@ impl Endpoint {
     /// Queues a message for transmission. `stream` is the complete word
     /// stream (header + payload + checksum + TURN) the NIC will inject;
     /// the network builder constructs it from the topology's header
-    /// plan.
-    pub fn enqueue(&mut self, dest: usize, payload: Vec<u16>, stream: Vec<Word>, now: u64) {
-        self.queue.push_back(QueuedMessage {
-            dest,
-            payload_words: payload.len(),
-            segments: vec![stream],
-            requested_at: now,
-        });
+    /// plan. `payload_words` is the number of payload data words in it,
+    /// recorded in the final [`MessageOutcome`].
+    pub fn enqueue(&mut self, dest: usize, payload_words: usize, stream: Vec<Word>, now: u64) {
+        self.enqueue_conversation(dest, vec![stream], payload_words, now);
     }
 
     /// Queues a multi-round conversation: `segments[0]` opens the
@@ -408,6 +406,17 @@ impl Endpoint {
     /// drain (empty unless [`Endpoint::set_collect_evidence`] is on).
     pub fn take_evidence(&mut self) -> Vec<AttemptEvidence> {
         std::mem::take(&mut self.evidence)
+    }
+
+    /// Turns the delivered-message log on or off. On by default; a
+    /// caller that never drains it ([`Endpoint::take_delivered`]) turns
+    /// it off, or every payload since cycle 0 stays in memory and in
+    /// every checkpoint. What the receiver does on the wire is the same.
+    pub fn set_keep_delivered(&mut self, on: bool) {
+        self.keep_delivered = on;
+        if !on {
+            self.delivered.clear();
+        }
     }
 
     /// Masks an output (injection) port: new attempts and retries avoid
@@ -538,27 +547,17 @@ impl Endpoint {
         if eng.active.is_none() && now >= eng.gap_until && !self.queue.is_empty() {
             let nfree = self.count_usable_ports(k);
             if nfree > 0 {
-                let QueuedMessage {
-                    dest,
-                    payload_words,
-                    segments,
-                    requested_at,
-                } = self.queue.pop_front().expect("queue checked non-empty");
+                let msg = self.queue.pop_front().expect("queue checked non-empty");
                 let n = self.rng.index(nfree);
                 let port = self.nth_usable_port(k, n);
                 eng.active = Some(Box::new(ActiveMessage {
-                    dest,
-                    payload_words,
-                    stream: segments[0].clone(),
-                    pending_segments: segments[1..].iter().cloned().collect(),
-                    all_segments: segments,
-                    requested_at,
+                    msg,
+                    seg: 0,
                     first_injection_at: None,
                     attempt_started_at: now,
                     retries: 0,
                     failures: Vec::new(),
                     record: DeliveryRecord::default(),
-                    failure_records: Vec::new(),
                     port,
                     success_at: None,
                     saw_reverse_activity: false,
@@ -601,10 +600,11 @@ impl Endpoint {
                             msg.first_injection_at = Some(now);
                         }
                     }
-                    out_fwd[msg.port] = msg.stream[idx];
-                    if idx + 1 < msg.stream.len() {
+                    let stream = msg.stream();
+                    out_fwd[msg.port] = stream[idx];
+                    if idx + 1 < stream.len() {
                         eng.state = TxState::Sending { idx: idx + 1 };
-                    } else if msg.stream.last() == Some(&Word::Drop) && msg.success_at.is_some() {
+                    } else if msg.seg == msg.msg.segments.len() {
                         // The closing DROP of a completed conversation
                         // has gone out; the transaction is done.
                         finished = true;
@@ -624,7 +624,7 @@ impl Endpoint {
                         Word::Data(v) => {
                             if msg.record.ack.is_none() {
                                 msg.record.ack = Some(v);
-                                if v == ACK_OK && msg.pending_segments.is_empty() {
+                                if v == ACK_OK && msg.seg + 1 == msg.msg.segments.len() {
                                     // Final segment acknowledged.
                                     msg.success_at = Some(now);
                                 } else if v == ACK_OK {
@@ -639,13 +639,13 @@ impl Endpoint {
                         Word::Turn => {
                             // The destination handed transmission back:
                             // send the next conversation segment (the
-                            // closing DROP-only segment after the last).
-                            if let Some(seg) = msg.pending_segments.pop_front() {
-                                msg.stream = seg;
+                            // closing DROP after the last).
+                            if msg.seg + 1 < msg.msg.segments.len() {
+                                msg.seg += 1;
                                 msg.attempt_started_at = now;
                                 eng.state = TxState::Sending { idx: 0 };
                             } else if msg.success_at.is_some() {
-                                msg.stream = vec![Word::Drop];
+                                msg.seg = msg.msg.segments.len();
                                 eng.state = TxState::Sending { idx: 0 };
                             }
                         }
@@ -700,92 +700,58 @@ impl Endpoint {
         if let Some(kind) = failure {
             msg.failures.push(kind);
             msg.retries += 1;
-            if self.config.capture_failure_records {
-                msg.failure_records.push((msg.port, msg.record.clone()));
-            }
             if self.collect_evidence {
                 self.evidence.push(AttemptEvidence {
                     src: self.id,
-                    dest: msg.dest,
+                    dest: msg.msg.dest,
                     port: msg.port,
                     kind,
                     record: msg.record.clone(),
-                    stream: msg.all_segments[0].clone(),
+                    stream: msg.msg.segments[0].clone(),
                     entry_alive: msg.saw_reverse_activity,
                 });
             }
             msg.record.reset();
             msg.success_at = None;
             msg.saw_reverse_activity = false;
-            msg.stream = msg.all_segments[0].clone();
-            msg.pending_segments = msg.all_segments[1..].iter().cloned().collect();
+            msg.seg = 0;
             if self.config.max_retries > 0 && msg.retries >= self.config.max_retries {
-                self.abandoned.push(MessageOutcome {
-                    src: self.id,
-                    dest: msg.dest,
-                    requested_at: msg.requested_at,
-                    first_injection_at: msg.first_injection_at.unwrap_or(msg.requested_at),
-                    completed_at: now,
-                    retries: msg.retries,
-                    failures: msg.failures,
-                    payload_words: msg.payload_words,
-                    payload_delivered: Vec::new(),
-                    reply_received: Vec::new(),
-                    failure_records: msg.failure_records,
-                    status: DeliveryStatus::Undeliverable {
-                        attempts: msg.retries,
-                    },
-                });
+                let status = DeliveryStatus::Undeliverable {
+                    attempts: msg.retries,
+                };
+                self.abandoned.push(msg.outcome(self.id, now, status));
                 eng.state = TxState::Idle;
                 eng.gap_until = now + 2;
-                self.engines[k] = eng;
-                return;
-            }
-            let backoff = if self.config.retry_backoff_max == 0 {
-                0
             } else {
-                self.rng.index(self.config.retry_backoff_max + 1)
-            };
-            // Spread retries over the redundant entry ports too (but
-            // never onto a port a sibling engine is using, and avoiding
-            // masked ports while unmasked ones are free).
-            let nfree = self.count_usable_ports(k);
-            if nfree > 0 {
-                let n = self.rng.index(nfree);
-                msg.port = self.nth_usable_port(k, n);
+                let backoff = if self.config.retry_backoff_max == 0 {
+                    0
+                } else {
+                    self.rng.index(self.config.retry_backoff_max + 1)
+                };
+                // Spread retries over the redundant entry ports too (but
+                // never onto a port a sibling engine is using, and
+                // avoiding masked ports while unmasked ones are free).
+                let nfree = self.count_usable_ports(k);
+                if nfree > 0 {
+                    let n = self.rng.index(nfree);
+                    msg.port = self.nth_usable_port(k, n);
+                }
+                // +2 guarantees at least one fully undriven cycle reaches
+                // the first-hop router so it can drain the old connection.
+                eng.state = TxState::Backoff {
+                    until: now + 2 + backoff as u64,
+                };
+                eng.active = Some(msg);
             }
-            // +2 guarantees at least one fully undriven cycle reaches
-            // the first-hop router so it can drain the old connection.
-            eng.state = TxState::Backoff {
-                until: now + 2 + backoff as u64,
-            };
-            eng.active = Some(msg);
-            self.engines[k] = eng;
-            return;
-        }
-
-        if finished {
-            self.completed.push(MessageOutcome {
-                src: self.id,
-                dest: msg.dest,
-                requested_at: msg.requested_at,
-                first_injection_at: msg.first_injection_at.unwrap_or(msg.requested_at),
-                completed_at: msg.success_at.unwrap_or(now),
-                retries: msg.retries,
-                failures: msg.failures,
-                payload_words: msg.payload_words,
-                payload_delivered: Vec::new(),
-                reply_received: msg.record.reply_words.clone(),
-                failure_records: msg.failure_records,
-                status: DeliveryStatus::Delivered,
-            });
+        } else if finished {
+            let completed_at = msg.success_at.unwrap_or(now);
+            self.completed
+                .push(msg.outcome(self.id, completed_at, DeliveryStatus::Delivered));
             eng.state = TxState::Idle;
             eng.gap_until = now + 2;
-            self.engines[k] = eng;
-            return;
+        } else {
+            eng.active = Some(msg);
         }
-
-        eng.active = Some(msg);
         self.engines[k] = eng;
     }
 
@@ -838,10 +804,12 @@ impl Endpoint {
                             let ok = *expected == Some(cksum.value());
                             let mut queue = VecDeque::new();
                             if ok {
-                                self.delivered.push(Delivered {
-                                    payload: std::mem::take(payload),
-                                    at: now,
-                                });
+                                if self.keep_delivered {
+                                    self.delivered.push(Delivered {
+                                        payload: std::mem::take(payload),
+                                        at: now,
+                                    });
+                                }
                                 match self.config.reply {
                                     ReplyPolicy::Ack => {
                                         queue.push_back(Word::Data(ACK_OK));
@@ -902,27 +870,67 @@ impl Endpoint {
     }
 }
 
-impl ActiveMessage {
+impl QueuedMessage {
     fn save_state(&self, w: &mut StateWriter) {
         w.usize(self.dest);
         w.usize(self.payload_words);
-        w.seq(self.stream.iter().copied(), phit::put);
-        w.seq(&self.pending_segments, |w, s| {
-            w.seq(s.iter().copied(), phit::put)
-        });
-        w.seq(&self.all_segments, |w, s| {
-            w.seq(s.iter().copied(), phit::put)
-        });
+        w.seq(&self.segments, |w, s| w.seq(s.iter().copied(), phit::put));
         w.u64(self.requested_at);
+    }
+
+    /// Reads a message, queued or in flight, refusing an unknown
+    /// destination, a missing or empty segment, a request past the clock.
+    fn restore_state(r: &mut StateReader<'_>, within: MachineExtent) -> Result<Self, StateError> {
+        let msg = Self {
+            dest: r.index(within.endpoints, "destination")?,
+            payload_words: r.usize()?,
+            segments: r.seq(|r| r.seq(phit::get))?,
+            requested_at: r.u64()?,
+        };
+        if msg.segments.is_empty() || msg.segments.iter().any(Vec::is_empty) {
+            return Err(r.bad("a message has a missing or empty segment"));
+        }
+        if msg.requested_at > within.now {
+            return Err(r.bad("a message was requested past the clock"));
+        }
+        Ok(msg)
+    }
+}
+
+impl ActiveMessage {
+    /// The words at the cursor: segment `seg`, or the closing DROP.
+    fn stream(&self) -> &[Word] {
+        self.msg
+            .segments
+            .get(self.seg)
+            .map_or(&[Word::Drop], Vec::as_slice)
+    }
+
+    /// Ends the transaction: the one place an outcome is built.
+    fn outcome(self, src: usize, completed_at: u64, status: DeliveryStatus) -> MessageOutcome {
+        MessageOutcome {
+            src,
+            dest: self.msg.dest,
+            requested_at: self.msg.requested_at,
+            first_injection_at: self.first_injection_at.unwrap_or(self.msg.requested_at),
+            completed_at,
+            retries: self.retries,
+            failures: self.failures,
+            payload_words: self.msg.payload_words,
+            payload_delivered: Vec::new(),
+            reply_received: self.record.reply_words,
+            status,
+        }
+    }
+
+    fn save_state(&self, w: &mut StateWriter) {
+        self.msg.save_state(w);
+        w.usize(self.seg);
         w.opt(self.first_injection_at, StateWriter::u64);
         w.u64(self.attempt_started_at);
         w.usize(self.retries);
         w.seq(&self.failures, |w, f| f.save_state(w));
         self.record.save_state(w);
-        w.seq(&self.failure_records, |w, (port, record)| {
-            w.usize(*port);
-            record.save_state(w);
-        });
         w.usize(self.port);
         w.opt(self.success_at, StateWriter::u64);
         w.bool(self.saw_reverse_activity);
@@ -930,37 +938,32 @@ impl ActiveMessage {
 
     /// Reads a message in flight on one of `out_ports` output ports,
     /// refusing whatever the transmit engine would index or subtract
-    /// with: a port or destination the machine does not have, a
-    /// missing or empty segment, a timestamp out of order or past the
-    /// saved clock.
+    /// with: a port the machine does not have, a cursor past the
+    /// closing position or on it before the final acknowledgment, a
+    /// timestamp out of order or past the saved clock.
     fn restore_state(
         r: &mut StateReader<'_>,
         out_ports: usize,
         within: MachineExtent,
     ) -> Result<Self, StateError> {
+        let msg = QueuedMessage::restore_state(r, within)?;
         let msg = Self {
-            dest: r.index(within.endpoints, "destination")?,
-            payload_words: r.usize()?,
-            stream: r.seq(phit::get)?,
-            pending_segments: r.seq(|r| r.seq(phit::get))?,
-            all_segments: r.seq(|r| r.seq(phit::get))?,
-            requested_at: r.u64()?,
+            seg: r.index(msg.segments.len() + 1, "segment")?,
+            msg,
             first_injection_at: r.opt(StateReader::u64)?,
             attempt_started_at: r.u64()?,
             retries: r.usize()?,
             failures: r.seq(|r| FailureKind::restore_state(r, within.stages))?,
             record: DeliveryRecord::restore_state(r)?,
-            failure_records: r.seq(|r| Ok((r.usize()?, DeliveryRecord::restore_state(r)?)))?,
             port: r.index(out_ports, "output port")?,
             success_at: r.opt(StateReader::u64)?,
             saw_reverse_activity: r.bool()?,
         };
-        let mut segments = msg.all_segments.iter().chain(&msg.pending_segments);
-        if msg.all_segments.is_empty() || msg.stream.is_empty() || segments.any(Vec::is_empty) {
-            return Err(r.bad("a message in flight has a missing or empty segment"));
+        if msg.seg == msg.msg.segments.len() && msg.success_at.is_none() {
+            return Err(r.bad("the closing DROP comes only after the final acknowledgment"));
         }
         let stamps = [
-            Some(msg.requested_at),
+            Some(msg.msg.requested_at),
             msg.first_injection_at,
             Some(msg.attempt_started_at),
             msg.success_at,
@@ -1015,8 +1018,8 @@ impl TxEngine {
             (TxState::Idle, Some(_)) | (_, None) => {
                 return Err(r.bad("a transmit engine is non-idle exactly when it holds a message"));
             }
-            (TxState::Sending { idx }, Some(msg)) if idx >= msg.stream.len() => {
-                let n = msg.stream.len();
+            (TxState::Sending { idx }, Some(msg)) if idx >= msg.stream().len() => {
+                let n = msg.stream().len();
                 return Err(r.bad(format!("send index {idx} is past a {n}-word stream")));
             }
             _ => {}
@@ -1078,12 +1081,7 @@ impl Endpoint {
         w.section("endpoint");
         w.u64(self.rng.state_bits());
         w.seq(&self.engines, |w, eng| eng.save_state(w));
-        w.seq(&self.queue, |w, q| {
-            w.usize(q.dest);
-            w.usize(q.payload_words);
-            w.seq(&q.segments, |w, s| w.seq(s.iter().copied(), phit::put));
-            w.u64(q.requested_at);
-        });
+        w.seq(&self.queue, |w, q| q.save_state(w));
         w.seq(&self.rx, |w, rx| rx.save_state(w));
         w.seq(&self.completed, |w, o| o.save_state(w));
         w.seq(&self.abandoned, |w, o| o.save_state(w));
@@ -1127,21 +1125,7 @@ impl Endpoint {
         r.lane(&mut self.engines, "transmit engines", |r| {
             TxEngine::restore_state(r, out_ports, within)
         })?;
-        self.queue = r.seq(|r| {
-            let q = QueuedMessage {
-                dest: r.index(within.endpoints, "destination")?,
-                payload_words: r.usize()?,
-                segments: r.seq(|r| r.seq(phit::get))?,
-                requested_at: r.u64()?,
-            };
-            if q.segments.is_empty() || q.segments.iter().any(Vec::is_empty) {
-                return Err(r.bad("a queued message has a missing or empty segment"));
-            }
-            if q.requested_at > within.now {
-                return Err(r.bad("a queued message was requested past the clock"));
-            }
-            Ok(q)
-        })?;
+        self.queue = r.seq(|r| QueuedMessage::restore_state(r, within))?;
         r.lane(&mut self.rx, "receive engines", RxState::restore_state)?;
         self.completed = r.seq(|r| MessageOutcome::restore_state(r, within))?;
         self.abandoned = r.seq(|r| MessageOutcome::restore_state(r, within))?;
@@ -1189,7 +1173,7 @@ mod tests {
     fn tx_streams_words_in_order_then_idles() {
         let mut e = Endpoint::new(0, 2, 2, EndpointConfig::default(), 7);
         let payload = vec![1, 2, 3];
-        e.enqueue(5, payload.clone(), stream_for(&payload), 0);
+        e.enqueue(5, payload.len(), stream_for(&payload), 0);
         let io = EndpointIo::idle(2, 2);
         let mut sent = Vec::new();
         for now in 0..8 {
@@ -1266,7 +1250,7 @@ mod tests {
     #[test]
     fn bcb_triggers_retry_on_another_random_port() {
         let mut e = Endpoint::new(0, 2, 2, EndpointConfig::default(), 11);
-        e.enqueue(5, vec![1], stream_for(&[1]), 0);
+        e.enqueue(5, 1, stream_for(&[1]), 0);
         // First cycle: header goes out.
         let d = e.tick(0, &EndpointIo::idle(2, 2));
         let port = d.out_fwd.iter().position(|w| *w != Word::Empty).unwrap();
@@ -1290,7 +1274,7 @@ mod tests {
     #[test]
     fn successful_ack_completes_with_outcome() {
         let mut e = Endpoint::new(0, 1, 1, EndpointConfig::default(), 5);
-        e.enqueue(2, vec![4], stream_for(&[4]), 0);
+        e.enqueue(2, 1, stream_for(&[4]), 0);
         // Stream: 4 words (H, 4, CK, TURN) on cycles 0..3.
         for now in 0..4 {
             e.tick(now, &EndpointIo::idle(1, 1));
@@ -1321,7 +1305,7 @@ mod tests {
     #[test]
     fn blocked_status_triggers_retry_with_stage() {
         let mut e = Endpoint::new(0, 1, 1, EndpointConfig::default(), 5);
-        e.enqueue(2, vec![4], stream_for(&[4]), 0);
+        e.enqueue(2, 1, stream_for(&[4]), 0);
         for now in 0..4 {
             e.tick(now, &EndpointIo::idle(1, 1));
         }
@@ -1351,7 +1335,7 @@ mod tests {
             ..EndpointConfig::default()
         };
         let mut e = Endpoint::new(0, 1, 1, cfg, 5);
-        e.enqueue(2, vec![4], stream_for(&[4]), 0);
+        e.enqueue(2, 1, stream_for(&[4]), 0);
         let mut saw_drop = false;
         for now in 0..25 {
             let d = e.tick(now, &EndpointIo::idle(1, 1));
@@ -1372,7 +1356,7 @@ mod tests {
             ..EndpointConfig::default()
         };
         let mut e = Endpoint::new(0, 1, 1, cfg, 5);
-        e.enqueue(2, vec![4], stream_for(&[4]), 0);
+        e.enqueue(2, 1, stream_for(&[4]), 0);
         for now in 0..60 {
             e.tick(now, &EndpointIo::idle(1, 1));
         }
@@ -1385,7 +1369,7 @@ mod tests {
     #[test]
     fn dead_endpoint_is_silent() {
         let mut e = Endpoint::new(0, 1, 1, EndpointConfig::default(), 5);
-        e.enqueue(2, vec![4], stream_for(&[4]), 0);
+        e.enqueue(2, 1, stream_for(&[4]), 0);
         e.set_dead(true);
         let d = e.tick(0, &EndpointIo::idle(1, 1));
         assert!(d.out_fwd.iter().all(|w| *w == Word::Empty));
@@ -1398,8 +1382,8 @@ mod tests {
             ..EndpointConfig::default()
         };
         let mut e = Endpoint::new(0, 2, 2, cfg, 9);
-        e.enqueue(3, vec![1], stream_for(&[1]), 0);
-        e.enqueue(5, vec![2], stream_for(&[2]), 0);
+        e.enqueue(3, 1, stream_for(&[1]), 0);
+        e.enqueue(5, 1, stream_for(&[2]), 0);
         let d = e.tick(0, &EndpointIo::idle(2, 2));
         let active: Vec<usize> = (0..2).filter(|&p| d.out_fwd[p] != Word::Empty).collect();
         assert_eq!(
@@ -1413,8 +1397,8 @@ mod tests {
     #[test]
     fn single_engine_uses_one_port_at_a_time() {
         let mut e = Endpoint::new(0, 2, 2, EndpointConfig::default(), 9);
-        e.enqueue(3, vec![1], stream_for(&[1]), 0);
-        e.enqueue(5, vec![2], stream_for(&[2]), 0);
+        e.enqueue(3, 1, stream_for(&[1]), 0);
+        e.enqueue(5, 1, stream_for(&[2]), 0);
         let d = e.tick(0, &EndpointIo::idle(2, 2));
         let active = (0..2).filter(|&p| d.out_fwd[p] != Word::Empty).count();
         assert_eq!(
@@ -1442,8 +1426,8 @@ mod tests {
         // times out, exercising the RNG, backoff, and abort paths),
         // checkpoint, restore into a fresh twin, and lock-step both.
         let mut live = Endpoint::new(0, 2, 2, cfg, 77);
-        live.enqueue(3, vec![1, 2], stream_for(&[1, 2]), 0);
-        live.enqueue(5, vec![9], stream_for(&[9]), 4);
+        live.enqueue(3, 2, stream_for(&[1, 2]), 0);
+        live.enqueue(5, 1, stream_for(&[9]), 4);
         for now in 0..20 {
             live.tick(now, &EndpointIo::idle(2, 2));
         }
@@ -1463,6 +1447,119 @@ mod tests {
         assert_eq!(live.take_completed(), twin.take_completed());
         assert_eq!(live.take_abandoned(), twin.take_abandoned());
         assert_eq!(live.queue_len(), twin.queue_len());
+    }
+
+    /// A continuation segment: payload + checksum + TURN, no header.
+    fn segment_for(payload: &[u16]) -> Vec<Word> {
+        stream_for(payload)[1..].to_vec()
+    }
+
+    /// One tick of a one-port endpoint with `rev` on its reverse lane;
+    /// returns what it drove forward.
+    fn step(e: &mut Endpoint, now: &mut u64, rev: Word) -> Word {
+        let io = EndpointIo {
+            out_rev_in: vec![rev],
+            out_bcb_in: vec![false],
+            in_fwd_in: vec![Word::Empty],
+        };
+        *now += 1;
+        e.tick(*now - 1, &io).out_fwd[0]
+    }
+
+    fn steps(e: &mut Endpoint, now: &mut u64, rev: &[Word]) -> Vec<Word> {
+        rev.iter().map(|&w| step(e, now, w)).collect()
+    }
+
+    /// A three-segment conversation with its opening segment
+    /// acknowledged and two words of the second sent.
+    fn mid_conversation() -> (Endpoint, u64, Vec<Vec<Word>>) {
+        let segments = vec![stream_for(&[1]), segment_for(&[2, 3]), segment_for(&[4])];
+        let mut e = Endpoint::new(0, 1, 1, EndpointConfig::default(), 5);
+        e.enqueue_conversation(2, segments.clone(), 4, 0);
+        let mut now = 0;
+        assert_eq!(steps(&mut e, &mut now, &[Word::DataIdle; 4]), segments[0]);
+        steps(&mut e, &mut now, &[Word::Data(ACK_OK), Word::Turn]);
+        assert_eq!(
+            steps(&mut e, &mut now, &[Word::DataIdle; 2]),
+            segments[1][..2]
+        );
+        (e, now, segments)
+    }
+
+    #[test]
+    fn a_nacked_later_segment_retries_from_the_opening_segment() {
+        let (mut e, mut now, segments) = mid_conversation();
+        steps(&mut e, &mut now, &[Word::DataIdle; 2]);
+        steps(&mut e, &mut now, &[Word::Data(ACK_CORRUPT), Word::Drop]);
+        assert!(e.is_busy() && e.take_completed().is_empty());
+        // Backoff drives nothing; then the whole conversation again,
+        // header first, every segment acknowledged.
+        let mut first = Word::Empty;
+        while first == Word::Empty {
+            assert!(now < 40, "the retry never started");
+            first = step(&mut e, &mut now, Word::Empty);
+        }
+        let mut resent = vec![first];
+        for segment in &segments {
+            let rest = vec![Word::DataIdle; segment.len() - resent.len()];
+            resent.extend(steps(&mut e, &mut now, &rest));
+            assert_eq!(&resent, segment);
+            resent.clear();
+            steps(&mut e, &mut now, &[Word::Data(ACK_OK), Word::Turn]);
+        }
+        assert_eq!(
+            step(&mut e, &mut now, Word::DataIdle),
+            Word::Drop,
+            "closing DROP"
+        );
+        let done = e.take_completed();
+        assert_eq!(done.len(), 1);
+        assert_eq!(done[0].failures, vec![FailureKind::Corrupt]);
+        assert_eq!((done[0].retries, done[0].payload_words), (1, 4));
+        assert!(done[0].status.is_delivered() && !e.is_busy());
+    }
+
+    #[test]
+    fn restore_refuses_a_cursor_the_transmit_engine_would_index_with() {
+        let (e, now, _) = mid_conversation();
+        let mut w = StateWriter::new();
+        e.save_state(&mut w);
+        let words = w.into_words();
+        // tag, rng, engine count; then Sending { idx }, gap, presence,
+        // dest, payload words, 3 segments of 4 + 4 + 3 words (each
+        // behind its count), requested_at, the cursor.
+        const IDX: usize = 4;
+        const SEG: usize = 25;
+        assert_eq!((words[IDX - 1], words[IDX], words[SEG]), (2, 2, 1));
+        let within = MachineExtent { now, ..WITHIN };
+        let restore = |edits: &[(usize, u64)]| {
+            let mut words = words.clone();
+            for &(at, v) in edits {
+                words[at] = v;
+            }
+            let mut twin = Endpoint::new(0, 1, 1, EndpointConfig::default(), 5);
+            twin.restore_state(&mut StateReader::new(&words), within)
+        };
+        restore(&[]).expect("unmutated");
+        restore(&[(SEG, 2)]).expect("index 2 is inside the 3-word third segment");
+        for (edits, why) in [
+            (&[(SEG, 4)][..], "is out of range"),
+            (&[(SEG, 3)][..], "closing DROP"),
+            (
+                &[(SEG, 2), (IDX, 3)][..],
+                "send index 3 is past a 3-word stream",
+            ),
+        ] {
+            match restore(edits) {
+                Err(StateError::BadValue {
+                    section, detail, ..
+                }) => {
+                    assert_eq!(section, "endpoint");
+                    assert!(detail.contains(why), "{detail}");
+                }
+                other => panic!("{edits:?}: {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -457,7 +457,6 @@ fn estimate_load(scenario: &Scenario) -> LatencyEstimate {
             payload_words: a.payload_words,
             payload_delivered: Vec::new(),
             reply_received: Vec::new(),
-            failure_records: Vec::new(),
             status: DeliveryStatus::Delivered,
         });
     }
@@ -541,7 +540,6 @@ fn estimate_sends(scenario: &Scenario, sends: &[SendSpec], cycles: u64) -> Laten
             payload_words: s.payload.len(),
             payload_delivered: Vec::new(),
             reply_received: Vec::new(),
-            failure_records: Vec::new(),
             status: DeliveryStatus::Delivered,
         });
     }

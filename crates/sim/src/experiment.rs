@@ -268,6 +268,7 @@ fn run_fault_sim(
     dead_links: usize,
 ) -> NetworkSim {
     let mut sim = NetworkSim::new(&cfg.spec, &cfg.sim).expect("valid spec");
+    sim.set_keep_delivered(false);
     let n = sim.topology().endpoints();
     let stream_words = sim.stream_for(0, &vec![0; cfg.payload_words]).len();
     let mut fault_rng = RandomSource::new(cfg.seed ^ 0xFA017);

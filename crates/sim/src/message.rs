@@ -1,4 +1,6 @@
-//! Messages and delivery records.
+//! Messages and delivery records. An outcome carries each failed
+//! attempt's *kind*; its record leaves the NIC only inside an
+//! `AttemptEvidence` (`crate::endpoint`), the one per-attempt capture.
 
 use metro_core::StatusWord;
 use metro_telemetry::{StateError, StateReader, StateWriter};
@@ -145,17 +147,11 @@ pub struct MessageOutcome {
     /// this is always recorded, so throughput accounting does not
     /// depend on destination-side capture.
     pub payload_words: usize,
-    /// The payload as the destination delivered it (for loopback-style
-    /// verification in tests; empty when not captured).
+    /// The payload as the destination delivered it (filled in by
+    /// `NetworkSim::send_and_wait` from its delivery log; else empty).
     pub payload_delivered: Vec<u16>,
     /// Reply payload received by the source (read-reply workloads).
     pub reply_received: Vec<u16>,
-    /// Per-failed-attempt diagnostics, captured only when
-    /// `EndpointConfig::capture_failure_records` is set: the source
-    /// output port used and the delivery record (statuses + transit
-    /// checksums) the attempt collected — the raw material for
-    /// checksum-based fault localization (`metro-scan::diagnosis`).
-    pub failure_records: Vec<(usize, DeliveryRecord)>,
     /// How the transaction ended: delivered, or given up as
     /// undeliverable after exhausting the attempt budget.
     pub status: DeliveryStatus,
@@ -189,10 +185,6 @@ impl MessageOutcome {
         w.usize(self.payload_words);
         w.seq(self.payload_delivered.iter().copied(), StateWriter::u16);
         w.seq(self.reply_received.iter().copied(), StateWriter::u16);
-        w.seq(&self.failure_records, |w, (port, record)| {
-            w.usize(*port);
-            record.save_state(w);
-        });
         self.status.save_state(w);
     }
 
@@ -221,7 +213,6 @@ impl MessageOutcome {
             payload_words: r.usize()?,
             payload_delivered: r.seq(StateReader::u16)?,
             reply_received: r.seq(StateReader::u16)?,
-            failure_records: r.seq(|r| Ok((r.usize()?, DeliveryRecord::restore_state(r)?)))?,
             status: DeliveryStatus::restore_state(r)?,
         })
     }
@@ -295,7 +286,6 @@ mod tests {
             payload_words: 0,
             payload_delivered: vec![],
             reply_received: vec![],
-            failure_records: vec![],
             status: DeliveryStatus::Delivered,
         };
         assert_eq!(o.total_latency(), 40);

@@ -368,40 +368,26 @@ impl NetworkSim {
     /// (masked to `w` bits) + end-to-end checksum + TURN.
     #[must_use]
     pub fn stream_for(&self, dest: usize, payload: &[u16]) -> Vec<Word> {
-        let mask = if self.config.width >= 16 {
-            u16::MAX
-        } else {
-            (1u16 << self.config.width) - 1
-        };
         let digits = self.topo.route_digits(dest);
-        let mut stream: Vec<Word> = self
-            .plan
-            .pack(&digits)
-            .into_iter()
-            .map(Word::Data)
-            .collect();
-        let mut ck = StreamChecksum::new();
-        for &v in payload {
-            let v = v & mask;
-            ck.absorb_value(v);
-            stream.push(Word::Data(v));
-        }
-        stream.push(Word::Checksum(ck.value()));
-        stream.push(Word::Turn);
-        stream
+        let header = self.plan.pack(&digits).into_iter().map(Word::Data);
+        self.segment_onto(header.collect(), payload)
     }
 
     /// Builds a continuation segment (no header — the circuit is
     /// already established): payload + checksum + TURN.
     #[must_use]
     pub fn segment_for(&self, payload: &[u16]) -> Vec<Word> {
+        self.segment_onto(Vec::with_capacity(payload.len() + 2), payload)
+    }
+
+    /// Appends one segment's words to `stream` (a header, or nothing).
+    fn segment_onto(&self, mut stream: Vec<Word>, payload: &[u16]) -> Vec<Word> {
         let mask = if self.config.width >= 16 {
             u16::MAX
         } else {
             (1u16 << self.config.width) - 1
         };
         let mut ck = StreamChecksum::new();
-        let mut stream = Vec::with_capacity(payload.len() + 2);
         for &v in payload {
             let v = v & mask;
             ck.absorb_value(v);
@@ -441,10 +427,7 @@ impl NetworkSim {
     ///
     /// Panics if `src` or `dest` is out of range.
     pub fn send(&mut self, src: usize, dest: usize, payload: &[u16]) {
-        assert!(src < self.topo.endpoints() && dest < self.topo.endpoints());
-        let stream = self.stream_for(dest, payload);
-        self.engine.wake_endpoint(src);
-        self.endpoints[src].enqueue(dest, payload.to_vec(), stream, self.now);
+        self.send_conversation(src, dest, &[payload]);
     }
 
     /// Sends one message and runs the clock until it completes (or
@@ -526,8 +509,7 @@ impl NetworkSim {
                     trace.record_completion(self.now, o.src, o.dest, o.retries);
                 }
                 if o.requested_at >= self.stats_from {
-                    let payload = o.payload_delivered.len().max(self.payload_words_hint(&o));
-                    self.stats.record(&o, payload);
+                    self.stats.record(&o);
                 }
                 self.outcomes.push(o);
             }
@@ -539,13 +521,6 @@ impl NetworkSim {
         if self.config.self_heal {
             self.process_evidence();
         }
-    }
-
-    fn payload_words_hint(&self, o: &MessageOutcome) -> usize {
-        // The NIC records the transmitted payload length in the
-        // outcome, so throughput accounting holds even when the
-        // destination-side capture (`payload_delivered`) is skipped.
-        o.payload_words
     }
 
     /// Runs the clock for `cycles` cycles.
@@ -596,6 +571,14 @@ impl NetworkSim {
     #[must_use]
     pub fn engine_visits(&self) -> u64 {
         self.engine.visits()
+    }
+
+    /// [`Endpoint::set_keep_delivered`] on every endpoint, waking none:
+    /// for a run that never drains a destination's log.
+    pub fn set_keep_delivered(&mut self, on: bool) {
+        for endpoint in &mut self.endpoints {
+            endpoint.set_keep_delivered(on);
+        }
     }
 
     /// Shared access to a router.

@@ -193,15 +193,19 @@ fn enc_endpoint(ep: &EndpointConfig) -> Json {
         ("retry_backoff_max", Json::from(ep.retry_backoff_max)),
         ("max_retries", Json::from(ep.max_retries)),
         ("max_concurrent", Json::from(ep.max_concurrent)),
-        (
-            "capture_failure_records",
-            Json::from(ep.capture_failure_records),
-        ),
+        // The capture this switched is gone; schema-1/2 documents keep
+        // the key, so every committed scenario byte and hash stays.
+        ("capture_failure_records", Json::from(false)),
     ])
 }
 
 fn dec_endpoint(node: &Node<'_>) -> Result<EndpointConfig, CodecError> {
     node.object(|f| {
+        let capture = f.req("capture_failure_records")?;
+        if capture.bool()? {
+            return capture
+                .err("removed: evidence is the one failed-attempt capture; must be false");
+        }
         Ok(EndpointConfig {
             reply: dec_reply(&f.req("reply")?)?,
             timeout: f.req("timeout")?.usize()?,
@@ -209,7 +213,6 @@ fn dec_endpoint(node: &Node<'_>) -> Result<EndpointConfig, CodecError> {
             retry_backoff_max: f.req("retry_backoff_max")?.usize()?,
             max_retries: f.req("max_retries")?.usize()?,
             max_concurrent: f.req("max_concurrent")?.usize()?,
-            capture_failure_records: f.req("capture_failure_records")?.bool()?,
         })
     })
 }
@@ -994,6 +997,34 @@ mod tests {
         let e = decode(&doc).unwrap_err();
         assert_eq!(e.path, "scenario.sim.engine");
         assert!(e.message.contains("warp"), "{e}");
+    }
+
+    #[test]
+    fn the_removed_failure_record_capture_stays_a_required_false() {
+        // The key outlives the capture it switched so that schema-1/2
+        // bytes and hashes stay; what it may say does not.
+        let with_capture = |value: Option<bool>| {
+            let mut doc = encode(&rich_scenario());
+            let mut sim = doc.get("sim").unwrap().clone();
+            let mut endpoint = sim.get("endpoint").unwrap().clone();
+            let Json::Obj(pairs) = &mut endpoint else {
+                unreachable!()
+            };
+            pairs.retain(|(k, _)| k != "capture_failure_records");
+            if let Some(v) = value {
+                endpoint.set("capture_failure_records", Json::from(v));
+            }
+            sim.set("endpoint", endpoint);
+            doc.set("sim", sim);
+            decode(&doc)
+        };
+        assert_eq!(with_capture(Some(false)).unwrap(), rich_scenario());
+        let e = with_capture(Some(true)).unwrap_err();
+        assert_eq!(e.path, "scenario.sim.endpoint.capture_failure_records");
+        assert!(e.message.contains("removed"), "{e}");
+        let e = with_capture(None).unwrap_err();
+        assert_eq!(e.path, "scenario.sim.endpoint");
+        assert!(e.message.contains("capture_failure_records"), "{e}");
     }
 
     #[test]

@@ -45,14 +45,13 @@ impl NetworkStats {
         Self::default()
     }
 
-    /// Folds one completed outcome in. `payload_words` is the payload
-    /// size of the message (for throughput accounting).
-    pub fn record(&mut self, outcome: &MessageOutcome, payload_words: usize) {
+    /// Folds one completed outcome in.
+    pub fn record(&mut self, outcome: &MessageOutcome) {
         self.total_latency.record(outcome.total_latency());
         self.network_latency.record(outcome.network_latency());
         self.delivered += 1;
         self.retries += outcome.retries as u64;
-        self.payload_words += payload_words as u64;
+        self.payload_words += outcome.payload_words as u64;
         for f in &outcome.failures {
             if let FailureKind::Blocked { stage } = f {
                 if self.blocked_by_stage.len() <= *stage {
@@ -251,10 +250,9 @@ mod tests {
             payload_words: 20,
             payload_delivered: vec![],
             reply_received: vec![],
-            failure_records: vec![],
             status: crate::message::DeliveryStatus::Delivered,
         };
-        n.record(&o, 20);
+        n.record(&o);
         assert_eq!(n.delivered, 1);
         assert_eq!(n.retries, 2);
         assert_eq!(n.failure_counts[0], 1);

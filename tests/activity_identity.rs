@@ -194,8 +194,7 @@ fn a_message_enqueued_behind_the_networks_back_is_delivered() {
     let payload = [9u16, 8, 7];
     let stream = sim.stream_for(41, &payload);
     let now = sim.now();
-    sim.endpoint_mut(6)
-        .enqueue(41, payload.to_vec(), stream, now);
+    sim.endpoint_mut(6).enqueue(41, payload.len(), stream, now);
     sim.run(200);
     let outcomes = sim.drain_outcomes();
     assert_eq!(outcomes.len(), 1);

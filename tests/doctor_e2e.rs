@@ -4,7 +4,7 @@
 //! through the scan chains.
 
 use metro::scan_harness::ScanHarness;
-use metro::sim::{EndpointConfig, NetworkSim, SimConfig, Suspect};
+use metro::sim::{NetworkSim, SimConfig, Suspect};
 use metro::topo::fault::{FaultKind, FaultSet};
 use metro::topo::graph::LinkId;
 use metro::topo::MultibutterflySpec;
@@ -16,8 +16,8 @@ const PAYLOAD: [u16; 4] = [0x11, 0x22, 0x33, 0x44];
 /// Figure 1 with a corrupting fault on the first dilated copy of
 /// `SRC`'s stage-0 output toward `DEST`; attempts that happen to use it
 /// are NACKed and retried.
-fn corrupted(config: &SimConfig) -> (NetworkSim, LinkId) {
-    let mut sim = NetworkSim::new(&MultibutterflySpec::figure1(), config).unwrap();
+fn corrupted() -> (NetworkSim, LinkId) {
+    let mut sim = NetworkSim::new(&MultibutterflySpec::figure1(), &SimConfig::default()).unwrap();
     let digits = sim.topology().route_digits(DEST);
     let (entry, _) = sim.topology().injection(SRC, 0);
     let victim = LinkId::new(0, entry, digits[0] * sim.topology().stage_spec(0).dilation);
@@ -30,7 +30,7 @@ fn corrupted(config: &SimConfig) -> (NetworkSim, LinkId) {
 
 #[test]
 fn doctor_localizes_a_real_corrupting_link() {
-    let (mut sim, victim) = corrupted(&SimConfig::default());
+    let (mut sim, victim) = corrupted();
 
     // Keep sending until some failed attempt yields a diagnosis.
     let mut suspect = None;
@@ -68,35 +68,6 @@ fn a_fault_free_send_leaves_no_evidence_and_no_suspect() {
     for e in 0..16 {
         assert!(sim.endpoint_mut(e).take_evidence().is_empty(), "ep {e}");
     }
-}
-
-/// `EndpointConfig::capture_failure_records` and the evidence capture
-/// are two copies of one fact taken at the same point of a failed
-/// attempt; until the knob goes (ROADMAP item 5) they must agree.
-#[test]
-fn failure_records_equal_the_evidence_of_the_same_message() {
-    let (mut sim, _) = corrupted(&SimConfig {
-        endpoint: EndpointConfig {
-            capture_failure_records: true,
-            ..EndpointConfig::default()
-        },
-        ..SimConfig::default()
-    });
-    let mut failures = 0;
-    for _ in 0..40 {
-        let outcome = sim.send_and_wait(SRC, DEST, &PAYLOAD, 20_000).unwrap();
-        let evidence = sim.endpoint_mut(SRC).take_evidence();
-        assert_eq!(outcome.failure_records.len(), outcome.retries);
-        assert_eq!(evidence.len(), outcome.retries);
-        for (captured, ev) in outcome.failure_records.iter().zip(&evidence) {
-            assert_eq!(captured, &(ev.port, ev.record.clone()));
-        }
-        failures += outcome.retries;
-    }
-    assert!(
-        failures > 0,
-        "the fault must have cost at least one attempt"
-    );
 }
 
 /// The healer's guard, reached through the scan master: whoever

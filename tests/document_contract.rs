@@ -5,7 +5,7 @@
 
 use metro_harness::document::{seal, DecodeError};
 use metro_harness::Json;
-use metro_sim::checkpoint::{resume_scenario, Checkpoint};
+use metro_sim::checkpoint::{resume_scenario, run_scenario_resumable, Checkpoint, CheckpointSink};
 use metro_sim::scenario::{codec, run_scenario};
 use metro_sim::NetworkSim;
 use metro_telemetry::snapshot;
@@ -56,7 +56,7 @@ const CKPT_FIXTURE: &str = "tests/fixtures/figure1.ckpt.json";
 #[test]
 fn the_checkpoint_fixture_keeps_its_bytes_and_resumes_to_the_straight_run() {
     // Written at cycle 100 of scenarios/figure1.json — mid-traffic — by
-    // the build that introduced checkpoint schema 2.
+    // the build that introduced checkpoint schema 3.
     let text = read(CKPT_FIXTURE);
     let ckpt = Checkpoint::from_text(&text).unwrap();
     assert_eq!((ckpt.scenario.name.as_str(), ckpt.cycle), ("figure1", 100));
@@ -64,10 +64,44 @@ fn the_checkpoint_fixture_keeps_its_bytes_and_resumes_to_the_straight_run() {
     assert_eq!(doc.render(), text);
     assert_eq!(
         doc.get("checkpoint_hash").unwrap().as_str().unwrap(),
-        "0xcfd54c8e98c4a388"
+        "0x92026e81a2c5fc23"
     );
     let (resumed, _sim) = resume_scenario(&ckpt).unwrap();
     let straight = run_scenario(&ckpt.scenario).unwrap();
+    assert_eq!(resumed.to_json().render(), straight.to_json().render());
+}
+
+/// A snapshot is the machine and its results: the fabric is stateless,
+/// so what the NICs hold is the messages in flight — not a log of every
+/// payload delivered since cycle 0, which a scenario run cannot read.
+#[test]
+fn a_scenario_runs_snapshot_does_not_grow_with_its_deliveries() {
+    let scenario = codec::from_text(&read("scenarios/figure3_load.json")).unwrap();
+    let mut taken = Vec::new();
+    let mut sink = |c: &Checkpoint| {
+        if c.cycle == 600 || c.cycle == 1500 {
+            taken.push(c.clone());
+        }
+        Ok(())
+    };
+    let hook = CheckpointSink {
+        every: 300,
+        sink: &mut sink,
+    };
+    let (straight, _sim) = run_scenario_resumable(&scenario, None, Some(hook)).unwrap();
+    // The words under the `endpoint` tags: from the first of them to the
+    // section that follows the last.
+    let endpoint_words = |c: &Checkpoint| {
+        let tag = |t: &[u8; 8]| c.state.iter().position(|&w| w == u64::from_le_bytes(*t));
+        tag(b"channels").unwrap() - tag(b"endpoint").unwrap()
+    };
+    let [early, late] = [&taken[0], &taken[1]].map(endpoint_words);
+    assert!(
+        late < 2 * early && 4 * late < taken[1].state.len(),
+        "endpoint sections hold {early} words at cycle 600 and {late} of {} at cycle 1500",
+        taken[1].state.len()
+    );
+    let (resumed, _sim) = resume_scenario(&taken[1]).unwrap();
     assert_eq!(resumed.to_json().render(), straight.to_json().render());
 }
 

@@ -4,43 +4,36 @@
 //! actual details of the redundant paths", made visible.
 
 use metro_harness::{par_map, Artifact, ArtifactOutput, Json, RunCtx};
+use metro_sim::scenario::Run;
 use metro_sim::traffic::TrafficPattern;
-use metro_sim::workload::{ArrivalProcess, RateMap, StreamRecipe, StreamSeeds};
-use metro_sim::{NetworkSim, SimConfig};
-use metro_topo::multibutterfly::MultibutterflySpec;
+use metro_sim::workload::StreamSeeds;
+use metro_sim::{NetworkSim, SweepConfig};
 use std::fmt::Write as _;
 
 fn simulate(pattern: &TrafficPattern, cycles: u64) -> NetworkSim {
-    let mut sim = NetworkSim::new(&MultibutterflySpec::figure3(), &SimConfig::default())
-        .expect("figure 3 spec is valid");
-    sim.set_keep_delivered(false);
-    let n = sim.topology().endpoints();
-    let stream_words = sim.stream_for(0, &[0; 19]).len();
-    let recipe = StreamRecipe {
-        arrival: &ArrivalProcess::Bernoulli,
-        rates: &RateMap::Uniform,
-        pattern,
-        load: 0.3,
-        stream_words,
-        payload_words: 19,
-        endpoints: n,
-        // Historical seeds for this bench, predating StreamSeeds::load:
-        // a raw (un-salted) pattern seed and consecutive stream seeds.
-        seeds: StreamSeeds {
-            pattern_seed: 0xACC,
-            stream_base: 0x0CC,
-            stream_stride: 1,
-        },
+    let cfg = SweepConfig {
+        pattern: pattern.clone(),
+        warmup: 0,
+        measure: cycles,
+        drain: 0,
+        ..SweepConfig::figure3()
     };
-    let mut driver = recipe.driver();
-    let payload: Vec<u16> = (0..19).map(|k| k as u16).collect();
-    for cycle in 0..cycles {
-        driver.poll(cycle, |a| {
-            sim.send(a.src, a.dest, &payload);
-        });
-        sim.tick();
-    }
-    sim
+    let sim = NetworkSim::new(&cfg.spec, &cfg.sim).expect("figure 3 spec is valid");
+    // Historical seeds for this bench, predating StreamSeeds::load:
+    // a raw (un-salted) pattern seed and consecutive stream seeds.
+    let seeds = StreamSeeds {
+        pattern_seed: 0xACC,
+        stream_base: 0x0CC,
+        stream_stride: 1,
+    };
+    let mut run = Run::new(
+        sim,
+        &cfg.load_scenario("occupancy", 0.3).workload,
+        seeds,
+        &[],
+    );
+    while run.step() {}
+    run.finish().1
 }
 
 fn report(out: &mut String, rows: &mut Vec<Json>, label: &str, sim: &NetworkSim) {

@@ -27,10 +27,10 @@
 use crate::scenarios;
 use metro_harness::results::{git_describe, unix_time_now, ResultsDir, RunRecord};
 use metro_harness::{cli, log, Json};
-use metro_sim::checkpoint::{resume_scenario_with, run_scenario_resumable, Checkpoint};
+use metro_sim::checkpoint::Checkpoint;
 use metro_sim::scenario::fuzz::fuzz_campaign;
-use metro_sim::scenario::{codec, ScenarioResult};
-use metro_sim::{CheckpointSink, EngineKind};
+use metro_sim::scenario::{codec, run_scenario, Run, Scenario, ScenarioResult};
+use metro_sim::EngineKind;
 use std::num::NonZeroU64;
 use std::path::PathBuf;
 use std::time::Instant;
@@ -134,13 +134,22 @@ fn cmd_run(args: &[String], results: &ResultsDir) -> i32 {
             return 2;
         }
     };
-    match run_file_with_options(path, results, shards, checkpoint.as_ref()) {
+    report(
+        "metro scenario run",
+        run_file_with_options(path, results, shards, checkpoint.as_ref()),
+    )
+}
+
+/// Prints a finished run's summary, or its failure under `verb`; the
+/// exit code.
+fn report(verb: &str, outcome: Result<String, String>) -> i32 {
+    match outcome {
         Ok(summary) => {
             log::output(&summary);
             0
         }
         Err(e) => {
-            log::error(&format!("metro scenario run: {e}"));
+            log::error(&format!("{verb}: {e}"));
             1
         }
     }
@@ -176,75 +185,32 @@ pub fn resume_main(args: &[String]) -> i32 {
             return 2;
         }
     };
-    match resume_file(path, &ResultsDir::standard(), shards, checkpoint.as_ref()) {
-        Ok(summary) => {
-            log::output(&summary);
-            0
-        }
-        Err(e) => {
-            log::error(&format!("metro resume: {e}"));
-            1
-        }
-    }
+    let results = ResultsDir::standard();
+    report(
+        "metro resume",
+        resume_file(path, &results, shards, checkpoint.as_ref()),
+    )
 }
 
 /// Replays one scenario file and records the result; returns the human
 /// summary. Split from the arg handling so tests can drive it against a
 /// temporary results directory.
 ///
+/// `shards` overrides the file's shard count (`--shards`). The override
+/// changes only the execution strategy — the recorded scenario hash is
+/// the *file's* hash, and the result document is bit-identical at every
+/// shard count, so a sharded replay reproduces the same artifact faster.
+/// `checkpoint` asks for periodic snapshots (`--checkpoint-every` /
+/// `--checkpoint-dir`).
+///
 /// # Errors
 ///
 /// Returns a description of the first failure: unreadable file, codec
-/// rejection, invalid topology, or a results-directory write error.
-pub fn run_file(path: &str, results: &ResultsDir) -> Result<String, String> {
-    run_file_with_shards(path, results, None)
-}
-
-/// [`run_file`] with an optional shard-count override (`--shards`).
-/// The override changes only the execution strategy — the recorded
-/// scenario hash is the *file's* hash, and the result document is
-/// bit-identical at every shard count, so a sharded replay reproduces
-/// the same artifact faster.
-///
-/// # Errors
-///
-/// As [`run_file`].
-pub fn run_file_with_shards(
-    path: &str,
-    results: &ResultsDir,
-    shards: Option<usize>,
-) -> Result<String, String> {
-    run_file_with_options(path, results, shards, None)
-}
-
-/// The checkpoint file a scenario's periodic snapshots land in.
-fn checkpoint_path(opts: &CheckpointOpts, scenario_name: &str) -> PathBuf {
-    opts.dir.join(format!("{scenario_name}.ckpt.json"))
-}
-
-/// A periodic-checkpoint hook writing `<dir>/<name>.ckpt.json`
-/// atomically (temp + fsync + rename via the results layer), so an
-/// interrupted write can never leave a torn checkpoint — the previous
-/// complete snapshot survives.
-fn checkpoint_writer(
-    opts: &CheckpointOpts,
-) -> impl FnMut(&Checkpoint) -> Result<(), Box<dyn std::error::Error>> {
-    let dir = ResultsDir::new(opts.dir.clone());
-    move |ckpt: &Checkpoint| {
-        let file = format!("{}.ckpt.json", ckpt.scenario.name);
-        dir.write_text(&file, &ckpt.to_json().render())?;
-        Ok(())
-    }
-}
-
-/// [`run_file_with_shards`] plus optional periodic checkpointing
-/// (`--checkpoint-every` / `--checkpoint-dir`).
-///
-/// # Errors
-///
-/// As [`run_file`]; additionally, a checkpoint that cannot be
-/// persisted aborts the run (a checkpoint that cannot be written is
-/// not crash safety).
+/// rejection, invalid topology, or a results-directory write error. A
+/// checkpoint that cannot be persisted aborts the run (a checkpoint
+/// that cannot be written is not crash safety), and an analytic-engine
+/// scenario — an estimate, run and recorded like any other — cannot be
+/// checkpointed at all.
 pub fn run_file_with_options(
     path: &str,
     results: &ResultsDir,
@@ -252,48 +218,16 @@ pub fn run_file_with_options(
     checkpoint: Option<&CheckpointOpts>,
 ) -> Result<String, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path:?}: {e}"))?;
-    let mut scenario = codec::from_text(&text).map_err(|e| e.to_string())?;
-    let hash = codec::scenario_hash(&scenario);
-    if let Some(n) = shards {
-        scenario.sim.shards = n;
-    }
-
-    let started = Instant::now();
-    let mut write_ckpt = checkpoint.map(checkpoint_writer);
-    let hook = match (&mut write_ckpt, checkpoint) {
-        (Some(sink), Some(opts)) => Some(CheckpointSink {
-            every: opts.every,
-            sink,
-        }),
-        _ => None,
-    };
-    let (result, _sim) =
-        run_scenario_resumable(&scenario, None, hook).map_err(|e| e.to_string())?;
-    let wall = started.elapsed().as_secs_f64();
-
-    let mut summary = record_scenario_result(
-        &scenario.name,
-        &hash,
-        &result,
-        results,
-        wall,
-        Json::obj([("source", Json::from(path))]),
-    )?;
-    if let Some(opts) = checkpoint {
-        summary.push_str(&format!(
-            "  checkpointed every {} cycles to {}\n",
-            opts.every,
-            checkpoint_path(opts, &scenario.name).display()
-        ));
-    }
-    Ok(summary)
+    let scenario = codec::from_text(&text).map_err(|e| e.to_string())?;
+    let params = Json::obj([("source", Json::from(path))]);
+    run_and_record(scenario, None, params, results, shards, checkpoint)
 }
 
 /// Continues an interrupted checkpointed run to completion and records
-/// the result exactly as [`run_file`] would have: same results
-/// document (byte-identical to the uninterrupted run's), same manifest
-/// trail. With `checkpoint` options the resumed run keeps taking
-/// periodic snapshots, so a resume can itself be interrupted and
+/// the result exactly as [`run_file_with_options`] would have: same
+/// results document (byte-identical to the uninterrupted run's), same
+/// manifest trail. With `checkpoint` options the resumed run keeps
+/// taking periodic snapshots, so a resume can itself be interrupted and
 /// resumed.
 ///
 /// The recorded scenario hash is the *embedded* scenario's hash; a
@@ -312,7 +246,7 @@ pub fn resume_file(
 ) -> Result<String, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path:?}: {e}"))?;
     let doc = Json::parse(&text).map_err(|e| e.to_string())?;
-    let mut ckpt = Checkpoint::from_json(&doc).map_err(|e| match e.path.as_str() {
+    let ckpt = Checkpoint::from_json(&doc).map_err(|e| match e.path.as_str() {
         // A sound file of another build: what a user upgrading mid-run holds.
         "checkpoint.checkpoint_schema" => format!(
             "{e}: a checkpoint is a crash-recovery file of the build that wrote it — a lower \
@@ -321,45 +255,72 @@ pub fn resume_file(
         ),
         _ => e.to_string(),
     })?;
-    let hash = codec::scenario_hash(&ckpt.scenario);
-    let resumed_at = ckpt.cycle;
-    let phase = ckpt.phase;
+    let (cycle, phase) = (ckpt.cycle, ckpt.phase.name());
+    let params = Json::obj([
+        ("source", Json::from(path)),
+        ("resumed_at_cycle", Json::from(cycle)),
+        ("resumed_phase", Json::from(phase)),
+    ]);
+    let scenario = ckpt.scenario.clone();
+    let summary = run_and_record(scenario, Some(&ckpt), params, results, shards, checkpoint)?;
+    Ok(format!(
+        "resumed at cycle {cycle} ({phase} phase)\n{summary}"
+    ))
+}
+
+/// The one body behind `run` and `resume`: steps a [`Run`] of the
+/// scenario — from cycle 0, or from `resume` — to its end, writing
+/// `<dir>/<name>.ckpt.json` at every multiple of the checkpoint period
+/// (atomically: temp + fsync + rename via the results layer, so an
+/// interrupted write can never leave a torn checkpoint — the previous
+/// complete snapshot survives), then records the result.
+fn run_and_record(
+    mut scenario: Scenario,
+    resume: Option<&Checkpoint>,
+    params: Json,
+    results: &ResultsDir,
+    shards: Option<usize>,
+    checkpoint: Option<&CheckpointOpts>,
+) -> Result<String, String> {
+    let hash = codec::scenario_hash(&scenario);
     if let Some(n) = shards {
-        ckpt.scenario.sim.shards = n;
+        scenario.sim.shards = n;
     }
+    let ckpt_file = format!("{}.ckpt.json", scenario.name);
 
     let started = Instant::now();
-    let mut write_ckpt = checkpoint.map(checkpoint_writer);
-    let hook = match (&mut write_ckpt, checkpoint) {
-        (Some(sink), Some(opts)) => Some(CheckpointSink {
-            every: opts.every,
-            sink,
-        }),
-        _ => None,
+    let result = if scenario.sim.engine == EngineKind::Analytic {
+        if resume.is_some() || checkpoint.is_some() {
+            return Err("the analytic engine keeps no machine state to checkpoint".to_string());
+        }
+        run_scenario(&scenario).map_err(|e| e.to_string())?
+    } else {
+        let mut run = Run::of(&scenario, resume).map_err(|e| e.to_string())?;
+        while run.step() {
+            if let Some(opts) = checkpoint.filter(|o| run.cycle().is_multiple_of(o.every)) {
+                let text = run.checkpoint(&scenario).to_json().render();
+                ResultsDir::new(opts.dir.clone())
+                    .write_text(&ckpt_file, &text)
+                    .map_err(|e| e.to_string())?;
+            }
+        }
+        run.finish().0
     };
-    let (result, _sim) = resume_scenario_with(&ckpt, hook).map_err(|e| e.to_string())?;
     let wall = started.elapsed().as_secs_f64();
 
-    let mut summary = record_scenario_result(
-        &ckpt.scenario.name,
-        &hash,
-        &result,
-        results,
-        wall,
-        Json::obj([
-            ("source", Json::from(path)),
-            ("resumed_at_cycle", Json::from(resumed_at)),
-            ("resumed_phase", Json::from(phase.name())),
-        ]),
-    )?;
-    summary.insert_str(
-        0,
-        &format!("resumed at cycle {resumed_at} ({} phase)\n", phase.name()),
-    );
+    let mut summary =
+        record_scenario_result(&scenario.name, &hash, &result, results, wall, params)?;
+    if let Some(opts) = checkpoint {
+        summary.push_str(&format!(
+            "  checkpointed every {} cycles to {}\n",
+            opts.every,
+            opts.dir.join(ckpt_file).display()
+        ));
+    }
     Ok(summary)
 }
 
-/// The shared tail of `run` and `resume`: writes
+/// The tail of [`run_and_record`]: writes
 /// `results/scenario_<name>.json`, appends the manifest record, and
 /// renders the human summary. The results document depends only on the
 /// scenario and its outcome — not on how the run was segmented — which
@@ -568,7 +529,7 @@ mod tests {
         std::fs::write(&file, codec::encode(&s).render()).unwrap();
         let results = ResultsDir::new(dir.join("results"));
 
-        let summary = run_file(file.to_str().unwrap(), &results).unwrap();
+        let summary = run_file_with_options(file.to_str().unwrap(), &results, None, None).unwrap();
         assert!(summary.contains("scenario \"figure1\""));
         assert!(summary.contains("outcome digest"));
 
@@ -590,7 +551,7 @@ mod tests {
         );
 
         // Re-running the same file reproduces the identical result doc.
-        run_file(file.to_str().unwrap(), &results).unwrap();
+        run_file_with_options(file.to_str().unwrap(), &results, None, None).unwrap();
         let again = Json::parse(
             &std::fs::read_to_string(results.root().join("scenario_figure1.json")).unwrap(),
         )
@@ -608,7 +569,7 @@ mod tests {
 
         // The uninterrupted reference run.
         let straight = ResultsDir::new(dir.join("straight"));
-        run_file(file.to_str().unwrap(), &straight).unwrap();
+        run_file_with_options(file.to_str().unwrap(), &straight, None, None).unwrap();
         let reference =
             std::fs::read_to_string(straight.root().join("scenario_figure1.json")).unwrap();
 
@@ -704,6 +665,40 @@ mod tests {
         }
         let args = [ckpt_file.to_str().unwrap().to_string()];
         assert_eq!(resume_main(&args), 1, "a refused checkpoint exits 1");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn an_analytic_scenario_runs_as_an_estimate_and_refuses_to_checkpoint() {
+        let dir = temp_dir("analytic");
+        let mut s = crate::scenarios::named("figure1").unwrap();
+        s.sim.engine = EngineKind::Analytic;
+        let file = dir.join("figure1.json");
+        std::fs::write(&file, codec::encode(&s).render()).unwrap();
+        let results = ResultsDir::new(dir.join("results"));
+
+        // What README tells scenario files to opt into is recorded like
+        // any other run.
+        let summary = run_file_with_options(file.to_str().unwrap(), &results, None, None).unwrap();
+        assert!(summary.contains("outcomes 12  delivered 12"), "{summary}");
+        assert!(results.root().join("scenario_figure1.json").exists());
+
+        // An estimate has no machine to snapshot, on `run` or `resume`.
+        let opts = CheckpointOpts {
+            every: 64,
+            dir: dir.join("ckpts"),
+        };
+        let refusal = "the analytic engine keeps no machine state to checkpoint";
+        let err =
+            run_file_with_options(file.to_str().unwrap(), &results, None, Some(&opts)).unwrap_err();
+        assert_eq!(err, refusal);
+        s.sim.engine = EngineKind::Flat;
+        let mut ckpt = Run::of(&s, None).unwrap().checkpoint(&s);
+        ckpt.scenario.sim.engine = EngineKind::Analytic;
+        let ckpt_file = dir.join("figure1.ckpt.json");
+        std::fs::write(&ckpt_file, ckpt.to_json().render()).unwrap();
+        let err = resume_file(ckpt_file.to_str().unwrap(), &results, None, None).unwrap_err();
+        assert_eq!(err, refusal);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -8,8 +8,9 @@
 //! real corpus, including the 1024-endpoint `metro1k` fabric the
 //! sharded engine exists for.
 
+use metro_sim::checkpoint::run_scenario_resumable;
 use metro_sim::network::EngineKind;
-use metro_sim::scenario::{codec, run_scenario_with_sim};
+use metro_sim::scenario::codec;
 use std::path::PathBuf;
 
 fn corpus_files() -> Vec<PathBuf> {
@@ -32,14 +33,14 @@ fn corpus_replays_bit_identically_at_every_shard_count() {
         let mut single = base.clone();
         single.sim.engine = EngineKind::Flat;
         single.sim.shards = 1;
-        let (expect, mut sim1) = run_scenario_with_sim(&single).expect("runnable");
+        let (expect, mut sim1) = run_scenario_resumable(&single, None, None).expect("runnable");
         let snap1 = sim1.telemetry_snapshot(&base.name).to_json().render();
 
         for shards in [2usize, 4] {
             let mut sharded = base.clone();
             sharded.sim.engine = EngineKind::Flat;
             sharded.sim.shards = shards;
-            let (got, mut sim_n) = run_scenario_with_sim(&sharded).expect("runnable");
+            let (got, mut sim_n) = run_scenario_resumable(&sharded, None, None).expect("runnable");
             assert_eq!(
                 got,
                 expect,

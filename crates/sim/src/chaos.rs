@@ -356,9 +356,9 @@ impl ChaosReport {
     }
 }
 
-/// One probe: sends, runs until the outcome arrives, and enforces the
-/// conservation invariant against the destination's physical delivery
-/// log.
+/// One probe: sends, waits for the outcome ([`NetworkSim::wait_for`]),
+/// and enforces the conservation invariant against the destination's
+/// physical delivery log.
 fn probe(
     sim: &mut NetworkSim,
     src: usize,
@@ -368,38 +368,30 @@ fn probe(
     phase: &'static str,
 ) -> Result<MessageOutcome, ChaosViolation> {
     sim.send(src, dest, payload);
-    let deadline = sim.now() + budget;
-    while sim.now() < deadline {
-        sim.tick();
-        let outs = sim.drain_outcomes();
-        if outs.is_empty() {
-            continue;
-        }
-        debug_assert_eq!(outs.len(), 1, "probes are strictly sequential");
-        let out = outs.into_iter().next().expect("one outcome");
-        if !out.status.is_delivered() {
-            return Err(ChaosViolation::Abandoned { src, dest });
-        }
-        let deliveries = sim.endpoint_mut(dest).take_delivered();
-        if deliveries.iter().any(|d| d.payload != payload) {
-            return Err(ChaosViolation::WrongPayload { src, dest });
-        }
-        // Failure-free completion must be exactly-once; a recorded
-        // failure (e.g. a corrupted acknowledgment after a successful
-        // delivery) legitimately retries — at-least-once, not silent.
-        if deliveries.len() != 1 && out.failures.is_empty() {
-            return Err(ChaosViolation::NotExactlyOnce {
-                src,
-                dest,
-                deliveries: deliveries.len(),
-            });
-        }
-        if deliveries.is_empty() {
-            return Err(ChaosViolation::Lost { src, dest, phase });
-        }
-        return Ok(out);
+    let Some(out) = sim.wait_for(src, dest, budget) else {
+        return Err(ChaosViolation::Lost { src, dest, phase });
+    };
+    if !out.status.is_delivered() {
+        return Err(ChaosViolation::Abandoned { src, dest });
     }
-    Err(ChaosViolation::Lost { src, dest, phase })
+    let deliveries = sim.endpoint_mut(dest).take_delivered();
+    if deliveries.iter().any(|d| d.payload != payload) {
+        return Err(ChaosViolation::WrongPayload { src, dest });
+    }
+    // Failure-free completion must be exactly-once; a recorded
+    // failure (e.g. a corrupted acknowledgment after a successful
+    // delivery) legitimately retries — at-least-once, not silent.
+    if deliveries.len() != 1 && out.failures.is_empty() {
+        return Err(ChaosViolation::NotExactlyOnce {
+            src,
+            dest,
+            deliveries: deliveries.len(),
+        });
+    }
+    if deliveries.is_empty() {
+        return Err(ChaosViolation::Lost { src, dest, phase });
+    }
+    Ok(out)
 }
 
 /// Runs one campaign on the given engine — for Flat, on `shards` tick

@@ -1,5 +1,5 @@
 //! Crash-safe checkpoints: a schema-versioned envelope capturing a
-//! scenario run mid-flight, and a resumable runner that continues one
+//! scenario run mid-flight, from which [`Run::of`] continues it
 //! bit-identically.
 //!
 //! A checkpoint is taken at a **tick boundary** — after `sim.tick()`
@@ -9,9 +9,10 @@
 //! 1. the **scenario** itself (embedded verbatim, plus its
 //!    `scenario_hash`), so a checkpoint file is self-contained: resume
 //!    needs no side channel to the original `scenarios/*.json`;
-//! 2. the **runner position** (`phase`, `cycle`): which loop of
-//!    [`run_scenario_resumable`] was executing and how many cycles had
-//!    completed;
+//! 2. the **runner position** (`phase`, `cycle`): how many cycles had
+//!    completed, and — derived from that count by [`Run::checkpoint`],
+//!    spelled out for a reader of the file — whether the run was still
+//!    offering traffic or draining;
 //! 3. the **machine state** as one flat word stream
 //!    ([`NetworkSim::save_state`] followed, for `Load` workloads, by
 //!    the [`WorkloadDriver`]'s stream positions), hex-chunked into the
@@ -44,17 +45,20 @@
 //! suite in `tests/`.
 //!
 //! [`Engine::save_state`]: crate::engine::Engine::save_state
+//! [`Run::of`]: crate::scenario::Run::of
+//! [`Run::checkpoint`]: crate::scenario::Run::checkpoint
 
 #![deny(clippy::cast_possible_truncation)]
 
 use crate::network::NetworkSim;
 use crate::scenario::codec::{self, dec_schema, CodecError};
-use crate::scenario::{apply_due_injections, Scenario, ScenarioResult, WorkloadSpec};
-use crate::workload::{StreamRecipe, StreamSeeds, WorkloadDriver};
+use crate::scenario::{Scenario, WorkloadSpec};
+use crate::workload::WorkloadDriver;
 use metro_harness::document::{seal, Fields, Node};
 use metro_harness::Json;
 use metro_telemetry::{StateError, StateReader, StateWriter};
-use std::collections::VecDeque;
+
+pub use crate::scenario::run::{resume_scenario, run_scenario_resumable, CheckpointSink, SinkFn};
 
 /// The checkpoint schema version this build writes, and the only one it
 /// reads: a checkpoint is a crash-recovery file of the build that wrote
@@ -78,13 +82,16 @@ pub const CHECKPOINT_SCHEMA: u64 = 3;
 /// editor- and diff-friendly; the chunk boundaries carry no meaning.
 const HEX_CHUNK: usize = 4096;
 
-/// Which loop of the scenario runner a checkpoint was taken in.
+/// Which part of a run a checkpoint was taken in, as the envelope
+/// spells it: a function of the cycle
+/// ([`Run::checkpoint`](crate::scenario::Run::checkpoint)), never a
+/// cursor of its own.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RunPhase {
     /// The driven portion: warmup + measurement for `Load` workloads,
     /// the whole scripted schedule for `Sends`.
     Main,
-    /// The post-measurement drain loop (`Load` workloads only).
+    /// The post-measurement drain (`Load` workloads only).
     Drain,
 }
 
@@ -115,7 +122,7 @@ impl RunPhase {
 pub struct Checkpoint {
     /// The scenario being run, embedded verbatim.
     pub scenario: Scenario,
-    /// Which runner loop was executing.
+    /// Whether the run was driven or draining (derived from `cycle`).
     pub phase: RunPhase,
     /// Cycles completed — equivalently, the next cycle index to run.
     pub cycle: u64,
@@ -247,7 +254,7 @@ impl Checkpoint {
     }
 }
 
-/// Reads the runner position, rejecting one the scenario's own loops
+/// Reads the runner position, rejecting one a run of the scenario
 /// could never have produced — a mislabelled or hand-mangled file,
 /// caught at decode.
 fn dec_position(
@@ -338,257 +345,11 @@ fn dec_state(node: &Node<'_>) -> Result<Vec<u64>, CodecError> {
     Ok(words)
 }
 
-/// A checkpoint receiver: called with each periodic snapshot; an error
-/// aborts the run (a checkpoint that cannot be persisted is not crash
-/// safety).
-pub type SinkFn<'a> = dyn FnMut(&Checkpoint) -> Result<(), Box<dyn std::error::Error>> + 'a;
-
-/// A periodic checkpoint request for [`run_scenario_resumable`].
-pub struct CheckpointSink<'a> {
-    /// Take a checkpoint every this many completed cycles (0 disables).
-    pub every: u64,
-    /// Receives each checkpoint as it is taken; an error aborts the
-    /// run (a checkpoint that cannot be persisted is not crash safety).
-    pub sink: &'a mut SinkFn<'a>,
-}
-
-impl std::fmt::Debug for CheckpointSink<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CheckpointSink")
-            .field("every", &self.every)
-            .finish_non_exhaustive()
-    }
-}
-
-fn take_checkpoint(
-    hook: &mut Option<CheckpointSink<'_>>,
-    scenario: &Scenario,
-    sim: &NetworkSim,
-    driver: Option<&WorkloadDriver>,
-    phase: RunPhase,
-    cycle: u64,
-) -> Result<(), Box<dyn std::error::Error>> {
-    let Some(h) = hook.as_mut() else {
-        return Ok(());
-    };
-    if h.every == 0 || !cycle.is_multiple_of(h.every) {
-        return Ok(());
-    }
-    let ckpt = Checkpoint::capture(scenario, sim, driver, phase, cycle);
-    (h.sink)(&ckpt)
-}
-
-/// Resumes a checkpointed run to completion: rebuilds the sim (and
-/// driver) from the embedded scenario, restores the captured state,
-/// and re-enters the runner loop at the recorded position. The result
-/// is bit-identical to the run the checkpoint interrupted.
-///
-/// # Errors
-///
-/// Propagates topology validation and state-restore errors.
-pub fn resume_scenario(
-    ckpt: &Checkpoint,
-) -> Result<(ScenarioResult, NetworkSim), Box<dyn std::error::Error>> {
-    run_scenario_resumable(&ckpt.scenario, Some(ckpt), None)
-}
-
-/// [`resume_scenario`], continuing to take periodic checkpoints — the
-/// engine behind `metro resume` when the original run asked for
-/// `--checkpoint-every`.
-///
-/// # Errors
-///
-/// Propagates topology validation, state-restore, and sink errors.
-pub fn resume_scenario_with(
-    ckpt: &Checkpoint,
-    hook: Option<CheckpointSink<'_>>,
-) -> Result<(ScenarioResult, NetworkSim), Box<dyn std::error::Error>> {
-    run_scenario_resumable(&ckpt.scenario, Some(ckpt), hook)
-}
-
-/// The scenario runner, generalized over a start position and a
-/// checkpoint hook. `run_scenario_with_sim` is exactly
-/// `run_scenario_resumable(scenario, None, None)`; `metro resume`
-/// enters here through [`resume_scenario`].
-///
-/// Invariants that make resume bit-identical:
-///
-/// * Checkpoints happen only at tick boundaries, after `sim.tick()`
-///   for cycle `c`, recorded as `cycle = c + 1` — the state every
-///   component snapshot assumes.
-/// * The runner's injection bookkeeping (`active`, `pending`) is
-///   **replayed**, not snapshotted: every injection with `at <
-///   start_cycle` merges before the loop re-enters. The sim-side
-///   fault tables come from the checkpoint itself
-///   ([`NetworkSim::restore_state`] re-applies the saved fault set),
-///   so the two stay in lock-step with the straight run.
-/// * `Sends` schedules are likewise replayed by retaining only the
-///   entries the interrupted run had not yet consumed
-///   (`at >= start_cycle`).
-///
-/// # Errors
-///
-/// Propagates topology validation errors; an analytic-engine scenario
-/// is rejected by [`NetworkSim::from_scenario`]. A `resume` checkpoint
-/// whose state stream does not fit the scenario-built machine is a
-/// [`StateError`].
-pub fn run_scenario_resumable(
-    scenario: &Scenario,
-    resume: Option<&Checkpoint>,
-    mut hook: Option<CheckpointSink<'_>>,
-) -> Result<(ScenarioResult, NetworkSim), Box<dyn std::error::Error>> {
-    let mut sim = NetworkSim::from_scenario(scenario)?;
-    // The result is the sources' outcomes: nothing reads the destinations' log.
-    sim.set_keep_delivered(false);
-    let n = sim.topology().endpoints();
-    let mut active = scenario.faults.clone();
-    let mut pending = scenario.injections.clone();
-    pending.sort_by_key(|i| i.at);
-    let mut pending = VecDeque::from(pending);
-    let (start_phase, start_cycle) = match resume {
-        Some(c) => (c.phase, c.cycle),
-        None => (RunPhase::Main, 0),
-    };
-    // Replay the injection schedule up to the resume point. The loop
-    // below applies injections with `at <= now` at the start of cycle
-    // `now`, so everything with `at < start_cycle` has already merged.
-    while let Some(injection) = pending.pop_front_if(|i| i.at < start_cycle) {
-        active.merge(&injection.faults);
-        injection.repairs.apply_to(&mut active);
-    }
-
-    let mut point = None;
-    match &scenario.workload {
-        WorkloadSpec::Load {
-            pattern,
-            arrival,
-            rates,
-            load,
-            payload_words,
-            warmup,
-            measure,
-            drain,
-        } => {
-            let stream_words = sim.stream_for(0, &vec![0; *payload_words]).len();
-            let recipe = StreamRecipe {
-                arrival,
-                rates,
-                pattern,
-                load: *load,
-                stream_words,
-                payload_words: *payload_words,
-                endpoints: n,
-                seeds: StreamSeeds::load(scenario.seed),
-            };
-            let mut driver = recipe.driver();
-            if let Some(c) = resume {
-                c.restore_into(&mut sim, Some(&mut driver))?;
-            }
-            let payload: Vec<u16> = (0..=u16::MAX).cycle().take(*payload_words).collect();
-            let total = warmup + measure;
-            let main_start = match start_phase {
-                RunPhase::Main => start_cycle,
-                RunPhase::Drain => total,
-            };
-            for cycle in main_start..total {
-                if cycle == *warmup {
-                    sim.reset_stats();
-                }
-                apply_due_injections(&mut sim, &mut pending, &mut active, cycle);
-                driver.poll(cycle, |a| {
-                    if a.payload_words == payload.len() {
-                        sim.send(a.src, a.dest, &payload);
-                    } else {
-                        // Trace entries may carry their own sizes.
-                        let p: Vec<u16> = (0..=u16::MAX).cycle().take(a.payload_words).collect();
-                        sim.send(a.src, a.dest, &p);
-                    }
-                });
-                sim.tick();
-                take_checkpoint(
-                    &mut hook,
-                    scenario,
-                    &sim,
-                    Some(&driver),
-                    RunPhase::Main,
-                    cycle + 1,
-                )?;
-            }
-            let drain_start = match start_phase {
-                RunPhase::Drain => start_cycle,
-                RunPhase::Main => total,
-            };
-            for cycle in drain_start..total + drain {
-                if sim.is_quiescent() {
-                    break;
-                }
-                apply_due_injections(&mut sim, &mut pending, &mut active, cycle);
-                sim.tick();
-                take_checkpoint(
-                    &mut hook,
-                    scenario,
-                    &sim,
-                    Some(&driver),
-                    RunPhase::Drain,
-                    cycle + 1,
-                )?;
-            }
-            let stats = sim.stats_mut();
-            let delivered = stats.delivered;
-            point = Some(crate::experiment::LoadPoint {
-                offered: *load,
-                accepted: delivered as f64 * stream_words as f64 / *measure as f64 / n as f64,
-                mean_latency: stats.total_latency.mean(),
-                p50_latency: stats.total_latency.percentile(50.0),
-                p95_latency: stats.total_latency.percentile(95.0),
-                mean_network_latency: stats.network_latency.mean(),
-                retries_per_message: stats.retries_per_message(),
-                delivered,
-            });
-        }
-        WorkloadSpec::Sends { sends, cycles } => {
-            if let Some(c) = resume {
-                c.restore_into(&mut sim, None)?;
-            }
-            let mut queue = sends.clone();
-            queue.sort_by_key(|s| s.at);
-            // Sends with `at <= now` are consumed at the start of cycle
-            // `now`, so the interrupted run had drained everything
-            // scheduled before `start_cycle`.
-            queue.retain(|s| s.at >= start_cycle);
-            let mut queue = VecDeque::from(queue);
-            for now in start_cycle..*cycles {
-                while let Some(s) = queue.pop_front_if(|s| s.at <= now) {
-                    sim.send(s.src % n, s.dest % n, &s.payload);
-                }
-                apply_due_injections(&mut sim, &mut pending, &mut active, now);
-                sim.tick();
-                take_checkpoint(&mut hook, scenario, &sim, None, RunPhase::Main, now + 1)?;
-            }
-        }
-    }
-
-    let outcomes = sim.drain_outcomes();
-    let payload_words = outcomes.iter().map(|o| o.payload_words).sum();
-    let fabric_idle = sim.fabric_idle();
-    let telemetry_every = sim.telemetry().interval();
-    let stats = sim.stats_mut();
-    let result = ScenarioResult {
-        delivered: stats.delivered,
-        abandoned: stats.abandoned,
-        point,
-        payload_words,
-        fabric_idle,
-        telemetry_every,
-        outcomes,
-    };
-    Ok((result, sim))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::{run_scenario, SendSpec};
+    use crate::network::EngineKind;
+    use crate::scenario::{run_scenario, FaultInjection, RepairSet, Run, ScenarioResult, SendSpec};
     use crate::traffic::TrafficPattern;
     use crate::workload::{ArrivalProcess, RateMap};
     use metro_topo::fault::{FaultKind, FaultSet};
@@ -606,10 +367,10 @@ mod tests {
             sim: crate::network::SimConfig::default(),
             seed: 0xC4A7,
             faults,
-            injections: vec![crate::scenario::FaultInjection {
+            injections: vec![FaultInjection {
                 at: 150,
                 faults: injected,
-                repairs: crate::scenario::RepairSet::default(),
+                repairs: RepairSet::default(),
             }],
             workload: WorkloadSpec::Load {
                 pattern: TrafficPattern::Uniform,
@@ -740,8 +501,9 @@ mod tests {
             resumed_ckpts.push(c.to_json().render());
             Ok(())
         };
-        let (_r, _sim) = resume_scenario_with(
-            &first,
+        let (_r, _sim) = run_scenario_resumable(
+            &first.scenario,
+            Some(&first),
             Some(CheckpointSink {
                 every: 100,
                 sink: &mut sink,
@@ -853,7 +615,107 @@ mod tests {
     }
 
     #[test]
-    fn run_scenario_with_sim_is_the_unresumed_runner() {
+    fn a_run_stepped_by_hand_checkpoints_and_resumes_at_every_boundary() {
+        let s = load_scenario();
+        let straight = run_scenario(&s).unwrap();
+        let mut run = Run::of(&s, None).unwrap();
+        let mut resume_from = Vec::new();
+        while run.step() {
+            let c = run.checkpoint(&s);
+            assert_eq!(c.cycle, run.cycle());
+            // The driven window is [0, 400): the boundary after its last
+            // cycle is still `main`, everything later is `drain`.
+            let phase = if c.cycle <= 400 {
+                RunPhase::Main
+            } else {
+                RunPhase::Drain
+            };
+            assert_eq!(c.phase, phase, "cycle {}", c.cycle);
+            if [250, 400, 401].contains(&c.cycle) {
+                resume_from.push(c.clone());
+            }
+            // `dec_position` accepts it; decoding never reads the words.
+            let position = Checkpoint {
+                state: Vec::new(),
+                ..c
+            };
+            assert_eq!(
+                Checkpoint::from_json(&position.to_json()).unwrap(),
+                position
+            );
+        }
+        assert!(run.cycle() > 401, "the drain ran: {}", run.cycle());
+        assert_eq!(run.finish().0, straight);
+        assert_eq!(resume_from.len(), 3);
+        for c in &resume_from {
+            let (resumed, _sim) = resume_scenario(c).unwrap();
+            assert_eq!(resumed, straight, "resume at cycle {} diverged", c.cycle);
+        }
+    }
+
+    #[test]
+    fn a_send_and_a_kill_of_its_source_on_one_cycle_keep_the_historical_order() {
+        // Cycle 20 queues two messages and kills the source of one of
+        // them (with an earlier message of its in flight); cycle 200
+        // revives it. `Run::step` merges the injection before it offers
+        // the sends; the scripted runner used to offer first. The two
+        // commute — a send lands on a NIC queue `apply_faults` does not
+        // read — so a by-hand replay in the old order sees every outcome.
+        let send = |at, src, dest| SendSpec {
+            at,
+            src,
+            dest,
+            payload: vec![5; 6],
+        };
+        let sends = vec![send(0, 1, 6), send(20, 1, 6), send(20, 3, 1)];
+        let mut s = Scenario::scripted("same-cycle", MultibutterflySpec::small8(), sends, 1_500);
+        let mut killed = FaultSet::new();
+        killed.kill_endpoint(1);
+        s.injections = vec![
+            FaultInjection {
+                at: 20,
+                faults: killed.clone(),
+                repairs: RepairSet::default(),
+            },
+            FaultInjection {
+                at: 200,
+                faults: FaultSet::new(),
+                repairs: RepairSet {
+                    endpoints: vec![1],
+                    ..RepairSet::default()
+                },
+            },
+        ];
+        let flat = run_scenario(&s).unwrap();
+        assert_eq!(flat.outcomes.len(), 3, "{:?}", flat.outcomes);
+
+        let mut sim = NetworkSim::from_scenario(&s).unwrap();
+        for now in 0..1_500 {
+            match now {
+                0 => sim.send(1, 6, &[5; 6]),
+                20 => {
+                    sim.send(1, 6, &[5; 6]);
+                    sim.send(3, 1, &[5; 6]);
+                    sim.apply_faults(killed.clone());
+                }
+                200 => sim.apply_faults(FaultSet::new()),
+                _ => {}
+            }
+            sim.tick();
+        }
+        let by_hand = ScenarioResult {
+            outcomes: sim.drain_outcomes(),
+            ..flat.clone()
+        };
+        assert_eq!(flat.outcome_digest(), by_hand.outcome_digest());
+
+        s.sim.engine = EngineKind::Reference;
+        let reference = run_scenario(&s).unwrap();
+        assert_eq!(flat.outcome_digest(), reference.outcome_digest());
+    }
+
+    #[test]
+    fn run_scenario_is_the_unresumed_runner() {
         let s = load_scenario();
         let plain = run_scenario(&s).unwrap();
         let (via_resumable, _sim) = run_scenario_resumable(&s, None, None).unwrap();

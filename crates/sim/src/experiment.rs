@@ -25,9 +25,9 @@
 //! a derived seed can apply [`point_seed`] themselves.
 
 use crate::network::{NetworkSim, SimConfig};
-use crate::scenario::{run_scenario_with_sim, Scenario, WorkloadSpec};
+use crate::scenario::{run::run_scenario_resumable, Run, Scenario, WorkloadSpec};
 use crate::traffic::TrafficPattern;
-use crate::workload::{ArrivalProcess, RateMap, StreamRecipe, StreamSeeds};
+use crate::workload::{ArrivalProcess, RateMap, StreamSeeds};
 use metro_core::RandomSource;
 use metro_harness::par_map;
 use metro_telemetry::TelemetrySnapshot;
@@ -204,8 +204,8 @@ pub fn unloaded_latency(cfg: &SweepConfig) -> u64 {
 /// Runs the scenario [`SweepConfig::load_scenario`] describes on the
 /// scenario runner and returns its measured point with the finished sim.
 fn run_load_scenario(cfg: &SweepConfig, load: f64, name: &str) -> (LoadPoint, NetworkSim) {
-    let (result, sim) =
-        run_scenario_with_sim(&cfg.load_scenario(name, load)).expect("runnable load point");
+    let (result, sim) = run_scenario_resumable(&cfg.load_scenario(name, load), None, None)
+        .expect("runnable load point");
     (result.point.expect("a Load workload measures a point"), sim)
 }
 
@@ -254,13 +254,11 @@ pub fn load_sweep_jobs(cfg: &SweepConfig, loads: &[f64], jobs: NonZeroUsize) -> 
 }
 
 /// Runs the fault-point simulation to completion and returns the sim,
-/// shared by [`run_fault_point`] and its telemetry-carrying variant.
-///
-/// Deliberately not on the scenario runner, unlike the load point:
-/// [`StreamSeeds::fault`]'s stride and the payload-based `accepted` of
-/// [`FaultSweepPoint`] are pinned by `results/fault_sweep.json` and
-/// `report_tables.rs`, and threading a seed plan through
-/// [`run_scenario_with_sim`] would make shared code branch on its caller.
+/// shared by [`run_fault_point`] and its telemetry-carrying variant: the
+/// load point's [`Run`] on a machine with random kills applied, seeded
+/// by [`StreamSeeds::fault`] — its stride and the payload-based
+/// `accepted` of [`FaultSweepPoint`] are pinned by
+/// `results/fault_sweep.json` and `report_tables.rs`.
 fn run_fault_sim(
     cfg: &SweepConfig,
     load: f64,
@@ -268,9 +266,6 @@ fn run_fault_sim(
     dead_links: usize,
 ) -> NetworkSim {
     let mut sim = NetworkSim::new(&cfg.spec, &cfg.sim).expect("valid spec");
-    sim.set_keep_delivered(false);
-    let n = sim.topology().endpoints();
-    let stream_words = sim.stream_for(0, &vec![0; cfg.payload_words]).len();
     let mut fault_rng = RandomSource::new(cfg.seed ^ 0xFA017);
     let mut faults = FaultSet::new();
     // Restrict router kills to the dilated (multipath) stages: killing
@@ -296,35 +291,10 @@ fn run_fault_sim(
     faults.kill_random_links(&links, dead_links, &mut fault_rng);
     sim.apply_faults(faults);
 
-    let recipe = StreamRecipe {
-        arrival: &cfg.arrival,
-        rates: &cfg.rates,
-        pattern: &cfg.pattern,
-        load,
-        stream_words,
-        payload_words: cfg.payload_words,
-        endpoints: n,
-        seeds: StreamSeeds::fault(cfg.seed),
-    };
-    let mut driver = recipe.driver();
-    let payload: Vec<u16> = (0..cfg.payload_words).map(|k| k as u16).collect();
-    let total = cfg.warmup + cfg.measure;
-    for cycle in 0..total {
-        if cycle == cfg.warmup {
-            sim.reset_stats();
-        }
-        driver.poll(cycle, |a| {
-            sim.send(a.src, a.dest, &payload);
-        });
-        sim.tick();
-    }
-    for _ in 0..cfg.drain {
-        if sim.is_quiescent() {
-            break;
-        }
-        sim.tick();
-    }
-    sim
+    let workload = cfg.load_scenario("fault_point", load).workload;
+    let mut run = Run::new(sim, &workload, StreamSeeds::fault(cfg.seed), &[]);
+    while run.step() {}
+    run.finish().1
 }
 
 /// Summarizes a finished fault-point sim into its sweep point.
@@ -449,6 +419,44 @@ mod tests {
                 mean_network_latency: 37.019277108433734,
                 retries_per_message: 0.6457831325301204,
                 delivered: 415,
+            }
+        );
+    }
+
+    #[test]
+    fn fault_points_keep_the_values_their_own_loop_measured() {
+        // Recorded from the build before `run_fault_sim` moved onto
+        // `Run` (PR 21, its own warmup/measure and drain loops).
+        let cfg = SweepConfig {
+            warmup: 200,
+            measure: 1_000,
+            drain: 500,
+            ..SweepConfig::small()
+        };
+        assert_eq!(
+            run_fault_point(&cfg, 0.3, 2, 3),
+            FaultSweepPoint {
+                dead_routers: 2,
+                dead_links: 3,
+                mean_latency: 164.76020408163265,
+                p95_latency: 526,
+                retries_per_message: 0.8775510204081632,
+                accepted: 0.23275,
+                delivered: 196,
+                abandoned: 0,
+            }
+        );
+        assert_eq!(
+            run_fault_point_with_telemetry(&cfg, 0.5, 0, 4, "probe").0,
+            FaultSweepPoint {
+                dead_routers: 0,
+                dead_links: 4,
+                mean_latency: 208.6413043478261,
+                p95_latency: 506,
+                retries_per_message: 0.7065217391304348,
+                accepted: 0.437,
+                delivered: 368,
+                abandoned: 0,
             }
         );
     }

@@ -33,8 +33,8 @@
 //! | [`workload`] | arrival processes, rate maps, and the shared workload driver |
 //! | [`stats`] | latency/throughput/retry statistics |
 //! | [`experiment`] | load sweeps and fault sweeps (Figure 3 and §6.2) |
-//! | [`scenario`] | declarative, serializable run descriptions + differential fuzzing |
-//! | [`checkpoint`] | crash-safe checkpoint envelopes and the resumable runner |
+//! | [`scenario`] | declarative, serializable run descriptions, the run loop ([`scenario::Run`]) + differential fuzzing |
+//! | [`checkpoint`] | crash-safe checkpoint envelopes |
 //! | [`chaos`] | randomized fault-storm campaigns with hard self-healing invariants |
 
 #![forbid(unsafe_code)]
@@ -63,8 +63,8 @@ pub mod workload;
 
 pub use chaos::{ChaosCampaign, ChaosReport, ChaosViolation, StormEvent};
 pub use checkpoint::{
-    resume_scenario, resume_scenario_with, run_scenario_resumable, Checkpoint, CheckpointSink,
-    RunPhase, CHECKPOINT_SCHEMA,
+    resume_scenario, run_scenario_resumable, Checkpoint, CheckpointSink, RunPhase,
+    CHECKPOINT_SCHEMA,
 };
 pub use endpoint::{AttemptEvidence, EndpointConfig, ReplyPolicy};
 pub use experiment::{FaultSweepPoint, LoadPoint, SweepConfig};

@@ -441,6 +441,22 @@ impl NetworkSim {
         max_cycles: u64,
     ) -> Option<MessageOutcome> {
         self.send(src, dest, payload);
+        let mut outcome = self.wait_for(src, dest, max_cycles)?;
+        if let Some(d) = self.endpoints[dest]
+            .take_delivered()
+            .into_iter()
+            .next_back()
+        {
+            outcome.payload_delivered = d.payload;
+        }
+        Some(outcome)
+    }
+
+    /// Runs the clock until a transaction from `src` to `dest`
+    /// completes (or `max_cycles` elapse) and takes its outcome out of
+    /// the harvested stream — the closed-loop wait of one probe, as
+    /// [`Run::step`](crate::scenario::Run::step) is the open-loop cycle.
+    pub fn wait_for(&mut self, src: usize, dest: usize, max_cycles: u64) -> Option<MessageOutcome> {
         let deadline = self.now + max_cycles;
         while self.now < deadline {
             self.tick();
@@ -449,15 +465,7 @@ impl NetworkSim {
                 .iter()
                 .position(|o| o.src == src && o.dest == dest)
             {
-                let mut outcome = self.outcomes.remove(pos);
-                if let Some(d) = self.endpoints[dest]
-                    .take_delivered()
-                    .into_iter()
-                    .next_back()
-                {
-                    outcome.payload_delivered = d.payload;
-                }
-                return Some(outcome);
+                return Some(self.outcomes.remove(pos));
             }
         }
         None

@@ -946,7 +946,7 @@ mod tests {
             assert_eq!(decode(&doc).unwrap(), s, "shards={shards}");
             let text = doc.render();
             assert_eq!(encode(&from_text(&text).unwrap()).render(), text);
-            let (got, sim) = crate::scenario::run_scenario_with_sim(&s).unwrap();
+            let (got, sim) = crate::checkpoint::run_scenario_resumable(&s, None, None).unwrap();
             assert!(
                 (1..=sim.topology().total_routers()).contains(&sim.shards()),
                 "shards={shards} resolved to {}",

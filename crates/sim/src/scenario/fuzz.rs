@@ -246,7 +246,7 @@ pub fn differential_check(
     let run = |(engine, shards)| {
         let mut variant = decoded.clone();
         (variant.sim.engine, variant.sim.shards) = (engine, shards);
-        super::run_scenario_with_sim(&variant).map_err(|e| e.to_string())
+        super::run::run_scenario_resumable(&variant, None, None).map_err(|e| e.to_string())
     };
     let (a, mut sim_a) = run(variants[0])?;
     let (b, mut sim_b) = run(variants[1])?;

@@ -14,12 +14,17 @@
 //! JSON model (schema-versioned, unknown-field-rejecting, byte-stable),
 //! so a checked-in `scenarios/*.json` file, a manifest entry's
 //! `scenario_hash`, and a `results/<artifact>.scenario.json` sidecar
-//! all name exactly the same run. [`run_scenario`] replays one
-//! deterministically; [`fuzz`] generates random scenarios and checks
-//! the two tick engines against each other over them.
+//! all name exactly the same run. [`run`] holds the run loop — one
+//! [`Run`] stepped a cycle at a time — and [`run_scenario`] replays a
+//! scenario on it deterministically; [`fuzz`] generates random
+//! scenarios and checks the two tick engines against each other over
+//! them.
 
 pub mod codec;
 pub mod fuzz;
+pub mod run;
+
+pub use run::{run_scenario, Run};
 
 use crate::experiment::LoadPoint;
 use crate::message::MessageOutcome;
@@ -31,7 +36,6 @@ use metro_harness::Json;
 use metro_topo::fault::FaultSet;
 use metro_topo::graph::LinkId;
 use metro_topo::multibutterfly::MultibutterflySpec;
-use std::collections::VecDeque;
 
 /// One scheduled message of a scripted workload.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -210,8 +214,8 @@ impl Scenario {
 impl NetworkSim {
     /// Builds the simulator a scenario describes: topology + sim
     /// parameters, with the scenario's static fault set already
-    /// applied. Timed injections are the runner's job
-    /// ([`run_scenario`]).
+    /// applied. Timed injections are the run loop's job
+    /// ([`Run::step`]).
     ///
     /// # Errors
     ///
@@ -311,69 +315,6 @@ impl ScenarioResult {
             ("point", point),
         ])
     }
-}
-
-/// Applies every injection due at or before `now`, cumulatively.
-pub(crate) fn apply_due_injections(
-    sim: &mut NetworkSim,
-    pending: &mut VecDeque<FaultInjection>,
-    active: &mut FaultSet,
-    now: u64,
-) {
-    let mut changed = false;
-    while let Some(injection) = pending.pop_front_if(|i| i.at <= now) {
-        active.merge(&injection.faults);
-        injection.repairs.apply_to(active);
-        changed = true;
-    }
-    if changed {
-        sim.apply_faults(active.clone());
-    }
-}
-
-/// Replays a scenario deterministically: builds the network via
-/// [`NetworkSim::from_scenario`], offers the workload, applies timed
-/// injections, and collects the complete outcome stream. Two calls on
-/// the same scenario return identical results (asserted in tests) — the
-/// reproducibility contract behind `scenarios/*.json` and the manifest's
-/// `scenario_hash`.
-///
-/// A scenario naming [`EngineKind::Analytic`](crate::EngineKind::Analytic)
-/// is dispatched to the estimator
-/// ([`estimate_scenario`](crate::engine::analytic::estimate_scenario))
-/// instead of a cycle-accurate replay; the result has the same shape
-/// but is a prediction, not a simulation.
-///
-/// # Errors
-///
-/// Propagates topology validation errors.
-pub fn run_scenario(scenario: &Scenario) -> Result<ScenarioResult, Box<dyn std::error::Error>> {
-    if scenario.sim.engine == crate::engine::EngineKind::Analytic {
-        return crate::engine::analytic::estimate_scenario(scenario);
-    }
-    run_scenario_with_sim(scenario).map(|(result, _sim)| result)
-}
-
-/// [`run_scenario`], but also hands back the finished [`NetworkSim`] so
-/// callers can inspect end-of-run state the [`ScenarioResult`] does not
-/// carry — telemetry snapshots, fault masks, per-router counters. Used
-/// by the shard-differential fuzzer to compare *all* observable state
-/// between single-threaded and sharded runs, not just the outcome
-/// stream.
-///
-/// # Errors
-///
-/// Propagates topology validation errors. Because this entry point
-/// must hand back a live [`NetworkSim`], an analytic-engine scenario is
-/// rejected with [`crate::engine::NotCycleAccurate`] — use
-/// [`run_scenario`], which dispatches it to the estimator.
-pub fn run_scenario_with_sim(
-    scenario: &Scenario,
-) -> Result<(ScenarioResult, NetworkSim), Box<dyn std::error::Error>> {
-    // The loop itself lives in the checkpoint module, generalized over
-    // a resume position and a periodic checkpoint hook; this entry
-    // point is the classic start-from-zero, no-checkpoints case.
-    crate::checkpoint::run_scenario_resumable(scenario, None, None)
 }
 
 #[cfg(test)]
@@ -522,19 +463,16 @@ mod tests {
                 repairs: RepairSet::default(),
             },
         ];
-        // Replay manually up to cycle 30 and check the live fault set.
-        let mut sim = NetworkSim::from_scenario(&s).unwrap();
-        let mut active = s.faults.clone();
-        let mut pending = VecDeque::from(s.injections.clone());
-        for now in 0..30 {
-            apply_due_injections(&mut sim, &mut pending, &mut active, now);
-            sim.tick();
+        // Step up to cycle 30 and check the live fault set.
+        let mut run = Run::of(&s, None).unwrap();
+        while run.cycle() < 30 {
+            run.step();
         }
         assert!(
-            sim.faults().router_dead(0, 0),
+            run.sim().faults().router_dead(0, 0),
             "first injection still active"
         );
-        assert!(sim.faults().link_dead(LinkId::new(0, 1, 0)));
+        assert!(run.sim().faults().link_dead(LinkId::new(0, 1, 0)));
     }
 
     #[test]
@@ -562,20 +500,19 @@ mod tests {
                 },
             },
         ];
-        let mut sim = NetworkSim::from_scenario(&s).unwrap();
-        let mut active = s.faults.clone();
-        let mut pending = VecDeque::from(s.injections.clone());
-        for now in 0..15 {
-            apply_due_injections(&mut sim, &mut pending, &mut active, now);
-            sim.tick();
+        let mut run = Run::of(&s, None).unwrap();
+        while run.cycle() < 15 {
+            run.step();
         }
-        assert!(sim.faults().link_dead(broken), "fault active before repair");
-        assert!(sim.faults().router_dead(1, 0));
-        for now in 15..25 {
-            apply_due_injections(&mut sim, &mut pending, &mut active, now);
-            sim.tick();
+        assert!(
+            run.sim().faults().link_dead(broken),
+            "fault active before repair"
+        );
+        assert!(run.sim().faults().router_dead(1, 0));
+        while run.cycle() < 25 {
+            run.step();
         }
-        assert!(sim.faults().is_empty(), "repair cleared every fault");
+        assert!(run.sim().faults().is_empty(), "repair cleared every fault");
     }
 
     #[test]

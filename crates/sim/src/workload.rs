@@ -16,7 +16,8 @@
 //!   per-endpoint arrival sources bit-identically — process, rate map,
 //!   pattern, load, stream length, and [`StreamSeeds`].
 //! * [`StreamRecipe::driver`] yields the cycle engines' view: a
-//!   [`WorkloadDriver`] polled once per cycle for [`Arrival`]s.
+//!   [`WorkloadDriver`] polled once per cycle for [`Arrival`]s — built
+//!   and polled by [`Run`](crate::scenario::Run), the one run loop.
 //! * [`StreamRecipe::schedule`] yields the estimator's view: the same
 //!   arrivals, precomputed and sorted, drawn from the *same* streams.
 //!

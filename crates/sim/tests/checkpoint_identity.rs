@@ -9,8 +9,7 @@
 //! bit-identically under any other, later checkpoints included.
 
 use metro_sim::checkpoint::{
-    resume_scenario, resume_scenario_with, run_scenario_resumable, Checkpoint, CheckpointSink,
-    RunPhase,
+    resume_scenario, run_scenario_resumable, Checkpoint, CheckpointSink, RunPhase,
 };
 use metro_sim::scenario::{FaultInjection, RepairSet, Scenario, ScenarioResult, WorkloadSpec};
 use metro_sim::{ArrivalProcess, EngineKind, NetworkSim, RateMap, SimConfig, TrafficPattern};
@@ -262,7 +261,7 @@ proptest! {
             Ok(())
         };
         let hook = CheckpointSink { every: at, sink: &mut sink };
-        let (resumed, mut resumed_sim) = resume_scenario_with(&ckpt, Some(hook)).unwrap();
+        let (resumed, mut resumed_sim) = run_scenario_resumable(&ckpt.scenario, Some(&ckpt), Some(hook)).unwrap();
         prop_assert_eq!(
             resumed.to_json().render(), straight.to_json().render(),
             "resume {:?}→{:?} at={} diverged", from, to, at

@@ -8,6 +8,7 @@ use metro_sim::scenario::Run;
 use metro_sim::traffic::TrafficPattern;
 use metro_sim::workload::StreamSeeds;
 use metro_sim::{NetworkSim, SweepConfig};
+use metro_telemetry::RouterCounter;
 use std::fmt::Write as _;
 
 fn simulate(pattern: &TrafficPattern, cycles: u64) -> NetworkSim {
@@ -40,14 +41,14 @@ fn report(out: &mut String, rows: &mut Vec<Json>, label: &str, sim: &NetworkSim)
     let _ = writeln!(out, "{label}:");
     for s in 0..sim.topology().stages() {
         let grants: Vec<u64> = (0..sim.topology().routers_in_stage(s))
-            .map(|r| sim.router(s, r).stats().grants)
+            .map(|r| sim.router(s, r).counters().get(RouterCounter::Grants))
             .collect();
         let total: u64 = grants.iter().sum();
         let min = grants.iter().min().copied().unwrap_or(0);
         let max = grants.iter().max().copied().unwrap_or(0);
         let mean = total as f64 / grants.len() as f64;
         let blocks: u64 = (0..grants.len())
-            .map(|r| sim.router(s, r).stats().blocks)
+            .map(|r| sim.router(s, r).counters().get(RouterCounter::Blocks))
             .sum();
         let imbalance = if min > 0 {
             max as f64 / min as f64
@@ -102,7 +103,7 @@ fn run(ctx: &RunCtx) -> Result<ArtifactOutput, String> {
             },
         ),
     ];
-    let mut sims = par_map(ctx.jobs, &workloads, |_, (_, pattern)| {
+    let sims = par_map(ctx.jobs, &workloads, |_, (_, pattern)| {
         simulate(pattern, cycles)
     });
 

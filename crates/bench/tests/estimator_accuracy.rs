@@ -59,7 +59,7 @@ fn truth_quantiles(scenario: &Scenario) -> (u64, u64) {
 fn estimator_tracks_the_flat_engine_across_the_corpus() {
     let mut violations = Vec::new();
     for (name, scenario) in corpus() {
-        let mut est = estimate_latency(&scenario).expect("corpus scenario must estimate");
+        let est = estimate_latency(&scenario).expect("corpus scenario must estimate");
         let (est_p50, est_p95) = (
             est.total_latency.percentile(50.0),
             est.total_latency.percentile(95.0),
@@ -103,7 +103,7 @@ fn metro1k_estimate_quantiles_are_pinned() {
         .into_iter()
         .find(|(name, _)| name == "metro1k")
         .expect("metro1k in corpus");
-    let mut est = estimate_latency(&scenario).unwrap();
+    let est = estimate_latency(&scenario).unwrap();
     assert_eq!(
         [50.0, 95.0, 99.0].map(|q| est.total_latency.percentile(q)),
         [24, 73, 99]

@@ -33,14 +33,14 @@ fn corpus_replays_bit_identically_at_every_shard_count() {
         let mut single = base.clone();
         single.sim.engine = EngineKind::Flat;
         single.sim.shards = 1;
-        let (expect, mut sim1) = run_scenario_resumable(&single, None, None).expect("runnable");
+        let (expect, sim1) = run_scenario_resumable(&single, None, None).expect("runnable");
         let snap1 = sim1.telemetry_snapshot(&base.name).to_json().render();
 
         for shards in [2usize, 4] {
             let mut sharded = base.clone();
             sharded.sim.engine = EngineKind::Flat;
             sharded.sim.shards = shards;
-            let (got, mut sim_n) = run_scenario_resumable(&sharded, None, None).expect("runnable");
+            let (got, sim_n) = run_scenario_resumable(&sharded, None, None).expect("runnable");
             assert_eq!(
                 got,
                 expect,

@@ -165,47 +165,6 @@ pub enum PortStatus {
     Draining,
 }
 
-/// Event counters a router accumulates across its lifetime.
-///
-/// This is a named *view* over the router's internal
-/// [`CounterCell`] — the telemetry registry reads the cell directly;
-/// this struct exists for ergonomic field access in tests and
-/// experiment code. Counters are `u64` so snapshots are
-/// platform-independent and match the simulator's cycle types.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct RouterStats {
-    /// Connection requests that arrived at forward ports.
-    pub opens: u64,
-    /// Requests switched through to a backward port.
-    pub grants: u64,
-    /// Requests blocked for lack of a free equivalent backward port.
-    pub blocks: u64,
-    /// Blocked connections torn down via fast path reclamation (BCB).
-    pub fast_reclaims: u64,
-    /// Connection reversals (forward → reverse) completed.
-    pub turns: u64,
-    /// Connections closed by a DROP passing through.
-    pub drops: u64,
-    /// Data words forwarded downstream.
-    pub words_forwarded: u64,
-}
-
-impl RouterStats {
-    /// Builds the view from a raw counter cell.
-    #[must_use]
-    pub fn from_cell(cell: &CounterCell) -> Self {
-        RouterStats {
-            opens: cell.get(RouterCounter::Opens),
-            grants: cell.get(RouterCounter::Grants),
-            blocks: cell.get(RouterCounter::Blocks),
-            fast_reclaims: cell.get(RouterCounter::FastReclaims),
-            turns: cell.get(RouterCounter::Turns),
-            drops: cell.get(RouterCounter::Drops),
-            words_forwarded: cell.get(RouterCounter::WordsForwarded),
-        }
-    }
-}
-
 #[derive(Debug, Clone, Copy)]
 enum State {
     Idle,
@@ -442,21 +401,12 @@ impl Router {
         self.rng = rng;
     }
 
-    /// Event counters accumulated so far, as a named view.
-    #[must_use]
-    pub fn stats(&self) -> RouterStats {
-        RouterStats::from_cell(&self.counters)
-    }
-
-    /// The raw counter cell — what the telemetry registry syncs from.
+    /// The event counters accumulated across the router's lifetime —
+    /// the one place they are held; the telemetry registry reads this
+    /// cell and keeps no copy.
     #[must_use]
     pub fn counters(&self) -> &CounterCell {
         &self.counters
-    }
-
-    /// Resets the event counters.
-    pub fn reset_stats(&mut self) {
-        self.counters.reset();
     }
 
     /// The IN-USE signal of each backward port (the wired-AND input for
@@ -1289,8 +1239,8 @@ mod tests {
             .with(1, Word::DataIdle);
         let out = r.tick(&open2, &idle8());
         assert!(out.bcb[2], "blocked port must assert BCB upstream");
-        assert_eq!(r.stats().blocks, 1);
-        assert_eq!(r.stats().fast_reclaims, 1);
+        assert_eq!(r.counters().get(RouterCounter::Blocks), 1);
+        assert_eq!(r.counters().get(RouterCounter::FastReclaims), 1);
     }
 
     #[test]
@@ -1341,7 +1291,7 @@ mod tests {
         let stream = [Word::Data(0), Word::Data(1), Word::Drop];
         drive(&mut r, &stream, 6, |_, _| idle8());
         assert_eq!(r.in_use_vector(), vec![false; 8]);
-        assert_eq!(r.stats().drops, 1);
+        assert_eq!(r.counters().get(RouterCounter::Drops), 1);
         assert_eq!(r.port_status(0), PortStatus::Idle);
     }
 
@@ -1375,7 +1325,7 @@ mod tests {
         let mut r = Router::new(params, config, 3).unwrap();
         let out = r.tick(&FwdIn::idle(8).with(0, Word::Data(0)), &idle8());
         assert!(out.bwd.iter().all(|w| *w == Word::Empty));
-        assert_eq!(r.stats().opens, 0);
+        assert_eq!(r.counters().get(RouterCounter::Opens), 0);
     }
 
     #[test]
@@ -1387,8 +1337,8 @@ mod tests {
             .with(1, Word::Data(0))
             .with(2, Word::Data(0));
         r.tick(&fwd, &idle8());
-        assert_eq!(r.stats().grants, 2);
-        assert_eq!(r.stats().blocks, 1);
+        assert_eq!(r.counters().get(RouterCounter::Grants), 2);
+        assert_eq!(r.counters().get(RouterCounter::Blocks), 1);
         let in_use = r.in_use_vector();
         assert!(in_use[0] && in_use[1]);
     }
@@ -1491,12 +1441,15 @@ mod tests {
         }
         assert_eq!(r.port_status(0), PortStatus::Forward);
         // Forward data flows again.
-        let before = r.stats().words_forwarded;
+        let before = r.counters().get(RouterCounter::WordsForwarded);
         let out = r.tick(
             &FwdIn::idle(8).with(0, Word::Data(0x66)),
             &held(bwd, Word::DataIdle),
         );
-        assert!(out.bwd[bwd] == Word::Data(0x66) || r.stats().words_forwarded > before);
+        assert!(
+            out.bwd[bwd] == Word::Data(0x66)
+                || r.counters().get(RouterCounter::WordsForwarded) > before
+        );
     }
 
     #[test]
@@ -1583,15 +1536,6 @@ mod tests {
         assert!(!r.in_use_vector()[bwd]);
     }
 
-    #[test]
-    fn stats_accumulate_and_reset() {
-        let mut r = router(1);
-        r.tick(&FwdIn::idle(8).with(0, Word::Data(0)), &idle8());
-        assert_eq!(r.stats().opens, 1);
-        r.reset_stats();
-        assert_eq!(r.stats(), RouterStats::default());
-    }
-
     /// Runs a mixed traffic pattern, checkpoints mid-connection, and
     /// proves the restored router ticks bit-identically to the
     /// original for many further cycles.
@@ -1635,7 +1579,7 @@ mod tests {
                     "outputs diverged at post-restore cycle {cycle} (dp {dp})"
                 );
             }
-            assert_eq!(live.stats(), resumed.stats());
+            assert_eq!(live.counters(), resumed.counters());
             assert_eq!(live.in_use_vector(), resumed.in_use_vector());
         }
     }

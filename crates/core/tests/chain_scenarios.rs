@@ -8,6 +8,7 @@ use metro_core::{
     ArchParams, BwdIn, FwdIn, PortStatus, Router, RouterConfig, StatusWord, StreamChecksum,
     TickOutput, Word,
 };
+use metro_telemetry::RouterCounter;
 
 /// Two RN1-class routers (dilation 2, radix 4) with router A's backward
 /// ports feeding router B's forward ports 1:1 (a single "stage
@@ -143,8 +144,8 @@ fn blocked_at_downstream_asserts_bcb_through_to_source() {
         saw_bcb |= bcb;
     }
     assert!(saw_bcb, "BCB must propagate across the stage boundary");
-    assert_eq!(chain.b.stats().blocks, 1);
-    assert_eq!(chain.a.stats().grants, 1);
+    assert_eq!(chain.b.counters().get(RouterCounter::Blocks), 1);
+    assert_eq!(chain.a.counters().get(RouterCounter::Grants), 1);
     // A's connection was torn down and its port drained.
     let mut freed = false;
     for _ in 0..6 {
@@ -218,8 +219,8 @@ fn drop_releases_both_routers() {
     assert!(chain.a.in_use_vector().iter().all(|&u| !u));
     assert!(chain.b.in_use_vector().iter().all(|&u| !u));
     assert_eq!(chain.a.port_status(0), PortStatus::Idle);
-    assert_eq!(chain.a.stats().drops, 1);
-    assert_eq!(chain.b.stats().drops, 1);
+    assert_eq!(chain.a.counters().get(RouterCounter::Drops), 1);
+    assert_eq!(chain.b.counters().get(RouterCounter::Drops), 1);
 }
 
 #[test]
@@ -236,8 +237,8 @@ fn back_to_back_messages_reuse_the_chain() {
         }
         assert_eq!(delivered, vec![Word::Data(payload)], "round {round}");
     }
-    assert_eq!(chain.a.stats().grants, 3);
-    assert_eq!(chain.b.stats().grants, 3);
+    assert_eq!(chain.a.counters().get(RouterCounter::Grants), 3);
+    assert_eq!(chain.b.counters().get(RouterCounter::Grants), 3);
 }
 
 mod cascaded_chain {

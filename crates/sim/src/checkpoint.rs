@@ -76,7 +76,13 @@ pub use crate::scenario::run::{resume_scenario, run_scenario_resumable, Checkpoi
 ///   cursor (was three sequences), nothing carries a second record of
 ///   each failed attempt, and a scenario run keeps no destination-side
 ///   delivery log. Same envelope; versions 1 and 2 are refused.
-pub const CHECKPOINT_SCHEMA: u64 = 3;
+/// * **4** — a count is saved once: `telreg` is the sync bookkeeping,
+///   the last-synced network total, the reset baseline and the series
+///   (was three per-router blocks), and each `netstats` histogram is
+///   its `(value, count)` runs (was one word per sample, in sample
+///   order, plus a sorted flag). Same envelope; versions 1–3 are
+///   refused.
+pub const CHECKPOINT_SCHEMA: u64 = 4;
 
 /// Hex characters per `"state"` array entry. Chunking keeps lines
 /// editor- and diff-friendly; the chunk boundaries carry no meaning.

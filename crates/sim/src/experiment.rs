@@ -234,7 +234,7 @@ pub fn run_load_point_with_telemetry(
     load: f64,
     name: &str,
 ) -> (LoadPoint, TelemetrySnapshot) {
-    let (point, mut sim) = run_load_scenario(cfg, load, name);
+    let (point, sim) = run_load_scenario(cfg, load, name);
     (point, sim.telemetry_snapshot(name))
 }
 
@@ -299,7 +299,7 @@ fn run_fault_sim(
 
 /// Summarizes a finished fault-point sim into its sweep point.
 fn fault_point_from(
-    sim: &mut NetworkSim,
+    sim: &NetworkSim,
     cfg: &SweepConfig,
     dead_routers: usize,
     dead_links: usize,
@@ -307,7 +307,7 @@ fn fault_point_from(
     let endpoints = sim.topology().endpoints();
     let measure = cfg.measure;
     let payload_words = cfg.payload_words;
-    let stats = sim.stats_mut();
+    let stats = sim.stats();
     FaultSweepPoint {
         dead_routers,
         dead_links,
@@ -329,8 +329,8 @@ pub fn run_fault_point(
     dead_routers: usize,
     dead_links: usize,
 ) -> FaultSweepPoint {
-    let mut sim = run_fault_sim(cfg, load, dead_routers, dead_links);
-    fault_point_from(&mut sim, cfg, dead_routers, dead_links)
+    let sim = run_fault_sim(cfg, load, dead_routers, dead_links);
+    fault_point_from(&sim, cfg, dead_routers, dead_links)
 }
 
 /// [`run_fault_point`], additionally freezing the sim's telemetry into
@@ -343,11 +343,10 @@ pub fn run_fault_point_with_telemetry(
     dead_links: usize,
     name: &str,
 ) -> (FaultSweepPoint, TelemetrySnapshot) {
-    let mut sim = run_fault_sim(cfg, load, dead_routers, dead_links);
-    let snapshot = sim.telemetry_snapshot(name);
+    let sim = run_fault_sim(cfg, load, dead_routers, dead_links);
     (
-        fault_point_from(&mut sim, cfg, dead_routers, dead_links),
-        snapshot,
+        fault_point_from(&sim, cfg, dead_routers, dead_links),
+        sim.telemetry_snapshot(name),
     )
 }
 

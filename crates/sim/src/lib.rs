@@ -56,7 +56,6 @@ pub mod network;
 pub mod scenario;
 pub mod shard;
 pub mod stats;
-pub mod trace;
 pub mod traffic;
 pub mod wire;
 pub mod workload;
@@ -75,6 +74,5 @@ pub use scenario::{
     run_scenario, FaultInjection, RepairSet, Scenario, ScenarioResult, SendSpec, WorkloadSpec,
 };
 pub use stats::{LatencyStats, NetworkStats};
-pub use trace::{TraceEvent, TraceLog, TraceRecord};
 pub use traffic::{TrafficError, TrafficPattern};
 pub use workload::{ArrivalProcess, RateMap, TraceEntry, WorkloadDriver, WorkloadError};

@@ -29,7 +29,9 @@ use metro_core::header::HeaderPlan;
 use metro_core::{
     ArchParams, RandomSource, Router, RouterConfig, SelectionPolicy, StreamChecksum, Word,
 };
-use metro_telemetry::{StateError, StateReader, StateWriter, TelemetryRegistry, TelemetrySnapshot};
+use metro_telemetry::{
+    CounterCell, StateError, StateReader, StateWriter, TelemetryRegistry, TelemetrySnapshot,
+};
 use metro_topo::fault::{FaultKind, FaultSet};
 use metro_topo::graph::LinkId;
 use metro_topo::multibutterfly::{Multibutterfly, MultibutterflySpec};
@@ -81,10 +83,10 @@ pub struct SimConfig {
     /// [`Reference`]: EngineKind::Reference
     pub engine: EngineKind,
     /// Cycles between telemetry syncs (clamped to ≥ 1): how often the
-    /// registry copies router counters, feeds the trace, and extends
-    /// the time series. 1 = every cycle (exact trace stamps); larger
-    /// values coarsen stamps and series resolution for a cheaper
-    /// steady-state tick.
+    /// registry sums the router counters and extends the time series.
+    /// 1 = one series sample per cycle; larger values coarsen the
+    /// series for a cheaper steady-state tick. Counter totals do not
+    /// depend on it.
     pub telemetry_every: u64,
     /// Closes the fault loop online (paper §5.3): endpoints hand every
     /// failed attempt's reply evidence to the network, which localizes
@@ -103,9 +105,9 @@ pub struct SimConfig {
     /// persistent worker pool; `0` asks for the host's available
     /// parallelism. The effective count is capped at the router count.
     /// Sharding is a pure execution strategy: every shard count
-    /// produces **bit-identical** results (outcome streams, telemetry,
-    /// traces) because components only read last-tick state and write
-    /// disjoint next-tick slots. Ignored by the Reference engine.
+    /// produces **bit-identical** results (outcome streams, telemetry)
+    /// because components only read last-tick state and write disjoint
+    /// next-tick slots. Ignored by the Reference engine.
     pub shards: usize,
 }
 
@@ -185,9 +187,9 @@ pub struct NetworkSim {
     outcomes: Vec<MessageOutcome>,
     stats: NetworkStats,
     stats_from: u64,
-    trace: Option<crate::trace::TraceLog>,
-    /// The telemetry spine: rebased per-router counters, per-sync
-    /// deltas (the trace's input), and decimated network-total series.
+    /// The telemetry spine: the routers' readings at the last stats
+    /// reset and the decimated network-total series. The counts
+    /// themselves live in the routers.
     registry: TelemetryRegistry,
     /// Links the self-healing layer has masked (both port ends
     /// disabled), diagnosis-driven — never read from the fault set.
@@ -304,40 +306,28 @@ impl NetworkSim {
             outcomes: Vec::new(),
             stats: NetworkStats::new(),
             stats_from: 0,
-            trace: None,
             registry: TelemetryRegistry::new(&routers_per_stage, config.telemetry_every),
             healed_links: Vec::new(),
             healed_injections: Vec::new(),
         })
     }
 
-    /// Enables cycle-level event tracing, retaining at most `capacity`
-    /// records (0 = unbounded). See [`crate::trace::TraceLog`].
-    pub fn enable_trace(&mut self, capacity: usize) {
-        self.trace = Some(crate::trace::TraceLog::new(capacity));
-    }
-
-    /// Sets how often (in cycles) the telemetry registry syncs router
-    /// counters, feeds the trace, and extends the time series (default
-    /// 1 = every cycle; 0 is clamped to 1). Counter increments between
-    /// syncs are never lost — the registry diffs cumulative counters —
-    /// but trace stamps and series buckets coarsen to the sync grid,
-    /// trading resolution for a cheaper steady-state tick.
+    /// Sets how often (in cycles) the telemetry registry sums the
+    /// router counters and extends the time series (default 1 = every
+    /// cycle; 0 is clamped to 1). Counter increments between syncs are
+    /// never lost — the routers hold the cumulative counts — but series
+    /// buckets coarsen to the sync grid, trading resolution for a
+    /// cheaper steady-state tick.
     pub fn set_telemetry_interval(&mut self, every: u64) {
         self.registry.set_interval(every);
     }
 
-    /// The telemetry registry: rebased per-router counters, last-sync
-    /// deltas, and decimated per-counter series.
+    /// The telemetry registry: sync cadence and decimated per-counter
+    /// series. Counter values are read through
+    /// [`NetworkSim::telemetry_snapshot`].
     #[must_use]
     pub fn telemetry(&self) -> &TelemetryRegistry {
         &self.registry
-    }
-
-    /// The trace log, if tracing is enabled.
-    #[must_use]
-    pub fn trace(&self) -> Option<&crate::trace::TraceLog> {
-        self.trace.as_ref()
     }
 
     /// The topology under simulation.
@@ -497,15 +487,7 @@ impl NetworkSim {
     fn after_tick(&mut self) {
         let every = self.registry.interval();
         if every <= 1 || self.now.is_multiple_of(every) {
-            for (s, stage) in self.routers.iter().enumerate() {
-                for (r, router) in stage.iter().enumerate() {
-                    self.registry.sync_slot(s, r, router.counters());
-                }
-            }
-            self.registry.finish_sync();
-            if let Some(trace) = &mut self.trace {
-                trace.observe(self.now, self.registry.deltas());
-            }
+            self.registry.sync(counter_cells(&self.routers));
         }
         self.now += 1;
         for e in 0..self.endpoints.len() {
@@ -513,9 +495,6 @@ impl NetworkSim {
                 continue;
             }
             for o in self.endpoints[e].take_completed() {
-                if let Some(trace) = &mut self.trace {
-                    trace.record_completion(self.now, o.src, o.dest, o.retries);
-                }
                 if o.requested_at >= self.stats_from {
                     self.stats.record(&o);
                 }
@@ -618,26 +597,20 @@ impl NetworkSim {
         &self.stats
     }
 
-    /// Mutable statistics access (percentile queries sort lazily).
+    /// Mutable statistics access.
     pub fn stats_mut(&mut self) -> &mut NetworkStats {
         &mut self.stats
     }
 
     /// Clears statistics; only messages *requested* from now on are
-    /// counted (warmup exclusion). The telemetry registry is rebased so
-    /// every slot reads zero — subsequent syncs measure post-reset
-    /// activity only — while the routers keep their cumulative
-    /// counters.
+    /// counted (warmup exclusion). The telemetry registry is rebased on
+    /// the routers' readings as of this call, at any sync interval:
+    /// snapshots and series measure post-reset activity only, while the
+    /// routers keep their cumulative counters.
     pub fn reset_stats(&mut self) {
         self.stats = NetworkStats::new();
         self.stats_from = self.now;
-        self.registry.rebase();
-    }
-
-    /// Sums a per-router statistic over every router in the network.
-    #[must_use]
-    pub fn router_stat_total(&self, f: impl Fn(&metro_core::router::RouterStats) -> u64) -> u64 {
-        self.routers.iter().flatten().map(|r| f(&r.stats())).sum()
+        self.registry.rebase(counter_cells(&self.routers));
     }
 
     /// Appends the complete mutable simulation state to a checkpoint
@@ -645,10 +618,9 @@ impl NetworkSim {
     /// every router and endpoint, the channel inputs and wires
     /// ([`Engine::save_state`]), accumulated statistics, unharvested
     /// outcomes, and the telemetry registry.
-    /// Construction-derived state (topology, header
-    /// plan, configuration) and the optional trace log are not written
-    /// — a resumed run rebuilds the former from the scenario and starts
-    /// a fresh trace.
+    /// Construction-derived state (topology, header plan,
+    /// configuration) is not written — a resumed run rebuilds it from
+    /// the scenario.
     ///
     /// At a tick boundary the words do not depend on which cycle engine
     /// stepped the machine or on how many shards: every engine keeps
@@ -719,21 +691,25 @@ impl NetworkSim {
     }
 
     /// Freezes the current telemetry into a schema-versioned snapshot:
-    /// registry counters brought up to date with the live router cells
-    /// (without disturbing the sync cadence), the total-latency
-    /// summary, and the decimated series.
-    pub fn telemetry_snapshot(&mut self, name: &str) -> TelemetrySnapshot {
-        // Sync a clone so deltas/series keep their interval semantics
-        // for the ongoing run; snapshots are a cold path.
-        let mut reg = self.registry.clone();
-        for (s, stage) in self.routers.iter().enumerate() {
-            for (r, router) in stage.iter().enumerate() {
-                reg.sync_slot(s, r, router.counters());
-            }
-        }
-        let latency = self.stats.total_latency.summary();
-        TelemetrySnapshot::from_registry(name, self.config.engine.name(), self.now, &reg, latency)
+    /// the live router counters since the last reset, the total-latency
+    /// summary, and the decimated series. The sync cadence is not
+    /// disturbed.
+    #[must_use]
+    pub fn telemetry_snapshot(&self, name: &str) -> TelemetrySnapshot {
+        TelemetrySnapshot::from_registry(
+            name,
+            self.config.engine.name(),
+            self.now,
+            &self.registry,
+            counter_cells(&self.routers),
+            self.stats.total_latency.summary(),
+        )
     }
+}
+
+/// Every router's live counter cell, in the registry's slot order.
+fn counter_cells(routers: &[Vec<Router>]) -> impl Iterator<Item = &CounterCell> {
+    routers.iter().flatten().map(Router::counters)
 }
 
 /// Appends a fault set to a checkpoint stream in sorted order — the

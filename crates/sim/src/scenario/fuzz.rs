@@ -248,8 +248,8 @@ pub fn differential_check(
         (variant.sim.engine, variant.sim.shards) = (engine, shards);
         super::run::run_scenario_resumable(&variant, None, None).map_err(|e| e.to_string())
     };
-    let (a, mut sim_a) = run(variants[0])?;
-    let (b, mut sim_b) = run(variants[1])?;
+    let (a, sim_a) = run(variants[0])?;
+    let (b, sim_b) = run(variants[1])?;
     if a.outcomes != b.outcomes {
         return Err(format!(
             "MessageOutcome streams diverged on {name:?}: {la} produced {} outcomes (digest {:#x}), {lb} {} (digest {:#x})",

@@ -279,7 +279,7 @@ impl Run {
         let fabric_idle = sim.fabric_idle();
         let telemetry_every = sim.telemetry().interval();
         let endpoints = sim.topology().endpoints();
-        let stats = sim.stats_mut();
+        let stats = sim.stats();
         let point = match self.offered {
             Offered::Load {
                 load,

@@ -95,9 +95,7 @@ impl NetworkStats {
         self.payload_words as f64 / cycles as f64 / endpoints as f64
     }
 
-    /// Appends the collector to a checkpoint stream (histogram sample
-    /// order included, so restored percentile queries behave
-    /// identically).
+    /// Appends the collector to a checkpoint stream.
     pub fn save_state(&self, w: &mut StateWriter) {
         w.section("netstats");
         self.total_latency.save_state(w);
@@ -114,7 +112,8 @@ impl NetworkStats {
     ///
     /// # Errors
     ///
-    /// [`StateError`] on a corrupt stream.
+    /// [`StateError`] on a corrupt stream, or on histogram runs
+    /// [`LatencyStats::restore_state`] refuses.
     pub fn restore_state(&mut self, r: &mut StateReader<'_>) -> Result<(), StateError> {
         r.section("netstats")?;
         self.total_latency.restore_state(r)?;
@@ -169,7 +168,7 @@ mod tests {
 
     #[test]
     fn empty_stats_are_zero() {
-        let mut s = LatencyStats::new();
+        let s = LatencyStats::new();
         assert_eq!(s.percentile(50.0), 0);
         assert_eq!(s.mean(), 0.0);
         assert_eq!(s.count(), 0);
@@ -177,7 +176,7 @@ mod tests {
 
     #[test]
     fn empty_percentiles_are_zero_at_every_rank() {
-        let mut s = LatencyStats::new();
+        let s = LatencyStats::new();
         for p in [0.0, 0.1, 50.0, 99.9, 100.0] {
             assert_eq!(s.percentile(p), 0);
         }

@@ -157,6 +157,7 @@ fn every_mutated_word_of_a_busy_machine_is_refused_or_runs_clean() {
                     return false;
                 }
                 sim.run(64);
+                let _ = sim.telemetry_snapshot("mutant");
                 let now = sim.now();
                 for o in sim.drain_outcomes() {
                     let latency = o.total_latency().max(o.network_latency());

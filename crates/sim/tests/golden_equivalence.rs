@@ -11,9 +11,9 @@
 //! [`MessageOutcome`] sequences, the per-router counter totals, and the
 //! end-of-run fabric state all match exactly.
 
-use metro_core::router::RouterStats;
 use metro_sim::message::MessageOutcome;
 use metro_sim::{EngineKind, NetworkSim, SimConfig};
+use metro_telemetry::CounterCell;
 use metro_topo::fault::{FaultKind, FaultSet};
 use metro_topo::multibutterfly::{MultibutterflySpec, StageSpec};
 use metro_topo::paths::all_links;
@@ -74,7 +74,7 @@ fn run_engine(
     spec: &MultibutterflySpec,
     base: &SimConfig,
     load: &Workload,
-) -> (Vec<MessageOutcome>, Vec<Vec<RouterStats>>, bool, usize) {
+) -> (Vec<MessageOutcome>, Vec<Vec<CounterCell>>, bool, usize) {
     let config = SimConfig {
         engine: kind,
         shards,
@@ -115,10 +115,10 @@ fn run_engine(
         sim.tick();
     }
     let outcomes = sim.drain_outcomes();
-    let stats: Vec<Vec<RouterStats>> = (0..sim.topology().stages())
+    let stats: Vec<Vec<CounterCell>> = (0..sim.topology().stages())
         .map(|s| {
             (0..sim.topology().routers_in_stage(s))
-                .map(|r| sim.router(s, r).stats())
+                .map(|r| *sim.router(s, r).counters())
                 .collect()
         })
         .collect();

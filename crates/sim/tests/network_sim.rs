@@ -1,12 +1,11 @@
 //! End-to-end behavior of the assembled network — delivery, retry,
-//! faults, conversations, tracing, telemetry, and self-healing —
+//! faults, conversations, telemetry, and self-healing —
 //! exercised through `NetworkSim`'s public API. (Formerly the unit
 //! test module inside `network.rs`; everything here goes through
 //! public surface, so it lives with the integration suites.)
 
 use metro_sim::endpoint::{EndpointConfig, ReplyPolicy};
 use metro_sim::message::{DeliveryStatus, FailureKind, ACK_OK};
-use metro_sim::trace::TraceEvent;
 use metro_sim::{resume_scenario, run_scenario, Checkpoint, RunPhase, Scenario};
 use metro_sim::{EngineKind, NetworkSim, SimConfig};
 use metro_telemetry::RouterCounter;
@@ -377,10 +376,13 @@ fn conversation_reverses_the_circuit_multiple_times() {
     // One grant per stage for the whole conversation (a single
     // circuit), but three forward reversals per stage (one per
     // segment's TURN).
-    let grants = sim.router_stat_total(|s| s.grants);
-    let turns = sim.router_stat_total(|s| s.turns);
-    assert_eq!(grants, 3, "one circuit");
-    assert_eq!(turns, 9, "three reversals per router");
+    let totals = sim.telemetry_snapshot("conversation").counters;
+    assert_eq!(totals.total(RouterCounter::Grants), 3, "one circuit");
+    assert_eq!(
+        totals.total(RouterCounter::Turns),
+        9,
+        "three reversals per router"
+    );
 }
 
 #[test]
@@ -410,22 +412,26 @@ fn conversation_under_congestion_retries_whole_exchange() {
 }
 
 #[test]
-fn trace_records_the_connection_lifecycle() {
+fn the_series_record_the_connection_lifecycle() {
     let mut sim = fig1_sim();
-    sim.enable_trace(0);
     sim.send_and_wait(0, 9, &[1, 2, 3], 400).expect("delivery");
-    let trace = sim.trace().unwrap();
-    let grants = trace.of_kind(|e| matches!(e, TraceEvent::Granted { .. }));
-    let turns = trace.of_kind(|e| matches!(e, TraceEvent::Turned { .. }));
-    let drops = trace.of_kind(|e| matches!(e, TraceEvent::Dropped { .. }));
-    let done = trace.of_kind(|e| matches!(e, TraceEvent::Completed { .. }));
+    // At the default interval of 1 a series sample is one cycle, so the
+    // cycles a counter moved in are the indices of its nonzero samples.
+    let cycles_of = |c: RouterCounter| -> Vec<usize> {
+        let series = sim.telemetry().series(c);
+        assert_eq!(series.stride(), 1);
+        let moved = series.samples().iter().enumerate().filter(|(_, &n)| n > 0);
+        moved.map(|(cycle, _)| cycle).collect()
+    };
+    let grants = cycles_of(RouterCounter::Grants);
+    let turns = cycles_of(RouterCounter::Turns);
+    let drops = cycles_of(RouterCounter::Drops);
     assert_eq!(grants.len(), 3, "one grant per stage");
     assert_eq!(turns.len(), 3, "one reversal per stage");
     assert_eq!(drops.len(), 3, "one release per stage");
-    assert_eq!(done.len(), 1);
     // Lifecycle ordering: grants strictly before turns before drops.
-    assert!(grants.iter().map(|r| r.at).max() < turns.iter().map(|r| r.at).min());
-    assert!(turns.iter().map(|r| r.at).max() < drops.iter().map(|r| r.at).min());
+    assert!(grants.last() < turns.first());
+    assert!(turns.last() < drops.first());
 }
 
 #[test]
@@ -477,46 +483,95 @@ fn reset_stats_zeroes_every_registry_slot() {
         sim.send(src, (src + 3) % 16, &[src as u16; 6]);
     }
     sim.run(300);
-    let total_before = sim.telemetry().counters().total(RouterCounter::Opens);
+    let opens = |sim: &NetworkSim| {
+        let counters = sim.telemetry_snapshot("reset").counters;
+        counters.total(RouterCounter::Opens)
+    };
+    let total_before = opens(&sim);
     assert!(total_before > 0, "traffic must register");
 
     sim.reset_stats();
-    let reg = sim.telemetry();
-    for ((stage, router), cell) in reg.counters().iter() {
+    for ((stage, router), cell) in sim.telemetry_snapshot("reset").counters.iter() {
         assert!(
             cell.is_zero(),
             "registry slot r{stage}.{router} not zeroed by reset_stats"
         );
     }
-    for ((stage, router), cell) in reg.deltas().iter() {
-        assert!(
-            cell.is_zero(),
-            "delta slot r{stage}.{router} survived reset"
-        );
-    }
-    assert_eq!(reg.syncs(), 0, "series history restarts");
+    assert_eq!(sim.telemetry().syncs(), 0, "series history restarts");
 
     // Routers keep cumulative counters — the registry rebases so
     // post-reset observation measures only post-reset traffic.
     sim.send(0, 9, &[1, 2, 3]);
     sim.run(300);
-    let opens_after = sim.telemetry().counters().total(RouterCounter::Opens);
+    let opens_after = opens(&sim);
     assert!(opens_after > 0 && opens_after < total_before);
 }
 
+/// Reset means now, at any sync interval: what the routers counted in
+/// the cycles between the last sync and the reset — and what the healer
+/// notes after a cycle's sync — is before the reset, not after it.
 #[test]
-fn trace_interval_zero_clamps_to_every_cycle() {
+fn a_reset_between_syncs_leaks_nothing_into_the_counters_or_the_series() {
+    let config = SimConfig {
+        telemetry_every: 64,
+        self_heal: true,
+        ..SimConfig::default()
+    };
+    let mut sim = NetworkSim::new(&MultibutterflySpec::figure1(), &config).unwrap();
+    let (r0, _) = sim.topology().injection(4, 0);
+    let mut faults = FaultSet::new();
+    faults.break_link(LinkId::new(0, r0, 0), FaultKind::CorruptData { xor: 0x04 });
+    sim.apply_faults(faults);
+    let live = |sim: &NetworkSim, c: RouterCounter| -> u64 {
+        let topo = sim.topology();
+        (0..topo.stages())
+            .flat_map(|s| (0..topo.routers_in_stage(s)).map(move |r| (s, r)))
+            .map(|(s, r)| sim.router(s, r).counters().get(c))
+            .sum()
+    };
+    let burst = |sim: &mut NetworkSim| {
+        for src in 0..16 {
+            sim.send(src, (src + 5) % 16, &[src as u16; 6]);
+        }
+    };
+
+    burst(&mut sim);
+    sim.run(65);
+    let at_last_sync = RouterCounter::ALL.map(|c| live(&sim, c));
+    burst(&mut sim);
+    sim.run(35);
+    // Cycle 100, mid-burst: the routers have counted since cycle 64.
+    let at_reset = RouterCounter::ALL.map(|c| live(&sim, c));
+    assert_ne!(at_reset, at_last_sync);
+    sim.reset_stats();
+    burst(&mut sim);
+    // Long enough to drain, and the last cycle run (640) is a sync.
+    sim.run(541);
+    assert!(sim.is_quiescent());
+
+    let snap = sim.telemetry_snapshot("reset");
+    for c in RouterCounter::ALL {
+        let since = live(&sim, c) - at_reset[c as usize];
+        assert_eq!(
+            snap.counters.total(c),
+            since,
+            "{} in the snapshot",
+            c.name()
+        );
+        let series = sim.telemetry().series(c);
+        assert_eq!(series.total(), since, "{} in the series", c.name());
+    }
+    assert!(snap.counters.total(RouterCounter::Grants) > 0);
+}
+
+#[test]
+fn telemetry_interval_zero_clamps_to_every_cycle() {
     let mut sim = fig1_sim();
     sim.set_telemetry_interval(0);
     assert_eq!(sim.telemetry().interval(), 1, "0 clamps to 1");
-    sim.enable_trace(0);
     sim.send(4, 13, &[7; 5]);
     sim.run(300);
-    let grants = sim
-        .trace()
-        .unwrap()
-        .of_kind(|e| matches!(e, TraceEvent::Granted { .. }));
-    assert!(!grants.is_empty(), "tracing still observes events");
+    assert_eq!(sim.telemetry().syncs(), 300, "one sync per cycle");
 }
 
 #[test]
@@ -528,8 +583,8 @@ fn telemetry_snapshot_leaves_registry_cadence_undisturbed() {
     let snap = sim.telemetry_snapshot("probe");
     assert_eq!(snap.cycles, sim.now());
     assert!(snap.counters.total(RouterCounter::Opens) > 0);
-    // Snapshotting syncs a clone: the live registry's sync count and
-    // deltas are untouched.
+    // Snapshotting reads the routers: the registry's sync count and
+    // series are untouched.
     assert_eq!(sim.telemetry().syncs(), syncs_before);
 }
 

@@ -54,12 +54,6 @@ impl CounterCell {
         &self.counts
     }
 
-    /// Zeroes every counter.
-    #[inline]
-    pub fn reset(&mut self) {
-        self.counts = [0; RouterCounter::COUNT];
-    }
-
     /// Element-wise `self + other`.
     #[inline]
     #[must_use]
@@ -190,11 +184,10 @@ impl CounterBlock {
         &self.cells
     }
 
-    /// Zeroes every cell without reallocating.
-    pub fn zero(&mut self) {
-        for c in &mut self.cells {
-            c.reset();
-        }
+    /// Every cell, flat, in slot order, for overwriting in place (the
+    /// shape is fixed).
+    pub fn cells_mut(&mut self) -> &mut [CounterCell] {
+        &mut self.cells
     }
 
     /// Sum of one counter across stage `s`.
@@ -266,9 +259,7 @@ mod tests {
         // is ahead (a rebased registry against a stale cell).
         assert!(a.saturating_delta(&b).get(RouterCounter::Blocks) == 0);
         assert!(!a.is_zero());
-        let mut z = a;
-        z.reset();
-        assert!(z.is_zero());
+        assert!(a.saturating_delta(&a).is_zero());
     }
 
     #[test]
@@ -290,8 +281,7 @@ mod tests {
         let slots: Vec<(usize, usize)> = b.iter().map(|(sr, _)| sr).collect();
         assert_eq!(slots, [(0, 0), (0, 1), (1, 0), (1, 1), (1, 2), (2, 0)]);
 
-        b.zero();
+        b.cells_mut().fill(CounterCell::new());
         assert!(b.cells().iter().all(CounterCell::is_zero));
-        assert_eq!(b.len(), 6, "zeroing must not resize");
     }
 }

@@ -7,10 +7,16 @@
 use crate::state::{StateError, StateReader, StateWriter};
 
 /// An online collector of latency samples with percentile queries.
+///
+/// Latencies are integer cycles, so the collector is the sorted
+/// multiset itself: one `(value, count)` run per distinct latency,
+/// ascending. Every query is exact, memory is bounded by the distinct
+/// values seen rather than by the messages delivered, and two
+/// collectors fed the same samples in any order are equal.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Histogram {
-    samples: Vec<u64>,
-    sorted: bool,
+    /// `(value, count)`, strictly ascending by value, every count ≥ 1.
+    runs: Vec<(u64, u64)>,
 }
 
 impl Histogram {
@@ -22,37 +28,45 @@ impl Histogram {
 
     /// Records one latency sample.
     pub fn record(&mut self, latency: u64) {
-        self.samples.push(latency);
-        self.sorted = false;
+        match self
+            .runs
+            .binary_search_by_key(&latency, |&(value, _)| value)
+        {
+            Ok(i) => self.runs[i].1 += 1,
+            Err(i) => self.runs.insert(i, (latency, 1)),
+        }
     }
 
     /// Number of samples.
     #[must_use]
     pub fn count(&self) -> usize {
-        self.samples.len()
+        self.runs.iter().map(|&(_, count)| count).sum::<u64>() as usize
     }
 
     /// Arithmetic mean, or 0 with no samples.
     #[must_use]
     pub fn mean(&self) -> f64 {
-        if self.samples.is_empty() {
+        if self.runs.is_empty() {
             return 0.0;
         }
-        self.samples.iter().sum::<u64>() as f64 / self.samples.len() as f64
+        let sum: u64 = self.runs.iter().map(|&(value, count)| value * count).sum();
+        sum as f64 / self.count() as f64
     }
 
     /// The `p`-th percentile (0–100, nearest-rank), or 0 with no
     /// samples.
-    pub fn percentile(&mut self, p: f64) -> u64 {
-        if self.samples.is_empty() {
-            return 0;
-        }
-        if !self.sorted {
-            self.samples.sort_unstable();
-            self.sorted = true;
-        }
-        let rank = ((p / 100.0) * self.samples.len() as f64).ceil() as usize;
-        self.samples[rank.clamp(1, self.samples.len()) - 1]
+    #[must_use]
+    pub fn percentile(&self, p: f64) -> u64 {
+        let n = self.count();
+        let rank = (((p / 100.0) * n as f64).ceil() as usize).clamp(1, n.max(1));
+        let mut seen = 0;
+        self.runs
+            .iter()
+            .find(|&&(_, count)| {
+                seen += count as usize;
+                seen >= rank
+            })
+            .map_or(0, |&(value, _)| value)
     }
 
     /// Buckets the samples into a histogram of the given bucket width:
@@ -65,15 +79,15 @@ impl Histogram {
     #[must_use]
     pub fn histogram(&self, bucket_width: u64) -> Vec<(u64, usize)> {
         assert!(bucket_width > 0, "bucket width must be nonzero");
-        if self.samples.is_empty() {
+        if self.runs.is_empty() {
             return Vec::new();
         }
         let lo = self.min() / bucket_width * bucket_width;
         let hi = self.max();
         let buckets = ((hi - lo) / bucket_width + 1) as usize;
         let mut hist = vec![0usize; buckets];
-        for &s in &self.samples {
-            hist[((s - lo) / bucket_width) as usize] += 1;
+        for &(value, count) in &self.runs {
+            hist[((value - lo) / bucket_width) as usize] += count as usize;
         }
         hist.into_iter()
             .enumerate()
@@ -84,38 +98,63 @@ impl Histogram {
     /// Minimum sample, or 0.
     #[must_use]
     pub fn min(&self) -> u64 {
-        self.samples.iter().copied().min().unwrap_or(0)
+        self.runs.first().map_or(0, |&(value, _)| value)
     }
 
     /// Maximum sample, or 0.
     #[must_use]
     pub fn max(&self) -> u64 {
-        self.samples.iter().copied().max().unwrap_or(0)
+        self.runs.last().map_or(0, |&(value, _)| value)
     }
 
-    /// Appends the samples (in their current, possibly-sorted order)
-    /// and the sorted flag to a checkpoint stream. Preserving sample
-    /// order — not just the multiset — keeps a restored histogram's
-    /// behavior identical under any future query sequence.
+    /// Appends the runs to a checkpoint stream: `2 · distinct + 1`
+    /// words, whatever the number of samples.
     pub fn save_state(&self, w: &mut StateWriter) {
-        w.u64_slice(&self.samples);
-        w.bool(self.sorted);
+        w.seq(&self.runs, |w, &(value, count)| {
+            w.u64(value);
+            w.u64(count);
+        });
     }
 
     /// Overwrites the collector from a checkpoint stream.
     ///
     /// # Errors
     ///
-    /// Propagates reader errors (truncated stream, oversized length).
+    /// Propagates reader errors (truncated stream, oversized length);
+    /// [`StateError::BadValue`] for runs a collector cannot hold —
+    /// values not strictly ascending, a zero count — or whose sample
+    /// count or sample sum overflows the `u64` that [`Histogram::count`]
+    /// and [`Histogram::mean`] add them up in.
     pub fn restore_state(&mut self, r: &mut StateReader<'_>) -> Result<(), StateError> {
-        self.samples = r.u64_vec()?;
-        self.sorted = r.bool()?;
+        let mut below: Option<u64> = None;
+        let mut samples = 0u64;
+        let mut sum = 0u64;
+        self.runs = r.seq(|r| {
+            let value = r.u64()?;
+            if below.is_some_and(|b| value <= b) {
+                return Err(r.bad(format!("latency {value} does not ascend")));
+            }
+            below = Some(value);
+            let count = r.u64()?;
+            if count == 0 {
+                return Err(r.bad(format!("latency {value} has no samples")));
+            }
+            samples = samples
+                .checked_add(count)
+                .ok_or_else(|| r.bad("sample count overflows u64"))?;
+            sum = value
+                .checked_mul(count)
+                .and_then(|v| sum.checked_add(v))
+                .ok_or_else(|| r.bad("sample sum overflows u64"))?;
+            Ok((value, count))
+        })?;
         Ok(())
     }
 
     /// Condenses the distribution to the fixed summary a
     /// [`crate::TelemetrySnapshot`] carries.
-    pub fn summary(&mut self) -> HistogramSummary {
+    #[must_use]
+    pub fn summary(&self) -> HistogramSummary {
         HistogramSummary {
             count: self.count() as u64,
             mean: self.mean(),
@@ -168,5 +207,33 @@ mod tests {
     #[test]
     fn empty_summary_is_zero() {
         assert_eq!(Histogram::new().summary(), HistogramSummary::default());
+    }
+
+    #[test]
+    fn restore_refuses_runs_no_collector_can_hold() {
+        let refused = |runs: &[u64]| {
+            let mut w = StateWriter::new();
+            w.section("netstats");
+            w.usize(runs.len() / 2);
+            runs.iter().for_each(|&v| w.u64(v));
+            let words = w.into_words();
+            let mut r = StateReader::new(&words);
+            r.section("netstats").unwrap();
+            match Histogram::new().restore_state(&mut r) {
+                Err(StateError::BadValue {
+                    section, detail, ..
+                }) => {
+                    assert_eq!(section, "netstats");
+                    detail
+                }
+                other => panic!("{runs:?} restored as {other:?}"),
+            }
+        };
+        assert!(refused(&[30, 2, 30, 1]).contains("does not ascend"));
+        assert!(refused(&[30, 2, 29, 1]).contains("does not ascend"));
+        assert!(refused(&[30, 0]).contains("no samples"));
+        assert!(refused(&[0, u64::MAX, 1, 1]).contains("sample count overflows"));
+        assert!(refused(&[1 << 32, 1 << 32]).contains("sample sum overflows"));
+        assert!(refused(&[1, u64::MAX - 1, 2, 1]).contains("sample sum overflows"));
     }
 }

@@ -7,13 +7,14 @@
 //! * [`CounterCell`] / [`CounterBlock`] — fixed-size per-router cells
 //!   and flat (stage × router) registries, zero-alloc on the hot path.
 //!   `metro_core::Router` increments a `CounterCell` directly.
-//! * [`Histogram`] — latency samples with nearest-rank percentiles
-//!   (the simulator's former `LatencyStats`, re-exported there).
+//! * [`Histogram`] — latencies as a sorted `(value, count)` multiset
+//!   with exact nearest-rank percentiles (the simulator's former
+//!   `LatencyStats`, re-exported there).
 //! * [`TimeSeries`] — decimated ring buffers: bounded memory over
 //!   unbounded runs, conserving counter totals.
-//! * [`TelemetryRegistry`] — owned by the simulator; rebased cumulative
-//!   counts, per-sync deltas (the trace log's input), and per-counter
-//!   series.
+//! * [`TelemetryRegistry`] — owned by the simulator; the reset
+//!   baseline and the per-counter series, read against the routers'
+//!   live cells.
 //! * [`TelemetrySnapshot`] + [`snapshot`] codec — schema-versioned,
 //!   byte-stable JSON on the harness [`metro_harness::Json`] model; the
 //!   `results/<name>.telemetry.json` sidecar format.

@@ -1,40 +1,40 @@
 //! The per-simulation telemetry registry.
 //!
-//! A [`TelemetryRegistry`] is owned by the simulator. At every
-//! telemetry interval the sim copies each router's raw [`CounterCell`]
-//! in with [`TelemetryRegistry::sync_slot`]; the registry maintains
-//! rebased cumulative counts (so a stats reset genuinely zeroes every
-//! slot without touching the routers), per-slot deltas since the
-//! previous sync (the trace log's food), and decimated network-wide
-//! time series per counter. All storage is allocated at construction;
-//! the sync path is index arithmetic and fixed-size copies only.
+//! The routers own their counters: each `metro_core::Router` holds the
+//! one cumulative [`CounterCell`] it increments. A
+//! [`TelemetryRegistry`], owned by the simulator, is only what turns
+//! those live cells into a report — the readings at the last stats
+//! reset (the *baseline*; a snapshot shows live − baseline), the
+//! network total at the last sync, and the decimated network-total
+//! series each sync extends by total − last total. Every method that
+//! reads counts takes the live cells, in slot order (stage-major,
+//! router-minor); the registry never keeps a copy of them.
 
 use crate::counters::{CounterBlock, CounterCell};
 use crate::metric::RouterCounter;
 use crate::series::TimeSeries;
 use crate::state::{StateError, StateReader, StateWriter};
 
-/// Rebased counter registry + per-sync deltas + time series.
+/// A reset baseline plus a per-counter time series.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TelemetryRegistry {
-    /// Raw router readings at the last stats reset; subtracted from
-    /// every sync so the registry reads zero after a reset.
+    /// Raw router readings at the last stats reset.
     baseline: CounterBlock,
-    /// Rebased cumulative counts as of the last sync.
-    current: CounterBlock,
-    /// Per-slot change between the last two syncs.
-    deltas: CounterBlock,
+    /// Raw network-total readings at the last sync (or reset).
+    synced: CounterCell,
     /// Network-total delta series, one per [`RouterCounter`].
     series: Vec<TimeSeries>,
     /// Cycles between syncs (≥ 1).
     interval: u64,
     /// Number of syncs folded in since the last reset.
     syncs: u64,
-    /// Network-total delta accumulated by the current sync pass —
-    /// [`TelemetryRegistry::sync_slot`] folds each slot's delta in as
-    /// it is computed, so [`TelemetryRegistry::finish_sync`] never
-    /// rescans the whole block.
-    pending: CounterCell,
+}
+
+/// The network total of the live cells.
+fn total<'a>(cells: impl IntoIterator<Item = &'a CounterCell>) -> CounterCell {
+    cells
+        .into_iter()
+        .fold(CounterCell::new(), |sum, cell| sum.plus(cell))
 }
 
 impl TelemetryRegistry {
@@ -42,17 +42,14 @@ impl TelemetryRegistry {
     /// routers in stage `s`, synced every `interval` cycles.
     #[must_use]
     pub fn new(routers_per_stage: &[usize], interval: u64) -> Self {
-        let block = CounterBlock::new(routers_per_stage);
         TelemetryRegistry {
-            baseline: block.clone(),
-            current: block.clone(),
-            deltas: block,
+            baseline: CounterBlock::new(routers_per_stage),
+            synced: CounterCell::new(),
             series: (0..RouterCounter::COUNT)
                 .map(|_| TimeSeries::standard())
                 .collect(),
             interval: interval.max(1),
             syncs: 0,
-            pending: CounterCell::new(),
         }
     }
 
@@ -67,39 +64,27 @@ impl TelemetryRegistry {
         self.interval = every.max(1);
     }
 
-    /// Copies one router's raw cumulative cell in, updating the rebased
-    /// count and the per-slot delta. Call for every slot, then
-    /// [`TelemetryRegistry::finish_sync`] once.
-    #[inline]
-    pub fn sync_slot(&mut self, s: usize, r: usize, raw: &CounterCell) {
-        let i = self.current.slot(s, r);
-        let rebased = raw.saturating_delta(&self.baseline.cells()[i]);
-        let prev = self.current.cells()[i];
-        let delta = rebased.saturating_delta(&prev);
-        self.pending = self.pending.plus(&delta);
-        *self.deltas.cell_mut(s, r) = delta;
-        *self.current.cell_mut(s, r) = rebased;
-    }
-
-    /// Folds the just-written deltas into the per-counter time series.
-    pub fn finish_sync(&mut self) {
+    /// Extends every series by what the network counted since the last
+    /// sync. A restored `synced` above the live total reads as no
+    /// change (the delta saturates at zero).
+    pub fn sync<'a>(&mut self, cells: impl IntoIterator<Item = &'a CounterCell>) {
+        let now = total(cells);
+        let delta = now.saturating_delta(&self.synced);
         for c in RouterCounter::ALL {
-            self.series[c as usize].push(self.pending.get(c));
+            self.series[c as usize].push(delta.get(c));
         }
-        self.pending.reset();
+        self.synced = now;
         self.syncs += 1;
     }
 
-    /// Rebased cumulative counts as of the last sync.
+    /// Per-router counts since the last reset: live − baseline.
     #[must_use]
-    pub fn counters(&self) -> &CounterBlock {
-        &self.current
-    }
-
-    /// Per-slot change between the last two syncs.
-    #[must_use]
-    pub fn deltas(&self) -> &CounterBlock {
-        &self.deltas
+    pub fn counters<'a>(&self, cells: impl IntoIterator<Item = &'a CounterCell>) -> CounterBlock {
+        let mut since = self.baseline.clone();
+        for (slot, live) in since.cells_mut().iter_mut().zip(cells) {
+            *slot = live.saturating_delta(slot);
+        }
+        since
     }
 
     /// The network-total delta series for one counter.
@@ -114,37 +99,29 @@ impl TelemetryRegistry {
         self.syncs
     }
 
-    /// Zeroes every registry slot by folding the current readings into
-    /// the baseline. Routers keep their cumulative counters; the next
-    /// sync measures only post-reset activity.
-    pub fn rebase(&mut self) {
-        let stages = self.current.stages();
-        for s in 0..stages {
-            for r in 0..self.current.routers_in_stage(s) {
-                let i = self.current.slot(s, r);
-                let cur = self.current.cells()[i];
-                let base = self.baseline.cells()[i];
-                *self.baseline.cell_mut(s, r) = base.plus(&cur);
-            }
+    /// Reset means now: the live readings become the baseline and the
+    /// last-synced total, and the series start over. Routers keep their
+    /// cumulative counters; everything read afterwards measures
+    /// post-reset activity only, whatever the sync interval.
+    pub fn rebase<'a>(&mut self, cells: impl IntoIterator<Item = &'a CounterCell>) {
+        for (slot, live) in self.baseline.cells_mut().iter_mut().zip(cells) {
+            *slot = *live;
         }
-        self.current.zero();
-        self.deltas.zero();
+        self.synced = total(self.baseline.cells());
         for s in &mut self.series {
             s.clear();
         }
         self.syncs = 0;
     }
 
-    /// Appends the whole registry (baseline, rebased counts, deltas,
-    /// series, sync bookkeeping) to a checkpoint stream.
+    /// Appends the registry (sync bookkeeping, baseline, series) to a
+    /// checkpoint stream.
     pub fn save_state(&self, w: &mut StateWriter) {
         w.section("telreg");
         w.u64(self.interval);
         w.u64(self.syncs);
-        self.pending.save_state(w);
+        self.synced.save_state(w);
         self.baseline.save_state(w);
-        self.current.save_state(w);
-        self.deltas.save_state(w);
         w.seq(&self.series, |w, s| s.save_state(w));
     }
 
@@ -158,10 +135,8 @@ impl TelemetryRegistry {
         r.section("telreg")?;
         self.interval = r.u64()?.max(1);
         self.syncs = r.u64()?;
-        self.pending.restore_state(r)?;
+        self.synced.restore_state(r)?;
         self.baseline.restore_state(r)?;
-        self.current.restore_state(r)?;
-        self.deltas.restore_state(r)?;
         r.shape(self.series.len(), "series")?;
         for s in &mut self.series {
             s.restore_state(r)?;
@@ -182,52 +157,57 @@ mod tests {
     }
 
     #[test]
-    fn sync_tracks_cumulative_and_delta() {
+    fn sync_extends_the_series_by_the_network_total_delta() {
         let mut reg = TelemetryRegistry::new(&[1, 2], 4);
-        reg.sync_slot(0, 0, &raw(3, 1));
-        reg.sync_slot(1, 0, &raw(2, 0));
-        reg.sync_slot(1, 1, &raw(0, 0));
-        reg.finish_sync();
-        assert_eq!(reg.counters().cell(0, 0).get(RouterCounter::Grants), 3);
-        assert_eq!(reg.deltas().cell(0, 0).get(RouterCounter::Grants), 3);
+        reg.sync(&[raw(3, 1), raw(2, 0), raw(0, 0)]);
         assert_eq!(reg.series(RouterCounter::Grants).samples(), [5]);
 
-        reg.sync_slot(0, 0, &raw(7, 1));
-        reg.sync_slot(1, 0, &raw(2, 2));
-        reg.sync_slot(1, 1, &raw(1, 0));
-        reg.finish_sync();
-        assert_eq!(reg.counters().cell(0, 0).get(RouterCounter::Grants), 7);
-        assert_eq!(reg.deltas().cell(0, 0).get(RouterCounter::Grants), 4);
-        assert_eq!(reg.deltas().cell(1, 0).get(RouterCounter::Blocks), 2);
+        let live = [raw(7, 1), raw(2, 2), raw(1, 0)];
+        reg.sync(&live);
         assert_eq!(reg.series(RouterCounter::Grants).samples(), [5, 5]);
+        assert_eq!(reg.series(RouterCounter::Blocks).samples(), [1, 2]);
         assert_eq!(reg.syncs(), 2);
+        let counters = reg.counters(&live);
+        assert_eq!(counters.cell(0, 0).get(RouterCounter::Grants), 7);
+        assert_eq!(counters.cell(1, 0).get(RouterCounter::Blocks), 2);
     }
 
     #[test]
     fn rebase_zeroes_every_slot_but_keeps_measuring() {
         let mut reg = TelemetryRegistry::new(&[2], 1);
-        reg.sync_slot(0, 0, &raw(10, 4));
-        reg.sync_slot(0, 1, &raw(6, 0));
-        reg.finish_sync();
+        let at_reset = [raw(10, 4), raw(6, 0)];
+        reg.sync(&at_reset);
 
-        reg.rebase();
-        for cell in reg.counters().cells() {
+        reg.rebase(&at_reset);
+        for cell in reg.counters(&at_reset).cells() {
             assert!(cell.is_zero(), "rebase must zero every registry slot");
-        }
-        for cell in reg.deltas().cells() {
-            assert!(cell.is_zero());
         }
         assert!(reg.series(RouterCounter::Grants).samples().is_empty());
         assert_eq!(reg.syncs(), 0);
 
         // Routers kept counting from 10/6; the registry sees only the
         // post-reset activity.
-        reg.sync_slot(0, 0, &raw(12, 4));
-        reg.sync_slot(0, 1, &raw(6, 1));
-        reg.finish_sync();
-        assert_eq!(reg.counters().cell(0, 0).get(RouterCounter::Grants), 2);
-        assert_eq!(reg.counters().cell(0, 1).get(RouterCounter::Blocks), 1);
-        assert_eq!(reg.deltas().cell(0, 0).get(RouterCounter::Grants), 2);
+        let live = [raw(12, 4), raw(6, 1)];
+        reg.sync(&live);
+        let counters = reg.counters(&live);
+        assert_eq!(counters.cell(0, 0).get(RouterCounter::Grants), 2);
+        assert_eq!(counters.cell(0, 1).get(RouterCounter::Blocks), 1);
+        assert_eq!(reg.series(RouterCounter::Grants).samples(), [2]);
+    }
+
+    #[test]
+    fn a_synced_total_above_the_live_one_reads_as_no_change() {
+        let mut reg = TelemetryRegistry::new(&[1], 1);
+        reg.sync(&[raw(9, 9)]);
+        // What a checkpoint whose `synced` words were raised restores to.
+        reg.sync(&[raw(4, 9)]);
+        assert_eq!(reg.series(RouterCounter::Grants).samples(), [9, 0]);
+        assert_eq!(
+            reg.counters(&[raw(4, 9)])
+                .cell(0, 0)
+                .get(RouterCounter::Grants),
+            4
+        );
     }
 
     #[test]

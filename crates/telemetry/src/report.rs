@@ -110,20 +110,19 @@ mod tests {
         a.add(RouterCounter::Turns, 8);
         a.add(RouterCounter::Drops, 8);
         a.add(RouterCounter::WordsForwarded, 200);
-        reg.sync_slot(0, 0, &a);
-        reg.sync_slot(0, 1, &CounterCell::new());
         let mut b = CounterCell::new();
         b.add(RouterCounter::Opens, 8);
         b.add(RouterCounter::Grants, 8);
         b.add(RouterCounter::FastReclaims, 1);
         b.add(RouterCounter::WordsForwarded, 100);
-        reg.sync_slot(1, 0, &b);
-        reg.finish_sync();
+        let live = [a, CounterCell::new(), b];
+        reg.sync(&live);
         let snap = TelemetrySnapshot::from_registry(
             "unit",
             "flat",
             1000,
             &reg,
+            &live,
             HistogramSummary {
                 count: 8,
                 mean: 41.5,
@@ -169,13 +168,13 @@ mod tests {
         a.add(RouterCounter::ChecksumMismatches, 3);
         a.add(RouterCounter::MasksApplied, 2);
         a.add(RouterCounter::RetriesAfterMask, 5);
-        reg.sync_slot(0, 0, &a);
-        reg.finish_sync();
+        reg.sync(&[a]);
         let snap = TelemetrySnapshot::from_registry(
             "healed",
             "flat",
             100,
             &reg,
+            &[a],
             HistogramSummary::default(),
         );
         let text = render(&snap);
@@ -189,6 +188,7 @@ mod tests {
             "flat",
             100,
             &quiet,
+            &[CounterCell::new()],
             HistogramSummary::default(),
         );
         assert!(!render(&snap).contains("healing:"));
@@ -202,6 +202,7 @@ mod tests {
             "reference",
             0,
             &reg,
+            &[CounterCell::new()],
             HistogramSummary::default(),
         );
         let text = render(&snap);

@@ -59,13 +59,15 @@ pub struct TelemetrySnapshot {
 }
 
 impl TelemetrySnapshot {
-    /// Freezes a registry (plus a latency summary) into a snapshot.
+    /// Freezes a registry, read against the live router `cells` (slot
+    /// order), plus a latency summary into a snapshot.
     #[must_use]
-    pub fn from_registry(
+    pub fn from_registry<'a>(
         name: &str,
         engine: &str,
         cycles: u64,
         registry: &TelemetryRegistry,
+        cells: impl IntoIterator<Item = &'a CounterCell>,
         latency: HistogramSummary,
     ) -> Self {
         TelemetrySnapshot {
@@ -73,7 +75,7 @@ impl TelemetrySnapshot {
             engine: engine.to_string(),
             cycles,
             interval: registry.interval(),
-            counters: registry.counters().clone(),
+            counters: registry.counters(cells),
             latency,
             series: RouterCounter::ALL
                 .into_iter()
@@ -283,11 +285,10 @@ mod tests {
         raw.add(RouterCounter::Grants, 7);
         raw.add(RouterCounter::Blocks, 2);
         raw.add(RouterCounter::WordsForwarded, 140);
-        reg.sync_slot(0, 0, &raw);
-        raw.add(RouterCounter::Turns, 3);
-        reg.sync_slot(0, 1, &raw);
-        reg.sync_slot(1, 0, &CounterCell::new());
-        reg.finish_sync();
+        let mut turned = raw;
+        turned.add(RouterCounter::Turns, 3);
+        let live = [raw, turned, CounterCell::new()];
+        reg.sync(&live);
         let latency = HistogramSummary {
             count: 12,
             mean: 55.25,
@@ -297,7 +298,7 @@ mod tests {
             p95: 98,
             p99: 101,
         };
-        TelemetrySnapshot::from_registry("unit", "flat", 4096, &reg, latency)
+        TelemetrySnapshot::from_registry("unit", "flat", 4096, &reg, &live, latency)
     }
 
     #[test]

@@ -15,6 +15,7 @@
 use metro::sim::endpoint::{EndpointConfig, ReplyPolicy};
 use metro::sim::{NetworkSim, SimConfig};
 use metro::topo::MultibutterflySpec;
+use metro_telemetry::RouterCounter;
 
 fn main() {
     let config = SimConfig {
@@ -25,7 +26,6 @@ fn main() {
         ..SimConfig::default()
     };
     let mut sim = NetworkSim::new(&MultibutterflySpec::figure3(), &config).expect("valid network");
-    sim.enable_trace(0);
 
     let blocks: [&[u16]; 3] = [
         &[0xDE, 0xAD, 0xBE, 0xEF],
@@ -56,8 +56,9 @@ fn main() {
     }
     assert_eq!(delivered.len(), 3);
 
-    let grants = sim.router_stat_total(|s| s.grants);
-    let turns = sim.router_stat_total(|s| s.turns);
+    let totals = sim.telemetry_snapshot("conversation").counters;
+    let grants = totals.total(RouterCounter::Grants);
+    let turns = totals.total(RouterCounter::Turns);
     println!("\nrouter totals: {grants} connection grants, {turns} forward reversals");
     println!("one circuit carried all three segments — connection setup paid once;");
     println!("each round-trip reversal cost only the pipeline flush/fill (§5.1).");
@@ -74,6 +75,9 @@ fn main() {
         separate.tick();
         cycles += 1;
     }
-    let grants3 = separate.router_stat_total(|s| s.grants);
+    let grants3 = separate
+        .telemetry_snapshot("separate")
+        .counters
+        .total(RouterCounter::Grants);
     println!("as three separate messages the routers granted {grants3} connections (3 circuits)");
 }

@@ -6,9 +6,9 @@
 use metro_harness::document::{seal, DecodeError};
 use metro_harness::Json;
 use metro_sim::checkpoint::{resume_scenario, run_scenario_resumable, Checkpoint, CheckpointSink};
-use metro_sim::scenario::{codec, run_scenario};
+use metro_sim::scenario::{codec, run_scenario, Run, ScenarioResult};
 use metro_sim::NetworkSim;
-use metro_telemetry::snapshot;
+use metro_telemetry::{snapshot, RouterCounter};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 
@@ -56,7 +56,7 @@ const CKPT_FIXTURE: &str = "tests/fixtures/figure1.ckpt.json";
 #[test]
 fn the_checkpoint_fixture_keeps_its_bytes_and_resumes_to_the_straight_run() {
     // Written at cycle 100 of scenarios/figure1.json — mid-traffic — by
-    // the build that introduced checkpoint schema 3.
+    // the build that introduced checkpoint schema 4.
     let text = read(CKPT_FIXTURE);
     let ckpt = Checkpoint::from_text(&text).unwrap();
     assert_eq!((ckpt.scenario.name.as_str(), ckpt.cycle), ("figure1", 100));
@@ -64,18 +64,16 @@ fn the_checkpoint_fixture_keeps_its_bytes_and_resumes_to_the_straight_run() {
     assert_eq!(doc.render(), text);
     assert_eq!(
         doc.get("checkpoint_hash").unwrap().as_str().unwrap(),
-        "0x92026e81a2c5fc23"
+        "0x3fd7464ac4975971"
     );
     let (resumed, _sim) = resume_scenario(&ckpt).unwrap();
     let straight = run_scenario(&ckpt.scenario).unwrap();
     assert_eq!(resumed.to_json().render(), straight.to_json().render());
 }
 
-/// A snapshot is the machine and its results: the fabric is stateless,
-/// so what the NICs hold is the messages in flight — not a log of every
-/// payload delivered since cycle 0, which a scenario run cannot read.
-#[test]
-fn a_scenario_runs_snapshot_does_not_grow_with_its_deliveries() {
+/// `scenarios/figure3_load.json` run straight, and its snapshots at
+/// cycles 600 and 1500: 300 and 1200 cycles of measured deliveries.
+fn figure3_load_snapshots() -> (ScenarioResult, [Checkpoint; 2]) {
     let scenario = codec::from_text(&read("scenarios/figure3_load.json")).unwrap();
     let mut taken = Vec::new();
     let mut sink = |c: &Checkpoint| {
@@ -89,12 +87,26 @@ fn a_scenario_runs_snapshot_does_not_grow_with_its_deliveries() {
         sink: &mut sink,
     };
     let (straight, _sim) = run_scenario_resumable(&scenario, None, Some(hook)).unwrap();
+    (straight, taken.try_into().expect("two snapshots"))
+}
+
+/// Where the first section tagged `tag` starts in a snapshot's words.
+fn section_at(c: &Checkpoint, tag: &str) -> usize {
+    let mut word = [0; 8];
+    word[..tag.len()].copy_from_slice(tag.as_bytes());
+    let word = u64::from_le_bytes(word);
+    c.state.iter().position(|&w| w == word).unwrap()
+}
+
+/// A snapshot is the machine and its results: the fabric is stateless,
+/// so what the NICs hold is the messages in flight — not a log of every
+/// payload delivered since cycle 0, which a scenario run cannot read.
+#[test]
+fn a_scenario_runs_snapshot_does_not_grow_with_its_deliveries() {
+    let (straight, taken) = figure3_load_snapshots();
     // The words under the `endpoint` tags: from the first of them to the
     // section that follows the last.
-    let endpoint_words = |c: &Checkpoint| {
-        let tag = |t: &[u8; 8]| c.state.iter().position(|&w| w == u64::from_le_bytes(*t));
-        tag(b"channels").unwrap() - tag(b"endpoint").unwrap()
-    };
+    let endpoint_words = |c: &Checkpoint| section_at(c, "channels") - section_at(c, "endpoint");
     let [early, late] = [&taken[0], &taken[1]].map(endpoint_words);
     assert!(
         late < 2 * early && 4 * late < taken[1].state.len(),
@@ -103,6 +115,53 @@ fn a_scenario_runs_snapshot_does_not_grow_with_its_deliveries() {
     );
     let (resumed, _sim) = resume_scenario(&taken[1]).unwrap();
     assert_eq!(resumed.to_json().render(), straight.to_json().render());
+}
+
+/// A count lives once, in the routers: what a snapshot adds for
+/// telemetry is a reset baseline per router and ten bounded series, and
+/// a latency collector is its distinct values — neither grows with the
+/// cycles run or the messages delivered.
+#[test]
+fn a_snapshots_telemetry_is_sized_by_routers_and_distinct_latencies() {
+    let (_, taken) = figure3_load_snapshots();
+    let mut delivered = Vec::new();
+    for c in &taken {
+        let run = Run::of(&c.scenario, Some(c)).unwrap();
+        let (sim, stats) = (run.sim(), run.sim().stats());
+        delivered.push(stats.delivered);
+
+        // `telreg` is the stream's last section but for the driver's:
+        // tag, interval, syncs, the synced total, the counted baseline,
+        // and the counted series of (stride, pending ×2, counted samples).
+        let telreg = section_at(c, "workload") - section_at(c, "telreg");
+        let routers = sim.topology().total_routers();
+        let series =
+            RouterCounter::COUNT * (4 + sim.telemetry().series(RouterCounter::Opens).capacity());
+        assert!(
+            telreg <= RouterCounter::COUNT * (routers + 1) + series + 5,
+            "cycle {}: {telreg} telreg words for {routers} routers",
+            c.cycle
+        );
+
+        // `netstats` opens with the two collectors, each a run count and
+        // its `(value, count)` pairs.
+        let mut at = section_at(c, "netstats") + 1;
+        for h in [&stats.total_latency, &stats.network_latency] {
+            let distinct = h.histogram(1).iter().filter(|(_, n)| *n > 0).count();
+            assert_eq!(c.state[at], distinct as u64, "cycle {}", c.cycle);
+            assert!(
+                distinct < h.count(),
+                "latencies repeat by cycle {}",
+                c.cycle
+            );
+            at += 1 + 2 * distinct;
+        }
+        assert_eq!(
+            c.state[at], stats.delivered,
+            "the collectors end where the counts begin"
+        );
+    }
+    assert!(delivered[1] > 3 * delivered[0], "{delivered:?} delivered");
 }
 
 /// The state stream is the one part of a checkpoint the document
@@ -125,6 +184,7 @@ fn every_mutated_state_word_is_refused_or_runs_clean() {
                     return false;
                 }
                 sim.run(48);
+                let _ = sim.telemetry_snapshot("mutant");
                 let now = sim.now();
                 for o in sim.drain_outcomes() {
                     let latency = o.total_latency().max(o.network_latency());

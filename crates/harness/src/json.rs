@@ -282,8 +282,21 @@ pub(crate) fn write_string(out: &mut String, s: &str) {
     // Every byte that needs an escape is ASCII, so the clean runs
     // between them start and end on char boundaries and are copied
     // whole.
-    let mut clean = 0;
-    for (at, b) in s.bytes().enumerate() {
+    let bytes = s.as_bytes();
+    let (mut clean, mut at) = (0, 0);
+    while at < bytes.len() {
+        // A window of eight bytes with nothing to escape is stepped
+        // over whole: multi-megabyte checkpoint state is all such
+        // windows, and every seal renders it twice.
+        if let Some(window) = bytes.get(at..at + 8) {
+            let window = u64::from_le_bytes(window.try_into().expect("eight bytes"));
+            if !has_escape(window) {
+                at += 8;
+                continue;
+            }
+        }
+        let b = bytes[at];
+        at += 1;
         let escape = match b {
             b'"' => "\\\"",
             b'\\' => "\\\\",
@@ -293,15 +306,30 @@ pub(crate) fn write_string(out: &mut String, s: &str) {
             0x20.. => continue,
             _ => "",
         };
-        out.push_str(&s[clean..at]);
+        out.push_str(&s[clean..at - 1]);
         out.push_str(escape);
         if escape.is_empty() {
             let _ = write!(out, "\\u{b:04x}");
         }
-        clean = at + 1;
+        clean = at;
     }
     out.push_str(&s[clean..]);
     out.push('"');
+}
+
+/// Whether any of the eight bytes packed in `window` is one
+/// [`write_string`] escapes: below `0x20`, `"` or `\`. Each test is the
+/// carry trick "subtract, and see which bytes borrowed": exact as a
+/// yes/no over the window, and bytes ≥ `0x80` (UTF-8 continuation and
+/// lead bytes) never answer yes.
+fn has_escape(window: u64) -> bool {
+    const ONES: u64 = 0x0101_0101_0101_0101;
+    const HIGH: u64 = 0x8080_8080_8080_8080;
+    let below_space = window.wrapping_sub(ONES * 0x20) & !window;
+    let has_zero = |x: u64| x.wrapping_sub(ONES) & !x;
+    let quote = has_zero(window ^ (ONES * u64::from(b'"')));
+    let backslash = has_zero(window ^ (ONES * u64::from(b'\\')));
+    (below_space | quote | backslash) & HIGH != 0
 }
 
 /// A parse failure: byte offset and message.
@@ -577,6 +605,93 @@ mod tests {
     fn escapes_round_trip() {
         let s = Json::from("tab\there \"quotes\" back\\slash\nnewline \u{1}ctl €");
         assert_eq!(Json::parse(&s.render_compact()).unwrap(), s);
+    }
+
+    /// The oracle for `write_string`: one match per character, no
+    /// windows.
+    fn write_string_per_byte(out: &mut String, s: &str) {
+        out.push('"');
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if c < ' ' => {
+                    let _ = write!(out, "\\u{:04x}", c as u32);
+                }
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+    }
+
+    #[track_caller]
+    fn assert_writes_like_the_per_byte_writer(s: &str) {
+        let (mut windowed, mut per_byte) = (String::new(), String::new());
+        write_string(&mut windowed, s);
+        write_string_per_byte(&mut per_byte, s);
+        assert_eq!(windowed, per_byte, "{s:?}");
+        assert_eq!(Json::parse(&windowed).unwrap(), Json::from(s));
+    }
+
+    #[test]
+    fn the_windowed_string_writer_matches_the_per_byte_one() {
+        // Every escape at every offset of a 16-byte stretch, with
+        // 0..16 clean bytes after it — so it falls in the first window,
+        // the second, and the per-byte tail.
+        let escapes = [
+            "\"", "\\", "\n", "\r", "\t", "\0", "\u{1}", "\u{1f}", "\"\\", "\n\n",
+        ];
+        // Not escaped, though each is one step from a byte that is.
+        let clean = [
+            " ", "!", "#", "[", "]", "\u{7f}", "é", "€", "😀", "\u{80}", "\u{ff}",
+        ];
+        for lead in 0..16 {
+            for tail in 0..16 {
+                for mid in escapes.iter().chain(&clean) {
+                    let s = format!("{}{mid}{}", "a".repeat(lead), "z".repeat(tail));
+                    assert_writes_like_the_per_byte_writer(&s);
+                }
+            }
+        }
+        // Multi-byte characters across the 8-byte window edge at every
+        // phase, next to an escape on either side, and nothing but
+        // bytes ≥ 0x80.
+        for lead in 0..9 {
+            let pad = "a".repeat(lead);
+            for s in [
+                format!("{pad}é€😀é€😀"),
+                format!("{pad}€\"😀\\é\n€"),
+                format!("{pad}😀😀😀😀{pad}\t"),
+                format!("\u{1}{pad}€€€€€€"),
+            ] {
+                assert_writes_like_the_per_byte_writer(&s);
+            }
+        }
+        assert_writes_like_the_per_byte_writer("");
+        assert_writes_like_the_per_byte_writer(&"0 1f 6b726f7774656e ".repeat(500));
+    }
+
+    #[test]
+    fn the_window_test_is_exact_for_every_byte_at_every_position() {
+        // Each byte value in each lane, among fillers that sit on the
+        // borrow edges of the three subtractions.
+        for filler in [b'a', 0x20, 0x21, 0x23, 0x5b, 0x5d, 0x7f, 0x80, 0xff] {
+            for lane in 0..8 {
+                for b in 0..=u8::MAX {
+                    let mut window = [filler; 8];
+                    window[lane] = b;
+                    let want = b < 0x20 || b == b'"' || b == b'\\';
+                    assert_eq!(
+                        has_escape(u64::from_le_bytes(window)),
+                        want,
+                        "{b:#04x} in lane {lane} of {filler:#04x}s"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -15,8 +15,10 @@
 //!    offering traffic or draining;
 //! 3. the **machine state** as one flat word stream
 //!    ([`NetworkSim::save_state`] followed, for `Load` workloads, by
-//!    the [`WorkloadDriver`]'s stream positions), hex-chunked into the
-//!    JSON document.
+//!    the [`WorkloadDriver`]'s stream positions), written into the JSON
+//!    document as chunks of space-separated hex words, each word at its
+//!    own width (`"0 1 6b726f7774656e 2f"`: most state words are one
+//!    digit, so the text is about 2.9 bytes a word).
 //!
 //! The envelope follows the scenario codec's conventions exactly (one
 //! cursor, [`metro_harness::document`], reads both): unknown fields
@@ -82,10 +84,18 @@ pub use crate::scenario::run::{resume_scenario, run_scenario_resumable, Checkpoi
 ///   its `(value, count)` runs (was one word per sample, in sample
 ///   order, plus a sorted flag). Same envelope; versions 1–3 are
 ///   refused.
-pub const CHECKPOINT_SCHEMA: u64 = 4;
+/// * **5** — the same state words, spelled at their own width: each is
+///   its shortest lower-case hex (`0` for zero), one space apart (was
+///   16 digits a word, no separator — most words are one digit, so the
+///   file was five times its content). Same envelope; versions 1–4 are
+///   refused.
+pub const CHECKPOINT_SCHEMA: u64 = 5;
 
-/// Hex characters per `"state"` array entry. Chunking keeps lines
-/// editor- and diff-friendly; the chunk boundaries carry no meaning.
+/// Characters at which a `"state"` array entry is cut: the word that
+/// takes a chunk to this length or past it is the chunk's last, so an
+/// entry is under `HEX_CHUNK + 17` characters. Chunking keeps lines
+/// editor- and diff-friendly; the cuts are the encoder's and the decoder
+/// holds a file to them, like every other byte of the grammar.
 const HEX_CHUNK: usize = 4096;
 
 /// Which part of a run a checkpoint was taken in, as the envelope
@@ -305,49 +315,89 @@ fn dec_position(
     Ok((phase, cycle))
 }
 
-/// Renders the state words as fixed-width hex, split into chunks.
+/// Renders the state words as the document spells them: each word its
+/// shortest lower-case hex (`0` for zero, never a leading zero), one
+/// space between words, a new chunk after the word that takes one to
+/// [`HEX_CHUNK`] characters. No words, no chunks.
 fn state_chunks(words: &[u64]) -> Vec<String> {
-    let mut hex = String::with_capacity(words.len() * 16);
+    let mut chunks = Vec::new();
+    let mut chunk = String::new();
     for &w in words {
-        for byte in w.to_be_bytes() {
-            for nibble in [byte >> 4, byte & 0xF] {
-                hex.push(char::from(b"0123456789abcdef"[usize::from(nibble)]));
-            }
+        if chunk.len() >= HEX_CHUNK {
+            chunks.push(std::mem::take(&mut chunk));
+        }
+        if chunk.is_empty() {
+            chunk.reserve(HEX_CHUNK + 17);
+        } else {
+            chunk.push(' ');
+        }
+        let digits = (64 - w.leading_zeros()).div_ceil(4).max(1);
+        for shift in (0..digits).rev() {
+            let nibble = (w >> (4 * shift)).to_le_bytes()[0] & 0xF;
+            chunk.push(char::from(b"0123456789abcdef"[usize::from(nibble)]));
         }
     }
-    if hex.is_empty() {
-        return Vec::new();
+    if !chunk.is_empty() {
+        chunks.push(chunk);
     }
-    hex.as_bytes()
-        .chunks(HEX_CHUNK)
-        // Chunk boundaries land on ASCII hex digits, never mid-UTF-8.
-        .map(|c| String::from_utf8(c.to_vec()).expect("hex is ASCII"))
-        .collect()
+    chunks
 }
 
-/// Reassembles the state words from the document's hex chunks. A word
-/// may straddle two chunks: the boundaries carry no meaning.
+/// Reads the state words back, accepting exactly what [`state_chunks`]
+/// writes — so a checkpoint has one spelling, and the text re-encodes
+/// to its own bytes. Anything else (upper case, a leading zero, a 17th
+/// digit, a space that does not separate two words, an empty chunk, a
+/// chunk cut early or late) is an error at that chunk.
 fn dec_state(node: &Node<'_>) -> Result<Vec<u64>, CodecError> {
     let mut words = Vec::new();
-    let (mut word, mut digits) = (0u64, 0usize);
+    // Only the last chunk may stop short of the cut.
+    let mut short = false;
     node.list(|chunk| {
-        for b in chunk.str()?.bytes() {
-            let Some(digit) = char::from(b).to_digit(16) else {
-                return chunk.err("expected a string of hex digits");
+        let text = chunk.str()?;
+        // `digits == 0` is "a word must start here".
+        let (mut word, mut digits, mut word_at) = (0u64, 0usize, 0usize);
+        for (at, b) in text.bytes().enumerate() {
+            let digit = match b {
+                b'0'..=b'9' => b - b'0',
+                b'a'..=b'f' => b - b'a' + 10,
+                b' ' if digits > 0 => {
+                    words.push(word);
+                    (word, digits, word_at) = (0, 0, at + 1);
+                    continue;
+                }
+                b' ' => return chunk.err("a space that does not separate two words"),
+                _ => return chunk.err("expected lower-case hex words separated by single spaces"),
             };
+            if digits == 1 && word == 0 {
+                return chunk.err("a word with a leading zero");
+            }
+            if digits == 16 {
+                return chunk.err("a word of more than 16 hex digits");
+            }
             word = word << 4 | u64::from(digit);
             digits += 1;
-            if digits.is_multiple_of(16) {
-                words.push(word);
-            }
         }
+        if digits == 0 {
+            return chunk.err(if text.is_empty() {
+                "an empty chunk"
+            } else {
+                "a space that does not separate two words"
+            });
+        }
+        if word_at > HEX_CHUNK {
+            return chunk.err(format!(
+                "the chunk runs on past its cut at {HEX_CHUNK} characters"
+            ));
+        }
+        if short {
+            return chunk.err(format!(
+                "the chunk before this one was cut short of {HEX_CHUNK} characters"
+            ));
+        }
+        short = text.len() < HEX_CHUNK;
+        words.push(word);
         Ok(())
     })?;
-    if !digits.is_multiple_of(16) {
-        return node.err(format!(
-            "{digits} hex digits is not a whole number of 64-bit words"
-        ));
-    }
     Ok(words)
 }
 
@@ -555,12 +605,7 @@ mod tests {
         let (_straight, ckpt) = checkpoint_at(&s, 80);
         let mut doc = ckpt.to_json();
         doc.set("surprise", Json::from(1u64));
-        // Re-stamp the digest so the unknown field itself is reached.
-        if let Json::Obj(pairs) = &mut doc {
-            pairs.retain(|(k, _)| k != "checkpoint_hash");
-        }
-        let h = format!("{:#018x}", doc.canonical_hash());
-        doc.set("checkpoint_hash", Json::from(h));
+        reseal(&mut doc);
         let e = Checkpoint::from_json(&doc).unwrap_err();
         assert!(e.message.contains("surprise"), "{e:?}");
 
@@ -578,27 +623,194 @@ mod tests {
         assert_eq!(e.path, "checkpoint.runner.phase");
     }
 
-    #[test]
-    fn a_non_hex_state_chunk_is_a_typed_error_not_a_panic() {
-        // 32 bytes — a whole number of words by length — whose byte 16
-        // is inside the two-byte `é`: slicing words out by byte offset
-        // used to panic on the char boundary.
-        let s = load_scenario();
-        let (_straight, ckpt) = checkpoint_at(&s, 80);
-        let mut doc = ckpt.to_json();
-        let chunk = format!("{0}é{0}", "a".repeat(15));
-        assert_eq!(chunk.len(), 32);
-        doc.set("state", Json::arr([Json::from(chunk)]));
-        if let Json::Obj(pairs) = &mut doc {
+    /// Decodes a re-sealed checkpoint document whose `"state"` is
+    /// `chunks`, so the state text is what refuses or is accepted.
+    fn decode_with_state(chunks: &[&str]) -> Result<Checkpoint, CodecError> {
+        let empty = Checkpoint {
+            scenario: load_scenario(),
+            phase: RunPhase::Main,
+            cycle: 0,
+            state: Vec::new(),
+        };
+        let mut doc = empty.to_json();
+        doc.set("state", Json::arr(chunks.iter().copied().map(Json::from)));
+        reseal(&mut doc);
+        Checkpoint::from_json(&doc)
+    }
+
+    /// Re-stamps the digest after an edit, so the edit itself is what
+    /// the decoder meets.
+    fn reseal(doc: &mut Json) {
+        if let Json::Obj(pairs) = doc {
             pairs.retain(|(k, _)| k != "checkpoint_hash");
         }
-        seal(&mut doc, "checkpoint_hash");
-        let e = Checkpoint::from_json(&doc).unwrap_err();
-        assert_eq!(e.path, "checkpoint.state[0]");
+        seal(doc, "checkpoint_hash");
+    }
+
+    #[track_caller]
+    fn assert_refused(chunks: &[&str], at: usize, message: &str) {
+        let e = decode_with_state(chunks).unwrap_err();
+        assert_eq!(e.path, format!("checkpoint.state[{at}]"), "{e}");
+        assert!(e.message.contains(message), "{e}");
+    }
+
+    /// `words` one-digit words and their separators: `2 * words - 1`
+    /// characters.
+    fn ones(words: usize) -> String {
+        vec!["1"; words].join(" ")
+    }
+
+    #[test]
+    fn the_state_text_is_each_word_at_its_own_width() {
+        let words = [0, 1, 0xf, 0x10, 0xdead_beef, u64::MAX];
+        assert_eq!(state_chunks(&words), ["0 1 f 10 deadbeef ffffffffffffffff"]);
+        let back = decode_with_state(&["0 1 f 10 deadbeef ffffffffffffffff"]).unwrap();
+        assert_eq!(back.state, words);
+        // No words, no chunks.
+        assert!(state_chunks(&[]).is_empty());
+        assert_eq!(decode_with_state(&[]).unwrap().state, []);
+    }
+
+    #[test]
+    fn a_non_hex_state_chunk_is_a_typed_error_not_a_panic() {
+        // Byte 16 is inside the two-byte `é`: slicing words out by byte
+        // offset used to panic on the char boundary.
+        let chunk = format!("{0}é{0}", "a".repeat(15));
+        let e = decode_with_state(&["1 2", &chunk]).unwrap_err();
+        assert_eq!(e.path, "checkpoint.state[1]");
         assert_eq!(
             e.to_string(),
-            "checkpoint decode error at checkpoint.state[0]: expected a string of hex digits"
+            "checkpoint decode error at checkpoint.state[1]: \
+             expected lower-case hex words separated by single spaces"
         );
+        assert_refused(&["12 3g"], 0, "expected lower-case hex");
+        assert_refused(&["0x1f"], 0, "expected lower-case hex");
+        assert_refused(&["1\t2"], 0, "expected lower-case hex");
+    }
+
+    #[test]
+    fn upper_case_hex_is_refused() {
+        assert_eq!(decode_with_state(&["6e 1f"]).unwrap().state, [0x6e, 0x1f]);
+        assert_refused(&["6E 1f"], 0, "expected lower-case hex");
+        assert_refused(&["6e 1F"], 0, "expected lower-case hex");
+    }
+
+    #[test]
+    fn a_leading_zero_is_refused() {
+        assert_eq!(decode_with_state(&["0 10"]).unwrap().state, [0, 0x10]);
+        assert_refused(&["01"], 0, "leading zero");
+        assert_refused(&["5 00"], 0, "leading zero");
+        assert_refused(&["0000000000000001"], 0, "leading zero");
+    }
+
+    #[test]
+    fn a_seventeenth_digit_is_refused() {
+        let max = "f".repeat(16);
+        assert_eq!(decode_with_state(&[&max]).unwrap().state, [u64::MAX]);
+        assert_refused(&[&format!("{max}f")], 0, "more than 16 hex digits");
+        assert_refused(&[&format!("1 1{}", "0".repeat(16))], 0, "more than 16");
+    }
+
+    #[test]
+    fn a_doubled_space_is_refused() {
+        assert_refused(&["1  2"], 0, "does not separate two words");
+    }
+
+    #[test]
+    fn a_leading_space_is_refused() {
+        assert_refused(&[" 1 2"], 0, "does not separate two words");
+        assert_refused(&["1 2", " 3"], 1, "does not separate two words");
+    }
+
+    #[test]
+    fn a_trailing_space_is_refused() {
+        assert_refused(&["1 2 "], 0, "does not separate two words");
+        assert_refused(&[" "], 0, "does not separate two words");
+    }
+
+    #[test]
+    fn an_empty_chunk_is_refused() {
+        assert_refused(&[""], 0, "an empty chunk");
+        assert_refused(&["1 2", ""], 1, "an empty chunk");
+    }
+
+    #[test]
+    fn a_chunk_cut_early_or_late_is_refused() {
+        // 2048 one-digit words are 4095 characters: the 2049th still
+        // belongs to the chunk, the 2050th opens the next.
+        let full = ones(HEX_CHUNK / 2 + 1);
+        assert_eq!(state_chunks(&vec![1; HEX_CHUNK / 2 + 2]), [&full[..], "1"]);
+        let back = decode_with_state(&[&full, "1"]).unwrap();
+        assert_eq!(back.state.len(), HEX_CHUNK / 2 + 2);
+        // Early: a chunk short of the cut that is not the last.
+        assert_refused(&[&ones(HEX_CHUNK / 2), "1 1"], 1, "cut short");
+        assert_refused(&["1", "1"], 1, "cut short");
+        // Late: a word after the one that reached the cut.
+        assert_refused(&[&ones(HEX_CHUNK / 2 + 2)], 0, "past its cut");
+        assert_refused(&[&full, &ones(HEX_CHUNK / 2 + 2)], 1, "past its cut");
+    }
+
+    /// The eight section tags of a scenario run's stream, as words.
+    fn section_tags() -> Vec<u64> {
+        let mut w = StateWriter::new();
+        for tag in [
+            "network", "faults", "router", "endpoint", "channels", "netstats", "telreg", "workload",
+        ] {
+            w.section(tag);
+        }
+        w.into_words()
+    }
+
+    /// `state_chunks` → `dec_state`, the chunks held to their cut, and
+    /// the decoded words re-encoded to the same text.
+    fn assert_state_round_trips(words: &[u64]) {
+        let chunks = state_chunks(words);
+        for (i, c) in chunks.iter().enumerate() {
+            // Every chunk but the last reaches the cut; none passes it
+            // by more than one word.
+            let least = if i + 1 < chunks.len() { HEX_CHUNK } else { 1 };
+            assert!((least..HEX_CHUNK + 17).contains(&c.len()), "{}", c.len());
+        }
+        let doc = Json::arr(chunks.iter().cloned().map(Json::from));
+        let back = dec_state(&Node::root("checkpoint", "checkpoint.state", &doc)).unwrap();
+        assert_eq!(back, words);
+        assert_eq!(state_chunks(&back), chunks);
+    }
+
+    #[test]
+    fn a_word_lands_on_each_side_of_every_chunk_cut() {
+        assert_state_round_trips(&[]);
+        // A first word of each width, then one-digit words up to and
+        // across the cut: every remainder of 4096 is hit from both
+        // parities, with a wide word on either side of it.
+        for width in 1..=16u32 {
+            let first = u64::MAX >> (64 - 4 * width);
+            for tail in (HEX_CHUNK / 2 - 12)..(HEX_CHUNK / 2 + 4) {
+                let mut words = vec![first];
+                words.resize(tail, 1);
+                words.extend([u64::MAX, 0, first]);
+                assert_state_round_trips(&words);
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn any_state_round_trips_through_its_text(
+            // Every width equally often: random bits, shifted down.
+            body in proptest::collection::vec(
+                (proptest::prelude::any::<u64>(), 0u32..64),
+                0..3000,
+            ),
+        ) {
+            // The forced values: the width boundaries and the tags.
+            let mut words = vec![0, 1, 0xf, 0x10, u64::MAX];
+            words.extend(section_tags());
+            words.extend(body.into_iter().map(|(bits, shift)| bits >> shift));
+            assert_state_round_trips(&words);
+        }
     }
 
     #[test]
@@ -610,10 +822,7 @@ mod tests {
         for version in [CHECKPOINT_SCHEMA - 1, CHECKPOINT_SCHEMA + 1] {
             let mut doc = ckpt.to_json();
             doc.set("checkpoint_schema", Json::from(version));
-            if let Json::Obj(pairs) = &mut doc {
-                pairs.retain(|(k, _)| k != "checkpoint_hash");
-            }
-            seal(&mut doc, "checkpoint_hash");
+            reseal(&mut doc);
             let e = Checkpoint::from_json(&doc).unwrap_err();
             assert_eq!(e.path, "checkpoint.checkpoint_schema");
             assert!(e.message.contains("unsupported schema version"), "{e:?}");

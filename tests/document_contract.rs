@@ -56,7 +56,7 @@ const CKPT_FIXTURE: &str = "tests/fixtures/figure1.ckpt.json";
 #[test]
 fn the_checkpoint_fixture_keeps_its_bytes_and_resumes_to_the_straight_run() {
     // Written at cycle 100 of scenarios/figure1.json — mid-traffic — by
-    // the build that introduced checkpoint schema 4.
+    // the build that introduced checkpoint schema 5.
     let text = read(CKPT_FIXTURE);
     let ckpt = Checkpoint::from_text(&text).unwrap();
     assert_eq!((ckpt.scenario.name.as_str(), ckpt.cycle), ("figure1", 100));
@@ -64,11 +64,28 @@ fn the_checkpoint_fixture_keeps_its_bytes_and_resumes_to_the_straight_run() {
     assert_eq!(doc.render(), text);
     assert_eq!(
         doc.get("checkpoint_hash").unwrap().as_str().unwrap(),
-        "0x3fd7464ac4975971"
+        "0x05fc789bad4466f0"
     );
     let (resumed, _sim) = resume_scenario(&ckpt).unwrap();
     let straight = run_scenario(&ckpt.scenario).unwrap();
     assert_eq!(resumed.to_json().render(), straight.to_json().render());
+}
+
+/// Most state words are a counter at zero or an idle register, and the
+/// document spells a word at its own width: the fixture's `"state"`
+/// text — digits and separators — stays within 5 bytes a word (it was
+/// 16 when every word was written at full width).
+#[test]
+fn the_fixtures_state_text_is_at_most_five_bytes_a_word() {
+    let text = read(CKPT_FIXTURE);
+    let words = Checkpoint::from_text(&text).unwrap().state.len();
+    let doc = Json::parse(&text).unwrap();
+    let chunks = doc.get("state").unwrap().as_arr().unwrap();
+    let bytes: usize = chunks.iter().map(|c| c.as_str().unwrap().len()).sum();
+    assert!(
+        words > 3000 && bytes <= 5 * words,
+        "{bytes} bytes of state text for {words} words"
+    );
 }
 
 /// `scenarios/figure3_load.json` run straight, and its snapshots at

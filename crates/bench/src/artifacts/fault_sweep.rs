@@ -3,10 +3,9 @@
 //! under moderate load and reports latency, retries, throughput, and
 //! message loss (there must be none).
 
-use crate::fault_points_json;
 use metro_harness::{Artifact, ArtifactOutput, Json, RunCtx};
 use metro_sim::experiment::{
-    fault_sweep_jobs, point_seed, run_fault_point_with_telemetry, SweepConfig,
+    fault_sweep_jobs, point_seed, run_fault_sim, FaultSweepPoint, SweepConfig,
 };
 use std::fmt::Write as _;
 
@@ -88,7 +87,10 @@ fn run(ctx: &RunCtx) -> Result<ArtifactOutput, String> {
         ("measured_cycles", Json::from(cfg.measure)),
         ("seed", Json::from(cfg.seed)),
         ("messages_lost", Json::from(lost)),
-        ("points", fault_points_json(&points)),
+        (
+            "points",
+            Json::arr(points.iter().map(FaultSweepPoint::to_json)),
+        ),
     ]);
     let params = Json::obj([
         ("load", Json::from(LOAD)),
@@ -107,13 +109,13 @@ fn run(ctx: &RunCtx) -> Result<ArtifactOutput, String> {
         seed: point_seed(cfg.seed, 0),
         ..cfg.clone()
     };
-    let (_, snap) = run_fault_point_with_telemetry(&cell_cfg, LOAD, 0, 0, "fault_sweep");
+    let sim = run_fault_sim(&cell_cfg, LOAD, 0, 0);
     Ok(ArtifactOutput {
         human: out,
         json,
         points: points.len(),
         params,
         scenario: Some(crate::scenarios::emit(&scenario)),
-        telemetry: Some(snap.to_json()),
+        telemetry: Some(sim.telemetry_snapshot("fault_sweep").to_json()),
     })
 }

@@ -3,12 +3,10 @@
 //! radix-4 network (dilation 2/2/1, two network ports per endpoint,
 //! parallelism-limited processors).
 
-use crate::{
-    ascii_curve, load_points_csv, load_points_json, render_load_points, write_result_csv_in,
-};
+use crate::{ascii_curve, render_load_points};
 use metro_harness::{Artifact, ArtifactOutput, Json, RunCtx};
 use metro_sim::experiment::{
-    load_sweep_jobs, point_seed, run_load_point_with_telemetry, unloaded_latency, SweepConfig,
+    load_sweep_jobs, point_seed, run_load_sim, unloaded_latency, LoadPoint, SweepConfig,
 };
 use std::fmt::Write as _;
 
@@ -60,14 +58,6 @@ fn run(ctx: &RunCtx) -> Result<ArtifactOutput, String> {
     let points = load_sweep_jobs(&cfg, &LOADS, ctx.jobs);
     out.push_str(&render_load_points(&points));
 
-    let csv_path = write_result_csv_in(
-        &ctx.results,
-        "fig3_load_latency.csv",
-        &load_points_csv(&points),
-    )
-    .map_err(|e| e.to_string())?;
-    let _ = writeln!(out, "\nwrote {}", csv_path.display());
-
     let _ = writeln!(out, "\nmean latency vs offered load:");
     out.push_str(&ascii_curve(&points, 12));
 
@@ -104,7 +94,7 @@ fn run(ctx: &RunCtx) -> Result<ArtifactOutput, String> {
         ("unloaded_latency_cycles", Json::from(base)),
         ("paper_unloaded_latency_cycles", Json::from(28u64)),
         ("saturation_throughput", Json::from(sat)),
-        ("points", load_points_json(&points)),
+        ("points", Json::arr(points.iter().map(LoadPoint::to_json))),
     ]);
     let params = Json::obj([
         ("measure", Json::from(cfg.measure)),
@@ -121,13 +111,13 @@ fn run(ctx: &RunCtx) -> Result<ArtifactOutput, String> {
         ..cfg.clone()
     };
     let scenario = cell_cfg.load_scenario("fig3", LOADS[cell]);
-    let (_, snap) = run_load_point_with_telemetry(&cell_cfg, LOADS[cell], "fig3");
+    let (_, sim) = run_load_sim(&cell_cfg, LOADS[cell]);
     Ok(ArtifactOutput {
         human: out,
         json,
         points: points.len(),
         params,
         scenario: Some(crate::scenarios::emit(&scenario)),
-        telemetry: Some(snap.to_json()),
+        telemetry: Some(sim.telemetry_snapshot("fig3").to_json()),
     })
 }

@@ -1,10 +1,13 @@
 //! The 19 paper artifacts, as registry entries.
 //!
-//! Each module moves one historical binary's logic behind a
-//! [`metro_harness::Artifact`]: the run function builds the human
-//! report into a string, returns the machine-readable JSON document,
-//! and reports its point count and parameters for the results
-//! manifest. The `metro` binary fronts them all.
+//! Each module holds one [`metro_harness::Artifact`]: the run function
+//! builds the human report into a string, returns the machine-readable
+//! JSON document, and reports its point count and parameters for the
+//! results manifest. An artifact is the only writer of its
+//! `results/<name>.*` files, and it writes them through
+//! `metro_harness::cli::run_one` — `metro run <name>` for all of them,
+//! plus the `metro chaos` verb, which runs [`chaos`] with the storm's
+//! flags in `RunCtx::flags` (the one artifact that reads them).
 //!
 //! Simulation artifacts honour `RunCtx::quick` by shortening their
 //! measurement windows and `RunCtx::jobs` by running independent sweep

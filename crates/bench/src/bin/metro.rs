@@ -13,11 +13,5 @@
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("scenario") => std::process::exit(metro_bench::scenario_cli::main(&args[1..])),
-        Some("resume") => std::process::exit(metro_bench::scenario_cli::resume_main(&args[1..])),
-        Some("chaos") => std::process::exit(metro_bench::chaos_cli::main(&args[1..])),
-        Some("report") => std::process::exit(metro_bench::report_cli::main(&args[1..])),
-        _ => std::process::exit(metro_harness::cli::main_with(&metro_bench::registry())),
-    }
+    std::process::exit(metro_bench::main(&args));
 }

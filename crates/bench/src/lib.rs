@@ -44,13 +44,54 @@ pub mod report_cli;
 pub mod scenario_cli;
 pub mod scenarios;
 
-use metro_harness::{Json, Registry, ResultsDir, ResultsError};
-use metro_sim::experiment::{FaultSweepPoint, LoadPoint};
+use metro_harness::Registry;
+use metro_sim::experiment::LoadPoint;
 
 /// Builds the full artifact registry (all 19 paper artifacts).
 #[must_use]
 pub fn registry() -> Registry {
     artifacts::registry()
+}
+
+/// A verb's entry point: its arguments (the verb itself stripped) to
+/// the process exit code.
+type VerbFn = fn(&[String]) -> i32;
+
+/// The verbs `metro` dispatches itself — name, entry point, and the
+/// line `metro help` prints — before the harness's `list` and `run`.
+const VERBS: [(&str, VerbFn, &str); 4] = [
+    (
+        "scenario",
+        scenario_cli::main,
+        "run | dump | validate | fuzz declarative scenario files",
+    ),
+    (
+        "resume",
+        scenario_cli::resume_main,
+        "continue an interrupted checkpointed scenario run",
+    ),
+    (
+        "chaos",
+        chaos_cli::main,
+        "fault-storm campaigns: the chaos artifact, its storm as flags",
+    ),
+    (
+        "report",
+        report_cli::main,
+        "per-stage tables from telemetry sidecars",
+    ),
+];
+
+/// The `metro` binary: dispatches `args` (without the program name) to
+/// one of [`VERBS`] or to the harness, and returns the exit code.
+#[must_use]
+pub fn main(args: &[String]) -> i32 {
+    let verb = args.first().map(String::as_str);
+    if let Some((_, entry, _)) = VERBS.iter().find(|(name, ..)| Some(*name) == verb) {
+        return entry(&args[1..]);
+    }
+    let help = VERBS.map(|(name, _, help)| (name, help));
+    metro_harness::cli::main_with(&registry(), args, &help)
 }
 
 /// Renders a latency-versus-load table in a fixed-width layout shared
@@ -119,88 +160,6 @@ pub fn ascii_curve(points: &[LoadPoint], height: usize) -> String {
     out
 }
 
-/// Renders load points as CSV (offered, accepted, mean, p50, p95,
-/// retries, delivered) for plotting.
-#[must_use]
-pub fn load_points_csv(points: &[LoadPoint]) -> String {
-    use std::fmt::Write as _;
-    let mut out =
-        String::from("offered,accepted,mean_latency,p50,p95,retries_per_message,delivered\n");
-    for p in points {
-        let _ = writeln!(
-            out,
-            "{},{},{},{},{},{},{}",
-            p.offered,
-            p.accepted,
-            p.mean_latency,
-            p.p50_latency,
-            p.p95_latency,
-            p.retries_per_message,
-            p.delivered
-        );
-    }
-    out
-}
-
-/// Renders load points as a JSON array for the results layer.
-#[must_use]
-pub fn load_points_json(points: &[LoadPoint]) -> Json {
-    Json::arr(points.iter().map(|p| {
-        Json::obj([
-            ("offered", Json::from(p.offered)),
-            ("accepted", Json::from(p.accepted)),
-            ("mean_latency", Json::from(p.mean_latency)),
-            ("p50_latency", Json::from(p.p50_latency)),
-            ("p95_latency", Json::from(p.p95_latency)),
-            ("mean_network_latency", Json::from(p.mean_network_latency)),
-            ("retries_per_message", Json::from(p.retries_per_message)),
-            ("delivered", Json::from(p.delivered)),
-        ])
-    }))
-}
-
-/// Renders fault-sweep points as a JSON array for the results layer.
-#[must_use]
-pub fn fault_points_json(points: &[FaultSweepPoint]) -> Json {
-    Json::arr(points.iter().map(|p| {
-        Json::obj([
-            ("dead_routers", Json::from(p.dead_routers)),
-            ("dead_links", Json::from(p.dead_links)),
-            ("mean_latency", Json::from(p.mean_latency)),
-            ("p95_latency", Json::from(p.p95_latency)),
-            ("retries_per_message", Json::from(p.retries_per_message)),
-            ("accepted", Json::from(p.accepted)),
-            ("delivered", Json::from(p.delivered)),
-            ("abandoned", Json::from(p.abandoned)),
-        ])
-    }))
-}
-
-/// Writes a CSV artifact under `results/`, creating the directory if
-/// missing.
-///
-/// # Errors
-///
-/// Returns a typed [`ResultsError`] naming the failing path (not a bare
-/// `io::Error` silently tied to the working directory).
-pub fn write_result_csv(name: &str, csv: &str) -> Result<std::path::PathBuf, ResultsError> {
-    write_result_csv_in(&ResultsDir::standard(), name, csv)
-}
-
-/// [`write_result_csv`] into an explicit results directory (tests point
-/// this at a temporary location).
-///
-/// # Errors
-///
-/// Returns a typed [`ResultsError`] naming the failing path.
-pub fn write_result_csv_in(
-    dir: &ResultsDir,
-    name: &str,
-    csv: &str,
-) -> Result<std::path::PathBuf, ResultsError> {
-    dir.write_text(name, csv)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -237,49 +196,19 @@ mod tests {
     }
 
     #[test]
-    fn csv_has_header_and_rows() {
-        let csv = load_points_csv(&[point(0.1, 30.0)]);
-        let mut lines = csv.lines();
-        assert!(lines.next().unwrap().starts_with("offered,"));
-        assert!(lines.next().unwrap().starts_with("0.1,"));
-        assert!(lines.next().is_none());
-    }
-
-    #[test]
-    fn json_points_mirror_the_struct() {
-        let doc = load_points_json(&[point(0.1, 30.0)]);
-        let row = &doc.as_arr().unwrap()[0];
-        assert_eq!(row.get("offered").and_then(Json::as_f64), Some(0.1));
-        assert_eq!(row.get("delivered").and_then(Json::as_f64), Some(100.0));
-        // And it survives the writer/parser round-trip.
-        assert_eq!(Json::parse(&doc.render()).unwrap(), doc);
-    }
-
-    #[test]
-    fn write_result_csv_creates_missing_directory() {
-        let root = std::env::temp_dir().join(format!(
-            "metro-bench-csv-{}/nested/results",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&root);
-        let dir = ResultsDir::new(&root);
-        let path = write_result_csv_in(&dir, "t.csv", "a,b\n1,2\n").unwrap();
-        assert_eq!(std::fs::read_to_string(&path).unwrap(), "a,b\n1,2\n");
-        let _ = std::fs::remove_dir_all(root.parent().unwrap().parent().unwrap());
-    }
-
-    #[test]
-    fn write_result_csv_reports_a_typed_error() {
-        // A file where the directory should be forces a creation error
-        // that names the offending path.
-        let base = std::env::temp_dir().join(format!("metro-bench-block-{}", std::process::id()));
-        std::fs::write(&base, "occupied").unwrap();
-        let dir = ResultsDir::new(base.join("results"));
-        match write_result_csv_in(&dir, "t.csv", "x") {
-            Err(ResultsError::Io { path, .. }) => assert!(path.starts_with(&base)),
-            other => panic!("expected typed Io error, got {other:?}"),
+    fn top_level_help_lists_every_dispatched_verb() {
+        let help = VERBS.map(|(name, _, help)| (name, help));
+        let usage = metro_harness::cli::usage(&help);
+        for verb in ["list", "run", "scenario", "resume", "chaos", "report"] {
+            assert!(usage.contains(&format!("\n  metro {verb} ")), "{verb}");
         }
-        let _ = std::fs::remove_file(&base);
+        // Each verb answers for itself; an unknown one is the harness's
+        // usage error.
+        let run = |args: &[&str]| main(&args.iter().map(ToString::to_string).collect::<Vec<_>>());
+        for (verb, ..) in VERBS {
+            assert_eq!(run(&[verb, "--help"]), 0, "{verb}");
+        }
+        assert_eq!(run(&["frobnicate"]), 2);
     }
 
     #[test]

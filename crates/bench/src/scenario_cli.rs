@@ -25,7 +25,7 @@
 //! result document is byte-identical to the uninterrupted run's.
 
 use crate::scenarios;
-use metro_harness::results::{git_describe, unix_time_now, ResultsDir, RunRecord};
+use metro_harness::results::{ResultsDir, RunRecord};
 use metro_harness::{cli, log, Json};
 use metro_sim::checkpoint::Checkpoint;
 use metro_sim::scenario::fuzz::fuzz_campaign;
@@ -340,20 +340,12 @@ fn record_scenario_result(
         ("result", result.to_json()),
     ]);
     let out_path = results.write_json(&stem, &doc).map_err(|e| e.to_string())?;
+    let mut record = RunRecord::new(&stem, wall);
+    record.points = usize::from(result.point.is_some());
+    record.params = params;
+    record.scenario_hash = Some(hash.to_string());
     results
-        .append_manifest(&RunRecord {
-            artifact: stem.clone(),
-            git: git_describe(),
-            unix_time: unix_time_now(),
-            wall_seconds: wall,
-            points: usize::from(result.point.is_some()),
-            jobs: 1,
-            quick: false,
-            params,
-            scenario_hash: Some(hash.to_string()),
-            telemetry_hash: None,
-            failure: None,
-        })
+        .append_manifest(&record)
         .map_err(|e| e.to_string())?;
 
     let mut summary = String::new();
@@ -456,7 +448,7 @@ fn parse_fuzz_flags(args: &[String]) -> Result<(u64, u64, Option<usize>), String
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--count" => count = cli::u64(&mut it, a)?,
+            "--count" => count = cli::parsed::<NonZeroU64>(&mut it, a, "a positive count")?.get(),
             "--seed" => seed = cli::u64(&mut it, a)?,
             "--shards" => match usize::try_from(cli::u64(&mut it, a)?) {
                 Ok(n) if n >= 2 => shards = Some(n),
@@ -700,6 +692,17 @@ mod tests {
         let err = resume_file(ckpt_file.to_str().unwrap(), &results, None, None).unwrap_err();
         assert_eq!(err, refusal);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_fuzz_campaign_of_zero_scenarios_is_a_usage_error() {
+        let args = |count: &str| vec!["fuzz".to_string(), "--count".to_string(), count.to_string()];
+        assert_eq!(main(&args("0")), 2);
+        assert_eq!(
+            parse_fuzz_flags(&args("0")[1..]).unwrap_err(),
+            "--count needs a positive count, got \"0\""
+        );
+        assert_eq!(main(&args("1")), 0);
     }
 
     #[test]

@@ -6,9 +6,7 @@
 
 use metro_bench::{report_cli, scenarios};
 use metro_harness::ResultsDir;
-use metro_sim::experiment::{
-    point_seed, run_fault_point_with_telemetry, run_load_point_with_telemetry, SweepConfig,
-};
+use metro_sim::experiment::{point_seed, run_fault_sim, run_load_sim, SweepConfig};
 
 fn temp_results(tag: &str) -> ResultsDir {
     let dir =
@@ -25,7 +23,7 @@ fn fig3_sidecar(results: &ResultsDir) {
         seed: point_seed(cfg.seed, 7),
         ..cfg
     };
-    let (_, snap) = run_load_point_with_telemetry(&cell_cfg, 0.40, "fig3");
+    let snap = run_load_sim(&cell_cfg, 0.40).1.telemetry_snapshot("fig3");
     results
         .write_json("fig3.telemetry", &snap.to_json())
         .unwrap();
@@ -39,7 +37,7 @@ fn fault_sweep_sidecar(results: &ResultsDir) {
         seed: point_seed(cfg.seed, 0),
         ..cfg
     };
-    let (_, snap) = run_fault_point_with_telemetry(&cell_cfg, 0.3, 0, 0, "fault_sweep");
+    let snap = run_fault_sim(&cell_cfg, 0.3, 0, 0).telemetry_snapshot("fault_sweep");
     results
         .write_json("fault_sweep.telemetry", &snap.to_json())
         .unwrap();

@@ -11,7 +11,7 @@ use crate::results::ResultsDir;
 use std::num::NonZeroUsize;
 
 /// Everything a running artifact needs from its invocation.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RunCtx {
     /// Run the scaled-down quick profile instead of the full one.
     pub quick: bool,

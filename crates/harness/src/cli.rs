@@ -9,15 +9,16 @@
 //! `run` executes each named artifact, prints its human report (or the
 //! JSON document with `--json`), writes `results/<artifact>.json`, and
 //! appends a record to `results/manifest.json`. Flags the harness
-//! does not know (`--dot`, `--csv`, …) pass through to the artifact.
+//! does not know pass through to the artifact in [`RunCtx::flags`]
+//! (`--inject-panic`; the `chaos` artifact reads the `metro chaos`
+//! verb's storm flags from there).
 
 use crate::artifact::{Registry, RunCtx};
 use crate::document::hex64;
 use crate::json::Json;
 use crate::log::{self, Verbosity};
-use crate::results::{git_describe, unix_time_now, RunRecord};
+use crate::results::RunRecord;
 use crate::supervisor::Supervisor;
-use std::num::NonZeroUsize;
 use std::time::{Duration, Instant};
 
 /// A parsed `metro` invocation.
@@ -29,20 +30,14 @@ pub enum Command {
     Run {
         /// Artifact names to run (in registry order when `--all`).
         names: Vec<String>,
-        /// The shared run context settings.
-        quick: bool,
         /// Print JSON documents instead of human reports.
         json: bool,
-        /// Worker threads (`None` = host parallelism).
-        jobs: Option<NonZeroUsize>,
         /// Debug-level harness narration (`--verbose`).
         verbose: bool,
-        /// Watchdog deadline per artifact attempt (`--deadline SECS`).
-        deadline: Option<Duration>,
-        /// Supervised re-runs after a failure (`--retries N`).
-        retries: u32,
-        /// Unrecognized flags, passed through to artifacts.
-        flags: Vec<String>,
+        /// What each of them runs with: `--quick`, `--jobs` (default:
+        /// host parallelism), `--deadline`, `--retries`, the flags
+        /// passed through to artifacts, the standard results directory.
+        ctx: RunCtx,
     },
     /// `metro help` / usage errors (with an optional message).
     Help(Option<String>),
@@ -96,32 +91,31 @@ pub fn parse_args(registry: &Registry, args: &[String]) -> Command {
 fn parse_run(registry: &Registry, args: &[String]) -> Result<Command, String> {
     let mut names = Vec::new();
     let mut all = false;
-    let mut quick = false;
     let mut json = false;
-    let mut jobs = None;
     let mut verbose = false;
-    let mut deadline = None;
-    let mut retries = 0u32;
-    let mut flags = Vec::new();
+    let mut ctx = RunCtx {
+        jobs: crate::executor::default_jobs(),
+        ..RunCtx::new()
+    };
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
             "--all" => all = true,
-            "--quick" => quick = true,
+            "--quick" => ctx.quick = true,
             "--json" => json = true,
             "--verbose" => verbose = true,
-            "--jobs" => jobs = Some(parsed(&mut it, "--jobs", "a positive integer")?),
+            "--jobs" => ctx.jobs = parsed(&mut it, "--jobs", "a positive integer")?,
             "--deadline" => {
                 let v = value(&mut it, "--deadline")?;
                 match v.parse::<f64>() {
                     Ok(secs) if secs > 0.0 && secs.is_finite() => {
-                        deadline = Some(Duration::from_secs_f64(secs));
+                        ctx.deadline = Some(Duration::from_secs_f64(secs));
                     }
                     _ => return Err(format!("--deadline needs positive seconds, got {v:?}")),
                 }
             }
-            "--retries" => retries = parsed(&mut it, "--retries", "a non-negative integer")?,
-            f if f.starts_with("--") => flags.push(f.to_string()),
+            "--retries" => ctx.retries = parsed(&mut it, "--retries", "a non-negative integer")?,
+            f if f.starts_with("--") => ctx.flags.push(f.to_string()),
             name => {
                 if registry.get(name).is_none() {
                     return Err(format!("unknown artifact {name:?} (see `metro list`)"));
@@ -138,13 +132,9 @@ fn parse_run(registry: &Registry, args: &[String]) -> Result<Command, String> {
     }
     Ok(Command::Run {
         names,
-        quick,
         json,
-        jobs,
         verbose,
-        deadline,
-        retries,
-        flags,
+        ctx,
     })
 }
 
@@ -166,17 +156,25 @@ pub fn render_list(registry: &Registry) -> String {
     out
 }
 
-/// Usage text.
+/// Usage text: the harness's own `list` and `run`, then one line per
+/// `(verb, one-line help)` the binary dispatches before the harness
+/// sees the arguments.
 #[must_use]
-pub fn usage() -> String {
-    "metro — unified METRO experiment harness\n\
+pub fn usage(verbs: &[(&str, &str)]) -> String {
+    let verbs: String = verbs
+        .iter()
+        .map(|(verb, help)| format!("  metro {:<39}{help}\n", format!("{verb} ...")))
+        .collect();
+    format!(
+        "metro — unified METRO experiment harness\n\
      \n\
      usage:\n\
      \x20 metro list                                   show every registered artifact\n\
      \x20 metro run <artifact>... [options]            run named artifacts\n\
      \x20 metro run --all [options]                    run all artifacts in order\n\
+     {verbs}\
      \n\
-     options:\n\
+     run options:\n\
      \x20 --quick      scaled-down profile (CI smoke; shorter measurement windows)\n\
      \x20 --json       print the machine-readable document instead of the report\n\
      \x20 --jobs N     worker threads for sweep points (default: host parallelism)\n\
@@ -188,7 +186,7 @@ pub fn usage() -> String {
      simulation-backed artifacts add .scenario.json and .telemetry.json sidecars.\n\
      a panicking, timed-out, or failing artifact is quarantined: the sweep\n\
      continues and the manifest records a typed failure entry\n"
-        .to_string()
+    )
 }
 
 /// Runs one artifact end to end under supervision: execute (panics
@@ -224,7 +222,7 @@ pub fn run_one(
     let run_fn = artifact.run;
     let worker_ctx = ctx.clone();
     let started = Instant::now();
-    let outcome = supervisor.supervise(name, None, move || {
+    let outcome = supervisor.supervise(name, move || {
         assert!(
             !worker_ctx.flag("--inject-panic"),
             "injected panicking point (--inject-panic)"
@@ -232,26 +230,18 @@ pub fn run_one(
         run_fn(&worker_ctx)
     });
     let wall = started.elapsed().as_secs_f64();
+    let mut record = RunRecord::new(name, wall);
+    record.jobs = ctx.jobs.get();
+    record.quick = ctx.quick;
     let output = match outcome {
         Ok(output) => output,
         Err(failure) => {
-            let record = RunRecord {
-                artifact: name.to_string(),
-                git: git_describe(),
-                unix_time: unix_time_now(),
-                wall_seconds: wall,
-                points: 0,
-                jobs: ctx.jobs.get(),
-                quick: ctx.quick,
-                params: Json::obj::<&str>([]),
-                scenario_hash: None,
-                telemetry_hash: None,
-                failure: Some(failure.clone()),
-            };
+            let quarantined = format!("artifact {name} quarantined: {failure}");
+            record.failure = Some(failure);
             ctx.results
                 .append_manifest(&record)
                 .map_err(|e| e.to_string())?;
-            return Err(format!("artifact {name} quarantined: {failure}"));
+            return Err(quarantined);
         }
     };
 
@@ -265,43 +255,21 @@ pub fn run_one(
         .results
         .write_json(name, &output.json)
         .map_err(|e| e.to_string())?;
-    let scenario_hash = match &output.scenario {
-        Some(scenario) => {
-            let p = ctx
-                .results
-                .write_json(&format!("{name}.scenario"), scenario)
-                .map_err(|e| e.to_string())?;
-            let hash = hex64(scenario.canonical_hash());
-            log::debug(&format!("[metro] wrote {} ({hash})", p.display()));
-            Some(hash)
-        }
-        None => None,
+    record.points = output.points;
+    record.params = output.params;
+    // A sidecar lands beside the document; the record carries its hash.
+    let sidecar = |kind: &str, doc: Option<&Json>| -> Result<Option<String>, String> {
+        let Some(doc) = doc else { return Ok(None) };
+        let p = ctx
+            .results
+            .write_json(&format!("{name}.{kind}"), doc)
+            .map_err(|e| e.to_string())?;
+        let hash = hex64(doc.canonical_hash());
+        log::debug(&format!("[metro] wrote {} ({hash})", p.display()));
+        Ok(Some(hash))
     };
-    let telemetry_hash = match &output.telemetry {
-        Some(telemetry) => {
-            let p = ctx
-                .results
-                .write_json(&format!("{name}.telemetry"), telemetry)
-                .map_err(|e| e.to_string())?;
-            let hash = hex64(telemetry.canonical_hash());
-            log::debug(&format!("[metro] wrote {} ({hash})", p.display()));
-            Some(hash)
-        }
-        None => None,
-    };
-    let record = RunRecord {
-        artifact: name.to_string(),
-        git: git_describe(),
-        unix_time: unix_time_now(),
-        wall_seconds: wall,
-        points: output.points,
-        jobs: ctx.jobs.get(),
-        quick: ctx.quick,
-        params: output.params,
-        scenario_hash,
-        telemetry_hash,
-        failure: None,
-    };
+    record.scenario_hash = sidecar("scenario", output.scenario.as_ref())?;
+    record.telemetry_hash = sidecar("telemetry", output.telemetry.as_ref())?;
     ctx.results
         .append_manifest(&record)
         .map_err(|e| e.to_string())?;
@@ -317,20 +285,20 @@ pub fn run_one(
     Ok(wall)
 }
 
-/// The `metro` binary's entry point: parses `std::env::args`, runs,
-/// returns a process exit code (0 success, 1 artifact/results failure,
-/// 2 usage error).
+/// The harness half of the `metro` binary: runs `args` (without the
+/// program name) against `registry`, returns a process exit code
+/// (0 success, 1 artifact/results failure, 2 usage error). `verbs` are
+/// the binary's other verbs, for [`usage`].
 #[must_use]
-pub fn main_with(registry: &Registry) -> i32 {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match parse_args(registry, &args) {
+pub fn main_with(registry: &Registry, args: &[String], verbs: &[(&str, &str)]) -> i32 {
+    match parse_args(registry, args) {
         Command::Help(None) => {
-            log::output(&usage());
+            log::output(&usage(verbs));
             0
         }
         Command::Help(Some(msg)) => {
             log::error(&format!("metro: {msg}\n"));
-            log::error_text(&usage());
+            log::error_text(&usage(verbs));
             2
         }
         Command::List => {
@@ -339,25 +307,13 @@ pub fn main_with(registry: &Registry) -> i32 {
         }
         Command::Run {
             names,
-            quick,
             json,
-            jobs,
             verbose,
-            deadline,
-            retries,
-            flags,
+            ctx,
         } => {
             if verbose {
                 log::set_verbosity(Verbosity::Verbose);
             }
-            let ctx = RunCtx {
-                quick,
-                jobs: jobs.unwrap_or_else(crate::executor::default_jobs),
-                flags,
-                results: crate::results::ResultsDir::standard(),
-                deadline,
-                retries,
-            };
             let mut failures = 0usize;
             for (i, name) in names.iter().enumerate() {
                 if !json {
@@ -429,20 +385,16 @@ mod tests {
         match cmd {
             Command::Run {
                 names,
-                quick,
                 json,
-                jobs,
                 verbose,
-                deadline,
-                retries,
-                flags,
+                ctx,
             } => {
                 assert_eq!(names, vec!["fig3"]);
-                assert!(quick && !json && !verbose);
-                assert_eq!(jobs.map(NonZeroUsize::get), Some(4));
-                assert_eq!(deadline, None);
-                assert_eq!(retries, 0);
-                assert!(flags.is_empty());
+                assert!(ctx.quick && !json && !verbose);
+                assert_eq!(ctx.jobs.get(), 4);
+                assert_eq!(ctx.deadline, None);
+                assert_eq!(ctx.retries, 0);
+                assert!(ctx.flags.is_empty());
             }
             other => panic!("{other:?}"),
         }
@@ -455,11 +407,9 @@ mod tests {
             &s(&["run", "fig3", "--deadline", "2.5", "--retries", "3"]),
         );
         match cmd {
-            Command::Run {
-                deadline, retries, ..
-            } => {
-                assert_eq!(deadline, Some(std::time::Duration::from_secs_f64(2.5)));
-                assert_eq!(retries, 3);
+            Command::Run { ctx, .. } => {
+                assert_eq!(ctx.deadline, Some(Duration::from_secs_f64(2.5)));
+                assert_eq!(ctx.retries, 3);
             }
             other => panic!("{other:?}"),
         }
@@ -485,9 +435,9 @@ mod tests {
     fn verbose_is_parsed_not_passed_through() {
         let cmd = parse_args(&registry(), &s(&["run", "fig3", "--verbose"]));
         match cmd {
-            Command::Run { verbose, flags, .. } => {
+            Command::Run { verbose, ctx, .. } => {
                 assert!(verbose);
-                assert!(flags.is_empty(), "--verbose is a harness flag");
+                assert!(ctx.flags.is_empty(), "--verbose is a harness flag");
             }
             other => panic!("{other:?}"),
         }
@@ -531,7 +481,7 @@ mod tests {
         assert_eq!(u64(&mut it, "--seed"), Ok(31));
         assert!(u64(&mut it, "--seed").unwrap_err().starts_with("--seed: "));
         assert_eq!(
-            parsed::<NonZeroUsize>(&mut it, "--jobs", "a positive integer").unwrap_err(),
+            parsed::<std::num::NonZeroUsize>(&mut it, "--jobs", "a positive integer").unwrap_err(),
             "--jobs needs a positive integer, got \"0\""
         );
         assert_eq!(value(&mut it, "--dir").unwrap_err(), "--dir needs a value");
@@ -541,7 +491,7 @@ mod tests {
     fn unrecognized_flags_pass_through() {
         let cmd = parse_args(&registry(), &s(&["run", "fig3", "--dot"]));
         match cmd {
-            Command::Run { flags, .. } => assert_eq!(flags, vec!["--dot"]),
+            Command::Run { ctx, .. } => assert_eq!(ctx.flags, vec!["--dot"]),
             other => panic!("{other:?}"),
         }
     }

@@ -66,23 +66,6 @@ where
         .collect()
 }
 
-/// A panic captured from one quarantined sweep point: which item
-/// panicked and what the panic payload said.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PointPanic {
-    /// Index of the item whose `f` invocation panicked.
-    pub index: usize,
-    /// The panic payload, rendered (`&str`/`String` payloads verbatim,
-    /// anything else as a placeholder).
-    pub payload: String,
-}
-
-impl std::fmt::Display for PointPanic {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "point {} panicked: {}", self.index, self.payload)
-    }
-}
-
 /// Renders a `catch_unwind` payload: the `&str` or `String` message
 /// when the panic carried one, a placeholder otherwise.
 #[must_use]
@@ -94,28 +77,6 @@ pub fn panic_payload(payload: &(dyn std::any::Any + Send)) -> String {
     } else {
         "non-string panic payload".to_string()
     }
-}
-
-/// [`par_map`] with per-point quarantine: each `f` invocation runs
-/// under `catch_unwind`, so one panicking point yields an
-/// `Err(PointPanic)` in its slot instead of killing the whole sweep.
-/// The other points still run to completion, in input order.
-///
-/// The sweep caller decides what a quarantined point means — the
-/// harness CLI records it as a typed failure in the run manifest
-/// (see `crate::supervisor`).
-pub fn try_par_map<T, R, F>(jobs: NonZeroUsize, items: &[T], f: F) -> Vec<Result<R, PointPanic>>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    par_map(jobs, items, |i, item| {
-        std::panic::catch_unwind(AssertUnwindSafe(|| f(i, item))).map_err(|p| PointPanic {
-            index: i,
-            payload: panic_payload(p.as_ref()),
-        })
-    })
 }
 
 /// How many times a barrier waiter spins before yielding the CPU.
@@ -503,26 +464,6 @@ mod tests {
             drop(parts);
             let expect: u64 = (1..=round).sum();
             assert!(data.iter().all(|&v| v == expect), "round {round}");
-        }
-    }
-
-    #[test]
-    fn try_par_map_quarantines_panicking_points() {
-        let items: Vec<u64> = (0..17).collect();
-        for n in [1, 4] {
-            let out = try_par_map(jobs(n), &items, |_, &v| {
-                assert!(v % 5 != 3, "injected failure at {v}");
-                v * 2
-            });
-            for (i, r) in out.iter().enumerate() {
-                if i % 5 == 3 {
-                    let p = r.as_ref().unwrap_err();
-                    assert_eq!(p.index, i);
-                    assert!(p.payload.contains("injected failure"), "{p}");
-                } else {
-                    assert_eq!(*r, Ok(i as u64 * 2));
-                }
-            }
         }
     }
 

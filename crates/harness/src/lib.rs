@@ -52,7 +52,7 @@ pub mod results;
 pub mod supervisor;
 
 pub use artifact::{Artifact, ArtifactOutput, Registry, RunCtx};
-pub use executor::{default_jobs, panic_payload, par_map, try_par_map, PointPanic, TickPool};
+pub use executor::{default_jobs, panic_payload, par_map, TickPool};
 pub use json::Json;
 pub use log::Verbosity;
 pub use results::{ResultsDir, ResultsError, RunRecord};

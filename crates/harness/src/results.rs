@@ -95,11 +95,32 @@ pub struct RunRecord {
     pub telemetry_hash: Option<String>,
     /// Present when the run was quarantined by the supervisor instead
     /// of completing: how it failed (panic payload, timeout, error),
-    /// how many attempts were made, and the point seed when known.
+    /// and how many attempts were made.
     pub failure: Option<crate::supervisor::PointFailure>,
 }
 
 impl RunRecord {
+    /// A record of `artifact` finishing now, at this checkout's
+    /// revision, after `wall_seconds`: no points, one worker, the full
+    /// profile, empty params, no hashes, no failure — a writer then
+    /// sets the fields its run adds.
+    #[must_use]
+    pub fn new(artifact: &str, wall_seconds: f64) -> Self {
+        RunRecord {
+            artifact: artifact.to_string(),
+            git: git_describe(),
+            unix_time: unix_time_now(),
+            wall_seconds,
+            points: 0,
+            jobs: 1,
+            quick: false,
+            params: Json::obj::<&str>([]),
+            scenario_hash: None,
+            telemetry_hash: None,
+            failure: None,
+        }
+    }
+
     fn to_json(&self) -> Json {
         let mut doc = Json::obj([
             ("artifact", Json::from(self.artifact.as_str())),
@@ -125,7 +146,7 @@ impl RunRecord {
 }
 
 /// A directory receiving artifact results and the run manifest.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ResultsDir {
     root: PathBuf,
 }
@@ -374,7 +395,6 @@ mod tests {
         rec.failure = Some(crate::supervisor::PointFailure {
             kind: crate::supervisor::FailureKind::Panic,
             detail: "index out of bounds".to_string(),
-            seed: Some(0x57b0),
             attempts: 2,
         });
         dir.append_manifest(&rec).unwrap();
@@ -388,7 +408,6 @@ mod tests {
             failure.get("detail").and_then(Json::as_str),
             Some("index out of bounds")
         );
-        assert_eq!(failure.get("seed").and_then(Json::as_str), Some("0x57b0"));
         assert_eq!(failure.get("attempts").and_then(Json::as_f64), Some(2.0));
         let _ = std::fs::remove_dir_all(dir.root());
     }

@@ -51,34 +51,27 @@ impl FailureKind {
     }
 }
 
-/// A typed record of one quarantined run: what failed, how, and with
-/// which seed — enough to re-run the point deterministically.
+/// A typed record of one quarantined run: what failed and how (the
+/// run's seeds are in the record's `params`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct PointFailure {
     /// How the run failed.
     pub kind: FailureKind,
     /// The panic payload, error message, or timeout description.
     pub detail: String,
-    /// The point's seed, when the caller knows one (registry artifacts
-    /// derive their seeds internally and record them in `params`).
-    pub seed: Option<u64>,
     /// Total attempts made (1 = no retries).
     pub attempts: u32,
 }
 
 impl PointFailure {
-    /// The manifest encoding: `{kind, detail, attempts[, seed]}`.
+    /// The manifest encoding: `{kind, detail, attempts}`.
     #[must_use]
     pub fn to_json(&self) -> Json {
-        let mut doc = Json::obj([
+        Json::obj([
             ("kind", Json::from(self.kind.name())),
             ("detail", Json::from(self.detail.as_str())),
             ("attempts", Json::from(u64::from(self.attempts))),
-        ]);
-        if let Some(seed) = self.seed {
-            doc.set("seed", Json::from(format!("{seed:#x}")));
-        }
-        doc
+        ])
     }
 }
 
@@ -118,9 +111,7 @@ impl Default for Supervisor {
 
 impl Supervisor {
     /// Runs `f` under supervision: on a named watchdog thread, panics
-    /// caught, deadline enforced, retried per the policy. `seed` is
-    /// attached to the failure record when the caller knows the
-    /// point's seed.
+    /// caught, deadline enforced, retried per the policy.
     ///
     /// A timed-out attempt's thread cannot be forcibly killed — it is
     /// abandoned (detached) and its eventual result discarded; the
@@ -131,7 +122,7 @@ impl Supervisor {
     ///
     /// Returns the final attempt's [`PointFailure`] once the policy is
     /// exhausted.
-    pub fn supervise<R, F>(&self, label: &str, seed: Option<u64>, f: F) -> Result<R, PointFailure>
+    pub fn supervise<R, F>(&self, label: &str, f: F) -> Result<R, PointFailure>
     where
         R: Send + 'static,
         F: Fn() -> Result<R, String> + Send + Sync + 'static,
@@ -149,7 +140,6 @@ impl Supervisor {
             last = Some(PointFailure {
                 kind,
                 detail,
-                seed,
                 attempts: attempt,
             });
         }
@@ -228,32 +218,29 @@ mod tests {
 
     #[test]
     fn success_passes_through() {
-        let out = fast().supervise("ok", None, || Ok::<_, String>(41 + 1));
+        let out = fast().supervise("ok", || Ok::<_, String>(41 + 1));
         assert_eq!(out.unwrap(), 42);
     }
 
     #[test]
     fn a_panic_is_quarantined_with_its_payload() {
         let failure = fast()
-            .supervise::<u32, _>("boom", Some(0x57b0), || panic!("injected point failure"))
+            .supervise::<u32, _>("boom", || panic!("injected point failure"))
             .unwrap_err();
         assert_eq!(failure.kind, FailureKind::Panic);
         assert_eq!(failure.detail, "injected point failure");
-        assert_eq!(failure.seed, Some(0x57b0));
         assert_eq!(failure.attempts, 1);
         let doc = failure.to_json();
         assert_eq!(doc.get("kind").and_then(Json::as_str), Some("panic"));
-        assert_eq!(doc.get("seed").and_then(Json::as_str), Some("0x57b0"));
     }
 
     #[test]
     fn an_error_return_is_a_typed_error_failure() {
         let failure = fast()
-            .supervise::<u32, _>("err", None, || Err("no such file".to_string()))
+            .supervise::<u32, _>("err", || Err("no such file".to_string()))
             .unwrap_err();
         assert_eq!(failure.kind, FailureKind::Error);
         assert_eq!(failure.detail, "no such file");
-        assert!(failure.to_json().get("seed").is_none());
     }
 
     #[test]
@@ -263,7 +250,7 @@ mod tests {
             ..fast()
         };
         let failure = supervisor
-            .supervise::<u32, _>("wedge", None, || {
+            .supervise::<u32, _>("wedge", || {
                 std::thread::sleep(Duration::from_secs(30));
                 Ok(0)
             })
@@ -282,7 +269,7 @@ mod tests {
             retries: 2,
             ..fast()
         };
-        let out = supervisor.supervise("flaky", None, move || {
+        let out = supervisor.supervise("flaky", move || {
             if seen.fetch_add(1, Ordering::SeqCst) < 2 {
                 panic!("transient");
             }
@@ -299,7 +286,7 @@ mod tests {
             ..fast()
         };
         let failure = supervisor
-            .supervise::<u32, _>("always", Some(9), || panic!("permanent"))
+            .supervise::<u32, _>("always", || panic!("permanent"))
             .unwrap_err();
         assert_eq!(failure.attempts, 3);
         assert_eq!(failure.kind, FailureKind::Panic);

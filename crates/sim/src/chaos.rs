@@ -580,29 +580,6 @@ pub fn run_campaign_paired(
     Err(Box::new(ChaosViolation::EngineDivergence { detail }))
 }
 
-/// Runs `count` generated campaigns (seeds `base_seed + k`) on both
-/// engines and returns their reports.
-///
-/// # Errors
-///
-/// Returns the first violation, tagged with the offending seed.
-pub fn chaos_storm(
-    spec: &MultibutterflySpec,
-    base_seed: u64,
-    count: u64,
-) -> Result<Vec<ChaosReport>, Box<dyn std::error::Error>> {
-    let mut reports = Vec::new();
-    for k in 0..count {
-        let seed = base_seed.wrapping_add(k);
-        let campaign = ChaosCampaign::generate(spec, seed)?;
-        let engines = [(EngineKind::Flat, 1), (EngineKind::Reference, 1)];
-        let (report, _) = run_campaign_paired(&campaign, engines)
-            .map_err(|e| format!("campaign seed {seed:#x}: {e}"))?;
-        reports.push(report);
-    }
-    Ok(reports)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -703,11 +680,12 @@ mod tests {
     }
 
     #[test]
-    fn chaos_storm_sweeps_seeds() {
+    fn consecutive_seeds_hold_on_both_engines() {
         let spec = MultibutterflySpec::figure1();
-        let reports = chaos_storm(&spec, 0x57AB, 2).expect("all campaigns hold");
-        assert_eq!(reports.len(), 2);
-        for r in &reports {
+        for seed in [0x57AB, 0x57AC] {
+            let campaign = ChaosCampaign::generate(&spec, seed).unwrap();
+            let engines = [(EngineKind::Flat, 1), (EngineKind::Reference, 1)];
+            let (r, _) = run_campaign_paired(&campaign, engines).expect("the campaign holds");
             assert!(r.sends > 0);
             assert!(!r.masked_links.is_empty());
         }

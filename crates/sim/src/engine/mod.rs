@@ -38,8 +38,10 @@ pub enum EngineKind {
     #[default]
     Flat,
     /// The original nested-`Vec` engine, rebuilt buffers each tick.
-    /// Retained as the golden reference for equivalence testing and
-    /// before/after benchmarking.
+    /// Retained as the golden reference: the differential fuzzer, the
+    /// chaos campaigns and the state-word identity tests hold Flat
+    /// equal to it. Nothing times it (`benchmark/` runs Flat and the
+    /// estimator only).
     Reference,
     /// The analytic latency estimator: per-stage models clustered by
     /// (dilation, load, fault state) predict latency distributions

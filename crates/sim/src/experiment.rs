@@ -29,8 +29,7 @@ use crate::scenario::{run::run_scenario_resumable, Run, Scenario, WorkloadSpec};
 use crate::traffic::TrafficPattern;
 use crate::workload::{ArrivalProcess, RateMap, StreamSeeds};
 use metro_core::RandomSource;
-use metro_harness::par_map;
-use metro_telemetry::TelemetrySnapshot;
+use metro_harness::{par_map, Json};
 use metro_topo::fault::FaultSet;
 use metro_topo::multibutterfly::MultibutterflySpec;
 use metro_topo::paths::all_links;
@@ -166,6 +165,27 @@ pub struct LoadPoint {
     pub delivered: u64,
 }
 
+impl LoadPoint {
+    /// The point as every results document spells it (`fig3.json`'s
+    /// `points`, a scenario result's `point`).
+    #[must_use]
+    pub fn to_json(&self) -> Json {
+        Json::obj([
+            ("offered", Json::from(self.offered)),
+            ("accepted", Json::from(self.accepted)),
+            ("mean_latency", Json::from(self.mean_latency)),
+            ("p50_latency", Json::from(self.p50_latency)),
+            ("p95_latency", Json::from(self.p95_latency)),
+            (
+                "mean_network_latency",
+                Json::from(self.mean_network_latency),
+            ),
+            ("retries_per_message", Json::from(self.retries_per_message)),
+            ("delivered", Json::from(self.delivered)),
+        ])
+    }
+}
+
 /// One measured point of a fault-degradation curve.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultSweepPoint {
@@ -187,6 +207,23 @@ pub struct FaultSweepPoint {
     pub abandoned: u64,
 }
 
+impl FaultSweepPoint {
+    /// The point as `fault_sweep.json`'s `points` spells it.
+    #[must_use]
+    pub fn to_json(&self) -> Json {
+        Json::obj([
+            ("dead_routers", Json::from(self.dead_routers)),
+            ("dead_links", Json::from(self.dead_links)),
+            ("mean_latency", Json::from(self.mean_latency)),
+            ("p95_latency", Json::from(self.p95_latency)),
+            ("retries_per_message", Json::from(self.retries_per_message)),
+            ("accepted", Json::from(self.accepted)),
+            ("delivered", Json::from(self.delivered)),
+            ("abandoned", Json::from(self.abandoned)),
+        ])
+    }
+}
+
 /// Measures the unloaded round-trip latency of the configured network:
 /// a single message between distant endpoints with nothing else in
 /// flight (the Figure 3 caption's 28-cycle reference point).
@@ -202,9 +239,16 @@ pub fn unloaded_latency(cfg: &SweepConfig) -> u64 {
 }
 
 /// Runs the scenario [`SweepConfig::load_scenario`] describes on the
-/// scenario runner and returns its measured point with the finished sim.
-fn run_load_scenario(cfg: &SweepConfig, load: f64, name: &str) -> (LoadPoint, NetworkSim) {
-    let (result, sim) = run_scenario_resumable(&cfg.load_scenario(name, load), None, None)
+/// scenario runner and returns its measured point with the finished sim
+/// — whose `telemetry_snapshot` is the `.telemetry.json` sidecar an
+/// artifact exports for its representative cell.
+///
+/// # Panics
+///
+/// As [`run_load_point`].
+#[must_use]
+pub fn run_load_sim(cfg: &SweepConfig, load: f64) -> (LoadPoint, NetworkSim) {
+    let (result, sim) = run_scenario_resumable(&cfg.load_scenario("load_point", load), None, None)
         .expect("runnable load point");
     (result.point.expect("a Load workload measures a point"), sim)
 }
@@ -218,24 +262,7 @@ fn run_load_scenario(cfg: &SweepConfig, load: f64, name: &str) -> (LoadPoint, Ne
 /// workload, or the analytic engine).
 #[must_use]
 pub fn run_load_point(cfg: &SweepConfig, load: f64) -> LoadPoint {
-    run_load_scenario(cfg, load, "load_point").0
-}
-
-/// [`run_load_point`], additionally freezing the sim's telemetry into a
-/// snapshot named `name` — the source of the `.telemetry.json` sidecar
-/// an artifact exports for its representative cell.
-///
-/// # Panics
-///
-/// As [`run_load_point`].
-#[must_use]
-pub fn run_load_point_with_telemetry(
-    cfg: &SweepConfig,
-    load: f64,
-    name: &str,
-) -> (LoadPoint, TelemetrySnapshot) {
-    let (point, sim) = run_load_scenario(cfg, load, name);
-    (point, sim.telemetry_snapshot(name))
+    run_load_sim(cfg, load).0
 }
 
 /// Runs a latency-versus-load sweep with up to `jobs` worker threads.
@@ -253,13 +280,15 @@ pub fn load_sweep_jobs(cfg: &SweepConfig, loads: &[f64], jobs: NonZeroUsize) -> 
     })
 }
 
-/// Runs the fault-point simulation to completion and returns the sim,
-/// shared by [`run_fault_point`] and its telemetry-carrying variant: the
+/// Runs the fault-point simulation to completion and returns the sim
+/// ([`run_fault_point`] summarizes it; an artifact's sidecar is its
+/// `telemetry_snapshot`): the
 /// load point's [`Run`] on a machine with random kills applied, seeded
 /// by [`StreamSeeds::fault`] — its stride and the payload-based
 /// `accepted` of [`FaultSweepPoint`] are pinned by
 /// `results/fault_sweep.json` and `report_tables.rs`.
-fn run_fault_sim(
+#[must_use]
+pub fn run_fault_sim(
     cfg: &SweepConfig,
     load: f64,
     dead_routers: usize,
@@ -333,23 +362,6 @@ pub fn run_fault_point(
     fault_point_from(&sim, cfg, dead_routers, dead_links)
 }
 
-/// [`run_fault_point`], additionally freezing the sim's telemetry into
-/// a snapshot named `name` for sidecar export.
-#[must_use]
-pub fn run_fault_point_with_telemetry(
-    cfg: &SweepConfig,
-    load: f64,
-    dead_routers: usize,
-    dead_links: usize,
-    name: &str,
-) -> (FaultSweepPoint, TelemetrySnapshot) {
-    let sim = run_fault_sim(cfg, load, dead_routers, dead_links);
-    (
-        fault_point_from(&sim, cfg, dead_routers, dead_links),
-        sim.telemetry_snapshot(name),
-    )
-}
-
 /// Runs a fault-degradation sweep over a `(dead_routers, dead_links)`
 /// grid with up to `jobs` worker threads. Each grid point is an
 /// independent simulation seeded by [`point_seed`]`(cfg.seed, index)`
@@ -408,7 +420,7 @@ mod tests {
             }
         );
         assert_eq!(
-            run_load_point_with_telemetry(&cfg, 0.6, "probe").0,
+            run_load_point(&cfg, 0.6),
             LoadPoint {
                 offered: 0.6,
                 accepted: 0.570625,
@@ -420,6 +432,35 @@ mod tests {
                 delivered: 415,
             }
         );
+    }
+
+    #[test]
+    fn a_points_json_mirrors_the_struct_in_field_order() {
+        let load = run_load_point(&quick(), 0.2).to_json();
+        let Json::Obj(pairs) = &load else {
+            panic!("an object")
+        };
+        let keys: Vec<&str> = pairs.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(
+            keys,
+            [
+                "offered",
+                "accepted",
+                "mean_latency",
+                "p50_latency",
+                "p95_latency",
+                "mean_network_latency",
+                "retries_per_message",
+                "delivered"
+            ]
+        );
+        assert_eq!(load.get("offered").and_then(Json::as_f64), Some(0.2));
+        assert_eq!(Json::parse(&load.render()).unwrap(), load);
+
+        let fault = run_fault_point(&quick(), 0.2, 1, 2).to_json();
+        assert_eq!(fault.get("dead_routers").and_then(Json::as_f64), Some(1.0));
+        assert_eq!(fault.get("dead_links").and_then(Json::as_f64), Some(2.0));
+        assert_eq!(Json::parse(&fault.render()).unwrap(), fault);
     }
 
     #[test]
@@ -446,7 +487,7 @@ mod tests {
             }
         );
         assert_eq!(
-            run_fault_point_with_telemetry(&cfg, 0.5, 0, 4, "probe").0,
+            run_fault_point(&cfg, 0.5, 0, 4),
             FaultSweepPoint {
                 dead_routers: 0,
                 dead_links: 4,

@@ -291,19 +291,7 @@ impl ScenarioResult {
     /// one scenario render byte-identical documents.
     #[must_use]
     pub fn to_json(&self) -> Json {
-        let point = match &self.point {
-            Some(p) => Json::obj([
-                ("offered", Json::from(p.offered)),
-                ("accepted", Json::from(p.accepted)),
-                ("mean_latency", Json::from(p.mean_latency)),
-                ("p50_latency", Json::from(p.p50_latency)),
-                ("p95_latency", Json::from(p.p95_latency)),
-                ("mean_network_latency", Json::from(p.mean_network_latency)),
-                ("retries_per_message", Json::from(p.retries_per_message)),
-                ("delivered", Json::from(p.delivered)),
-            ]),
-            None => Json::Null,
-        };
+        let point = self.point.as_ref().map_or(Json::Null, LoadPoint::to_json);
         Json::obj([
             ("outcomes", Json::from(self.outcomes.len())),
             ("delivered", Json::from(self.delivered)),

@@ -4,10 +4,9 @@
 //! (§2): it should buy both congestion relief under load and survival
 //! under router faults.
 
-use metro_harness::{par_map, Artifact, ArtifactOutput, Json, RunCtx};
-use metro_sim::experiment::{run_fault_point, run_load_point};
+use super::grid::{vary, Fault, FaultField, Grid};
+use metro_harness::{Artifact, ArtifactOutput, RunCtx};
 use metro_topo::multibutterfly::{MultibutterflySpec, StageSpec, WiringStyle};
-use std::fmt::Write as _;
 
 const LOADS: [f64; 2] = [0.2, 0.5];
 
@@ -38,85 +37,29 @@ pub fn artifact() -> Artifact {
 
 fn run(ctx: &RunCtx) -> Result<ArtifactOutput, String> {
     let base = crate::scenarios::sweep_for("ablation_dilation", ctx.quick);
-
-    let variants: [(&str, MultibutterflySpec); 3] = [
-        ("dilated 2/2/1 (paper)", MultibutterflySpec::figure3()),
-        ("non-dilated radix-8 x2", non_dilated()),
-        (
-            "dilated, deterministic wiring",
-            MultibutterflySpec::figure3().with_wiring(WiringStyle::Deterministic),
-        ),
-    ];
-    let results = par_map(ctx.jobs, &variants, |_, (name, spec)| {
-        let mut cfg = base.clone();
-        cfg.spec = spec.clone();
-        let loaded: Vec<_> = LOADS.iter().map(|&l| run_load_point(&cfg, l)).collect();
-        let faulty = run_fault_point(&cfg, 0.3, 2, 0);
-        (*name, loaded, faulty)
-    });
-
-    let mut out = String::new();
-    let mut rows = Vec::new();
-    let _ = writeln!(out, "=== Ablation: dilation and wiring style ===\n");
-    for (name, loaded, faulty) in &results {
-        let _ = writeln!(out, "{name}:");
-        for (load, p) in LOADS.iter().zip(loaded) {
-            let _ = writeln!(
-                out,
-                "  load {load:.1}: mean {:>7.1} cyc  p95 {:>6}  retries/msg {:>6.3}  delivered {}",
-                p.mean_latency, p.p95_latency, p.retries_per_message, p.delivered
-            );
-            rows.push(Json::obj([
-                ("variant", Json::from(*name)),
-                ("load", Json::from(*load)),
-                ("mean_latency", Json::from(p.mean_latency)),
-                ("p95_latency", Json::from(p.p95_latency)),
-                ("retries_per_message", Json::from(p.retries_per_message)),
-                ("delivered", Json::from(p.delivered)),
-            ]));
-        }
-        let _ = writeln!(
-            out,
-            "  2 dead routers @ load 0.3: mean {:>7.1} cyc  retries/msg {:>6.3}  delivered {}  lost {}\n",
-            faulty.mean_latency, faulty.retries_per_message, faulty.delivered, faulty.abandoned
-        );
-        rows.push(Json::obj([
-            ("variant", Json::from(*name)),
-            ("dead_routers", Json::from(2u64)),
-            ("load", Json::from(0.3)),
-            ("mean_latency", Json::from(faulty.mean_latency)),
-            (
-                "retries_per_message",
-                Json::from(faulty.retries_per_message),
-            ),
-            ("delivered", Json::from(faulty.delivered)),
-            ("abandoned", Json::from(faulty.abandoned)),
-        ]));
+    let deterministic = MultibutterflySpec::figure3().with_wiring(WiringStyle::Deterministic);
+    Ok(Grid {
+        name: "ablation_dilation",
+        title: "Ablation: dilation and wiring style",
+        key: "variant",
+        variants: vec![
+            vary(&base, "dilated 2/2/1 (paper)", |_| {}),
+            vary(&base, "non-dilated radix-8 x2", |c| c.spec = non_dilated()),
+            vary(&base, "dilated, deterministic wiring", |c| {
+                c.spec = deterministic;
+            }),
+        ],
+        loads: &LOADS,
+        fault: Some(Fault {
+            routers: 2,
+            links: 0,
+            field: FaultField::Load,
+        }),
+        sidecar_load: LOADS[1],
+        reading: "expected shape: the dilated network rides through contention and router\n\
+                  loss with modest retry counts; the non-dilated network concentrates\n\
+                  blocking on its unique internal paths.",
+        base,
     }
-    let _ = writeln!(
-        out,
-        "expected shape: the dilated network rides through contention and router"
-    );
-    let _ = writeln!(
-        out,
-        "loss with modest retry counts; the non-dilated network concentrates"
-    );
-    let _ = writeln!(out, "blocking on its unique internal paths.");
-
-    let points = rows.len();
-    let json = Json::obj([
-        ("artifact", Json::from("ablation_dilation")),
-        ("measured_cycles", Json::from(base.measure)),
-        ("seed", Json::from(base.seed)),
-        ("points", Json::Arr(rows)),
-    ]);
-    let scenario = base.load_scenario("ablation_dilation", LOADS[1]);
-    Ok(ArtifactOutput {
-        human: out,
-        json,
-        points,
-        params: Json::obj([("measure", Json::from(base.measure))]),
-        scenario: Some(crate::scenarios::emit(&scenario)),
-        telemetry: None,
-    })
+    .run(ctx.jobs))
 }

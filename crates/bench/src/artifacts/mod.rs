@@ -18,6 +18,12 @@
 //! their configuration for the `results/<name>.scenario.json` sidecar
 //! and the manifest's `scenario_hash`.
 //!
+//! The five variant-by-load artifacts — [`ablation_selection`],
+//! [`ablation_reclaim`], [`ablation_dilation`], [`ablation_concurrency`]
+//! and [`traffic_patterns`] — are data: each names its variants, loads,
+//! optional fault point and closing reading, and the private `grid`
+//! runner measures the cells and writes everything they emit.
+//!
 //! [`Scenario`]: metro_sim::Scenario
 
 use metro_harness::Registry;
@@ -33,6 +39,7 @@ pub mod fattree_budget;
 pub mod fault_sweep;
 pub mod fig1;
 pub mod fig3;
+mod grid;
 pub mod message_sizes;
 pub mod occupancy;
 pub mod scaling;

@@ -5,8 +5,7 @@
 
 use metro_harness::{par_map, Artifact, ArtifactOutput, Json, RunCtx};
 use metro_sim::scenario::Run;
-use metro_sim::traffic::TrafficPattern;
-use metro_sim::workload::StreamSeeds;
+use metro_sim::workload::{StreamSeeds, TrafficPattern};
 use metro_sim::{NetworkSim, SweepConfig};
 use metro_telemetry::RouterCounter;
 use std::fmt::Write as _;

@@ -3,10 +3,9 @@
 //! workload), hotspot concentration, matrix transpose, and bit
 //! reversal.
 
-use metro_harness::{par_map, Artifact, ArtifactOutput, Json, RunCtx};
-use metro_sim::experiment::run_load_point;
+use super::grid::{vary, Grid};
+use metro_harness::{Artifact, ArtifactOutput, RunCtx};
 use metro_sim::TrafficPattern;
-use std::fmt::Write as _;
 
 const LOADS: [f64; 2] = [0.2, 0.4];
 
@@ -23,90 +22,33 @@ pub fn artifact() -> Artifact {
 }
 
 fn run(ctx: &RunCtx) -> Result<ArtifactOutput, String> {
-    let cfg = crate::scenarios::sweep_for("traffic_patterns", ctx.quick);
-
-    let patterns: [(&str, TrafficPattern); 4] = [
+    let base = crate::scenarios::sweep_for("traffic_patterns", ctx.quick);
+    let hotspot = TrafficPattern::Hotspot {
+        target: 0,
+        percent: 20,
+    };
+    let patterns = [
         ("uniform", TrafficPattern::Uniform),
-        (
-            "hotspot 20%",
-            TrafficPattern::Hotspot {
-                target: 0,
-                percent: 20,
-            },
-        ),
+        ("hotspot 20%", hotspot),
         ("transpose", TrafficPattern::Transpose),
         ("bit-reversal", TrafficPattern::BitReversal),
     ];
-    let combos: Vec<(usize, f64)> = (0..patterns.len())
-        .flat_map(|k| LOADS.iter().map(move |&l| (k, l)))
-        .collect();
-    let results = par_map(ctx.jobs, &combos, |_, &(k, load)| {
-        let mut cfg = cfg.clone();
-        cfg.pattern = patterns[k].1.clone();
-        run_load_point(&cfg, load)
-    });
-
-    let mut out = String::new();
-    let _ = writeln!(out, "=== Traffic patterns on the Figure 3 network ===\n");
-    let _ = writeln!(
-        out,
-        "{:<14} {:>6} {:>11} {:>8} {:>12} {:>10}",
-        "pattern", "load", "mean(cyc)", "p95", "retries/msg", "delivered"
-    );
-    let _ = writeln!(out, "{}", "-".repeat(66));
-    let mut rows = Vec::new();
-    for ((k, load), p) in combos.iter().zip(&results) {
-        let name = patterns[*k].0;
-        let _ = writeln!(
-            out,
-            "{name:<14} {load:>6.1} {:>11.1} {:>8} {:>12.3} {:>10}",
-            p.mean_latency, p.p95_latency, p.retries_per_message, p.delivered
-        );
-        rows.push(Json::obj([
-            ("pattern", Json::from(name)),
-            ("load", Json::from(*load)),
-            ("mean_latency", Json::from(p.mean_latency)),
-            ("p95_latency", Json::from(p.p95_latency)),
-            ("retries_per_message", Json::from(p.retries_per_message)),
-            ("delivered", Json::from(p.delivered)),
-        ]));
+    Ok(Grid {
+        name: "traffic_patterns",
+        title: "Traffic patterns on the Figure 3 network",
+        key: "pattern",
+        variants: patterns
+            .map(|(name, pattern)| vary(&base, name, |c| c.pattern = pattern))
+            .into(),
+        loads: &LOADS,
+        fault: None,
+        sidecar_load: LOADS[1],
+        reading: "reading: permutations (transpose, bit-reversal) beat even uniform\n\
+                  traffic — each destination hears from exactly one source, so the only\n\
+                  contention is inside the multipath fabric, which the dilation absorbs.\n\
+                  The hotspot serializes at the victim's delivery ports — an endpoint\n\
+                  limit no network fixes (visible as ~10 retries/msg at the hot node).",
+        base,
     }
-    let _ = writeln!(
-        out,
-        "\nreading: permutations (transpose, bit-reversal) beat even uniform"
-    );
-    let _ = writeln!(
-        out,
-        "traffic — each destination hears from exactly one source, so the only"
-    );
-    let _ = writeln!(
-        out,
-        "contention is inside the multipath fabric, which the dilation absorbs."
-    );
-    let _ = writeln!(
-        out,
-        "The hotspot serializes at the victim's delivery ports — an endpoint"
-    );
-    let _ = writeln!(
-        out,
-        "limit no network fixes (visible as ~10 retries/msg at the hot node)."
-    );
-
-    let points = rows.len();
-    let json = Json::obj([
-        ("artifact", Json::from("traffic_patterns")),
-        ("topology", Json::from("figure3")),
-        ("measured_cycles", Json::from(cfg.measure)),
-        ("seed", Json::from(cfg.seed)),
-        ("points", Json::Arr(rows)),
-    ]);
-    let scenario = cfg.load_scenario("traffic_patterns", LOADS[1]);
-    Ok(ArtifactOutput {
-        human: out,
-        json,
-        points,
-        params: Json::obj([("measure", Json::from(cfg.measure))]),
-        scenario: Some(crate::scenarios::emit(&scenario)),
-        telemetry: None,
-    })
+    .run(ctx.jobs))
 }

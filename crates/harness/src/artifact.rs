@@ -17,8 +17,9 @@ pub struct RunCtx {
     pub quick: bool,
     /// Worker threads for the point executor ([`crate::par_map`]).
     pub jobs: NonZeroUsize,
-    /// Extra artifact-specific flags passed through unparsed (e.g.
-    /// `--dot` for `fig1`).
+    /// Flags passed through unparsed: `--inject-panic` from `metro run`
+    /// (the quarantine self-test), the storm flags from `metro chaos`
+    /// (read by the `chaos` artifact).
     pub flags: Vec<String>,
     /// Where results land.
     pub results: ResultsDir,
@@ -217,8 +218,8 @@ mod tests {
     #[test]
     fn run_ctx_flags() {
         let mut ctx = RunCtx::new();
-        ctx.flags.push("--dot".to_string());
-        assert!(ctx.flag("--dot"));
+        ctx.flags.push("--inject-panic".to_string());
+        assert!(ctx.flag("--inject-panic"));
         assert!(!ctx.flag("--csv"));
     }
 }

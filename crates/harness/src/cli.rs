@@ -2,16 +2,16 @@
 //!
 //! ```text
 //! metro list
-//! metro run <artifact>... [--quick] [--json] [--jobs N] [artifact flags]
+//! metro run <artifact>... [--quick] [--json] [--jobs N] [--inject-panic]
 //! metro run --all [--quick] [--json] [--jobs N]
 //! ```
 //!
 //! `run` executes each named artifact, prints its human report (or the
 //! JSON document with `--json`), writes `results/<artifact>.json`, and
-//! appends a record to `results/manifest.json`. Flags the harness
-//! does not know pass through to the artifact in [`RunCtx::flags`]
-//! (`--inject-panic`; the `chaos` artifact reads the `metro chaos`
-//! verb's storm flags from there).
+//! appends a record to `results/manifest.json`. Any other `--flag` is a
+//! usage error (exit 2, nothing written): `--inject-panic` is the one
+//! flag `run` passes through in [`RunCtx::flags`] (the `metro chaos`
+//! verb fills that list with its storm flags itself).
 
 use crate::artifact::{Registry, RunCtx};
 use crate::document::hex64;
@@ -115,7 +115,8 @@ fn parse_run(registry: &Registry, args: &[String]) -> Result<Command, String> {
                 }
             }
             "--retries" => ctx.retries = parsed(&mut it, "--retries", "a non-negative integer")?,
-            f if f.starts_with("--") => ctx.flags.push(f.to_string()),
+            "--inject-panic" => ctx.flags.push(a.clone()),
+            f if f.starts_with("--") => return Err(format!("unknown flag {f:?}")),
             name => {
                 if registry.get(name).is_none() {
                     return Err(format!("unknown artifact {name:?} (see `metro list`)"));
@@ -488,10 +489,17 @@ mod tests {
     }
 
     #[test]
-    fn unrecognized_flags_pass_through() {
-        let cmd = parse_args(&registry(), &s(&["run", "fig3", "--dot"]));
-        match cmd {
-            Command::Run { ctx, .. } => assert_eq!(ctx.flags, vec!["--dot"]),
+    fn unknown_flags_are_usage_errors_and_inject_panic_passes_through() {
+        // A misspelt `--quick` must not silently run the full profile,
+        // and `--dot` has no reader.
+        for flag in ["--qiuck", "--dot"] {
+            match parse_args(&registry(), &s(&["run", "fig3", flag])) {
+                Command::Help(Some(msg)) => assert!(msg.contains(flag), "{msg}"),
+                other => panic!("{flag}: {other:?}"),
+            }
+        }
+        match parse_args(&registry(), &s(&["run", "fig3", "--inject-panic"])) {
+            Command::Run { ctx, .. } => assert_eq!(ctx.flags, vec!["--inject-panic"]),
             other => panic!("{other:?}"),
         }
     }

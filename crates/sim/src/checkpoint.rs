@@ -406,8 +406,7 @@ mod tests {
     use super::*;
     use crate::network::EngineKind;
     use crate::scenario::{run_scenario, FaultInjection, RepairSet, Run, ScenarioResult, SendSpec};
-    use crate::traffic::TrafficPattern;
-    use crate::workload::{ArrivalProcess, RateMap};
+    use crate::workload::{ArrivalProcess, RateMap, TrafficPattern};
     use metro_topo::fault::{FaultKind, FaultSet};
     use metro_topo::graph::LinkId;
     use metro_topo::multibutterfly::MultibutterflySpec;

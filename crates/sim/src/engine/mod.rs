@@ -95,31 +95,6 @@ impl std::fmt::Display for EngineKind {
     }
 }
 
-impl std::str::FromStr for EngineKind {
-    type Err = UnknownEngine;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        Self::from_name(s).ok_or_else(|| UnknownEngine(s.to_string()))
-    }
-}
-
-/// Parse error for [`EngineKind::from_str`]: the given name matches no
-/// engine.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct UnknownEngine(pub String);
-
-impl std::fmt::Display for UnknownEngine {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "unknown engine {:?} (expected one of: flat, reference, analytic)",
-            self.0
-        )
-    }
-}
-
-impl std::error::Error for UnknownEngine {}
-
 /// A context that requires a cycle-accurate engine was handed
 /// [`EngineKind::Analytic`]. Returned (never panicked) by
 /// [`NetworkSim::new`](crate::NetworkSim::new) and the chaos harness;
@@ -274,12 +249,9 @@ mod tests {
     fn names_round_trip_for_every_kind() {
         for kind in EngineKind::ALL {
             assert_eq!(EngineKind::from_name(kind.name()), Some(kind));
-            assert_eq!(kind.name().parse::<EngineKind>(), Ok(kind));
             assert_eq!(kind.to_string(), kind.name());
         }
         assert_eq!(EngineKind::from_name("warp"), None);
-        let err = "warp".parse::<EngineKind>().unwrap_err();
-        assert!(err.to_string().contains("warp"));
     }
 
     #[test]

@@ -26,8 +26,7 @@
 
 use crate::network::{NetworkSim, SimConfig};
 use crate::scenario::{run::run_scenario_resumable, Run, Scenario, WorkloadSpec};
-use crate::traffic::TrafficPattern;
-use crate::workload::{ArrivalProcess, RateMap, StreamSeeds};
+use crate::workload::{ArrivalProcess, RateMap, StreamSeeds, TrafficPattern};
 use metro_core::RandomSource;
 use metro_harness::{par_map, Json};
 use metro_topo::fault::FaultSet;

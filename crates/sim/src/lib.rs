@@ -29,8 +29,7 @@
 //! | [`engine`] | the sealed engine seam: flat, sharded, reference, analytic |
 //! | [`network`] | the assembled, tickable network (orchestration) |
 //! | [`healing`] | the fault loop: `NetworkSim::diagnose` (online and offline) → masking |
-//! | [`traffic`] | destination patterns (uniform, hotspot, permutations) |
-//! | [`workload`] | arrival processes, rate maps, and the shared workload driver |
+//! | [`workload`] | destination patterns, arrival processes, rate maps, and the shared workload driver |
 //! | [`stats`] | latency/throughput/retry statistics |
 //! | [`experiment`] | load sweeps and fault sweeps (Figure 3 and §6.2) |
 //! | [`scenario`] | declarative, serializable run descriptions, the run loop ([`scenario::Run`]) + differential fuzzing |
@@ -56,7 +55,6 @@ pub mod network;
 pub mod scenario;
 pub mod shard;
 pub mod stats;
-pub mod traffic;
 pub mod wire;
 pub mod workload;
 
@@ -74,5 +72,6 @@ pub use scenario::{
     run_scenario, FaultInjection, RepairSet, Scenario, ScenarioResult, SendSpec, WorkloadSpec,
 };
 pub use stats::{LatencyStats, NetworkStats};
-pub use traffic::{TrafficError, TrafficPattern};
-pub use workload::{ArrivalProcess, RateMap, TraceEntry, WorkloadDriver, WorkloadError};
+pub use workload::{
+    ArrivalProcess, RateMap, TraceEntry, TrafficPattern, WorkloadDriver, WorkloadError,
+};

@@ -312,16 +312,6 @@ impl NetworkSim {
         })
     }
 
-    /// Sets how often (in cycles) the telemetry registry sums the
-    /// router counters and extends the time series (default 1 = every
-    /// cycle; 0 is clamped to 1). Counter increments between syncs are
-    /// never lost — the routers hold the cumulative counts — but series
-    /// buckets coarsen to the sync grid, trading resolution for a
-    /// cheaper steady-state tick.
-    pub fn set_telemetry_interval(&mut self, every: u64) {
-        self.registry.set_interval(every);
-    }
-
     /// The telemetry registry: sync cadence and decimated per-counter
     /// series. Counter values are read through
     /// [`NetworkSim::telemetry_snapshot`].

@@ -24,8 +24,7 @@
 use super::{FaultInjection, RepairSet, Scenario, SendSpec, WorkloadSpec};
 use crate::endpoint::{EndpointConfig, ReplyPolicy};
 use crate::network::{EngineKind, SimConfig};
-use crate::traffic::TrafficPattern;
-use crate::workload::{ArrivalProcess, RateMap, TraceEntry};
+use crate::workload::{ArrivalProcess, RateMap, TraceEntry, TrafficPattern};
 use metro_core::SelectionPolicy;
 use metro_harness::document::{hex64, DecodeError, Fields, Node};
 use metro_harness::Json;

@@ -15,8 +15,7 @@
 
 use super::{codec, FaultInjection, RepairSet, Scenario, SendSpec, WorkloadSpec};
 use crate::network::{EngineKind, SimConfig};
-use crate::traffic::TrafficPattern;
-use crate::workload::{ArrivalProcess, RateMap, TraceEntry};
+use crate::workload::{ArrivalProcess, RateMap, TraceEntry, TrafficPattern};
 use metro_core::RandomSource;
 use metro_topo::fault::{FaultKind, FaultSet};
 use metro_topo::graph::LinkId;

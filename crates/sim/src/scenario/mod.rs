@@ -29,8 +29,7 @@ pub use run::{run_scenario, Run};
 use crate::experiment::LoadPoint;
 use crate::message::MessageOutcome;
 use crate::network::{NetworkSim, SimConfig};
-use crate::traffic::TrafficPattern;
-use crate::workload::{ArrivalProcess, RateMap, WorkloadError};
+use crate::workload::{ArrivalProcess, RateMap, TrafficPattern, WorkloadError};
 use metro_harness::document::hex64;
 use metro_harness::Json;
 use metro_topo::fault::FaultSet;

@@ -1,6 +1,6 @@
-//! The offered-traffic subsystem: arrival processes, per-endpoint rate
-//! maps, seed derivation, and the [`WorkloadDriver`] every engine
-//! draws its workload from.
+//! The offered-traffic subsystem: destination patterns, arrival
+//! processes, per-endpoint rate maps, seed derivation, and the
+//! [`WorkloadDriver`] every engine draws its workload from.
 //!
 //! The paper evaluates METRO under "randomly distributed, 20-byte
 //! message traffic" (Figure 3); multistage-network studies also lean on
@@ -33,8 +33,11 @@
 //! * [`ArrivalProcess::Trace`] — replay of a recorded
 //!   `(cycle, src, dest, payload_words)` stream, for workloads no
 //!   stochastic model reproduces.
+//!
+//! Destinations come from a [`TrafficPattern`]: Figure 3's uniform
+//! traffic, or the standard multistage-network adversaries (hotspot,
+//! transpose, bit-reversal, a fixed permutation).
 
-use crate::traffic::{TrafficError, TrafficPattern};
 use metro_core::RandomSource;
 use metro_telemetry::{StateError, StateReader, StateWriter};
 
@@ -102,6 +105,127 @@ impl StreamSeeds {
     #[must_use]
     pub fn stream_seed(&self, endpoint: usize) -> u64 {
         derive_stream_seed(self.stream_base, self.stream_stride, endpoint)
+    }
+}
+
+/// How destinations are chosen for generated messages.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum TrafficPattern {
+    /// Uniformly random destinations (excluding self) — the Figure 3
+    /// workload.
+    Uniform,
+    /// A fraction (percent) of traffic targets one hot endpoint; the
+    /// rest is uniform.
+    Hotspot {
+        /// The hot destination.
+        target: usize,
+        /// Percent of messages aimed at it (0–100).
+        percent: usize,
+    },
+    /// Destination = source with high and low halves of the index
+    /// swapped (matrix transpose).
+    Transpose,
+    /// Destination = bit-reversed source index.
+    BitReversal,
+    /// A fixed permutation: destination = `perm[src]`.
+    Permutation(Vec<usize>),
+}
+
+impl TrafficPattern {
+    /// Validates the pattern against an endpoint count — rejecting the
+    /// combinations whose [`Self::destination`] arithmetic would
+    /// silently mis-map (transpose/bit-reversal on non-power-of-two
+    /// counts) or address outside the topology.
+    ///
+    /// # Errors
+    ///
+    /// See [`WorkloadError`].
+    pub fn validate(&self, endpoints: usize) -> Result<(), WorkloadError> {
+        match self {
+            Self::Uniform => Ok(()),
+            Self::Hotspot { target, .. } => {
+                if *target >= endpoints {
+                    return Err(WorkloadError::HotspotTargetOutOfRange {
+                        target: *target,
+                        endpoints,
+                    });
+                }
+                Ok(())
+            }
+            Self::Transpose | Self::BitReversal => {
+                if !endpoints.is_power_of_two() {
+                    return Err(WorkloadError::NonPowerOfTwoEndpoints { endpoints });
+                }
+                Ok(())
+            }
+            Self::Permutation(p) => {
+                if p.len() != endpoints {
+                    return Err(WorkloadError::PermutationLength {
+                        expected: endpoints,
+                        got: p.len(),
+                    });
+                }
+                for (src, &dest) in p.iter().enumerate() {
+                    if dest >= endpoints {
+                        return Err(WorkloadError::PermutationOutOfRange {
+                            src,
+                            dest,
+                            endpoints,
+                        });
+                    }
+                    if dest == src {
+                        return Err(WorkloadError::PermutationSelfTarget { src });
+                    }
+                }
+                Ok(())
+            }
+        }
+    }
+
+    /// Chooses a destination for a message from `src` among
+    /// `endpoints`, using `rng` for the stochastic patterns.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `endpoints < 2` (no valid non-self destination) for
+    /// the stochastic patterns.
+    pub fn destination(&self, src: usize, endpoints: usize, rng: &mut RandomSource) -> usize {
+        match self {
+            Self::Uniform => {
+                assert!(endpoints >= 2, "uniform traffic needs at least 2 endpoints");
+                let mut d = rng.index(endpoints - 1);
+                if d >= src {
+                    d += 1;
+                }
+                d
+            }
+            Self::Hotspot { target, percent } => {
+                if rng.index(100) < *percent && *target != src {
+                    *target
+                } else {
+                    Self::Uniform.destination(src, endpoints, rng)
+                }
+            }
+            Self::Transpose => {
+                let bits = endpoints.trailing_zeros() as usize;
+                let half = bits / 2;
+                let low = src & ((1 << half) - 1);
+                let high = src >> (bits - half);
+                let mid = (src >> half) & ((1 << (bits - 2 * half)) - 1);
+                (low << (bits - half)) | (mid << half) | high
+            }
+            Self::BitReversal => {
+                let bits = endpoints.trailing_zeros() as usize;
+                let mut v = src;
+                let mut out = 0;
+                for _ in 0..bits {
+                    out = (out << 1) | (v & 1);
+                    v >>= 1;
+                }
+                out
+            }
+            Self::Permutation(p) => p[src],
+        }
     }
 }
 
@@ -247,8 +371,41 @@ impl RateMap {
 /// traffic (the old `Transpose`-on-non-power-of-two failure mode).
 #[derive(Debug, Clone, PartialEq)]
 pub enum WorkloadError {
-    /// The destination pattern does not fit the topology.
-    Pattern(TrafficError),
+    /// Transpose/bit-reversal index arithmetic only permutes correctly
+    /// when the endpoint count is a power of two.
+    NonPowerOfTwoEndpoints {
+        /// The offending endpoint count.
+        endpoints: usize,
+    },
+    /// A hotspot aimed outside the topology.
+    HotspotTargetOutOfRange {
+        /// The configured hot destination.
+        target: usize,
+        /// Endpoints in the topology.
+        endpoints: usize,
+    },
+    /// A permutation vector of the wrong length.
+    PermutationLength {
+        /// Endpoints in the topology.
+        expected: usize,
+        /// Entries in the vector.
+        got: usize,
+    },
+    /// A permutation entry naming a destination outside the topology.
+    PermutationOutOfRange {
+        /// The offending source index.
+        src: usize,
+        /// Its mapped destination.
+        dest: usize,
+        /// Endpoints in the topology.
+        endpoints: usize,
+    },
+    /// A permutation entry mapping a source to itself — the NIC
+    /// protocol has no self-delivery path.
+    PermutationSelfTarget {
+        /// The self-mapping source index.
+        src: usize,
+    },
     /// A per-endpoint rate map of the wrong length.
     RateCount {
         /// Endpoints in the topology.
@@ -290,16 +447,30 @@ pub enum WorkloadError {
     },
 }
 
-impl From<TrafficError> for WorkloadError {
-    fn from(e: TrafficError) -> Self {
-        Self::Pattern(e)
-    }
-}
-
 impl std::fmt::Display for WorkloadError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            Self::Pattern(e) => write!(f, "{e}"),
+            Self::NonPowerOfTwoEndpoints { endpoints } => write!(
+                f,
+                "transpose/bit-reversal patterns need a power-of-two endpoint count, got {endpoints}"
+            ),
+            Self::HotspotTargetOutOfRange { target, endpoints } => {
+                write!(f, "hotspot target {target} outside 0..{endpoints}")
+            }
+            Self::PermutationLength { expected, got } => {
+                write!(f, "permutation has {got} entries for {expected} endpoints")
+            }
+            Self::PermutationOutOfRange {
+                src,
+                dest,
+                endpoints,
+            } => write!(
+                f,
+                "permutation maps {src} -> {dest} outside 0..{endpoints}"
+            ),
+            Self::PermutationSelfTarget { src } => {
+                write!(f, "permutation maps {src} to itself")
+            }
             Self::RateCount { expected, got } => {
                 write!(f, "rate map has {got} entries for {expected} endpoints")
             }
@@ -1145,5 +1316,109 @@ mod tests {
         }
         // Sorted by cycle; the two cycle-5 entries keep recorded order.
         assert_eq!(got, vec![(1, 2, 3, 1), (5, 1, 0, 3), (5, 0, 1, 2)]);
+    }
+
+    #[test]
+    fn uniform_never_self_targets_and_covers_all() {
+        let mut rng = RandomSource::new(1);
+        let mut seen = std::collections::HashSet::new();
+        for _ in 0..2000 {
+            let d = TrafficPattern::Uniform.destination(5, 16, &mut rng);
+            assert_ne!(d, 5);
+            assert!(d < 16);
+            seen.insert(d);
+        }
+        assert_eq!(seen.len(), 15);
+    }
+
+    #[test]
+    fn hotspot_concentrates() {
+        let mut rng = RandomSource::new(2);
+        let pattern = TrafficPattern::Hotspot {
+            target: 3,
+            percent: 50,
+        };
+        let hits = (0..4000)
+            .filter(|_| pattern.destination(9, 16, &mut rng) == 3)
+            .count();
+        assert!(hits > 1600 && hits < 2400, "got {hits} / 4000");
+    }
+
+    #[test]
+    fn transpose_is_an_involution_for_even_bits() {
+        let mut rng = RandomSource::new(0);
+        for src in 0..16 {
+            let d = TrafficPattern::Transpose.destination(src, 16, &mut rng);
+            let back = TrafficPattern::Transpose.destination(d, 16, &mut rng);
+            assert_eq!(back, src);
+        }
+    }
+
+    #[test]
+    fn bit_reversal_matches_manual() {
+        let mut rng = RandomSource::new(0);
+        assert_eq!(
+            TrafficPattern::BitReversal.destination(0b0001, 16, &mut rng),
+            0b1000
+        );
+        assert_eq!(
+            TrafficPattern::BitReversal.destination(0b1101, 16, &mut rng),
+            0b1011
+        );
+    }
+
+    #[test]
+    fn permutation_applies_directly() {
+        let mut rng = RandomSource::new(0);
+        let p = TrafficPattern::Permutation(vec![2, 0, 1]);
+        assert_eq!(p.destination(0, 3, &mut rng), 2);
+        assert_eq!(p.destination(2, 3, &mut rng), 1);
+    }
+
+    #[test]
+    fn validate_rejects_misfitting_patterns() {
+        assert!(TrafficPattern::Uniform.validate(12).is_ok());
+        assert!(TrafficPattern::Transpose.validate(16).is_ok());
+        assert_eq!(
+            TrafficPattern::Transpose.validate(12),
+            Err(WorkloadError::NonPowerOfTwoEndpoints { endpoints: 12 })
+        );
+        assert_eq!(
+            TrafficPattern::BitReversal.validate(20),
+            Err(WorkloadError::NonPowerOfTwoEndpoints { endpoints: 20 })
+        );
+        assert_eq!(
+            TrafficPattern::Hotspot {
+                target: 16,
+                percent: 30
+            }
+            .validate(16),
+            Err(WorkloadError::HotspotTargetOutOfRange {
+                target: 16,
+                endpoints: 16
+            })
+        );
+        assert_eq!(
+            TrafficPattern::Permutation(vec![1, 0]).validate(3),
+            Err(WorkloadError::PermutationLength {
+                expected: 3,
+                got: 2
+            })
+        );
+        assert_eq!(
+            TrafficPattern::Permutation(vec![1, 2, 5]).validate(3),
+            Err(WorkloadError::PermutationOutOfRange {
+                src: 2,
+                dest: 5,
+                endpoints: 3
+            })
+        );
+        assert_eq!(
+            TrafficPattern::Permutation(vec![1, 1, 0]).validate(3),
+            Err(WorkloadError::PermutationSelfTarget { src: 1 })
+        );
+        assert!(TrafficPattern::Permutation(vec![1, 2, 0])
+            .validate(3)
+            .is_ok());
     }
 }

@@ -566,8 +566,11 @@ fn a_reset_between_syncs_leaks_nothing_into_the_counters_or_the_series() {
 
 #[test]
 fn telemetry_interval_zero_clamps_to_every_cycle() {
-    let mut sim = fig1_sim();
-    sim.set_telemetry_interval(0);
+    let config = SimConfig {
+        telemetry_every: 0,
+        ..SimConfig::default()
+    };
+    let mut sim = NetworkSim::new(&MultibutterflySpec::figure1(), &config).unwrap();
     assert_eq!(sim.telemetry().interval(), 1, "0 clamps to 1");
     sim.send(4, 13, &[7; 5]);
     sim.run(300);

@@ -59,11 +59,6 @@ impl TelemetryRegistry {
         self.interval
     }
 
-    /// Sets the sync interval (clamped to ≥ 1).
-    pub fn set_interval(&mut self, every: u64) {
-        self.interval = every.max(1);
-    }
-
     /// Extends every series by what the network counted since the last
     /// sync. A restored `synced` above the live total reads as no
     /// change (the delta saturates at zero).
@@ -212,11 +207,7 @@ mod tests {
 
     #[test]
     fn interval_is_clamped() {
-        let mut reg = TelemetryRegistry::new(&[1], 0);
-        assert_eq!(reg.interval(), 1);
-        reg.set_interval(0);
-        assert_eq!(reg.interval(), 1);
-        reg.set_interval(64);
-        assert_eq!(reg.interval(), 64);
+        assert_eq!(TelemetryRegistry::new(&[1], 0).interval(), 1);
+        assert_eq!(TelemetryRegistry::new(&[1], 64).interval(), 64);
     }
 }

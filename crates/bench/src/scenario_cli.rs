@@ -348,10 +348,11 @@ fn record_scenario_result(
         .append_manifest(&record)
         .map_err(|e| e.to_string())?;
 
+    let fold = result.outcomes.fold();
     let mut summary = String::new();
     summary.push_str(&format!(
         "scenario {name:?} ({hash})\n  outcomes {}  delivered {}  abandoned {}  payload words {}  fabric idle {}\n",
-        result.outcomes.len(),
+        fold.count,
         result.delivered,
         result.abandoned,
         result.payload_words,
@@ -365,7 +366,7 @@ fn record_scenario_result(
     }
     summary.push_str(&format!(
         "  outcome digest {:#018x}\n  wrote {}\n",
-        result.outcome_digest(),
+        fold.digest,
         out_path.display()
     ));
     Ok(summary)

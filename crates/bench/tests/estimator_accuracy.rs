@@ -5,7 +5,7 @@
 //! ground truth — the accuracy contract CI enforces.
 
 use metro_sim::engine::analytic::estimate_latency;
-use metro_sim::scenario::{codec, run_scenario, Scenario, WorkloadSpec};
+use metro_sim::scenario::{codec, run_scenario, Run, Scenario, WorkloadSpec};
 use metro_sim::LatencyStats;
 use std::path::PathBuf;
 
@@ -40,9 +40,13 @@ fn rel_err(estimate: u64, truth: u64) -> f64 {
 }
 
 /// Ground-truth total-latency quantiles from a cycle-accurate replay:
-/// the load point for `Load` workloads, the outcome stream for `Sends`.
+/// the load point for `Load` workloads, the outcome stream (kept for
+/// this) for `Sends`.
 fn truth_quantiles(scenario: &Scenario) -> (u64, u64) {
-    let result = run_scenario(scenario).expect("corpus scenario must replay");
+    let mut run = Run::of(scenario, None).expect("corpus scenario must replay");
+    run.keep_outcomes();
+    while run.step() {}
+    let result = run.finish().0;
     match &result.point {
         Some(p) => (p.p50_latency, p.p95_latency),
         None => {

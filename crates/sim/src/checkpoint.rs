@@ -13,8 +13,9 @@
 //!    completed, and — derived from that count by [`Run::checkpoint`],
 //!    spelled out for a reader of the file — whether the run was still
 //!    offering traffic or draining;
-//! 3. the **machine state** as one flat word stream
-//!    ([`NetworkSim::save_state`] followed, for `Load` workloads, by
+//! 3. the **machine state** — the machine plus a fold of the outcomes
+//!    it has completed, not the outcomes themselves — as one flat word
+//!    stream ([`NetworkSim::save_state`] followed, for `Load` workloads, by
 //!    the [`WorkloadDriver`]'s stream positions), written into the JSON
 //!    document as chunks of space-separated hex words, each word at its
 //!    own width (`"0 1 6b726f7774656e 2f"`: most state words are one
@@ -89,7 +90,12 @@ pub use crate::scenario::run::{resume_scenario, run_scenario_resumable, Checkpoi
 ///   16 digits a word, no separator — most words are one digit, so the
 ///   file was five times its content). Same envelope; versions 1–4 are
 ///   refused.
-pub const CHECKPOINT_SCHEMA: u64 = 5;
+/// * **6** — the undrained outcomes are their own `outcomes` section:
+///   the stream's fold (FNV-1a digest, count, payload words) and the
+///   outcomes kept one by one, which a scenario run does not keep (was
+///   every outcome since cycle 0, at the end of `netstats`). Same
+///   envelope; versions 1–5 are refused.
+pub const CHECKPOINT_SCHEMA: u64 = 6;
 
 /// Characters at which a `"state"` array entry is cut: the word that
 /// takes a chunk to this length or past it is the chunk's last, so an
@@ -749,11 +755,12 @@ mod tests {
         assert_refused(&[&full, &ones(HEX_CHUNK / 2 + 2)], 1, "past its cut");
     }
 
-    /// The eight section tags of a scenario run's stream, as words.
+    /// The nine section tags of a scenario run's stream, as words.
     fn section_tags() -> Vec<u64> {
         let mut w = StateWriter::new();
         for tag in [
-            "network", "faults", "router", "endpoint", "channels", "netstats", "telreg", "workload",
+            "network", "faults", "router", "endpoint", "channels", "netstats", "outcomes",
+            "telreg", "workload",
         ] {
             w.section(tag);
         }

@@ -318,13 +318,16 @@ pub fn estimate_scenario(
 /// # Errors
 ///
 /// A `stage_wire_delays` of the wrong length is a
-/// [`WireDelayCount`](crate::network::WireDelayCount); every other
-/// scenario is modelled.
+/// [`WireDelayCount`](crate::network::WireDelayCount), and a stage
+/// whose router parameters the cycle engines refuse is the same
+/// [`ParamError`](metro_core::ParamError); every other scenario is
+/// modelled.
 pub fn estimate_latency(
     scenario: &Scenario,
 ) -> Result<LatencyEstimate, Box<dyn std::error::Error>> {
-    let stages = scenario.topology.stages.len();
-    scenario.sim.check_wire_delays(stages)?;
+    let stages = &scenario.topology.stages;
+    scenario.sim.check_wire_delays(stages.len())?;
+    scenario.sim.stage_params(stages)?;
     match &scenario.workload {
         WorkloadSpec::Load { .. } => Ok(estimate_load(scenario)),
         WorkloadSpec::Sends { sends, cycles } => Ok(estimate_sends(scenario, sends, *cycles)),
@@ -478,7 +481,7 @@ fn estimate_load(scenario: &Scenario) -> LatencyEstimate {
     let payload_total = outcomes.iter().map(|o| o.payload_words).sum();
     LatencyEstimate {
         result: ScenarioResult {
-            outcomes,
+            outcomes: outcomes.into(),
             delivered,
             abandoned: 0,
             point: Some(point),
@@ -547,7 +550,7 @@ fn estimate_sends(scenario: &Scenario, sends: &[SendSpec], cycles: u64) -> Laten
     let payload_total = outcomes.iter().map(|o| o.payload_words).sum();
     LatencyEstimate {
         result: ScenarioResult {
-            outcomes,
+            outcomes: outcomes.into(),
             delivered,
             abandoned: 0,
             point: None,

@@ -24,7 +24,7 @@
 //! | module | contents |
 //! |--------|----------|
 //! | [`wire`] | pipelined inter-component links (variable turn delay) |
-//! | [`message`] | messages, delivery records, outcome classification |
+//! | [`message`] | messages, delivery records, outcome classification, the folded outcome stream |
 //! | [`endpoint`] | the source-responsible NIC state machines |
 //! | [`engine`] | the sealed engine seam: flat, sharded, reference, analytic |
 //! | [`network`] | the assembled, tickable network (orchestration) |
@@ -66,7 +66,9 @@ pub use checkpoint::{
 pub use endpoint::{AttemptEvidence, EndpointConfig, ReplyPolicy};
 pub use experiment::{FaultSweepPoint, LoadPoint, SweepConfig};
 pub use healing::{Diagnosis, Suspect};
-pub use message::{DeliveryRecord, DeliveryStatus, FailureKind, MessageOutcome};
+pub use message::{
+    DeliveryRecord, DeliveryStatus, FailureKind, MessageOutcome, OutcomeFold, Outcomes,
+};
 pub use network::{EngineKind, NetworkSim, SimConfig};
 pub use scenario::{
     run_scenario, FaultInjection, RepairSet, Scenario, ScenarioResult, SendSpec, WorkloadSpec,

@@ -218,6 +218,280 @@ impl MessageOutcome {
     }
 }
 
+/// The FNV-1a offset basis: the digest of no outcomes.
+const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// The most payload words one message can name: every word of its
+/// streams is in memory at once.
+const MESSAGE_WORDS_MAX: u64 = (usize::MAX / std::mem::size_of::<metro_core::Word>()) as u64;
+
+/// An outcome stream folded to three words. Two runs produced the same
+/// stream iff their folds match (up to a 64-bit digest collision).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct OutcomeFold {
+    /// 64-bit FNV-1a over the stream in completion order: per outcome,
+    /// source, destination, the three timestamps, retries, the failure
+    /// count, the status (0 delivered, `1 + attempts` undeliverable),
+    /// payload words and each delivered payload word, each as its eight
+    /// little-endian bytes.
+    pub digest: u64,
+    /// Outcomes folded.
+    pub count: u64,
+    /// Their payload words, summed.
+    pub payload_words: u64,
+}
+
+impl OutcomeFold {
+    /// The fold of no outcomes.
+    pub(crate) const EMPTY: Self = Self {
+        digest: FNV_BASIS,
+        count: 0,
+        payload_words: 0,
+    };
+
+    /// Folds in the stream's next outcome.
+    pub(crate) fn absorb(&mut self, o: &MessageOutcome) {
+        let mut h = self.digest;
+        let mut put = |v: u64| {
+            for b in v.to_le_bytes() {
+                h ^= u64::from(b);
+                h = h.wrapping_mul(0x0000_0100_0000_01B3);
+            }
+        };
+        put(o.src as u64);
+        put(o.dest as u64);
+        put(o.requested_at);
+        put(o.first_injection_at);
+        put(o.completed_at);
+        put(o.retries as u64);
+        put(o.failures.len() as u64);
+        put(match o.status {
+            DeliveryStatus::Delivered => 0,
+            DeliveryStatus::Undeliverable { attempts } => 1 + attempts as u64,
+        });
+        put(o.payload_words as u64);
+        for &w in &o.payload_delivered {
+            put(u64::from(w));
+        }
+        self.digest = h;
+        self.count += 1;
+        self.payload_words += o.payload_words as u64;
+    }
+}
+
+/// Every outcome a machine harvested, in completion order: the fold of
+/// all of them, and the outcomes themselves from the point the holder
+/// chose to keep them. The folded prefix always precedes the kept
+/// suffix, so [`Outcomes::fold`] continues the prefix's fold over the
+/// suffix.
+///
+/// [`len`](Outcomes::len) counts every outcome; iteration and indexing
+/// see the kept ones.
+#[derive(Debug, Clone)]
+pub struct Outcomes {
+    /// The fold of the outcomes before `kept`.
+    folded: OutcomeFold,
+    kept: Vec<MessageOutcome>,
+    /// Whether the next outcome is kept, or folded.
+    keep: bool,
+}
+
+impl Outcomes {
+    /// No outcomes yet; the ones to come are kept or only folded.
+    pub(crate) fn new(keep: bool) -> Self {
+        Self {
+            folded: OutcomeFold::EMPTY,
+            kept: Vec::new(),
+            keep,
+        }
+    }
+
+    /// Appends the next outcome of the stream.
+    pub(crate) fn push(&mut self, o: MessageOutcome) {
+        if self.keep {
+            self.kept.push(o);
+        } else {
+            self.folded.absorb(&o);
+        }
+    }
+
+    /// Whether outcomes to come are kept.
+    pub(crate) fn keeps(&self) -> bool {
+        self.keep
+    }
+
+    /// Keeps the outcomes to come, or only folds them — folding the
+    /// ones kept so far, as nothing may follow the prefix but the kept
+    /// suffix.
+    pub(crate) fn set_keep(&mut self, on: bool) {
+        if !on {
+            for o in std::mem::take(&mut self.kept) {
+                self.folded.absorb(&o);
+            }
+        }
+        self.keep = on;
+    }
+
+    /// Removes and returns the first kept outcome `pick` chooses.
+    pub(crate) fn take_first(
+        &mut self,
+        pick: impl Fn(&MessageOutcome) -> bool,
+    ) -> Option<MessageOutcome> {
+        let at = self.kept.iter().position(pick)?;
+        Some(self.kept.remove(at))
+    }
+
+    /// Every outcome harvested, kept or folded.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.folded.count as usize + self.kept.len()
+    }
+
+    /// Whether no outcome was harvested.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The kept outcomes, in completion order.
+    pub fn iter(&self) -> std::slice::Iter<'_, MessageOutcome> {
+        self.kept.iter()
+    }
+
+    /// The fold of the whole stream.
+    #[must_use]
+    pub fn fold(&self) -> OutcomeFold {
+        let mut fold = self.folded;
+        for o in &self.kept {
+            fold.absorb(o);
+        }
+        fold
+    }
+
+    /// [`OutcomeFold::digest`] of the whole stream.
+    #[must_use]
+    pub fn digest(&self) -> u64 {
+        self.fold().digest
+    }
+
+    /// Payload words summed over the whole stream.
+    #[must_use]
+    pub fn payload_words(&self) -> usize {
+        self.fold().payload_words as usize
+    }
+
+    /// Appends the fold and the kept outcomes to a checkpoint stream.
+    pub(crate) fn save_state(&self, w: &mut StateWriter) {
+        w.section("outcomes");
+        w.u64(self.folded.digest);
+        w.u64(self.folded.count);
+        w.u64(self.folded.payload_words);
+        w.seq(&self.kept, |w, o| o.save_state(w));
+    }
+
+    /// Reads the outcomes back for a machine whose `engines` transmit
+    /// engines ran `within.now` cycles — each completes at most one
+    /// transaction a cycle — refusing a stream that machine could not
+    /// have harvested, or whose next outcome would overflow the fold.
+    /// Kept outcomes are folded if this holder does not keep them.
+    pub(crate) fn restore_state(
+        &mut self,
+        r: &mut StateReader<'_>,
+        within: MachineExtent,
+        engines: u64,
+    ) -> Result<(), StateError> {
+        r.section("outcomes")?;
+        let folded = OutcomeFold {
+            digest: r.u64()?,
+            count: r.u64()?,
+            payload_words: r.u64()?,
+        };
+        if folded.count == 0 && folded != OutcomeFold::EMPTY {
+            return Err(r.bad("a fold of no outcomes with a digest or payload words"));
+        }
+        if folded.payload_words > folded.count.saturating_mul(MESSAGE_WORDS_MAX) {
+            return Err(r.bad(format!(
+                "{} payload words in {} outcomes",
+                folded.payload_words, folded.count
+            )));
+        }
+        let kept: Vec<MessageOutcome> = r.seq(|r| MessageOutcome::restore_state(r, within))?;
+        let count = folded.count.checked_add(kept.len() as u64);
+        // One short of `u64::MAX`, so the next outcome still counts.
+        let harvestable = within.now.saturating_mul(engines).min(u64::MAX - 1);
+        if count.is_none_or(|n| n > harvestable) {
+            return Err(r.bad(format!(
+                "{} + {} outcomes, but {engines} transmit engines complete at most \
+                 {harvestable} in {} cycles",
+                folded.count,
+                kept.len(),
+                within.now
+            )));
+        }
+        let words = kept.iter().try_fold(folded.payload_words, |sum, o| {
+            sum.checked_add(o.payload_words as u64)
+        });
+        if words.is_none_or(|n| n.checked_add(MESSAGE_WORDS_MAX).is_none()) {
+            return Err(r.bad("the next outcome's payload words would overflow the fold"));
+        }
+        let keep = self.keep;
+        *self = Self {
+            folded,
+            kept,
+            keep: true,
+        };
+        self.set_keep(keep);
+        Ok(())
+    }
+}
+
+impl PartialEq for Outcomes {
+    /// The same folded prefix and the same kept suffix: two holders
+    /// that kept from the same point compare outcome by outcome, two
+    /// that kept nothing by their folds.
+    fn eq(&self, other: &Self) -> bool {
+        self.folded == other.folded && self.kept == other.kept
+    }
+}
+
+impl From<Vec<MessageOutcome>> for Outcomes {
+    /// A stream kept whole.
+    fn from(kept: Vec<MessageOutcome>) -> Self {
+        Self {
+            folded: OutcomeFold::EMPTY,
+            kept,
+            keep: true,
+        }
+    }
+}
+
+impl std::ops::Index<usize> for Outcomes {
+    type Output = MessageOutcome;
+
+    /// The `i`-th kept outcome.
+    fn index(&self, i: usize) -> &MessageOutcome {
+        &self.kept[i]
+    }
+}
+
+impl IntoIterator for Outcomes {
+    type Item = MessageOutcome;
+    type IntoIter = std::vec::IntoIter<MessageOutcome>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.kept.into_iter()
+    }
+}
+
+impl<'a> IntoIterator for &'a Outcomes {
+    type Item = &'a MessageOutcome;
+    type IntoIter = std::slice::Iter<'a, MessageOutcome>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.kept.iter()
+    }
+}
+
 /// A record of one *attempt*'s reply as collected by the source: the
 /// per-router status and transit checksum words, in path order
 /// (nearest router first).
@@ -290,6 +564,146 @@ mod tests {
         };
         assert_eq!(o.total_latency(), 40);
         assert_eq!(o.network_latency(), 36);
+    }
+
+    /// The `i`-th outcome of a made-up stream over four endpoints,
+    /// every other one given up on.
+    fn nth(i: u64) -> MessageOutcome {
+        MessageOutcome {
+            src: i as usize % 4,
+            dest: 3 - i as usize % 4,
+            requested_at: i,
+            first_injection_at: i + 2,
+            completed_at: i + 30,
+            retries: i as usize % 3,
+            failures: vec![FailureKind::Corrupt; i as usize % 3],
+            payload_words: 5 + i as usize,
+            payload_delivered: vec![i as u16; 2],
+            reply_received: vec![],
+            status: if i.is_multiple_of(2) {
+                DeliveryStatus::Delivered
+            } else {
+                DeliveryStatus::Undeliverable { attempts: 3 }
+            },
+        }
+    }
+
+    #[test]
+    fn a_stream_folds_alike_kept_or_not_and_counts_every_outcome() {
+        let mut whole = OutcomeFold::EMPTY;
+        let (mut folded, mut kept, mut switched) = (
+            Outcomes::new(false),
+            Outcomes::new(true),
+            Outcomes::new(false),
+        );
+        for i in 0..6 {
+            whole.absorb(&nth(i));
+            folded.push(nth(i));
+            kept.push(nth(i));
+            // Kept from the third outcome on, folded again from the fifth.
+            switched.set_keep((2..4).contains(&i));
+            switched.push(nth(i));
+        }
+        assert_eq!(whole.count, 6);
+        assert_eq!(whole.payload_words, (5..11).sum::<u64>());
+        for s in [&folded, &kept, &switched] {
+            assert_eq!((s.fold(), s.len(), s.payload_words()), (whole, 6, 45));
+        }
+        assert_eq!((folded.iter().count(), kept.iter().count()), (0, 6));
+        assert_eq!(kept[5], nth(5));
+        // Split alike, equal streams compare equal; split differently,
+        // they do not, though their folds agree (above).
+        assert_eq!(folded, folded.clone());
+        assert_ne!(folded, kept);
+        let mut later = kept.clone();
+        later.set_keep(false);
+        assert_eq!(later, folded);
+    }
+
+    /// Saves `s`, lets `mutate` edit the words, and restores them into a
+    /// holder that keeps (or not) for a machine of 2 transmit engines at
+    /// cycle 100.
+    fn restored(
+        s: &Outcomes,
+        keep: bool,
+        mutate: impl FnOnce(&mut Vec<u64>),
+    ) -> Result<Outcomes, StateError> {
+        let mut w = StateWriter::new();
+        s.save_state(&mut w);
+        let mut words = w.into_words();
+        mutate(&mut words);
+        let within = MachineExtent {
+            now: 100,
+            endpoints: 4,
+            stages: 3,
+        };
+        let mut back = Outcomes::new(keep);
+        let mut r = StateReader::new(&words);
+        back.restore_state(&mut r, within, 2)?;
+        r.finish()?;
+        Ok(back)
+    }
+
+    #[test]
+    fn the_fold_and_the_kept_outcomes_round_trip() {
+        let mut s = Outcomes::new(false);
+        for i in 0..4 {
+            s.set_keep(i >= 2);
+            s.push(nth(i));
+        }
+        // Tag, the three fold words, the kept count, the kept outcomes.
+        let back = restored(&s, true, |w| {
+            assert_eq!(w[1..5], [s.folded.digest, 2, 11, 2])
+        })
+        .unwrap();
+        assert_eq!(back, s);
+        // A holder that does not keep folds what was kept.
+        let folded = restored(&s, false, |_| {}).unwrap();
+        assert_eq!((folded.iter().count(), folded.fold()), (0, s.fold()));
+    }
+
+    #[test]
+    fn a_fold_the_machine_could_not_have_made_is_refused() {
+        let mut s = Outcomes::new(false);
+        for i in 0..3 {
+            s.push(nth(i));
+        }
+        let refusal = |keep_last: bool, word: usize, value: u64| {
+            let mut s = s.clone();
+            s.set_keep(keep_last);
+            s.push(nth(3));
+            match restored(&s, false, |w| w[word] = value) {
+                Err(StateError::BadValue {
+                    section, detail, ..
+                }) => {
+                    assert_eq!(section, "outcomes");
+                    detail
+                }
+                other => panic!("word {word} = {value} restored: {other:?}"),
+            }
+        };
+        let empty = |word: usize, value: u64| match restored(&Outcomes::new(false), false, |w| {
+            w[word] = value
+        }) {
+            Err(StateError::BadValue { detail, .. }) => detail,
+            other => panic!("empty fold with word {word} = {value}: {other:?}"),
+        };
+        // No outcomes, yet a digest or payload words.
+        assert!(empty(1, 999).contains("a fold of no outcomes"));
+        assert!(empty(3, 1).contains("a fold of no outcomes"));
+        // Past what 2 engines complete in 100 cycles, folded or kept.
+        assert!(refusal(false, 2, 201).contains("complete at most 200"));
+        assert!(refusal(true, 2, 200).contains("200 + 1 outcomes"));
+        assert!(refusal(false, 2, u64::MAX).contains("complete at most"));
+        // Payload words no message stream could hold, or that leave no
+        // room for the next message's.
+        assert!(refusal(false, 3, u64::MAX).contains("payload words"));
+        assert!(refusal(true, 3, 3 * MESSAGE_WORDS_MAX).contains("would overflow"));
+        // What a machine could have made restores.
+        let mut s = s.clone();
+        s.push(nth(3));
+        assert!(restored(&s, false, |w| w[2] = 200).is_ok());
+        assert!(restored(&s, false, |w| w[3] = 1 << 40).is_ok());
     }
 
     #[test]

@@ -23,18 +23,19 @@ use crate::endpoint::{Endpoint, EndpointConfig};
 use crate::engine::flat::FlatEngine;
 use crate::engine::reference::ReferenceEngine;
 use crate::engine::{boundary_delay, Engine, NotCycleAccurate, StepCtx};
-use crate::message::{MachineExtent, MessageOutcome};
+use crate::message::{MachineExtent, MessageOutcome, Outcomes};
 use crate::stats::NetworkStats;
 use metro_core::header::HeaderPlan;
 use metro_core::{
-    ArchParams, RandomSource, Router, RouterConfig, SelectionPolicy, StreamChecksum, Word,
+    ArchParams, ParamError, RandomSource, Router, RouterConfig, SelectionPolicy, StreamChecksum,
+    Word,
 };
 use metro_telemetry::{
     CounterCell, StateError, StateReader, StateWriter, TelemetryRegistry, TelemetrySnapshot,
 };
 use metro_topo::fault::{FaultKind, FaultSet};
 use metro_topo::graph::LinkId;
-use metro_topo::multibutterfly::{Multibutterfly, MultibutterflySpec};
+use metro_topo::multibutterfly::{Multibutterfly, MultibutterflySpec, StageSpec};
 
 pub use crate::engine::EngineKind;
 
@@ -146,6 +147,29 @@ impl SimConfig {
             _ => Ok(()),
         }
     }
+
+    /// Each stage's router parameters on a fabric of `stages`, whose
+    /// wire delays have passed [`SimConfig::check_wire_delays`]. Every
+    /// engine runs this before it builds anything from the parameters:
+    /// the header plan and the routers assert what `ArchParams` refuses.
+    pub(crate) fn stage_params(&self, stages: &[StageSpec]) -> Result<Vec<ArchParams>, ParamError> {
+        let bd = |b: usize| boundary_delay(self, b);
+        stages
+            .iter()
+            .enumerate()
+            .map(|(s, st)| {
+                ArchParams::new(
+                    st.forward_ports,
+                    st.backward_ports,
+                    self.width,
+                    st.dilation,
+                    self.header_words,
+                    self.pipestages,
+                )?
+                .with_max_turn_delay(bd(s).max(bd(s + 1)).max(7))
+            })
+            .collect()
+    }
 }
 
 /// [`SimConfig::stage_wire_delays`] does not name one delay per wire
@@ -184,7 +208,9 @@ pub struct NetworkSim {
     pub(crate) engine: Box<dyn Engine>,
     pub(crate) faults: FaultSet,
     now: u64,
-    outcomes: Vec<MessageOutcome>,
+    /// Every outcome harvested since the last drain: its fold, and the
+    /// outcomes themselves while [`NetworkSim::set_keep_outcomes`] is on.
+    outcomes: Outcomes,
     stats: NetworkStats,
     stats_from: u64,
     /// The telemetry spine: the routers' readings at the last stats
@@ -223,24 +249,8 @@ impl NetworkSim {
         }
         let topo = Multibutterfly::build(spec)?;
         config.check_wire_delays(topo.stages())?;
+        let stage_params = config.stage_params(&spec.stages)?;
         let bd = |b: usize| boundary_delay(config, b);
-        // Every stage's parameters are validated before anything is
-        // built from them: `header_plan` and the routers assert what
-        // `ArchParams` has already refused.
-        let stage_params = (0..topo.stages())
-            .map(|s| {
-                let st = topo.stage_spec(s);
-                ArchParams::new(
-                    st.forward_ports,
-                    st.backward_ports,
-                    config.width,
-                    st.dilation,
-                    config.header_words,
-                    config.pipestages,
-                )?
-                .with_max_turn_delay(bd(s).max(bd(s + 1)).max(7))
-            })
-            .collect::<Result<Vec<_>, _>>()?;
         let plan = topo.header_plan(config.width, config.header_words);
         let master = RandomSource::new(config.seed);
 
@@ -303,7 +313,7 @@ impl NetworkSim {
             engine,
             faults: FaultSet::new(),
             now: 0,
-            outcomes: Vec::new(),
+            outcomes: Outcomes::new(true),
             stats: NetworkStats::new(),
             stats_from: 0,
             registry: TelemetryRegistry::new(&routers_per_stage, config.telemetry_every),
@@ -436,19 +446,19 @@ impl NetworkSim {
     /// completes (or `max_cycles` elapse) and takes its outcome out of
     /// the harvested stream — the closed-loop wait of one probe, as
     /// [`Run::step`](crate::scenario::Run::step) is the open-loop cycle.
+    /// The outcomes harvested meanwhile are kept while it waits, so it
+    /// finds its own whether or not the sim keeps them.
     pub fn wait_for(&mut self, src: usize, dest: usize, max_cycles: u64) -> Option<MessageOutcome> {
+        let keep = self.outcomes.keeps();
+        self.outcomes.set_keep(true);
         let deadline = self.now + max_cycles;
-        while self.now < deadline {
+        let mut found = None;
+        while found.is_none() && self.now < deadline {
             self.tick();
-            if let Some(pos) = self
-                .outcomes
-                .iter()
-                .position(|o| o.src == src && o.dest == dest)
-            {
-                return Some(self.outcomes.remove(pos));
-            }
+            found = self.outcomes.take_first(|o| o.src == src && o.dest == dest);
         }
-        None
+        self.outcomes.set_keep(keep);
+        found
     }
 
     /// Advances the whole network one clock cycle: the engine steps
@@ -507,9 +517,19 @@ impl NetworkSim {
         }
     }
 
-    /// Drains all completed (and abandoned) outcomes harvested so far.
-    pub fn drain_outcomes(&mut self) -> Vec<MessageOutcome> {
-        std::mem::take(&mut self.outcomes)
+    /// Drains all completed (and abandoned) outcomes harvested so far:
+    /// their fold, and the outcomes themselves where kept.
+    pub fn drain_outcomes(&mut self) -> Outcomes {
+        let fresh = Outcomes::new(self.outcomes.keeps());
+        std::mem::replace(&mut self.outcomes, fresh)
+    }
+
+    /// Whether the outcomes harvested from now on are kept for
+    /// [`NetworkSim::drain_outcomes`], or only folded into its digest,
+    /// count and payload words. On for a sim built here; a
+    /// [`Run`](crate::scenario::Run) turns it off.
+    pub fn set_keep_outcomes(&mut self, on: bool) {
+        self.outcomes.set_keep(on);
     }
 
     /// Whether every endpoint is idle (no queued or in-flight
@@ -606,8 +626,9 @@ impl NetworkSim {
     /// Appends the complete mutable simulation state to a checkpoint
     /// stream: the clock, the active fault set, healing decisions,
     /// every router and endpoint, the channel inputs and wires
-    /// ([`Engine::save_state`]), accumulated statistics, unharvested
-    /// outcomes, and the telemetry registry.
+    /// ([`Engine::save_state`]), accumulated statistics, the undrained
+    /// outcomes (their fold, and those kept), and the telemetry
+    /// registry.
     /// Construction-derived state (topology, header plan,
     /// configuration) is not written — a resumed run rebuilds it from
     /// the scenario.
@@ -633,7 +654,7 @@ impl NetworkSim {
         w.seq(&self.endpoints, |w, endpoint| endpoint.save_state(w));
         self.engine.save_state(w);
         self.stats.save_state(w);
-        w.seq(&self.outcomes, |w, o| o.save_state(w));
+        self.outcomes.save_state(w);
         self.registry.save_state(w);
     }
 
@@ -676,7 +697,9 @@ impl NetworkSim {
         }
         self.engine.restore_state(r)?;
         self.stats.restore_state(r)?;
-        self.outcomes = r.seq(|r| MessageOutcome::restore_state(r, within))?;
+        // A NIC runs at most one transmit engine per injection port.
+        let engines = self.endpoints.len() * self.topo.endpoint_ports();
+        self.outcomes.restore_state(r, within, engines as u64)?;
         self.registry.restore_state(r)
     }
 

@@ -8,12 +8,14 @@
 //! the same seed always builds the same scenario, so a CI failure
 //! reproduces from its seed alone), and [`differential_check`] replays
 //! it under a pair of `(engine, shards)` variants and demands identical
-//! [`MessageOutcome`] streams, delivery counters, telemetry and machine
-//! state.
+//! [`MessageOutcome`] streams (compared by their fold, and re-run one
+//! by one only to name the first that differs), delivery counters,
+//! telemetry and machine state.
 //!
 //! [`MessageOutcome`]: crate::message::MessageOutcome
 
-use super::{codec, FaultInjection, RepairSet, Scenario, SendSpec, WorkloadSpec};
+use super::{codec, FaultInjection, RepairSet, Run, Scenario, SendSpec, WorkloadSpec};
+use crate::message::Outcomes;
 use crate::network::{EngineKind, SimConfig};
 use crate::workload::{ArrivalProcess, RateMap, TraceEntry, TrafficPattern};
 use metro_core::RandomSource;
@@ -218,9 +220,11 @@ fn random_workload(rng: &mut RandomSource, n: usize, cycles: u64) -> WorkloadSpe
 }
 
 /// Replays `scenario` under two execution variants — `(engine, shards)`
-/// each — and checks full agreement: identical outcome streams, run
-/// summaries, telemetry snapshots (the engine's name aside) and final
-/// machine state ([`NetworkSim::save_state`](crate::NetworkSim::save_state)
+/// each — and checks full agreement: identical outcome streams (their
+/// folds; on a mismatch both variants run again keeping the outcomes,
+/// and the error names the first that differs), run summaries,
+/// telemetry snapshots (the engine's name aside) and final machine
+/// state ([`NetworkSim::save_state`](crate::NetworkSim::save_state)
 /// words: every channel input, wire and component). Flat against
 /// Reference checks the implementation against the spec; Flat at 1
 /// shard against `N` checks the activity step against the full walk.
@@ -242,20 +246,28 @@ pub fn differential_check(
         return Err(format!("scenario {name:?} changed across encode/decode"));
     }
     let [la, lb] = variants.map(|(engine, shards)| format!("{engine} shards={shards}"));
-    let run = |(engine, shards)| {
+    let run = |(engine, shards), keep: bool| {
         let mut variant = decoded.clone();
         (variant.sim.engine, variant.sim.shards) = (engine, shards);
-        super::run::run_scenario_resumable(&variant, None, None).map_err(|e| e.to_string())
+        let mut run = Run::of(&variant, None).map_err(|e| e.to_string())?;
+        if keep {
+            run.keep_outcomes();
+        }
+        while run.step() {}
+        Ok::<_, String>(run.finish())
     };
-    let (a, sim_a) = run(variants[0])?;
-    let (b, sim_b) = run(variants[1])?;
+    let (a, sim_a) = run(variants[0], false)?;
+    let (b, sim_b) = run(variants[1], false)?;
     if a.outcomes != b.outcomes {
+        let (fa, fb) = (a.outcomes.fold(), b.outcomes.fold());
+        let first = first_difference(
+            &run(variants[0], true)?.0.outcomes,
+            &run(variants[1], true)?.0.outcomes,
+        );
         return Err(format!(
-            "MessageOutcome streams diverged on {name:?}: {la} produced {} outcomes (digest {:#x}), {lb} {} (digest {:#x})",
-            a.outcomes.len(),
-            a.outcome_digest(),
-            b.outcomes.len(),
-            b.outcome_digest(),
+            "MessageOutcome streams diverged on {name:?}: {la} produced {} outcomes (digest {:#x}), \
+             {lb} {} (digest {:#x}); first difference {first}",
+            fa.count, fa.digest, fb.count, fb.digest,
         ));
     }
     let summary =
@@ -293,6 +305,21 @@ pub fn differential_check(
         ));
     }
     Ok(())
+}
+
+/// Where two kept outcome streams first differ: the index, and each
+/// side's outcome there (`None` past its end).
+fn first_difference(a: &Outcomes, b: &Outcomes) -> String {
+    let at = a
+        .iter()
+        .zip(b)
+        .position(|(x, y)| x != y)
+        .unwrap_or_else(|| a.len().min(b.len()));
+    format!(
+        "at outcome {at}: {:?} vs {:?}",
+        a.iter().nth(at),
+        b.iter().nth(at)
+    )
 }
 
 /// Runs `count` seeded scenarios starting at `base_seed` through
@@ -366,6 +393,26 @@ mod tests {
         assert!(
             sends > 0 && bernoulli > 0 && on_off > 0 && trace > 0,
             "CI fuzz coverage hole: sends={sends} bernoulli={bernoulli} on_off={on_off} trace={trace}"
+        );
+    }
+
+    #[test]
+    fn a_divergence_names_the_first_outcome_that_differs() {
+        let s = random_scenario(0x5EED);
+        let mut run = Run::of(&s, None).unwrap();
+        run.keep_outcomes();
+        while run.step() {}
+        let kept = run.finish().0.outcomes;
+        assert!(kept.len() > 1, "{} outcomes", kept.len());
+        let mut changed: Vec<_> = kept.clone().into_iter().collect();
+        changed[1].completed_at += 1;
+        let got = first_difference(&kept, &changed.into());
+        assert!(got.starts_with("at outcome 1: Some("), "{got}");
+        let shorter: Vec<_> = kept.iter().take(1).cloned().collect();
+        let got = first_difference(&kept, &shorter.into());
+        assert!(
+            got.starts_with("at outcome 1: Some(") && got.ends_with("vs None"),
+            "{got}"
         );
     }
 

@@ -27,7 +27,7 @@ pub mod run;
 pub use run::{run_scenario, Run};
 
 use crate::experiment::LoadPoint;
-use crate::message::MessageOutcome;
+use crate::message::Outcomes;
 use crate::network::{NetworkSim, SimConfig};
 use crate::workload::{ArrivalProcess, RateMap, TrafficPattern, WorkloadError};
 use metro_harness::document::hex64;
@@ -232,8 +232,10 @@ impl NetworkSim {
 /// What replaying a scenario produced.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioResult {
-    /// Every completed message transaction, in completion order.
-    pub outcomes: Vec<MessageOutcome>,
+    /// Every completed message transaction, in completion order: its
+    /// fold always, the transactions themselves where the run kept them
+    /// ([`Run::keep_outcomes`]; the estimator keeps its own).
+    pub outcomes: Outcomes,
     /// Messages delivered (from the statistics window: for `Load`
     /// workloads this counts the measurement window only).
     pub delivered: u64,
@@ -252,37 +254,14 @@ pub struct ScenarioResult {
 }
 
 impl ScenarioResult {
-    /// A 64-bit FNV-1a digest of the complete outcome stream — a
-    /// compact determinism witness: two runs of the same scenario (or
+    /// The 64-bit FNV-1a digest of the complete outcome stream
+    /// ([`OutcomeFold::digest`](crate::message::OutcomeFold::digest)) —
+    /// a compact determinism witness: two runs of the same scenario (or
     /// of one scenario on the two engines) produced identical outcome
     /// streams iff their digests match.
     #[must_use]
     pub fn outcome_digest(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut absorb = |v: u64| {
-            for b in v.to_le_bytes() {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x0000_0100_0000_01B3);
-            }
-        };
-        for o in &self.outcomes {
-            absorb(o.src as u64);
-            absorb(o.dest as u64);
-            absorb(o.requested_at);
-            absorb(o.first_injection_at);
-            absorb(o.completed_at);
-            absorb(o.retries as u64);
-            absorb(o.failures.len() as u64);
-            absorb(match o.status {
-                crate::message::DeliveryStatus::Delivered => 0,
-                crate::message::DeliveryStatus::Undeliverable { attempts } => 1 + attempts as u64,
-            });
-            absorb(o.payload_words as u64);
-            for &w in &o.payload_delivered {
-                absorb(u64::from(w));
-            }
-        }
-        h
+        self.outcomes.digest()
     }
 
     /// The machine-readable result summary, suitable for
@@ -328,6 +307,14 @@ mod tests {
         Scenario::scripted("sample", MultibutterflySpec::small8(), sends, 1_200)
     }
 
+    /// [`run_scenario`], keeping the outcomes themselves.
+    fn run_keeping(s: &Scenario) -> ScenarioResult {
+        let mut run = Run::of(s, None).unwrap();
+        run.keep_outcomes();
+        while run.step() {}
+        run.finish().0
+    }
+
     #[test]
     fn from_scenario_applies_static_faults() {
         let mut s = scripted_sample();
@@ -343,9 +330,13 @@ mod tests {
         let b = run_scenario(&s).unwrap();
         assert_eq!(a, b, "two replays of one scenario must be identical");
         assert_eq!(a.outcomes.len(), 2);
-        assert_eq!(a.outcomes[0].payload_words, 3);
         assert_eq!(a.delivered, 2);
         assert_eq!(a.outcome_digest(), b.outcome_digest());
+        // Kept or only folded, the stream is the same.
+        let kept = run_keeping(&s);
+        assert_eq!(kept.outcomes[0].payload_words, 3);
+        assert_eq!(kept.outcomes.fold(), a.outcomes.fold());
+        assert_eq!(kept.to_json(), a.to_json());
     }
 
     #[test]
@@ -405,7 +396,7 @@ mod tests {
             }],
             cycles: 2_000,
         };
-        let clean = run_scenario(&s).unwrap();
+        let clean = run_keeping(&s);
         assert_eq!(clean.outcomes[0].retries, 0);
 
         let sim = NetworkSim::from_scenario(&s).unwrap();
@@ -421,7 +412,7 @@ mod tests {
             faults,
             repairs: RepairSet::default(),
         });
-        let faulty = run_scenario(&s).unwrap();
+        let faulty = run_keeping(&s);
         assert!(
             faulty.outcomes.is_empty()
                 || faulty.outcomes[0].retries > 0

@@ -82,8 +82,10 @@ impl Run {
         seeds: StreamSeeds,
         injections: &[FaultInjection],
     ) -> Self {
-        // The result is the sources' outcomes: nothing reads the destinations' log.
+        // The result is the sources' outcomes, folded: nothing reads the
+        // destinations' log, nor the outcomes one by one unless asked to.
         sim.set_keep_delivered(false);
+        sim.set_keep_outcomes(false);
         let mut pending = injections.to_vec();
         pending.sort_by_key(|i| i.at);
         let (offered, warmup, driven, end) = match workload {
@@ -238,6 +240,14 @@ impl Run {
         true
     }
 
+    /// Keeps every outcome harvested from here on in the result, one by
+    /// one, for a caller that reads them; otherwise the result carries
+    /// only their fold (digest, count, payload words), and the machine's
+    /// memory and checkpoints do not grow with the messages delivered.
+    pub fn keep_outcomes(&mut self) {
+        self.sim.set_keep_outcomes(true);
+    }
+
     /// Cycles completed — equivalently, the next cycle to run.
     #[must_use]
     pub fn cycle(&self) -> u64 {
@@ -275,7 +285,7 @@ impl Run {
     pub fn finish(self) -> (ScenarioResult, NetworkSim) {
         let mut sim = self.sim;
         let outcomes = sim.drain_outcomes();
-        let payload_words = outcomes.iter().map(|o| o.payload_words).sum();
+        let payload_words = outcomes.payload_words();
         let fabric_idle = sim.fabric_idle();
         let telemetry_every = sim.telemetry().interval();
         let endpoints = sim.topology().endpoints();

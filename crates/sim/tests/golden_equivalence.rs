@@ -11,7 +11,7 @@
 //! [`MessageOutcome`] sequences, the per-router counter totals, and the
 //! end-of-run fabric state all match exactly.
 
-use metro_sim::message::MessageOutcome;
+use metro_sim::message::Outcomes;
 use metro_sim::{EngineKind, NetworkSim, SimConfig};
 use metro_telemetry::CounterCell;
 use metro_topo::fault::{FaultKind, FaultSet};
@@ -74,7 +74,7 @@ fn run_engine(
     spec: &MultibutterflySpec,
     base: &SimConfig,
     load: &Workload,
-) -> (Vec<MessageOutcome>, Vec<Vec<CounterCell>>, bool, usize) {
+) -> (Outcomes, Vec<Vec<CounterCell>>, bool, usize) {
     let config = SimConfig {
         engine: kind,
         shards,

@@ -442,11 +442,13 @@ fn deterministic_replay() {
             sim.send(src, (src + 9) % 16, &[3; 6]);
         }
         sim.run(600);
-        let mut outs = sim.drain_outcomes();
-        outs.sort_by_key(|o| (o.src, o.completed_at));
-        outs.iter()
+        let mut outs: Vec<_> = sim
+            .drain_outcomes()
+            .into_iter()
             .map(|o| (o.src, o.dest, o.completed_at, o.retries))
-            .collect::<Vec<_>>()
+            .collect();
+        outs.sort_by_key(|&(src, _, completed_at, _)| (src, completed_at));
+        outs
     };
     assert_eq!(run(), run());
 }

@@ -43,7 +43,11 @@ fn main() {
         sim.tick();
         cycles += 1;
     }
-    let outcome = sim.drain_outcomes().pop().expect("conversation completes");
+    let outcome = sim
+        .drain_outcomes()
+        .into_iter()
+        .next_back()
+        .expect("conversation completes");
     println!(
         "completed in {} cycles, {} retries",
         outcome.total_latency(),

@@ -170,7 +170,7 @@ fn one_message_visits_only_its_path() {
     let mut sim = NetworkSim::new(&metro1k(), &SimConfig::default()).unwrap();
     let path = sim.topology().stages() as u64 + 2;
     sim.send(3, 777, &[1, 2, 3, 4, 5, 6, 7, 8]);
-    let mut outcomes = Vec::new();
+    let mut outcomes = sim.drain_outcomes();
     while outcomes.is_empty() {
         let before = sim.engine_visits();
         sim.tick();

@@ -6,7 +6,7 @@
 use metro_harness::document::{seal, DecodeError};
 use metro_harness::Json;
 use metro_sim::checkpoint::{resume_scenario, run_scenario_resumable, Checkpoint, CheckpointSink};
-use metro_sim::scenario::{codec, run_scenario, Run, ScenarioResult};
+use metro_sim::scenario::{codec, run_scenario, Run, ScenarioResult, WorkloadSpec};
 use metro_sim::NetworkSim;
 use metro_telemetry::{snapshot, RouterCounter};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -56,7 +56,7 @@ const CKPT_FIXTURE: &str = "tests/fixtures/figure1.ckpt.json";
 #[test]
 fn the_checkpoint_fixture_keeps_its_bytes_and_resumes_to_the_straight_run() {
     // Written at cycle 100 of scenarios/figure1.json — mid-traffic — by
-    // the build that introduced checkpoint schema 5.
+    // the build that introduced checkpoint schema 6.
     let text = read(CKPT_FIXTURE);
     let ckpt = Checkpoint::from_text(&text).unwrap();
     assert_eq!((ckpt.scenario.name.as_str(), ckpt.cycle), ("figure1", 100));
@@ -64,7 +64,7 @@ fn the_checkpoint_fixture_keeps_its_bytes_and_resumes_to_the_straight_run() {
     assert_eq!(doc.render(), text);
     assert_eq!(
         doc.get("checkpoint_hash").unwrap().as_str().unwrap(),
-        "0x05fc789bad4466f0"
+        "0x9999f841aa9064cb"
     );
     let (resumed, _sim) = resume_scenario(&ckpt).unwrap();
     let straight = run_scenario(&ckpt.scenario).unwrap();
@@ -122,15 +122,65 @@ fn section_at(c: &Checkpoint, tag: &str) -> usize {
 fn a_scenario_runs_snapshot_does_not_grow_with_its_deliveries() {
     let (straight, taken) = figure3_load_snapshots();
     // The words under the `endpoint` tags: from the first of them to the
-    // section that follows the last.
+    // section that follows the last. With the outcome history folded,
+    // the stream is little more than the machine, so the NICs are held
+    // to the routers' size rather than to a share of the whole.
     let endpoint_words = |c: &Checkpoint| section_at(c, "channels") - section_at(c, "endpoint");
     let [early, late] = [&taken[0], &taken[1]].map(endpoint_words);
+    let routers = section_at(&taken[1], "endpoint") - section_at(&taken[1], "router");
     assert!(
-        late < 2 * early && 4 * late < taken[1].state.len(),
-        "endpoint sections hold {early} words at cycle 600 and {late} of {} at cycle 1500",
-        taken[1].state.len()
+        late < 2 * early && late < routers,
+        "endpoint sections hold {early} words at cycle 600 and {late} at cycle 1500, \
+         the routers {routers}"
     );
     let (resumed, _sim) = resume_scenario(&taken[1]).unwrap();
+    assert_eq!(resumed.to_json().render(), straight.to_json().render());
+}
+
+/// A snapshot is the machine plus a fold of what it completed, so the
+/// whole stream stops growing: figure 3 at load 0.4, snapshotted at
+/// cycles 9,000 and 90,000, is the same size within 10 % in words, and
+/// the results (`netstats` and the `outcomes` fold) stay under a quarter
+/// of it — they were most of it while every outcome since cycle 0 was
+/// written.
+#[test]
+fn a_scenario_runs_whole_snapshot_stops_growing() {
+    let mut scenario = codec::from_text(&read("scenarios/figure3_load.json")).unwrap();
+    let WorkloadSpec::Load {
+        warmup, measure, ..
+    } = &mut scenario.workload
+    else {
+        panic!("figure3_load is a load workload");
+    };
+    *measure = 90_000 - *warmup;
+    let mut taken = Vec::new();
+    let mut sink = |c: &Checkpoint| {
+        if c.cycle == 9_000 || c.cycle == 90_000 {
+            taken.push(c.clone());
+        }
+        Ok(())
+    };
+    let hook = CheckpointSink {
+        every: 9_000,
+        sink: &mut sink,
+    };
+    let (straight, _sim) = run_scenario_resumable(&scenario, None, Some(hook)).unwrap();
+    let [early, late]: [Checkpoint; 2] = taken.try_into().expect("two snapshots");
+    let (before, words) = (early.state.len(), late.state.len());
+    assert!(
+        10 * words.abs_diff(before) <= before,
+        "{before} state words at cycle 9,000, {words} at cycle 90,000"
+    );
+    let results = section_at(&late, "telreg") - section_at(&late, "netstats");
+    assert!(
+        4 * results < words,
+        "netstats and the fold hold {results} of {words} words at cycle 90,000"
+    );
+    assert_eq!(
+        section_at(&late, "telreg") - section_at(&late, "outcomes"),
+        5
+    );
+    let (resumed, _sim) = resume_scenario(&late).unwrap();
     assert_eq!(resumed.to_json().render(), straight.to_json().render());
 }
 

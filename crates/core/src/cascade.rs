@@ -83,9 +83,10 @@ impl CascadeGroup {
     ) -> Result<Self, crate::error::ConfigError> {
         assert!(c >= 1, "a cascade needs at least one slice");
         let shared = RandomSource::new(seed);
+        let config = std::sync::Arc::new(config);
         let mut slices = Vec::with_capacity(c);
         for _ in 0..c {
-            let mut r = Router::new(params, config.clone(), seed)?;
+            let mut r = Router::new(params, std::sync::Arc::clone(&config), seed)?;
             // Identical stream state on every slice: shared randomness.
             r.set_random_source(shared.clone());
             slices.push(r);

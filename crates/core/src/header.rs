@@ -19,6 +19,8 @@
 //! header packs into words and which stages must be configured to
 //! swallow; [`RouteHeader`] packs a concrete digit sequence.
 
+use crate::word::Word;
+
 /// The per-stage layout of a route header for one path through a
 /// multistage network.
 ///
@@ -167,20 +169,47 @@ impl HeaderPlan {
             "digit count must match plan stages"
         );
         let mut words = vec![0u16; self.header_words];
-        for (s, (&digit, &bits)) in digits.iter().zip(&self.digit_bits).enumerate() {
-            if bits == 0 {
-                assert_eq!(digit, 0, "radix-1 stage digit must be zero");
-                continue;
+        for (s, &digit) in digits.iter().enumerate() {
+            if let Some((word, bits)) = self.place(s, digit) {
+                words[word] |= bits;
             }
-            assert!(
-                digit < (1usize << bits),
-                "digit {digit} exceeds {bits} bits at stage {s}"
-            );
-            let (word, offset) = self.placement[s];
-            let shift = self.w - offset - bits;
-            words[word] |= (digit as u16) << shift;
         }
         words
+    }
+
+    /// Appends the packed header for destination `dest` to `stream` as
+    /// data words — [`HeaderPlan::pack`] of [`HeaderPlan::digits_for`],
+    /// without either intermediate vector.
+    ///
+    /// # Panics
+    ///
+    /// As [`HeaderPlan::digits_for`].
+    pub fn push_header(&self, dest: usize, stream: &mut Vec<Word>) {
+        let start = stream.len();
+        stream.resize(start + self.header_words, Word::Data(0));
+        for (s, digit) in self.digits(dest).enumerate() {
+            if let Some((word, bits)) = self.place(s, digit) {
+                if let Word::Data(v) = &mut stream[start + word] {
+                    *v |= bits;
+                }
+            }
+        }
+    }
+
+    /// Where stage `s`'s route digit lands: its header word and the bits
+    /// it sets there, or `None` for a radix-1 stage.
+    fn place(&self, s: usize, digit: usize) -> Option<(usize, u16)> {
+        let bits = self.digit_bits[s];
+        if bits == 0 {
+            assert_eq!(digit, 0, "radix-1 stage digit must be zero");
+            return None;
+        }
+        assert!(
+            digit < (1usize << bits),
+            "digit {digit} exceeds {bits} bits at stage {s}"
+        );
+        let (word, offset) = self.placement[s];
+        Some((word, (digit as u16) << (self.w - offset - bits)))
     }
 
     /// Computes the per-stage digits for destination `dest` in a network
@@ -192,18 +221,21 @@ impl HeaderPlan {
     /// Panics if `dest` is outside the address space the stages span.
     #[must_use]
     pub fn digits_for(&self, dest: usize) -> Vec<usize> {
+        self.digits(dest).collect()
+    }
+
+    /// [`HeaderPlan::digits_for`], one stage at a time.
+    fn digits(&self, dest: usize) -> impl Iterator<Item = usize> + '_ {
         let total_bits: usize = self.digit_bits.iter().sum();
         assert!(
             total_bits >= usize::BITS as usize || dest < (1usize << total_bits),
             "destination {dest} outside {total_bits}-bit address space"
         );
-        let mut digits = Vec::with_capacity(self.digit_bits.len());
         let mut remaining = total_bits;
-        for &bits in &self.digit_bits {
+        self.digit_bits.iter().map(move |&bits| {
             remaining -= bits;
-            digits.push((dest >> remaining) & ((1usize << bits) - 1));
-        }
-        digits
+            (dest >> remaining) & ((1usize << bits) - 1)
+        })
     }
 }
 
@@ -338,6 +370,28 @@ mod tests {
         let plan = HeaderPlan::new(&[2, 0, 2], 8, 0);
         assert_eq!(plan.digits_for(0b11_01), vec![3, 0, 1]);
         assert_eq!(plan.header_words(), 1);
+    }
+
+    #[test]
+    fn push_header_appends_what_pack_packs() {
+        for plan in [
+            HeaderPlan::new(&[2, 2, 2], 8, 0),
+            HeaderPlan::new(&[1, 1, 1, 1, 1], 4, 0),
+            HeaderPlan::new(&[2, 0, 2], 8, 0),
+            HeaderPlan::new(&[2, 2, 2], 8, 2),
+        ] {
+            let span = 1 << plan.stage_digit_bits().iter().sum::<usize>();
+            for dest in 0..span {
+                let mut stream = vec![Word::Turn];
+                plan.push_header(dest, &mut stream);
+                let packed = plan.pack(&plan.digits_for(dest));
+                assert_eq!(stream[0], Word::Turn);
+                assert!(stream[1..]
+                    .iter()
+                    .copied()
+                    .eq(packed.into_iter().map(Word::Data)));
+            }
+        }
     }
 
     #[test]

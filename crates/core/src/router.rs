@@ -42,6 +42,7 @@ use crate::word::{phit, Word};
 use metro_telemetry::state::{StateError, StateReader, StateWriter};
 use metro_telemetry::{CounterCell, RouterCounter};
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// Forward-lane inputs to one [`Router::tick`] call: the word arriving
 /// on each forward port.
@@ -206,11 +207,14 @@ struct Port {
 }
 
 impl Port {
+    /// A port whose pipes hold `dp - 1` words: none, and no heap, at
+    /// `dp == 1`.
     fn new(dp: usize) -> Self {
+        let pipe = if dp > 1 { dp } else { 0 };
         Self {
             state: State::Idle,
-            fpipe: VecDeque::with_capacity(dp + 1),
-            rpipe: VecDeque::with_capacity(dp + 1),
+            fpipe: VecDeque::with_capacity(pipe),
+            rpipe: VecDeque::with_capacity(pipe),
             rq: VecDeque::new(),
             cksum: StreamChecksum::new(),
         }
@@ -228,14 +232,20 @@ impl Port {
     /// the final pipeline stage is the output register, whose one-cycle
     /// propagation to the neighboring component the network model
     /// accounts for at the transfer boundary, so total router transit is
-    /// exactly `dp` cycles.
+    /// exactly `dp` cycles. At `dp == 1` there is nothing to fill.
     fn fill_fpipe(&mut self, dp: usize, with: Word) {
+        if dp == 1 {
+            return;
+        }
         self.fpipe.clear();
         self.fpipe.extend(std::iter::repeat_n(with, dp - 1));
     }
 
     /// (Re)fills the reverse pipeline; see [`Port::fill_fpipe`].
     fn fill_rpipe(&mut self, dp: usize, with: Word) {
+        if dp == 1 {
+            return;
+        }
         self.rpipe.clear();
         self.rpipe.extend(std::iter::repeat_n(with, dp - 1));
     }
@@ -287,10 +297,15 @@ struct TickScratch {
 /// See the [module documentation](self) for the channel model. The
 /// router owns its allocator, random stream, and per-port state; calling
 /// [`Router::tick`] once per clock cycle drives everything.
+///
+/// The configuration is shared copy-on-write: routers built from one
+/// `Arc` (a network stage's) hold one copy until a write — a scan
+/// [`Router::apply_config`], or a restore of port modes that differ —
+/// gives the written router its own.
 #[derive(Debug, Clone)]
 pub struct Router {
     params: ArchParams,
-    config: RouterConfig,
+    config: Arc<RouterConfig>,
     rng: RandomSource,
     alloc: Allocator,
     ports: Vec<Port>,
@@ -308,7 +323,8 @@ pub struct Router {
 
 impl Router {
     /// Creates a router with the given parameters and configuration,
-    /// seeding its shared-randomness stream with `seed`.
+    /// seeding its shared-randomness stream with `seed`. `config` is a
+    /// [`RouterConfig`] of its own or an `Arc` shared with other routers.
     ///
     /// # Errors
     ///
@@ -317,24 +333,10 @@ impl Router {
     /// `config`.
     pub fn new(
         params: ArchParams,
-        config: RouterConfig,
+        config: impl Into<Arc<RouterConfig>>,
         seed: u64,
     ) -> Result<Self, crate::error::ConfigError> {
-        let dp = params.pipestages();
-        assert!(
-            params.forward_ports() <= 64,
-            "port bitplanes hold at most 64 ports per side"
-        );
-        Ok(Self {
-            alloc: Allocator::new(&config, params.backward_ports()),
-            ports: (0..params.forward_ports()).map(|_| Port::new(dp)).collect(),
-            rng: RandomSource::new(seed),
-            params,
-            config,
-            active: 0,
-            counters: CounterCell::new(),
-            scratch: TickScratch::default(),
-        })
+        Self::with_policy(params, config, seed, SelectionPolicy::Random)
     }
 
     /// Creates a router with a non-default selection policy (ablation
@@ -346,13 +348,26 @@ impl Router {
     /// See [`Router::new`].
     pub fn with_policy(
         params: ArchParams,
-        config: RouterConfig,
+        config: impl Into<Arc<RouterConfig>>,
         seed: u64,
         policy: SelectionPolicy,
     ) -> Result<Self, crate::error::ConfigError> {
-        let mut r = Self::new(params, config, seed)?;
-        r.alloc = Allocator::with_policy(&r.config, r.params.backward_ports(), policy);
-        Ok(r)
+        let config = config.into();
+        let dp = params.pipestages();
+        assert!(
+            params.forward_ports() <= 64,
+            "port bitplanes hold at most 64 ports per side"
+        );
+        Ok(Self {
+            alloc: Allocator::with_policy(&config, params.backward_ports(), policy),
+            ports: (0..params.forward_ports()).map(|_| Port::new(dp)).collect(),
+            rng: RandomSource::new(seed),
+            params,
+            config,
+            active: 0,
+            counters: CounterCell::new(),
+            scratch: TickScratch::default(),
+        })
     }
 
     /// The router's architectural parameters.
@@ -372,7 +387,8 @@ impl Router {
     /// operation). Connections in flight are unaffected except that
     /// newly disabled backward ports are no longer granted. Every port
     /// flipped enabled → disabled counts as one applied mask in the
-    /// telemetry ([`RouterCounter::MasksApplied`]).
+    /// telemetry ([`RouterCounter::MasksApplied`]). The router stops
+    /// sharing its old configuration with any other.
     pub fn apply_config(&mut self, config: RouterConfig) {
         for f in 0..self.params.forward_ports() {
             if self.config.forward_enabled(f) && !config.forward_enabled(f) {
@@ -384,7 +400,7 @@ impl Router {
                 self.counters.inc(RouterCounter::MasksApplied);
             }
         }
-        self.config = config;
+        self.config = Arc::new(config);
     }
 
     /// Records an externally observed event against this router's
@@ -535,7 +551,9 @@ impl Router {
     /// [`RouterConfig::set_backward_mode`] directly — deliberately not
     /// via [`Router::apply_config`], whose `MasksApplied` accounting
     /// would double-count healing masks already folded into the saved
-    /// counter cell.
+    /// counter cell — and only where a saved mode differs from the
+    /// current one, so a router whose modes match keeps sharing its
+    /// configuration.
     ///
     /// # Errors
     ///
@@ -552,11 +570,17 @@ impl Router {
         let o = self.params.backward_ports();
         r.shape(i, "forward port modes")?;
         for f in 0..i {
-            self.config.set_forward_mode(f, get_mode(r)?);
+            let mode = get_mode(r)?;
+            if self.config.forward_mode(f) != mode {
+                Arc::make_mut(&mut self.config).set_forward_mode(f, mode);
+            }
         }
         r.shape(o, "backward port modes")?;
         for b in 0..o {
-            self.config.set_backward_mode(b, get_mode(r)?);
+            let mode = get_mode(r)?;
+            if self.config.backward_mode(b) != mode {
+                Arc::make_mut(&mut self.config).set_backward_mode(b, mode);
+            }
         }
         r.shape(self.ports.len(), "forward ports")?;
         for port in &mut self.ports {

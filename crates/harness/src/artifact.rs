@@ -23,11 +23,6 @@ pub struct RunCtx {
     pub flags: Vec<String>,
     /// Where results land.
     pub results: ResultsDir,
-    /// Watchdog wall-clock bound per artifact attempt
-    /// (`--deadline SECS`; `None` = unbounded).
-    pub deadline: Option<std::time::Duration>,
-    /// Supervised re-runs after a failed attempt (`--retries N`).
-    pub retries: u32,
 }
 
 impl RunCtx {
@@ -40,8 +35,6 @@ impl RunCtx {
             jobs: NonZeroUsize::MIN,
             flags: Vec::new(),
             results: ResultsDir::standard(),
-            deadline: None,
-            retries: 0,
         }
     }
 

@@ -18,8 +18,8 @@ use crate::document::hex64;
 use crate::json::Json;
 use crate::log::{self, Verbosity};
 use crate::results::RunRecord;
-use crate::supervisor::Supervisor;
-use std::time::{Duration, Instant};
+use crate::supervisor::supervise;
+use std::time::Instant;
 
 /// A parsed `metro` invocation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -35,8 +35,8 @@ pub enum Command {
         /// Debug-level harness narration (`--verbose`).
         verbose: bool,
         /// What each of them runs with: `--quick`, `--jobs` (default:
-        /// host parallelism), `--deadline`, `--retries`, the flags
-        /// passed through to artifacts, the standard results directory.
+        /// host parallelism), the flags passed through to artifacts, the
+        /// standard results directory.
         ctx: RunCtx,
     },
     /// `metro help` / usage errors (with an optional message).
@@ -105,16 +105,6 @@ fn parse_run(registry: &Registry, args: &[String]) -> Result<Command, String> {
             "--json" => json = true,
             "--verbose" => verbose = true,
             "--jobs" => ctx.jobs = parsed(&mut it, "--jobs", "a positive integer")?,
-            "--deadline" => {
-                let v = value(&mut it, "--deadline")?;
-                match v.parse::<f64>() {
-                    Ok(secs) if secs > 0.0 && secs.is_finite() => {
-                        ctx.deadline = Some(Duration::from_secs_f64(secs));
-                    }
-                    _ => return Err(format!("--deadline needs positive seconds, got {v:?}")),
-                }
-            }
-            "--retries" => ctx.retries = parsed(&mut it, "--retries", "a non-negative integer")?,
             "--inject-panic" => ctx.flags.push(a.clone()),
             f if f.starts_with("--") => return Err(format!("unknown flag {f:?}")),
             name => {
@@ -180,25 +170,21 @@ pub fn usage(verbs: &[(&str, &str)]) -> String {
      \x20 --json       print the machine-readable document instead of the report\n\
      \x20 --jobs N     worker threads for sweep points (default: host parallelism)\n\
      \x20 --verbose    debug-level harness narration (sidecar paths, hashes)\n\
-     \x20 --deadline S watchdog: abandon an artifact attempt after S seconds\n\
-     \x20 --retries N  re-run a failed artifact up to N times (deterministic replay)\n\
      \n\
      every run writes results/<artifact>.json and appends to results/manifest.json;\n\
      simulation-backed artifacts add .scenario.json and .telemetry.json sidecars.\n\
-     a panicking, timed-out, or failing artifact is quarantined: the sweep\n\
+     a panicking or failing artifact is quarantined: the sweep\n\
      continues and the manifest records a typed failure entry\n"
     )
 }
 
 /// Runs one artifact end to end under supervision: execute (panics
-/// caught, deadline enforced, retries per [`RunCtx`]), print, write
-/// `results/<name>.json`, append the manifest record. Returns the
-/// artifact's wall-clock seconds.
+/// caught), print, write `results/<name>.json`, append the manifest
+/// record. Returns the artifact's wall-clock seconds.
 ///
 /// A failed artifact is **quarantined**, not fatal: the typed failure
-/// (panic payload / timeout / error, attempt count) is appended to the
-/// manifest so a `metro run --all` sweep continues past it with an
-/// audit trail. The `--inject-panic` flag is the supervision
+/// (panic payload or error) is appended to the manifest so a
+/// `metro run --all` sweep continues past it with an audit trail. The `--inject-panic` flag is the supervision
 /// self-test hook: it makes the artifact panic before running, so CI
 /// can assert the quarantine path end to end.
 ///
@@ -215,20 +201,13 @@ pub fn run_one(
     let artifact = registry
         .get(name)
         .ok_or_else(|| format!("unknown artifact {name:?}"))?;
-    let supervisor = Supervisor {
-        deadline: ctx.deadline,
-        retries: ctx.retries,
-        ..Supervisor::default()
-    };
-    let run_fn = artifact.run;
-    let worker_ctx = ctx.clone();
     let started = Instant::now();
-    let outcome = supervisor.supervise(name, move || {
+    let outcome = supervise(name, || {
         assert!(
-            !worker_ctx.flag("--inject-panic"),
+            !ctx.flag("--inject-panic"),
             "injected panicking point (--inject-panic)"
         );
-        run_fn(&worker_ctx)
+        (artifact.run)(ctx)
     });
     let wall = started.elapsed().as_secs_f64();
     let mut record = RunRecord::new(name, wall);
@@ -393,42 +372,9 @@ mod tests {
                 assert_eq!(names, vec!["fig3"]);
                 assert!(ctx.quick && !json && !verbose);
                 assert_eq!(ctx.jobs.get(), 4);
-                assert_eq!(ctx.deadline, None);
-                assert_eq!(ctx.retries, 0);
                 assert!(ctx.flags.is_empty());
             }
             other => panic!("{other:?}"),
-        }
-    }
-
-    #[test]
-    fn parses_supervision_flags() {
-        let cmd = parse_args(
-            &registry(),
-            &s(&["run", "fig3", "--deadline", "2.5", "--retries", "3"]),
-        );
-        match cmd {
-            Command::Run { ctx, .. } => {
-                assert_eq!(ctx.deadline, Some(Duration::from_secs_f64(2.5)));
-                assert_eq!(ctx.retries, 3);
-            }
-            other => panic!("{other:?}"),
-        }
-    }
-
-    #[test]
-    fn bad_supervision_values_are_usage_errors() {
-        for bad in [
-            &["run", "fig3", "--deadline", "0"][..],
-            &["run", "fig3", "--deadline", "soon"],
-            &["run", "fig3", "--deadline"],
-            &["run", "fig3", "--retries", "-1"],
-            &["run", "fig3", "--retries"],
-        ] {
-            assert!(
-                matches!(parse_args(&registry(), &s(bad)), Command::Help(Some(_))),
-                "{bad:?}"
-            );
         }
     }
 
@@ -544,7 +490,7 @@ mod tests {
             failure.get("detail").and_then(Json::as_str),
             Some("artifact exploded mid-sweep")
         );
-        assert_eq!(failure.get("attempts").and_then(Json::as_f64), Some(1.0));
+        assert!(failure.get("attempts").is_none());
         let _ = std::fs::remove_dir_all(ctx.results.root());
     }
 
@@ -564,34 +510,6 @@ mod tests {
             .get("detail")
             .and_then(Json::as_str)
             .is_some_and(|d| d.contains("--inject-panic")));
-        let _ = std::fs::remove_dir_all(ctx.results.root());
-    }
-
-    #[test]
-    fn retries_recover_a_transient_artifact_without_a_manifest_failure() {
-        use std::sync::atomic::{AtomicU32, Ordering};
-        static CALLS: AtomicU32 = AtomicU32::new(0);
-        fn flaky_run(_: &RunCtx) -> Result<ArtifactOutput, String> {
-            if CALLS.fetch_add(1, Ordering::SeqCst) == 0 {
-                panic!("transient wobble");
-            }
-            ok_run(&RunCtx::new())
-        }
-        let mut r = Registry::new();
-        r.register(Artifact {
-            name: "flaky",
-            description: "",
-            quick_profile: "",
-            full_profile: "",
-            run: flaky_run,
-        });
-        let mut ctx = temp_ctx("retry");
-        ctx.retries = 1;
-        run_one(&r, "flaky", &ctx, false).expect("second attempt succeeds");
-        assert_eq!(CALLS.load(Ordering::SeqCst), 2);
-        let manifest = ctx.results.read_manifest().unwrap();
-        let runs = manifest.get("runs").and_then(Json::as_arr).unwrap();
-        assert!(runs[0].get("failure").is_none(), "recovered run is clean");
         let _ = std::fs::remove_dir_all(ctx.results.root());
     }
 }

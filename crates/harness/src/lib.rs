@@ -25,9 +25,8 @@
 //! * [`results`] — the results layer: one `results/<artifact>.json`
 //!   per run plus `results/manifest.json` recording artifact name, git
 //!   revision, wall-clock, point count, worker count, and parameters.
-//! * [`supervisor`] — crash-safe artifact execution: panics caught and
-//!   quarantined as typed manifest failures, watchdog deadlines, and
-//!   deterministic retries (`--deadline`, `--retries`).
+//! * [`supervisor`] — crash-safe artifact execution: panics and error
+//!   returns quarantined as typed manifest failures.
 //! * [`cli`] — argument parsing and the runner behind the `metro`
 //!   binary.
 //!
@@ -56,4 +55,4 @@ pub use executor::{default_jobs, panic_payload, par_map, TickPool};
 pub use json::Json;
 pub use log::Verbosity;
 pub use results::{ResultsDir, ResultsError, RunRecord};
-pub use supervisor::{FailureKind, PointFailure, Supervisor};
+pub use supervisor::{supervise, FailureKind, PointFailure};

@@ -94,8 +94,7 @@ pub struct RunRecord {
     /// (`results/<artifact>.telemetry.json`), when one was exported.
     pub telemetry_hash: Option<String>,
     /// Present when the run was quarantined by the supervisor instead
-    /// of completing: how it failed (panic payload, timeout, error),
-    /// and how many attempts were made.
+    /// of completing: how it failed (panic payload or error).
     pub failure: Option<crate::supervisor::PointFailure>,
 }
 
@@ -395,7 +394,6 @@ mod tests {
         rec.failure = Some(crate::supervisor::PointFailure {
             kind: crate::supervisor::FailureKind::Panic,
             detail: "index out of bounds".to_string(),
-            attempts: 2,
         });
         dir.append_manifest(&rec).unwrap();
         let manifest = dir.read_manifest().unwrap();
@@ -408,7 +406,6 @@ mod tests {
             failure.get("detail").and_then(Json::as_str),
             Some("index out of bounds")
         );
-        assert_eq!(failure.get("attempts").and_then(Json::as_f64), Some(2.0));
         let _ = std::fs::remove_dir_all(dir.root());
     }
 

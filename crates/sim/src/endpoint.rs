@@ -223,6 +223,8 @@ impl TxEngine {
 enum RxState {
     Idle,
     Receiving {
+        /// The payload so far, for the delivered log; empty while the
+        /// log is off (the checksum alone judges the message).
         payload: Vec<u16>,
         expected: Option<u16>,
         cksum: StreamChecksum,
@@ -363,9 +365,16 @@ impl Endpoint {
         self.queue.len()
     }
 
-    /// Drains the outcomes of completed transactions.
-    pub fn take_completed(&mut self) -> Vec<MessageOutcome> {
-        std::mem::take(&mut self.completed)
+    /// Drains the outcomes of finished transactions: `(completed,
+    /// abandoned)`, the second those whose retry budget ran out. The
+    /// buffers keep their capacity for the next.
+    pub fn drain_finished(
+        &mut self,
+    ) -> (
+        std::vec::Drain<'_, MessageOutcome>,
+        std::vec::Drain<'_, MessageOutcome>,
+    ) {
+        (self.completed.drain(..), self.abandoned.drain(..))
     }
 
     /// Whether any completed or abandoned outcomes await harvesting —
@@ -373,11 +382,6 @@ impl Endpoint {
     #[must_use]
     pub fn has_outcomes(&self) -> bool {
         !self.completed.is_empty() || !self.abandoned.is_empty()
-    }
-
-    /// Drains the outcomes of abandoned transactions (max retries hit).
-    pub fn take_abandoned(&mut self) -> Vec<MessageOutcome> {
-        std::mem::take(&mut self.abandoned)
     }
 
     /// Messages delivered *to* this endpoint.
@@ -411,7 +415,8 @@ impl Endpoint {
     /// Turns the delivered-message log on or off. On by default; a
     /// caller that never drains it ([`Endpoint::take_delivered`]) turns
     /// it off, or every payload since cycle 0 stays in memory and in
-    /// every checkpoint. What the receiver does on the wire is the same.
+    /// every checkpoint. Off, a receiver does not buffer payload words
+    /// either. What the receiver does on the wire is the same.
     pub fn set_keep_delivered(&mut self, on: bool) {
         self.keep_delivered = on;
         if !on {
@@ -769,7 +774,11 @@ impl Endpoint {
                         let mut cksum = StreamChecksum::new();
                         cksum.absorb_value(v);
                         *state = RxState::Receiving {
-                            payload: vec![v],
+                            payload: if self.keep_delivered {
+                                vec![v]
+                            } else {
+                                Vec::new()
+                            },
                             expected: None,
                             cksum,
                         };
@@ -795,7 +804,9 @@ impl Endpoint {
                     in_rev[p] = Word::DataIdle;
                     match word {
                         Word::Data(v) => {
-                            payload.push(v);
+                            if self.keep_delivered {
+                                payload.push(v);
+                            }
                             cksum.absorb_value(v);
                         }
                         Word::Checksum(c) => *expected = Some(c),
@@ -1294,7 +1305,7 @@ mod tests {
             };
             e.tick(4 + k as u64, &io);
         }
-        let done = e.take_completed();
+        let done = finished(&mut e).0;
         assert_eq!(done.len(), 1);
         assert_eq!(done[0].dest, 2);
         assert_eq!(done[0].retries, 0);
@@ -1325,7 +1336,7 @@ mod tests {
             e.tick(4 + k as u64, &io);
         }
         assert!(e.is_busy(), "blocked message must retry");
-        assert!(e.take_completed().is_empty());
+        assert!(finished(&mut e).0.is_empty());
     }
 
     #[test]
@@ -1360,7 +1371,7 @@ mod tests {
         for now in 0..60 {
             e.tick(now, &EndpointIo::idle(1, 1));
         }
-        let lost = e.take_abandoned();
+        let lost = finished(&mut e).1;
         assert_eq!(lost.len(), 1);
         assert_eq!(lost[0].retries, 2);
         assert!(!e.is_busy());
@@ -1408,6 +1419,12 @@ mod tests {
         assert_eq!(e.queue_len(), 1);
     }
 
+    /// The endpoint's finished outcomes, drained: `(completed, abandoned)`.
+    fn finished(e: &mut Endpoint) -> (Vec<MessageOutcome>, Vec<MessageOutcome>) {
+        let (completed, abandoned) = e.drain_finished();
+        (completed.collect(), abandoned.collect())
+    }
+
     /// The machine the save/restore tests below stop in: 20 cycles run.
     const WITHIN: MachineExtent = MachineExtent {
         now: 20,
@@ -1444,8 +1461,7 @@ mod tests {
             let io = EndpointIo::idle(2, 2);
             assert_eq!(live.tick(now, &io), twin.tick(now, &io), "cycle {now}");
         }
-        assert_eq!(live.take_completed(), twin.take_completed());
-        assert_eq!(live.take_abandoned(), twin.take_abandoned());
+        assert_eq!(finished(&mut live), finished(&mut twin));
         assert_eq!(live.queue_len(), twin.queue_len());
     }
 
@@ -1491,7 +1507,7 @@ mod tests {
         let (mut e, mut now, segments) = mid_conversation();
         steps(&mut e, &mut now, &[Word::DataIdle; 2]);
         steps(&mut e, &mut now, &[Word::Data(ACK_CORRUPT), Word::Drop]);
-        assert!(e.is_busy() && e.take_completed().is_empty());
+        assert!(e.is_busy() && finished(&mut e).0.is_empty());
         // Backoff drives nothing; then the whole conversation again,
         // header first, every segment acknowledged.
         let mut first = Word::Empty;
@@ -1512,7 +1528,7 @@ mod tests {
             Word::Drop,
             "closing DROP"
         );
-        let done = e.take_completed();
+        let done = finished(&mut e).0;
         assert_eq!(done.len(), 1);
         assert_eq!(done[0].failures, vec![FailureKind::Corrupt]);
         assert_eq!((done[0].retries, done[0].payload_words), (1, 4));

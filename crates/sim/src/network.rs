@@ -36,6 +36,7 @@ use metro_telemetry::{
 use metro_topo::fault::{FaultKind, FaultSet};
 use metro_topo::graph::LinkId;
 use metro_topo::multibutterfly::{Multibutterfly, MultibutterflySpec, StageSpec};
+use std::sync::Arc;
 
 pub use crate::engine::EngineKind;
 
@@ -270,14 +271,16 @@ impl NetworkSim {
             for b in 0..st.backward_ports {
                 builder = builder.with_backward_turn_delay(b, bd(s + 1));
             }
-            let router_config = builder.build()?;
+            // One configuration per stage, shared until a router's own
+            // is written (a heal or scan mask, a restore).
+            let router_config = Arc::new(builder.build()?);
             let mut stage = Vec::with_capacity(topo.routers_in_stage(s));
             for r in 0..topo.routers_in_stage(s) {
                 let mut seed_src = master.derive((s as u64) << 32 | r as u64);
                 let seed = seed_src.bits(64);
                 stage.push(Router::with_policy(
                     params,
-                    router_config.clone(),
+                    Arc::clone(&router_config),
                     seed,
                     config.selection,
                 )?);
@@ -358,9 +361,9 @@ impl NetworkSim {
     /// (masked to `w` bits) + end-to-end checksum + TURN.
     #[must_use]
     pub fn stream_for(&self, dest: usize, payload: &[u16]) -> Vec<Word> {
-        let digits = self.topo.route_digits(dest);
-        let header = self.plan.pack(&digits).into_iter().map(Word::Data);
-        self.segment_onto(header.collect(), payload)
+        let mut stream = Vec::with_capacity(self.plan.header_words() + payload.len() + 2);
+        self.plan.push_header(dest, &mut stream);
+        self.segment_onto(stream, payload)
     }
 
     /// Builds a continuation segment (no header — the circuit is
@@ -490,17 +493,18 @@ impl NetworkSim {
             self.registry.sync(counter_cells(&self.routers));
         }
         self.now += 1;
-        for e in 0..self.endpoints.len() {
-            if !self.endpoints[e].has_outcomes() {
+        for endpoint in &mut self.endpoints {
+            if !endpoint.has_outcomes() {
                 continue;
             }
-            for o in self.endpoints[e].take_completed() {
+            let (completed, abandoned) = endpoint.drain_finished();
+            for o in completed {
                 if o.requested_at >= self.stats_from {
                     self.stats.record(&o);
                 }
                 self.outcomes.push(o);
             }
-            for o in self.endpoints[e].take_abandoned() {
+            for o in abandoned {
                 self.stats.record_abandoned(&o);
                 self.outcomes.push(o);
             }

@@ -296,18 +296,18 @@ pub struct Multibutterfly {
     spec: MultibutterflySpec,
     routers_per_stage: Vec<usize>,
     groups_per_stage: Vec<usize>,
-    /// `links[s][r][b]` — where backward port `b` of router `r` in
-    /// stage `s` connects.
-    links: Vec<Vec<Vec<LinkTarget>>>,
-    /// `feeders[s][r][f]` — what drives forward port `f` of router `r`
-    /// in stage `s`.
-    feeders: Vec<Vec<Vec<Feeder>>>,
-    /// `injections[e][p]` — the stage-0 (router, forward port) endpoint
-    /// `e`'s output port `p` connects to.
-    injections: Vec<Vec<(usize, usize)>>,
-    /// `deliveries[e][p]` — the last-stage (router, backward port)
+    /// `links[s][r·o + b]` — where backward port `b` of router `r` in
+    /// stage `s` (of `o` backward ports) connects.
+    links: Vec<Vec<LinkTarget>>,
+    /// `feeders[s][r·i + f]` — what drives forward port `f` of router
+    /// `r` in stage `s` (of `i` forward ports).
+    feeders: Vec<Vec<Feeder>>,
+    /// `injections[e·ep + p]` — the stage-0 (router, forward port)
+    /// endpoint `e`'s output port `p` connects to.
+    injections: Vec<(usize, usize)>,
+    /// `deliveries[e·ep + p]` — the last-stage (router, backward port)
     /// feeding endpoint `e`'s input port `p`.
-    deliveries: Vec<Vec<(usize, usize)>>,
+    deliveries: Vec<(usize, usize)>,
 }
 
 impl Multibutterfly {
@@ -374,45 +374,27 @@ impl Multibutterfly {
             });
         }
 
-        // --- storage ---
-        let mut links: Vec<Vec<Vec<LinkTarget>>> = spec
-            .stages
-            .iter()
-            .enumerate()
-            .map(|(s, st)| {
-                vec![
-                    vec![
-                        LinkTarget::Endpoint {
-                            endpoint: usize::MAX,
-                            port: usize::MAX
-                        };
-                        st.backward_ports
-                    ];
-                    routers_per_stage[s]
-                ]
-            })
+        // --- storage: one flat table per stage ---
+        let unset = usize::MAX;
+        let no_link = LinkTarget::Endpoint {
+            endpoint: unset,
+            port: unset,
+        };
+        let no_feeder = Feeder::Endpoint {
+            endpoint: unset,
+            port: unset,
+        };
+        let stage_sizes = spec.stages.iter().zip(&routers_per_stage);
+        let mut links: Vec<Vec<LinkTarget>> = stage_sizes
+            .clone()
+            .map(|(st, &routers)| vec![no_link; routers * st.backward_ports])
             .collect();
-        let mut feeders: Vec<Vec<Vec<Feeder>>> = spec
-            .stages
-            .iter()
-            .enumerate()
-            .map(|(s, st)| {
-                vec![
-                    vec![
-                        Feeder::Endpoint {
-                            endpoint: usize::MAX,
-                            port: usize::MAX
-                        };
-                        st.forward_ports
-                    ];
-                    routers_per_stage[s]
-                ]
-            })
+        let mut feeders: Vec<Vec<Feeder>> = stage_sizes
+            .map(|(st, &routers)| vec![no_feeder; routers * st.forward_ports])
             .collect();
-        let mut injections =
-            vec![vec![(usize::MAX, usize::MAX); spec.endpoint_ports]; spec.endpoints];
-        let mut deliveries =
-            vec![vec![(usize::MAX, usize::MAX); spec.endpoint_ports]; spec.endpoints];
+        let ep = spec.endpoint_ports;
+        let mut injections = vec![(unset, unset); spec.endpoints * ep];
+        let mut deliveries = vec![(unset, unset); spec.endpoints * ep];
 
         // --- injection boundary: endpoints -> stage 0 ---
         {
@@ -437,8 +419,8 @@ impl Multibutterfly {
                     let slot = assignment[wiring::wire_index(e, p, spec.endpoints)];
                     let router = slot / st.forward_ports;
                     let port = slot % st.forward_ports;
-                    injections[e][p] = (router, port);
-                    feeders[0][router][port] = Feeder::Endpoint {
+                    injections[row(e, p, ep)] = (router, port);
+                    feeders[0][row(router, port, st.forward_ports)] = Feeder::Endpoint {
                         endpoint: e,
                         port: p,
                     };
@@ -480,14 +462,16 @@ impl Multibutterfly {
                                 let down_local = slot / nst.forward_ports;
                                 let down_port = slot % nst.forward_ports;
                                 let down_router = down_group * down_rpg + down_local;
-                                links[s][up_router][bwd] = LinkTarget::Router {
-                                    router: down_router,
-                                    port: down_port,
-                                };
-                                feeders[s + 1][down_router][down_port] = Feeder::Router {
-                                    router: up_router,
-                                    port: bwd,
-                                };
+                                links[s][row(up_router, bwd, st.backward_ports)] =
+                                    LinkTarget::Router {
+                                        router: down_router,
+                                        port: down_port,
+                                    };
+                                feeders[s + 1][row(down_router, down_port, nst.forward_ports)] =
+                                    Feeder::Router {
+                                        router: up_router,
+                                        port: bwd,
+                                    };
                             }
                         }
                     } else {
@@ -499,11 +483,12 @@ impl Multibutterfly {
                                 let up_router = g * rpg + t;
                                 let bwd = j * st.dilation + c;
                                 let port = t * st.dilation + c;
-                                links[s][up_router][bwd] = LinkTarget::Endpoint {
-                                    endpoint: dest,
-                                    port,
-                                };
-                                deliveries[dest][port] = (up_router, bwd);
+                                links[s][row(up_router, bwd, st.backward_ports)] =
+                                    LinkTarget::Endpoint {
+                                        endpoint: dest,
+                                        port,
+                                    };
+                                deliveries[row(dest, port, ep)] = (up_router, bwd);
                             }
                         }
                     }
@@ -573,27 +558,27 @@ impl Multibutterfly {
     /// Where backward port `b` of router `r` in stage `s` connects.
     #[must_use]
     pub fn link(&self, s: usize, r: usize, b: usize) -> LinkTarget {
-        self.links[s][r][b]
+        self.links[s][row(r, b, self.spec.stages[s].backward_ports)]
     }
 
     /// What feeds forward port `f` of router `r` in stage `s`.
     #[must_use]
     pub fn feeder(&self, s: usize, r: usize, f: usize) -> Feeder {
-        self.feeders[s][r][f]
+        self.feeders[s][row(r, f, self.spec.stages[s].forward_ports)]
     }
 
     /// The stage-0 (router, forward port) endpoint `e`'s output port `p`
     /// drives.
     #[must_use]
     pub fn injection(&self, e: usize, p: usize) -> (usize, usize) {
-        self.injections[e][p]
+        self.injections[row(e, p, self.spec.endpoint_ports)]
     }
 
     /// The last-stage (router, backward port) feeding endpoint `e`'s
     /// input port `p`.
     #[must_use]
     pub fn delivery(&self, e: usize, p: usize) -> (usize, usize) {
-        self.deliveries[e][p]
+        self.deliveries[row(e, p, self.spec.endpoint_ports)]
     }
 
     /// Per-stage route digit widths (bits), injection side first.
@@ -622,6 +607,18 @@ impl Multibutterfly {
         }
         digits
     }
+}
+
+/// Where port `p` of element `n` sits in a flat table of `ports` per
+/// element (a router's, or an endpoint's, row).
+///
+/// # Panics
+///
+/// Panics if `p` is not one of the `ports`: the flat index would land
+/// on another element's row.
+fn row(n: usize, p: usize, ports: usize) -> usize {
+    assert!(p < ports, "port {p} out of range for {ports} ports");
+    n * ports + p
 }
 
 #[cfg(test)]
@@ -761,6 +758,13 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "port 4 out of range for 4 ports")]
+    fn a_port_past_the_router_is_refused_not_read_from_the_next_row() {
+        let net = Multibutterfly::build(&MultibutterflySpec::figure1()).unwrap();
+        let _ = net.link(0, 0, 4);
     }
 
     #[test]

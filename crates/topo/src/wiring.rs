@@ -78,6 +78,9 @@ pub fn randomized(
         down_routers * down_ports,
         "wire and port counts must balance"
     );
+    // Downstream routers the current upstream router's copies use; one
+    // buffer for every upstream router.
+    let mut used_routers = Vec::with_capacity(dilation);
     'retry: for _ in 0..64 {
         let mut ports: Vec<usize> = (0..n).collect();
         // Fisher-Yates shuffle of the downstream port slots.
@@ -87,7 +90,7 @@ pub fn randomized(
         let mut assignment = vec![usize::MAX; n];
         let mut cursor = 0usize;
         for t in 0..up_routers {
-            let mut used_routers = Vec::with_capacity(dilation);
+            used_routers.clear();
             for c in 0..dilation {
                 // Scan forward for a slot in a router not yet used by
                 // this upstream router.

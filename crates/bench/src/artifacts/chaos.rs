@@ -93,7 +93,7 @@ impl StormFlags {
                 "--engine" => match cli::value(&mut it, a)? {
                     "both" => flags.engine = EngineChoice::Both,
                     name => match EngineKind::from_name(name) {
-                        Some(k) if k.is_cycle_accurate() => flags.engine = EngineChoice::One(k),
+                        Some(k) if k != EngineKind::Analytic => flags.engine = EngineChoice::One(k),
                         Some(k) => {
                             return Err(format!(
                                 "--engine {}: chaos invariants are cycle-exact; \

@@ -8,7 +8,7 @@
 //!                                           --checkpoint-dir checkpoints
 //! metro resume checkpoints/figure1.ckpt.json   # continue after a crash
 //! metro scenario dump figure3_load              # print a corpus scenario
-//! metro scenario validate scenarios/*.json      # byte-stable round-trip check
+//! metro scenario validate scenarios/*.json      # canonical bytes, and it lowers
 //! metro scenario fuzz --count 25 --seed 7       # differential Flat vs Reference
 //! ```
 //!
@@ -46,7 +46,7 @@ fn usage() -> String {
      \x20                           state every K cycles into --checkpoint-dir,\n\
      \x20                           default `checkpoints`)\n\
      \x20 dump <name>               print a corpus scenario (see `dump --list`)\n\
-     \x20 validate <file.json>...   check byte-stable JSON round-trips\n\
+     \x20 validate <file.json>...   check canonical bytes, then lower the scenario\n\
      \x20 fuzz [--count N] [--seed S] [--shards N]\n\
      \x20                           differential campaign: Flat vs Reference,\n\
      \x20                           or (with --shards) sharded vs single-thread\n\
@@ -421,7 +421,7 @@ fn cmd_validate(args: &[String]) -> i32 {
 /// Validates one scenario file: it must parse, decode under the current
 /// schema, and re-encode to the *identical bytes* — so schema drift or
 /// hand-edits that lose canonical form fail CI rather than silently
-/// re-normalizing.
+/// re-normalizing — then lower it: a file that passes runs on every engine.
 ///
 /// # Errors
 ///
@@ -437,6 +437,7 @@ pub fn validate_file(path: &str) -> Result<String, String> {
                 .to_string(),
         );
     }
+    scenario.lower().map_err(|e| e.to_string())?;
     Ok(scenario.name)
 }
 

@@ -3,13 +3,16 @@
 //!
 //! The cycle-accurate engines answer *what happened*; the estimator
 //! answers *roughly what would happen* in milliseconds instead of
-//! seconds. It never builds routers or wires. The deterministic part of
-//! a message's latency is computed exactly from the scenario's topology
-//! and [`SimConfig`]; the stochastic part — contention blocking, fast
-//! reclamation, fault-induced retries — is sampled from per-stage
-//! cluster models with a seeded [`RandomSource`], then folded into the
-//! same [`LatencyStats`] histogram the simulator uses, so the output is
-//! directly comparable (p50/p95/p99) with a cycle-accurate replay.
+//! seconds. It lowers the scenario like every engine
+//! ([`Scenario::lower`]: the same checks, and a topology build) but never
+//! builds routers or wires. The deterministic part of a message's latency
+//! is computed exactly from the lowered [`Fabric`] — its stage shapes,
+//! pipestages, header plan and wire delays; the stochastic part —
+//! contention blocking, fast reclamation, fault-induced retries — is
+//! sampled from per-stage cluster models with a seeded [`RandomSource`],
+//! then folded into the same [`LatencyStats`] histogram the simulator
+//! uses, so the output is directly comparable (p50/p95/p99) with a
+//! cycle-accurate replay.
 //!
 //! ## Correspondence to the S13 timing model
 //!
@@ -34,16 +37,12 @@
 //! stage models.
 
 use crate::experiment::LoadPoint;
+use crate::fabric::Fabric;
 use crate::message::{DeliveryStatus, FailureKind, MessageOutcome};
-use crate::network::SimConfig;
 use crate::scenario::{Scenario, ScenarioResult, SendSpec, WorkloadSpec};
 use crate::stats::LatencyStats;
 use crate::workload::{StreamRecipe, StreamSeeds};
-use metro_core::header::HeaderPlan;
 use metro_core::RandomSource;
-use metro_topo::multibutterfly::MultibutterflySpec;
-
-use super::boundary_delay;
 
 /// The stream-derivation salt for the estimator's sampling randomness:
 /// message `i` of a scenario draws from
@@ -174,27 +173,18 @@ struct FabricModel {
 }
 
 impl FabricModel {
-    fn new(
-        spec: &MultibutterflySpec,
-        config: &SimConfig,
-        load: f64,
-        faults: usize,
-        burstiness: f64,
-    ) -> Self {
-        let digit_bits: Vec<usize> = spec.stages.iter().map(|st| st.digit_bits()).collect();
-        let plan = HeaderPlan::new(&digit_bits, config.width, config.header_words);
-        let stages = spec.stages.len();
-        let dp_total = (config.pipestages * stages) as u64;
-        let wire_total: u64 = (0..=stages).map(|b| boundary_delay(config, b) as u64).sum();
-        let models = spec
-            .stages
-            .iter()
-            .map(|st| {
-                StageModel::for_cluster(ClusterKey::new(st.dilation, load, faults, burstiness))
+    fn new(fabric: &Fabric, load: f64, faults: usize, burstiness: f64) -> Self {
+        let stages = fabric.topo.stages();
+        let dp_total = (fabric.config.pipestages * stages) as u64;
+        let wire_total: u64 = fabric.delays.iter().map(|&d| d as u64).sum();
+        let models = (0..stages)
+            .map(|s| {
+                let dilation = fabric.topo.stage_spec(s).dilation;
+                StageModel::for_cluster(ClusterKey::new(dilation, load, faults, burstiness))
             })
             .collect();
         Self {
-            header_words: plan.header_words(),
+            header_words: fabric.plan.header_words(),
             transit: dp_total + wire_total,
             nic_turnaround: 2,
             models,
@@ -304,8 +294,7 @@ pub struct LatencyEstimate {
 ///
 /// # Errors
 ///
-/// Returns an error for scenarios the estimator cannot model (none
-/// today; the signature matches `run_scenario` for drop-in dispatch).
+/// As [`estimate_latency`]: the scenario's lowering refusal.
 pub fn estimate_scenario(
     scenario: &Scenario,
 ) -> Result<ScenarioResult, Box<dyn std::error::Error>> {
@@ -317,21 +306,26 @@ pub fn estimate_scenario(
 ///
 /// # Errors
 ///
-/// A `stage_wire_delays` of the wrong length is a
-/// [`WireDelayCount`](crate::network::WireDelayCount), and a stage
-/// whose router parameters the cycle engines refuse is the same
-/// [`ParamError`](metro_core::ParamError); every other scenario is
-/// modelled.
+/// The [`ScenarioError`](crate::fabric::ScenarioError) of
+/// [`Scenario::lower`], the same refusal the cycle engines give; every
+/// scenario lowering accepts is modelled.
 pub fn estimate_latency(
     scenario: &Scenario,
 ) -> Result<LatencyEstimate, Box<dyn std::error::Error>> {
-    let stages = &scenario.topology.stages;
-    scenario.sim.check_wire_delays(stages.len())?;
-    scenario.sim.stage_params(stages)?;
-    match &scenario.workload {
-        WorkloadSpec::Load { .. } => Ok(estimate_load(scenario)),
-        WorkloadSpec::Sends { sends, cycles } => Ok(estimate_sends(scenario, sends, *cycles)),
-    }
+    let fabric = scenario.lower()?;
+    let faults = fault_pressure(scenario);
+    Ok(match &scenario.workload {
+        WorkloadSpec::Load { .. } => estimate_load(scenario, &fabric, faults),
+        WorkloadSpec::Sends { sends, cycles } => {
+            // Scripted workloads are sparse; cluster them in the lightest
+            // load bucket and let fault pressure drive the stochastic term.
+            let model = FabricModel::new(&fabric, 0.0, faults, 1.0);
+            let mut queue: Vec<&SendSpec> = sends.iter().collect();
+            queue.sort_by_key(|s| s.at);
+            let requests = queue.iter().map(|s| (s.at, s.src, s.dest, s.payload.len()));
+            replay(scenario, &model, requests, 0, *cycles).0
+        }
+    })
 }
 
 /// Active-fault count over the scenario's life: static faults plus
@@ -360,7 +354,7 @@ fn fault_pressure(scenario: &Scenario) -> usize {
 /// draws — so message counts and request times match the simulation;
 /// only each message's service time is sampled from the fabric model
 /// instead of simulated.
-fn estimate_load(scenario: &Scenario) -> LatencyEstimate {
+fn estimate_load(scenario: &Scenario, fabric: &Fabric, faults: usize) -> LatencyEstimate {
     let WorkloadSpec::Load {
         pattern,
         arrival,
@@ -377,7 +371,6 @@ fn estimate_load(scenario: &Scenario) -> LatencyEstimate {
     let (load, payload_words) = (*load, *payload_words);
     let (warmup, measure, drain) = (*warmup, *measure, *drain);
     let n = scenario.topology.endpoints;
-    let faults = fault_pressure(scenario);
     let total = warmup + measure;
     // The cluster key wants the *offered* load. For generated arrivals
     // that is the spec's load field; for a trace the field is carried
@@ -394,14 +387,8 @@ fn estimate_load(scenario: &Scenario) -> LatencyEstimate {
         }
         _ => load,
     };
-    let fabric = FabricModel::new(
-        &scenario.topology,
-        &scenario.sim,
-        model_load,
-        faults,
-        arrival.burstiness(),
-    );
-    let stream_words = fabric.stream_words(payload_words) as usize;
+    let model = FabricModel::new(fabric, model_load, faults, arrival.burstiness());
+    let stream_words = model.stream_words(payload_words) as usize;
 
     // Exact arrival replay: the same recipe (seeds, draws, sort order)
     // run_scenario's driver polls, precomputed over the offered window.
@@ -416,28 +403,59 @@ fn estimate_load(scenario: &Scenario) -> LatencyEstimate {
         seeds: StreamSeeds::load(scenario.seed),
     };
     let arrivals = recipe.schedule(total);
+    // Destinations do not change the estimate: an outcome names its
+    // source as its destination.
+    let requests = arrivals
+        .iter()
+        .map(|a| (a.at, a.src, a.src, a.payload_words));
+    let (mut estimate, retries) = replay(scenario, &model, requests, warmup, total + drain);
+    let (hist, delivered) = (&estimate.total_latency, estimate.result.delivered);
+    estimate.result.point = Some(LoadPoint {
+        offered: load,
+        accepted: delivered as f64 * stream_words as f64 / measure as f64 / n as f64,
+        mean_latency: hist.mean(),
+        p50_latency: hist.percentile(50.0),
+        p95_latency: hist.percentile(95.0),
+        mean_network_latency: estimate.network_latency.mean(),
+        retries_per_message: if delivered == 0 {
+            0.0
+        } else {
+            retries as f64 / delivered as f64
+        },
+        delivered,
+    });
+    estimate
+}
 
-    let horizon = total + drain;
-    let mut src_free = vec![0u64; n];
-    let mut outcomes = Vec::with_capacity(arrivals.len());
-    let mut total_hist = LatencyStats::new();
-    let mut network_hist = LatencyStats::new();
-    let mut delivered = 0u64;
-    let mut retries_total = 0u64;
-    let mut in_flight = 0u64;
+/// Replays `requests` — `(requested_at, src, dest, payload_words)` in
+/// request order — through `model`: per-source FIFO serialization is
+/// exact (one outstanding message per NIC), each message's service time
+/// the deterministic base plus a sampled penalty. Completions after
+/// `horizon` are in flight; those from `warmup` on are measured. Returns
+/// the estimate without a load point, and the measured completions'
+/// failed attempts.
+fn replay(
+    scenario: &Scenario,
+    model: &FabricModel,
+    requests: impl ExactSizeIterator<Item = (u64, usize, usize, usize)>,
+    warmup: u64,
+    horizon: u64,
+) -> (LatencyEstimate, u64) {
+    let mut outcomes = Vec::with_capacity(requests.len());
+    let (mut total_latency, mut network_latency) = (LatencyStats::new(), LatencyStats::new());
+    let (mut delivered, mut retries, mut in_flight) = (0u64, 0u64, 0u64);
+    let mut src_free = vec![0u64; scenario.topology.endpoints];
     let master = RandomSource::new(scenario.seed ^ SAMPLE_SALT);
     let mut fault_acc = 0.0;
-    for (i, a) in arrivals.iter().enumerate() {
-        let (requested_at, src) = (a.at, a.src);
+    for (i, (requested_at, src, dest, payload_words)) in requests.enumerate() {
         let mut rng = master.derive(i as u64);
         // Closed-loop NIC: one outstanding message per source, so a new
         // request waits for the previous completion (this queueing is
         // where load-dependent total latency mostly comes from).
         let first_injection_at =
-            (requested_at + fabric.nic_turnaround).max(src_free[src] + fabric.nic_turnaround);
-        let (penalty, failures) = fabric.sample_penalty(&mut rng, a.payload_words, &mut fault_acc);
-        let network = fabric.base_network(a.payload_words) + penalty;
-        let completed_at = first_injection_at + network;
+            (requested_at + model.nic_turnaround).max(src_free[src] + model.nic_turnaround);
+        let (penalty, failures) = model.sample_penalty(&mut rng, payload_words, &mut fault_acc);
+        let completed_at = first_injection_at + model.base_network(payload_words) + penalty;
         src_free[src] = completed_at;
         if completed_at > horizon {
             in_flight += 1;
@@ -445,122 +463,40 @@ fn estimate_load(scenario: &Scenario) -> LatencyEstimate {
         }
         if completed_at >= warmup {
             delivered += 1;
-            retries_total += failures.len() as u64;
-            total_hist.record(completed_at - requested_at);
-            network_hist.record(completed_at - first_injection_at);
+            retries += failures.len() as u64;
+            total_latency.record(completed_at - requested_at);
+            network_latency.record(completed_at - first_injection_at);
         }
         outcomes.push(MessageOutcome {
             src,
-            dest: src, // destinations do not change the estimate
+            dest,
             requested_at,
             first_injection_at,
             completed_at,
             retries: failures.len(),
             failures,
-            payload_words: a.payload_words,
+            payload_words,
             payload_delivered: Vec::new(),
             reply_received: Vec::new(),
             status: DeliveryStatus::Delivered,
         });
     }
-
-    let point = LoadPoint {
-        offered: load,
-        accepted: delivered as f64 * stream_words as f64 / measure as f64 / n as f64,
-        mean_latency: total_hist.mean(),
-        p50_latency: total_hist.percentile(50.0),
-        p95_latency: total_hist.percentile(95.0),
-        mean_network_latency: network_hist.mean(),
-        retries_per_message: if delivered == 0 {
-            0.0
-        } else {
-            retries_total as f64 / delivered as f64
-        },
+    let payload_words = outcomes.iter().map(|o| o.payload_words).sum();
+    let result = ScenarioResult {
+        outcomes: outcomes.into(),
         delivered,
+        abandoned: 0,
+        point: None,
+        payload_words,
+        fabric_idle: in_flight == 0,
+        telemetry_every: scenario.sim.telemetry_every.max(1),
     };
-    let payload_total = outcomes.iter().map(|o| o.payload_words).sum();
-    LatencyEstimate {
-        result: ScenarioResult {
-            outcomes: outcomes.into(),
-            delivered,
-            abandoned: 0,
-            point: Some(point),
-            payload_words: payload_total,
-            fabric_idle: in_flight == 0,
-            telemetry_every: scenario.sim.telemetry_every.max(1),
-        },
-        total_latency: total_hist,
-        network_latency: network_hist,
-    }
-}
-
-/// The estimator's replay of a scripted `Sends` workload: per-source
-/// FIFO serialization is exact (one outstanding message per NIC), the
-/// per-message service time is the deterministic base plus a sampled
-/// penalty.
-fn estimate_sends(scenario: &Scenario, sends: &[SendSpec], cycles: u64) -> LatencyEstimate {
-    let n = scenario.topology.endpoints;
-    let faults = fault_pressure(scenario);
-    // Scripted workloads are sparse; cluster them in the lightest load
-    // bucket and let fault pressure drive the stochastic term.
-    let fabric = FabricModel::new(&scenario.topology, &scenario.sim, 0.0, faults, 1.0);
-
-    let mut queue: Vec<SendSpec> = sends.to_vec();
-    queue.sort_by_key(|s| s.at);
-    let mut src_free = vec![0u64; n];
-    let mut outcomes = Vec::with_capacity(queue.len());
-    let mut total_hist = LatencyStats::new();
-    let mut network_hist = LatencyStats::new();
-    let mut delivered = 0u64;
-    let mut in_flight = 0u64;
-    let master = RandomSource::new(scenario.seed ^ SAMPLE_SALT);
-    let mut fault_acc = 0.0;
-    for (i, s) in queue.iter().enumerate() {
-        let src = s.src % n;
-        let dest = s.dest % n;
-        let mut rng = master.derive(i as u64);
-        let first_injection_at =
-            (s.at + fabric.nic_turnaround).max(src_free[src] + fabric.nic_turnaround);
-        let (penalty, failures) = fabric.sample_penalty(&mut rng, s.payload.len(), &mut fault_acc);
-        let network = fabric.base_network(s.payload.len()) + penalty;
-        let completed_at = first_injection_at + network;
-        src_free[src] = completed_at;
-        if completed_at > cycles {
-            in_flight += 1;
-            continue;
-        }
-        delivered += 1;
-        total_hist.record(completed_at - s.at);
-        network_hist.record(completed_at - first_injection_at);
-        outcomes.push(MessageOutcome {
-            src,
-            dest,
-            requested_at: s.at,
-            first_injection_at,
-            completed_at,
-            retries: failures.len(),
-            failures,
-            payload_words: s.payload.len(),
-            payload_delivered: Vec::new(),
-            reply_received: Vec::new(),
-            status: DeliveryStatus::Delivered,
-        });
-    }
-
-    let payload_total = outcomes.iter().map(|o| o.payload_words).sum();
-    LatencyEstimate {
-        result: ScenarioResult {
-            outcomes: outcomes.into(),
-            delivered,
-            abandoned: 0,
-            point: None,
-            payload_words: payload_total,
-            fabric_idle: in_flight == 0,
-            telemetry_every: scenario.sim.telemetry_every.max(1),
-        },
-        total_latency: total_hist,
-        network_latency: network_hist,
-    }
+    let estimate = LatencyEstimate {
+        result,
+        total_latency,
+        network_latency,
+    };
+    (estimate, retries)
 }
 
 #[cfg(test)]
@@ -629,13 +565,8 @@ mod tests {
 
     #[test]
     fn figure3_base_reproduces_the_28_cycle_unloaded_round_trip() {
-        let fabric = FabricModel::new(
-            &MultibutterflySpec::figure3(),
-            &SimConfig::default(),
-            0.0,
-            0,
-            1.0,
-        );
+        let lowered = Fabric::new(&MultibutterflySpec::figure3(), &SimConfig::default()).unwrap();
+        let fabric = FabricModel::new(&lowered, 0.0, 0, 1.0);
         // 1 header word + 19 payload + checksum + TURN = 22 words,
         // plus 3 pipestages out and back: the paper's ~28 cycles.
         assert_eq!(fabric.base_network(19), 28);

@@ -37,8 +37,8 @@
 //! the Reference engine it is this step's state-word oracle.
 
 use super::shard::ShardState;
-use super::{boundary_delay, Engine, StepCtx};
-use crate::network::SimConfig;
+use super::{Engine, StepCtx};
+use crate::fabric::Fabric;
 use crate::shard::ShardPlan;
 use crate::wire::Wire;
 use metro_core::word::phit;
@@ -255,19 +255,20 @@ pub struct FlatEngine {
 }
 
 impl FlatEngine {
-    /// Builds the flat engine for `topo` under `config`, resolving the
-    /// shard knob (0 = host parallelism; capped at the router count and
+    /// Builds the flat engine for `fabric`, resolving the shard knob
+    /// (0 = host parallelism; capped at the router count and
     /// [`MAX_SHARDS`]).
     #[must_use]
-    pub(crate) fn build(topo: &Multibutterfly, config: &SimConfig) -> Self {
+    pub(crate) fn build(fabric: &Fabric) -> Self {
+        let (topo, delays) = (&fabric.topo, &fabric.delays);
         let links = FlatLinks::build(topo);
         let inj_wires: Vec<Wire> = (0..links.n_ep_slots())
-            .map(|_| Wire::new(boundary_delay(config, 0)))
+            .map(|_| Wire::new(delays[0]))
             .collect();
         let stage_wires: Vec<Wire> = (0..topo.stages())
             .flat_map(|s| {
                 let n = topo.routers_in_stage(s) * topo.stage_spec(s).backward_ports;
-                std::iter::repeat_n(boundary_delay(config, s + 1), n)
+                std::iter::repeat_n(delays[s + 1], n)
             })
             .map(Wire::new)
             .collect();
@@ -277,7 +278,7 @@ impl FlatEngine {
         // the router count (a shard without routers is pure overhead)
         // and at MAX_SHARDS; one effective shard means the
         // single-threaded step.
-        let requested = match config.shards {
+        let requested = match fabric.config.shards {
             0 => metro_harness::default_jobs().get(),
             n => n,
         };

@@ -8,8 +8,10 @@
 //! [`shard`]), or [`reference`] (the scalar executable spec). The
 //! third [`EngineKind`], [`analytic`], is not a cycle engine at all:
 //! it predicts latency distributions from per-stage models instead of
-//! ticking, so it is rejected by [`NetworkSim::new`] and dispatched by
+//! ticking, so it is dispatched by
 //! [`run_scenario`](crate::scenario::run_scenario) to the estimator.
+//! All three build from the [`Fabric`](crate::fabric::Fabric) lowering
+//! accepted.
 //!
 //! The trait is **sealed**: the engine set is a closed, tested family
 //! (bit-identical cycle engines plus the estimator), not an extension
@@ -46,9 +48,9 @@ pub enum EngineKind {
     /// The analytic latency estimator: per-stage models clustered by
     /// (dilation, load, fault state) predict latency distributions
     /// without ticking a single cycle ([`analytic`]). Not
-    /// cycle-accurate — [`NetworkSim::new`](crate::NetworkSim::new)
-    /// and the chaos harness reject it with a typed error; scenario
-    /// replay routes it to the estimator.
+    /// cycle-accurate — [`NetworkSim::build`](crate::NetworkSim::build)
+    /// refuses it with a typed error; scenario replay routes it to the
+    /// estimator.
     Analytic,
 }
 
@@ -77,16 +79,6 @@ impl EngineKind {
     pub fn from_name(s: &str) -> Option<Self> {
         Self::ALL.into_iter().find(|k| k.name() == s)
     }
-
-    /// Whether this engine advances the network cycle by cycle.
-    /// Cycle-accurate engines are bit-identical to each other and
-    /// usable everywhere; the analytic estimator is not, and contexts
-    /// that require exactness (chaos campaigns, golden-equivalence
-    /// replay, `NetworkSim` itself) reject it with a typed error.
-    #[must_use]
-    pub fn is_cycle_accurate(self) -> bool {
-        !matches!(self, EngineKind::Analytic)
-    }
 }
 
 impl std::fmt::Display for EngineKind {
@@ -96,9 +88,9 @@ impl std::fmt::Display for EngineKind {
 }
 
 /// A context that requires a cycle-accurate engine was handed
-/// [`EngineKind::Analytic`]. Returned (never panicked) by
-/// [`NetworkSim::new`](crate::NetworkSim::new) and the chaos harness;
-/// callers that want an estimate go through
+/// [`EngineKind::Analytic`]. Returned (never panicked) from one place,
+/// [`NetworkSim::build`](crate::NetworkSim::build); callers that want an
+/// estimate go through
 /// [`estimate_scenario`](analytic::estimate_scenario) instead.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NotCycleAccurate {
@@ -229,18 +221,6 @@ impl Clone for Box<dyn Engine> {
     }
 }
 
-/// The pipeline depth of the wire at boundary `b` under `config`:
-/// entry 0 is the injection boundary, entry `s + 1` the boundary out
-/// of stage `s`. Shared by router parameterization and both engine
-/// builders so every component sees one consistent delay map.
-#[must_use]
-pub(crate) fn boundary_delay(config: &crate::network::SimConfig, b: usize) -> usize {
-    config
-        .stage_wire_delays
-        .as_ref()
-        .map_or(config.wire_delay, |d| d[b])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -252,13 +232,6 @@ mod tests {
             assert_eq!(kind.to_string(), kind.name());
         }
         assert_eq!(EngineKind::from_name("warp"), None);
-    }
-
-    #[test]
-    fn only_the_analytic_kind_lacks_cycle_accuracy() {
-        assert!(EngineKind::Flat.is_cycle_accurate());
-        assert!(EngineKind::Reference.is_cycle_accurate());
-        assert!(!EngineKind::Analytic.is_cycle_accurate());
     }
 
     #[test]

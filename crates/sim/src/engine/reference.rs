@@ -3,9 +3,9 @@
 //! fault-set queries. Deliberately scalar and simple — it is the
 //! executable spec the flat engine is proven bit-identical against.
 
-use super::{boundary_delay, Engine, StepCtx};
+use super::{Engine, StepCtx};
 use crate::endpoint::EndpointIo;
-use crate::network::SimConfig;
+use crate::fabric::Fabric;
 use crate::wire::Wire;
 use metro_core::word::phit;
 use metro_core::{BwdIn, FwdIn, TickOutput, Word};
@@ -29,24 +29,21 @@ pub struct ReferenceEngine {
 }
 
 impl ReferenceEngine {
-    /// Builds the nested-`Vec` engine for `topo` under `config`.
+    /// Builds the nested-`Vec` engine for `fabric`.
     #[must_use]
-    pub(crate) fn build(topo: &Multibutterfly, config: &SimConfig) -> Self {
+    pub(crate) fn build(fabric: &Fabric) -> Self {
+        let (topo, delays) = (&fabric.topo, &fabric.delays);
         let ep = topo.endpoint_ports();
         Self {
             inj_wires: (0..topo.endpoints())
-                .map(|_| {
-                    (0..ep)
-                        .map(|_| Wire::new(boundary_delay(config, 0)))
-                        .collect()
-                })
+                .map(|_| (0..ep).map(|_| Wire::new(delays[0])).collect())
                 .collect(),
             stage_wires: (0..topo.stages())
                 .map(|s| {
                     (0..topo.routers_in_stage(s))
                         .map(|_| {
                             (0..topo.stage_spec(s).backward_ports)
-                                .map(|_| Wire::new(boundary_delay(config, s + 1)))
+                                .map(|_| Wire::new(delays[s + 1]))
                                 .collect()
                         })
                         .collect()

@@ -102,12 +102,12 @@ impl NetworkSim {
     /// endpoint or port this network does not have is not about it.
     #[must_use]
     pub fn diagnose(&self, ev: &AttemptEvidence) -> Option<Diagnosis> {
+        let (topo, plan, config) = (&self.fabric.topo, &self.fabric.plan, &self.fabric.config);
         let congestion = matches!(
             ev.kind,
             FailureKind::Blocked { .. } | FailureKind::FastReclaimed
         );
-        let addressed =
-            ev.src.max(ev.dest) < self.topo.endpoints() && ev.port < self.topo.endpoint_ports();
+        let addressed = ev.src.max(ev.dest) < topo.endpoints() && ev.port < topo.endpoint_ports();
         if congestion || !addressed {
             return None;
         }
@@ -121,18 +121,18 @@ impl NetworkSim {
         let mut ports_taken = Vec::with_capacity(ev.record.statuses.len());
         for (s, status) in ev.record.statuses.iter().enumerate() {
             match status.port() {
-                Some(p) if s < self.topo.stages() && p < self.topo.stage_spec(s).backward_ports => {
+                Some(p) if s < topo.stages() && p < topo.stage_spec(s).backward_ports => {
                     ports_taken.push(p);
                 }
                 _ => break,
             }
         }
         let reported = &ev.record.checksums[..ev.record.checksums.len().min(ports_taken.len())];
-        let (entry, f0) = self.topo.injection(ev.src, ev.port);
+        let (entry, f0) = topo.injection(ev.src, ev.port);
         let mut routers_on_path = vec![entry];
         let mut fwd_ports = vec![f0];
         for (s, &b) in ports_taken.iter().enumerate() {
-            match self.topo.link(s, routers_on_path[s], b) {
+            match topo.link(s, routers_on_path[s], b) {
                 LinkTarget::Router { router, port } => {
                     routers_on_path.push(router);
                     fwd_ports.push(port);
@@ -143,8 +143,8 @@ impl NetworkSim {
 
         // Expected transit checksums, recomputed from what the NIC
         // actually sent (the source knows its own stream).
-        let digits = self.topo.route_digits(ev.dest);
-        let header_len = self.plan.pack(&digits).len().min(ev.stream.len());
+        let digits = topo.route_digits(ev.dest);
+        let header_len = plan.pack(&digits).len().min(ev.stream.len());
         let payload: Vec<u16> = ev.stream[header_len..]
             .iter()
             .filter_map(|w| match w {
@@ -152,13 +152,8 @@ impl NetworkSim {
                 _ => None,
             })
             .collect();
-        let expected = expected_stage_checksums(
-            &self.plan,
-            &digits,
-            &payload,
-            self.config.width,
-            self.config.header_words,
-        );
+        let expected =
+            expected_stage_checksums(plan, &digits, &payload, config.width, config.header_words);
         let delivery_failed = matches!(ev.kind, FailureKind::Corrupt | FailureKind::NoAck);
         // Locate the verdict on the reconstructed path. The router that
         // caught it is the first whose transit checksum mismatched —
@@ -208,7 +203,7 @@ impl NetworkSim {
         // Any failed attempt arriving after the first mask counts as a
         // post-masking retry, attributed to the entry router.
         if !self.healed_links.is_empty() || !self.healed_injections.is_empty() {
-            let (r0, _) = self.topo.injection(ev.src, ev.port);
+            let (r0, _) = self.fabric.topo.injection(ev.src, ev.port);
             self.routers[0][r0].note_event(RouterCounter::RetriesAfterMask);
         }
         let Some(diagnosis) = self.diagnose(ev) else {
@@ -237,12 +232,12 @@ impl NetworkSim {
     #[must_use]
     pub fn may_mask(&self, link: LinkId) -> bool {
         let LinkTarget::Endpoint { endpoint, .. } =
-            self.topo.link(link.stage, link.router, link.port)
+            self.fabric.topo.link(link.stage, link.router, link.port)
         else {
             return true;
         };
-        let left = (0..self.topo.endpoint_ports())
-            .map(|p| self.topo.delivery(endpoint, p))
+        let left = (0..self.fabric.topo.endpoint_ports())
+            .map(|p| self.fabric.topo.delivery(endpoint, p))
             .filter(|&(r, b)| self.routers[link.stage][r].config().backward_enabled(b))
             .count();
         left > 1
@@ -259,7 +254,7 @@ impl NetworkSim {
         let mut cfg = self.routers[stage][router].config().clone();
         cfg.set_backward_mode(b, PortMode::DisabledDriven);
         self.routers[stage][router].apply_config(cfg);
-        if let LinkTarget::Router { router: dr, port } = self.topo.link(stage, router, b) {
+        if let LinkTarget::Router { router: dr, port } = self.fabric.topo.link(stage, router, b) {
             let mut cfg = self.routers[stage + 1][dr].config().clone();
             cfg.set_forward_mode(port, PortMode::DisabledDriven);
             self.routers[stage + 1][dr].apply_config(cfg);
@@ -286,9 +281,9 @@ impl NetworkSim {
     /// stops injecting there.
     fn sweep_and_mask(&mut self, ev: &AttemptEvidence) {
         let mut found = Vec::new();
-        for s in 0..self.topo.stages() {
-            for r in 0..self.topo.routers_in_stage(s) {
-                for b in 0..self.topo.stage_spec(s).backward_ports {
+        for s in 0..self.fabric.topo.stages() {
+            for r in 0..self.fabric.topo.routers_in_stage(s) {
+                for b in 0..self.fabric.topo.stage_spec(s).backward_ports {
                     let link = LinkId::new(s, r, b);
                     if !self.healed_links.contains(&link) && !self.probe_wire_passes(s, r, b) {
                         found.push(link);
@@ -317,7 +312,7 @@ impl NetworkSim {
     fn probe_wire_passes(&self, s: usize, r: usize, b: usize) -> bool {
         let mut probe = self.engine.probe_wire(s, r, b);
         probe.flush();
-        let w = self.config.width.min(16);
+        let w = self.fabric.config.width.min(16);
         test_wire(w, |bits| {
             let value = bits
                 .iter()
@@ -389,9 +384,9 @@ mod tests {
             ..SimConfig::default()
         };
         let fresh = NetworkSim::new(&MultibutterflySpec::figure1(), &config).unwrap();
-        let digits = fresh.topo.route_digits(13);
+        let digits = fresh.fabric.topo.route_digits(13);
         let payload = [1u16, 2, 3];
-        let clean = expected_stage_checksums(&fresh.plan, &digits, &payload, 8, 0);
+        let clean = expected_stage_checksums(&fresh.fabric.plan, &digits, &payload, 8, 0);
         let garbled_from = |stage: usize| {
             let mut c = clean.clone();
             c.iter_mut().skip(stage).for_each(|c| *c ^= 0x0101);

@@ -27,6 +27,7 @@
 //! | [`message`] | messages, delivery records, outcome classification, the folded outcome stream |
 //! | [`endpoint`] | the source-responsible NIC state machines |
 //! | [`engine`] | the sealed engine seam: flat, sharded, reference, analytic |
+//! | [`fabric`] | lowering: the one place a scenario is checked, into the machine every engine builds from |
 //! | [`network`] | the assembled, tickable network (orchestration) |
 //! | [`healing`] | the fault loop: `NetworkSim::diagnose` (online and offline) → masking |
 //! | [`workload`] | destination patterns, arrival processes, rate maps, and the shared workload driver |
@@ -49,6 +50,7 @@ pub mod checkpoint;
 pub mod endpoint;
 pub mod engine;
 pub mod experiment;
+pub mod fabric;
 pub mod healing;
 pub mod message;
 pub mod network;
@@ -65,6 +67,7 @@ pub use checkpoint::{
 };
 pub use endpoint::{AttemptEvidence, EndpointConfig, ReplyPolicy};
 pub use experiment::{FaultSweepPoint, LoadPoint, SweepConfig};
+pub use fabric::{Fabric, ScenarioError};
 pub use healing::{Diagnosis, Suspect};
 pub use message::{
     DeliveryRecord, DeliveryStatus, FailureKind, MessageOutcome, OutcomeFold, Outcomes,

@@ -22,20 +22,18 @@
 use crate::endpoint::{Endpoint, EndpointConfig};
 use crate::engine::flat::FlatEngine;
 use crate::engine::reference::ReferenceEngine;
-use crate::engine::{boundary_delay, Engine, NotCycleAccurate, StepCtx};
+use crate::engine::{Engine, NotCycleAccurate, StepCtx};
+use crate::fabric::Fabric;
 use crate::message::{MachineExtent, MessageOutcome, Outcomes};
 use crate::stats::NetworkStats;
 use metro_core::header::HeaderPlan;
-use metro_core::{
-    ArchParams, ParamError, RandomSource, Router, RouterConfig, SelectionPolicy, StreamChecksum,
-    Word,
-};
+use metro_core::{RandomSource, Router, SelectionPolicy, StreamChecksum, Word};
 use metro_telemetry::{
     CounterCell, StateError, StateReader, StateWriter, TelemetryRegistry, TelemetrySnapshot,
 };
 use metro_topo::fault::{FaultKind, FaultSet};
 use metro_topo::graph::LinkId;
-use metro_topo::multibutterfly::{Multibutterfly, MultibutterflySpec, StageSpec};
+use metro_topo::multibutterfly::{Multibutterfly, MultibutterflySpec};
 use std::sync::Arc;
 
 pub use crate::engine::EngineKind;
@@ -77,9 +75,9 @@ pub struct SimConfig {
     /// Which engine drives the fabric. The cycle engines ([`Flat`] and
     /// [`Reference`]) are cycle-for-cycle equivalent (see the
     /// golden-equivalence tests); [`EngineKind::Flat`] is simply
-    /// faster. [`EngineKind::Analytic`] is not a cycle engine and is
-    /// rejected by [`NetworkSim::new`] — scenario replay dispatches it
-    /// to the estimator instead.
+    /// faster. [`EngineKind::Analytic`] is not a cycle engine: its one
+    /// refusal site is the engine match in [`NetworkSim::build`] —
+    /// scenario replay dispatches it to the estimator instead.
     ///
     /// [`Flat`]: EngineKind::Flat
     /// [`Reference`]: EngineKind::Reference
@@ -136,74 +134,11 @@ impl Default for SimConfig {
     }
 }
 
-impl SimConfig {
-    /// Checks `stage_wire_delays`, when present, against a fabric of
-    /// `stages` stages.
-    pub(crate) fn check_wire_delays(&self, stages: usize) -> Result<(), WireDelayCount> {
-        match &self.stage_wire_delays {
-            Some(d) if d.len() != stages + 1 => Err(WireDelayCount {
-                got: d.len(),
-                expected: stages + 1,
-            }),
-            _ => Ok(()),
-        }
-    }
-
-    /// Each stage's router parameters on a fabric of `stages`, whose
-    /// wire delays have passed [`SimConfig::check_wire_delays`]. Every
-    /// engine runs this before it builds anything from the parameters:
-    /// the header plan and the routers assert what `ArchParams` refuses.
-    pub(crate) fn stage_params(&self, stages: &[StageSpec]) -> Result<Vec<ArchParams>, ParamError> {
-        let bd = |b: usize| boundary_delay(self, b);
-        stages
-            .iter()
-            .enumerate()
-            .map(|(s, st)| {
-                ArchParams::new(
-                    st.forward_ports,
-                    st.backward_ports,
-                    self.width,
-                    st.dilation,
-                    self.header_words,
-                    self.pipestages,
-                )?
-                .with_max_turn_delay(bd(s).max(bd(s + 1)).max(7))
-            })
-            .collect()
-    }
-}
-
-/// [`SimConfig::stage_wire_delays`] does not name one delay per wire
-/// boundary of the fabric it is applied to. Returned (never panicked)
-/// by [`NetworkSim::new`] and the analytic estimator: the field is
-/// reachable from a scenario file.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WireDelayCount {
-    /// Entries given.
-    pub got: usize,
-    /// Boundaries the fabric has: its stage count plus one.
-    pub expected: usize,
-}
-
-impl std::fmt::Display for WireDelayCount {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "sim.stage_wire_delays has {} entries, but the fabric has {} wire boundaries \
-             (stages + 1)",
-            self.got, self.expected
-        )
-    }
-}
-
-impl std::error::Error for WireDelayCount {}
-
 /// A complete METRO network under simulation.
 #[derive(Debug, Clone)]
 pub struct NetworkSim {
-    pub(crate) topo: Multibutterfly,
-    pub(crate) config: SimConfig,
-    pub(crate) plan: HeaderPlan,
+    /// The machine lowering accepted.
+    pub(crate) fabric: Fabric,
     pub(crate) routers: Vec<Vec<Router>>,
     pub(crate) endpoints: Vec<Endpoint>,
     pub(crate) engine: Box<dyn Engine>,
@@ -228,98 +163,76 @@ pub struct NetworkSim {
 
 impl NetworkSim {
     /// Builds a simulation of the network `spec` with implementation
-    /// parameters `config`.
+    /// parameters `config`: [`Fabric::new`], then [`NetworkSim::build`].
     ///
     /// # Errors
     ///
-    /// Propagates topology validation errors; router parameter errors
-    /// surface as [`metro_core::ParamError`] converted to a topology
-    /// boundary error message via panic-free construction. A
-    /// non-cycle-accurate engine ([`EngineKind::Analytic`]) is
-    /// rejected with [`NotCycleAccurate`] — there is no network to
-    /// tick; use [`crate::engine::analytic::estimate_scenario`]. A
-    /// `stage_wire_delays` of the wrong length is a [`WireDelayCount`].
+    /// As [`Fabric::new`] and [`NetworkSim::build`].
     pub fn new(
         spec: &MultibutterflySpec,
         config: &SimConfig,
     ) -> Result<Self, Box<dyn std::error::Error>> {
-        if !config.engine.is_cycle_accurate() {
-            return Err(Box::new(NotCycleAccurate {
-                engine: config.engine,
-            }));
-        }
-        let topo = Multibutterfly::build(spec)?;
-        config.check_wire_delays(topo.stages())?;
-        let stage_params = config.stage_params(&spec.stages)?;
-        let bd = |b: usize| boundary_delay(config, b);
-        let plan = topo.header_plan(config.width, config.header_words);
-        let master = RandomSource::new(config.seed);
+        Ok(Self::build(Fabric::new(spec, config)?)?)
+    }
 
-        let mut routers = Vec::with_capacity(topo.stages());
-        for (s, &params) in stage_params.iter().enumerate() {
-            let st = topo.stage_spec(s);
-            // Program every port's variable turn delay with the wire's
-            // pipeline depth (paper §5.1) — the routers use it to size
-            // the post-reversal settle window.
-            let mut builder = RouterConfig::new(&params)
-                .with_dilation(st.dilation)
-                .with_swallow_all(config.header_words == 0 && plan.swallow()[s])
-                .with_fast_reclaim_all(config.fast_reclaim);
-            for f in 0..st.forward_ports {
-                builder = builder.with_forward_turn_delay(f, bd(s));
-            }
-            for b in 0..st.backward_ports {
-                builder = builder.with_backward_turn_delay(b, bd(s + 1));
-            }
-            // One configuration per stage, shared until a router's own
-            // is written (a heal or scan mask, a restore).
-            let router_config = Arc::new(builder.build()?);
-            let mut stage = Vec::with_capacity(topo.routers_in_stage(s));
-            for r in 0..topo.routers_in_stage(s) {
-                let mut seed_src = master.derive((s as u64) << 32 | r as u64);
-                let seed = seed_src.bits(64);
-                stage.push(Router::with_policy(
-                    params,
-                    Arc::clone(&router_config),
-                    seed,
-                    config.selection,
-                )?);
-            }
-            routers.push(stage);
-        }
+    /// Builds the machine `fabric` describes: routers on their stage's
+    /// shared configuration, NICs, and the engine's wires.
+    ///
+    /// # Errors
+    ///
+    /// [`NotCycleAccurate`] for [`EngineKind::Analytic`], the one
+    /// refusal: there is no network to tick; use
+    /// [`crate::engine::analytic::estimate_scenario`].
+    pub fn build(fabric: Fabric) -> Result<Self, NotCycleAccurate> {
+        // Refused here, built last: wires allocated after the routers and
+        // NICs measure ~4 % cheaper to set up on metro1k than before them.
+        let engine: fn(&Fabric) -> Box<dyn Engine> = match fabric.config.engine {
+            EngineKind::Flat => |f| Box::new(FlatEngine::build(f)),
+            EngineKind::Reference => |f| Box::new(ReferenceEngine::build(f)),
+            engine @ EngineKind::Analytic => return Err(NotCycleAccurate { engine }),
+        };
+        let (topo, config) = (&fabric.topo, &fabric.config);
+        let master = RandomSource::new(config.seed);
+        // One configuration per stage, shared until a router's own is
+        // written (a heal or scan mask, a restore).
+        let routers: Vec<Vec<Router>> = fabric
+            .stages
+            .iter()
+            .enumerate()
+            .map(|(s, (params, shared))| {
+                (0..topo.routers_in_stage(s))
+                    .map(|r| {
+                        let seed = master.derive((s as u64) << 32 | r as u64).bits(64);
+                        Router::with_policy(*params, Arc::clone(shared), seed, config.selection)
+                            .expect("a router builds from any lowered stage")
+                    })
+                    .collect()
+            })
+            .collect();
 
         let ep = topo.endpoint_ports();
         let endpoints = (0..topo.endpoints())
             .map(|e| {
-                let mut seed_src = master.derive(0xEE00_0000 + e as u64);
-                let mut endpoint = Endpoint::new(e, ep, ep, config.endpoint, seed_src.bits(64));
+                let seed = master.derive(0xEE00_0000 + e as u64).bits(64);
+                let mut endpoint = Endpoint::new(e, ep, ep, config.endpoint, seed);
                 endpoint.set_collect_evidence(config.self_heal);
                 endpoint
             })
             .collect();
 
-        let engine: Box<dyn Engine> = match config.engine {
-            EngineKind::Flat => Box::new(FlatEngine::build(&topo, config)),
-            EngineKind::Reference => Box::new(ReferenceEngine::build(&topo, config)),
-            EngineKind::Analytic => unreachable!("rejected above"),
-        };
-
-        let routers_per_stage: Vec<usize> = (0..topo.stages())
-            .map(|s| topo.routers_in_stage(s))
-            .collect();
+        let per_stage: Vec<usize> = routers.iter().map(Vec::len).collect();
+        let registry = TelemetryRegistry::new(&per_stage, config.telemetry_every);
         Ok(Self {
-            topo,
-            config: config.clone(),
-            plan,
+            engine: engine(&fabric),
+            fabric,
             routers,
             endpoints,
-            engine,
             faults: FaultSet::new(),
             now: 0,
             outcomes: Outcomes::new(true),
             stats: NetworkStats::new(),
             stats_from: 0,
-            registry: TelemetryRegistry::new(&routers_per_stage, config.telemetry_every),
+            registry,
             healed_links: Vec::new(),
             healed_injections: Vec::new(),
         })
@@ -336,13 +249,13 @@ impl NetworkSim {
     /// The topology under simulation.
     #[must_use]
     pub fn topology(&self) -> &Multibutterfly {
-        &self.topo
+        &self.fabric.topo
     }
 
     /// The simulator configuration.
     #[must_use]
     pub fn config(&self) -> &SimConfig {
-        &self.config
+        &self.fabric.config
     }
 
     /// The current clock cycle.
@@ -354,15 +267,15 @@ impl NetworkSim {
     /// The header plan messages in this network use.
     #[must_use]
     pub fn header_plan(&self) -> &HeaderPlan {
-        &self.plan
+        &self.fabric.plan
     }
 
     /// Builds the complete word stream for a message: header + payload
     /// (masked to `w` bits) + end-to-end checksum + TURN.
     #[must_use]
     pub fn stream_for(&self, dest: usize, payload: &[u16]) -> Vec<Word> {
-        let mut stream = Vec::with_capacity(self.plan.header_words() + payload.len() + 2);
-        self.plan.push_header(dest, &mut stream);
+        let mut stream = Vec::with_capacity(self.fabric.plan.header_words() + payload.len() + 2);
+        self.fabric.plan.push_header(dest, &mut stream);
         self.segment_onto(stream, payload)
     }
 
@@ -375,10 +288,10 @@ impl NetworkSim {
 
     /// Appends one segment's words to `stream` (a header, or nothing).
     fn segment_onto(&self, mut stream: Vec<Word>, payload: &[u16]) -> Vec<Word> {
-        let mask = if self.config.width >= 16 {
+        let mask = if self.fabric.config.width >= 16 {
             u16::MAX
         } else {
-            (1u16 << self.config.width) - 1
+            (1u16 << self.fabric.config.width) - 1
         };
         let mut ck = StreamChecksum::new();
         for &v in payload {
@@ -403,7 +316,7 @@ impl NetworkSim {
     /// Panics if `payloads` is empty or an endpoint is out of range.
     pub fn send_conversation(&mut self, src: usize, dest: usize, payloads: &[&[u16]]) {
         assert!(!payloads.is_empty(), "a conversation needs segments");
-        assert!(src < self.topo.endpoints() && dest < self.topo.endpoints());
+        assert!(src < self.fabric.topo.endpoints() && dest < self.fabric.topo.endpoints());
         let mut segments = Vec::with_capacity(payloads.len());
         segments.push(self.stream_for(dest, payloads[0]));
         for p in &payloads[1..] {
@@ -470,7 +383,7 @@ impl NetworkSim {
     pub fn tick(&mut self) {
         self.engine.step(StepCtx {
             now: self.now,
-            topo: &self.topo,
+            topo: &self.fabric.topo,
             faults: &self.faults,
             routers: &mut self.routers,
             endpoints: &mut self.endpoints,
@@ -509,7 +422,7 @@ impl NetworkSim {
                 self.outcomes.push(o);
             }
         }
-        if self.config.self_heal {
+        if self.fabric.config.self_heal {
             self.process_evidence();
         }
     }
@@ -596,7 +509,7 @@ impl NetworkSim {
             self.endpoints[e].set_dead(faults.endpoint_dead(e));
         }
         self.faults = faults;
-        self.engine.apply_faults(&self.topo, &self.faults);
+        self.engine.apply_faults(&self.fabric.topo, &self.faults);
     }
 
     /// The active fault set.
@@ -702,7 +615,7 @@ impl NetworkSim {
         self.engine.restore_state(r)?;
         self.stats.restore_state(r)?;
         // A NIC runs at most one transmit engine per injection port.
-        let engines = self.endpoints.len() * self.topo.endpoint_ports();
+        let engines = self.endpoints.len() * self.fabric.topo.endpoint_ports();
         self.outcomes.restore_state(r, within, engines as u64)?;
         self.registry.restore_state(r)
     }
@@ -715,7 +628,7 @@ impl NetworkSim {
     pub fn telemetry_snapshot(&self, name: &str) -> TelemetrySnapshot {
         TelemetrySnapshot::from_registry(
             name,
-            self.config.engine.name(),
+            self.fabric.config.engine.name(),
             self.now,
             &self.registry,
             counter_cells(&self.routers),

@@ -617,27 +617,13 @@ fn dec_load(f: &mut Fields<'_, '_>, schema: u64) -> Result<WorkloadSpec, CodecEr
     })
 }
 
-fn dec_workload(
-    node: &Node<'_>,
-    endpoints: usize,
-    schema: u64,
-) -> Result<WorkloadSpec, CodecError> {
+/// A workload's shape; what it asks of the topology is
+/// [`Scenario::lower`]'s to check.
+fn dec_workload(node: &Node<'_>, schema: u64) -> Result<WorkloadSpec, CodecError> {
     node.object(|f| {
         let kind = f.req("kind")?;
         match kind.str()? {
-            "load" => {
-                let spec = dec_load(f, schema)?;
-                // Shape validation against the document's own topology:
-                // out-of-range hotspots/permutation entries,
-                // self-targeting traces, malformed rate maps, and
-                // transpose/bit-reversal on non-power-of-two endpoint
-                // counts are decode errors, not latent run-time
-                // mis-mappings.
-                match spec.validate(endpoints) {
-                    Ok(()) => Ok(spec),
-                    Err(e) => node.err(e.to_string()),
-                }
-            }
+            "load" => dec_load(f, schema),
             "sends" => Ok(WorkloadSpec::Sends {
                 cycles: f.req("cycles")?.u64()?,
                 sends: f.req("sends")?.list(|s| {
@@ -707,13 +693,9 @@ pub fn decode(doc: &Json) -> Result<Scenario, CodecError> {
 pub(crate) fn decode_node(node: &Node<'_>) -> Result<Scenario, CodecError> {
     node.object(|f| {
         let schema = dec_schema(f, "scenario_schema", 1..=SCENARIO_SCHEMA)?;
-        let name = f.req("name")?.str()?.to_string();
-        // Topology decodes before the workload, which validates
-        // patterns, rate maps, and trace entries against the endpoint
-        // count.
-        let topology = dec_topology(&f.req("topology")?)?;
         Ok(Scenario {
-            name,
+            name: f.req("name")?.str()?.to_string(),
+            topology: dec_topology(&f.req("topology")?)?,
             sim: dec_sim(&f.req("sim")?)?,
             seed: dec_seed(&f.req("seed")?)?,
             faults: dec_faults(&f.req("faults")?)?,
@@ -730,8 +712,7 @@ pub(crate) fn decode_node(node: &Node<'_>) -> Result<Scenario, CodecError> {
                     })
                 })
             })?,
-            workload: dec_workload(&f.req("workload")?, topology.endpoints, schema)?,
-            topology,
+            workload: dec_workload(&f.req("workload")?, schema)?,
         })
     })
 }
@@ -1232,51 +1213,6 @@ mod tests {
         let e = decode(&doc).unwrap_err();
         assert_eq!(e.path, "scenario.workload.arrival.kind");
         assert!(e.message.contains("poisson"), "{e}");
-    }
-
-    #[test]
-    fn malformed_workload_shapes_are_decode_errors() {
-        // Out-of-range permutation entry.
-        let mut s = rich_scenario();
-        let n = s.topology.endpoints;
-        let mut perm: Vec<usize> = (0..n).map(|i| (i + 1) % n).collect();
-        let WorkloadSpec::Load { pattern, .. } = &mut s.workload else {
-            unreachable!()
-        };
-        perm[3] = n + 5;
-        *pattern = TrafficPattern::Permutation(perm.clone());
-        let e = decode(&encode(&s)).unwrap_err();
-        assert_eq!(e.path, "scenario.workload");
-        assert!(e.message.contains("outside"), "{e}");
-        // Self-targeting permutation entry.
-        perm[3] = 3;
-        let WorkloadSpec::Load { pattern, .. } = &mut s.workload else {
-            unreachable!()
-        };
-        *pattern = TrafficPattern::Permutation(perm);
-        let e = decode(&encode(&s)).unwrap_err();
-        assert!(e.message.contains("itself"), "{e}");
-        // Self-targeting trace entry.
-        let mut t = rich_scenario();
-        let WorkloadSpec::Load { arrival, .. } = &mut t.workload else {
-            unreachable!()
-        };
-        *arrival = ArrivalProcess::Trace(vec![TraceEntry {
-            at: 0,
-            src: 2,
-            dest: 2,
-            payload_words: 1,
-        }]);
-        let e = decode(&encode(&t)).unwrap_err();
-        assert!(e.message.contains("itself"), "{e}");
-        // Rate map of the wrong length.
-        let mut r = rich_scenario();
-        let WorkloadSpec::Load { rates, .. } = &mut r.workload else {
-            unreachable!()
-        };
-        *rates = RateMap::PerEndpoint(vec![1.0; 3]);
-        let e = decode(&encode(&r)).unwrap_err();
-        assert!(e.message.contains("entries"), "{e}");
     }
 
     #[test]

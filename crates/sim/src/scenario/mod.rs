@@ -29,7 +29,7 @@ pub use run::{run_scenario, Run};
 use crate::experiment::LoadPoint;
 use crate::message::Outcomes;
 use crate::network::{NetworkSim, SimConfig};
-use crate::workload::{ArrivalProcess, RateMap, TrafficPattern, WorkloadError};
+use crate::workload::{ArrivalProcess, RateMap, TrafficPattern};
 use metro_harness::document::hex64;
 use metro_harness::Json;
 use metro_topo::fault::FaultSet;
@@ -89,32 +89,6 @@ pub enum WorkloadSpec {
         /// Total cycles to run.
         cycles: u64,
     },
-}
-
-impl WorkloadSpec {
-    /// Validates the workload against the topology it will drive:
-    /// pattern/endpoint-count fit, rate-map shape, dwell and trace
-    /// sanity. Called by [`NetworkSim::from_scenario`] so a malformed
-    /// workload is a typed build-time error, never a silently
-    /// mis-mapped run.
-    ///
-    /// # Errors
-    ///
-    /// See [`WorkloadError`].
-    pub fn validate(&self, endpoints: usize) -> Result<(), WorkloadError> {
-        if let Self::Load {
-            pattern,
-            arrival,
-            rates,
-            ..
-        } = self
-        {
-            pattern.validate(endpoints)?;
-            arrival.validate(endpoints)?;
-            rates.validate(endpoints)?;
-        }
-        Ok(())
-    }
 }
 
 /// Timed repairs riding on a fault injection: the named elements are
@@ -211,17 +185,17 @@ impl Scenario {
 }
 
 impl NetworkSim {
-    /// Builds the simulator a scenario describes: topology + sim
-    /// parameters, with the scenario's static fault set already
-    /// applied. Timed injections are the run loop's job
-    /// ([`Run::step`]).
+    /// Builds the simulator a scenario describes: [`Scenario::lower`],
+    /// then [`NetworkSim::build`], with the scenario's static fault set
+    /// applied. Timed injections are the run loop's job ([`Run::step`]).
     ///
     /// # Errors
     ///
-    /// Propagates topology validation errors from [`NetworkSim::new`].
+    /// The scenario's [`ScenarioError`](crate::fabric::ScenarioError),
+    /// or [`NotCycleAccurate`](crate::engine::NotCycleAccurate) for the
+    /// analytic engine.
     pub fn from_scenario(scenario: &Scenario) -> Result<Self, Box<dyn std::error::Error>> {
-        let mut sim = NetworkSim::new(&scenario.topology, &scenario.sim)?;
-        scenario.workload.validate(sim.topology().endpoints())?;
+        let mut sim = NetworkSim::build(scenario.lower()?)?;
         if !scenario.faults.is_empty() {
             sim.apply_faults(scenario.faults.clone());
         }

@@ -72,9 +72,9 @@ pub struct Run {
 }
 
 impl Run {
-    /// A run of `workload` on `sim` from cycle 0, its arrival streams
-    /// seeded by `seeds` (a scripted schedule draws nothing), with
-    /// `injections` merging onto the faults `sim` already carries.
+    /// A run of `workload` — lowered on `sim`'s topology, as [`Run::of`]
+    /// does — on `sim` from cycle 0, its arrival streams seeded by
+    /// `seeds`, with `injections` merging onto the faults `sim` carries.
     #[must_use]
     pub fn new(
         mut sim: NetworkSim,
@@ -162,8 +162,8 @@ impl Run {
     ///
     /// # Errors
     ///
-    /// Propagates topology and workload validation errors; an
-    /// analytic-engine scenario is a
+    /// The scenario's [`ScenarioError`](crate::fabric::ScenarioError);
+    /// an analytic-engine scenario is a
     /// [`NotCycleAccurate`](crate::engine::NotCycleAccurate). A
     /// checkpoint whose state stream does not fit the scenario-built
     /// machine is a [`StateError`](metro_telemetry::StateError).
@@ -228,9 +228,8 @@ impl Run {
             }),
             Offered::Load { .. } => {}
             Offered::Sends { sends, next } => {
-                let n = sim.topology().endpoints();
                 while let Some(s) = sends.get(*next).filter(|s| s.at <= now) {
-                    sim.send(s.src % n, s.dest % n, &s.payload);
+                    sim.send(s.src, s.dest, &s.payload);
                     *next += 1;
                 }
             }
@@ -359,7 +358,8 @@ impl std::fmt::Debug for CheckpointSink<'_> {
 ///
 /// # Errors
 ///
-/// Propagates topology validation errors.
+/// The scenario's [`ScenarioError`](crate::fabric::ScenarioError),
+/// on every engine alike.
 pub fn run_scenario(scenario: &Scenario) -> Result<ScenarioResult, Box<dyn std::error::Error>> {
     if scenario.sim.engine == EngineKind::Analytic {
         return crate::engine::analytic::estimate_scenario(scenario);

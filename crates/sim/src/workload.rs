@@ -366,9 +366,9 @@ impl RateMap {
     }
 }
 
-/// A workload that cannot be constructed: the typed rejection the
-/// scenario builder and codec raise instead of silently mis-mapping
-/// traffic (the old `Transpose`-on-non-power-of-two failure mode).
+/// A workload that cannot be constructed: the typed rejection
+/// [`Scenario::lower`](crate::scenario::Scenario::lower) raises instead
+/// of silently mis-mapping traffic.
 #[derive(Debug, Clone, PartialEq)]
 pub enum WorkloadError {
     /// Transpose/bit-reversal index arithmetic only permutes correctly
@@ -445,6 +445,15 @@ pub enum WorkloadError {
         /// The self-targeting endpoint.
         src: usize,
     },
+    /// A scripted send naming an endpoint outside the topology.
+    SendEndpoint {
+        /// Its source endpoint.
+        src: usize,
+        /// Its destination endpoint.
+        dest: usize,
+        /// Endpoints in the topology.
+        endpoints: usize,
+    },
 }
 
 impl std::fmt::Display for WorkloadError {
@@ -499,6 +508,11 @@ impl std::fmt::Display for WorkloadError {
             Self::TraceSelfTarget { index, src } => {
                 write!(f, "trace entry {index} sends endpoint {src} to itself")
             }
+            Self::SendEndpoint {
+                src,
+                dest,
+                endpoints,
+            } => write!(f, "send names endpoint {src} -> {dest} outside 0..{endpoints}"),
         }
     }
 }

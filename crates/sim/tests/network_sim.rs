@@ -7,7 +7,7 @@
 use metro_sim::endpoint::{EndpointConfig, ReplyPolicy};
 use metro_sim::message::{DeliveryStatus, FailureKind, ACK_OK};
 use metro_sim::{resume_scenario, run_scenario, Checkpoint, RunPhase, Scenario};
-use metro_sim::{EngineKind, NetworkSim, SimConfig};
+use metro_sim::{EngineKind, NetworkSim, ScenarioError, SimConfig};
 use metro_telemetry::RouterCounter;
 use metro_topo::fault::{FaultKind, FaultSet};
 use metro_topo::graph::LinkId;
@@ -221,11 +221,13 @@ fn wrong_boundary_count_is_a_typed_error_on_every_build_path() {
         resume_scenario(&ckpt).err(),
     ] {
         let err = err.expect("an Err, not a panic and not a run");
-        let typed = err
-            .downcast_ref::<metro_sim::network::WireDelayCount>()
-            .expect("typed error");
+        let refusal = err.downcast_ref::<ScenarioError>().expect("typed error");
+        assert_eq!(refusal.path, "scenario.sim.stage_wire_delays");
+        let typed = refusal
+            .source
+            .downcast_ref::<metro_sim::fabric::WireDelayCount>()
+            .expect("typed source");
         assert_eq!((typed.got, typed.expected), (1, 4));
-        assert!(err.to_string().contains("sim.stage_wire_delays"), "{err}");
     }
 }
 
@@ -254,10 +256,13 @@ fn hostile_port_counts_and_widths_are_typed_errors_on_every_build_path() {
             cycle: 0,
             state: Vec::new(),
         };
+        let mut estimated = scenario.clone();
+        estimated.sim.engine = EngineKind::Analytic;
         for err in [
             NetworkSim::new(&scenario.topology, &scenario.sim).err(),
             NetworkSim::from_scenario(&scenario).err(),
             run_scenario(&scenario).err(),
+            run_scenario(&estimated).err(),
             resume_scenario(&ckpt).err(),
         ] {
             let err = err.expect("an Err, not a panic and not a run");

@@ -1,7 +1,9 @@
 //! "One run loop" as a Tier-1 fact: outside `network.rs` the only
 //! non-test code that advances the clock is `scenario::Run::step`, and
 //! the only non-test code that spells a driver's `StreamRecipe` is
-//! `Run::new` (the estimator spells the `schedule()` side).
+//! `Run::new` (the estimator spells the `schedule()` side). "One
+//! lowering" likewise: the simulator checks a scenario in `fabric.rs`
+//! alone.
 
 use std::path::{Path, PathBuf};
 
@@ -55,4 +57,16 @@ fn a_workload_driver_is_built_in_one_place() {
             "crates/sim/src/scenario/run.rs"
         ]
     );
+}
+
+#[test]
+fn a_scenario_is_checked_in_one_place() {
+    // Router parameters, the header plan (which asserts what they
+    // refuse) and the workload's checks against the endpoint count.
+    for needle in ["ArchParams::new(", ".header_plan(", ".validate("] {
+        let mut hits = files_with(needle);
+        hits.retain(|f| f.starts_with("crates/sim/src/"));
+        hits.dedup();
+        assert_eq!(hits, ["crates/sim/src/fabric.rs"], "{needle}");
+    }
 }

@@ -441,6 +441,16 @@ impl Router {
         self.active == 0 && self.alloc.in_use_mask() == 0
     }
 
+    /// The ports a tick can drive, as bitplanes: `(forward ports not
+    /// idle, backward ports allocated)`. A tick writes a word or a BCB
+    /// only on a port in this pair as read before or after it: a
+    /// forward port steps only while active or when its request makes
+    /// it so, and a backward port carries only its owner's words.
+    #[must_use]
+    pub fn busy_ports(&self) -> (u64, u64) {
+        (self.active, self.alloc.in_use_mask())
+    }
+
     /// A summary of forward port `f`'s state.
     #[must_use]
     pub fn port_status(&self, f: usize) -> PortStatus {

@@ -378,7 +378,8 @@ impl Endpoint {
     }
 
     /// Whether any completed or abandoned outcomes await harvesting —
-    /// lets the per-tick harvest skip endpoints with nothing to drain.
+    /// asked after each tick, so the harvest visits only the NICs that
+    /// have something to drain.
     #[must_use]
     pub fn has_outcomes(&self) -> bool {
         !self.completed.is_empty() || !self.abandoned.is_empty()

@@ -4,8 +4,9 @@
 //! [`NetworkSim`](crate::network::NetworkSim) is an orchestrator — it
 //! owns the routers, endpoints, telemetry, and healing state, and
 //! delegates the per-cycle dataflow to an [`Engine`]: [`flat`] (the
-//! allocation-free arena engine, optionally sharded across cores by
-//! [`shard`]), or [`reference`] (the scalar executable spec). The
+//! allocation-free arena engine, which steps only what is active, on
+//! one thread or by shard on [`shard`]'s worker pool), or
+//! [`reference`] (the scalar executable spec). The
 //! third [`EngineKind`], [`analytic`], is not a cycle engine at all:
 //! it predicts latency distributions from per-stage models instead of
 //! ticking, so it is dispatched by
@@ -138,6 +139,10 @@ pub struct StepCtx<'a> {
     pub routers: &'a mut [Vec<Router>],
     /// Every endpoint NIC.
     pub endpoints: &'a mut [Endpoint],
+    /// One bit per NIC, set by the step for every NIC it ticked that
+    /// then held finished outcomes: a NIC gains one only when ticked,
+    /// so the harvest drains these and no other.
+    pub finished: &'a mut [u64],
 }
 
 /// The sealed cycle-engine interface: step the network one clock,
@@ -175,8 +180,9 @@ pub trait Engine: sealed::Sealed + std::fmt::Debug + Send {
     /// [`Engine::wake_endpoint`] for router `(stage, router)`.
     fn wake_router(&mut self, _stage: usize, _router: usize) {}
 
-    /// Components and wires stepped so far, for tests of the skip; 0
-    /// from an engine that walks everything every cycle.
+    /// Components and wires the step visited so far, at any shard
+    /// count, for tests of the skip; 0 from the Reference engine, which
+    /// ticks everything every cycle.
     fn visits(&self) -> u64 {
         0
     }
@@ -200,8 +206,9 @@ pub trait Engine: sealed::Sealed + std::fmt::Debug + Send {
     /// tick boundary every cycle engine writes the same words at any
     /// shard count, so a checkpoint does not name the engine that took
     /// it. Scratch that is rewritten before it is next read (drive
-    /// buses, shard staging, worker pools, the flat step's hot set —
-    /// restoring marks everything) is not state and is not written.
+    /// buses, worker pools and their marks, the flat step's hot set and
+    /// carry masks — restoring marks everything) is not state and is
+    /// not written.
     fn save_state(&self, w: &mut StateWriter);
 
     /// Overwrites the channel state from a checkpoint stream written by

@@ -93,6 +93,7 @@ impl Engine for ReferenceEngine {
                 in_fwd_in: self.ep_in_fwd[e].clone(),
             };
             ep_drive.push(endpoint.tick(ctx.now, &io));
+            ctx.finished[e / 64] |= u64::from(endpoint.has_outcomes()) << (e % 64);
         }
 
         // 2. Routers compute their outputs.

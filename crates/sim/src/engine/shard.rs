@@ -1,420 +1,257 @@
-//! The sharded flat step: the flat engine's dataflow fanned out over
-//! the [`ShardPlan`]'s disjoint slot ranges with a pool barrier between
-//! phases.
+//! The flat step on more than one shard: the tick pass by shard and the
+//! carry pass by lane, as two rounds on a persistent worker pool.
 //!
-//! Phase 1 ticks each shard's endpoints and routers from the arena
-//! into its bus regions; phase 2 advances each shard's wires, writing
-//! reverse/BCB lanes directly into owned regions of the arena phase 1
-//! just read (the barrier separates them) and staging forward-lane
-//! words; phase 3 gathers staged words to their (possibly remote)
-//! target slots via the plan's precomputed lists. Every component and
-//! wire is ticked exactly once by exactly one shard, all randomness
-//! stays inside per-component RNGs, and the orchestrator's
-//! telemetry/harvest walk remains sequential in canonical slot order —
-//! which is why any shard count is bit-identical to one.
+//! Round one hands shard `k` the routers and NICs of the
+//! [`ShardPlan`]'s `k`-th ranges, with the bus regions they drive and
+//! their carry masks: a `TickPart`, split off the machine in shard
+//! order with `split_at_mut`. Round two runs the carry on two
+//! participants, one per lane, each writing arena arrays the other
+//! never touches. Every other array a round touches is read-only in
+//! it, and the marks each participant makes — who stays hot, whom a
+//! carry wakes, which NICs hold outcomes — go to bitsets of its own,
+//! which the caller ORs together before it advances the wires. So every
+//! component is ticked by exactly one thread, at the same point of its
+//! own history as on one thread, and all randomness stays inside
+//! per-component RNGs: any shard count is bit-identical to one.
+//!
+//! Nothing here allocates per step: the parts and lanes are arrays on
+//! the stack, the pool is created on the first step, and the marks
+//! with the engine.
 
-use super::flat::{ChannelArena, DriveBus, FlatEngine};
-use super::StepCtx;
+use super::flat::{Carry, CarryMask, DriveBus, FwdLane, RevLane, Tick, MAX_SHARDS};
 use crate::endpoint::Endpoint;
-use crate::shard::ShardPlan;
-use crate::wire::Wire;
+use crate::shard::{ShardBase, ShardPlan};
 use metro_core::{Router, Word};
 use metro_harness::TickPool;
-use metro_topo::flatlinks::{FlatLinks, FlatTarget};
+use std::sync::Mutex;
 
-/// Everything the sharded flat step needs beyond the engine itself:
-/// the topology partition, the persistent worker pool, and the
-/// forward-lane staging buffers wires park cross-shard words in
-/// between the wire and gather phases.
+/// Splits off the first `n` items of `rest`.
+fn take_front<'a, T>(rest: &mut &'a mut [T], n: usize) -> &'a mut [T] {
+    let (front, back) = std::mem::take(rest).split_at_mut(n);
+    *rest = back;
+    front
+}
+
+/// Consecutive routers in flat order, as per-stage pieces: `head` of
+/// stage `stage` from in-stage index `at`, then the whole stages after
+/// it, then `tail`, the front of the stage after those.
+#[derive(Debug)]
+pub(crate) struct RouterSpan<'a> {
+    stage: usize,
+    at: usize,
+    head: &'a mut [Router],
+    full: &'a mut [Vec<Router>],
+    tail: &'a mut [Router],
+}
+
+impl RouterSpan<'_> {
+    /// Splits off the first `n` routers of a span that runs to the end
+    /// of the machine (no `tail`).
+    fn split_front(&mut self, n: usize) -> Self {
+        let (stage, at) = (self.stage, self.at);
+        let in_head = n.min(self.head.len());
+        let head = take_front(&mut self.head, in_head);
+        self.at += in_head;
+        let (mut left, mut whole) = (n - in_head, 0);
+        while left > 0 && self.full[whole].len() <= left {
+            left -= self.full[whole].len();
+            whole += 1;
+        }
+        let full = take_front(&mut self.full, whole);
+        let mut tail: &mut [Router] = &mut [];
+        if left > 0 {
+            let (next, after) = std::mem::take(&mut self.full)
+                .split_first_mut()
+                .expect("a plan cuts no more routers than there are");
+            (tail, self.head) = next.split_at_mut(left);
+            (self.full, self.at) = (after, left);
+        }
+        self.stage = stage + whole + usize::from(!tail.is_empty());
+        Self {
+            stage,
+            at,
+            head,
+            full,
+            tail,
+        }
+    }
+
+    /// The pieces as `(stage, first in-stage index, routers)`, empty
+    /// ones left out.
+    pub(crate) fn segments(&mut self) -> impl Iterator<Item = (usize, usize, &mut [Router])> {
+        let tail_stage = self.stage + 1 + self.full.len();
+        let full = self.full.iter_mut().zip(self.stage + 1..);
+        std::iter::once((self.stage, self.at, &mut *self.head))
+            .chain(full.map(|(stage, s)| (s, 0, stage.as_mut_slice())))
+            .chain(std::iter::once((tail_stage, 0, &mut *self.tail)))
+            .filter(|(_, _, routers)| !routers.is_empty())
+    }
+}
+
+/// One shard's share of the tick pass: its NICs and routers, their
+/// carry masks, and the bus regions they drive. Every slice starts at
+/// the shard's `first` member or slot.
+#[derive(Debug)]
+pub(crate) struct TickPart<'a> {
+    pub(crate) first: ShardBase,
+    pub(crate) endpoints: &'a mut [Endpoint],
+    pub(crate) routers: RouterSpan<'a>,
+    pub(crate) masks: &'a mut [CarryMask],
+    pub(crate) ep_out_fwd: &'a mut [Word],
+    pub(crate) ep_in_rev: &'a mut [Word],
+    pub(crate) out_bwd: &'a mut [Word],
+    pub(crate) out_fwd: &'a mut [Word],
+    pub(crate) out_bcb: &'a mut [bool],
+}
+
+impl<'a> TickPart<'a> {
+    /// The whole machine as one part.
+    pub(crate) fn whole(
+        endpoints: &'a mut [Endpoint],
+        routers: &'a mut [Vec<Router>],
+        masks: &'a mut [CarryMask],
+        bus: &'a mut DriveBus,
+    ) -> Self {
+        let (head, full) = routers.split_first_mut().expect("a fabric has a stage");
+        Self {
+            first: ShardBase::default(),
+            endpoints,
+            routers: RouterSpan {
+                stage: 0,
+                at: 0,
+                head,
+                full,
+                tail: &mut [],
+            },
+            masks,
+            ep_out_fwd: &mut bus.ep_out_fwd,
+            ep_in_rev: &mut bus.ep_in_rev,
+            out_bwd: &mut bus.out_bwd,
+            out_fwd: &mut bus.out_fwd,
+            out_bcb: &mut bus.out_bcb,
+        }
+    }
+
+    /// Splits off everything before `end`, the next shard's start.
+    fn split_to(&mut self, end: ShardBase) -> Self {
+        let first = std::mem::replace(&mut self.first, end);
+        let routers = end.router - first.router;
+        Self {
+            first,
+            endpoints: take_front(&mut self.endpoints, end.endpoint - first.endpoint),
+            routers: self.routers.split_front(routers),
+            masks: take_front(&mut self.masks, routers),
+            ep_out_fwd: take_front(&mut self.ep_out_fwd, end.ep_slot - first.ep_slot),
+            ep_in_rev: take_front(&mut self.ep_in_rev, end.ep_slot - first.ep_slot),
+            out_bwd: take_front(&mut self.out_bwd, end.bslot - first.bslot),
+            out_fwd: take_front(&mut self.out_fwd, end.fslot - first.fslot),
+            out_bcb: take_front(&mut self.out_bcb, end.fslot - first.fslot),
+        }
+    }
+}
+
+/// What one participant marks in a step, merged by the caller.
+#[derive(Debug, Clone)]
+struct Marks {
+    /// Hot-set members to visit next cycle (the hot set's numbering).
+    wake: Vec<u64>,
+    /// NICs holding outcomes, one bit each.
+    finished: Vec<u64>,
+    /// Members its tick pass visited.
+    visited: u64,
+}
+
+/// The worker pool and each participant's marks.
 #[derive(Debug)]
 pub(crate) struct ShardState {
-    pub(crate) plan: ShardPlan,
-    /// Created lazily on the first sharded step (so merely *building*
-    /// a sharded sim spawns no threads) and intentionally not cloned —
-    /// a cloned sim respins its own pool on its next step.
-    pub(crate) pool: Option<TickPool>,
-    /// Forward-lane word each injection wire produced this cycle,
-    /// indexed by endpoint slot; the gather phase routes it to the
-    /// target stage-0 forward slot (which may live on another shard).
-    pub(crate) fwd_inj: Vec<Word>,
-    /// Forward-lane word each inter-stage/delivery wire produced this
-    /// cycle, indexed by backward slot.
-    pub(crate) fwd_stage: Vec<Word>,
+    /// Created on the first step (so merely *building* a sharded sim
+    /// spawns no threads) and not cloned — a cloned sim spins up its
+    /// own pool on its next step.
+    pool: Option<TickPool>,
+    /// One per shard; the carry's two lanes use the first two.
+    marks: Vec<Marks>,
 }
 
 impl Clone for ShardState {
     fn clone(&self) -> Self {
         Self {
-            plan: self.plan.clone(),
             pool: None,
-            fwd_inj: self.fwd_inj.clone(),
-            fwd_stage: self.fwd_stage.clone(),
+            marks: self.marks.clone(),
         }
     }
 }
 
-/// Splits `slice` at a shard plan's cut points (a nondecreasing
-/// `(shards + 1)`-entry array covering `0..slice.len()`), returning one
-/// disjoint mutable subslice per shard — the lock-free write partition
-/// the sharded step hands its workers.
-fn split_by_cuts<'a, T>(mut slice: &'a mut [T], cuts: &[usize]) -> Vec<&'a mut [T]> {
-    let mut out = Vec::with_capacity(cuts.len().saturating_sub(1));
-    let mut prev = 0usize;
-    for &c in &cuts[1..] {
-        let (head, tail) = slice.split_at_mut(c - prev);
-        out.push(head);
-        slice = tail;
-        prev = c;
-    }
-    out
-}
-
-/// Phase-1 work package: one shard's endpoints and routers read the
-/// shared arena (last-tick state only — the Moore-machine
-/// property that makes partitioned ticking exact) and drive this
-/// shard's disjoint bus regions.
-struct CompShard<'a> {
-    now: u64,
-    ep: usize,
-    /// First endpoint index / endpoint slot / forward slot / backward
-    /// slot this shard owns (global-to-local offsets for the split bus
-    /// slices below).
-    ep_base: usize,
-    eps0: usize,
-    f0: usize,
-    b0: usize,
-    links: &'a FlatLinks,
-    arena: &'a ChannelArena,
-    router_dead: &'a [bool],
-    endpoints: &'a mut [Endpoint],
-    /// `(stage, first in-stage router index, routers)` segments tiling
-    /// this shard's flat router range.
-    routers: Vec<(usize, usize, &'a mut [Router])>,
-    ep_out_fwd: &'a mut [Word],
-    ep_in_rev: &'a mut [Word],
-    out_bwd: &'a mut [Word],
-    out_fwd: &'a mut [Word],
-    out_bcb: &'a mut [bool],
-}
-
-impl CompShard<'_> {
-    fn run(&mut self) {
-        let ep = self.ep;
-        for (i, endpoint) in self.endpoints.iter_mut().enumerate() {
-            let g = (self.ep_base + i) * ep;
-            let l = g - self.eps0;
-            endpoint.tick_into(
-                self.now,
-                &self.arena.ep_out_rev[g..g + ep],
-                &self.arena.ep_out_bcb[g..g + ep],
-                &self.arena.ep_in_fwd[g..g + ep],
-                &mut self.ep_out_fwd[l..l + ep],
-                &mut self.ep_in_rev[l..l + ep],
-            );
+impl ShardState {
+    /// State for `shards ≥ 2` participants over `members` hot-set
+    /// members and `endpoints` NICs.
+    pub(crate) fn new(shards: usize, members: usize, endpoints: usize) -> Self {
+        let marks = Marks {
+            wake: vec![0; members.div_ceil(64)],
+            finished: vec![0; endpoints.div_ceil(64)],
+            visited: 0,
+        };
+        Self {
+            pool: None,
+            marks: vec![marks; shards],
         }
-        for (s, r0, routers) in &mut self.routers {
-            let (s, r0) = (*s, *r0);
-            let nf = self.links.forward_ports(s);
-            let nb = self.links.backward_ports(s);
-            for (i, router) in routers.iter_mut().enumerate() {
-                let r = r0 + i;
-                let fl = self.links.fslot(s, r, 0) - self.f0;
-                let bl = self.links.bslot(s, r, 0) - self.b0;
-                let fg = fl + self.f0;
-                let bg = bl + self.b0;
-                if self.router_dead[self.links.router_index(s, r)] {
-                    self.out_bwd[bl..bl + nb].fill(Word::Empty);
-                    self.out_fwd[fl..fl + nf].fill(Word::Empty);
-                    self.out_bcb[fl..fl + nf].fill(false);
-                    continue;
-                }
-                router.tick_into(
-                    &self.arena.fwd_in[fg..fg + nf],
-                    &self.arena.rev_in[bg..bg + nb],
-                    &self.arena.bcb_in[bg..bg + nb],
-                    &mut self.out_bwd[bl..bl + nb],
-                    &mut self.out_fwd[fl..fl + nf],
-                    &mut self.out_bcb[fl..fl + nf],
-                );
+    }
+
+    /// The tick pass by shard: participant `k` runs `tick` over the
+    /// `k`-th part of `machine` under `plan`, marking and counting into
+    /// its own marks until [`ShardState::merge`].
+    pub(crate) fn tick(&mut self, tick: &Tick<'_>, plan: &ShardPlan, mut machine: TickPart<'_>) {
+        let n = self.marks.len();
+        let pool = self.pool.get_or_insert_with(|| {
+            TickPool::new(std::num::NonZeroUsize::new(n).expect("two or more shards"))
+        });
+        let mut marks = self.marks.iter_mut().enumerate();
+        let jobs: [_; MAX_SHARDS] = std::array::from_fn(|_| {
+            Mutex::new(
+                marks
+                    .next()
+                    .map(|(k, m)| (machine.split_to(plan.base(k + 1)), m)),
+            )
+        });
+        pool.run(|w| {
+            let job = jobs[w].try_lock().expect("one participant per part").take();
+            let (part, m) = job.expect("a part per participant");
+            m.visited = tick.run(part, &mut m.wake, &mut m.finished);
+        });
+    }
+
+    /// The carry pass by lane: participant 0 carries the forward lane,
+    /// participant 1 the reverse lane, the rest wait.
+    pub(crate) fn carry(&mut self, carry: &Carry<'_>, fwd: FwdLane<'_>, rev: RevLane<'_>) {
+        let pool = self.pool.as_ref().expect("the tick round made the pool");
+        let [first, second, ..] = &mut self.marks[..] else {
+            unreachable!("two or more shards");
+        };
+        let lanes = [
+            Mutex::new(Some((Some(fwd), None, &mut first.wake))),
+            Mutex::new(Some((None, Some(rev), &mut second.wake))),
+        ];
+        pool.run(|w| {
+            if let Some(lane) = lanes.get(w) {
+                let job = lane.try_lock().expect("one participant per lane").take();
+                let (fwd, rev, wake) = job.expect("a lane per participant");
+                carry.run(wake, fwd, rev);
             }
-        }
+        });
     }
-}
 
-/// Phase-2 work package: this shard's wires read the whole bus
-/// (complete after the phase-1 barrier) and write the reverse/BCB
-/// lanes straight into the shard's own arena regions — a wire's
-/// backward slot and endpoint slot are its owner's by construction.
-/// Only the forward lane can cross shards, so it is parked in the
-/// staging buffers for the gather phase.
-struct WireShard<'a> {
-    eps0: usize,
-    b0: usize,
-    links: &'a FlatLinks,
-    bus: &'a DriveBus,
-    inj_transparent: &'a [bool],
-    stage_transparent: &'a [bool],
-    inj_wires: &'a mut [Wire],
-    stage_wires: &'a mut [Wire],
-    ep_out_rev: &'a mut [Word],
-    ep_out_bcb: &'a mut [bool],
-    rev_in: &'a mut [Word],
-    bcb_in: &'a mut [bool],
-    fwd_inj: &'a mut [Word],
-    fwd_stage: &'a mut [Word],
-}
-
-impl WireShard<'_> {
-    fn run(&mut self) {
-        for (l, wire) in self.inj_wires.iter_mut().enumerate() {
-            let i = self.eps0 + l;
-            let t = self.links.inj_target(i);
-            let (fwd_o, rev_o, bcb_o) = if self.inj_transparent[i] {
-                (
-                    self.bus.ep_out_fwd[i],
-                    self.bus.out_fwd[t],
-                    self.bus.out_bcb[t],
-                )
-            } else {
-                wire.advance(
-                    self.bus.ep_out_fwd[i],
-                    self.bus.out_fwd[t],
-                    self.bus.out_bcb[t],
-                )
-            };
-            self.fwd_inj[l] = fwd_o;
-            self.ep_out_rev[l] = rev_o;
-            self.ep_out_bcb[l] = bcb_o;
-        }
-        for (l, wire) in self.stage_wires.iter_mut().enumerate() {
-            let j = self.b0 + l;
-            match self.links.bwd_target(j) {
-                FlatTarget::Fwd(t) => {
-                    let t = t as usize;
-                    let (fwd_o, rev_o, bcb_o) = if self.stage_transparent[j] {
-                        (
-                            self.bus.out_bwd[j],
-                            self.bus.out_fwd[t],
-                            self.bus.out_bcb[t],
-                        )
-                    } else {
-                        wire.advance(
-                            self.bus.out_bwd[j],
-                            self.bus.out_fwd[t],
-                            self.bus.out_bcb[t],
-                        )
-                    };
-                    self.fwd_stage[l] = fwd_o;
-                    self.rev_in[l] = rev_o;
-                    self.bcb_in[l] = bcb_o;
-                }
-                FlatTarget::Endpoint(i) => {
-                    let i = i as usize;
-                    let (fwd_o, rev_o) = if self.stage_transparent[j] {
-                        (self.bus.out_bwd[j], self.bus.ep_in_rev[i])
-                    } else {
-                        let (f, r, _) =
-                            wire.advance(self.bus.out_bwd[j], self.bus.ep_in_rev[i], false);
-                        (f, r)
-                    };
-                    self.fwd_stage[l] = fwd_o;
-                    self.rev_in[l] = rev_o;
-                    self.bcb_in[l] = false;
-                }
+    /// ORs every participant's marks into `wake` and `finished`, clears
+    /// them, and returns the visits the tick pass made.
+    pub(crate) fn merge(&mut self, wake: &mut [u64], finished: &mut [u64]) -> u64 {
+        let mut visited = 0;
+        for m in &mut self.marks {
+            for (to, from) in wake.iter_mut().zip(&mut m.wake) {
+                *to |= std::mem::take(from);
             }
-        }
-    }
-}
-
-/// Phase-3 work package: copy staged forward-lane words (complete
-/// after the phase-2 barrier) into the forward-input and
-/// endpoint-input slots this shard owns, walking the plan's
-/// precomputed target-owner gather lists.
-struct GatherShard<'a> {
-    f0: usize,
-    eps0: usize,
-    fwd_from_inj: &'a [(u32, u32)],
-    fwd_from_bwd: &'a [(u32, u32)],
-    ep_in_from_bwd: &'a [(u32, u32)],
-    fwd_inj: &'a [Word],
-    fwd_stage: &'a [Word],
-    fwd_in: &'a mut [Word],
-    ep_in_fwd: &'a mut [Word],
-}
-
-impl GatherShard<'_> {
-    fn run(&mut self) {
-        for &(t, i) in self.fwd_from_inj {
-            self.fwd_in[t as usize - self.f0] = self.fwd_inj[i as usize];
-        }
-        for &(t, j) in self.fwd_from_bwd {
-            self.fwd_in[t as usize - self.f0] = self.fwd_stage[j as usize];
-        }
-        for &(i, j) in self.ep_in_from_bwd {
-            self.ep_in_fwd[i as usize - self.eps0] = self.fwd_stage[j as usize];
-        }
-    }
-}
-
-/// One sharded flat cycle over `eng`'s shard state (which must be
-/// present): three barrier-separated phases on the persistent worker
-/// pool.
-pub(crate) fn step_sharded(eng: &mut FlatEngine, ctx: StepCtx<'_>) {
-    let FlatEngine {
-        links,
-        arena,
-        bus,
-        inj_wires,
-        stage_wires,
-        router_dead,
-        inj_transparent,
-        stage_transparent,
-        shard,
-        ..
-    } = eng;
-    let state = shard.as_mut().expect("sharded step requires a shard plan");
-    let ShardState {
-        plan,
-        pool,
-        fwd_inj,
-        fwd_stage,
-    } = &mut **state;
-    let n = plan.shards();
-    let pool = &*pool.get_or_insert_with(|| {
-        TickPool::new(std::num::NonZeroUsize::new(n).expect("shard count >= 1"))
-    });
-    let now = ctx.now;
-    let ep = links.ep_ports();
-    let links = &*links;
-    let router_dead = &router_dead[..];
-
-    // Phase 1: components drive the bus.
-    {
-        let arena = &*arena;
-        let mut eps_it = split_by_cuts(ctx.endpoints, &plan.ep_cut).into_iter();
-        // Tile each shard's flat router range into per-stage
-        // segments (shard ranges are contiguous in flat router
-        // order, so this is one linear walk).
-        let mut segs: Vec<Vec<(usize, usize, &mut [Router])>> =
-            (0..n).map(|_| Vec::new()).collect();
-        {
-            let mut k = 0usize;
-            let mut flat_base = 0usize;
-            for (s, stage) in ctx.routers.iter_mut().enumerate() {
-                let stage_len = stage.len();
-                let mut rest: &mut [Router] = stage;
-                let mut offset = 0usize;
-                while !rest.is_empty() {
-                    while plan.router_cut[k + 1] <= flat_base + offset {
-                        k += 1;
-                    }
-                    let take = (plan.router_cut[k + 1] - (flat_base + offset)).min(rest.len());
-                    let (head, tail) = rest.split_at_mut(take);
-                    segs[k].push((s, offset, head));
-                    offset += take;
-                    rest = tail;
-                }
-                flat_base += stage_len;
+            for (to, from) in finished.iter_mut().zip(&mut m.finished) {
+                *to |= std::mem::take(from);
             }
+            visited += std::mem::take(&mut m.visited);
         }
-        let mut segs_it = segs.into_iter();
-        let mut ep_out_fwd_it = split_by_cuts(&mut bus.ep_out_fwd, &plan.eps_cut).into_iter();
-        let mut ep_in_rev_it = split_by_cuts(&mut bus.ep_in_rev, &plan.eps_cut).into_iter();
-        let mut out_bwd_it = split_by_cuts(&mut bus.out_bwd, &plan.b_cut).into_iter();
-        let mut out_fwd_it = split_by_cuts(&mut bus.out_fwd, &plan.f_cut).into_iter();
-        let mut out_bcb_it = split_by_cuts(&mut bus.out_bcb, &plan.f_cut).into_iter();
-        let pkgs: Vec<std::sync::Mutex<CompShard>> = (0..n)
-            .map(|k| {
-                std::sync::Mutex::new(CompShard {
-                    now,
-                    ep,
-                    ep_base: plan.ep_cut[k],
-                    eps0: plan.eps_cut[k],
-                    f0: plan.f_cut[k],
-                    b0: plan.b_cut[k],
-                    links,
-                    arena,
-                    router_dead,
-                    endpoints: eps_it.next().expect("one endpoint part per shard"),
-                    routers: segs_it.next().expect("one segment list per shard"),
-                    ep_out_fwd: ep_out_fwd_it.next().expect("one bus part per shard"),
-                    ep_in_rev: ep_in_rev_it.next().expect("one bus part per shard"),
-                    out_bwd: out_bwd_it.next().expect("one bus part per shard"),
-                    out_fwd: out_fwd_it.next().expect("one bus part per shard"),
-                    out_bcb: out_bcb_it.next().expect("one bus part per shard"),
-                })
-            })
-            .collect();
-        pool.run(|w| pkgs[w].try_lock().expect("disjoint shard package").run());
-    }
-
-    // Phase 2: wires consume the completed bus.
-    {
-        let bus = &*bus;
-        let inj_transparent = &inj_transparent[..];
-        let stage_transparent = &stage_transparent[..];
-        let ChannelArena {
-            rev_in,
-            bcb_in,
-            ep_out_rev,
-            ep_out_bcb,
-            ..
-        } = &mut *arena;
-        let mut inj_it = split_by_cuts(inj_wires, &plan.eps_cut).into_iter();
-        let mut stage_it = split_by_cuts(stage_wires, &plan.b_cut).into_iter();
-        let mut rev_it = split_by_cuts(rev_in, &plan.b_cut).into_iter();
-        let mut bcb_it = split_by_cuts(bcb_in, &plan.b_cut).into_iter();
-        let mut eor_it = split_by_cuts(ep_out_rev, &plan.eps_cut).into_iter();
-        let mut eob_it = split_by_cuts(ep_out_bcb, &plan.eps_cut).into_iter();
-        let mut finj_it = split_by_cuts(fwd_inj, &plan.eps_cut).into_iter();
-        let mut fstage_it = split_by_cuts(fwd_stage, &plan.b_cut).into_iter();
-        let pkgs: Vec<std::sync::Mutex<WireShard>> = (0..n)
-            .map(|k| {
-                std::sync::Mutex::new(WireShard {
-                    eps0: plan.eps_cut[k],
-                    b0: plan.b_cut[k],
-                    links,
-                    bus,
-                    inj_transparent,
-                    stage_transparent,
-                    inj_wires: inj_it.next().expect("one wire part per shard"),
-                    stage_wires: stage_it.next().expect("one wire part per shard"),
-                    ep_out_rev: eor_it.next().expect("one arena part per shard"),
-                    ep_out_bcb: eob_it.next().expect("one arena part per shard"),
-                    rev_in: rev_it.next().expect("one arena part per shard"),
-                    bcb_in: bcb_it.next().expect("one arena part per shard"),
-                    fwd_inj: finj_it.next().expect("one staging part per shard"),
-                    fwd_stage: fstage_it.next().expect("one staging part per shard"),
-                })
-            })
-            .collect();
-        pool.run(|w| pkgs[w].try_lock().expect("disjoint shard package").run());
-    }
-
-    // Phase 3: gather staged forward-lane words to their targets.
-    {
-        let fwd_inj = &fwd_inj[..];
-        let fwd_stage = &fwd_stage[..];
-        let ChannelArena {
-            fwd_in, ep_in_fwd, ..
-        } = &mut *arena;
-        let mut fin_it = split_by_cuts(fwd_in, &plan.f_cut).into_iter();
-        let mut eif_it = split_by_cuts(ep_in_fwd, &plan.eps_cut).into_iter();
-        let pkgs: Vec<std::sync::Mutex<GatherShard>> = (0..n)
-            .map(|k| {
-                std::sync::Mutex::new(GatherShard {
-                    f0: plan.f_cut[k],
-                    eps0: plan.eps_cut[k],
-                    fwd_from_inj: &plan.fwd_from_inj[k],
-                    fwd_from_bwd: &plan.fwd_from_bwd[k],
-                    ep_in_from_bwd: &plan.ep_in_from_bwd[k],
-                    fwd_inj,
-                    fwd_stage,
-                    fwd_in: fin_it.next().expect("one arena part per shard"),
-                    ep_in_fwd: eif_it.next().expect("one arena part per shard"),
-                })
-            })
-            .collect();
-        pool.run(|w| pkgs[w].try_lock().expect("disjoint shard package").run());
+        visited
     }
 }

@@ -99,11 +99,12 @@ pub struct SimConfig {
     /// should not pay for.
     pub self_heal: bool,
     /// Tick-parallelism shard count for the [`EngineKind::Flat`]
-    /// engine. `1` (the default) keeps the classic single-threaded
-    /// tick; `N > 1` partitions routers, endpoints, and wires into `N`
-    /// weight-balanced shards driven through per-phase barriers on a
-    /// persistent worker pool; `0` asks for the host's available
-    /// parallelism. The effective count is capped at the router count.
+    /// engine. `1` (the default) steps on the calling thread; `N > 1`
+    /// cuts routers and endpoints into `N` weight-balanced shards: each
+    /// cycle their tick passes run as one round on a persistent worker
+    /// pool and the carry's two lanes as a second; `0` asks for the
+    /// host's available parallelism. The effective count is capped at
+    /// the router count.
     /// Sharding is a pure execution strategy: every shard count
     /// produces **bit-identical** results (outcome streams, telemetry)
     /// because components only read last-tick state and write disjoint
@@ -143,6 +144,9 @@ pub struct NetworkSim {
     pub(crate) endpoints: Vec<Endpoint>,
     pub(crate) engine: Box<dyn Engine>,
     pub(crate) faults: FaultSet,
+    /// The NICs holding finished outcomes, one bit each: marked by the
+    /// step ([`StepCtx::finished`]), drained by the harvest.
+    finished: Vec<u64>,
     now: u64,
     /// Every outcome harvested since the last drain: its fold, and the
     /// outcomes themselves while [`NetworkSim::set_keep_outcomes`] is on.
@@ -222,10 +226,12 @@ impl NetworkSim {
 
         let per_stage: Vec<usize> = routers.iter().map(Vec::len).collect();
         let registry = TelemetryRegistry::new(&per_stage, config.telemetry_every);
+        let finished = vec![0; topo.endpoints().div_ceil(64)];
         Ok(Self {
             engine: engine(&fabric),
             fabric,
             routers,
+            finished,
             endpoints,
             faults: FaultSet::new(),
             now: 0,
@@ -387,6 +393,7 @@ impl NetworkSim {
             faults: &self.faults,
             routers: &mut self.routers,
             endpoints: &mut self.endpoints,
+            finished: &mut self.finished,
         });
         self.after_tick();
     }
@@ -406,20 +413,24 @@ impl NetworkSim {
             self.registry.sync(counter_cells(&self.routers));
         }
         self.now += 1;
-        for endpoint in &mut self.endpoints {
-            if !endpoint.has_outcomes() {
-                continue;
-            }
-            let (completed, abandoned) = endpoint.drain_finished();
-            for o in completed {
-                if o.requested_at >= self.stats_from {
-                    self.stats.record(&o);
+        // The marked NICs in ascending order: the order a scan of every
+        // NIC would harvest them in.
+        for (w, word) in self.finished.iter_mut().enumerate() {
+            let mut bits = std::mem::take(word);
+            while bits != 0 {
+                let e = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let (completed, abandoned) = self.endpoints[e].drain_finished();
+                for o in completed {
+                    if o.requested_at >= self.stats_from {
+                        self.stats.record(&o);
+                    }
+                    self.outcomes.push(o);
                 }
-                self.outcomes.push(o);
-            }
-            for o in abandoned {
-                self.stats.record_abandoned(&o);
-                self.outcomes.push(o);
+                for o in abandoned {
+                    self.stats.record_abandoned(&o);
+                    self.outcomes.push(o);
+                }
             }
         }
         if self.fabric.config.self_heal {
@@ -553,8 +564,8 @@ impl NetworkSim {
     /// At a tick boundary the words do not depend on which cycle engine
     /// stepped the machine or on how many shards: every engine keeps
     /// one buffer of channel inputs and writes it in the same order,
-    /// and neither the shard staging state nor the flat step's hot set
-    /// is live between ticks.
+    /// and nothing else the flat step keeps — its hot set, carry masks
+    /// and shard marks — is live between ticks.
     pub fn save_state(&self, w: &mut StateWriter) {
         w.section("network");
         w.u64(self.now);
@@ -609,8 +620,9 @@ impl NetworkSim {
             stages: self.routers.len(),
         };
         r.shape(self.endpoints.len(), "endpoints")?;
-        for endpoint in &mut self.endpoints {
+        for (e, endpoint) in self.endpoints.iter_mut().enumerate() {
             endpoint.restore_state(r, within)?;
+            self.finished[e / 64] |= u64::from(endpoint.has_outcomes()) << (e % 64);
         }
         self.engine.restore_state(r)?;
         self.stats.restore_state(r)?;

@@ -227,7 +227,8 @@ fn random_workload(rng: &mut RandomSource, n: usize, cycles: u64) -> WorkloadSpe
 /// state ([`NetworkSim::save_state`](crate::NetworkSim::save_state)
 /// words: every channel input, wire and component). Flat against
 /// Reference checks the implementation against the spec; Flat at 1
-/// shard against `N` checks the activity step against the full walk.
+/// shard against `N` checks the pool's split of the one activity step:
+/// the tick pass by shard, the carry by lane.
 /// The replayed scenario is the one *decoded* from its own encoding, so
 /// a pass certifies the serialization path too, and the analytic
 /// estimator must accept the scenario and estimate it deterministically.

@@ -1,15 +1,16 @@
-//! The flat engine's activity-driven step against the full walk and
-//! the Reference engine.
+//! The flat engine's activity step at every shard count against the
+//! Reference engine.
 //!
-//! The single-threaded flat step visits only hot routers, endpoints and
-//! wires; the sharded step (`shards > 1`) walks everything every cycle;
-//! the Reference engine is the executable spec. All three must leave
-//! every channel input, every wire, every router and every endpoint in
-//! the same state at every tick boundary — compared here as checkpoint
-//! state words, which cover all of it and do not name the engine. The
-//! second half checks the skip itself: a cold fabric visits nothing,
-//! one message visits only its path, and every way of creating activity
-//! from outside a step (enqueue, restore) is seen.
+//! The flat step visits only hot routers, endpoints and wires, on one
+//! thread or — tick pass by shard, carry by lane — on a pool; the
+//! Reference engine ticks everything and is the executable spec. All
+//! must leave every channel input, every wire, every router and every
+//! endpoint in the same state at every tick boundary — compared here as
+//! checkpoint state words, which cover all of it and do not name the
+//! engine. The second half checks the skip itself, at one shard and at
+//! two: a cold fabric visits nothing, one message visits only its path,
+//! and every way of creating activity from outside a step (enqueue,
+//! restore) is seen.
 
 use metro::sim::checkpoint::{run_scenario_resumable, Checkpoint, CheckpointSink};
 use metro::sim::scenario::{FaultInjection, RepairSet, Scenario, WorkloadSpec};
@@ -96,7 +97,7 @@ fn states_every_7(scenario: &Scenario) -> Vec<(u64, Vec<u64>)> {
 }
 
 #[test]
-fn activity_step_equals_the_full_walk_word_for_word() {
+fn activity_step_equals_the_reference_engine_word_for_word() {
     let mut compared = 0;
     for seed in [0x5EED_0001u64, 0xD15C_0BA1] {
         for load in [0.02, 0.1, 0.3, 0.5] {
@@ -105,18 +106,24 @@ fn activity_step_equals_the_full_walk_word_for_word() {
                     let states = |variant| {
                         states_every_7(&faulty_load(seed, load, wire_delay, self_heal, variant))
                     };
-                    let stepped = states((EngineKind::Flat, 1));
+                    let expected = states((EngineKind::Reference, 1));
                     // Warm-up and measurement always run; the drain
                     // ends when the fabric does.
-                    assert!(stepped.len() >= 150 / 7, "checkpoints must span the run");
-                    for oracle in [(EngineKind::Flat, 2), (EngineKind::Reference, 1)] {
-                        let expected = states(oracle);
+                    assert!(expected.len() >= 150 / 7, "checkpoints must span the run");
+                    // Three shards cut figure 3 inside a stage and give
+                    // the carry an idle third participant.
+                    for variant in [
+                        (EngineKind::Flat, 1),
+                        (EngineKind::Flat, 2),
+                        (EngineKind::Flat, 3),
+                    ] {
+                        let stepped = states(variant);
                         assert_eq!(stepped.len(), expected.len());
                         for ((cycle, a), (_, b)) in stepped.iter().zip(&expected) {
                             assert!(
                                 a == b,
                                 "seed {seed:#x} load {load} delay {wire_delay} heal {self_heal}: \
-                                 state diverged from {oracle:?} at cycle {cycle} \
+                                 {variant:?} diverged from the Reference engine at cycle {cycle} \
                                  (first differing word {:?})",
                                 a.iter().zip(b).position(|(x, y)| x != y)
                             );
@@ -127,7 +134,7 @@ fn activity_step_equals_the_full_walk_word_for_word() {
             }
         }
     }
-    assert!(compared >= 2 * 48 * (150 / 7));
+    assert!(compared >= 3 * 48 * (150 / 7));
 }
 
 fn metro1k() -> MultibutterflySpec {
@@ -146,44 +153,65 @@ fn metro1k() -> MultibutterflySpec {
     }
 }
 
+fn metro1k_sim(shards: usize) -> NetworkSim {
+    let config = SimConfig {
+        shards,
+        ..SimConfig::default()
+    };
+    let sim = NetworkSim::new(&metro1k(), &config).unwrap();
+    assert_eq!(sim.shards(), shards);
+    sim
+}
+
 #[test]
 fn a_drained_fabric_visits_nothing() {
-    let mut sim = NetworkSim::new(&metro1k(), &SimConfig::default()).unwrap();
-    for k in 0..200 {
-        sim.send((k * 37) % 1_024, (k * 101 + 5) % 1_024, &[k as u16, 2, 3]);
+    for shards in [1, 2] {
+        let mut sim = metro1k_sim(shards);
+        for k in 0..200 {
+            sim.send((k * 37) % 1_024, (k * 101 + 5) % 1_024, &[k as u16, 2, 3]);
+        }
+        while !(sim.is_quiescent() && sim.fabric_idle()) {
+            sim.tick();
+            assert!(sim.now() < 5_000, "traffic must drain");
+        }
+        assert_eq!(sim.drain_outcomes().len(), 200);
+        // The step that consumed the last live word also revisited its
+        // driver, which drove `Empty` over it: nothing trails.
+        let before = sim.engine_visits();
+        assert!(before > 0, "{shards} shards");
+        sim.run(1_000);
+        assert_eq!(
+            sim.engine_visits(),
+            before,
+            "{shards} shards: a cold fabric costs nothing"
+        );
     }
-    while !(sim.is_quiescent() && sim.fabric_idle()) {
-        sim.tick();
-        assert!(sim.now() < 5_000, "traffic must drain");
-    }
-    assert_eq!(sim.drain_outcomes().len(), 200);
-    // The step that consumed the last live word also revisited its
-    // driver, which drove `Empty` over it: nothing trails.
-    let before = sim.engine_visits();
-    assert!(before > 0);
-    sim.run(1_000);
-    assert_eq!(sim.engine_visits(), before, "a cold fabric costs nothing");
 }
 
 #[test]
 fn one_message_visits_only_its_path() {
-    let mut sim = NetworkSim::new(&metro1k(), &SimConfig::default()).unwrap();
-    let path = sim.topology().stages() as u64 + 2;
-    sim.send(3, 777, &[1, 2, 3, 4, 5, 6, 7, 8]);
-    let mut outcomes = sim.drain_outcomes();
-    while outcomes.is_empty() {
-        let before = sim.engine_visits();
-        sim.tick();
-        let visited = sim.engine_visits() - before;
-        assert!(
-            visited <= path,
-            "cycle {}: visited {visited} components for one {path}-hop circuit",
-            sim.now()
-        );
-        assert!(sim.now() < 500);
-        outcomes = sim.drain_outcomes();
+    for shards in [1, 2] {
+        let mut sim = metro1k_sim(shards);
+        let path = sim.topology().stages() as u64 + 2;
+        sim.send(3, 777, &[1, 2, 3, 4, 5, 6, 7, 8]);
+        let mut outcomes = sim.drain_outcomes();
+        let mut visits = 0;
+        while outcomes.is_empty() {
+            let before = sim.engine_visits();
+            sim.tick();
+            let visited = sim.engine_visits() - before;
+            assert!(
+                visited <= path,
+                "{shards} shards, cycle {}: visited {visited} components for one {path}-hop circuit",
+                sim.now()
+            );
+            visits += visited;
+            assert!(sim.now() < 500);
+            outcomes = sim.drain_outcomes();
+        }
+        assert!(visits > 0, "{shards} shards: the step counts its visits");
+        assert_eq!(outcomes[0].retries, 0);
     }
-    assert_eq!(outcomes[0].retries, 0);
 }
 
 #[test]
@@ -211,10 +239,6 @@ fn state_words(sim: &NetworkSim) -> Vec<u64> {
 #[test]
 fn restoring_into_a_used_engine_resumes_bit_identically() {
     let spec = MultibutterflySpec::figure3();
-    let config = SimConfig {
-        wire_delay: 1,
-        ..SimConfig::default()
-    };
     let traffic = |sim: &mut NetworkSim, salt: usize| {
         for k in 0..40 {
             sim.send(
@@ -224,39 +248,56 @@ fn restoring_into_a_used_engine_resumes_bit_identically() {
             );
         }
     };
-    // The machine the snapshot comes from, stopped mid-flight.
-    let mut origin = NetworkSim::new(&spec, &config).unwrap();
-    traffic(&mut origin, 0);
-    origin.run(23);
-    let snapshot = state_words(&origin);
-    // A machine that has been running something else: its bus and hot
-    // set describe that other run.
-    let mut used = NetworkSim::new(&spec, &config).unwrap();
-    traffic(&mut used, 5);
-    used.run(31);
-    used.restore_state(&mut StateReader::new(&snapshot))
-        .unwrap();
-    // The full walk, restored from the same snapshot, as the oracle.
-    let mut walked = NetworkSim::new(
-        &spec,
-        &SimConfig {
-            shards: 2,
-            ..config.clone()
-        },
-    )
-    .unwrap();
-    walked
-        .restore_state(&mut StateReader::new(&snapshot))
-        .unwrap();
-    for cycle in 0..150 {
-        assert!(
-            state_words(&used) == state_words(&origin)
-                && state_words(&used) == state_words(&walked),
-            "diverged {cycle} cycles after the restore"
-        );
-        origin.tick();
-        used.tick();
-        walked.tick();
+    // Behind a transparent wire the carry is the only writer of a slot;
+    // behind a delayed one the wire overwrites it.
+    for wire_delay in [0, 1] {
+        let config = |engine, shards| SimConfig {
+            wire_delay,
+            engine,
+            shards,
+            ..SimConfig::default()
+        };
+        // The machine the snapshot comes from, stopped mid-flight.
+        let mut origin = NetworkSim::new(&spec, &config(EngineKind::Flat, 1)).unwrap();
+        traffic(&mut origin, 0);
+        origin.run(23);
+        let snapshot = state_words(&origin);
+        // Machines that have been running something else: their buses,
+        // hot sets, carry masks and shard marks describe that other run.
+        let mut used: Vec<NetworkSim> = [1, 2]
+            .into_iter()
+            .map(|shards| {
+                let mut sim = NetworkSim::new(&spec, &config(EngineKind::Flat, shards)).unwrap();
+                traffic(&mut sim, 5);
+                sim.run(31);
+                sim.restore_state(&mut StateReader::new(&snapshot)).unwrap();
+                sim
+            })
+            .collect();
+        // The Reference engine, restored from the same snapshot, as the
+        // oracle.
+        let mut oracle = NetworkSim::new(&spec, &config(EngineKind::Reference, 1)).unwrap();
+        oracle
+            .restore_state(&mut StateReader::new(&snapshot))
+            .unwrap();
+        for cycle in 0..150 {
+            let expected = state_words(&oracle);
+            let context = format!("delay {wire_delay}, {cycle} cycles after the restore");
+            assert!(
+                state_words(&origin) == expected,
+                "{context}: the origin diverged"
+            );
+            for sim in &used {
+                let shards = sim.shards();
+                assert!(
+                    state_words(sim) == expected,
+                    "{context}: {shards} shards diverged"
+                );
+            }
+            origin.tick();
+            oracle.tick();
+            used.iter_mut().for_each(NetworkSim::tick);
+        }
+        assert!(origin.is_quiescent() && origin.fabric_idle());
     }
-    assert!(origin.is_quiescent() && origin.fabric_idle());
 }

@@ -30,6 +30,30 @@
 //! that cycle. New connection requests arriving in the same cycle are
 //! arbitrated in an order drawn from the shared random stream, then each
 //! port's state machine advances one step.
+//!
+//! ## Port storage
+//!
+//! A port holds what the hardware holds (paper §5.1): its connection
+//! state, `dp` pipeline registers in each direction and a checksum, plus
+//! the few words it injects toward the source on a turn. None of them is
+//! a growable queue.
+//!
+//! * **Pipes.** The final pipeline stage is the output register, which
+//!   the network model accounts for at the transfer boundary, so a pipe
+//!   holds `dp − 1` words. A pipe is either empty — it passes its input
+//!   straight through — or holds exactly `dp − 1` words: a fill writes
+//!   all of them, an advance moves one in and one out, and a teardown
+//!   empties it. At `dp == 1` a pipe is always empty and the port has no
+//!   pipe storage; at `dp > 1` both pipes share one allocation, made at
+//!   the port's first fill and kept for its life.
+//! * **Reply queue.** A turn clears the queue and queues two words
+//!   (STATUS, checksum), or three when the port is blocked (plus DROP).
+//!   A `Reverse` tick queues at most one word and sends one. Between
+//!   ticks the queue therefore holds at most 3 words, and at most 4
+//!   within a tick, so it is an inline array of 4. A restore refuses a
+//!   longer queue, and a pipe of any other length than `0` or `dp − 1`.
+//!
+//! A port is 64 bytes, pinned by a unit test.
 
 use crate::allocator::{AllocationOutcome, Allocator, SelectionPolicy};
 use crate::checksum::StreamChecksum;
@@ -41,7 +65,6 @@ use crate::status::StatusWord;
 use crate::word::{phit, Word};
 use metro_telemetry::state::{StateError, StateReader, StateWriter};
 use metro_telemetry::{CounterCell, RouterCounter};
-use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// Forward-lane inputs to one [`Router::tick`] call: the word arriving
@@ -197,57 +220,155 @@ enum State {
     Draining,
 }
 
+/// One of a port's two internal pipelines; the discriminant is the
+/// pipe's bit in [`Port::full`].
+#[derive(Debug, Clone, Copy)]
+enum Pipe {
+    /// Carries the forward stream toward the backward port.
+    Fwd = 1,
+    /// Carries the reverse stream toward the source.
+    Rev = 2,
+}
+
+/// The words a port injects toward the source ahead of the reverse
+/// stream, oldest first: at most 4 (see the module documentation).
+#[derive(Debug, Clone, Copy, Default)]
+struct ReplyQueue {
+    words: [Word; 4],
+    len: u8,
+}
+
+impl ReplyQueue {
+    /// Words a queue can hold between ticks.
+    const MAX_SAVED: usize = 3;
+
+    fn clear(&mut self) {
+        self.len = 0;
+    }
+
+    fn push(&mut self, word: Word) {
+        self.words[usize::from(self.len)] = word;
+        self.len += 1;
+    }
+
+    fn pop(&mut self) -> Option<Word> {
+        let front = self.as_slice().first().copied()?;
+        self.words.copy_within(1.., 0);
+        self.len -= 1;
+        Some(front)
+    }
+
+    fn as_slice(&self) -> &[Word] {
+        &self.words[..usize::from(self.len)]
+    }
+}
+
 #[derive(Debug, Clone)]
 struct Port {
     state: State,
-    fpipe: VecDeque<Word>,
-    rpipe: VecDeque<Word>,
-    rq: VecDeque<Word>,
+    /// Both pipes' registers, forward then reverse, `dp - 1` each and
+    /// oldest first; empty — no heap — until the first fill.
+    pipes: Box<[Word]>,
+    /// Which pipes hold their words (a [`Pipe`] per bit); a pipe whose
+    /// bit is clear is empty whatever its registers read.
+    full: u8,
+    rq: ReplyQueue,
     cksum: StreamChecksum,
 }
 
 impl Port {
-    /// A port whose pipes hold `dp - 1` words: none, and no heap, at
-    /// `dp == 1`.
-    fn new(dp: usize) -> Self {
-        let pipe = if dp > 1 { dp } else { 0 };
+    fn new() -> Self {
         Self {
             state: State::Idle,
-            fpipe: VecDeque::with_capacity(pipe),
-            rpipe: VecDeque::with_capacity(pipe),
-            rq: VecDeque::new(),
+            pipes: Box::default(),
+            full: 0,
+            rq: ReplyQueue::default(),
             cksum: StreamChecksum::new(),
         }
     }
 
     fn reset(&mut self) {
         self.state = State::Idle;
-        self.fpipe.clear();
-        self.rpipe.clear();
+        self.full = 0;
         self.rq.clear();
         self.cksum.reset();
     }
 
-    /// (Re)fills the forward pipeline. The pipe holds `dp - 1` words:
-    /// the final pipeline stage is the output register, whose one-cycle
-    /// propagation to the neighboring component the network model
-    /// accounts for at the transfer boundary, so total router transit is
-    /// exactly `dp` cycles. At `dp == 1` there is nothing to fill.
-    fn fill_fpipe(&mut self, dp: usize, with: Word) {
-        if dp == 1 {
-            return;
+    /// The registers of `pipe`, full or not.
+    fn regs(&mut self, pipe: Pipe) -> &mut [Word] {
+        let (fwd, rev) = self.pipes.split_at_mut(self.pipes.len() / 2);
+        match pipe {
+            Pipe::Fwd => fwd,
+            Pipe::Rev => rev,
         }
-        self.fpipe.clear();
-        self.fpipe.extend(std::iter::repeat_n(with, dp - 1));
     }
 
-    /// (Re)fills the reverse pipeline; see [`Port::fill_fpipe`].
-    fn fill_rpipe(&mut self, dp: usize, with: Word) {
+    /// The words `pipe` holds, oldest first: none when it is empty.
+    fn pipe_words(&self, pipe: Pipe) -> &[Word] {
+        let (fwd, rev) = self.pipes.split_at(self.pipes.len() / 2);
+        match pipe {
+            _ if self.full & pipe as u8 == 0 => &[],
+            Pipe::Fwd => fwd,
+            Pipe::Rev => rev,
+        }
+    }
+
+    /// (Re)fills `pipe` with `dp - 1` copies of `with`. The pipe holds
+    /// `dp - 1` words: the final pipeline stage is the output register,
+    /// whose one-cycle propagation to the neighboring component the
+    /// network model accounts for at the transfer boundary, so total
+    /// router transit is exactly `dp` cycles. At `dp == 1` there is
+    /// nothing to fill.
+    fn fill(&mut self, pipe: Pipe, dp: usize, with: Word) {
         if dp == 1 {
             return;
         }
-        self.rpipe.clear();
-        self.rpipe.extend(std::iter::repeat_n(with, dp - 1));
+        if self.pipes.is_empty() {
+            self.pipes = vec![Word::Empty; 2 * (dp - 1)].into_boxed_slice();
+        }
+        self.regs(pipe).fill(with);
+        self.full |= pipe as u8;
+    }
+
+    /// Advances `pipe` by one word: pushes `word` in and returns the
+    /// word that falls out. An empty pipe — always, at `dp == 1` —
+    /// passes the input straight through.
+    #[inline]
+    fn advance(&mut self, pipe: Pipe, word: Word) -> Word {
+        if self.full & pipe as u8 == 0 {
+            return word;
+        }
+        let regs = self.regs(pipe);
+        let out = regs[0];
+        regs.copy_within(1.., 0);
+        regs[regs.len() - 1] = word;
+        out
+    }
+
+    /// Reads `pipe` back from a checkpoint stream: empty, or exactly
+    /// `dp - 1` words — no tick leaves a pipe of any other length.
+    fn restore_pipe(
+        &mut self,
+        pipe: Pipe,
+        dp: usize,
+        r: &mut StateReader<'_>,
+    ) -> Result<(), StateError> {
+        match r.usize()? {
+            0 => self.full &= !(pipe as u8),
+            n if n == dp - 1 => {
+                self.fill(pipe, dp, Word::Empty);
+                for reg in self.regs(pipe) {
+                    *reg = phit::get(r)?;
+                }
+            }
+            n => {
+                return Err(r.bad(format!(
+                    "a {n}-word {pipe:?} pipe: a pipe holds 0 or dp - 1 = {} words",
+                    dp - 1
+                )))
+            }
+        }
+        Ok(())
     }
 }
 
@@ -269,19 +390,6 @@ fn get_mode(r: &mut StateReader<'_>) -> Result<PortMode, StateError> {
         2 => PortMode::DisabledTristate,
         other => return Err(r.bad(format!("{other} is not a port mode"))),
     })
-}
-
-/// Advances a `dp - 1`-deep pipeline by one word: pushes `word` in and
-/// returns the word that falls out. At `dp == 1` (the common
-/// single-pipestage configuration) the pipe holds zero words and the
-/// input passes straight through without touching the deque.
-#[inline]
-fn pipe_advance(pipe: &mut VecDeque<Word>, word: Word) -> Word {
-    if pipe.is_empty() {
-        return word;
-    }
-    pipe.push_back(word);
-    pipe.pop_front().expect("pipe just received a word")
 }
 
 /// Per-tick scratch buffers, reused across calls so the steady-state
@@ -353,14 +461,13 @@ impl Router {
         policy: SelectionPolicy,
     ) -> Result<Self, crate::error::ConfigError> {
         let config = config.into();
-        let dp = params.pipestages();
         assert!(
             params.forward_ports() <= 64,
             "port bitplanes hold at most 64 ports per side"
         );
         Ok(Self {
             alloc: Allocator::with_policy(&config, params.backward_ports(), policy),
-            ports: (0..params.forward_ports()).map(|_| Port::new(dp)).collect(),
+            ports: (0..params.forward_ports()).map(|_| Port::new()).collect(),
             rng: RandomSource::new(seed),
             params,
             config,
@@ -547,7 +654,11 @@ impl Router {
                 }
                 State::Draining => w.u64(7),
             }
-            for q in [&port.fpipe, &port.rpipe, &port.rq] {
+            for q in [
+                port.pipe_words(Pipe::Fwd),
+                port.pipe_words(Pipe::Rev),
+                port.rq.as_slice(),
+            ] {
                 w.seq(q.iter().copied(), phit::put);
             }
             w.u16(port.cksum.value());
@@ -578,6 +689,7 @@ impl Router {
         self.counters.restore_state(r)?;
         let i = self.params.forward_ports();
         let o = self.params.backward_ports();
+        let dp = self.params.pipestages();
         r.shape(i, "forward port modes")?;
         for f in 0..i {
             let mode = get_mode(r)?;
@@ -616,8 +728,18 @@ impl Router {
                 7 => State::Draining,
                 other => return Err(r.bad(format!("{other} is not a port FSM state"))),
             };
-            for q in [&mut port.fpipe, &mut port.rpipe, &mut port.rq] {
-                *q = r.seq(phit::get)?;
+            port.restore_pipe(Pipe::Fwd, dp, r)?;
+            port.restore_pipe(Pipe::Rev, dp, r)?;
+            let queued = r.usize()?;
+            if queued > ReplyQueue::MAX_SAVED {
+                return Err(r.bad(format!(
+                    "a {queued}-word reply queue: no tick leaves more than {}",
+                    ReplyQueue::MAX_SAVED
+                )));
+            }
+            port.rq.clear();
+            for _ in 0..queued {
+                port.rq.push(phit::get(r)?);
             }
             port.cksum = StreamChecksum::from_value(r.u16()?);
         }
@@ -845,12 +967,12 @@ impl Router {
                                 self.params.width(),
                                 self.config.swallow(f),
                             );
-                            port.fill_fpipe(dp, Word::Empty);
+                            port.fill(Pipe::Fwd, dp, Word::Empty);
                             let push = match forwarded {
                                 Some(head) => Word::Data(head & mask),
                                 None => Word::Empty,
                             };
-                            let popped = pipe_advance(&mut port.fpipe, push);
+                            let popped = port.advance(Pipe::Fwd, push);
                             if matches!(push, Word::Data(_)) {
                                 self.counters.inc(RouterCounter::WordsForwarded);
                             }
@@ -861,7 +983,7 @@ impl Router {
                             // Pipelined setup: this and the next hw-1
                             // words are consumed, not forwarded.
                             let port = &mut self.ports[f];
-                            port.fill_fpipe(dp, Word::Empty);
+                            port.fill(Pipe::Fwd, dp, Word::Empty);
                             if hw == 1 {
                                 port.state = State::Forward { bwd, settle: 0 };
                             } else {
@@ -952,7 +1074,7 @@ impl Router {
                         other
                     }
                 };
-                let popped = pipe_advance(&mut port.fpipe, push);
+                let popped = port.advance(Pipe::Fwd, push);
                 out_bwd[bwd] = popped;
                 port.state = if closing {
                     State::ClosingFwd { bwd }
@@ -966,10 +1088,10 @@ impl Router {
                         // queue our status report (paper §4, §5.1).
                         self.counters.inc(RouterCounter::Turns);
                         let cksum = port.cksum.value();
-                        port.fill_rpipe(dp, Word::DataIdle);
+                        port.fill(Pipe::Rev, dp, Word::DataIdle);
                         port.rq.clear();
-                        port.rq.push_back(Word::Status(StatusWord::connected(bwd)));
-                        port.rq.push_back(Word::Checksum(cksum));
+                        port.rq.push(Word::Status(StatusWord::connected(bwd)));
+                        port.rq.push(Word::Checksum(cksum));
                         port.state = State::Reverse {
                             bwd,
                             settle: rev_settle,
@@ -1002,24 +1124,24 @@ impl Router {
                     Word::Empty => {
                         // Downstream released; convert to a drop toward
                         // the source unless one is already queued.
-                        if !port.rq.contains(&Word::Drop) {
-                            port.rq.push_back(Word::Drop);
+                        if !port.rq.as_slice().contains(&Word::Drop) {
+                            port.rq.push(Word::Drop);
                         }
                     }
                     Word::DataIdle => settle = 0,
                     other => {
                         settle = 0;
-                        port.rq.push_back(other);
+                        port.rq.push(other);
                     }
                 }
                 port.state = State::Reverse { bwd, settle };
-                let inject = port.rq.pop_front().unwrap_or(Word::DataIdle);
-                let popped = pipe_advance(&mut port.rpipe, inject);
+                let inject = port.rq.pop().unwrap_or(Word::DataIdle);
+                let popped = port.advance(Pipe::Rev, inject);
                 out_fwd[f] = popped;
                 match popped {
                     Word::Turn => {
                         // Turned back toward the forward direction.
-                        port.fill_fpipe(dp, Word::DataIdle);
+                        port.fill(Pipe::Fwd, dp, Word::DataIdle);
                         port.state = State::Forward {
                             bwd,
                             settle: fwd_settle,
@@ -1041,11 +1163,11 @@ impl Router {
                 match in_w {
                     Word::Turn => {
                         let cksum = port.cksum.value();
-                        port.fill_rpipe(dp, Word::DataIdle);
+                        port.fill(Pipe::Rev, dp, Word::DataIdle);
                         port.rq.clear();
-                        port.rq.push_back(Word::Status(StatusWord::blocked()));
-                        port.rq.push_back(Word::Checksum(cksum));
-                        port.rq.push_back(Word::Drop);
+                        port.rq.push(Word::Status(StatusWord::blocked()));
+                        port.rq.push(Word::Checksum(cksum));
+                        port.rq.push(Word::Drop);
                         port.state = State::BlockedReply;
                     }
                     Word::Empty | Word::Drop => {
@@ -1062,8 +1184,8 @@ impl Router {
 
             State::BlockedReply => {
                 let port = &mut self.ports[f];
-                let inject = port.rq.pop_front().unwrap_or(Word::DataIdle);
-                let popped = pipe_advance(&mut port.rpipe, inject);
+                let inject = port.rq.pop().unwrap_or(Word::DataIdle);
+                let popped = port.advance(Pipe::Rev, inject);
                 out_fwd[f] = popped;
                 if popped == Word::Drop {
                     port.reset();
@@ -1074,7 +1196,7 @@ impl Router {
             State::ClosingFwd { bwd } => {
                 // Drain the forward pipeline until the DROP exits.
                 let port = &mut self.ports[f];
-                let popped = pipe_advance(&mut port.fpipe, Word::Empty);
+                let popped = port.advance(Pipe::Fwd, Word::Empty);
                 out_bwd[bwd] = popped;
                 if popped == Word::Drop {
                     self.counters.inc(RouterCounter::Drops);
@@ -1616,6 +1738,18 @@ mod tests {
             assert_eq!(live.counters(), resumed.counters());
             assert_eq!(live.in_use_vector(), resumed.in_use_vector());
         }
+    }
+
+    /// A field that regrows a port fails here rather than drifting the
+    /// machine's resident size: metro1k holds 12,288 ports.
+    #[test]
+    fn a_port_is_at_most_64_bytes() {
+        assert!(std::mem::size_of::<Port>() <= 64);
+        let r = router(1);
+        assert!(
+            r.ports.iter().all(|p| p.pipes.is_empty()),
+            "no pipe storage at dp = 1"
+        );
     }
 
     #[test]

@@ -86,8 +86,8 @@ fn random_faults(spec: &MultibutterflySpec, rng: &mut RandomSource) -> FaultSet 
 /// Derives a complete scenario from `seed` — a pure function, so any
 /// failing seed reproduces its scenario exactly. The generated space
 /// spans topology shape and wiring, sim seed, protocol knobs
-/// (`fast_reclaim`, `wire_delay`), static faults, one optional timed
-/// injection, and a scripted send schedule.
+/// (`fast_reclaim`, `wire_delay`, `pipestages`), static faults, one
+/// optional timed injection, and a scripted send schedule.
 #[must_use]
 pub fn random_scenario(seed: u64) -> Scenario {
     let mut rng = RandomSource::new(seed ^ 0xF0_22ED);
@@ -119,6 +119,12 @@ pub fn random_scenario(seed: u64) -> Scenario {
     };
 
     let workload = random_workload(&mut rng, n, cycles);
+    // Drawn after the workload, so the draws before it — and the CI
+    // seeds' coverage of arrival processes — are what they were.
+    let sim = SimConfig {
+        pipestages: 1 + rng.index(3),
+        ..sim
+    };
 
     Scenario {
         name: format!("fuzz-{seed:#x}"),
@@ -395,6 +401,26 @@ mod tests {
             sends > 0 && bernoulli > 0 && on_off > 0 && trace > 0,
             "CI fuzz coverage hole: sends={sends} bernoulli={bernoulli} on_off={on_off} trace={trace}"
         );
+    }
+
+    #[test]
+    fn ci_fuzz_covers_router_pipes_and_wire_registers() {
+        // The CI fuzz runs (`--seed 0xC1`, and `0x54A2D` at shards 3
+        // and 4) must put words in router pipes and wire registers:
+        // each draws every pipestage count and wire delay in 1..=3 and
+        // 0..=2 at least once.
+        for ci_seed in [0xC1, 0x54A2D] {
+            let (mut dp, mut delay) = ([0; 4], [0; 3]);
+            for i in 0..25u64 {
+                let s = random_scenario(crate::experiment::point_seed(ci_seed, i));
+                dp[s.sim.pipestages] += 1;
+                delay[s.sim.wire_delay] += 1;
+            }
+            assert!(
+                dp[1..].iter().all(|&n| n > 0) && delay.iter().all(|&n| n > 0),
+                "seed {ci_seed:#x}: pipestages {dp:?}, wire delays {delay:?}"
+            );
+        }
     }
 
     #[test]

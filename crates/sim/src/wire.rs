@@ -11,12 +11,29 @@
 //! A wire with delay 0 is combinational — the RN1 style where each
 //! routing stage contributes a single pipeline register and the
 //! interconnect adds none.
+//!
+//! ## Storage: one ring of registers
+//!
+//! The three lanes move in lockstep — every cycle each takes one value
+//! in and gives one out — so a wire of delay `d` is one ring of `d`
+//! `(forward, reverse, BCB)` registers and a cursor at the oldest.
+//! [`Wire::advance`] reads the oldest entry out, writes the entering
+//! values into its slot and moves the cursor on. A delay-0 wire holds an
+//! empty ring: no heap, and `advance` passes its inputs straight
+//! through. A wire is 32 bytes (pinned by a unit test); a checkpoint
+//! still spells it lane by lane, oldest register first.
 
 use metro_core::word::phit;
 use metro_core::Word;
 use metro_telemetry::state::{StateError, StateReader, StateWriter};
 use metro_topo::fault::FaultKind;
-use std::collections::VecDeque;
+
+/// One pipeline register of a wire: the forward word, the reverse word
+/// and the BCB latched in the same cycle.
+type Register = (Word, Word, bool);
+
+/// A register holding nothing.
+const QUIET: Register = (Word::Empty, Word::Empty, false);
 
 /// A bidirectional, pipelined link between two components.
 ///
@@ -26,10 +43,10 @@ use std::collections::VecDeque;
 /// forward lane).
 #[derive(Debug, Clone)]
 pub struct Wire {
-    delay: usize,
-    fwd: VecDeque<Word>,
-    rev: VecDeque<Word>,
-    bcb: VecDeque<bool>,
+    /// The pipeline registers, one per cycle of delay.
+    regs: Box<[Register]>,
+    /// Index of the oldest register: the next to leave the wire.
+    oldest: u32,
     fault: Option<FaultKind>,
     /// Data words seen since the fault was injected (drives the
     /// intermittent fault's period).
@@ -42,10 +59,8 @@ impl Wire {
     #[must_use]
     pub fn new(delay: usize) -> Self {
         Self {
-            delay,
-            fwd: std::iter::repeat_n(Word::Empty, delay).collect(),
-            rev: std::iter::repeat_n(Word::Empty, delay).collect(),
-            bcb: std::iter::repeat_n(false, delay).collect(),
+            regs: vec![QUIET; delay].into_boxed_slice(),
+            oldest: 0,
             fault: None,
             words_seen: 0,
         }
@@ -54,7 +69,7 @@ impl Wire {
     /// The wire's pipeline delay.
     #[must_use]
     pub fn delay(&self) -> usize {
-        self.delay
+        self.regs.len()
     }
 
     /// Injects a fault into the wire (dead or corrupting).
@@ -95,17 +110,24 @@ impl Wire {
             }
             None => (fwd_in, rev_in, bcb_in),
         };
-        if self.delay == 0 {
+        let at = self.oldest as usize;
+        let Some(slot) = self.regs.get_mut(at) else {
             return (fwd_in, rev_in, bcb_in);
-        }
-        self.fwd.push_back(fwd_in);
-        self.rev.push_back(rev_in);
-        self.bcb.push_back(bcb_in);
-        (
-            self.fwd.pop_front().unwrap_or(Word::Empty),
-            self.rev.pop_front().unwrap_or(Word::Empty),
-            self.bcb.pop_front().unwrap_or(false),
-        )
+        };
+        let out = std::mem::replace(slot, (fwd_in, rev_in, bcb_in));
+        // A ring longer than u32::MAX registers is tens of gigabytes.
+        self.oldest = if at + 1 == self.regs.len() {
+            0
+        } else {
+            self.oldest + 1
+        };
+        out
+    }
+
+    /// The registers, oldest first.
+    fn in_order(&self) -> impl Iterator<Item = &Register> + Clone {
+        let (newer, older) = self.regs.split_at(self.oldest as usize);
+        older.iter().chain(newer)
     }
 
     /// Whether [`Wire::advance`] is the identity function: zero pipeline
@@ -114,39 +136,36 @@ impl Wire {
     /// applications and skip `advance` entirely for transparent wires.
     #[must_use]
     pub fn is_transparent(&self) -> bool {
-        self.delay == 0 && self.fault.is_none()
+        self.regs.is_empty() && self.fault.is_none()
     }
 
     /// Whether no word is in flight on either lane (and no BCB).
     #[must_use]
     pub fn is_quiet(&self) -> bool {
-        self.fwd.iter().all(|w| *w == Word::Empty)
-            && self.rev.iter().all(|w| *w == Word::Empty)
-            && self.bcb.iter().all(|b| !b)
+        self.regs.iter().all(|&r| r == QUIET)
     }
 
     /// Clears any in-flight words (used when re-arming a repaired wire).
     pub fn flush(&mut self) {
-        for w in self.fwd.iter_mut().chain(self.rev.iter_mut()) {
-            *w = Word::Empty;
-        }
-        for b in self.bcb.iter_mut() {
-            *b = false;
-        }
+        self.regs.fill(QUIET);
     }
 
     /// Appends the in-flight words on every lane plus the intermittent
-    /// fault's word counter to a checkpoint stream. The delay is
-    /// construction-fixed and the fault field is owned by the fault
-    /// set (re-applied by the engine on restore), so neither is
-    /// written.
+    /// fault's word counter to a checkpoint stream: the delay, the
+    /// forward lane oldest first, then the reverse lane, then the BCB
+    /// lane. The delay is construction-fixed and the fault field is
+    /// owned by the fault set (re-applied by the engine on restore), so
+    /// neither is restored from the stream.
     pub fn save_state(&self, w: &mut StateWriter) {
-        w.usize(self.fwd.len());
-        for &word in self.fwd.iter().chain(&self.rev) {
-            phit::put(w, word);
+        w.usize(self.regs.len());
+        for &(fwd, _, _) in self.in_order() {
+            phit::put(w, fwd);
         }
-        for &b in &self.bcb {
-            w.bool(b);
+        for &(_, rev, _) in self.in_order() {
+            phit::put(w, rev);
+        }
+        for &(_, _, bcb) in self.in_order() {
+            w.bool(bcb);
         }
         w.u32(self.words_seen);
     }
@@ -160,12 +179,16 @@ impl Wire {
     /// [`StateError::BadValue`] on a delay mismatch or a corrupt packed
     /// word.
     pub fn restore_state(&mut self, r: &mut StateReader<'_>) -> Result<(), StateError> {
-        r.shape(self.delay, "wire pipeline registers")?;
-        for word in self.fwd.iter_mut().chain(&mut self.rev) {
-            *word = phit::get(r)?;
+        r.shape(self.regs.len(), "wire pipeline registers")?;
+        self.oldest = 0;
+        for (fwd, _, _) in self.regs.iter_mut() {
+            *fwd = phit::get(r)?;
         }
-        for b in &mut self.bcb {
-            *b = r.bool()?;
+        for (_, rev, _) in self.regs.iter_mut() {
+            *rev = phit::get(r)?;
+        }
+        for (_, _, bcb) in self.regs.iter_mut() {
+            *bcb = r.bool()?;
         }
         self.words_seen = r.u32()?;
         Ok(())
@@ -267,6 +290,52 @@ mod tests {
         w.set_fault(None);
         let (f, _, _) = w.advance(Word::Data(3), Word::Empty, false);
         assert_eq!(f, Word::Data(3));
+    }
+
+    /// A field that regrows the wire fails here rather than drifting the
+    /// machine's resident size: metro1k holds 14,336 wires.
+    #[test]
+    fn a_wire_is_at_most_32_bytes() {
+        assert!(std::mem::size_of::<Wire>() <= 32);
+        assert!(
+            Wire::new(0).regs.is_empty(),
+            "a combinational wire holds no heap"
+        );
+    }
+
+    /// The stream spells each lane oldest register first wherever the
+    /// ring's cursor stands, and a restore reads it back into a ring that
+    /// emits the same words.
+    #[test]
+    fn save_writes_each_lane_oldest_first_and_restores() {
+        let mut w = Wire::new(3);
+        for v in 1..=4u16 {
+            w.advance(Word::Data(v), Word::Data(10 + v), v % 2 == 0);
+        }
+        let mut out = StateWriter::new();
+        w.save_state(&mut out);
+        let words = out.into_words();
+        let mut lanes = StateWriter::new();
+        lanes.usize(3);
+        for v in 2..=4u16 {
+            phit::put(&mut lanes, Word::Data(v));
+        }
+        for v in 2..=4u16 {
+            phit::put(&mut lanes, Word::Data(10 + v));
+        }
+        for v in 2..=4u16 {
+            lanes.bool(v % 2 == 0);
+        }
+        lanes.u32(0);
+        assert_eq!(words, lanes.into_words());
+
+        let mut back = Wire::new(3);
+        back.advance(Word::Turn, Word::Turn, true);
+        back.restore_state(&mut StateReader::new(&words)).unwrap();
+        for _ in 0..4 {
+            let (f, r, b) = QUIET;
+            assert_eq!(w.advance(f, r, b), back.advance(f, r, b));
+        }
     }
 
     #[test]

@@ -25,12 +25,15 @@ const BERNOULLI: ArrivalProcess = ArrivalProcess::Bernoulli;
 /// A randomized load scenario on the small8 topology, with self-heal
 /// on and a mid-run corrupting injection so retries, telemetry, and
 /// (sometimes) healing all have material to work with, run under the
-/// execution variant `(engine, shards)`.
+/// execution variant `(engine, shards)`. `(pipestages, wire_delay)`
+/// above `(1, 0)` puts words in router pipes and wire registers, so a
+/// checkpoint saves them.
 fn load_scenario(
     seed: u64,
     load_milli: u64,
     (engine, shards): (EngineKind, usize),
     arrival: ArrivalProcess,
+    (pipestages, wire_delay): (usize, usize),
 ) -> Scenario {
     let mut injected = FaultSet::new();
     injected.break_link(
@@ -48,6 +51,8 @@ fn load_scenario(
             shards,
             self_heal: true,
             telemetry_every: 4,
+            pipestages,
+            wire_delay,
             ..SimConfig::default()
         },
         seed,
@@ -118,19 +123,15 @@ fn assert_machines_equal(straight: &mut NetworkSim, resumed: &mut NetworkSim) {
 }
 
 /// The hostile-word sweep of `tests/document_contract.rs`, over a
-/// busier machine than the committed fixture: figure 1 nine cycles in,
-/// every endpoint with one message on the wire and one queued behind
-/// it, the healer collecting evidence. Every state word, replaced by a
-/// small wrong value and by a large one, is refused with a typed error
-/// or runs on cleanly. CI runs this in `--release`, where an unchecked
-/// timestamp does not panic but wraps into a ~2⁶⁴-cycle latency.
-#[test]
-fn every_mutated_word_of_a_busy_machine_is_refused_or_runs_clean() {
-    let config = SimConfig {
-        self_heal: true,
-        ..SimConfig::default()
-    };
-    let built = NetworkSim::new(&MultibutterflySpec::figure1(), &config).unwrap();
+/// busier machine than the committed fixture: figure 1 built with
+/// `config` and run `cycles` cycles, every endpoint with one message on
+/// the wire and one queued behind it, the healer collecting evidence.
+/// Every state word, replaced by a small wrong value and by a large
+/// one, is refused with a typed error or runs on cleanly. CI runs this
+/// in `--release`, where an unchecked timestamp does not panic but
+/// wraps into a ~2⁶⁴-cycle latency.
+fn sweep_a_busy_machine(config: &SimConfig, cycles: u64) {
+    let built = NetworkSim::new(&MultibutterflySpec::figure1(), config).unwrap();
     let mut busy = built.clone();
     let mut faults = FaultSet::new();
     faults.break_link(LinkId::new(0, 2, 1), FaultKind::CorruptData { xor: 0x21 });
@@ -140,7 +141,7 @@ fn every_mutated_word_of_a_busy_machine_is_refused_or_runs_clean() {
         busy.send(e, (e + 5) % 16, &[1, 2, 3]);
         busy.send(e, (e + 11) % 16, &[4, 5]);
     }
-    busy.run(9);
+    busy.run(cycles);
     let mut w = StateWriter::new();
     busy.save_state(&mut w);
     let state = w.into_words();
@@ -180,6 +181,30 @@ fn every_mutated_word_of_a_busy_machine_is_refused_or_runs_clean() {
     assert!(refused > 1000 && ran > 1000, "{refused} refused, {ran} ran");
 }
 
+/// Nine cycles in at `dp = 1` over combinational wires.
+#[test]
+fn every_mutated_word_of_a_busy_machine_is_refused_or_runs_clean() {
+    let config = SimConfig {
+        self_heal: true,
+        ..SimConfig::default()
+    };
+    sweep_a_busy_machine(&config, 9);
+}
+
+/// The same sweep where the state holds words in router pipes, reply
+/// queues and wire registers: `dp = 2` and wire delays of 1–2 cycles,
+/// ten cycles in, when all three hold live words.
+#[test]
+fn every_mutated_word_of_a_busy_pipelined_machine_is_refused_or_runs_clean() {
+    let config = SimConfig {
+        self_heal: true,
+        pipestages: 2,
+        stage_wire_delays: Some(vec![1, 2, 1, 1]),
+        ..SimConfig::default()
+    };
+    sweep_a_busy_machine(&config, 10);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
@@ -190,9 +215,10 @@ proptest! {
         seed in any::<u64>(),
         load_milli in 100u64..450,
         at in 1u64..200,
+        pipelining in (1usize..=3, 0usize..=2),
     ) {
         for shards in [1usize, 2, 4] {
-            let s = load_scenario(seed, load_milli, (EngineKind::Flat, shards), BERNOULLI);
+            let s = load_scenario(seed, load_milli, (EngineKind::Flat, shards), BERNOULLI, pipelining);
             let (straight, mut straight_sim, ckpt) = run_straight(&s, at);
             let (resumed, mut resumed_sim) = resume_scenario(&ckpt).unwrap();
             prop_assert_eq!(
@@ -210,8 +236,9 @@ proptest! {
         seed in any::<u64>(),
         load_milli in 100u64..450,
         at in 1u64..200,
+        pipelining in (1usize..=3, 0usize..=2),
     ) {
-        let s = load_scenario(seed, load_milli, (EngineKind::Reference, 1), BERNOULLI);
+        let s = load_scenario(seed, load_milli, (EngineKind::Reference, 1), BERNOULLI, pipelining);
         let (straight, mut straight_sim, ckpt) = run_straight(&s, at);
         let (resumed, mut resumed_sim) = resume_scenario(&ckpt).unwrap();
         prop_assert_eq!(&resumed, &straight);
@@ -231,6 +258,7 @@ proptest! {
         from_idx in 0usize..4,
         to_idx in 0usize..4,
         bursty in any::<bool>(),
+        pipelining in (1usize..=3, 0usize..=2),
     ) {
         let variants = [
             (EngineKind::Flat, 1),
@@ -244,7 +272,7 @@ proptest! {
         } else {
             BERNOULLI
         };
-        let s = load_scenario(seed, load_milli, from, arrival);
+        let s = load_scenario(seed, load_milli, from, arrival, pipelining);
         type Taken = Vec<(RunPhase, u64, Vec<u64>)>;
         let (mut first, mut straight_ckpts, mut resumed_ckpts) = (None, Taken::new(), Taken::new());
         let mut sink = |c: &Checkpoint| {
@@ -281,8 +309,9 @@ proptest! {
     fn envelope_round_trip_preserves_the_resume(
         seed in any::<u64>(),
         at in 1u64..200,
+        pipelining in (1usize..=3, 0usize..=2),
     ) {
-        let s = load_scenario(seed, 300, (EngineKind::Flat, 2), BERNOULLI);
+        let s = load_scenario(seed, 300, (EngineKind::Flat, 2), BERNOULLI, pipelining);
         let (straight, _sim, ckpt) = run_straight(&s, at);
         let text = ckpt.to_json().render();
         let back = Checkpoint::from_text(&text).unwrap();

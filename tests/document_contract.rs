@@ -3,12 +3,14 @@
 //! bytes, and every structurally mutated document is rejected with an
 //! error that names the mutated place.
 
+use metro_core::word::phit;
+use metro_core::Word;
 use metro_harness::document::{seal, DecodeError};
 use metro_harness::Json;
 use metro_sim::checkpoint::{resume_scenario, run_scenario_resumable, Checkpoint, CheckpointSink};
 use metro_sim::scenario::{codec, run_scenario, Run, ScenarioResult, WorkloadSpec};
 use metro_sim::NetworkSim;
-use metro_telemetry::{snapshot, RouterCounter};
+use metro_telemetry::{snapshot, RouterCounter, StateError, StateWriter};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 
@@ -69,6 +71,185 @@ fn the_checkpoint_fixture_keeps_its_bytes_and_resumes_to_the_straight_run() {
     let (resumed, _sim) = resume_scenario(&ckpt).unwrap();
     let straight = run_scenario(&ckpt.scenario).unwrap();
     assert_eq!(resumed.to_json().render(), straight.to_json().render());
+}
+
+const PIPELINED_FIXTURE: &str = "tests/fixtures/pipelined.ckpt.json";
+
+/// The outcome digest of `tests/fixtures/pipelined.json` run straight,
+/// as the build that wrote the pipelined fixture reported it.
+const PIPELINED_DIGEST: u64 = 0x491d_389c_bdd1_1869;
+
+/// A port's three queues, in the order a router saves them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Queue {
+    Fwd,
+    Rev,
+    Reply,
+}
+
+/// A read position in a snapshot's state words.
+struct Cursor<'a> {
+    state: &'a [u64],
+    at: usize,
+}
+
+impl Cursor<'_> {
+    fn next(&mut self) -> u64 {
+        self.at += 1;
+        self.state[self.at - 1]
+    }
+
+    fn count(&mut self) -> usize {
+        self.next() as usize
+    }
+
+    fn skip(&mut self, words: usize) {
+        self.at += words;
+    }
+
+    /// Skips a sequence of one-word items: its count, then the items.
+    fn skip_seq(&mut self) {
+        let n = self.count();
+        self.skip(n);
+    }
+}
+
+/// The word `word` is saved as.
+fn packed(word: Word) -> u64 {
+    let mut w = StateWriter::new();
+    phit::put(&mut w, word);
+    w.into_words()[0]
+}
+
+/// Walks a snapshot's state words by the layout `Router::save_state`
+/// and the engines' `channels` section write, and returns every port
+/// queue as `(queue, index of its count word, count)` and the number of
+/// words wire registers hold that are not `Empty`.
+fn port_queues_and_wire_words(state: &[u64]) -> (Vec<(Queue, usize, usize)>, usize) {
+    let tag = |name: &str| {
+        let mut word = [0; 8];
+        word[..name.len()].copy_from_slice(name.as_bytes());
+        u64::from_le_bytes(word)
+    };
+    let (mut queues, mut wire_words) = (Vec::new(), 0);
+    let mut c = Cursor { state, at: 0 };
+    while c.at < state.len() {
+        let word = c.next();
+        if word == tag("router") {
+            c.skip(1); // the random stream
+            for _ in 0..c.count() {
+                if c.next() == 1 {
+                    c.skip(1); // the owning forward port
+                }
+            }
+            c.skip(1); // IN-USE
+            c.skip_seq(); // round-robin pointers
+            c.skip(1 + RouterCounter::COUNT); // the activity bitplane, counters
+            c.skip_seq(); // forward port modes
+            c.skip_seq(); // backward port modes
+            for _ in 0..c.count() {
+                // FSM tag, then 0, 2 or 1 fields by `State` variant.
+                let fields = [0, 2, 2, 2, 0, 0, 1, 0][c.count()];
+                c.skip(fields);
+                for queue in [Queue::Fwd, Queue::Rev, Queue::Reply] {
+                    queues.push((queue, c.at, state[c.at] as usize));
+                    c.skip_seq();
+                }
+                c.skip(1); // the checksum
+            }
+        } else if word == tag("channels") {
+            (0..6).for_each(|_| c.skip_seq()); // the arena's lanes
+            for _ in 0..2 {
+                for _ in 0..c.count() {
+                    let delay = c.count();
+                    for _ in 0..2 * delay {
+                        wire_words += usize::from(c.next() != packed(Word::Empty));
+                    }
+                    c.skip(delay + 1); // BCBs, words seen
+                }
+            }
+        }
+    }
+    (queues, wire_words)
+}
+
+/// The cross-version fixture: written at cycle 142 of
+/// `tests/fixtures/pipelined.json` (figure 1 at `dp = 2`, wire delays of
+/// 1–2 cycles) by the build that still held a router's pipes and reply
+/// queue and a wire's registers in growable queues. Router pipes, reply
+/// queues and wire registers all hold live words in it. Both cycle
+/// engines share those types, so the Flat == Reference differential
+/// cannot see a changed save order; this fixture does.
+#[test]
+fn the_pipelined_fixture_keeps_its_bytes_and_resumes_to_its_writers_digest() {
+    let text = read(PIPELINED_FIXTURE);
+    let ckpt = Checkpoint::from_text(&text).unwrap();
+    assert_eq!(
+        (ckpt.scenario.name.as_str(), ckpt.cycle),
+        ("pipelined", 142)
+    );
+    assert_eq!(
+        codec::encode(&ckpt.scenario).render(),
+        read("tests/fixtures/pipelined.json")
+    );
+    assert_eq!(ckpt.to_json().render(), text);
+
+    let (queues, wire_words) = port_queues_and_wire_words(&ckpt.state);
+    assert!(
+        queues
+            .iter()
+            .all(|&(q, _, held)| held <= [1, 1, 3][q as usize]),
+        "the walk lost its place: {queues:?}"
+    );
+    for queue in [Queue::Fwd, Queue::Rev, Queue::Reply] {
+        assert!(
+            queues.iter().any(|&(q, _, held)| q == queue && held > 0),
+            "no {queue:?} queue holds a word"
+        );
+    }
+    assert!(wire_words > 0, "no wire register holds a word");
+
+    let (resumed, _sim) = resume_scenario(&ckpt).unwrap();
+    let straight = run_scenario(&ckpt.scenario).unwrap();
+    assert_eq!(straight.outcomes.digest(), PIPELINED_DIGEST);
+    assert_eq!(resumed.to_json().render(), straight.to_json().render());
+}
+
+/// A restore refuses what no tick leaves behind: a pipe that is neither
+/// empty nor `dp - 1` words long (it would run the port as a longer
+/// pipeline until a teardown) and a reply queue longer than 3 words (it
+/// would inject its words toward the source). Each mutant is otherwise
+/// well formed — the count and as many words — and is refused at its
+/// count word, in section `router`. Both fixtures: `dp = 1` and `dp = 2`.
+#[test]
+fn a_restore_refuses_pipes_and_reply_queues_no_tick_leaves() {
+    let idle = packed(Word::DataIdle);
+    for (fixture, cases) in [
+        (
+            CKPT_FIXTURE,
+            [(Queue::Fwd, 3), (Queue::Rev, 1), (Queue::Reply, 4)],
+        ),
+        (
+            PIPELINED_FIXTURE,
+            [(Queue::Fwd, 3), (Queue::Rev, 2), (Queue::Reply, 8)],
+        ),
+    ] {
+        let ckpt = Checkpoint::from_text(&read(fixture)).unwrap();
+        let built = NetworkSim::from_scenario(&ckpt.scenario).unwrap();
+        let (queues, _) = port_queues_and_wire_words(&ckpt.state);
+        for (queue, len) in cases {
+            let &(_, at, held) = queues.iter().find(|q| q.0 == queue).unwrap();
+            let mut mutant = ckpt.clone();
+            let words = std::iter::once(len as u64).chain(std::iter::repeat_n(idle, len));
+            mutant.state.splice(at..=at + held, words);
+            let err = mutant.restore_into(&mut built.clone(), None).unwrap_err();
+            assert!(
+                matches!(&err, StateError::BadValue { section, at: word, .. }
+                    if section == "router" && *word == at),
+                "{fixture}: a {len}-word {queue:?} queue at word {at}: {err}"
+            );
+        }
+    }
 }
 
 /// Most state words are a counter at zero or an idle register, and the

@@ -118,22 +118,17 @@ impl RandomSource {
     pub fn bit(&mut self) -> bool {
         self.bits(1) == 1
     }
+}
 
-    /// The raw generator state, for checkpointing. Always nonzero.
-    #[must_use]
-    pub fn state_bits(&self) -> u64 {
-        self.state
-    }
-
-    /// Rebuilds a source from a checkpointed [`Self::state_bits`]
-    /// value, bypassing the zero-seed remap so a restored stream
-    /// continues *exactly* where the saved one left off.
-    ///
-    /// A zero state (which a healthy source can never reach) is
-    /// remapped as in [`Self::new`] rather than poisoning the stream.
-    #[must_use]
-    pub fn from_state_bits(state: u64) -> Self {
-        Self::new(state)
+// The raw generator state, so a restored stream continues exactly where
+// the saved one left off. A zero state (which a running source never
+// reaches) is remapped as in `new` rather than poisoning the stream.
+metro_telemetry::state_walk! {
+    impl State for RandomSource => |this, s| {
+        let RandomSource { state } = this;
+        s.u64(state)?;
+        s.on_restore(state, |state| *state = RandomSource::new(*state).state);
+        Ok(())
     }
 }
 

@@ -11,10 +11,11 @@
 use core::fmt;
 
 /// The state of a connection as reported by one router at turn time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ConnectionState {
     /// The connection was switched through to a backward port; data was
     /// forwarded downstream.
+    #[default]
     Connected,
     /// No logically appropriate backward port was available; the stream
     /// was discarded at this router (paper §3, "blocked").
@@ -28,7 +29,7 @@ pub enum ConnectionState {
 /// fields symbolic and provides [`StatusWord::encode`]/
 /// [`StatusWord::decode`] for the packed form used by width cascading
 /// tests and the scan registers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct StatusWord {
     state: ConnectionState,
     /// The backward port the connection used (meaningful when
@@ -100,6 +101,15 @@ impl StatusWord {
             state,
             port: (bits & 0x7F) as u8,
         }
+    }
+}
+
+// A status word in a checkpoint: its `encode`d form, refused unless it
+// fits a `u16`.
+metro_telemetry::state_walk! {
+    impl State for StatusWord => |this, s| {
+        let decode = |k| u16::try_from(k).ok().map(StatusWord::decode);
+        s.code(this, |w| u64::from(w.encode()), decode, "status word")
     }
 }
 

@@ -110,7 +110,6 @@ impl From<u16> for Word {
 pub mod phit {
     use super::Word;
     use crate::status::StatusWord;
-    use metro_telemetry::state::{StateError, StateReader, StateWriter};
 
     /// Encodes a word as `(control, data)` line values. Data is masked
     /// to `word_mask` for the `Data` variant (checksum and status use
@@ -164,20 +163,13 @@ pub mod phit {
         }
         decode((cell >> 16) as u8, cell as u16)
     }
+}
 
-    /// Appends a word to a checkpoint stream as one [`pack`]ed cell.
-    pub fn put(w: &mut StateWriter, word: Word) {
-        w.u64(pack(word));
-    }
-
-    /// Reads back a word written by [`put`].
-    ///
-    /// # Errors
-    ///
-    /// [`StateError`] for a cell [`unpack`] refuses.
-    pub fn get(r: &mut StateReader<'_>) -> Result<Word, StateError> {
-        let cell = r.u64()?;
-        unpack(cell).ok_or_else(|| r.bad(format!("{cell:#x} is not a packed channel word")))
+// A word in a checkpoint: one `phit::pack`ed cell, refused when
+// `phit::unpack` refuses it.
+metro_telemetry::state_walk! {
+    impl State for Word => |this, s| {
+        s.code(this, |&w| phit::pack(w), phit::unpack, "packed channel word")
     }
 }
 

@@ -56,9 +56,7 @@ use super::{Engine, StepCtx};
 use crate::fabric::Fabric;
 use crate::shard::ShardPlan;
 use crate::wire::Wire;
-use metro_core::word::phit;
 use metro_core::Word;
-use metro_telemetry::{StateError, StateReader, StateWriter};
 use metro_topo::fault::FaultSet;
 use metro_topo::flatlinks::{FlatLinks, FlatTarget};
 use metro_topo::graph::LinkId;
@@ -743,39 +741,24 @@ impl Engine for FlatEngine {
     fn clone_box(&self) -> Box<dyn Engine> {
         Box::new(self.clone())
     }
+}
 
-    fn save_state(&self, w: &mut StateWriter) {
-        let a = &self.arena;
-        w.section("channels");
-        w.seq(a.fwd_in.iter().copied(), phit::put);
-        w.seq(a.rev_in.iter().copied(), phit::put);
-        w.seq(a.bcb_in.iter().copied(), StateWriter::bool);
-        w.seq(a.ep_out_rev.iter().copied(), phit::put);
-        w.seq(a.ep_out_bcb.iter().copied(), StateWriter::bool);
-        w.seq(a.ep_in_fwd.iter().copied(), phit::put);
-        w.seq(&self.inj_wires, |w, wire| wire.save_state(w));
-        w.seq(&self.stage_wires, |w, wire| wire.save_state(w));
-    }
-
-    fn restore_state(&mut self, r: &mut StateReader<'_>) -> Result<(), StateError> {
-        let a = &mut self.arena;
-        r.section("channels")?;
-        r.lane(&mut a.fwd_in, "forward-lane words", phit::get)?;
-        r.lane(&mut a.rev_in, "reverse-lane words", phit::get)?;
-        r.lane(&mut a.bcb_in, "BCB flags", StateReader::bool)?;
-        r.lane(&mut a.ep_out_rev, "endpoint reverse-lane words", phit::get)?;
-        r.lane(&mut a.ep_out_bcb, "endpoint BCB flags", StateReader::bool)?;
-        r.lane(&mut a.ep_in_fwd, "endpoint forward-lane words", phit::get)?;
-        r.shape(self.inj_wires.len(), "injection wires")?;
-        for wire in &mut self.inj_wires {
-            wire.restore_state(r)?;
-        }
-        r.shape(self.stage_wires.len(), "stage wires")?;
-        for wire in &mut self.stage_wires {
-            wire.restore_state(r)?;
-        }
+// The `channels` section (see `Engine`).
+metro_telemetry::state_walk! {
+    impl State for FlatEngine => |this, s| {
+        let FlatEngine { arena, inj_wires, stage_wires, .. } = this;
+        let ChannelArena { fwd_in, rev_in, bcb_in, ep_out_rev, ep_out_bcb, ep_in_fwd } = arena;
+        s.section("channels")?;
+        s.lane(fwd_in, "forward-lane words", |s, w| s.state(w))?;
+        s.lane(rev_in, "reverse-lane words", |s, w| s.state(w))?;
+        s.lane(bcb_in, "BCB flags", |s, b| s.bool(b))?;
+        s.lane(ep_out_rev, "endpoint reverse-lane words", |s, w| s.state(w))?;
+        s.lane(ep_out_bcb, "endpoint BCB flags", |s, b| s.bool(b))?;
+        s.lane(ep_in_fwd, "endpoint forward-lane words", |s, w| s.state(w))?;
+        s.lane(inj_wires, "injection wires", |s, wire| s.state(wire))?;
+        s.lane(stage_wires, "stage wires", |s, wire| s.state(wire))?;
         // Arena and wires may now hold anything; the bus is stale.
-        self.mark_all();
+        s.on_restore(this, FlatEngine::mark_all);
         Ok(())
     }
 }

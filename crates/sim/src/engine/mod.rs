@@ -28,7 +28,7 @@ pub mod shard;
 use crate::endpoint::Endpoint;
 use crate::wire::Wire;
 use metro_core::Router;
-use metro_telemetry::{StateError, StateReader, StateWriter};
+use metro_telemetry::State;
 use metro_topo::fault::FaultSet;
 use metro_topo::multibutterfly::Multibutterfly;
 
@@ -151,7 +151,21 @@ pub struct StepCtx<'a> {
 /// [`reference::ReferenceEngine`] only (the trait is sealed); the
 /// analytic estimator deliberately does **not** implement it — it has
 /// no cycles to step.
-pub trait Engine: sealed::Sealed + std::fmt::Debug + Send {
+///
+/// Its [`State`] is the machine's channel state, one `channels`
+/// section: the six channel-input lanes (`fwd_in`, `rev_in`, `bcb_in`,
+/// `ep_out_rev`, `ep_out_bcb`, `ep_in_fwd`), then the injection and the
+/// stage wires, each one lane in
+/// [`FlatLinks`](metro_topo::flatlinks::FlatLinks) slot order. At a
+/// tick boundary every cycle engine writes the same words at any shard
+/// count, so a checkpoint does not name the engine that took it, and
+/// restores one written by any. Scratch that is rewritten before it is
+/// next read (drive buses, worker pools and their marks, the flat
+/// step's hot set and carry masks — restoring marks everything) is not
+/// state and is not written. Callers re-apply the active fault set via
+/// [`Engine::apply_faults`] *before* restoring, so wire fault fields and
+/// transparency caches are already consistent.
+pub trait Engine: sealed::Sealed + State + std::fmt::Debug + Send {
     /// Advances the network one clock cycle: endpoints and routers
     /// compute outputs from last-cycle inputs, wires advance, and the
     /// engine's channel state rolls over.
@@ -196,30 +210,6 @@ pub trait Engine: sealed::Sealed + std::fmt::Debug + Send {
     ///
     /// [`NetworkSim`]: crate::network::NetworkSim
     fn clone_box(&self) -> Box<dyn Engine>;
-
-    /// Appends the machine's channel state to a checkpoint stream as
-    /// one `channels` section: the six channel-input lanes (`fwd_in`,
-    /// `rev_in`, `bcb_in`, `ep_out_rev`, `ep_out_bcb`, `ep_in_fwd`),
-    /// then the injection and the stage wires, each one
-    /// [`StateWriter::seq`] in
-    /// [`FlatLinks`](metro_topo::flatlinks::FlatLinks) slot order. At a
-    /// tick boundary every cycle engine writes the same words at any
-    /// shard count, so a checkpoint does not name the engine that took
-    /// it. Scratch that is rewritten before it is next read (drive
-    /// buses, worker pools and their marks, the flat step's hot set and
-    /// carry masks — restoring marks everything) is not state and is
-    /// not written.
-    fn save_state(&self, w: &mut StateWriter);
-
-    /// Overwrites the channel state from a checkpoint stream written by
-    /// any cycle engine. Callers must re-apply the active fault set via
-    /// [`Engine::apply_faults`] *before* restoring, so wire fault
-    /// fields and transparency caches are already consistent.
-    ///
-    /// # Errors
-    ///
-    /// [`StateError`] on shape mismatch or a corrupt stream.
-    fn restore_state(&mut self, r: &mut StateReader<'_>) -> Result<(), StateError>;
 }
 
 impl Clone for Box<dyn Engine> {

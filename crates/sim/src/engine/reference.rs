@@ -7,9 +7,7 @@ use super::{Engine, StepCtx};
 use crate::endpoint::EndpointIo;
 use crate::fabric::Fabric;
 use crate::wire::Wire;
-use metro_core::word::phit;
 use metro_core::{BwdIn, FwdIn, TickOutput, Word};
-use metro_telemetry::{StateError, StateReader, StateWriter};
 use metro_topo::fault::FaultSet;
 use metro_topo::graph::{LinkId, LinkTarget};
 use metro_topo::multibutterfly::Multibutterfly;
@@ -188,50 +186,31 @@ impl Engine for ReferenceEngine {
     fn clone_box(&self) -> Box<dyn Engine> {
         Box::new(self.clone())
     }
+}
 
-    // `[stage][router][port]` and `[endpoint][port]` flatten to exactly
-    // the flat slot order `Engine::save_state` specifies.
-    fn save_state(&self, w: &mut StateWriter) {
-        w.section("channels");
-        w.seq(self.fwd_in.iter().flatten().flatten().copied(), phit::put);
-        w.seq(self.rev_in.iter().flatten().flatten().copied(), phit::put);
-        w.seq(
-            self.bcb_in.iter().flatten().flatten().copied(),
-            StateWriter::bool,
-        );
-        w.seq(self.ep_out_rev.iter().flatten().copied(), phit::put);
-        w.seq(self.ep_out_bcb.iter().flatten().copied(), StateWriter::bool);
-        w.seq(self.ep_in_fwd.iter().flatten().copied(), phit::put);
-        w.seq(self.inj_wires.iter().flatten(), |w, wire| {
-            wire.save_state(w)
-        });
-        let stage_wires = self.stage_wires.iter().flatten().flatten();
-        w.seq(stage_wires, |w, wire| wire.save_state(w));
-    }
-
-    fn restore_state(&mut self, r: &mut StateReader<'_>) -> Result<(), StateError> {
-        r.section("channels")?;
-        let cells = self.fwd_in.iter_mut().flatten().flatten();
-        r.lane(cells, "forward-lane words", phit::get)?;
-        let cells = self.rev_in.iter_mut().flatten().flatten();
-        r.lane(cells, "reverse-lane words", phit::get)?;
-        let cells = self.bcb_in.iter_mut().flatten().flatten();
-        r.lane(cells, "BCB flags", StateReader::bool)?;
-        let cells = self.ep_out_rev.iter_mut().flatten();
-        r.lane(cells, "endpoint reverse-lane words", phit::get)?;
-        let cells = self.ep_out_bcb.iter_mut().flatten();
-        r.lane(cells, "endpoint BCB flags", StateReader::bool)?;
-        let cells = self.ep_in_fwd.iter_mut().flatten();
-        r.lane(cells, "endpoint forward-lane words", phit::get)?;
-        r.shape(self.inj_wires.iter().flatten().count(), "injection wires")?;
-        for wire in self.inj_wires.iter_mut().flatten() {
-            wire.restore_state(r)?;
-        }
-        let held = self.stage_wires.iter().flatten().flatten().count();
-        r.shape(held, "stage wires")?;
-        for wire in self.stage_wires.iter_mut().flatten().flatten() {
-            wire.restore_state(r)?;
-        }
-        Ok(())
+// The `channels` section (see `Engine`): `[stage][router][port]` and
+// `[endpoint][port]` flatten to exactly the flat slot order.
+metro_telemetry::state_walk! {
+    impl State for ReferenceEngine => |this, s| {
+        let ReferenceEngine {
+            inj_wires, stage_wires, fwd_in, rev_in, bcb_in, ep_out_rev, ep_out_bcb, ep_in_fwd,
+        } = this;
+        s.section("channels")?;
+        let cells: Vec<_> = fwd_in.into_iter().flatten().flatten().collect();
+        s.lane(cells, "forward-lane words", |s, w| s.state(w))?;
+        let cells: Vec<_> = rev_in.into_iter().flatten().flatten().collect();
+        s.lane(cells, "reverse-lane words", |s, w| s.state(w))?;
+        let cells: Vec<_> = bcb_in.into_iter().flatten().flatten().collect();
+        s.lane(cells, "BCB flags", |s, b| s.bool(b))?;
+        let cells: Vec<_> = ep_out_rev.into_iter().flatten().collect();
+        s.lane(cells, "endpoint reverse-lane words", |s, w| s.state(w))?;
+        let cells: Vec<_> = ep_out_bcb.into_iter().flatten().collect();
+        s.lane(cells, "endpoint BCB flags", |s, b| s.bool(b))?;
+        let cells: Vec<_> = ep_in_fwd.into_iter().flatten().collect();
+        s.lane(cells, "endpoint forward-lane words", |s, w| s.state(w))?;
+        let cells: Vec<_> = inj_wires.into_iter().flatten().collect();
+        s.lane(cells, "injection wires", |s, wire| s.state(wire))?;
+        let cells: Vec<_> = stage_wires.into_iter().flatten().flatten().collect();
+        s.lane(cells, "stage wires", |s, wire| s.state(wire))
     }
 }

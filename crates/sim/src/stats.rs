@@ -6,7 +6,6 @@
 //! snapshots to `metro report`.
 
 use crate::message::{FailureKind, MessageOutcome};
-use metro_telemetry::{StateError, StateReader, StateWriter};
 
 /// An online collector of latency samples with percentile queries —
 /// the telemetry histogram under its historical simulator name.
@@ -94,41 +93,23 @@ impl NetworkStats {
         }
         self.payload_words as f64 / cycles as f64 / endpoints as f64
     }
+}
 
-    /// Appends the collector to a checkpoint stream.
-    pub fn save_state(&self, w: &mut StateWriter) {
-        w.section("netstats");
-        self.total_latency.save_state(w);
-        self.network_latency.save_state(w);
-        w.u64(self.delivered);
-        w.u64(self.abandoned);
-        w.u64(self.retries);
-        w.u64_slice(&self.failure_counts);
-        w.u64(self.payload_words);
-        w.u64_slice(&self.blocked_by_stage);
-    }
-
-    /// Overwrites the collector from a checkpoint stream.
-    ///
-    /// # Errors
-    ///
-    /// [`StateError`] on a corrupt stream, or on histogram runs
-    /// [`LatencyStats::restore_state`] refuses.
-    pub fn restore_state(&mut self, r: &mut StateReader<'_>) -> Result<(), StateError> {
-        r.section("netstats")?;
-        self.total_latency.restore_state(r)?;
-        self.network_latency.restore_state(r)?;
-        self.delivered = r.u64()?;
-        self.abandoned = r.u64()?;
-        self.retries = r.u64()?;
-        r.lane(
-            &mut self.failure_counts,
-            "failure counters",
-            StateReader::u64,
-        )?;
-        self.payload_words = r.u64()?;
-        self.blocked_by_stage = r.u64_vec()?;
-        Ok(())
+metro_telemetry::state_walk! {
+    impl State for NetworkStats => |this, s| {
+        let NetworkStats {
+            total_latency, network_latency, delivered, abandoned, retries, failure_counts,
+            payload_words, blocked_by_stage,
+        } = this;
+        s.section("netstats")?;
+        s.state(total_latency)?;
+        s.state(network_latency)?;
+        s.u64(delivered)?;
+        s.u64(abandoned)?;
+        s.u64(retries)?;
+        s.lane(failure_counts, "failure counters", |s, n| s.u64(n))?;
+        s.u64(payload_words)?;
+        s.seq(blocked_by_stage, |s, n| s.u64(n))
     }
 }
 

@@ -23,9 +23,7 @@
 //! through. A wire is 32 bytes (pinned by a unit test); a checkpoint
 //! still spells it lane by lane, oldest register first.
 
-use metro_core::word::phit;
 use metro_core::Word;
-use metro_telemetry::state::{StateError, StateReader, StateWriter};
 use metro_topo::fault::FaultKind;
 
 /// One pipeline register of a wire: the forward word, the reverse word
@@ -124,12 +122,6 @@ impl Wire {
         out
     }
 
-    /// The registers, oldest first.
-    fn in_order(&self) -> impl Iterator<Item = &Register> + Clone {
-        let (newer, older) = self.regs.split_at(self.oldest as usize);
-        older.iter().chain(newer)
-    }
-
     /// Whether [`Wire::advance`] is the identity function: zero pipeline
     /// delay and no fault. Transparency only changes when a fault is
     /// injected or cleared, so an engine may cache it between fault
@@ -149,49 +141,28 @@ impl Wire {
     pub fn flush(&mut self) {
         self.regs.fill(QUIET);
     }
+}
 
-    /// Appends the in-flight words on every lane plus the intermittent
-    /// fault's word counter to a checkpoint stream: the delay, the
-    /// forward lane oldest first, then the reverse lane, then the BCB
-    /// lane. The delay is construction-fixed and the fault field is
-    /// owned by the fault set (re-applied by the engine on restore), so
-    /// neither is restored from the stream.
-    pub fn save_state(&self, w: &mut StateWriter) {
-        w.usize(self.regs.len());
-        for &(fwd, _, _) in self.in_order() {
-            phit::put(w, fwd);
-        }
-        for &(_, rev, _) in self.in_order() {
-            phit::put(w, rev);
-        }
-        for &(_, _, bcb) in self.in_order() {
-            w.bool(bcb);
-        }
-        w.u32(self.words_seen);
-    }
-
-    /// Overwrites the in-flight state from a checkpoint stream. Never
-    /// touches the fault field — restore order is: rebuild, re-apply
-    /// faults, then restore wire contents.
-    ///
-    /// # Errors
-    ///
-    /// [`StateError::BadValue`] on a delay mismatch or a corrupt packed
-    /// word.
-    pub fn restore_state(&mut self, r: &mut StateReader<'_>) -> Result<(), StateError> {
-        r.shape(self.regs.len(), "wire pipeline registers")?;
-        self.oldest = 0;
-        for (fwd, _, _) in self.regs.iter_mut() {
-            *fwd = phit::get(r)?;
-        }
-        for (_, rev, _) in self.regs.iter_mut() {
-            *rev = phit::get(r)?;
-        }
-        for (_, _, bcb) in self.regs.iter_mut() {
-            *bcb = r.bool()?;
-        }
-        self.words_seen = r.u32()?;
-        Ok(())
+// The in-flight words on every lane plus the intermittent fault's word
+// counter: the delay, the forward lane oldest first, then the reverse
+// lane, then the BCB lane. A restore fills the ring oldest first from
+// its own cursor. The delay is construction-fixed and the fault field is
+// owned by the fault set (re-applied by the engine before restore), so
+// neither is restored from the stream.
+metro_telemetry::state_walk! {
+    impl State for Wire => |this, s| {
+        let Wire { regs, oldest, fault: _, words_seen } = this;
+        let (oldest, held) = (*oldest as usize, regs.len());
+        let mut delay = held;
+        s.usize(&mut delay)?;
+        s.check(
+            || delay == held,
+            format_args!("saved {delay} wire pipeline registers, machine holds {held}"),
+        )?;
+        s.ring(regs, oldest, |s, (fwd, _, _)| s.state(fwd))?;
+        s.ring(regs, oldest, |s, (_, rev, _)| s.state(rev))?;
+        s.ring(regs, oldest, |s, (_, _, bcb)| s.bool(bcb))?;
+        s.u32(words_seen)
     }
 }
 
@@ -205,6 +176,8 @@ fn corrupt(word: Word, xor: u16) -> Word {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use metro_core::word::phit;
+    use metro_telemetry::{State, StateReader, StateWriter};
 
     #[test]
     fn zero_delay_is_combinational() {
@@ -315,19 +288,12 @@ mod tests {
         let mut out = StateWriter::new();
         w.save_state(&mut out);
         let words = out.into_words();
-        let mut lanes = StateWriter::new();
-        lanes.usize(3);
-        for v in 2..=4u16 {
-            phit::put(&mut lanes, Word::Data(v));
-        }
-        for v in 2..=4u16 {
-            phit::put(&mut lanes, Word::Data(10 + v));
-        }
-        for v in 2..=4u16 {
-            lanes.bool(v % 2 == 0);
-        }
-        lanes.u32(0);
-        assert_eq!(words, lanes.into_words());
+        let mut lanes = vec![3];
+        lanes.extend((2..=4u16).map(|v| phit::pack(Word::Data(v))));
+        lanes.extend((2..=4u16).map(|v| phit::pack(Word::Data(10 + v))));
+        lanes.extend((2..=4u16).map(|v| u64::from(v % 2 == 0)));
+        lanes.push(0);
+        assert_eq!(words, lanes);
 
         let mut back = Wire::new(3);
         back.advance(Word::Turn, Word::Turn, true);

@@ -39,7 +39,6 @@
 //! transpose, bit-reversal, a fixed permutation).
 
 use metro_core::RandomSource;
-use metro_telemetry::{StateError, StateReader, StateWriter};
 
 /// Per-endpoint seed stride for load workloads: endpoint `e` of a run
 /// seeded `s` draws arrivals from `s + e * 7919` (the 1000th prime).
@@ -624,42 +623,29 @@ impl ArrivalSource {
             Self::OnOff(g) => g.arrival(),
         }
     }
+}
 
-    /// Appends the source's stream position (and the bursty source's
-    /// dwell state) to a checkpoint stream. Thresholds are
-    /// construction-derived and not written.
-    fn save_state(&self, w: &mut StateWriter) {
-        match self {
-            Self::Bernoulli(g) => {
-                w.u64(0);
-                w.u64(g.rng.state_bits());
+// The source's stream position (and the bursty source's dwell state).
+// Thresholds are construction-derived and not written; the saved
+// process kind must match this source's.
+metro_telemetry::state_walk! {
+    impl State for ArrivalSource => |this, s| {
+        let held = match this {
+            ArrivalSource::Bernoulli(_) => 0,
+            ArrivalSource::OnOff(_) => 1,
+        };
+        let mut kind = held;
+        s.u64(&mut kind)?;
+        s.check(
+            || kind == held,
+            format_args!("saved arrival process {kind} does not match the scenario's"),
+        )?;
+        match this {
+            ArrivalSource::Bernoulli(LoadGenerator { rng, .. }) => s.state(rng),
+            ArrivalSource::OnOff(OnOffGenerator { rng, on, .. }) => {
+                s.state(rng)?;
+                s.bool(on)
             }
-            Self::OnOff(g) => {
-                w.u64(1);
-                w.u64(g.rng.state_bits());
-                w.bool(g.on);
-            }
-        }
-    }
-
-    /// Overwrites the stream position from a checkpoint stream; the
-    /// saved process kind must match this (construction-derived)
-    /// source's.
-    fn restore_state(&mut self, r: &mut StateReader<'_>) -> Result<(), StateError> {
-        let kind = r.u64()?;
-        match (kind, self) {
-            (0, Self::Bernoulli(g)) => {
-                g.rng = RandomSource::from_state_bits(r.u64()?);
-                Ok(())
-            }
-            (1, Self::OnOff(g)) => {
-                g.rng = RandomSource::from_state_bits(r.u64()?);
-                g.on = r.bool()?;
-                Ok(())
-            }
-            (k, _) => Err(r.bad(format!(
-                "saved arrival process {k} does not match the scenario's"
-            ))),
         }
     }
 }
@@ -904,65 +890,35 @@ impl WorkloadDriver {
             }
         }
     }
+}
 
-    /// Appends the driver's stream position to a checkpoint stream: the
-    /// pattern RNG and per-source positions (open loop) or the replay
-    /// cursor (trace). Everything else — thresholds, the pattern, the
-    /// trace entries — is rebuilt from the scenario's recipe.
-    pub fn save_state(&self, w: &mut StateWriter) {
-        w.section("workload");
-        match &self.kind {
-            DriverKind::Open {
-                pattern_rng,
-                sources,
-                ..
-            } => {
-                w.u64(0);
-                w.u64(pattern_rng.state_bits());
-                w.seq(sources, |w, s| s.save_state(w));
+// The driver's stream position: the pattern RNG and per-source positions
+// (open loop) or the replay cursor (trace), into a driver rebuilt from
+// the same recipe. Everything else — thresholds, the pattern, the trace
+// entries — is rebuilt from the scenario's recipe.
+metro_telemetry::state_walk! {
+    impl State for WorkloadDriver => |this, s| {
+        let WorkloadDriver { kind } = this;
+        let held = match kind {
+            DriverKind::Open { .. } => 0,
+            DriverKind::Replay { .. } => 1,
+        };
+        let mut saved = held;
+        s.section("workload")?;
+        s.u64(&mut saved)?;
+        s.check(
+            || saved == held,
+            format_args!("saved driver kind {saved} does not match the scenario's workload"),
+        )?;
+        match kind {
+            DriverKind::Open { pattern_rng, sources, .. } => {
+                s.state(pattern_rng)?;
+                s.lane(sources, "arrival sources", |s, source| s.state(source))
             }
-            DriverKind::Replay { cursor, .. } => {
-                w.u64(1);
-                w.usize(*cursor);
+            // One past the last entry is a finished replay.
+            DriverKind::Replay { entries, cursor } => {
+                s.index(cursor, entries.len() + 1, "replay cursor")
             }
-        }
-    }
-
-    /// Overwrites the driver's stream position from a checkpoint stream
-    /// ([`Self::save_state`]'s inverse). The driver must have been
-    /// rebuilt from the same recipe.
-    ///
-    /// # Errors
-    ///
-    /// [`StateError`] when the saved driver kind, source count, or
-    /// replay cursor does not fit this driver.
-    pub fn restore_state(&mut self, r: &mut StateReader<'_>) -> Result<(), StateError> {
-        r.section("workload")?;
-        let kind = r.u64()?;
-        match (&mut self.kind, kind) {
-            (
-                DriverKind::Open {
-                    pattern_rng,
-                    sources,
-                    ..
-                },
-                0,
-            ) => {
-                *pattern_rng = RandomSource::from_state_bits(r.u64()?);
-                r.shape(sources.len(), "arrival sources")?;
-                for s in sources {
-                    s.restore_state(r)?;
-                }
-                Ok(())
-            }
-            (DriverKind::Replay { entries, cursor }, 1) => {
-                // One past the last entry is a finished replay.
-                *cursor = r.index(entries.len() + 1, "replay cursor")?;
-                Ok(())
-            }
-            (_, k) => Err(r.bad(format!(
-                "saved driver kind {k} does not match the scenario's workload"
-            ))),
         }
     }
 }
@@ -970,6 +926,7 @@ impl WorkloadDriver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use metro_telemetry::{State, StateReader, StateWriter};
 
     #[test]
     fn load_generator_rate_is_calibrated() {

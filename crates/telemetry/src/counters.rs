@@ -12,7 +12,6 @@
 //! so per-tick synchronization is pure index arithmetic.
 
 use crate::metric::RouterCounter;
-use crate::state::{StateError, StateReader, StateWriter};
 
 /// One router's counters: a fixed array indexed by [`RouterCounter`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -82,24 +81,13 @@ impl CounterCell {
     pub fn is_zero(&self) -> bool {
         self.counts.iter().all(|&v| v == 0)
     }
+}
 
-    /// Appends every counter, in slot order, to a checkpoint stream.
-    pub fn save_state(&self, w: &mut StateWriter) {
-        for &v in &self.counts {
-            w.u64(v);
-        }
-    }
-
-    /// Overwrites every counter from a checkpoint stream.
-    ///
-    /// # Errors
-    ///
-    /// Propagates reader errors (truncated stream).
-    pub fn restore_state(&mut self, r: &mut StateReader<'_>) -> Result<(), StateError> {
-        for v in &mut self.counts {
-            *v = r.u64()?;
-        }
-        Ok(())
+// Every counter, in slot order, with no count word.
+crate::state_walk! {
+    impl State for CounterCell => |this, s| {
+        let CounterCell { counts } = this;
+        s.each(counts, |s, v| s.u64(v))
     }
 }
 
@@ -205,32 +193,20 @@ impl CounterBlock {
         self.cells.iter().map(|cell| cell.get(c)).sum()
     }
 
-    /// Appends every cell, in slot order, to a checkpoint stream. The
-    /// offset table is construction-derived and not written.
-    pub fn save_state(&self, w: &mut StateWriter) {
-        w.seq(&self.cells, |w, cell| cell.save_state(w));
-    }
-
-    /// Overwrites every cell from a checkpoint stream. The block must
-    /// already have the shape it was saved with.
-    ///
-    /// # Errors
-    ///
-    /// [`StateError::BadValue`] when the saved cell count does not
-    /// match this block's shape.
-    pub fn restore_state(&mut self, r: &mut StateReader<'_>) -> Result<(), StateError> {
-        r.shape(self.cells.len(), "counter cells")?;
-        for cell in &mut self.cells {
-            cell.restore_state(r)?;
-        }
-        Ok(())
-    }
-
     /// Iterates `((stage, router), &cell)` in slot order.
     pub fn iter(&self) -> impl Iterator<Item = ((usize, usize), &CounterCell)> {
         (0..self.stages()).flat_map(move |s| {
             (0..self.routers_in_stage(s)).map(move |r| ((s, r), self.cell(s, r)))
         })
+    }
+}
+
+// Every cell, in slot order, into a block of the shape it was saved
+// with. The offset table is construction-derived and not written.
+crate::state_walk! {
+    impl State for CounterBlock => |this, s| {
+        let CounterBlock { offsets: _, cells } = this;
+        s.lane(cells, "counter cells", |s, cell| s.state(cell))
     }
 }
 

@@ -4,8 +4,6 @@
 //! telemetry crate so every layer shares one sample collector;
 //! `metro_sim` re-exports it under the old name.
 
-use crate::state::{StateError, StateReader, StateWriter};
-
 /// An online collector of latency samples with percentile queries.
 ///
 /// Latencies are integer cycles, so the collector is the sorted
@@ -107,50 +105,6 @@ impl Histogram {
         self.runs.last().map_or(0, |&(value, _)| value)
     }
 
-    /// Appends the runs to a checkpoint stream: `2 · distinct + 1`
-    /// words, whatever the number of samples.
-    pub fn save_state(&self, w: &mut StateWriter) {
-        w.seq(&self.runs, |w, &(value, count)| {
-            w.u64(value);
-            w.u64(count);
-        });
-    }
-
-    /// Overwrites the collector from a checkpoint stream.
-    ///
-    /// # Errors
-    ///
-    /// Propagates reader errors (truncated stream, oversized length);
-    /// [`StateError::BadValue`] for runs a collector cannot hold —
-    /// values not strictly ascending, a zero count — or whose sample
-    /// count or sample sum overflows the `u64` that [`Histogram::count`]
-    /// and [`Histogram::mean`] add them up in.
-    pub fn restore_state(&mut self, r: &mut StateReader<'_>) -> Result<(), StateError> {
-        let mut below: Option<u64> = None;
-        let mut samples = 0u64;
-        let mut sum = 0u64;
-        self.runs = r.seq(|r| {
-            let value = r.u64()?;
-            if below.is_some_and(|b| value <= b) {
-                return Err(r.bad(format!("latency {value} does not ascend")));
-            }
-            below = Some(value);
-            let count = r.u64()?;
-            if count == 0 {
-                return Err(r.bad(format!("latency {value} has no samples")));
-            }
-            samples = samples
-                .checked_add(count)
-                .ok_or_else(|| r.bad("sample count overflows u64"))?;
-            sum = value
-                .checked_mul(count)
-                .and_then(|v| sum.checked_add(v))
-                .ok_or_else(|| r.bad("sample sum overflows u64"))?;
-            Ok((value, count))
-        })?;
-        Ok(())
-    }
-
     /// Condenses the distribution to the fixed summary a
     /// [`crate::TelemetrySnapshot`] carries.
     #[must_use]
@@ -164,6 +118,39 @@ impl Histogram {
             p95: self.percentile(95.0),
             p99: self.percentile(99.0),
         }
+    }
+}
+
+// The runs: `2 · distinct + 1` words, whatever the number of samples.
+// Restore refuses runs a collector cannot hold — values not strictly
+// ascending, a zero count — or whose sample count or sample sum
+// overflows the `u64` that `count` and `mean` add them up in.
+crate::state_walk! {
+    impl State for Histogram => |this, s| {
+        let Histogram { runs } = this;
+        let (mut below, mut samples, mut sum) = (None, 0u64, 0u64);
+        s.seq(runs, |s, (value, count)| {
+            s.u64(value)?;
+            s.check(
+                || below.is_none_or(|b| *value > b),
+                format_args!("latency {value} does not ascend"),
+            )?;
+            below = Some(*value);
+            s.u64(count)?;
+            s.check(|| *count != 0, format_args!("latency {value} has no samples"))?;
+            // The running totals live in the checks: restore only.
+            s.check(
+                || samples.checked_add(*count).map(|n| samples = n).is_some(),
+                "sample count overflows u64",
+            )?;
+            s.check(
+                || {
+                    let add = value.checked_mul(*count).and_then(|v| sum.checked_add(v));
+                    add.map(|n| sum = n).is_some()
+                },
+                "sample sum overflows u64",
+            )
+        })
     }
 }
 
@@ -211,11 +198,12 @@ mod tests {
 
     #[test]
     fn restore_refuses_runs_no_collector_can_hold() {
+        use crate::state::{State, StateError, StateReader, StateWriter};
         let refused = |runs: &[u64]| {
             let mut w = StateWriter::new();
-            w.section("netstats");
-            w.usize(runs.len() / 2);
-            runs.iter().for_each(|&v| w.u64(v));
+            w.section("netstats").unwrap();
+            w.usize(&(runs.len() / 2)).unwrap();
+            runs.iter().for_each(|v| w.u64(v).unwrap());
             let words = w.into_words();
             let mut r = StateReader::new(&words);
             r.section("netstats").unwrap();

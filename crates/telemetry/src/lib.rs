@@ -22,7 +22,8 @@
 //!   the engine behind `metro report`.
 //! * [`StateWriter`] / [`StateReader`] — the tagged word-stream codec
 //!   every checkpointable component serializes its mutable state
-//!   through (`metro_sim::checkpoint` assembles the full snapshot).
+//!   through, one [`state_walk!`] body per type
+//!   (`metro_sim::checkpoint` assembles the full snapshot).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -42,4 +43,4 @@ pub use metric::RouterCounter;
 pub use registry::TelemetryRegistry;
 pub use series::TimeSeries;
 pub use snapshot::{telemetry_hash, TelemetrySnapshot, TELEMETRY_SCHEMA};
-pub use state::{StateError, StateReader, StateWriter};
+pub use state::{State, StateError, StateReader, StateWithin, StateWriter};

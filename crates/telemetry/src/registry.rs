@@ -13,7 +13,6 @@
 use crate::counters::{CounterBlock, CounterCell};
 use crate::metric::RouterCounter;
 use crate::series::TimeSeries;
-use crate::state::{StateError, StateReader, StateWriter};
 
 /// A reset baseline plus a per-counter time series.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -108,35 +107,21 @@ impl TelemetryRegistry {
         }
         self.syncs = 0;
     }
+}
 
-    /// Appends the registry (sync bookkeeping, baseline, series) to a
-    /// checkpoint stream.
-    pub fn save_state(&self, w: &mut StateWriter) {
-        w.section("telreg");
-        w.u64(self.interval);
-        w.u64(self.syncs);
-        self.synced.save_state(w);
-        self.baseline.save_state(w);
-        w.seq(&self.series, |w, s| s.save_state(w));
-    }
-
-    /// Overwrites the registry from a checkpoint stream. The registry
-    /// must already have the network shape it was saved with.
-    ///
-    /// # Errors
-    ///
-    /// [`StateError`] on shape mismatch or a corrupt stream.
-    pub fn restore_state(&mut self, r: &mut StateReader<'_>) -> Result<(), StateError> {
-        r.section("telreg")?;
-        self.interval = r.u64()?.max(1);
-        self.syncs = r.u64()?;
-        self.synced.restore_state(r)?;
-        self.baseline.restore_state(r)?;
-        r.shape(self.series.len(), "series")?;
-        for s in &mut self.series {
-            s.restore_state(r)?;
-        }
-        Ok(())
+// The sync bookkeeping, baseline and series, into a registry of the
+// network shape it was saved with. `new` clamps the interval to ≥ 1, so
+// a saved 0 is refused rather than repaired.
+crate::state_walk! {
+    impl State for TelemetryRegistry => |this, s| {
+        let TelemetryRegistry { baseline, synced, series, interval, syncs } = this;
+        s.section("telreg")?;
+        s.u64(interval)?;
+        s.check(|| *interval >= 1, "a sync interval of 0 cycles")?;
+        s.u64(syncs)?;
+        s.state(synced)?;
+        s.state(baseline)?;
+        s.lane(series, "series", |s, x| s.state(x))
     }
 }
 
@@ -209,5 +194,28 @@ mod tests {
     fn interval_is_clamped() {
         assert_eq!(TelemetryRegistry::new(&[1], 0).interval(), 1);
         assert_eq!(TelemetryRegistry::new(&[1], 64).interval(), 64);
+    }
+
+    /// No registry syncs every 0 cycles, so a saved 0 is refused at its
+    /// word: a restored machine re-saves only words it read.
+    #[test]
+    fn a_saved_interval_of_zero_is_refused() {
+        use crate::state::{State, StateError, StateReader, StateWriter};
+        let reg = TelemetryRegistry::new(&[1, 2], 4);
+        let mut w = StateWriter::new();
+        reg.save_state(&mut w);
+        let mut words = w.into_words();
+        // The tag, then the interval.
+        assert_eq!(words[1], 4);
+        let mut back = TelemetryRegistry::new(&[1, 2], 4);
+        back.restore_state(&mut StateReader::new(&words)).unwrap();
+        assert_eq!(back, reg);
+        words[1] = 0;
+        match back.restore_state(&mut StateReader::new(&words)) {
+            Err(StateError::BadValue { section, at, .. }) => {
+                assert_eq!((section.as_str(), at), ("telreg", 1));
+            }
+            other => panic!("a zero interval restored: {other:?}"),
+        }
     }
 }

@@ -7,8 +7,6 @@
 //! run at progressively coarser resolution, and (for counter deltas)
 //! conserves the total: `sum(samples) + pending == sum(pushed)`.
 
-use crate::state::{StateError, StateReader, StateWriter};
-
 /// A fixed-capacity, self-decimating series of `u64` samples.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TimeSeries {
@@ -103,39 +101,23 @@ impl TimeSeries {
         self.pending_sum = 0;
         self.pending_n = 0;
     }
+}
 
-    /// Appends the full decimation state to a checkpoint stream
-    /// (capacity is construction-fixed and not written).
-    pub fn save_state(&self, w: &mut StateWriter) {
-        w.u64(self.stride);
-        w.u64(self.pending_sum);
-        w.u64(self.pending_n);
-        w.u64_slice(&self.samples);
-    }
-
-    /// Overwrites the decimation state from a checkpoint stream.
-    ///
-    /// # Errors
-    ///
-    /// [`StateError::BadValue`] when the saved buffer exceeds this
-    /// series' capacity or the stride is zero.
-    pub fn restore_state(&mut self, r: &mut StateReader<'_>) -> Result<(), StateError> {
-        let stride = r.u64()?;
-        if stride == 0 {
-            return Err(r.bad("stride must be nonzero"));
-        }
-        let pending_sum = r.u64()?;
-        let pending_n = r.u64()?;
-        let samples = r.u64_vec()?;
-        if samples.len() > self.capacity {
-            let (n, cap) = (samples.len(), self.capacity);
-            return Err(r.bad(format!("saved {n} buckets, capacity is {cap}")));
-        }
-        self.stride = stride;
-        self.pending_sum = pending_sum;
-        self.pending_n = pending_n;
-        self.samples = samples;
-        Ok(())
+// The full decimation state (capacity is construction-fixed and not
+// written); restore refuses a zero stride and more buckets than the
+// capacity.
+crate::state_walk! {
+    impl State for TimeSeries => |this, s| {
+        let TimeSeries { capacity, stride, pending_sum, pending_n, samples } = this;
+        s.u64(stride)?;
+        s.check(|| *stride != 0, "stride must be nonzero")?;
+        s.u64(pending_sum)?;
+        s.u64(pending_n)?;
+        s.seq(samples, |s, v| s.u64(v))?;
+        s.check(
+            || samples.len() <= *capacity,
+            format_args!("saved {} buckets, capacity is {capacity}", samples.len()),
+        )
     }
 }
 

@@ -1,7 +1,7 @@
 //! Property-based tests: the `(value, count)` [`Histogram`] answers
 //! every query exactly as a sorted list of its samples would.
 
-use metro_telemetry::{Histogram, HistogramSummary, StateReader, StateWriter};
+use metro_telemetry::{Histogram, HistogramSummary, State, StateReader, StateWriter};
 use proptest::prelude::*;
 
 /// The collector the histogram replaced: every sample kept, sorted.

@@ -13,10 +13,11 @@ use std::collections::HashMap;
 use std::collections::HashSet;
 
 /// How a faulty element misbehaves.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum FaultKind {
     /// The element is dead: wires driven by it read as undriven
     /// ([`Word::Empty`](metro_core::Word::Empty)).
+    #[default]
     Dead,
     /// The element corrupts data words passing through it by XORing the
     /// given mask (control words pass unharmed — the insidious case

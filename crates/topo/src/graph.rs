@@ -66,7 +66,7 @@ impl LinkTarget {
 }
 
 /// Identifies one inter-stage wire by its source backward port.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct LinkId {
     /// Source stage (the wire runs from this stage toward stage + 1 or
     /// the endpoints).

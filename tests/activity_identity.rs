@@ -18,7 +18,7 @@ use metro::sim::{ArrivalProcess, EngineKind, NetworkSim, RateMap, SimConfig, Tra
 use metro::topo::fault::{FaultKind, FaultSet};
 use metro::topo::graph::LinkId;
 use metro::topo::multibutterfly::{MultibutterflySpec, StageSpec, WiringStyle};
-use metro_telemetry::{StateReader, StateWriter};
+use metro_telemetry::{State, StateReader, StateWriter};
 
 /// Figure 3 under load, with a corrupting link and a dead router
 /// injected mid-run and both repaired later.

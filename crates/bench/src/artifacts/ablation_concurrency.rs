@@ -25,7 +25,7 @@ fn run(ctx: &RunCtx) -> Result<ArtifactOutput, String> {
         title: "Ablation: transmit engines per endpoint",
         key: "engines",
         variants: [1usize, 2]
-            .map(|n| vary(&base, n, |c| c.sim.endpoint.max_concurrent = n))
+            .map(|n| vary(&base, n, |s| s.sim.endpoint.max_concurrent = n))
             .into(),
         loads: &[0.3, 0.6, 0.9],
         fault: None,

@@ -44,9 +44,11 @@ fn run(ctx: &RunCtx) -> Result<ArtifactOutput, String> {
         key: "variant",
         variants: vec![
             vary(&base, "dilated 2/2/1 (paper)", |_| {}),
-            vary(&base, "non-dilated radix-8 x2", |c| c.spec = non_dilated()),
-            vary(&base, "dilated, deterministic wiring", |c| {
-                c.spec = deterministic;
+            vary(&base, "non-dilated radix-8 x2", |s| {
+                s.topology = non_dilated();
+            }),
+            vary(&base, "dilated, deterministic wiring", |s| {
+                s.topology = deterministic;
             }),
         ],
         loads: &LOADS,

@@ -47,11 +47,11 @@ fn run(ctx: &RunCtx) -> Result<ArtifactOutput, String> {
 
     let quick = ctx.quick;
     let sim_points = par_map(ctx.jobs, &SIM_GRID, |_, &(dp, hw, wire)| {
-        let mut cfg = crate::scenarios::sweep_for("ablation_pipelining", quick);
-        cfg.sim.pipestages = dp;
-        cfg.sim.header_words = hw;
-        cfg.sim.wire_delay = wire;
-        unloaded_latency(&cfg)
+        let mut s = crate::scenarios::sweep_for("ablation_pipelining", quick);
+        s.sim.pipestages = dp;
+        s.sim.header_words = hw;
+        s.sim.wire_delay = wire;
+        unloaded_latency(&s)
     });
     let mut rows = Vec::new();
     for (&(dp, hw, wire), &lat) in SIM_GRID.iter().zip(&sim_points) {

@@ -26,8 +26,8 @@ fn run(ctx: &RunCtx) -> Result<ArtifactOutput, String> {
         title: "Ablation: fast vs detailed path reclamation",
         key: "mode",
         variants: vec![
-            vary(&base, "fast", |c| c.sim.fast_reclaim = true),
-            vary(&base, "detailed", |c| c.sim.fast_reclaim = false),
+            vary(&base, "fast", |s| s.sim.fast_reclaim = true),
+            vary(&base, "detailed", |s| s.sim.fast_reclaim = false),
         ],
         loads: &LOADS,
         fault: None,

@@ -33,7 +33,7 @@ fn run(ctx: &RunCtx) -> Result<ArtifactOutput, String> {
         title: "Ablation: backward-port selection policy",
         key: "policy",
         variants: policies
-            .map(|p| vary(&base, format!("{p:?}"), |c| c.sim.selection = p))
+            .map(|p| vary(&base, format!("{p:?}"), |s| s.sim.selection = p))
             .into(),
         loads: &LOADS,
         // Under faults the difference matters most: fixed selection

@@ -6,6 +6,7 @@
 
 use metro_harness::{par_map, Artifact, ArtifactOutput, Json, RunCtx};
 use metro_sim::experiment::unloaded_latency;
+use metro_sim::scenario::WorkloadSpec;
 use metro_timing::equations::{stages_32_node_4stage, LatencyModel, T_WIRE_NS};
 use metro_topo::multibutterfly::MultibutterflySpec;
 use std::fmt::Write as _;
@@ -45,11 +46,14 @@ fn run(ctx: &RunCtx) -> Result<ArtifactOutput, String> {
     let results = par_map(ctx.jobs, &WIDTHS, |_, &c| {
         // Equivalent-payload reduction: 20 bytes over a w·c-bit logical
         // channel (w = 8 in simulation → 20 words at c = 1).
-        let payload_words = 20usize.div_ceil(c);
-        let mut cfg = crate::scenarios::sweep_for("cascade_sim", quick);
-        cfg.spec = MultibutterflySpec::paper32();
-        cfg.payload_words = payload_words.saturating_sub(1); // + checksum word
-        let cycles = unloaded_latency(&cfg);
+        let words = 20usize.div_ceil(c);
+        let mut s = crate::scenarios::sweep_for("cascade_sim", quick);
+        s.topology = MultibutterflySpec::paper32();
+        let WorkloadSpec::Load { payload_words, .. } = &mut s.workload else {
+            unreachable!("the catalog offers a load")
+        };
+        *payload_words = words.saturating_sub(1); // + checksum word
+        let cycles = unloaded_latency(&s);
         let model = LatencyModel {
             t_clk_ns: 25.0,
             t_io_ns: 10.0,
@@ -60,7 +64,7 @@ fn run(ctx: &RunCtx) -> Result<ArtifactOutput, String> {
             header_words: 0,
             stage_digit_bits: stages_32_node_4stage(),
         };
-        (c, payload_words, cycles, model.t20_32_ns())
+        (c, words, cycles, model.t20_32_ns())
     });
 
     let mut rows = Vec::new();

@@ -4,9 +4,8 @@
 //! message loss (there must be none).
 
 use metro_harness::{Artifact, ArtifactOutput, Json, RunCtx};
-use metro_sim::experiment::{
-    fault_sweep_jobs, point_seed, run_fault_sim, FaultSweepPoint, SweepConfig,
-};
+use metro_sim::experiment::{fault_sweep_jobs, run_fault_sim, sweep_point, FaultSweepPoint};
+use metro_sim::scenario::WorkloadSpec;
 use std::fmt::Write as _;
 
 /// The `(dead_routers, dead_links)` grid.
@@ -38,7 +37,13 @@ pub fn artifact() -> Artifact {
 }
 
 fn run(ctx: &RunCtx) -> Result<ArtifactOutput, String> {
-    let cfg = crate::scenarios::sweep_for("fault_sweep", ctx.quick);
+    let sweep = crate::scenarios::sweep_for("fault_sweep", ctx.quick);
+    let WorkloadSpec::Load {
+        warmup, measure, ..
+    } = sweep.workload
+    else {
+        unreachable!("the fault sweep offers a load")
+    };
 
     let mut out = String::new();
     let _ = writeln!(
@@ -52,7 +57,7 @@ fn run(ctx: &RunCtx) -> Result<ArtifactOutput, String> {
     );
     let _ = writeln!(out, "{}", "-".repeat(84));
 
-    let points = fault_sweep_jobs(&cfg, LOAD, &GRID, ctx.jobs);
+    let points = fault_sweep_jobs(&sweep, LOAD, &GRID, ctx.jobs);
     let mut baseline = None;
     for p in &points {
         if p.dead_routers == 0 && p.dead_links == 0 {
@@ -83,9 +88,9 @@ fn run(ctx: &RunCtx) -> Result<ArtifactOutput, String> {
         ("artifact", Json::from("fault_sweep")),
         ("topology", Json::from("figure3")),
         ("load", Json::from(LOAD)),
-        ("warmup_cycles", Json::from(cfg.warmup)),
-        ("measured_cycles", Json::from(cfg.measure)),
-        ("seed", Json::from(cfg.seed)),
+        ("warmup_cycles", Json::from(warmup)),
+        ("measured_cycles", Json::from(measure)),
+        ("seed", Json::from(sweep.seed)),
         ("messages_lost", Json::from(lost)),
         (
             "points",
@@ -94,22 +99,18 @@ fn run(ctx: &RunCtx) -> Result<ArtifactOutput, String> {
     ]);
     let params = Json::obj([
         ("load", Json::from(LOAD)),
-        ("measure", Json::from(cfg.measure)),
+        ("measure", Json::from(measure)),
         ("grid", Json::from(GRID.len())),
     ]);
     // The sweep's network and load as a declarative scenario. (The
     // grid cells themselves are fault points with their own arrival
     // RNG discipline; the sidecar records the fault-free
     // configuration they all share.)
-    let scenario = cfg.load_scenario("fault_sweep", LOAD);
+    let scenario = sweep.at_load(LOAD);
     // Telemetry sidecar: the fault-free baseline cell (grid index 0)
     // with its sweep seed, so the snapshot matches the table's first
     // row.
-    let cell_cfg = SweepConfig {
-        seed: point_seed(cfg.seed, 0),
-        ..cfg.clone()
-    };
-    let sim = run_fault_sim(&cell_cfg, LOAD, 0, 0);
+    let sim = run_fault_sim(&sweep_point(&sweep, 0, LOAD), 0, 0);
     Ok(ArtifactOutput {
         human: out,
         json,

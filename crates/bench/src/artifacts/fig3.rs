@@ -6,8 +6,9 @@
 use crate::{ascii_curve, render_load_points};
 use metro_harness::{Artifact, ArtifactOutput, Json, RunCtx};
 use metro_sim::experiment::{
-    load_sweep_jobs, point_seed, run_load_sim, unloaded_latency, LoadPoint, SweepConfig,
+    load_sweep_jobs, run_load_sim, sweep_point, unloaded_latency, LoadPoint,
 };
+use metro_sim::scenario::WorkloadSpec;
 use std::fmt::Write as _;
 
 /// The sweep's offered-load grid.
@@ -28,7 +29,17 @@ pub fn artifact() -> Artifact {
 }
 
 fn run(ctx: &RunCtx) -> Result<ArtifactOutput, String> {
-    let cfg = crate::scenarios::sweep_for("fig3", ctx.quick);
+    let sweep = crate::scenarios::sweep_for("fig3", ctx.quick);
+    let WorkloadSpec::Load {
+        payload_words,
+        warmup,
+        measure,
+        drain,
+        ..
+    } = sweep.workload
+    else {
+        unreachable!("figure 3 offers a load")
+    };
 
     let mut out = String::new();
     let _ = writeln!(
@@ -49,13 +60,13 @@ fn run(ctx: &RunCtx) -> Result<ArtifactOutput, String> {
         "model:   parallelism-limited (processors stall on outstanding message)\n"
     );
 
-    let base = unloaded_latency(&cfg);
+    let base = unloaded_latency(&sweep);
     let _ = writeln!(
         out,
         "unloaded message latency: {base} cycles (paper: 28 cycles, injection to ack receipt)\n"
     );
 
-    let points = load_sweep_jobs(&cfg, &LOADS, ctx.jobs);
+    let points = load_sweep_jobs(&sweep, &LOADS, ctx.jobs);
     out.push_str(&render_load_points(&points));
 
     let _ = writeln!(out, "\nmean latency vs offered load:");
@@ -86,32 +97,28 @@ fn run(ctx: &RunCtx) -> Result<ArtifactOutput, String> {
         ("artifact", Json::from("fig3")),
         ("topology", Json::from("figure3")),
         ("endpoints", Json::from(64u64)),
-        ("payload_words", Json::from(cfg.payload_words)),
-        ("warmup_cycles", Json::from(cfg.warmup)),
-        ("measured_cycles", Json::from(cfg.measure)),
-        ("drain_cycles", Json::from(cfg.drain)),
-        ("seed", Json::from(cfg.seed)),
+        ("payload_words", Json::from(payload_words)),
+        ("warmup_cycles", Json::from(warmup)),
+        ("measured_cycles", Json::from(measure)),
+        ("drain_cycles", Json::from(drain)),
+        ("seed", Json::from(sweep.seed)),
         ("unloaded_latency_cycles", Json::from(base)),
         ("paper_unloaded_latency_cycles", Json::from(28u64)),
         ("saturation_throughput", Json::from(sat)),
         ("points", Json::arr(points.iter().map(LoadPoint::to_json))),
     ]);
     let params = Json::obj([
-        ("measure", Json::from(cfg.measure)),
-        ("seed", Json::from(cfg.seed)),
+        ("measure", Json::from(measure)),
+        ("seed", Json::from(sweep.seed)),
         ("loads", Json::from(LOADS.len())),
     ]);
-    // The curve's 0.40-load cell, seeded as the sweep seeds it
-    // (point_seed(seed, index), not the base): its declarative scenario
-    // is the sidecar — `metro scenario run` on it reproduces that point
-    // bit for bit — and re-running it freezes the telemetry sidecar.
+    // The curve's 0.40-load cell, seeded as the sweep seeds it (not
+    // with the base's seed): it is the sidecar — `metro scenario run` on
+    // it reproduces that point bit for bit — and re-running it freezes
+    // the telemetry sidecar.
     let cell = 7;
-    let cell_cfg = SweepConfig {
-        seed: point_seed(cfg.seed, cell as u64),
-        ..cfg.clone()
-    };
-    let scenario = cell_cfg.load_scenario("fig3", LOADS[cell]);
-    let (_, sim) = run_load_sim(&cell_cfg, LOADS[cell]);
+    let scenario = sweep_point(&sweep, cell, LOADS[cell]);
+    let (_, sim) = run_load_sim(&scenario);
     Ok(ArtifactOutput {
         human: out,
         json,

@@ -6,7 +6,8 @@
 //! manifest `params`.
 
 use metro_harness::{par_map, ArtifactOutput, Json};
-use metro_sim::experiment::{run_fault_point, run_load_point, SweepConfig};
+use metro_sim::experiment::{run_fault_point, run_load_point};
+use metro_sim::scenario::{Scenario, WorkloadSpec};
 use metro_topo::multibutterfly::MultibutterflySpec;
 use std::fmt::Write as _;
 use std::num::NonZeroUsize;
@@ -39,10 +40,11 @@ pub(crate) struct Grid {
     pub(crate) title: &'static str,
     /// The row key naming a variant (`"policy"`, `"mode"`, …).
     pub(crate) key: &'static str,
-    /// The sweep every variant derives from; the sidecar describes it.
-    pub(crate) base: SweepConfig,
-    /// Each variant's label (its rows' `key` value) and configuration.
-    pub(crate) variants: Vec<(Json, SweepConfig)>,
+    /// The scenario every variant derives from; the sidecar is it at
+    /// `sidecar_load`.
+    pub(crate) base: Scenario,
+    /// Each variant's label (its rows' `key` value) and scenario.
+    pub(crate) variants: Vec<(Json, Scenario)>,
     /// Offered loads, measured for every variant.
     pub(crate) loads: &'static [f64],
     /// The fault point, if the artifact measures one.
@@ -53,15 +55,15 @@ pub(crate) struct Grid {
     pub(crate) reading: &'static str,
 }
 
-/// A variant of `base`: `label` and the configuration `edit` leaves.
+/// A variant of `base`: `label` and the scenario `edit` leaves.
 pub(crate) fn vary(
-    base: &SweepConfig,
+    base: &Scenario,
     label: impl Into<Json>,
-    edit: impl FnOnce(&mut SweepConfig),
-) -> (Json, SweepConfig) {
-    let mut cfg = base.clone();
-    edit(&mut cfg);
-    (label.into(), cfg)
+    edit: impl FnOnce(&mut Scenario),
+) -> (Json, Scenario) {
+    let mut s = base.clone();
+    edit(&mut s);
+    (label.into(), s)
 }
 
 /// What one cell of a variant measures.
@@ -72,11 +74,11 @@ enum Cell<'a> {
 }
 
 /// Measures one cell: its JSON row and its report line after the label.
-fn measure(key: &str, label: &Json, cfg: &SweepConfig, cell: Cell<'_>) -> (Json, String) {
+fn measure(key: &str, label: &Json, s: &Scenario, cell: Cell<'_>) -> (Json, String) {
     let label = (key, label.clone());
     match cell {
         Cell::Load(load) => {
-            let p = run_load_point(cfg, load);
+            let p = run_load_point(&s.at_load(load));
             let row = Json::obj([
                 label,
                 ("load", Json::from(load)),
@@ -89,7 +91,7 @@ fn measure(key: &str, label: &Json, cfg: &SweepConfig, cell: Cell<'_>) -> (Json,
             (row, format!("{line} {:>10}", p.delivered))
         }
         Cell::Fault(f) => {
-            let p = run_fault_point(cfg, FAULT_LOAD, f.routers, f.links);
+            let p = run_fault_point(&s.at_load(FAULT_LOAD), f.routers, f.links);
             let second = match f.field {
                 FaultField::DeadLinks => ("dead_links", Json::from(f.links)),
                 FaultField::Load => ("load", Json::from(FAULT_LOAD)),
@@ -124,10 +126,10 @@ fn columns(load: f64, mean: f64, p95: u64, retries: f64) -> String {
 
 impl Grid {
     /// Runs every cell on up to `jobs` workers — variant-major, each
-    /// variant's loads then its fault point, each under the sweep's own
+    /// variant's loads then its fault point, each under the base's own
     /// seed (common randomness: the comparison is paired). A cell is a
-    /// pure function of its configuration, so the worker split cannot
-    /// change a result.
+    /// pure function of its scenario, so the worker split cannot change
+    /// a result.
     pub(crate) fn run(&self, jobs: NonZeroUsize) -> ArtifactOutput {
         let cells: Vec<(usize, Cell<'_>)> = (0..self.variants.len())
             .flat_map(|v| {
@@ -136,8 +138,8 @@ impl Grid {
             })
             .collect();
         let measured = par_map(jobs, &cells, |_, &(v, cell)| {
-            let (label, cfg) = &self.variants[v];
-            measure(self.key, label, cfg, cell)
+            let (label, s) = &self.variants[v];
+            measure(self.key, label, s, cell)
         });
 
         // A label's report text: a string as itself, a number rendered.
@@ -170,14 +172,17 @@ impl Grid {
         let _ = writeln!(out, "\n{}", self.reading);
 
         let base = &self.base;
+        let WorkloadSpec::Load { measure, .. } = base.workload else {
+            panic!("{}: a grid offers a load", self.name)
+        };
         let points = rows.len();
         let mut doc = vec![("artifact", Json::from(self.name))];
         let figure3 = MultibutterflySpec::figure3();
-        if self.variants.iter().all(|(_, cfg)| cfg.spec == figure3) {
+        if self.variants.iter().all(|(_, s)| s.topology == figure3) {
             doc.push(("topology", Json::from("figure3")));
         }
         doc.extend([
-            ("measured_cycles", Json::from(base.measure)),
+            ("measured_cycles", Json::from(measure)),
             ("seed", Json::from(base.seed)),
             ("points", Json::Arr(rows)),
         ]);
@@ -185,10 +190,8 @@ impl Grid {
             human: out,
             json: Json::obj(doc),
             points,
-            params: Json::obj([("measure", Json::from(base.measure))]),
-            scenario: Some(crate::scenarios::emit(
-                &base.load_scenario(self.name, self.sidecar_load),
-            )),
+            params: Json::obj([("measure", Json::from(measure))]),
+            scenario: Some(crate::scenarios::emit(&base.at_load(self.sidecar_load))),
             telemetry: None,
         }
     }
@@ -202,19 +205,15 @@ mod tests {
     /// A 2 variants × 2 loads + fault grid on short windows; the second
     /// variant runs on `spec`.
     fn grid(spec: MultibutterflySpec, field: FaultField) -> Grid {
-        let base = SweepConfig {
-            warmup: 100,
-            measure: 300,
-            drain: 200,
-            ..SweepConfig::figure3()
-        };
+        let mut base = Scenario::figure3("grid_test", 0.0);
+        crate::scenarios::set_windows(&mut base, [100, 300, 200]);
         Grid {
             name: "grid_test",
             title: "a test grid",
             key: "variant",
             variants: vec![
                 vary(&base, "paper", |_| {}),
-                vary(&base, 2usize, |c| c.spec = spec),
+                vary(&base, 2usize, |s| s.topology = spec),
             ],
             loads: &[0.1, 0.3],
             fault: Some(Fault {
@@ -273,7 +272,7 @@ mod tests {
                 }
             }
             assert_eq!(out.json.get("topology").and_then(Json::as_str), topology);
-            let sidecar = codec::encode(&g.base.load_scenario("grid_test", 0.3));
+            let sidecar = codec::encode(&g.base.at_load(0.3));
             assert_eq!(out.scenario, Some(sidecar));
             assert_eq!(out.params, Json::obj([("measure", Json::from(300u64))]));
         }

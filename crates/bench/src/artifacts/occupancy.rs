@@ -3,22 +3,19 @@
 //! traffic — §4's "random selection … frees the source from knowing the
 //! actual details of the redundant paths", made visible.
 
+use crate::scenarios::{set_pattern, set_windows};
 use metro_harness::{par_map, Artifact, ArtifactOutput, Json, RunCtx};
-use metro_sim::scenario::Run;
+use metro_sim::scenario::{Run, Scenario};
 use metro_sim::workload::{StreamSeeds, TrafficPattern};
-use metro_sim::{NetworkSim, SweepConfig};
+use metro_sim::NetworkSim;
 use metro_telemetry::RouterCounter;
 use std::fmt::Write as _;
 
 fn simulate(pattern: &TrafficPattern, cycles: u64) -> NetworkSim {
-    let cfg = SweepConfig {
-        pattern: pattern.clone(),
-        warmup: 0,
-        measure: cycles,
-        drain: 0,
-        ..SweepConfig::figure3()
-    };
-    let sim = NetworkSim::new(&cfg.spec, &cfg.sim).expect("figure 3 spec is valid");
+    let mut s = Scenario::figure3("occupancy", 0.3);
+    set_pattern(&mut s, pattern.clone());
+    set_windows(&mut s, [0, cycles, 0]);
+    let sim = NetworkSim::from_scenario(&s).expect("figure 3 is runnable");
     // Historical seeds for this bench, predating StreamSeeds::load:
     // a raw (un-salted) pattern seed and consecutive stream seeds.
     let seeds = StreamSeeds {
@@ -26,12 +23,7 @@ fn simulate(pattern: &TrafficPattern, cycles: u64) -> NetworkSim {
         stream_base: 0x0CC,
         stream_stride: 1,
     };
-    let mut run = Run::new(
-        sim,
-        &cfg.load_scenario("occupancy", 0.3).workload,
-        seeds,
-        &[],
-    );
+    let mut run = Run::new(sim, &s.workload, seeds, &s.injections);
     while run.step() {}
     run.finish().1
 }

@@ -49,10 +49,10 @@ fn run(ctx: &RunCtx) -> Result<ArtifactOutput, String> {
         let net = Multibutterfly::build(spec).expect("valid spec");
         // The 256-endpoint network always runs the quick windows; the
         // catalog keeps quick and full on one construction path.
-        let mut cfg = crate::scenarios::sweep_for("scaling", quick || *label >= 256);
-        cfg.spec = spec.clone();
-        let base = unloaded_latency(&cfg);
-        let p = run_load_point(&cfg, 0.4);
+        let mut s = crate::scenarios::sweep_for("scaling", quick || *label >= 256);
+        s.topology = spec.clone();
+        let base = unloaded_latency(&s);
+        let p = run_load_point(&s.at_load(0.4));
         (*label, net.stages(), net.total_routers(), base, p)
     });
 
@@ -106,7 +106,7 @@ fn run(ctx: &RunCtx) -> Result<ArtifactOutput, String> {
         ("load", Json::from(0.4)),
         ("points", Json::Arr(rows)),
     ]);
-    let scenario = crate::scenarios::sweep_for("scaling", quick).load_scenario("scaling", 0.4);
+    let scenario = crate::scenarios::sweep_for("scaling", quick).at_load(0.4);
     Ok(ArtifactOutput {
         human: out,
         json,

@@ -4,6 +4,7 @@
 //! reversal.
 
 use super::grid::{vary, Grid};
+use crate::scenarios::set_pattern;
 use metro_harness::{Artifact, ArtifactOutput, RunCtx};
 use metro_sim::TrafficPattern;
 
@@ -38,7 +39,7 @@ fn run(ctx: &RunCtx) -> Result<ArtifactOutput, String> {
         title: "Traffic patterns on the Figure 3 network",
         key: "pattern",
         variants: patterns
-            .map(|(name, pattern)| vary(&base, name, |c| c.pattern = pattern))
+            .map(|(name, pattern)| vary(&base, name, |s| set_pattern(s, pattern)))
             .into(),
         loads: &LOADS,
         fault: None,

@@ -1,15 +1,15 @@
 //! The single scenario-construction path for the artifact suite.
 //!
-//! Every sim-backed artifact builds its [`SweepConfig`] through
-//! [`sweep_for`], so the quick and full profiles are two parameter sets
-//! of *one* construction path. The same configs convert to declarative
-//! [`Scenario`] values ([`SweepConfig::load_scenario`]) for the
+//! Every sim-backed artifact starts from the base [`Scenario`]
+//! [`sweep_for`] returns, so the quick and full profiles are two window
+//! sets of *one* construction path. A sweep point is that base
+//! [`at_load`](Scenario::at_load) its offered load, so the
 //! `results/<artifact>.scenario.json` sidecars and the manifest's
-//! `scenario_hash`, and [`named`] builds the checked-in
-//! `scenarios/*.json` corpus (`metro scenario dump <name>`).
+//! `scenario_hash` name the very value the sweep runs, and [`named`]
+//! builds the checked-in `scenarios/*.json` corpus
+//! (`metro scenario dump <name>`).
 
 use metro_harness::Json;
-use metro_sim::experiment::SweepConfig;
 use metro_sim::network::SimConfig;
 use metro_sim::scenario::{codec, FaultInjection, RepairSet, Scenario, SendSpec, WorkloadSpec};
 use metro_sim::workload::{ArrivalProcess, RateMap, TraceEntry};
@@ -19,42 +19,61 @@ use metro_topo::fault::{FaultKind, FaultSet};
 use metro_topo::graph::LinkId;
 use metro_topo::multibutterfly::{MultibutterflySpec, StageSpec, WiringStyle};
 
-/// Applies a quick profile to a sweep configuration: the shortened
-/// warmup/measure/drain windows the historical `--quick` flags used
-/// (the exact windows vary slightly per artifact, hence parameters).
-pub fn quicken(cfg: &mut SweepConfig, measure: u64, drain: u64) {
-    cfg.warmup = 500;
-    cfg.measure = measure;
-    cfg.drain = drain;
+/// Sets a load scenario's warmup, measure and drain windows, all that
+/// tells one profile of an artifact from the other (a panic on a
+/// scripted workload).
+pub fn set_windows(s: &mut Scenario, windows: [u64; 3]) {
+    let WorkloadSpec::Load {
+        warmup,
+        measure,
+        drain,
+        ..
+    } = &mut s.workload
+    else {
+        panic!("scenario {:?} has a scripted workload, no windows", s.name)
+    };
+    [*warmup, *measure, *drain] = windows;
 }
 
-/// The per-artifact sweep catalog: one function owns every artifact's
-/// quick *and* full windows, so the two profiles measure the same
-/// configuration at different lengths by construction.
+/// Sets a load scenario's destination pattern (a panic on a scripted
+/// workload).
+pub fn set_pattern(s: &mut Scenario, to: TrafficPattern) {
+    let WorkloadSpec::Load { pattern, .. } = &mut s.workload else {
+        panic!("scenario {:?} has a scripted workload, no pattern", s.name)
+    };
+    *pattern = to;
+}
+
+/// The per-artifact sweep catalog: `artifact`'s base scenario, named
+/// after it, at load 0 until a sweep sets one ([`Scenario::at_load`]).
+/// One function owns every artifact's quick *and* full windows, so the
+/// two profiles measure the same configuration at different lengths by
+/// construction.
 #[must_use]
-pub fn sweep_for(artifact: &str, quick: bool) -> SweepConfig {
-    let mut cfg = SweepConfig::figure3();
+pub fn sweep_for(artifact: &str, quick: bool) -> Scenario {
+    let mut base = Scenario::figure3(artifact, 0.0);
     match artifact {
-        "fig3" if quick => quicken(&mut cfg, 3_000, 1_000),
-        "fault_sweep" if quick => quicken(&mut cfg, 3_000, 1_500),
+        "fig3" if quick => set_windows(&mut base, [500, 3_000, 1_000]),
+        "fault_sweep" if quick => set_windows(&mut base, [500, 3_000, 1_500]),
         "ablation_selection"
         | "ablation_reclaim"
         | "ablation_dilation"
         | "ablation_concurrency"
         | "traffic_patterns" => {
-            if quick {
-                quicken(&mut cfg, 2_500, 1_500);
+            let windows = if quick {
+                [500, 2_500, 1_500]
             } else {
-                cfg.measure = 6_000;
-            }
+                [2_000, 6_000, 3_000]
+            };
+            set_windows(&mut base, windows);
         }
-        "scaling" if quick => quicken(&mut cfg, 2_500, 1_500),
+        "scaling" if quick => set_windows(&mut base, [500, 2_500, 1_500]),
         // Full-length fig3 / fault_sweep / scaling keep the Figure 3
         // windows; unloaded probes (cascade_sim, ablation_pipelining)
         // use them regardless of profile.
         _ => {}
     }
-    cfg
+    base
 }
 
 /// Encodes a scenario for an [`metro_harness::ArtifactOutput`] sidecar.
@@ -108,11 +127,9 @@ pub fn named(name: &str) -> Option<Scenario> {
         // One cell of the Figure 3 curve, shortened for replay: load
         // 0.4 on the 64-endpoint 3-stage radix-4 network.
         "figure3_load" => {
-            let mut cfg = SweepConfig::figure3();
-            cfg.warmup = 300;
-            cfg.measure = 1_200;
-            cfg.drain = 600;
-            Some(cfg.load_scenario("figure3_load", 0.4))
+            let mut s = Scenario::figure3("figure3_load", 0.4);
+            set_windows(&mut s, [300, 1_200, 600]);
+            Some(s)
         }
         // Table 4 cells: the 32-node 4-stage network with serial
         // (`hw = 0`) versus pipelined (`hw = 1`) connection setup.
@@ -312,7 +329,6 @@ pub fn named(name: &str) -> Option<Scenario> {
 mod tests {
     use super::*;
     use metro_sim::scenario::run_scenario;
-    use metro_sim::TrafficPattern;
 
     #[test]
     fn quick_and_full_share_one_construction_path() {
@@ -328,49 +344,34 @@ mod tests {
             "cascade_sim",
             "ablation_pipelining",
         ] {
-            let quick = sweep_for(artifact, true);
+            let mut quick = sweep_for(artifact, true);
             let full = sweep_for(artifact, false);
-            // The profiles may differ only in their time windows — same
-            // topology, same sim parameters, same pattern, same seed.
-            assert_eq!(quick.spec, full.spec, "{artifact}: topology drifted");
-            assert_eq!(quick.sim, full.sim, "{artifact}: sim config drifted");
-            assert_eq!(quick.pattern, full.pattern, "{artifact}: pattern drifted");
-            assert_eq!(quick.seed, full.seed, "{artifact}: seed drifted");
-            assert_eq!(
-                quick.payload_words, full.payload_words,
-                "{artifact}: payload drifted"
-            );
+            // The profiles may differ only in their time windows: with
+            // those equalised, the whole scenarios are equal.
+            let WorkloadSpec::Load {
+                warmup,
+                measure,
+                drain,
+                ..
+            } = full.workload
+            else {
+                panic!("{artifact}: a sweep offers a load")
+            };
+            set_windows(&mut quick, [warmup, measure, drain]);
+            assert_eq!(quick, full, "{artifact}: profiles drifted apart");
+            assert_eq!(full.name, artifact);
         }
     }
 
     #[test]
-    fn load_scenarios_carry_the_sweep_windows() {
-        let cfg = sweep_for("fig3", true);
-        let s = cfg.load_scenario("fig3", 0.25);
-        match &s.workload {
-            WorkloadSpec::Load {
-                load,
-                warmup,
-                measure,
-                drain,
-                payload_words,
-                pattern,
-                arrival,
-                rates,
-            } => {
-                assert_eq!(*load, 0.25);
-                assert_eq!(*warmup, cfg.warmup);
-                assert_eq!(*measure, cfg.measure);
-                assert_eq!(*drain, cfg.drain);
-                assert_eq!(*payload_words, cfg.payload_words);
-                assert_eq!(pattern, &TrafficPattern::Uniform);
-                assert_eq!(arrival, &ArrivalProcess::Bernoulli);
-                assert_eq!(rates, &RateMap::Uniform);
-            }
-            WorkloadSpec::Sends { .. } => panic!("expected a Load workload"),
-        }
-        assert_eq!(s.seed, cfg.seed);
-        assert_eq!(s.topology, cfg.spec);
+    fn at_load_changes_only_the_load() {
+        let base = sweep_for("fig3", true);
+        let s = base.at_load(0.25);
+        let WorkloadSpec::Load { load, .. } = s.workload else {
+            panic!("a sweep offers a load")
+        };
+        assert_eq!(load, 0.25);
+        assert_eq!(s.at_load(0.0), base, "the base offers load 0");
     }
 
     #[test]

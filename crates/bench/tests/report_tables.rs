@@ -6,7 +6,7 @@
 
 use metro_bench::{report_cli, scenarios};
 use metro_harness::ResultsDir;
-use metro_sim::experiment::{point_seed, run_fault_sim, run_load_sim, SweepConfig};
+use metro_sim::experiment::{run_fault_sim, run_load_sim, sweep_point};
 
 fn temp_results(tag: &str) -> ResultsDir {
     let dir =
@@ -18,12 +18,8 @@ fn temp_results(tag: &str) -> ResultsDir {
 /// The fig3 artifact's telemetry cell: quick profile, load 0.40
 /// (sweep index 7), the same seeding `metro run fig3 --quick` uses.
 fn fig3_sidecar(results: &ResultsDir) {
-    let cfg = scenarios::sweep_for("fig3", true);
-    let cell_cfg = SweepConfig {
-        seed: point_seed(cfg.seed, 7),
-        ..cfg
-    };
-    let snap = run_load_sim(&cell_cfg, 0.40).1.telemetry_snapshot("fig3");
+    let cell = sweep_point(&scenarios::sweep_for("fig3", true), 7, 0.40);
+    let snap = run_load_sim(&cell).1.telemetry_snapshot("fig3");
     results
         .write_json("fig3.telemetry", &snap.to_json())
         .unwrap();
@@ -32,12 +28,8 @@ fn fig3_sidecar(results: &ResultsDir) {
 /// The fault_sweep artifact's telemetry cell: quick profile, fault-free
 /// baseline at load 0.3 with the grid-index-0 seed.
 fn fault_sweep_sidecar(results: &ResultsDir) {
-    let cfg = scenarios::sweep_for("fault_sweep", true);
-    let cell_cfg = SweepConfig {
-        seed: point_seed(cfg.seed, 0),
-        ..cfg
-    };
-    let snap = run_fault_sim(&cell_cfg, 0.3, 0, 0).telemetry_snapshot("fault_sweep");
+    let cell = sweep_point(&scenarios::sweep_for("fault_sweep", true), 0, 0.3);
+    let snap = run_fault_sim(&cell, 0, 0).telemetry_snapshot("fault_sweep");
     results
         .write_json("fault_sweep.telemetry", &snap.to_json())
         .unwrap();

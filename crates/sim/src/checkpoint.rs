@@ -417,7 +417,7 @@ mod tests {
     use metro_topo::graph::LinkId;
     use metro_topo::multibutterfly::MultibutterflySpec;
 
-    fn load_scenario() -> Scenario {
+    fn loaded_scenario() -> Scenario {
         let mut faults = FaultSet::new();
         faults.break_link(LinkId::new(0, 1, 0), FaultKind::CorruptData { xor: 0x10 });
         let mut injected = FaultSet::new();
@@ -470,7 +470,7 @@ mod tests {
 
     #[test]
     fn resumed_run_matches_the_straight_run_exactly() {
-        let s = load_scenario();
+        let s = loaded_scenario();
         // Checkpoint mid-warmup, mid-measure (after the injection), and
         // straddling the stats reset.
         for at in [60, 100, 250] {
@@ -483,7 +483,7 @@ mod tests {
 
     #[test]
     fn resume_crosses_the_drain_boundary() {
-        let s = load_scenario();
+        let s = loaded_scenario();
         // every=401 fires first at cycle 401 — inside the drain loop
         // (total = 400) unless the fabric went quiescent immediately.
         let mut taken = None;
@@ -538,7 +538,7 @@ mod tests {
 
     #[test]
     fn a_resumed_runs_later_checkpoints_match_the_straight_runs() {
-        let s = load_scenario();
+        let s = loaded_scenario();
         let mut straight_ckpts = Vec::new();
         let mut sink = |c: &Checkpoint| {
             straight_ckpts.push(c.to_json().render());
@@ -576,7 +576,7 @@ mod tests {
 
     #[test]
     fn envelope_round_trips_byte_stably() {
-        let s = load_scenario();
+        let s = loaded_scenario();
         let (_straight, ckpt) = checkpoint_at(&s, 120);
         let doc = ckpt.to_json();
         let back = Checkpoint::from_json(&doc).unwrap();
@@ -588,7 +588,7 @@ mod tests {
 
     #[test]
     fn corrupt_documents_fail_the_digest_check() {
-        let s = load_scenario();
+        let s = loaded_scenario();
         let (_straight, ckpt) = checkpoint_at(&s, 80);
         let text = ckpt.to_json().render();
         // Flip one state digit (the first chunk's first hex char that
@@ -606,7 +606,7 @@ mod tests {
 
     #[test]
     fn unknown_fields_and_bad_positions_are_rejected() {
-        let s = load_scenario();
+        let s = loaded_scenario();
         let (_straight, ckpt) = checkpoint_at(&s, 80);
         let mut doc = ckpt.to_json();
         doc.set("surprise", Json::from(1u64));
@@ -632,7 +632,7 @@ mod tests {
     /// `chunks`, so the state text is what refuses or is accepted.
     fn decode_with_state(chunks: &[&str]) -> Result<Checkpoint, CodecError> {
         let empty = Checkpoint {
-            scenario: load_scenario(),
+            scenario: loaded_scenario(),
             phase: RunPhase::Main,
             cycle: 0,
             state: Vec::new(),
@@ -821,7 +821,7 @@ mod tests {
 
     #[test]
     fn wrong_schema_version_is_rejected() {
-        let s = load_scenario();
+        let s = loaded_scenario();
         let (_straight, ckpt) = checkpoint_at(&s, 80);
         // Re-sealed, so the gate itself is what refuses: the older
         // layout (same envelope, different state stream) and a newer one.
@@ -837,7 +837,7 @@ mod tests {
 
     #[test]
     fn a_run_stepped_by_hand_checkpoints_and_resumes_at_every_boundary() {
-        let s = load_scenario();
+        let s = loaded_scenario();
         let straight = run_scenario(&s).unwrap();
         let mut run = Run::of(&s, None).unwrap();
         let mut resume_from = Vec::new();
@@ -937,7 +937,7 @@ mod tests {
 
     #[test]
     fn run_scenario_is_the_unresumed_runner() {
-        let s = load_scenario();
+        let s = loaded_scenario();
         let plain = run_scenario(&s).unwrap();
         let (via_resumable, _sim) = run_scenario_resumable(&s, None, None).unwrap();
         assert_eq!(plain, via_resumable);

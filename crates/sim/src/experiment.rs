@@ -1,12 +1,16 @@
 //! Experiment harnesses: load sweeps (Figure 3) and fault sweeps
 //! (§6.2's robust-degradation claim).
 //!
+//! Every entry point takes the [`Scenario`] it runs and builds its
+//! machine with [`NetworkSim::from_scenario`]; a sweep varies a base
+//! scenario's load with [`Scenario::at_load`] ([`sweep_point`]).
+//!
 //! # Per-point seeding
 //!
 //! A sweep is a set of *independent* simulations; each point derives
-//! its own seed as `point_seed(cfg.seed, point_index)` — a SplitMix64
+//! its own seed as `point_seed(base.seed, point_index)` — a SplitMix64
 //! mix of the sweep's master seed and the point's position. This fixes
-//! two problems the old scheme (every point reusing `cfg.seed`
+//! two problems the old scheme (every point reusing `base.seed`
 //! verbatim) had:
 //!
 //! 1. **Cross-point correlation**: identical seeds meant every point
@@ -20,17 +24,15 @@
 //!    `parallel_sweeps_match_sequential_bitwise`).
 //!
 //! Single-point entry points (`run_load_point`, `run_fault_point`) are
-//! deliberately left on the verbatim seed: ablations compare variants
-//! under *common* randomness (paired comparison), and callers that want
-//! a derived seed can apply [`point_seed`] themselves.
+//! deliberately left on the scenario's own seed: ablations compare
+//! variants under *common* randomness (paired comparison), and callers
+//! that want a derived seed can apply [`point_seed`] themselves.
 
-use crate::network::{NetworkSim, SimConfig};
+use crate::network::NetworkSim;
 use crate::scenario::{run::run_scenario_resumable, Run, Scenario, WorkloadSpec};
-use crate::workload::{ArrivalProcess, RateMap, StreamSeeds, TrafficPattern};
+use crate::workload::StreamSeeds;
 use metro_core::RandomSource;
 use metro_harness::{par_map, Json};
-use metro_topo::fault::FaultSet;
-use metro_topo::multibutterfly::MultibutterflySpec;
 use metro_topo::paths::all_links;
 use std::num::NonZeroUsize;
 
@@ -52,93 +54,18 @@ pub fn point_seed(seed: u64, point_index: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Configuration of a measurement run.
-#[derive(Debug, Clone)]
-pub struct SweepConfig {
-    /// Network topology.
-    pub spec: MultibutterflySpec,
-    /// Router/protocol implementation parameters.
-    pub sim: SimConfig,
-    /// Payload words per message (Figure 3: 20 bytes on an 8-bit
-    /// channel → 19 payload words + 1 checksum word).
-    pub payload_words: usize,
-    /// Destination pattern.
-    pub pattern: TrafficPattern,
-    /// Arrival process at each endpoint.
-    pub arrival: ArrivalProcess,
-    /// Per-endpoint offered-load multipliers.
-    pub rates: RateMap,
-    /// Warmup cycles excluded from statistics.
-    pub warmup: u64,
-    /// Measured cycles.
-    pub measure: u64,
-    /// Drain period after measurement so in-flight messages finish.
-    pub drain: u64,
-    /// Workload seed.
-    pub seed: u64,
-}
-
-impl SweepConfig {
-    /// The paper's Figure 3 experiment: the 64-endpoint 3-stage
-    /// radix-4 network, 20-byte random traffic, parallelism-limited
-    /// endpoints.
-    #[must_use]
-    pub fn figure3() -> Self {
-        Self {
-            spec: MultibutterflySpec::figure3(),
-            sim: SimConfig::default(),
-            payload_words: 19,
-            pattern: TrafficPattern::Uniform,
-            arrival: ArrivalProcess::Bernoulli,
-            rates: RateMap::Uniform,
-            warmup: 2_000,
-            measure: 12_000,
-            drain: 3_000,
-            seed: 0xF163,
-        }
-    }
-
-    /// A scaled-down variant for quick tests.
-    #[must_use]
-    pub fn small() -> Self {
-        Self {
-            spec: MultibutterflySpec::figure1(),
-            sim: SimConfig::default(),
-            payload_words: 19,
-            pattern: TrafficPattern::Uniform,
-            arrival: ArrivalProcess::Bernoulli,
-            rates: RateMap::Uniform,
-            warmup: 500,
-            measure: 3_000,
-            drain: 1_000,
-            seed: 0x511,
-        }
-    }
-
-    /// The [`Scenario`] this configuration describes at offered load
-    /// `load`. [`run_load_point`] runs exactly this value, so a
-    /// `results/<artifact>.scenario.json` sidecar built from it is the
-    /// run, not a description held equal to it by a test.
-    #[must_use]
-    pub fn load_scenario(&self, name: &str, load: f64) -> Scenario {
-        Scenario {
-            name: name.to_string(),
-            topology: self.spec.clone(),
-            sim: self.sim.clone(),
-            seed: self.seed,
-            faults: FaultSet::new(),
-            injections: Vec::new(),
-            workload: WorkloadSpec::Load {
-                pattern: self.pattern.clone(),
-                arrival: self.arrival.clone(),
-                rates: self.rates.clone(),
-                load,
-                payload_words: self.payload_words,
-                warmup: self.warmup,
-                measure: self.measure,
-                drain: self.drain,
-            },
-        }
+/// Point `index` of a sweep of `base`: `base` at `load`, seeded by
+/// [`point_seed`]`(base.seed, index)` — the value both sweeps run, and
+/// so the sidecar of an artifact's representative cell.
+///
+/// # Panics
+///
+/// As [`Scenario::at_load`].
+#[must_use]
+pub fn sweep_point(base: &Scenario, index: usize, load: f64) -> Scenario {
+    Scenario {
+        seed: point_seed(base.seed, index as u64),
+        ..base.at_load(load)
     }
 }
 
@@ -223,13 +150,21 @@ impl FaultSweepPoint {
     }
 }
 
-/// Measures the unloaded round-trip latency of the configured network:
-/// a single message between distant endpoints with nothing else in
-/// flight (the Figure 3 caption's 28-cycle reference point).
+/// Measures the unloaded round-trip latency of `s`'s network: a single
+/// message of its workload's payload between distant endpoints with
+/// nothing else in flight (the Figure 3 caption's 28-cycle reference
+/// point).
+///
+/// # Panics
+///
+/// As [`run_load_point`].
 #[must_use]
-pub fn unloaded_latency(cfg: &SweepConfig) -> u64 {
-    let mut sim = NetworkSim::new(&cfg.spec, &cfg.sim).expect("valid spec");
-    let payload: Vec<u16> = (0..cfg.payload_words).map(|k| k as u16).collect();
+pub fn unloaded_latency(s: &Scenario) -> u64 {
+    let WorkloadSpec::Load { payload_words, .. } = s.workload else {
+        panic!("scenario {:?} has a scripted workload, no payload", s.name)
+    };
+    let mut sim = NetworkSim::from_scenario(s).expect("runnable scenario");
+    let payload: Vec<u16> = (0..payload_words).map(|k| k as u16).collect();
     let n = sim.topology().endpoints();
     let outcome = sim
         .send_and_wait(0, n - 1, &payload, 10_000)
@@ -237,65 +172,58 @@ pub fn unloaded_latency(cfg: &SweepConfig) -> u64 {
     outcome.network_latency()
 }
 
-/// Runs the scenario [`SweepConfig::load_scenario`] describes on the
-/// scenario runner and returns its measured point with the finished sim
-/// — whose `telemetry_snapshot` is the `.telemetry.json` sidecar an
-/// artifact exports for its representative cell.
+/// Runs `s` on the scenario runner and returns its measured point with
+/// the finished sim — whose `telemetry_snapshot` is the
+/// `.telemetry.json` sidecar an artifact exports for its representative
+/// cell.
 ///
 /// # Panics
 ///
 /// As [`run_load_point`].
 #[must_use]
-pub fn run_load_sim(cfg: &SweepConfig, load: f64) -> (LoadPoint, NetworkSim) {
-    let (result, sim) = run_scenario_resumable(&cfg.load_scenario("load_point", load), None, None)
-        .expect("runnable load point");
+pub fn run_load_sim(s: &Scenario) -> (LoadPoint, NetworkSim) {
+    let (result, sim) = run_scenario_resumable(s, None, None).expect("runnable load point");
     (result.point.expect("a Load workload measures a point"), sim)
 }
 
-/// Runs one load point: stochastic arrivals at `load` on every endpoint,
-/// parallelism-limited sources (one outstanding message each).
+/// Runs one load point: stochastic arrivals at `s`'s load on every
+/// endpoint, parallelism-limited sources (one outstanding message each).
 ///
 /// # Panics
 ///
-/// Panics if the configuration is not runnable (invalid topology or
-/// workload, or the analytic engine).
+/// Panics if the scenario is not runnable: a scripted workload, a
+/// refused lowering, or the analytic engine.
 #[must_use]
-pub fn run_load_point(cfg: &SweepConfig, load: f64) -> LoadPoint {
-    run_load_sim(cfg, load).0
+pub fn run_load_point(s: &Scenario) -> LoadPoint {
+    run_load_sim(s).0
 }
 
-/// Runs a latency-versus-load sweep with up to `jobs` worker threads.
-/// Points are independent simulations seeded by
-/// [`point_seed`]`(cfg.seed, index)`; results come back in load order
-/// regardless of the worker count.
+/// Runs a latency-versus-load sweep of `base` with up to `jobs` worker
+/// threads, point `i` the [`sweep_point`] at `loads[i]`; results come
+/// back in load order regardless of the worker count.
 #[must_use]
-pub fn load_sweep_jobs(cfg: &SweepConfig, loads: &[f64], jobs: NonZeroUsize) -> Vec<LoadPoint> {
+pub fn load_sweep_jobs(base: &Scenario, loads: &[f64], jobs: NonZeroUsize) -> Vec<LoadPoint> {
     par_map(jobs, loads, |i, &load| {
-        let point_cfg = SweepConfig {
-            seed: point_seed(cfg.seed, i as u64),
-            ..cfg.clone()
-        };
-        run_load_point(&point_cfg, load)
+        run_load_point(&sweep_point(base, i, load))
     })
 }
 
-/// Runs the fault-point simulation to completion and returns the sim
-/// ([`run_fault_point`] summarizes it; an artifact's sidecar is its
-/// `telemetry_snapshot`): the
-/// load point's [`Run`] on a machine with random kills applied, seeded
-/// by [`StreamSeeds::fault`] — its stride and the payload-based
+/// Runs the fault-point simulation of `s` to completion and returns the
+/// sim ([`run_fault_point`] summarizes it; an artifact's sidecar is its
+/// `telemetry_snapshot`): the load point's [`Run`] on a machine with
+/// `dead_routers` and `dead_links` random kills added to `s`'s faults,
+/// seeded by [`StreamSeeds::fault`] — its stride and the payload-based
 /// `accepted` of [`FaultSweepPoint`] are pinned by
 /// `results/fault_sweep.json` and `report_tables.rs`.
+///
+/// # Panics
+///
+/// If `s` does not lower, or names the analytic engine.
 #[must_use]
-pub fn run_fault_sim(
-    cfg: &SweepConfig,
-    load: f64,
-    dead_routers: usize,
-    dead_links: usize,
-) -> NetworkSim {
-    let mut sim = NetworkSim::new(&cfg.spec, &cfg.sim).expect("valid spec");
-    let mut fault_rng = RandomSource::new(cfg.seed ^ 0xFA017);
-    let mut faults = FaultSet::new();
+pub fn run_fault_sim(s: &Scenario, dead_routers: usize, dead_links: usize) -> NetworkSim {
+    let mut sim = NetworkSim::from_scenario(s).expect("runnable scenario");
+    let mut fault_rng = RandomSource::new(s.seed ^ 0xFA017);
+    let mut faults = s.faults.clone();
     // Restrict router kills to the dilated (multipath) stages: killing
     // a final-stage dilation-1 router in Figure 3's topology removes a
     // destination's only delivery group — the paper's networks place
@@ -319,22 +247,29 @@ pub fn run_fault_sim(
     faults.kill_random_links(&links, dead_links, &mut fault_rng);
     sim.apply_faults(faults);
 
-    let workload = cfg.load_scenario("fault_point", load).workload;
-    let mut run = Run::new(sim, &workload, StreamSeeds::fault(cfg.seed), &[]);
+    let mut run = Run::new(sim, &s.workload, StreamSeeds::fault(s.seed), &s.injections);
     while run.step() {}
     run.finish().1
 }
 
-/// Summarizes a finished fault-point sim into its sweep point.
-fn fault_point_from(
-    sim: &NetworkSim,
-    cfg: &SweepConfig,
-    dead_routers: usize,
-    dead_links: usize,
-) -> FaultSweepPoint {
+/// Runs one fault point of `s`: kills `dead_routers` random
+/// non-final-stage routers and `dead_links` random links, then measures.
+///
+/// # Panics
+///
+/// As [`run_load_point`].
+#[must_use]
+pub fn run_fault_point(s: &Scenario, dead_routers: usize, dead_links: usize) -> FaultSweepPoint {
+    let WorkloadSpec::Load {
+        payload_words,
+        measure,
+        ..
+    } = s.workload
+    else {
+        panic!("scenario {:?} has a scripted workload, no load", s.name)
+    };
+    let sim = run_fault_sim(s, dead_routers, dead_links);
     let endpoints = sim.topology().endpoints();
-    let measure = cfg.measure;
-    let payload_words = cfg.payload_words;
     let stats = sim.stats();
     FaultSweepPoint {
         dead_routers,
@@ -348,65 +283,60 @@ fn fault_point_from(
     }
 }
 
-/// Runs one fault point: kills `dead_routers` random non-final-stage
-/// routers and `dead_links` random links, then measures at `load`.
-#[must_use]
-pub fn run_fault_point(
-    cfg: &SweepConfig,
-    load: f64,
-    dead_routers: usize,
-    dead_links: usize,
-) -> FaultSweepPoint {
-    let sim = run_fault_sim(cfg, load, dead_routers, dead_links);
-    fault_point_from(&sim, cfg, dead_routers, dead_links)
-}
-
-/// Runs a fault-degradation sweep over a `(dead_routers, dead_links)`
-/// grid with up to `jobs` worker threads. Each grid point is an
-/// independent simulation seeded by [`point_seed`]`(cfg.seed, index)`
-/// (which also decorrelates the *fault choices* across points);
-/// results come back in grid order regardless of the worker count.
+/// Runs a fault-degradation sweep of `base` at `load` over a
+/// `(dead_routers, dead_links)` grid with up to `jobs` worker threads.
+/// Each grid point is an independent simulation of its
+/// [`sweep_point`], whose seed also decorrelates the *fault choices*
+/// across points; results come back in grid order regardless of the
+/// worker count.
 #[must_use]
 pub fn fault_sweep_jobs(
-    cfg: &SweepConfig,
+    base: &Scenario,
     load: f64,
     grid: &[(usize, usize)],
     jobs: NonZeroUsize,
 ) -> Vec<FaultSweepPoint> {
-    par_map(jobs, grid, |i, &(dead_routers, dead_links)| {
-        let point_cfg = SweepConfig {
-            seed: point_seed(cfg.seed, i as u64),
-            ..cfg.clone()
-        };
-        run_fault_point(&point_cfg, load, dead_routers, dead_links)
+    par_map(jobs, grid, |i, &(routers, links)| {
+        run_fault_point(&sweep_point(base, i, load), routers, links)
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use metro_topo::multibutterfly::MultibutterflySpec;
 
-    fn quick() -> SweepConfig {
-        SweepConfig {
-            warmup: 200,
-            measure: 1_500,
-            drain: 800,
-            ..SweepConfig::small()
-        }
+    /// Figure 3's traffic on Figure 1's network, on the given windows.
+    fn small(windows: [u64; 3]) -> Scenario {
+        let mut s = Scenario {
+            topology: MultibutterflySpec::figure1(),
+            seed: 0x511,
+            ..Scenario::figure3("small", 0.0)
+        };
+        let WorkloadSpec::Load {
+            warmup,
+            measure,
+            drain,
+            ..
+        } = &mut s.workload
+        else {
+            unreachable!("figure 3 offers a load")
+        };
+        [*warmup, *measure, *drain] = windows;
+        s
+    }
+
+    fn quick() -> Scenario {
+        small([200, 1_500, 800])
     }
 
     #[test]
     fn load_points_keep_the_values_the_hand_rolled_runner_measured() {
         // Recorded from the build before `run_load_point` moved onto the
         // scenario runner (PR 13, its own warmup/measure/drain loop).
-        let cfg = SweepConfig {
-            warmup: 200,
-            measure: 1_000,
-            drain: 500,
-            ..SweepConfig::small()
-        };
+        let s = small([200, 1_000, 500]);
         assert_eq!(
-            run_load_point(&cfg, 0.2),
+            run_load_point(&s.at_load(0.2)),
             LoadPoint {
                 offered: 0.2,
                 accepted: 0.165,
@@ -419,7 +349,7 @@ mod tests {
             }
         );
         assert_eq!(
-            run_load_point(&cfg, 0.6),
+            run_load_point(&s.at_load(0.6)),
             LoadPoint {
                 offered: 0.6,
                 accepted: 0.570625,
@@ -435,7 +365,7 @@ mod tests {
 
     #[test]
     fn a_points_json_mirrors_the_struct_in_field_order() {
-        let load = run_load_point(&quick(), 0.2).to_json();
+        let load = run_load_point(&quick().at_load(0.2)).to_json();
         let Json::Obj(pairs) = &load else {
             panic!("an object")
         };
@@ -456,7 +386,7 @@ mod tests {
         assert_eq!(load.get("offered").and_then(Json::as_f64), Some(0.2));
         assert_eq!(Json::parse(&load.render()).unwrap(), load);
 
-        let fault = run_fault_point(&quick(), 0.2, 1, 2).to_json();
+        let fault = run_fault_point(&quick().at_load(0.2), 1, 2).to_json();
         assert_eq!(fault.get("dead_routers").and_then(Json::as_f64), Some(1.0));
         assert_eq!(fault.get("dead_links").and_then(Json::as_f64), Some(2.0));
         assert_eq!(Json::parse(&fault.render()).unwrap(), fault);
@@ -466,14 +396,9 @@ mod tests {
     fn fault_points_keep_the_values_their_own_loop_measured() {
         // Recorded from the build before `run_fault_sim` moved onto
         // `Run` (PR 21, its own warmup/measure and drain loops).
-        let cfg = SweepConfig {
-            warmup: 200,
-            measure: 1_000,
-            drain: 500,
-            ..SweepConfig::small()
-        };
+        let s = small([200, 1_000, 500]);
         assert_eq!(
-            run_fault_point(&cfg, 0.3, 2, 3),
+            run_fault_point(&s.at_load(0.3), 2, 3),
             FaultSweepPoint {
                 dead_routers: 2,
                 dead_links: 3,
@@ -486,7 +411,7 @@ mod tests {
             }
         );
         assert_eq!(
-            run_fault_point(&cfg, 0.5, 0, 4),
+            run_fault_point(&s.at_load(0.5), 0, 4),
             FaultSweepPoint {
                 dead_routers: 0,
                 dead_links: 4,
@@ -502,9 +427,9 @@ mod tests {
 
     #[test]
     fn latency_grows_with_load() {
-        let cfg = quick();
-        let low = run_load_point(&cfg, 0.05);
-        let high = run_load_point(&cfg, 0.7);
+        let s = quick();
+        let low = run_load_point(&s.at_load(0.05));
+        let high = run_load_point(&s.at_load(0.7));
         assert!(low.delivered > 0 && high.delivered > 0);
         assert!(
             high.mean_latency > low.mean_latency,
@@ -516,9 +441,9 @@ mod tests {
 
     #[test]
     fn low_load_latency_near_unloaded() {
-        let cfg = quick();
-        let base = unloaded_latency(&cfg) as f64;
-        let low = run_load_point(&cfg, 0.02);
+        let s = quick();
+        let base = unloaded_latency(&s) as f64;
+        let low = run_load_point(&s.at_load(0.02));
         assert!(
             low.mean_latency < base * 2.0,
             "low-load latency {} should be near unloaded {base}",
@@ -528,10 +453,34 @@ mod tests {
 
     #[test]
     fn fault_point_still_delivers() {
-        let cfg = quick();
-        let p = run_fault_point(&cfg, 0.2, 2, 2);
+        let s = quick();
+        let p = run_fault_point(&s.at_load(0.2), 2, 2);
         assert!(p.delivered > 0, "network with faults must keep delivering");
         assert_eq!(p.abandoned, 0, "no message may be lost");
+    }
+
+    #[test]
+    fn a_fault_points_kills_join_the_scenarios_faults_and_injections() {
+        use crate::scenario::{FaultInjection, RepairSet};
+        use metro_topo::fault::FaultSet;
+
+        // Random kills fall on the dilated stages 0 and 1 only, so the
+        // last-stage routers below are the scenario's own.
+        let mut s = quick().at_load(0.2);
+        s.faults.kill_router(2, 0);
+        let mut later = FaultSet::new();
+        later.kill_router(2, 1);
+        s.injections.push(FaultInjection {
+            at: 100,
+            faults: later,
+            repairs: RepairSet::default(),
+        });
+        let sim = run_fault_sim(&s, 1, 2);
+        let faults = sim.faults();
+        assert!(faults.router_dead(2, 0), "the static fault stays");
+        assert!(faults.router_dead(2, 1), "the injection merged");
+        assert_eq!(faults.dead_routers().count(), 3);
+        assert_eq!(faults.faulty_links().count(), 2);
     }
 
     #[test]
@@ -540,9 +489,9 @@ mod tests {
         // sources stalled behind dead entry ports thin the offered load
         // and with it the contention blocking. The invariants are
         // losslessness and bounded degradation.
-        let cfg = quick();
-        let clean = run_fault_point(&cfg, 0.3, 0, 0);
-        let faulty = run_fault_point(&cfg, 0.3, 3, 4);
+        let s = quick();
+        let clean = run_fault_point(&s.at_load(0.3), 0, 0);
+        let faulty = run_fault_point(&s.at_load(0.3), 3, 4);
         assert_eq!(clean.abandoned, 0);
         assert_eq!(faulty.abandoned, 0, "faults must not lose messages");
         assert!(faulty.delivered > 0);
@@ -571,21 +520,16 @@ mod tests {
 
     #[test]
     fn parallel_sweeps_match_sequential_bitwise() {
-        let cfg = SweepConfig {
-            warmup: 100,
-            measure: 600,
-            drain: 400,
-            ..SweepConfig::small()
-        };
+        let s = small([100, 600, 400]);
         let loads = [0.05, 0.2, 0.4, 0.6];
         let jobs4 = NonZeroUsize::new(4).unwrap();
-        let seq = load_sweep_jobs(&cfg, &loads, NonZeroUsize::MIN);
-        let par = load_sweep_jobs(&cfg, &loads, jobs4);
+        let seq = load_sweep_jobs(&s, &loads, NonZeroUsize::MIN);
+        let par = load_sweep_jobs(&s, &loads, jobs4);
         assert_eq!(seq, par, "load sweep must not depend on worker count");
 
         let grid = [(0, 0), (1, 0), (2, 2), (0, 4)];
-        let seq = fault_sweep_jobs(&cfg, 0.3, &grid, NonZeroUsize::MIN);
-        let par = fault_sweep_jobs(&cfg, 0.3, &grid, jobs4);
+        let seq = fault_sweep_jobs(&s, 0.3, &grid, NonZeroUsize::MIN);
+        let par = fault_sweep_jobs(&s, 0.3, &grid, jobs4);
         assert_eq!(seq, par, "fault sweep must not depend on worker count");
     }
 
@@ -594,25 +538,15 @@ mod tests {
         // Two sweeps over the same load at different positions must
         // differ (per-point seeds), while a single point re-run must
         // not (determinism).
-        let cfg = quick();
-        let a = load_sweep_jobs(&cfg, &[0.3, 0.3], NonZeroUsize::MIN);
+        let s = quick();
+        let a = load_sweep_jobs(&s, &[0.3, 0.3], NonZeroUsize::MIN);
         assert_eq!(a[0], {
-            let again = load_sweep_jobs(&cfg, &[0.3, 0.3], NonZeroUsize::MIN);
+            let again = load_sweep_jobs(&s, &[0.3, 0.3], NonZeroUsize::MIN);
             again[0].clone()
         });
         assert_ne!(
             a[0], a[1],
             "same load at different sweep positions must draw different seeds"
-        );
-    }
-
-    #[test]
-    fn figure3_unloaded_is_about_28_cycles() {
-        let cfg = SweepConfig::figure3();
-        let lat = unloaded_latency(&cfg);
-        assert!(
-            (24..36).contains(&(lat as usize)),
-            "figure 3 unloaded latency {lat} should be near the paper's 28"
         );
     }
 }

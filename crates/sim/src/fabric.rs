@@ -102,7 +102,8 @@ impl Fabric {
 impl Scenario {
     /// Lowers the scenario to the machine it describes: [`Fabric::new`],
     /// then the workload against the endpoint count — pattern, arrival
-    /// process, rate map, every scripted send's endpoints.
+    /// process, rate map, a non-empty measurement window, every scripted
+    /// send's endpoints.
     ///
     /// # Errors
     ///
@@ -116,11 +117,15 @@ impl Scenario {
                 pattern,
                 arrival,
                 rates,
+                measure,
                 ..
             } => {
                 pattern.validate(n).map_err(at("workload.pattern"))?;
                 arrival.validate(n).map_err(at("workload.arrival"))?;
                 rates.validate(n).map_err(at("workload.rates"))?;
+                if *measure == 0 {
+                    return Err(at("workload.measure")(WorkloadError::EmptyMeasureWindow));
+                }
             }
             WorkloadSpec::Sends { sends, .. } => {
                 for (i, &SendSpec { src, dest, .. }) in sends.iter().enumerate() {

@@ -66,7 +66,7 @@ pub use checkpoint::{
     CHECKPOINT_SCHEMA,
 };
 pub use endpoint::{AttemptEvidence, EndpointConfig, ReplyPolicy};
-pub use experiment::{FaultSweepPoint, LoadPoint, SweepConfig};
+pub use experiment::{FaultSweepPoint, LoadPoint};
 pub use fabric::{Fabric, ScenarioError};
 pub use healing::{Diagnosis, Suspect};
 pub use message::{

@@ -55,10 +55,11 @@ pub enum WorkloadSpec {
     /// Open-loop load: stochastic arrivals at `load` on every endpoint
     /// with destinations drawn from `pattern` — the workload of the
     /// paper's Figure 3 and §6.2 sweeps. All randomness derives from
-    /// the scenario's workload seed;
-    /// [`crate::experiment::run_load_point`] runs this workload (built
-    /// by [`crate::experiment::SweepConfig::load_scenario`]), so a
-    /// scenario at load `l` is the equivalent sweep point.
+    /// the scenario's workload seed. A sweep is a base scenario of this
+    /// workload varied by [`Scenario::at_load`], and
+    /// [`crate::experiment::run_load_point`] runs each point as the
+    /// scenario runner does, so a scenario at load `l` is that sweep
+    /// point.
     /// The `arrival` process and per-endpoint `rates` generalize the
     /// historical Bernoulli-at-one-rate workload; with
     /// [`ArrivalProcess::Bernoulli`] and [`RateMap::Uniform`] the
@@ -150,9 +151,9 @@ pub struct Scenario {
     /// Router/protocol/engine parameters (including the simulator's
     /// master seed).
     pub sim: SimConfig,
-    /// Workload seed: traffic pattern and arrival randomness. Separate
-    /// from `sim.seed` exactly as [`crate::experiment::SweepConfig`]
-    /// separates them.
+    /// Workload seed: traffic pattern and arrival randomness, separate
+    /// from `sim.seed`. A sweep derives each point's seed from its
+    /// base's ([`crate::experiment::point_seed`]).
     pub seed: u64,
     /// Faults present from cycle 0 (masked/static faults).
     pub faults: FaultSet,
@@ -181,6 +182,48 @@ impl Scenario {
             injections: Vec::new(),
             workload: WorkloadSpec::Sends { sends, cycles },
         }
+    }
+
+    /// The paper's Figure 3 experiment at offered load `load`: the
+    /// 64-endpoint 3-stage radix-4 network, 20-byte uniform random
+    /// traffic (19 payload words + 1 checksum word on an 8-bit
+    /// channel), parallelism-limited endpoints.
+    #[must_use]
+    pub fn figure3(name: &str, load: f64) -> Self {
+        Self {
+            name: name.to_string(),
+            topology: MultibutterflySpec::figure3(),
+            sim: SimConfig::default(),
+            seed: 0xF163,
+            faults: FaultSet::new(),
+            injections: Vec::new(),
+            workload: WorkloadSpec::Load {
+                pattern: TrafficPattern::Uniform,
+                arrival: ArrivalProcess::Bernoulli,
+                rates: RateMap::Uniform,
+                load,
+                payload_words: 19,
+                warmup: 2_000,
+                measure: 12_000,
+                drain: 3_000,
+            },
+        }
+    }
+
+    /// This scenario at offered load `load`, all else equal — the one
+    /// way a sweep varies its load.
+    ///
+    /// # Panics
+    ///
+    /// On a [`WorkloadSpec::Sends`] workload, which has no load.
+    #[must_use]
+    pub fn at_load(&self, load: f64) -> Self {
+        let mut s = self.clone();
+        let WorkloadSpec::Load { load: l, .. } = &mut s.workload else {
+            panic!("scenario {:?} has a scripted workload, no load", self.name)
+        };
+        *l = load;
+        s
     }
 }
 

@@ -444,6 +444,8 @@ pub enum WorkloadError {
         /// The self-targeting endpoint.
         src: usize,
     },
+    /// A load workload measuring no cycles: its rates would be 0/0.
+    EmptyMeasureWindow,
     /// A scripted send naming an endpoint outside the topology.
     SendEndpoint {
         /// Its source endpoint.
@@ -507,6 +509,7 @@ impl std::fmt::Display for WorkloadError {
             Self::TraceSelfTarget { index, src } => {
                 write!(f, "trace entry {index} sends endpoint {src} to itself")
             }
+            Self::EmptyMeasureWindow => write!(f, "the measurement window must be at least 1 cycle"),
             Self::SendEndpoint {
                 src,
                 dest,

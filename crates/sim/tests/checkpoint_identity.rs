@@ -28,7 +28,7 @@ const BERNOULLI: ArrivalProcess = ArrivalProcess::Bernoulli;
 /// execution variant `(engine, shards)`. `(pipestages, wire_delay)`
 /// above `(1, 0)` puts words in router pipes and wire registers, so a
 /// checkpoint saves them.
-fn load_scenario(
+fn loaded_scenario(
     seed: u64,
     load_milli: u64,
     (engine, shards): (EngineKind, usize),
@@ -250,7 +250,7 @@ proptest! {
         pipelining in (1usize..=3, 0usize..=2),
     ) {
         for shards in [1usize, 2, 4] {
-            let s = load_scenario(seed, load_milli, (EngineKind::Flat, shards), BERNOULLI, pipelining);
+            let s = loaded_scenario(seed, load_milli, (EngineKind::Flat, shards), BERNOULLI, pipelining);
             let (straight, mut straight_sim, ckpt) = run_straight(&s, at);
             let (resumed, mut resumed_sim) = resume_scenario(&ckpt).unwrap();
             prop_assert_eq!(
@@ -270,7 +270,7 @@ proptest! {
         at in 1u64..200,
         pipelining in (1usize..=3, 0usize..=2),
     ) {
-        let s = load_scenario(seed, load_milli, (EngineKind::Reference, 1), BERNOULLI, pipelining);
+        let s = loaded_scenario(seed, load_milli, (EngineKind::Reference, 1), BERNOULLI, pipelining);
         let (straight, mut straight_sim, ckpt) = run_straight(&s, at);
         let (resumed, mut resumed_sim) = resume_scenario(&ckpt).unwrap();
         prop_assert_eq!(&resumed, &straight);
@@ -304,7 +304,7 @@ proptest! {
         } else {
             BERNOULLI
         };
-        let s = load_scenario(seed, load_milli, from, arrival, pipelining);
+        let s = loaded_scenario(seed, load_milli, from, arrival, pipelining);
         type Taken = Vec<(RunPhase, u64, Vec<u64>)>;
         let (mut first, mut straight_ckpts, mut resumed_ckpts) = (None, Taken::new(), Taken::new());
         let mut sink = |c: &Checkpoint| {
@@ -343,7 +343,7 @@ proptest! {
         at in 1u64..200,
         pipelining in (1usize..=3, 0usize..=2),
     ) {
-        let s = load_scenario(seed, 300, (EngineKind::Flat, 2), BERNOULLI, pipelining);
+        let s = loaded_scenario(seed, 300, (EngineKind::Flat, 2), BERNOULLI, pipelining);
         let (straight, _sim, ckpt) = run_straight(&s, at);
         let text = ckpt.to_json().render();
         let back = Checkpoint::from_text(&text).unwrap();

@@ -3,12 +3,14 @@
 //! curve shape, Figure 1's path structure, and the §6.2 robustness
 //! claim.
 
-use metro::sim::experiment::{run_fault_point, run_load_point, unloaded_latency, SweepConfig};
+use metro::sim::experiment::{run_fault_point, run_load_point, unloaded_latency};
+use metro::sim::scenario::Scenario;
 use metro::timing::catalog::table3;
 use metro::timing::contemporary::{routers_slower_than, table5};
 use metro::topo::analysis::{path_profile, single_router_tolerance};
 use metro::topo::fault::FaultSet;
 use metro::topo::multibutterfly::{Multibutterfly, MultibutterflySpec};
+use metro_bench::scenarios::set_windows;
 
 #[test]
 fn table3_reproduces_every_printed_cell() {
@@ -50,7 +52,7 @@ fn figure3_unloaded_latency_near_28_cycles() {
     // injection to acknowledgment receipt." Our protocol realization
     // measures 30 cycles — same regime, small constant differences in
     // turnaround accounting (see EXPERIMENTS.md).
-    let lat = unloaded_latency(&SweepConfig::figure3());
+    let lat = unloaded_latency(&Scenario::figure3("figure3", 0.0));
     assert!(
         (26..=33).contains(&(lat as usize)),
         "unloaded latency {lat} not near 28"
@@ -59,14 +61,12 @@ fn figure3_unloaded_latency_near_28_cycles() {
 
 #[test]
 fn figure3_curve_shape_low_flat_then_knee() {
-    let mut cfg = SweepConfig::figure3();
-    cfg.warmup = 500;
-    cfg.measure = 3_000;
-    cfg.drain = 1_500;
-    let base = unloaded_latency(&cfg) as f64;
-    let low = run_load_point(&cfg, 0.1);
-    let mid = run_load_point(&cfg, 0.4);
-    let high = run_load_point(&cfg, 0.8);
+    let mut s = Scenario::figure3("figure3", 0.0);
+    set_windows(&mut s, [500, 3_000, 1_500]);
+    let base = unloaded_latency(&s) as f64;
+    let low = run_load_point(&s.at_load(0.1));
+    let mid = run_load_point(&s.at_load(0.4));
+    let high = run_load_point(&s.at_load(0.8));
     // Low load sits near the unloaded latency.
     assert!(low.mean_latency < base * 1.5, "low {}", low.mean_latency);
     // Latency rises monotonically with load and blows past the knee.
@@ -100,12 +100,10 @@ fn section62_robust_degradation() {
     // "performance degrades robustly in the face of faults": with 10%
     // of the dilated-stage routers dead, latency grows moderately and
     // nothing is lost.
-    let mut cfg = SweepConfig::figure3();
-    cfg.warmup = 500;
-    cfg.measure = 3_000;
-    cfg.drain = 2_000;
-    let clean = run_fault_point(&cfg, 0.3, 0, 0);
-    let faulty = run_fault_point(&cfg, 0.3, 3, 0);
+    let mut s = Scenario::figure3("section62", 0.3);
+    set_windows(&mut s, [500, 3_000, 2_000]);
+    let clean = run_fault_point(&s, 0, 0);
+    let faulty = run_fault_point(&s, 3, 0);
     assert_eq!(clean.abandoned, 0);
     assert_eq!(faulty.abandoned, 0, "faults must not lose messages");
     assert!(
@@ -156,11 +154,9 @@ fn stateless_network_claim() {
 #[test]
 fn retries_in_practice_are_small() {
     // §4: "The number of retries required, in practice, is small."
-    let mut cfg = SweepConfig::figure3();
-    cfg.warmup = 500;
-    cfg.measure = 3_000;
-    cfg.drain = 1_500;
-    let p = run_load_point(&cfg, 0.3);
+    let mut s = Scenario::figure3("retries", 0.3);
+    set_windows(&mut s, [500, 3_000, 1_500]);
+    let p = run_load_point(&s);
     assert!(
         p.retries_per_message < 1.0,
         "retries/message {} not small at moderate load",

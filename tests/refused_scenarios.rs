@@ -31,7 +31,7 @@ fn load(s: &mut Scenario) -> (&mut TrafficPattern, &mut ArrivalProcess, &mut Rat
     }
 }
 
-const CASES: [Case; 9] = [
+const CASES: [Case; 10] = [
     Case {
         what: "a zero-width channel",
         base: "figure3_load",
@@ -108,6 +108,16 @@ const CASES: [Case; 9] = [
         edit: |s| *load(s).2 = RateMap::PerEndpoint(vec![1.0; 3]),
         message: "scenario error at scenario.workload.rates: \
                   rate map has 3 entries for 64 endpoints",
+    },
+    Case {
+        what: "an empty measurement window",
+        base: "figure3_load",
+        edit: |s| match &mut s.workload {
+            WorkloadSpec::Load { measure, .. } => *measure = 0,
+            WorkloadSpec::Sends { .. } => unreachable!("figure3_load is a load workload"),
+        },
+        message: "scenario error at scenario.workload.measure: \
+                  the measurement window must be at least 1 cycle",
     },
 ];
 

@@ -4,8 +4,8 @@
 //! quantiles must stay within bounds (p50 ≤15%, p95 ≤25%) of the
 //! ground truth — the accuracy contract CI enforces.
 
-use metro_sim::engine::analytic::estimate_latency;
-use metro_sim::scenario::{codec, run_scenario, Run, Scenario, WorkloadSpec};
+use metro_sim::engine::analytic::estimate_scenario;
+use metro_sim::scenario::{codec, run_scenario, Run, Scenario, ScenarioResult, WorkloadSpec};
 use metro_sim::LatencyStats;
 use std::path::PathBuf;
 
@@ -39,35 +39,48 @@ fn rel_err(estimate: u64, truth: u64) -> f64 {
     (estimate as f64 - truth as f64).abs() / truth as f64
 }
 
-/// Ground-truth total-latency quantiles from a cycle-accurate replay:
-/// the load point for `Load` workloads, the outcome stream (kept for
-/// this) for `Sends`.
+/// Total latencies of `result`'s kept outcomes that completed from
+/// `scenario`'s warmup on — the samples the estimator measures (a
+/// `Sends` workload has no warmup).
+fn measured_latencies(scenario: &Scenario, result: &ScenarioResult) -> LatencyStats {
+    let warmup = match scenario.workload {
+        WorkloadSpec::Load { warmup, .. } => warmup,
+        WorkloadSpec::Sends { .. } => 0,
+    };
+    let mut h = LatencyStats::new();
+    for o in result.outcomes.iter().filter(|o| o.completed_at >= warmup) {
+        h.record(o.total_latency());
+    }
+    h
+}
+
+/// Total-latency p50/p95 of a result: the load point for `Load`
+/// workloads, the kept outcomes for `Sends`.
+fn quantiles(scenario: &Scenario, result: &ScenarioResult) -> (u64, u64) {
+    match &result.point {
+        Some(p) => (p.p50_latency, p.p95_latency),
+        None => {
+            let h = measured_latencies(scenario, result);
+            (h.percentile(50.0), h.percentile(95.0))
+        }
+    }
+}
+
+/// Ground-truth quantiles from a cycle-accurate replay, its outcomes
+/// kept for a `Sends` workload.
 fn truth_quantiles(scenario: &Scenario) -> (u64, u64) {
     let mut run = Run::of(scenario, None).expect("corpus scenario must replay");
     run.keep_outcomes();
     while run.step() {}
-    let result = run.finish().0;
-    match &result.point {
-        Some(p) => (p.p50_latency, p.p95_latency),
-        None => {
-            let mut h = LatencyStats::new();
-            for o in &result.outcomes {
-                h.record(o.total_latency());
-            }
-            (h.percentile(50.0), h.percentile(95.0))
-        }
-    }
+    quantiles(scenario, &run.finish().0)
 }
 
 #[test]
 fn estimator_tracks_the_flat_engine_across_the_corpus() {
     let mut violations = Vec::new();
     for (name, scenario) in corpus() {
-        let est = estimate_latency(&scenario).expect("corpus scenario must estimate");
-        let (est_p50, est_p95) = (
-            est.total_latency.percentile(50.0),
-            est.total_latency.percentile(95.0),
-        );
+        let est = estimate_scenario(&scenario).expect("corpus scenario must estimate");
+        let (est_p50, est_p95) = quantiles(&scenario, &est);
         let (true_p50, true_p95) = truth_quantiles(&scenario);
         let (e50, e95) = (rel_err(est_p50, true_p50), rel_err(est_p95, true_p95));
         println!(
@@ -107,9 +120,10 @@ fn metro1k_estimate_quantiles_are_pinned() {
         .into_iter()
         .find(|(name, _)| name == "metro1k")
         .expect("metro1k in corpus");
-    let est = estimate_latency(&scenario).unwrap();
+    let est = estimate_scenario(&scenario).unwrap();
+    let latencies = measured_latencies(&scenario, &est);
     assert_eq!(
-        [50.0, 95.0, 99.0].map(|q| est.total_latency.percentile(q)),
+        [50.0, 95.0, 99.0].map(|q| latencies.percentile(q)),
         [24, 73, 99]
     );
 }
@@ -117,7 +131,7 @@ fn metro1k_estimate_quantiles_are_pinned() {
 #[test]
 fn analytic_scenarios_dispatch_through_run_scenario() {
     // Flipping a corpus scenario's engine to analytic must route
-    // run_scenario to the estimator and reproduce estimate_latency's
+    // run_scenario to the estimator and reproduce estimate_scenario's
     // result exactly.
     let (_, mut scenario) = corpus()
         .into_iter()
@@ -125,8 +139,8 @@ fn analytic_scenarios_dispatch_through_run_scenario() {
         .expect("figure1 in corpus");
     scenario.sim.engine = metro_sim::EngineKind::Analytic;
     let via_run = run_scenario(&scenario).unwrap();
-    let direct = estimate_latency(&scenario).unwrap();
-    assert_eq!(via_run, direct.result);
+    let direct = estimate_scenario(&scenario).unwrap();
+    assert_eq!(via_run, direct);
     assert!(via_run.delivered > 0);
 }
 
@@ -139,12 +153,9 @@ fn estimator_counts_match_the_load_replay() {
         if !matches!(scenario.workload, WorkloadSpec::Load { .. }) {
             continue;
         }
-        let est = estimate_latency(&scenario).unwrap();
+        let est = estimate_scenario(&scenario).unwrap();
         let truth = run_scenario(&scenario).unwrap();
-        let (e, t) = (
-            est.result.outcomes.len() as f64,
-            truth.outcomes.len() as f64,
-        );
+        let (e, t) = (est.outcomes.len() as f64, truth.outcomes.len() as f64);
         assert!(
             (e - t).abs() / t < 0.1,
             "{name}: estimated {e} outcomes vs {t} simulated"

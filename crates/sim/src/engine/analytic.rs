@@ -9,9 +9,11 @@
 //! is computed exactly from the lowered [`Fabric`] — its stage shapes,
 //! pipestages, header plan and wire delays; the stochastic part —
 //! contention blocking, fast reclamation, fault-induced retries — is
-//! sampled from per-stage cluster models with a seeded [`RandomSource`],
-//! then folded into the same [`LatencyStats`] histogram the simulator
-//! uses, so the output is directly comparable (p50/p95/p99) with a
+//! sampled from per-stage cluster models with a seeded [`RandomSource`].
+//! Each estimated completion is a [`MessageOutcome`], recorded into the
+//! same [`NetworkStats`] collector the simulator measures with and
+//! summarized by the same [`LoadPoint::measured`], so the output is a
+//! [`ScenarioResult`] like any engine's, directly comparable with a
 //! cycle-accurate replay.
 //!
 //! ## Correspondence to the S13 timing model
@@ -40,7 +42,7 @@ use crate::experiment::LoadPoint;
 use crate::fabric::Fabric;
 use crate::message::{DeliveryStatus, FailureKind, MessageOutcome};
 use crate::scenario::{Scenario, ScenarioResult, SendSpec, WorkloadSpec};
-use crate::stats::LatencyStats;
+use crate::stats::NetworkStats;
 use crate::workload::{StreamRecipe, StreamSeeds};
 use metro_core::RandomSource;
 
@@ -160,8 +162,9 @@ impl StageModel {
 /// stage.
 #[derive(Debug)]
 struct FabricModel {
-    /// Header words prepended to every message stream.
-    header_words: usize,
+    /// Words on the wire for a message with no payload
+    /// ([`Fabric::stream_words`]`(0)`): header + checksum + TURN.
+    stream_overhead: u64,
     /// One-way deterministic transit: `Σ dp + Σ boundary wire delays`
     /// (the cycle-domain `stages · t_stg` of S13).
     transit: u64,
@@ -184,23 +187,17 @@ impl FabricModel {
             })
             .collect();
         Self {
-            header_words: fabric.plan.header_words(),
+            stream_overhead: fabric.stream_words(0) as u64,
             transit: dp_total + wire_total,
             nic_turnaround: 2,
             models,
         }
     }
 
-    /// Words on the wire for one message: header + payload + end-to-end
-    /// checksum + TURN.
-    fn stream_words(&self, payload_words: usize) -> u64 {
-        (self.header_words + payload_words + 2) as u64
-    }
-
     /// Unloaded network latency (first injection → acknowledgment):
     /// serialization plus the deterministic transit, out and back.
     fn base_network(&self, payload_words: usize) -> u64 {
-        self.stream_words(payload_words) + 2 * self.transit
+        self.stream_overhead + payload_words as u64 + 2 * self.transit
     }
 
     /// Per-attempt probability that an active fault corrupts the stream
@@ -271,47 +268,24 @@ fn unit(rng: &mut RandomSource) -> f64 {
     rng.bits(32) as f64 / f64::from(u32::MAX)
 }
 
-/// A full estimate: the [`ScenarioResult`] plus the raw latency
-/// histograms, so callers can query any percentile (the result's
-/// [`LoadPoint`] carries p50/p95 only; the histograms answer p99 too).
-#[derive(Debug)]
-pub struct LatencyEstimate {
-    /// The estimated result, shaped like a cycle-accurate replay's.
-    pub result: ScenarioResult,
-    /// Total-latency samples (request → acknowledgment) from the
-    /// statistics window.
-    pub total_latency: LatencyStats,
-    /// Network-latency samples (first injection → acknowledgment).
-    pub network_latency: LatencyStats,
-}
-
 /// Estimates a scenario's latency profile without simulating it.
 ///
 /// Dispatched by [`crate::scenario::run_scenario`] when the scenario
 /// names [`EngineKind::Analytic`](crate::EngineKind::Analytic); also
 /// callable directly on any scenario regardless of its engine field
-/// (the estimate describes what a cycle-accurate engine would do).
-///
-/// # Errors
-///
-/// As [`estimate_latency`]: the scenario's lowering refusal.
-pub fn estimate_scenario(
-    scenario: &Scenario,
-) -> Result<ScenarioResult, Box<dyn std::error::Error>> {
-    estimate_latency(scenario).map(|e| e.result)
-}
-
-/// [`estimate_scenario`], also handing back the sampled latency
-/// histograms for arbitrary percentile queries (p99 and beyond).
+/// (the estimate describes what a cycle-accurate engine would do). The
+/// result keeps every estimated outcome, so a percentile the
+/// [`LoadPoint`] does not carry (p99 and beyond) is a query over the
+/// outcomes completed from the warmup on.
 ///
 /// # Errors
 ///
 /// The [`ScenarioError`](crate::fabric::ScenarioError) of
 /// [`Scenario::lower`], the same refusal the cycle engines give; every
 /// scenario lowering accepts is modelled.
-pub fn estimate_latency(
+pub fn estimate_scenario(
     scenario: &Scenario,
-) -> Result<LatencyEstimate, Box<dyn std::error::Error>> {
+) -> Result<ScenarioResult, Box<dyn std::error::Error>> {
     let fabric = scenario.lower()?;
     let faults = fault_pressure(scenario);
     Ok(match &scenario.workload {
@@ -354,7 +328,7 @@ fn fault_pressure(scenario: &Scenario) -> usize {
 /// draws — so message counts and request times match the simulation;
 /// only each message's service time is sampled from the fabric model
 /// instead of simulated.
-fn estimate_load(scenario: &Scenario, fabric: &Fabric, faults: usize) -> LatencyEstimate {
+fn estimate_load(scenario: &Scenario, fabric: &Fabric, faults: usize) -> ScenarioResult {
     let WorkloadSpec::Load {
         pattern,
         arrival,
@@ -388,7 +362,7 @@ fn estimate_load(scenario: &Scenario, fabric: &Fabric, faults: usize) -> Latency
         _ => load,
     };
     let model = FabricModel::new(fabric, model_load, faults, arrival.burstiness());
-    let stream_words = model.stream_words(payload_words) as usize;
+    let stream_words = fabric.stream_words(payload_words);
 
     // Exact arrival replay: the same recipe (seeds, draws, sort order)
     // run_scenario's driver polls, precomputed over the offered window.
@@ -408,42 +382,28 @@ fn estimate_load(scenario: &Scenario, fabric: &Fabric, faults: usize) -> Latency
     let requests = arrivals
         .iter()
         .map(|a| (a.at, a.src, a.src, a.payload_words));
-    let (mut estimate, retries) = replay(scenario, &model, requests, warmup, total + drain);
-    let (hist, delivered) = (&estimate.total_latency, estimate.result.delivered);
-    estimate.result.point = Some(LoadPoint {
-        offered: load,
-        accepted: delivered as f64 * stream_words as f64 / measure as f64 / n as f64,
-        mean_latency: hist.mean(),
-        p50_latency: hist.percentile(50.0),
-        p95_latency: hist.percentile(95.0),
-        mean_network_latency: estimate.network_latency.mean(),
-        retries_per_message: if delivered == 0 {
-            0.0
-        } else {
-            retries as f64 / delivered as f64
-        },
-        delivered,
-    });
-    estimate
+    let (mut result, stats) = replay(scenario, &model, requests, warmup, total + drain);
+    result.point = Some(LoadPoint::measured(load, &stats, stream_words, measure, n));
+    result
 }
 
 /// Replays `requests` — `(requested_at, src, dest, payload_words)` in
 /// request order — through `model`: per-source FIFO serialization is
 /// exact (one outstanding message per NIC), each message's service time
 /// the deterministic base plus a sampled penalty. Completions after
-/// `horizon` are in flight; those from `warmup` on are measured. Returns
-/// the estimate without a load point, and the measured completions'
-/// failed attempts.
+/// `horizon` are in flight; those from `warmup` on are recorded into
+/// the measured window's [`NetworkStats`]. Returns the result without a
+/// load point, and those statistics.
 fn replay(
     scenario: &Scenario,
     model: &FabricModel,
     requests: impl ExactSizeIterator<Item = (u64, usize, usize, usize)>,
     warmup: u64,
     horizon: u64,
-) -> (LatencyEstimate, u64) {
+) -> (ScenarioResult, NetworkStats) {
     let mut outcomes = Vec::with_capacity(requests.len());
-    let (mut total_latency, mut network_latency) = (LatencyStats::new(), LatencyStats::new());
-    let (mut delivered, mut retries, mut in_flight) = (0u64, 0u64, 0u64);
+    let mut stats = NetworkStats::new();
+    let mut in_flight = 0u64;
     let mut src_free = vec![0u64; scenario.topology.endpoints];
     let master = RandomSource::new(scenario.seed ^ SAMPLE_SALT);
     let mut fault_acc = 0.0;
@@ -461,13 +421,7 @@ fn replay(
             in_flight += 1;
             continue;
         }
-        if completed_at >= warmup {
-            delivered += 1;
-            retries += failures.len() as u64;
-            total_latency.record(completed_at - requested_at);
-            network_latency.record(completed_at - first_injection_at);
-        }
-        outcomes.push(MessageOutcome {
+        let outcome = MessageOutcome {
             src,
             dest,
             requested_at,
@@ -479,24 +433,23 @@ fn replay(
             payload_delivered: Vec::new(),
             reply_received: Vec::new(),
             status: DeliveryStatus::Delivered,
-        });
+        };
+        if completed_at >= warmup {
+            stats.record(&outcome);
+        }
+        outcomes.push(outcome);
     }
     let payload_words = outcomes.iter().map(|o| o.payload_words).sum();
     let result = ScenarioResult {
         outcomes: outcomes.into(),
-        delivered,
-        abandoned: 0,
+        delivered: stats.delivered,
+        abandoned: stats.abandoned,
         point: None,
         payload_words,
         fabric_idle: in_flight == 0,
         telemetry_every: scenario.sim.telemetry_every.max(1),
     };
-    let estimate = LatencyEstimate {
-        result,
-        total_latency,
-        network_latency,
-    };
-    (estimate, retries)
+    (result, stats)
 }
 
 #[cfg(test)]

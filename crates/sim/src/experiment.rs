@@ -3,7 +3,8 @@
 //!
 //! Every entry point takes the [`Scenario`] it runs and builds its
 //! machine with [`NetworkSim::from_scenario`]; a sweep varies a base
-//! scenario's load with [`Scenario::at_load`] ([`sweep_point`]).
+//! scenario's load with [`Scenario::at_load`] ([`sweep_point`]). Every
+//! measured point, simulated or estimated, is [`LoadPoint::measured`].
 //!
 //! # Per-point seeding
 //!
@@ -30,6 +31,7 @@
 
 use crate::network::NetworkSim;
 use crate::scenario::{run::run_scenario_resumable, Run, Scenario, WorkloadSpec};
+use crate::stats::NetworkStats;
 use crate::workload::StreamSeeds;
 use metro_core::RandomSource;
 use metro_harness::{par_map, Json};
@@ -74,8 +76,7 @@ pub fn sweep_point(base: &Scenario, index: usize, load: f64) -> Scenario {
 pub struct LoadPoint {
     /// Offered load (fraction of injection capacity).
     pub offered: f64,
-    /// Accepted throughput (delivered payload words / cycle /
-    /// endpoint, normalized to capacity).
+    /// Accepted throughput in stream words ([`LoadPoint::measured`]).
     pub accepted: f64,
     /// Mean total latency (request → acknowledgment), cycles.
     pub mean_latency: f64,
@@ -85,13 +86,41 @@ pub struct LoadPoint {
     pub p95_latency: u64,
     /// Mean network latency (injection → acknowledgment).
     pub mean_network_latency: f64,
-    /// Mean retries per delivered message.
+    /// Retries of delivered and abandoned messages per delivered
+    /// message ([`NetworkStats::retries_per_message`]).
     pub retries_per_message: f64,
     /// Messages delivered in the measurement window.
     pub delivered: u64,
 }
 
 impl LoadPoint {
+    /// The point `stats` measured over `measure` cycles at `offered`
+    /// load on `endpoints` endpoints: the one summary of a [`Run`] and
+    /// of the analytic estimator. `accepted` is delivered *stream* words
+    /// (header + payload + checksum + TURN, `stream_words` a message) /
+    /// cycle / endpoint, unlike [`FaultSweepPoint::accepted`]'s payload.
+    #[must_use]
+    pub fn measured(
+        offered: f64,
+        stats: &NetworkStats,
+        stream_words: usize,
+        measure: u64,
+        endpoints: usize,
+    ) -> Self {
+        Self {
+            offered,
+            accepted: stats.delivered as f64 * stream_words as f64
+                / measure as f64
+                / endpoints as f64,
+            mean_latency: stats.total_latency.mean(),
+            p50_latency: stats.total_latency.percentile(50.0),
+            p95_latency: stats.total_latency.percentile(95.0),
+            mean_network_latency: stats.network_latency.mean(),
+            retries_per_message: stats.retries_per_message(),
+            delivered: stats.delivered,
+        }
+    }
+
     /// The point as every results document spells it (`fig3.json`'s
     /// `points`, a scenario result's `point`).
     #[must_use]
@@ -123,9 +152,11 @@ pub struct FaultSweepPoint {
     pub mean_latency: f64,
     /// 95th-percentile total latency.
     pub p95_latency: u64,
-    /// Mean retries per delivered message.
+    /// Retries of delivered and abandoned messages per delivered
+    /// message.
     pub retries_per_message: f64,
-    /// Accepted throughput (payload words / cycle / endpoint).
+    /// Accepted throughput: delivered *payload* words / cycle /
+    /// endpoint, unlike [`LoadPoint::accepted`]'s stream words.
     pub accepted: f64,
     /// Messages delivered.
     pub delivered: u64,

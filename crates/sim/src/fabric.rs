@@ -97,6 +97,13 @@ impl Fabric {
             stages,
         })
     }
+
+    /// Words on the wire for one message of `payload_words`: header +
+    /// payload + end-to-end checksum + TURN.
+    #[must_use]
+    pub fn stream_words(&self, payload_words: usize) -> usize {
+        self.plan.header_words() + payload_words + 2
+    }
 }
 
 impl Scenario {

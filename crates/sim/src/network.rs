@@ -278,7 +278,7 @@ impl NetworkSim {
     /// (masked to `w` bits) + end-to-end checksum + TURN.
     #[must_use]
     pub fn stream_for(&self, dest: usize, payload: &[u16]) -> Vec<Word> {
-        let mut stream = Vec::with_capacity(self.fabric.plan.header_words() + payload.len() + 2);
+        let mut stream = Vec::with_capacity(self.fabric.stream_words(payload.len()));
         self.fabric.plan.push_header(dest, &mut stream);
         self.segment_onto(stream, payload)
     }
@@ -426,7 +426,9 @@ impl NetworkSim {
                     self.outcomes.push(o);
                 }
                 for o in abandoned {
-                    self.stats.record_abandoned(&o);
+                    if o.requested_at >= self.stats_from {
+                        self.stats.record_abandoned(&o);
+                    }
                     self.outcomes.push(o);
                 }
             }

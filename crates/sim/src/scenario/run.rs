@@ -110,7 +110,7 @@ impl Run {
                     .cycle()
                     .take(longest.max(*payload_words))
                     .collect();
-                let stream_words = sim.stream_for(0, &payload[..*payload_words]).len();
+                let stream_words = sim.fabric.stream_words(*payload_words);
                 let recipe = StreamRecipe {
                     arrival,
                     rates,
@@ -295,18 +295,13 @@ impl Run {
                 stream_words,
                 measure,
                 ..
-            } => Some(LoadPoint {
-                offered: load,
-                accepted: stats.delivered as f64 * stream_words as f64
-                    / measure as f64
-                    / endpoints as f64,
-                mean_latency: stats.total_latency.mean(),
-                p50_latency: stats.total_latency.percentile(50.0),
-                p95_latency: stats.total_latency.percentile(95.0),
-                mean_network_latency: stats.network_latency.mean(),
-                retries_per_message: stats.retries_per_message(),
-                delivered: stats.delivered,
-            }),
+            } => Some(LoadPoint::measured(
+                load,
+                stats,
+                stream_words,
+                measure,
+                endpoints,
+            )),
             Offered::Sends { .. } => None,
         };
         let result = ScenarioResult {

@@ -1,5 +1,7 @@
-//! Latency, throughput, and retry statistics.
+//! Latency, delivery and retry statistics.
 //!
+//! [`NetworkStats`] is the one collector of a measured window, for the
+//! cycle-accurate machine and the analytic estimator alike.
 //! The latency collector is the telemetry crate's
 //! [`Histogram`](metro_telemetry::Histogram), re-exported under its
 //! historical name: one sample type flows from the simulator through
@@ -24,7 +26,7 @@ pub struct NetworkStats {
     pub delivered: u64,
     /// Messages abandoned (max-retry exhaustion).
     pub abandoned: u64,
-    /// Total retries across delivered messages.
+    /// Total retries of delivered and abandoned messages.
     pub retries: u64,
     /// Failed attempts by kind: `(blocked, fast_reclaimed, corrupt,
     /// no_ack, timeout)`.
@@ -75,23 +77,14 @@ impl NetworkStats {
         self.retries += outcome.retries as u64;
     }
 
-    /// Mean retries per delivered message.
+    /// [`retries`](Self::retries) — delivered and abandoned messages'
+    /// alike — per delivered message.
     #[must_use]
     pub fn retries_per_message(&self) -> f64 {
         if self.delivered == 0 {
             return 0.0;
         }
         self.retries as f64 / self.delivered as f64
-    }
-
-    /// Delivered payload words per cycle per endpoint — the accepted
-    /// throughput.
-    #[must_use]
-    pub fn accepted_words_per_cycle(&self, cycles: u64, endpoints: usize) -> f64 {
-        if cycles == 0 || endpoints == 0 {
-            return 0.0;
-        }
-        self.payload_words as f64 / cycles as f64 / endpoints as f64
     }
 }
 
@@ -240,6 +233,5 @@ mod tests {
         assert_eq!(n.blocked_by_stage, vec![0, 1]);
         assert_eq!(n.payload_words, 20);
         assert_eq!(n.retries_per_message(), 2.0);
-        assert!((n.accepted_words_per_cycle(100, 2) - 0.1).abs() < 1e-9);
     }
 }

@@ -732,7 +732,9 @@ impl StreamRecipe<'_> {
     /// precomputed from the *same* streams [`Self::driver`] polls and
     /// sorted by `(cycle, endpoint)` — exactly the order a cycle-major
     /// poll would produce, since the per-endpoint streams draw
-    /// independently.
+    /// independently. Kept beside the driver because the estimator
+    /// polling [`Self::driver`] instead measured +39 % `estimate_cpu_s`
+    /// on on/off sources (DESIGN.md §16).
     #[must_use]
     pub fn schedule(&self, total: u64) -> Vec<ScheduledArrival> {
         if let ArrivalProcess::Trace(entries) = self.arrival {

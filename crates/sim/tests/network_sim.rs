@@ -514,6 +514,41 @@ fn reset_stats_zeroes_every_registry_slot() {
     assert!(opens_after > 0 && opens_after < total_before);
 }
 
+/// Warm-up exclusion covers abandoned messages too: after
+/// `reset_stats`, a message counts — delivered or abandoned, with its
+/// retries — only if it was requested from the reset on.
+#[test]
+fn a_reset_excludes_abandoned_messages_requested_before_it() {
+    let config = SimConfig {
+        endpoint: EndpointConfig {
+            max_retries: 2,
+            timeout: 60,
+            ..EndpointConfig::default()
+        },
+        ..SimConfig::default()
+    };
+    let mut sim = NetworkSim::new(&MultibutterflySpec::figure1(), &config).unwrap();
+    let mut faults = FaultSet::new();
+    faults.kill_endpoint(9);
+    sim.apply_faults(faults);
+    let counts = |sim: &NetworkSim| {
+        let stats = sim.stats();
+        (stats.abandoned, stats.retries, stats.delivered)
+    };
+
+    sim.send(0, 9, &[1, 2, 3]);
+    sim.tick();
+    sim.reset_stats();
+    sim.run(2000);
+    assert!(sim.is_quiescent(), "the warm-up message was abandoned");
+    assert_eq!(counts(&sim), (0, 0, 0));
+
+    sim.send(0, 9, &[4, 5, 6]);
+    sim.run(2000);
+    assert!(sim.is_quiescent());
+    assert_eq!(counts(&sim), (1, 2, 0));
+}
+
 /// Reset means now, at any sync interval: what the routers counted in
 /// the cycles between the last sync and the reset — and what the healer
 /// notes after a cycle's sync — is before the reset, not after it.

@@ -2,8 +2,10 @@
 //! non-test code that advances the clock is `scenario::Run::step`, and
 //! the only non-test code that spells a driver's `StreamRecipe` is
 //! `Run::new` (the estimator spells the `schedule()` side). "One
-//! lowering" likewise: the simulator checks a scenario in `fabric.rs`
-//! alone.
+//! measured point": a `LoadPoint` is built in `experiment.rs` alone
+//! (`LoadPoint::measured`, which the run and the estimator both call).
+//! "One lowering" likewise: the simulator checks a scenario in
+//! `fabric.rs` alone.
 
 use std::path::{Path, PathBuf};
 
@@ -57,6 +59,13 @@ fn a_workload_driver_is_built_in_one_place() {
             "crates/sim/src/scenario/run.rs"
         ]
     );
+}
+
+#[test]
+fn a_load_point_is_built_in_one_place() {
+    let mut hits = files_with("LoadPoint {");
+    hits.dedup();
+    assert_eq!(hits, ["crates/sim/src/experiment.rs"]);
 }
 
 #[test]

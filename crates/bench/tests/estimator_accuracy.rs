@@ -6,6 +6,7 @@
 
 use metro_sim::engine::analytic::estimate_scenario;
 use metro_sim::scenario::{codec, run_scenario, Run, Scenario, ScenarioResult, WorkloadSpec};
+use metro_sim::workload::{ArrivalProcess, TraceEntry, WorkloadDriver};
 use metro_sim::LatencyStats;
 use std::path::PathBuf;
 
@@ -126,6 +127,81 @@ fn metro1k_estimate_quantiles_are_pinned() {
         [50.0, 95.0, 99.0].map(|q| latencies.percentile(q)),
         [24, 73, 99]
     );
+}
+
+#[test]
+fn load_estimate_digests_are_pinned() {
+    // The estimator is deterministic: these are the digests of its
+    // outcomes for every corpus `Load` scenario, so a change to the
+    // replay order or the arrival draws shows up here by name.
+    let mut digests = Vec::new();
+    for (name, scenario) in corpus() {
+        if matches!(scenario.workload, WorkloadSpec::Load { .. }) {
+            let est = estimate_scenario(&scenario).unwrap();
+            digests.push((name, est.outcomes.len(), est.outcomes.digest()));
+        }
+    }
+    let digests: Vec<(&str, usize, u64)> = digests
+        .iter()
+        .map(|(name, len, digest)| (name.as_str(), *len, *digest))
+        .collect();
+    assert_eq!(
+        digests,
+        [
+            ("figure3_load", 1709, 0x2006_bbf7_ff97_4f74),
+            ("hotspot_burst", 210, 0x0380_558a_3d16_21ee),
+            ("metro1k", 6409, 0x4d80_e751_d8b2_1ed0),
+            ("trace_replay", 60, 0xbfbf_3e9c_8614_6224),
+        ]
+    );
+}
+
+#[test]
+fn a_traces_same_cycle_entries_are_estimated_in_recorded_order() {
+    // The driver replays a trace by cycle, same-cycle entries in the
+    // order they were recorded, and the estimator requests them in the
+    // driver's order, not by source.
+    let (_, mut scenario) = corpus()
+        .into_iter()
+        .find(|(name, _)| name == "trace_replay")
+        .expect("trace_replay in corpus");
+    let WorkloadSpec::Load { arrival, .. } = &mut scenario.workload else {
+        panic!("trace_replay is a load workload");
+    };
+    let entries = vec![
+        TraceEntry {
+            at: 8,
+            src: 5,
+            dest: 1,
+            payload_words: 3,
+        },
+        TraceEntry {
+            at: 8,
+            src: 2,
+            dest: 6,
+            payload_words: 4,
+        },
+        TraceEntry {
+            at: 3,
+            src: 7,
+            dest: 0,
+            payload_words: 2,
+        },
+    ];
+    *arrival = ArrivalProcess::Trace(entries.clone());
+    let mut driver = WorkloadDriver::replay(&entries);
+    let mut polled = Vec::new();
+    for cycle in 0..10 {
+        driver.poll(cycle, |a| polled.push((cycle, a.src, a.payload_words)));
+    }
+    assert_eq!(polled, [(3, 7, 2), (8, 5, 3), (8, 2, 4)]);
+    let est = estimate_scenario(&scenario).unwrap();
+    let requested: Vec<(u64, usize, usize)> = est
+        .outcomes
+        .iter()
+        .map(|o| (o.requested_at, o.src, o.payload_words))
+        .collect();
+    assert_eq!(requested, polled);
 }
 
 #[test]

@@ -43,7 +43,7 @@ use crate::fabric::Fabric;
 use crate::message::{DeliveryStatus, FailureKind, MessageOutcome};
 use crate::scenario::{Scenario, ScenarioResult, SendSpec, WorkloadSpec};
 use crate::stats::NetworkStats;
-use crate::workload::{StreamRecipe, StreamSeeds};
+use crate::workload::{each_arrival, trace_order, ArrivalProcess, StreamRecipe, StreamSeeds};
 use metro_core::RandomSource;
 
 /// The stream-derivation salt for the estimator's sampling randomness:
@@ -56,6 +56,11 @@ const SAMPLE_SALT: u64 = 0xE571_AA7E;
 /// above anything the cluster models produce, mirroring the NIC's
 /// own watchdog discipline.
 const MAX_SAMPLED_ATTEMPTS: usize = 64;
+
+/// Cycles of arrivals the estimator draws from the arrival bank at a
+/// time: enough rows to keep the bank's kernel in its loop, few enough
+/// that they stay in cache while they are read.
+const BLOCK_CYCLES: u64 = 64;
 
 /// What a stage cluster is keyed by: every stage mapping to the same
 /// key shares one [`StageModel`]. The key is deliberately coarse —
@@ -173,6 +178,9 @@ struct FabricModel {
     nic_turnaround: u64,
     /// One resolved cluster model per stage, injection side first.
     models: Vec<StageModel>,
+    /// Per-attempt probability that an active fault corrupts the stream
+    /// somewhere along the path.
+    fault_probability: f64,
 }
 
 impl FabricModel {
@@ -180,17 +188,23 @@ impl FabricModel {
         let stages = fabric.topo.stages();
         let dp_total = (fabric.config.pipestages * stages) as u64;
         let wire_total: u64 = fabric.delays.iter().map(|&d| d as u64).sum();
-        let models = (0..stages)
+        let models: Vec<StageModel> = (0..stages)
             .map(|s| {
                 let dilation = fabric.topo.stage_spec(s).dilation;
                 StageModel::for_cluster(ClusterKey::new(dilation, load, faults, burstiness))
             })
             .collect();
+        let fault_probability = 1.0
+            - models
+                .iter()
+                .map(|m| 1.0 - m.fault_retry_probability)
+                .product::<f64>();
         Self {
             stream_overhead: fabric.stream_words(0) as u64,
             transit: dp_total + wire_total,
             nic_turnaround: 2,
             models,
+            fault_probability,
         }
     }
 
@@ -198,16 +212,6 @@ impl FabricModel {
     /// serialization plus the deterministic transit, out and back.
     fn base_network(&self, payload_words: usize) -> u64 {
         self.stream_overhead + payload_words as u64 + 2 * self.transit
-    }
-
-    /// Per-attempt probability that an active fault corrupts the stream
-    /// somewhere along the path.
-    fn fault_probability(&self) -> f64 {
-        1.0 - self
-            .models
-            .iter()
-            .map(|m| 1.0 - m.fault_retry_probability)
-            .product::<f64>()
     }
 
     /// Samples the stochastic penalty one message pays on top of its
@@ -230,7 +234,7 @@ impl FabricModel {
         let mut extra = 0u64;
         let mut failures = Vec::new();
         let round_trip = self.base_network(payload_words) as f64;
-        *fault_acc += self.fault_probability();
+        *fault_acc += self.fault_probability;
         if *fault_acc >= 1.0 {
             // Corrupted by an active fault: detected by the
             // destination's end-to-end check, so a full round trip is
@@ -263,7 +267,8 @@ impl FabricModel {
     }
 }
 
-/// A uniform draw in `[0, 1)` from the simulator's own PRNG.
+/// A uniform draw in `[0, 1]` from the simulator's own PRNG (a draw of
+/// `u32::MAX` is exactly 1).
 fn unit(rng: &mut RandomSource) -> f64 {
     rng.bits(32) as f64 / f64::from(u32::MAX)
 }
@@ -323,11 +328,13 @@ fn fault_pressure(scenario: &Scenario) -> usize {
 }
 
 /// The estimator's replay of a `Load` workload: arrivals are drawn from
-/// the *exact* per-endpoint streams the cycle engines use — the shared
-/// [`StreamRecipe::schedule`] rebuilds them from the same seeds and
-/// draws — so message counts and request times match the simulation;
-/// only each message's service time is sampled from the fabric model
-/// instead of simulated.
+/// the *exact* per-endpoint streams the cycle engines use — the arrival
+/// bank [`StreamRecipe::driver`] polls, rebuilt from the same seeds and
+/// drawn [`BLOCK_CYCLES`] rows at a time — and read in the driver's
+/// order (by cycle, then source), so message counts, request times and
+/// their order match the simulation; only each message's service time
+/// is sampled from the fabric model instead of simulated. A trace is
+/// replayed in the driver's order too.
 fn estimate_load(scenario: &Scenario, fabric: &Fabric, faults: usize) -> ScenarioResult {
     let WorkloadSpec::Load {
         pattern,
@@ -351,7 +358,7 @@ fn estimate_load(scenario: &Scenario, fabric: &Fabric, faults: usize) -> Scenari
     // but the trace itself is the workload, so measure the channel
     // utilization the recorded entries actually offer.
     let model_load = match arrival {
-        crate::workload::ArrivalProcess::Trace(entries) => {
+        ArrivalProcess::Trace(entries) => {
             let offered: u64 = entries
                 .iter()
                 .filter(|e| e.at < total)
@@ -364,25 +371,43 @@ fn estimate_load(scenario: &Scenario, fabric: &Fabric, faults: usize) -> Scenari
     let model = FabricModel::new(fabric, model_load, faults, arrival.burstiness());
     let stream_words = fabric.stream_words(payload_words);
 
-    // Exact arrival replay: the same recipe (seeds, draws, sort order)
-    // run_scenario's driver polls, precomputed over the offered window.
-    let recipe = StreamRecipe {
-        arrival,
-        rates,
-        pattern,
-        load,
-        stream_words,
-        payload_words,
-        endpoints: n,
-        seeds: StreamSeeds::load(scenario.seed),
-    };
-    let arrivals = recipe.schedule(total);
     // Destinations do not change the estimate: an outcome names its
     // source as its destination.
-    let requests = arrivals
-        .iter()
-        .map(|a| (a.at, a.src, a.src, a.payload_words));
-    let (mut result, stats) = replay(scenario, &model, requests, warmup, total + drain);
+    let mut requests = Vec::new();
+    if let ArrivalProcess::Trace(entries) = arrival {
+        let due = trace_order(entries).into_iter().filter(|e| e.at < total);
+        requests.extend(due.map(|e| (e.at, e.src, e.src, e.payload_words)));
+    } else {
+        // Exact arrival replay: the bank of the recipe the run's driver
+        // polls, drawn over the offered window.
+        let recipe = StreamRecipe {
+            arrival,
+            rates,
+            pattern,
+            load,
+            stream_words,
+            payload_words,
+            endpoints: n,
+            seeds: StreamSeeds::load(scenario.seed),
+        };
+        let mut bank = recipe.bank();
+        let words = bank.row_words();
+        let mut block = vec![0; BLOCK_CYCLES as usize * words];
+        for start in (0..total).step_by(BLOCK_CYCLES as usize) {
+            let rows = &mut block[..(total - start).min(BLOCK_CYCLES) as usize * words];
+            bank.draw(rows);
+            for (at, row) in (start..).zip(rows.chunks_exact(words)) {
+                each_arrival(row, |src| requests.push((at, src, src, payload_words)));
+            }
+        }
+    }
+    let (mut result, stats) = replay(
+        scenario,
+        &model,
+        requests.into_iter(),
+        warmup,
+        total + drain,
+    );
     result.point = Some(LoadPoint::measured(load, &stats, stream_words, measure, n));
     result
 }
@@ -456,6 +481,7 @@ fn replay(
 mod tests {
     use super::*;
     use crate::network::SimConfig;
+    use crate::workload::{RateMap, TraceEntry, TrafficPattern};
     use metro_topo::multibutterfly::MultibutterflySpec;
 
     #[test]
@@ -523,6 +549,69 @@ mod tests {
         // 1 header word + 19 payload + checksum + TURN = 22 words,
         // plus 3 pipestages out and back: the paper's ~28 cycles.
         assert_eq!(fabric.base_network(19), 28);
+    }
+
+    #[test]
+    fn a_load_estimate_requests_the_drivers_arrivals_in_its_order() {
+        // The estimator draws the arrival bank in blocks; its requests
+        // must be the run's driver polls, cycle for cycle and in the
+        // driver's order, for every process — here over a window that
+        // ends mid-block, with a drain long enough that none is in
+        // flight at the horizon.
+        let trace = ArrivalProcess::Trace(
+            [(70, 9), (70, 3), (5, 40), (599, 1), (600, 2)]
+                .map(|(at, src)| TraceEntry {
+                    at,
+                    src,
+                    dest: 0,
+                    payload_words: 19,
+                })
+                .to_vec(),
+        );
+        let (pattern, rates) = (TrafficPattern::Uniform, RateMap::Uniform);
+        for arrival in [
+            ArrivalProcess::Bernoulli,
+            ArrivalProcess::OnOff {
+                burst_mean: 20,
+                idle_mean: 30,
+            },
+            trace,
+        ] {
+            let mut s = Scenario::figure3("order", 0.5);
+            s.workload = WorkloadSpec::Load {
+                pattern: pattern.clone(),
+                arrival: arrival.clone(),
+                rates: rates.clone(),
+                load: 0.5,
+                payload_words: 19,
+                warmup: 100,
+                measure: 500,
+                drain: 100_000,
+            };
+            let est = estimate_scenario(&s).unwrap();
+            let got: Vec<(u64, usize)> = est
+                .outcomes
+                .iter()
+                .map(|o| (o.requested_at, o.src))
+                .collect();
+            let recipe = StreamRecipe {
+                arrival: &arrival,
+                rates: &rates,
+                pattern: &pattern,
+                load: 0.5,
+                stream_words: s.lower().unwrap().stream_words(19),
+                payload_words: 19,
+                endpoints: 64,
+                seeds: StreamSeeds::load(s.seed),
+            };
+            let mut driver = recipe.driver();
+            let mut polled = Vec::new();
+            for cycle in 0..600 {
+                driver.poll(cycle, |a| polled.push((cycle, a.src)));
+            }
+            assert!(!polled.is_empty(), "{arrival:?}");
+            assert_eq!(got, polled, "{arrival:?}");
+        }
     }
 
     #[test]

@@ -15,21 +15,25 @@
 //! * [`StreamRecipe`] bundles everything needed to rebuild a workload's
 //!   per-endpoint arrival sources bit-identically — process, rate map,
 //!   pattern, load, stream length, and [`StreamSeeds`].
+//! * The recipe's arrival bank holds every endpoint's source as
+//!   parallel vectors; one kernel advances them all and writes one
+//!   arrival bitmap row per cycle.
 //! * [`StreamRecipe::driver`] yields the cycle engines' view: a
-//!   [`WorkloadDriver`] polled once per cycle for [`Arrival`]s — built
-//!   and polled by [`Run`](crate::scenario::Run), the one run loop.
-//! * [`StreamRecipe::schedule`] yields the estimator's view: the same
-//!   arrivals, precomputed and sorted, drawn from the *same* streams.
+//!   [`WorkloadDriver`] polled once per cycle for [`Arrival`]s, each
+//!   poll one row — built and polled by [`Run`](crate::scenario::Run),
+//!   the one run loop.
+//! * The analytic estimator's view: the same bank, drawn a block of
+//!   rows at a time and read in cycle order.
 //!
 //! ## Arrival-process semantics
 //!
 //! * [`ArrivalProcess::Bernoulli`] — an independent coin per endpoint
-//!   per cycle at `p = load / stream_words` ([`LoadGenerator`]); the
-//!   memoryless source of every paper sweep.
-//! * [`ArrivalProcess::OnOff`] — a two-state Markov-modulated source
-//!   ([`OnOffGenerator`]): geometric dwell in a burst state (arrivals
-//!   at an elevated rate) and an idle state (no arrivals), calibrated
-//!   so the *mean* rate still equals `load / stream_words`.
+//!   per cycle at `p = load / stream_words`; the memoryless source of
+//!   every paper sweep.
+//! * [`ArrivalProcess::OnOff`] — a two-state Markov-modulated source:
+//!   geometric dwell in a burst state (arrivals at an elevated rate)
+//!   and an idle state (no arrivals), calibrated so the *mean* rate
+//!   still equals `load / stream_words`.
 //! * [`ArrivalProcess::Trace`] — replay of a recorded
 //!   `(cycle, src, dest, payload_words)` stream, for workloads no
 //!   stochastic model reproduces.
@@ -39,6 +43,7 @@
 //! transpose, bit-reversal, a fixed permutation).
 
 use metro_core::RandomSource;
+use std::array::{from_mut, from_ref};
 
 /// Per-endpoint seed stride for load workloads: endpoint `e` of a run
 /// seeded `s` draws arrivals from `s + e * 7919` (the 1000th prime).
@@ -245,11 +250,11 @@ pub struct TraceEntry {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ArrivalProcess {
     /// Independent per-cycle coin at `p = load / stream_words` — the
-    /// memoryless source of the paper's sweeps ([`LoadGenerator`]).
+    /// memoryless source of the paper's sweeps.
     Bernoulli,
-    /// Two-state bursty source ([`OnOffGenerator`]): geometric dwells
-    /// of the given mean lengths, arrivals only while bursting, mean
-    /// rate calibrated to the workload's `load`.
+    /// Two-state bursty source: geometric dwells of the given mean
+    /// lengths, arrivals only while bursting, mean rate calibrated to
+    /// the workload's `load`.
     OnOff {
         /// Mean cycles per burst (ON dwell), ≥ 1.
         burst_mean: u64,
@@ -521,135 +526,149 @@ impl std::fmt::Display for WorkloadError {
 
 impl std::error::Error for WorkloadError {}
 
-/// Bernoulli message arrivals at a configured offered load.
-///
-/// Offered load is expressed as the fraction of each source's injection
-/// capacity: a source at load 1.0 would stream messages back to back.
-/// With messages of `stream_words` words (header + payload + checksum +
-/// TURN), the per-cycle arrival probability is `load / stream_words`.
-#[derive(Debug, Clone)]
-pub struct LoadGenerator {
-    threshold: u64,
-    rng: RandomSource,
+/// The arrival threshold of a per-cycle probability `p`: a 32-bit draw
+/// below it arrives.
+fn threshold(p: f64) -> u64 {
+    (p * (u32::MAX as f64 + 1.0)) as u64
 }
 
-impl LoadGenerator {
-    /// Creates a generator for the given offered load (0.0–1.0+) and
-    /// message stream length.
-    #[must_use]
-    pub fn new(load: f64, stream_words: usize, seed: u64) -> Self {
-        let p = (load / stream_words.max(1) as f64).clamp(0.0, 1.0);
-        Self {
-            threshold: (p * (u32::MAX as f64 + 1.0)) as u64,
-            rng: RandomSource::new(seed),
-        }
-    }
+/// Sources the kernel steps abreast. One source's draws are a serial
+/// xorshift dependency chain (~7 cycles of pure latency per draw), but
+/// the sources are mutually independent, so stepping several per loop
+/// iteration lets the CPU overlap their chains.
+const LANES: usize = 4;
 
-    /// Whether a new message arrives this cycle.
-    #[inline]
-    pub fn arrival(&mut self) -> bool {
-        self.rng.bits(32) < self.threshold
-    }
-}
-
-/// A two-state bursty arrival source: geometric dwells in an ON state
-/// (arrivals at an elevated rate) and an OFF state (silence), with the
-/// ON rate calibrated so the long-run mean rate equals
-/// `load / stream_words` — the same mean a [`LoadGenerator`] at that
-/// load offers, concentrated into bursts.
+/// Every open-loop arrival source of one workload, as parallel vectors:
+/// source `e`'s stream, its arrival threshold and whether it is ON.
 ///
-/// Every cycle draws exactly two 32-bit values (one arrival coin, one
-/// dwell-transition coin) regardless of state, so a source's stream
+/// Offered load is a fraction of a source's injection capacity: at load
+/// 1.0 it would stream messages back to back, so with `stream_words`
+/// words per message (header + payload + checksum + TURN) a Bernoulli
+/// source arrives with probability `load / stream_words` per cycle, one
+/// `bits(32)` draw a cycle, and is ON for ever. An on/off source
+/// dwells geometrically in ON (arrivals at the mean rate over the duty
+/// cycle, capped at 1) and OFF (silence), so its long-run mean equals
+/// the Bernoulli rate at the same load. It draws an arrival word, then
+/// a dwell word, every cycle in both states, so a source's stream
 /// position is a pure function of its cycle count.
-#[derive(Debug, Clone)]
-pub struct OnOffGenerator {
-    /// Arrival threshold while ON.
-    threshold: u64,
-    /// Transition threshold out of ON (p = 1 / burst_mean).
-    exit_on: u64,
-    /// Transition threshold out of OFF (p = 1 / idle_mean).
-    exit_off: u64,
-    on: bool,
-    rng: RandomSource,
+#[derive(Debug)]
+pub(crate) struct ArrivalBank {
+    rngs: Vec<RandomSource>,
+    /// A draw below a source's threshold arrives while it is ON.
+    thresholds: Vec<u64>,
+    on: Vec<bool>,
+    /// The on/off exit thresholds `(out of ON, out of OFF)`; `None` for
+    /// Bernoulli sources, which draw no dwell word.
+    dwell: Option<(u64, u64)>,
 }
 
-impl OnOffGenerator {
-    /// Creates a bursty generator with the given mean dwell lengths
-    /// (clamped to ≥ 1 cycle). Sources start ON.
-    #[must_use]
-    pub fn new(load: f64, stream_words: usize, burst_mean: u64, idle_mean: u64, seed: u64) -> Self {
-        let burst = burst_mean.max(1) as f64;
-        let idle = idle_mean.max(1) as f64;
-        // Duty cycle of the ON state; the ON-state arrival probability
-        // is the mean probability boosted by 1/duty (capped at 1 — a
-        // very hot source saturates its bursts).
-        let duty = burst / (burst + idle);
-        let p_mean = (load / stream_words.max(1) as f64).clamp(0.0, 1.0);
-        let p_on = (p_mean / duty).clamp(0.0, 1.0);
-        let scale = u32::MAX as f64 + 1.0;
-        Self {
-            threshold: (p_on * scale) as u64,
-            exit_on: ((1.0 / burst) * scale) as u64,
-            exit_off: ((1.0 / idle) * scale) as u64,
-            on: true,
-            rng: RandomSource::new(seed),
-        }
+impl ArrivalBank {
+    /// Words in one arrival row: a bit per source.
+    pub(crate) fn row_words(&self) -> usize {
+        self.rngs.len().div_ceil(64)
     }
 
-    /// Whether a new message arrives this cycle.
-    #[inline]
-    pub fn arrival(&mut self) -> bool {
-        let arrival_draw = self.rng.bits(32);
-        let dwell_draw = self.rng.bits(32);
-        let fired = self.on && arrival_draw < self.threshold;
-        let exit = if self.on { self.exit_on } else { self.exit_off };
-        if dwell_draw < exit {
-            self.on = !self.on;
+    /// Advances every source one cycle per row of `rows` (each
+    /// [`Self::row_words`] long), setting bit `e % 64` of word `e / 64`
+    /// of a cycle's row when source `e` arrives in it.
+    pub(crate) fn draw(&mut self, rows: &mut [u64]) {
+        rows.fill(0);
+        let words = self.row_words();
+        let ArrivalBank {
+            rngs,
+            thresholds,
+            on,
+            dwell,
+        } = self;
+        let (rngs, rngs_tail) = rngs.as_chunks_mut::<LANES>();
+        let (thresholds, thresholds_tail) = thresholds.as_chunks::<LANES>();
+        let (on, on_tail) = on.as_chunks_mut::<LANES>();
+        let sources = rngs.iter_mut().zip(thresholds).zip(on);
+        for (group, ((rng, threshold), on)) in sources.enumerate() {
+            lanes(rng, threshold, on, *dwell, group * LANES, rows, words);
         }
-        fired
-    }
-}
-
-/// One endpoint's arrival stream — the stochastic processes behind a
-/// [`WorkloadDriver`]'s open-loop mode.
-#[derive(Debug, Clone)]
-enum ArrivalSource {
-    Bernoulli(LoadGenerator),
-    OnOff(OnOffGenerator),
-}
-
-impl ArrivalSource {
-    #[inline]
-    fn arrival(&mut self) -> bool {
-        match self {
-            Self::Bernoulli(g) => g.arrival(),
-            Self::OnOff(g) => g.arrival(),
+        let bulk = rngs.len() * LANES;
+        let tail = rngs_tail.iter_mut().zip(thresholds_tail).zip(on_tail);
+        for (j, ((rng, threshold), on)) in tail.enumerate() {
+            let (rng, threshold, on) = (from_mut(rng), from_ref(threshold), from_mut(on));
+            lanes(rng, threshold, on, *dwell, bulk + j, rows, words);
         }
     }
 }
 
-// The source's stream position (and the bursty source's dwell state).
-// Thresholds are construction-derived and not written; the saved
-// process kind must match this source's.
-metro_telemetry::state_walk! {
-    impl State for ArrivalSource => |this, s| {
-        let held = match this {
-            ArrivalSource::Bernoulli(_) => 0,
-            ArrivalSource::OnOff(_) => 1,
-        };
-        let mut kind = held;
-        s.u64(&mut kind)?;
-        s.check(
-            || kind == held,
-            format_args!("saved arrival process {kind} does not match the scenario's"),
-        )?;
-        match this {
-            ArrivalSource::Bernoulli(LoadGenerator { rng, .. }) => s.state(rng),
-            ArrivalSource::OnOff(OnOffGenerator { rng, on, .. }) => {
-                s.state(rng)?;
-                s.bool(on)
+/// [`ArrivalBank::draw`] for the `L` sources from `first` on, which
+/// share one row word.
+#[inline]
+fn lanes<const L: usize>(
+    rngs: &mut [RandomSource; L],
+    thresholds: &[u64; L],
+    on: &mut [bool; L],
+    dwell: Option<(u64, u64)>,
+    first: usize,
+    rows: &mut [u64],
+    words: usize,
+) {
+    let shift = first % 64;
+    let slots = rows.iter_mut().skip(first / 64).step_by(words);
+    match dwell {
+        None => {
+            for slot in slots {
+                let mut bits = 0;
+                for (j, (rng, threshold)) in rngs.iter_mut().zip(thresholds).enumerate() {
+                    bits |= u64::from(rng.bits(32) < *threshold) << j;
+                }
+                *slot |= bits << shift;
             }
         }
+        Some((exit_on, exit_off)) => {
+            for slot in slots {
+                let mut bits = 0;
+                let sources = rngs.iter_mut().zip(thresholds).zip(on.iter_mut());
+                for (j, ((rng, threshold), on)) in sources.enumerate() {
+                    let arrival = rng.bits(32);
+                    let dwell = rng.bits(32);
+                    bits |= u64::from(*on && arrival < *threshold) << j;
+                    *on ^= dwell < if *on { exit_on } else { exit_off };
+                }
+                *slot |= bits << shift;
+            }
+        }
+    }
+}
+
+/// Calls `f` with each source set in `row`, ascending.
+pub(crate) fn each_arrival(row: &[u64], mut f: impl FnMut(usize)) {
+    for (w, &word) in row.iter().enumerate() {
+        let mut bits = word;
+        while bits != 0 {
+            f(w * 64 + bits.trailing_zeros() as usize);
+            bits &= bits - 1;
+        }
+    }
+}
+
+// Per source, as one source wrote itself: its process kind (0
+// Bernoulli, 1 on/off, which must match the scenario's), its stream
+// position and, if on/off, its dwell state. Thresholds are rebuilt from
+// the scenario.
+metro_telemetry::state_walk! {
+    impl State for ArrivalBank => |this, s| {
+        let ArrivalBank { rngs, on, dwell, .. } = this;
+        let bursty = dwell.is_some();
+        let held = u64::from(bursty);
+        s.lane(rngs.into_iter().zip(on), "arrival sources", |s, (rng, on)| {
+            let mut kind = held;
+            s.u64(&mut kind)?;
+            s.check(
+                || kind == held,
+                format_args!("saved arrival process {kind} does not match the scenario's"),
+            )?;
+            s.state(rng)?;
+            if bursty {
+                s.bool(on)?;
+            }
+            Ok(())
+        })
     }
 }
 
@@ -666,8 +685,8 @@ pub struct Arrival {
 
 /// Everything needed to rebuild one workload's arrival streams
 /// bit-identically — the single construction recipe shared by the
-/// cycle engines ([`Self::driver`]) and the analytic estimator
-/// ([`Self::schedule`]).
+/// cycle engines ([`Self::driver`]) and the analytic estimator, which
+/// draws the same arrival bank.
 #[derive(Debug, Clone)]
 pub struct StreamRecipe<'a> {
     /// The arrival process.
@@ -689,25 +708,38 @@ pub struct StreamRecipe<'a> {
 }
 
 impl StreamRecipe<'_> {
-    /// The per-endpoint arrival source, seeded from the recipe's plan.
-    /// Open-loop processes only — `Trace` has no stochastic source.
-    fn source(&self, endpoint: usize) -> ArrivalSource {
-        let seed = self.seeds.stream_seed(endpoint);
-        let load = self.load * self.rates.rate(endpoint);
-        match self.arrival {
+    /// Every endpoint's arrival source, seeded from the recipe's plan,
+    /// all ON. Open-loop processes only — `Trace` has no stochastic
+    /// source.
+    pub(crate) fn bank(&self) -> ArrivalBank {
+        // The duty cycle of the ON state boosts an on/off source's ON
+        // rate; a Bernoulli source is ON at duty 1.
+        let (duty, dwell) = match self.arrival {
             ArrivalProcess::OnOff {
                 burst_mean,
                 idle_mean,
-            } => ArrivalSource::OnOff(OnOffGenerator::new(
-                load,
-                self.stream_words,
-                *burst_mean,
-                *idle_mean,
-                seed,
-            )),
-            // Trace is handled before sources are built; Bernoulli is
-            // the open-loop default.
-            _ => ArrivalSource::Bernoulli(LoadGenerator::new(load, self.stream_words, seed)),
+            } => {
+                let burst = (*burst_mean).max(1) as f64;
+                let idle = (*idle_mean).max(1) as f64;
+                let exits = (threshold(1.0 / burst), threshold(1.0 / idle));
+                (Some(burst / (burst + idle)), Some(exits))
+            }
+            _ => (None, None),
+        };
+        let thresholds = (0..self.endpoints)
+            .map(|e| {
+                let load = self.load * self.rates.rate(e);
+                let p = (load / self.stream_words.max(1) as f64).clamp(0.0, 1.0);
+                threshold(duty.map_or(p, |duty| (p / duty).clamp(0.0, 1.0)))
+            })
+            .collect();
+        ArrivalBank {
+            rngs: (0..self.endpoints)
+                .map(|e| RandomSource::new(self.seeds.stream_seed(e)))
+                .collect(),
+            thresholds,
+            on: vec![true; self.endpoints],
+            dwell,
         }
     }
 
@@ -717,119 +749,41 @@ impl StreamRecipe<'_> {
         if let ArrivalProcess::Trace(entries) = self.arrival {
             return WorkloadDriver::replay(entries);
         }
+        let bank = self.bank();
         WorkloadDriver {
             kind: DriverKind::Open {
                 pattern: self.pattern.clone(),
                 pattern_rng: RandomSource::new(self.seeds.pattern_seed),
-                sources: (0..self.endpoints).map(|e| self.source(e)).collect(),
+                row: vec![0; bank.row_words()],
+                bank,
                 payload_words: self.payload_words,
                 endpoints: self.endpoints,
             },
         }
     }
-
-    /// The estimator's view: every arrival of cycles `0..total`,
-    /// precomputed from the *same* streams [`Self::driver`] polls and
-    /// sorted by `(cycle, endpoint)` — exactly the order a cycle-major
-    /// poll would produce, since the per-endpoint streams draw
-    /// independently. Kept beside the driver because the estimator
-    /// polling [`Self::driver`] instead measured +39 % `estimate_cpu_s`
-    /// on on/off sources (DESIGN.md §16).
-    #[must_use]
-    pub fn schedule(&self, total: u64) -> Vec<ScheduledArrival> {
-        if let ArrivalProcess::Trace(entries) = self.arrival {
-            let mut sched: Vec<ScheduledArrival> = entries
-                .iter()
-                .filter(|e| e.at < total)
-                .map(|e| ScheduledArrival {
-                    at: e.at,
-                    src: e.src,
-                    payload_words: e.payload_words,
-                })
-                .collect();
-            sched.sort_unstable();
-            return sched;
-        }
-        let mut arrivals: Vec<ScheduledArrival> = Vec::new();
-        let mut push = |at: u64, src: usize, payload_words: usize| {
-            arrivals.push(ScheduledArrival {
-                at,
-                src,
-                payload_words,
-            });
-        };
-        // Endpoint-major replay, four sources abreast: one source's
-        // draw sequence is a serial xorshift dependency chain (~7
-        // cycles per draw of pure latency), but the sources are
-        // mutually independent, so stepping four per loop iteration
-        // lets the CPU overlap four chains and sets the pace by
-        // throughput instead. The final sort restores exactly the
-        // order a cycle-major poll would produce.
-        let n = self.endpoints;
-        let words = self.payload_words;
-        let mut e = 0;
-        while e + 4 <= n {
-            let (mut g0, mut g1, mut g2, mut g3) = (
-                self.source(e),
-                self.source(e + 1),
-                self.source(e + 2),
-                self.source(e + 3),
-            );
-            for cycle in 0..total {
-                if g0.arrival() {
-                    push(cycle, e, words);
-                }
-                if g1.arrival() {
-                    push(cycle, e + 1, words);
-                }
-                if g2.arrival() {
-                    push(cycle, e + 2, words);
-                }
-                if g3.arrival() {
-                    push(cycle, e + 3, words);
-                }
-            }
-            e += 4;
-        }
-        while e < n {
-            let mut g = self.source(e);
-            for cycle in 0..total {
-                if g.arrival() {
-                    push(cycle, e, words);
-                }
-            }
-            e += 1;
-        }
-        arrivals.sort_unstable();
-        arrivals
-    }
 }
 
-/// One precomputed arrival of a [`StreamRecipe::schedule`] — what the
-/// analytic estimator iterates instead of polling a driver per cycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub struct ScheduledArrival {
-    /// Request cycle.
-    pub at: u64,
-    /// Source endpoint.
-    pub src: usize,
-    /// Payload words.
-    pub payload_words: usize,
+/// A trace's entries in replay order: by cycle, same-cycle entries in
+/// recorded order.
+pub(crate) fn trace_order(entries: &[TraceEntry]) -> Vec<TraceEntry> {
+    let mut entries = entries.to_vec();
+    entries.sort_by_key(|e| e.at);
+    entries
 }
 
 #[derive(Debug)]
 enum DriverKind {
-    /// Open-loop stochastic arrivals: per-endpoint sources plus the
-    /// shared destination-pattern stream.
+    /// Open-loop stochastic arrivals: the sources, one row of their
+    /// arrivals, and the shared destination-pattern stream.
     Open {
         pattern: TrafficPattern,
         pattern_rng: RandomSource,
-        sources: Vec<ArrivalSource>,
+        bank: ArrivalBank,
+        row: Vec<u64>,
         payload_words: usize,
         endpoints: usize,
     },
-    /// Trace replay: entries pre-sorted by cycle (stable, so same-cycle
-    /// entries keep their recorded order).
+    /// Trace replay: entries in [`trace_order`].
     Replay {
         entries: Vec<TraceEntry>,
         cursor: usize,
@@ -848,37 +802,39 @@ impl WorkloadDriver {
     /// A driver replaying a recorded arrival stream.
     #[must_use]
     pub fn replay(entries: &[TraceEntry]) -> Self {
-        let mut entries = entries.to_vec();
-        entries.sort_by_key(|e| e.at);
         Self {
-            kind: DriverKind::Replay { entries, cursor: 0 },
+            kind: DriverKind::Replay {
+                entries: trace_order(entries),
+                cursor: 0,
+            },
         }
     }
 
     /// Yields every arrival due at `cycle`, in endpoint order (open
     /// loop) or recorded order (trace). Must be called with
-    /// monotonically non-decreasing cycles; each open-loop source draws
-    /// exactly once per call, which is what makes a driver poll
-    /// bit-identical to the historical inline loops.
+    /// monotonically non-decreasing cycles. Each call advances every
+    /// open-loop source exactly one cycle — one draw for a Bernoulli
+    /// source, two for an on/off one — and draws one destination per
+    /// arrival, so nothing is drawn ahead of the cycle and a driver poll
+    /// is bit-identical to the historical inline loops.
     pub fn poll(&mut self, cycle: u64, mut deliver: impl FnMut(Arrival)) {
         match &mut self.kind {
             DriverKind::Open {
                 pattern,
                 pattern_rng,
-                sources,
+                bank,
+                row,
                 payload_words,
                 endpoints,
             } => {
-                for (e, source) in sources.iter_mut().enumerate() {
-                    if source.arrival() {
-                        let dest = pattern.destination(e, *endpoints, pattern_rng);
-                        deliver(Arrival {
-                            src: e,
-                            dest,
-                            payload_words: *payload_words,
-                        });
-                    }
-                }
+                bank.draw(row);
+                each_arrival(row, |src| {
+                    deliver(Arrival {
+                        src,
+                        dest: pattern.destination(src, *endpoints, pattern_rng),
+                        payload_words: *payload_words,
+                    });
+                });
             }
             DriverKind::Replay { entries, cursor } => {
                 while let Some(e) = entries.get(*cursor) {
@@ -897,10 +853,10 @@ impl WorkloadDriver {
     }
 }
 
-// The driver's stream position: the pattern RNG and per-source positions
-// (open loop) or the replay cursor (trace), into a driver rebuilt from
-// the same recipe. Everything else — thresholds, the pattern, the trace
-// entries — is rebuilt from the scenario's recipe.
+// The driver's stream position: the pattern RNG and the sources'
+// positions (open loop) or the replay cursor (trace), into a driver
+// rebuilt from the same recipe. Everything else — thresholds, the
+// pattern, the trace entries — is rebuilt from the scenario's recipe.
 metro_telemetry::state_walk! {
     impl State for WorkloadDriver => |this, s| {
         let WorkloadDriver { kind } = this;
@@ -916,9 +872,9 @@ metro_telemetry::state_walk! {
             format_args!("saved driver kind {saved} does not match the scenario's workload"),
         )?;
         match kind {
-            DriverKind::Open { pattern_rng, sources, .. } => {
+            DriverKind::Open { pattern_rng, bank, .. } => {
                 s.state(pattern_rng)?;
-                s.lane(sources, "arrival sources", |s, source| s.state(source))
+                s.state(bank)
             }
             // One past the last entry is a finished replay.
             DriverKind::Replay { entries, cursor } => {
@@ -933,18 +889,66 @@ mod tests {
     use super::*;
     use metro_telemetry::{State, StateReader, StateWriter};
 
+    /// Whether endpoint 0 of a two-endpoint driver offers a message,
+    /// cycle by cycle: its stream seeded `seed`, its messages 25 words.
+    fn endpoint_0_arrivals(
+        arrival: &ArrivalProcess,
+        load: f64,
+        seed: u64,
+        cycles: u64,
+    ) -> Vec<bool> {
+        let pattern = TrafficPattern::Uniform;
+        let recipe = StreamRecipe {
+            arrival,
+            rates: &RateMap::Uniform,
+            pattern: &pattern,
+            load,
+            stream_words: 25,
+            payload_words: 4,
+            endpoints: 2,
+            seeds: StreamSeeds {
+                pattern_seed: seed,
+                stream_base: seed,
+                stream_stride: 1,
+            },
+        };
+        let mut driver = recipe.driver();
+        (0..cycles)
+            .map(|cycle| {
+                let mut arrived = false;
+                driver.poll(cycle, |a| arrived |= a.src == 0);
+                arrived
+            })
+            .collect()
+    }
+
+    fn count(arrivals: &[bool]) -> usize {
+        arrivals.iter().filter(|&&a| a).count()
+    }
+
     #[test]
-    fn load_generator_rate_is_calibrated() {
-        let mut g = LoadGenerator::new(0.5, 25, 7);
-        let arrivals = (0..100_000).filter(|_| g.arrival()).count();
+    fn bernoulli_rate_is_calibrated() {
+        let arrivals = count(&endpoint_0_arrivals(
+            &ArrivalProcess::Bernoulli,
+            0.5,
+            7,
+            100_000,
+        ));
         // Expected p = 0.02 -> ~2000 arrivals.
         assert!((1700..2300).contains(&arrivals), "got {arrivals}");
     }
 
     #[test]
     fn zero_load_never_arrives() {
-        let mut g = LoadGenerator::new(0.0, 25, 7);
-        assert!((0..10_000).filter(|_| g.arrival()).count() == 0);
+        assert_eq!(
+            count(&endpoint_0_arrivals(
+                &ArrivalProcess::Bernoulli,
+                0.0,
+                7,
+                10_000
+            )),
+            0
+        );
     }
 
     #[test]
@@ -979,8 +983,11 @@ mod tests {
         // Bernoulli source at the same load — bursts concentrate, not
         // inflate, the traffic.
         let cycles = 400_000;
-        let mut bursty = OnOffGenerator::new(0.4, 25, 40, 60, 11);
-        let got = (0..cycles).filter(|_| bursty.arrival()).count() as f64;
+        let bursty = ArrivalProcess::OnOff {
+            burst_mean: 40,
+            idle_mean: 60,
+        };
+        let got = count(&endpoint_0_arrivals(&bursty, 0.4, 11, cycles)) as f64;
         let expected = 0.4 / 25.0 * cycles as f64;
         assert!(
             (got - expected).abs() / expected < 0.15,
@@ -993,7 +1000,8 @@ mod tests {
         // Windowed arrival counts must be burstier than Bernoulli's:
         // compare the variance-to-mean ratio (index of dispersion) of
         // 100-cycle window counts.
-        fn dispersion(counts: &[usize]) -> f64 {
+        fn dispersion(arrivals: &[bool]) -> f64 {
+            let counts: Vec<usize> = arrivals.chunks(100).map(count).collect();
             let mean = counts.iter().sum::<usize>() as f64 / counts.len() as f64;
             let var = counts
                 .iter()
@@ -1002,15 +1010,13 @@ mod tests {
                 / counts.len() as f64;
             var / mean
         }
-        let windows = 2_000;
-        let mut bern = LoadGenerator::new(0.5, 25, 3);
-        let mut bursty = OnOffGenerator::new(0.5, 25, 50, 150, 3);
-        let b: Vec<usize> = (0..windows)
-            .map(|_| (0..100).filter(|_| bern.arrival()).count())
-            .collect();
-        let o: Vec<usize> = (0..windows)
-            .map(|_| (0..100).filter(|_| bursty.arrival()).count())
-            .collect();
+        let cycles = 2_000 * 100;
+        let b = endpoint_0_arrivals(&ArrivalProcess::Bernoulli, 0.5, 3, cycles);
+        let bursty = ArrivalProcess::OnOff {
+            burst_mean: 50,
+            idle_mean: 150,
+        };
+        let o = endpoint_0_arrivals(&bursty, 0.5, 3, cycles);
         assert!(
             dispersion(&o) > 2.0 * dispersion(&b),
             "on/off dispersion {} must exceed bernoulli {}",
@@ -1033,100 +1039,45 @@ mod tests {
     #[test]
     fn driver_poll_matches_the_historical_inline_loop() {
         // The open-loop driver must reproduce the exact pre-refactor
-        // loop: per-endpoint LoadGenerator at seed + e * 7919, shared
-        // pattern stream at seed ^ 0xABCD, endpoint-order draws.
-        let (seed, n, stream_words, load) = (0x5EED_u64, 8_usize, 25_usize, 0.6_f64);
+        // loop: endpoint e's stream at seed + e * 7919 arriving when a
+        // 32-bit draw falls below the load's threshold, the shared
+        // pattern stream at seed ^ 0xABCD, endpoint-order draws. 70
+        // endpoints fill two row words and leave a partial lane group.
+        let (seed, stream_words, load) = (0x5EED_u64, 25_usize, 0.6_f64);
         let pattern = TrafficPattern::Uniform;
-        let recipe = StreamRecipe {
-            arrival: &ArrivalProcess::Bernoulli,
-            rates: &RateMap::Uniform,
-            pattern: &pattern,
-            load,
-            stream_words,
-            payload_words: 4,
-            endpoints: n,
-            seeds: StreamSeeds::load(seed),
-        };
-        let mut driver = recipe.driver();
-        let mut got = Vec::new();
-        for cycle in 0..500u64 {
-            driver.poll(cycle, |a| got.push((cycle, a.src, a.dest)));
-        }
+        for n in [8_usize, 70] {
+            let recipe = StreamRecipe {
+                arrival: &ArrivalProcess::Bernoulli,
+                rates: &RateMap::Uniform,
+                pattern: &pattern,
+                load,
+                stream_words,
+                payload_words: 4,
+                endpoints: n,
+                seeds: StreamSeeds::load(seed),
+            };
+            let mut driver = recipe.driver();
+            let mut got = Vec::new();
+            for cycle in 0..500u64 {
+                driver.poll(cycle, |a| got.push((cycle, a.src, a.dest)));
+            }
 
-        let mut pattern_rng = RandomSource::new(seed ^ 0xABCD);
-        let mut gens: Vec<LoadGenerator> = (0..n)
-            .map(|e| LoadGenerator::new(load, stream_words, seed.wrapping_add(e as u64 * 7919)))
-            .collect();
-        let mut expect = Vec::new();
-        for cycle in 0..500u64 {
-            for (e, g) in gens.iter_mut().enumerate() {
-                if g.arrival() {
-                    let dest = pattern.destination(e, n, &mut pattern_rng);
-                    expect.push((cycle, e, dest));
+            let threshold = (load / stream_words as f64 * (u32::MAX as f64 + 1.0)) as u64;
+            let mut pattern_rng = RandomSource::new(seed ^ 0xABCD);
+            let mut streams: Vec<RandomSource> = (0..n)
+                .map(|e| RandomSource::new(seed.wrapping_add(e as u64 * 7919)))
+                .collect();
+            let mut expect = Vec::new();
+            for cycle in 0..500u64 {
+                for (e, stream) in streams.iter_mut().enumerate() {
+                    if stream.bits(32) < threshold {
+                        let dest = pattern.destination(e, n, &mut pattern_rng);
+                        expect.push((cycle, e, dest));
+                    }
                 }
             }
-        }
-        assert!(!expect.is_empty());
-        assert_eq!(got, expect, "driver diverged from the historical loop");
-    }
-
-    #[test]
-    fn schedule_matches_driver_poll_for_every_process() {
-        // The estimator's precomputed schedule and the engines' driver
-        // must be two views of one stream.
-        let trace = ArrivalProcess::Trace(vec![
-            TraceEntry {
-                at: 3,
-                src: 1,
-                dest: 2,
-                payload_words: 4,
-            },
-            TraceEntry {
-                at: 3,
-                src: 0,
-                dest: 5,
-                payload_words: 2,
-            },
-            TraceEntry {
-                at: 700,
-                src: 2,
-                dest: 0,
-                payload_words: 1,
-            },
-        ]);
-        let rates = RateMap::PerEndpoint(vec![1.5, 0.5, 1.0, 1.0, 2.0, 0.0, 1.0, 1.0]);
-        for arrival in [
-            ArrivalProcess::Bernoulli,
-            ArrivalProcess::OnOff {
-                burst_mean: 20,
-                idle_mean: 30,
-            },
-            trace,
-        ] {
-            let pattern = TrafficPattern::Uniform;
-            let recipe = StreamRecipe {
-                arrival: &arrival,
-                rates: &rates,
-                pattern: &pattern,
-                load: 0.5,
-                stream_words: 25,
-                payload_words: 4,
-                endpoints: 8,
-                seeds: StreamSeeds::load(0xAB),
-            };
-            let total = 600u64;
-            let mut driver = recipe.driver();
-            let mut polled = Vec::new();
-            for cycle in 0..total {
-                driver.poll(cycle, |a| polled.push((cycle, a.src, a.payload_words)));
-            }
-            polled.sort_unstable();
-            let sched: Vec<(u64, usize, usize)> = recipe
-                .schedule(total)
-                .into_iter()
-                .map(|a| (a.at, a.src, a.payload_words))
-                .collect();
-            assert_eq!(sched, polled, "schedule/driver split for {arrival:?}");
+            assert!(!expect.is_empty());
+            assert_eq!(got, expect, "driver diverged from the historical loop");
         }
     }
 
@@ -1144,13 +1095,11 @@ mod tests {
             endpoints: 2,
             seeds: StreamSeeds::load(0x11),
         };
-        let counts = recipe
-            .schedule(20_000)
-            .iter()
-            .fold([0usize; 2], |mut c, a| {
-                c[a.src] += 1;
-                c
-            });
+        let mut driver = recipe.driver();
+        let mut counts = [0usize; 2];
+        for cycle in 0..20_000 {
+            driver.poll(cycle, |a| counts[a.src] += 1);
+        }
         assert!(counts[0] > 400, "hot endpoint starved: {counts:?}");
         assert_eq!(counts[1], 0, "zero-rate endpoint must stay silent");
     }
@@ -1203,8 +1152,35 @@ mod tests {
         ));
     }
 
+    /// The eight-endpoint recipe the checkpoint tests drive.
+    fn ckpt_recipe<'a>(
+        arrival: &'a ArrivalProcess,
+        pattern: &'a TrafficPattern,
+    ) -> StreamRecipe<'a> {
+        StreamRecipe {
+            arrival,
+            rates: &RateMap::Uniform,
+            pattern,
+            load: 0.6,
+            stream_words: 25,
+            payload_words: 4,
+            endpoints: 8,
+            seeds: StreamSeeds::load(0x1CE),
+        }
+    }
+
+    /// A driver's state words.
+    fn saved_words(driver: &WorkloadDriver) -> Vec<u64> {
+        let mut w = StateWriter::new();
+        driver.save_state(&mut w);
+        w.into_words()
+    }
+
     #[test]
     fn driver_save_restore_resumes_every_process_exactly() {
+        // A run polls its driver for the driven window only; a
+        // checkpoint in the drain holds the driver as the window left it.
+        const DRIVEN: u64 = 600;
         let trace = ArrivalProcess::Trace(vec![
             TraceEntry {
                 at: 100,
@@ -1219,6 +1195,7 @@ mod tests {
                 payload_words: 2,
             },
         ]);
+        let pattern = TrafficPattern::Uniform;
         for arrival in [
             ArrivalProcess::Bernoulli,
             ArrivalProcess::OnOff {
@@ -1227,39 +1204,109 @@ mod tests {
             },
             trace,
         ] {
-            let pattern = TrafficPattern::Uniform;
-            let recipe = StreamRecipe {
-                arrival: &arrival,
-                rates: &RateMap::Uniform,
-                pattern: &pattern,
-                load: 0.6,
-                stream_words: 25,
-                payload_words: 4,
-                endpoints: 8,
-                seeds: StreamSeeds::load(0x1CE),
-            };
-            // One driver runs straight through; a twin is rebuilt from
-            // the recipe mid-stream and restored from a checkpoint.
-            let mut straight = recipe.driver();
-            let mut live = recipe.driver();
-            for cycle in 0..300u64 {
-                straight.poll(cycle, |_| {});
-                live.poll(cycle, |_| {});
+            let recipe = ckpt_recipe(&arrival, &pattern);
+            for at in [0, 1, 63, 64, 65, 300, DRIVEN + 1] {
+                // One driver runs straight through; a twin is rebuilt
+                // from the recipe at cycle `at` and restored from a
+                // checkpoint of the first.
+                let mut straight = recipe.driver();
+                for cycle in 0..at.min(DRIVEN) {
+                    straight.poll(cycle, |_| {});
+                }
+                let words = saved_words(&straight);
+                let mut resumed = recipe.driver();
+                let mut r = StateReader::new(&words);
+                resumed.restore_state(&mut r).expect("restore");
+                r.finish().expect("no trailing state");
+                for cycle in at.min(DRIVEN)..DRIVEN + 300 {
+                    let mut a = Vec::new();
+                    let mut b = Vec::new();
+                    straight.poll(cycle, |x| a.push(x));
+                    resumed.poll(cycle, |x| b.push(x));
+                    assert_eq!(a, b, "cycle {cycle} resumed at {at} under {arrival:?}");
+                }
             }
-            let mut w = StateWriter::new();
-            live.save_state(&mut w);
-            let words = w.into_words();
-            let mut resumed = recipe.driver();
-            let mut r = StateReader::new(&words);
-            resumed.restore_state(&mut r).expect("restore");
-            r.finish().expect("no trailing state");
-            for cycle in 300..600u64 {
-                let mut a = Vec::new();
-                let mut b = Vec::new();
-                straight.poll(cycle, |x| a.push(x));
-                resumed.poll(cycle, |x| b.push(x));
-                assert_eq!(a, b, "cycle {cycle} under {arrival:?}");
+        }
+    }
+
+    #[test]
+    fn driver_checkpoint_words_are_pinned() {
+        // The exact `workload` section the enum-per-source driver wrote
+        // at cycle 300: the tag, the driver kind, the pattern stream,
+        // the source count, then per source its process kind, its
+        // stream and (on/off) whether it is ON. The committed checkpoint
+        // fixtures are scripted workloads, so nothing else pins these.
+        let pattern = TrafficPattern::Uniform;
+        let bursty = ArrivalProcess::OnOff {
+            burst_mean: 20,
+            idle_mean: 30,
+        };
+        let pinned: [(&ArrivalProcess, &[u64]); 2] = [
+            (
+                &ArrivalProcess::Bernoulli,
+                &[
+                    0x6461_6f6c_6b72_6f77,
+                    0x0,
+                    0x3aba_0604_aa01_497c,
+                    0x8,
+                    0x0,
+                    0x9181_02f1_db95_0a11,
+                    0x0,
+                    0xe32f_b13e_67dc_4b26,
+                    0x0,
+                    0x7751_25cb_21cb_6043,
+                    0x0,
+                    0xfdba_dc9c_0e3a_210f,
+                    0x0,
+                    0xe387_ba2a_d210_b110,
+                    0x0,
+                    0x86a0_f9c7_4dba_3ef8,
+                    0x0,
+                    0xed88_074b_b498_0f24,
+                    0x0,
+                    0x0cdd_0460_61c3_5d99,
+                ],
+            ),
+            (
+                &bursty,
+                &[
+                    0x6461_6f6c_6b72_6f77,
+                    0x0,
+                    0x5852_d2e1_13c6_9317,
+                    0x8,
+                    0x1,
+                    0x7181_c636_b81d_1e4b,
+                    0x0,
+                    0x1,
+                    0xe591_4126_9771_41b9,
+                    0x1,
+                    0x1,
+                    0xa413_3a9b_aebb_0673,
+                    0x1,
+                    0x1,
+                    0x51b8_808e_3cd8_0f78,
+                    0x1,
+                    0x1,
+                    0x8d96_f0f5_19ab_e401,
+                    0x0,
+                    0x1,
+                    0xdc4f_7c49_3c98_1225,
+                    0x1,
+                    0x1,
+                    0x4ada_3497_0417_9805,
+                    0x0,
+                    0x1,
+                    0x9f65_8276_14bb_5ec1,
+                    0x0,
+                ],
+            ),
+        ];
+        for (arrival, words) in pinned {
+            let mut driver = ckpt_recipe(arrival, &pattern).driver();
+            for cycle in 0..300 {
+                driver.poll(cycle, |_| {});
             }
+            assert_eq!(saved_words(&driver), words, "{arrival:?}");
         }
     }
 

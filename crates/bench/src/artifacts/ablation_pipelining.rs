@@ -122,7 +122,7 @@ fn run(ctx: &RunCtx) -> Result<ArtifactOutput, String> {
     ]);
     // The serial-setup Table 4 cell as a scripted scenario (the
     // `table4_hw0` corpus entry).
-    let scenario = crate::scenarios::named("table4_hw0").expect("catalog entry");
+    let scenario = crate::scenarios::named("table4_hw0").expect("a corpus file");
     Ok(ArtifactOutput {
         human: out,
         json,

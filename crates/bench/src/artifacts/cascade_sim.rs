@@ -102,7 +102,7 @@ fn run(ctx: &RunCtx) -> Result<ArtifactOutput, String> {
     ]);
     // The width-4 cell as a scripted scenario (the `cascade_w4` corpus
     // entry).
-    let scenario = crate::scenarios::named("cascade_w4").expect("catalog entry");
+    let scenario = crate::scenarios::named("cascade_w4").expect("a corpus file");
     Ok(ArtifactOutput {
         human: out,
         json,

@@ -5,7 +5,7 @@
 
 use metro_harness::{Artifact, ArtifactOutput, Json, RunCtx};
 use metro_timing::catalog::table3;
-use metro_timing::sweeps::{crossover_bytes, message_size_sweep_jobs, serialization_fraction};
+use metro_timing::sweeps::{crossover_bytes, message_size_sweep, serialization_fraction};
 use std::fmt::Write as _;
 
 const SIZES: [usize; 5] = [4, 8, 20, 64, 256];
@@ -23,7 +23,7 @@ pub fn artifact() -> Artifact {
     }
 }
 
-fn run(ctx: &RunCtx) -> Result<ArtifactOutput, String> {
+fn run(_ctx: &RunCtx) -> Result<ArtifactOutput, String> {
     let mut out = String::new();
     let _ = writeln!(out, "=== Delivery latency vs message size (ns) ===\n");
     let rows = table3();
@@ -38,7 +38,7 @@ fn run(ctx: &RunCtx) -> Result<ArtifactOutput, String> {
     for &k in &PICKS {
         let r = &rows[k];
         let _ = write!(out, "{:<36}", format!("{} [{}]", r.name, r.technology));
-        let sweep = message_size_sweep_jobs(&r.model(), &SIZES, ctx.jobs);
+        let sweep = message_size_sweep(&r.model(), &SIZES);
         let mut latencies = Vec::new();
         for (bytes, ns) in &sweep {
             let _ = write!(out, "{ns:>10.0}");

@@ -7,7 +7,7 @@
 //! metro scenario run scenarios/figure1.json --checkpoint-every 64 \
 //!                                           --checkpoint-dir checkpoints
 //! metro resume checkpoints/figure1.ckpt.json   # continue after a crash
-//! metro scenario dump figure3_load              # print a corpus scenario
+//! metro scenario dump edited.json              # print its canonical bytes
 //! metro scenario validate scenarios/*.json      # canonical bytes, and it lowers
 //! metro scenario fuzz --count 25 --seed 7       # differential Flat vs Reference
 //! ```
@@ -24,7 +24,6 @@
 //! rebuilds the run from the snapshot and finishes it; the resumed
 //! result document is byte-identical to the uninterrupted run's.
 
-use crate::scenarios;
 use metro_harness::results::{ResultsDir, RunRecord};
 use metro_harness::{cli, log, Json};
 use metro_sim::checkpoint::Checkpoint;
@@ -45,7 +44,7 @@ fn usage() -> String {
      \x20                           --checkpoint-every K snapshots resumable\n\
      \x20                           state every K cycles into --checkpoint-dir,\n\
      \x20                           default `checkpoints`)\n\
-     \x20 dump <name>               print a corpus scenario (see `dump --list`)\n\
+     \x20 dump <file.json>          print the file's canonical encoding\n\
      \x20 validate <file.json>...   check canonical bytes, then lower the scenario\n\
      \x20 fuzz [--count N] [--seed S] [--shards N]\n\
      \x20                           differential campaign: Flat vs Reference,\n\
@@ -71,7 +70,15 @@ pub struct CheckpointOpts {
 /// code.
 #[must_use]
 pub fn main(args: &[String]) -> i32 {
+    let help = args
+        .iter()
+        .skip(1)
+        .any(|a| matches!(a.as_str(), "--help" | "-h"));
     match args.first().map(String::as_str) {
+        Some("run" | "dump" | "validate" | "fuzz") if help => {
+            log::output(&usage());
+            0
+        }
         Some("run") => cmd_run(&args[1..], &ResultsDir::standard()),
         Some("dump") => cmd_dump(&args[1..]),
         Some("validate") => cmd_validate(&args[1..]),
@@ -217,8 +224,7 @@ pub fn run_file_with_options(
     shards: Option<usize>,
     checkpoint: Option<&CheckpointOpts>,
 ) -> Result<String, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path:?}: {e}"))?;
-    let scenario = codec::from_text(&text).map_err(|e| e.to_string())?;
+    let (scenario, _) = read_scenario(path)?;
     let params = Json::obj([("source", Json::from(path))]);
     run_and_record(scenario, None, params, results, shards, checkpoint)
 }
@@ -372,30 +378,29 @@ fn record_scenario_result(
     Ok(summary)
 }
 
+/// Reads and decodes one scenario file; the scenario and the file's text.
+fn read_scenario(path: &str) -> Result<(Scenario, String), String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path:?}: {e}"))?;
+    let scenario = codec::from_text(&text).map_err(|e| e.to_string())?;
+    Ok((scenario, text))
+}
+
+/// Prints one scenario file's canonical encoding: the bytes `validate`
+/// demands, so a hand-edited file is made canonical by writing this
+/// output over it.
 fn cmd_dump(args: &[String]) -> i32 {
-    match args.first().map(String::as_str) {
-        Some("--list") => {
-            for name in scenarios::NAMED {
-                log::output(&format!("{name}\n"));
-            }
+    let [path] = args else {
+        log::error("metro scenario dump: expects one scenario file");
+        return 2;
+    };
+    match read_scenario(path) {
+        Ok((scenario, _)) => {
+            log::output(&codec::encode(&scenario).render());
             0
         }
-        Some(name) => match scenarios::named(name) {
-            Some(s) => {
-                log::output(&scenarios::emit(&s).render());
-                0
-            }
-            None => {
-                log::error(&format!(
-                    "metro scenario dump: unknown scenario {name:?} (known: {})",
-                    scenarios::NAMED.join(", ")
-                ));
-                2
-            }
-        },
-        None => {
-            log::error("metro scenario dump: missing scenario name");
-            2
+        Err(e) => {
+            log::error(&format!("metro scenario dump: {e}"));
+            1
         }
     }
 }
@@ -427,15 +432,12 @@ fn cmd_validate(args: &[String]) -> i32 {
 ///
 /// Returns a description of the first failure.
 pub fn validate_file(path: &str) -> Result<String, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path:?}: {e}"))?;
-    let scenario = codec::from_text(&text).map_err(|e| e.to_string())?;
-    let re_rendered = codec::encode(&scenario).render();
-    if re_rendered != text {
-        return Err(
+    let (scenario, text) = read_scenario(path)?;
+    if codec::encode(&scenario).render() != text {
+        return Err(format!(
             "file is not in canonical form (re-encoding changes the bytes); \
-             regenerate it with `metro scenario dump`"
-                .to_string(),
-        );
+             `metro scenario dump {path}` prints its canonical bytes"
+        ));
     }
     scenario.lower().map_err(|e| e.to_string())?;
     Ok(scenario.name)
@@ -708,6 +710,19 @@ mod tests {
     }
 
     #[test]
+    fn every_command_answers_help() {
+        for command in ["run", "dump", "validate", "fuzz"] {
+            for flag in ["--help", "-h"] {
+                let args = [command, flag].map(String::from);
+                assert_eq!(main(&args), 0, "{command} {flag}");
+            }
+        }
+        assert_eq!(main(&["dump".to_string()]), 2, "dump needs a file");
+        let missing = ["dump", "no/such/file.json"].map(String::from);
+        assert_eq!(main(&missing), 1);
+    }
+
+    #[test]
     fn validate_accepts_canonical_and_rejects_edited_files() {
         let dir = temp_dir("validate");
         let s = crate::scenarios::named("cascade_w4").unwrap();
@@ -718,9 +733,9 @@ mod tests {
         // Whitespace-only edits are not canonical.
         let bad = dir.join("bad.json");
         std::fs::write(&bad, codec::encode(&s).render_compact()).unwrap();
-        assert!(validate_file(bad.to_str().unwrap())
-            .unwrap_err()
-            .contains("canonical"));
+        let bad = bad.to_str().unwrap();
+        let hint = format!("`metro scenario dump {bad}` prints its canonical bytes");
+        assert!(validate_file(bad).unwrap_err().ends_with(&hint));
 
         // Unknown fields are rejected by the codec itself.
         let mut doc = codec::encode(&s);

@@ -1,9 +1,11 @@
-//! The checked-in scenario corpus (`scenarios/*.json`) stays canonical,
-//! in sync with the in-code catalog, and deterministic to replay.
+//! The checked-in scenario corpus (`scenarios/*.json`) is the only
+//! definition of its scenarios: embedded whole by `scenarios::CORPUS`,
+//! canonical, and deterministic to replay.
 
 use metro_bench::scenarios;
 use metro_sim::scenario::{codec, run_scenario};
 use std::path::PathBuf;
+use std::process::Command;
 
 fn corpus_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../scenarios")
@@ -20,22 +22,25 @@ fn corpus_files() -> Vec<PathBuf> {
 }
 
 #[test]
-fn corpus_covers_every_named_scenario() {
+fn the_corpus_table_is_the_directory() {
     let stems: Vec<String> = corpus_files()
         .iter()
         .map(|p| p.file_stem().unwrap().to_string_lossy().into_owned())
         .collect();
-    for name in scenarios::NAMED {
-        assert!(
-            stems.iter().any(|s| s == name),
-            "scenarios/{name}.json is missing — regenerate with `metro scenario dump {name}`"
-        );
+    let names: Vec<&str> = scenarios::CORPUS.iter().map(|&(name, _)| name).collect();
+    assert_eq!(
+        names, stems,
+        "scenarios::CORPUS must list every scenarios/*.json, in file-name order"
+    );
+    for (name, _) in scenarios::CORPUS {
+        let scenario = scenarios::named(name).expect("a corpus entry decodes");
+        assert_eq!(scenario.name, name, "scenarios/{name}.json names another");
     }
-    assert_eq!(stems.len(), scenarios::NAMED.len(), "stray corpus file");
+    assert!(scenarios::named("no_such_scenario").is_none());
 }
 
 #[test]
-fn corpus_files_are_canonical_and_match_the_catalog() {
+fn corpus_files_are_canonical() {
     for path in corpus_files() {
         let text = std::fs::read_to_string(&path).unwrap();
         let scenario =
@@ -44,16 +49,24 @@ fn corpus_files_are_canonical_and_match_the_catalog() {
         assert_eq!(
             codec::encode(&scenario).render(),
             text,
-            "{} is not canonical — regenerate with `metro scenario dump`",
+            "{0} is not canonical — `metro scenario dump {0}` prints its canonical bytes",
             path.display()
         );
-        // In sync with the in-code catalog the artifacts emit from.
-        let expected = scenarios::named(&scenario.name)
-            .unwrap_or_else(|| panic!("{}: not in the catalog", path.display()));
-        assert_eq!(
-            scenario,
-            expected,
-            "{} drifted from the scenarios::named catalog",
+    }
+}
+
+#[test]
+fn dump_prints_each_corpus_file_byte_for_byte() {
+    for path in corpus_files() {
+        let out = Command::new(env!("CARGO_BIN_EXE_metro"))
+            .args(["scenario", "dump"])
+            .arg(&path)
+            .output()
+            .unwrap();
+        assert!(out.status.success(), "{}: {out:?}", path.display());
+        assert!(
+            out.stdout == std::fs::read(&path).unwrap(),
+            "{}: dump changed the bytes",
             path.display()
         );
     }

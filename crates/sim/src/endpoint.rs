@@ -71,10 +71,10 @@ pub struct EndpointConfig {
     pub retry_backoff_max: usize,
     /// Give up after this many failed attempts (0 = never).
     pub max_retries: usize,
-    /// Concurrent outgoing messages (clamped to the endpoint's output
-    /// port count). Figure 3 restricts sources to one entering port at
-    /// a time — the paper's parallelism-limited model — but the
-    /// hardware supports a transmit engine per port.
+    /// Concurrent outgoing messages, one transmit engine each (1 to the
+    /// endpoint's output port count). Figure 3 restricts sources to one
+    /// entering port at a time — the paper's parallelism-limited model —
+    /// but the hardware supports a transmit engine per port.
     pub max_concurrent: usize,
 }
 
@@ -274,13 +274,14 @@ impl Endpoint {
         config: EndpointConfig,
         seed: u64,
     ) -> Self {
-        let engines = config.max_concurrent.clamp(1, out_ports);
         Self {
             id,
             out_ports,
             config,
             rng: RandomSource::new(seed),
-            engines: (0..engines).map(|_| TxEngine::idle()).collect(),
+            engines: (0..config.max_concurrent)
+                .map(|_| TxEngine::idle())
+                .collect(),
             queue: VecDeque::new(),
             rx: vec![RxState::Idle; in_ports],
             completed: Vec::new(),

@@ -37,8 +37,8 @@ impl Fabric {
     ///
     /// # Errors
     ///
-    /// A [`ScenarioError`]: a [`TopologyError`], a [`WireDelayCount`] or
-    /// a stage's [`ParamError`].
+    /// A [`ScenarioError`]: a [`TopologyError`], [`TransmitEngines`],
+    /// a [`WireDelayCount`] or a stage's [`ParamError`].
     pub fn new(spec: &MultibutterflySpec, config: &SimConfig) -> Result<Self, ScenarioError> {
         let topo = Multibutterfly::build(spec).map_err(|e| {
             // The stage-shape refusals name their stage in the message.
@@ -49,6 +49,11 @@ impl Fabric {
             };
             ScenarioError::at(field, e)
         })?;
+        let (got, ports) = (config.endpoint.max_concurrent, spec.endpoint_ports);
+        if !(1..=ports).contains(&got) {
+            let e = TransmitEngines { got, ports };
+            return Err(ScenarioError::at("sim.endpoint.max_concurrent", e));
+        }
         let boundaries = topo.stages() + 1;
         let delays = match &config.stage_wire_delays {
             None => vec![config.wire_delay; boundaries],
@@ -109,8 +114,8 @@ impl Fabric {
 impl Scenario {
     /// Lowers the scenario to the machine it describes: [`Fabric::new`],
     /// then the workload against the endpoint count — pattern, arrival
-    /// process, rate map, a non-empty measurement window, every scripted
-    /// send's endpoints.
+    /// process, rate map, a load of at least 0, a non-empty measurement
+    /// window, every scripted send's endpoints.
     ///
     /// # Errors
     ///
@@ -124,12 +129,18 @@ impl Scenario {
                 pattern,
                 arrival,
                 rates,
+                load,
                 measure,
                 ..
             } => {
                 pattern.validate(n).map_err(at("workload.pattern"))?;
                 arrival.validate(n).map_err(at("workload.arrival"))?;
                 rates.validate(n).map_err(at("workload.rates"))?;
+                if !(load.is_finite() && *load >= 0.0) {
+                    return Err(at("workload.load")(WorkloadError::LoadValue {
+                        load: *load,
+                    }));
+                }
                 if *measure == 0 {
                     return Err(at("workload.measure")(WorkloadError::EmptyMeasureWindow));
                 }
@@ -152,8 +163,8 @@ impl Scenario {
 }
 
 /// A scenario lowering refused: the refused field's dotted path, and a
-/// `source` that downcasts to the [`TopologyError`], [`WireDelayCount`],
-/// [`ParamError`] or [`WorkloadError`] that refused it.
+/// `source` that downcasts to the [`TopologyError`], [`TransmitEngines`],
+/// [`WireDelayCount`], [`ParamError`] or [`WorkloadError`] that refused it.
 #[derive(Debug)]
 pub struct ScenarioError {
     /// Dotted path to the refused field (e.g. `"scenario.sim.width"`).
@@ -191,6 +202,28 @@ fn param_field(stage: usize, e: &ParamError) -> String {
         _ => format!("topology.stages[{stage}]"),
     }
 }
+
+/// [`EndpointConfig::max_concurrent`](crate::endpoint::EndpointConfig)
+/// names no transmit engine, or more than an endpoint has output ports.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TransmitEngines {
+    /// Engines asked for.
+    pub got: usize,
+    /// Output ports each endpoint has (`topology.endpoint_ports`).
+    pub ports: usize,
+}
+
+impl fmt::Display for TransmitEngines {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let (got, ports) = (self.got, self.ports);
+        write!(
+            f,
+            "{got} transmit engines outside 1..={ports} (one per output port)"
+        )
+    }
+}
+
+impl Error for TransmitEngines {}
 
 /// [`SimConfig::stage_wire_delays`] misses a wire boundary or names more.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

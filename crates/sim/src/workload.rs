@@ -147,12 +147,15 @@ impl TrafficPattern {
     pub fn validate(&self, endpoints: usize) -> Result<(), WorkloadError> {
         match self {
             Self::Uniform => Ok(()),
-            Self::Hotspot { target, .. } => {
+            Self::Hotspot { target, percent } => {
                 if *target >= endpoints {
                     return Err(WorkloadError::HotspotTargetOutOfRange {
                         target: *target,
                         endpoints,
                     });
+                }
+                if *percent > 100 {
+                    return Err(WorkloadError::HotspotPercent { percent: *percent });
                 }
                 Ok(())
             }
@@ -388,6 +391,11 @@ pub enum WorkloadError {
         /// Endpoints in the topology.
         endpoints: usize,
     },
+    /// A hotspot share above 100 percent.
+    HotspotPercent {
+        /// The configured share.
+        percent: usize,
+    },
     /// A permutation vector of the wrong length.
     PermutationLength {
         /// Endpoints in the topology.
@@ -449,6 +457,11 @@ pub enum WorkloadError {
         /// The self-targeting endpoint.
         src: usize,
     },
+    /// A non-finite or negative offered load.
+    LoadValue {
+        /// The offending load.
+        load: f64,
+    },
     /// A load workload measuring no cycles: its rates would be 0/0.
     EmptyMeasureWindow,
     /// A scripted send naming an endpoint outside the topology.
@@ -471,6 +484,9 @@ impl std::fmt::Display for WorkloadError {
             ),
             Self::HotspotTargetOutOfRange { target, endpoints } => {
                 write!(f, "hotspot target {target} outside 0..{endpoints}")
+            }
+            Self::HotspotPercent { percent } => {
+                write!(f, "hotspot percent {percent} outside 0..=100")
             }
             Self::PermutationLength { expected, got } => {
                 write!(f, "permutation has {got} entries for {expected} endpoints")
@@ -513,6 +529,9 @@ impl std::fmt::Display for WorkloadError {
             ),
             Self::TraceSelfTarget { index, src } => {
                 write!(f, "trace entry {index} sends endpoint {src} to itself")
+            }
+            Self::LoadValue { load } => {
+                write!(f, "offered load {load} (must be finite and >= 0)")
             }
             Self::EmptyMeasureWindow => write!(f, "the measurement window must be at least 1 cycle"),
             Self::SendEndpoint {

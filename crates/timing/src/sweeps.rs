@@ -8,54 +8,32 @@
 
 use crate::catalog::ImplementationSpec;
 use crate::equations::LatencyModel;
-use metro_harness::par_map;
-use std::num::NonZeroUsize;
 
 /// Delivery latency versus message size for one implementation point:
-/// `(bytes, ns)` pairs. Single-worker form of
-/// [`message_size_sweep_jobs`].
+/// `(bytes, ns)` pairs.
 #[must_use]
 pub fn message_size_sweep(model: &LatencyModel, sizes_bytes: &[usize]) -> Vec<(usize, f64)> {
-    message_size_sweep_jobs(model, sizes_bytes, NonZeroUsize::MIN)
-}
-
-/// [`message_size_sweep`] on the shared point executor: each size is an
-/// independent model evaluation, mapped over up to `jobs` workers with
-/// results in input order (identical to the sequential sweep — the
-/// model is deterministic).
-#[must_use]
-pub fn message_size_sweep_jobs(
-    model: &LatencyModel,
-    sizes_bytes: &[usize],
-    jobs: NonZeroUsize,
-) -> Vec<(usize, f64)> {
-    par_map(jobs, sizes_bytes, |_, &b| (b, model.delivery_ns(b)))
+    sizes_bytes
+        .iter()
+        .map(|&b| (b, model.delivery_ns(b)))
+        .collect()
 }
 
 /// Delivery latency versus cascade width for a base model: `(c, ns)`.
 /// Wider cascades move more bits per clock but replicate the header
 /// across slices (Table 4's `hbits · c`), so returns diminish.
-/// Single-worker form of [`cascade_sweep_jobs`].
 #[must_use]
 pub fn cascade_sweep(base: &LatencyModel, widths: &[usize], bytes: usize) -> Vec<(usize, f64)> {
-    cascade_sweep_jobs(base, widths, bytes, NonZeroUsize::MIN)
-}
-
-/// [`cascade_sweep`] on the shared point executor.
-#[must_use]
-pub fn cascade_sweep_jobs(
-    base: &LatencyModel,
-    widths: &[usize],
-    bytes: usize,
-    jobs: NonZeroUsize,
-) -> Vec<(usize, f64)> {
-    par_map(jobs, widths, |_, &c| {
-        let m = LatencyModel {
-            cascade: c,
-            ..base.clone()
-        };
-        (c, m.delivery_ns(bytes))
-    })
+    widths
+        .iter()
+        .map(|&c| {
+            let m = LatencyModel {
+                cascade: c,
+                ..base.clone()
+            };
+            (c, m.delivery_ns(bytes))
+        })
+        .collect()
 }
 
 /// The message size (bytes) at which implementation `a` starts beating
@@ -189,22 +167,6 @@ mod tests {
         // limit = 1 leaves no second point to compare against.
         let rows = table3();
         assert_eq!(crossover_bytes(&rows[2].model(), &rows[4].model(), 1), None);
-    }
-
-    #[test]
-    fn parallel_sweeps_match_sequential() {
-        let m = orbit();
-        let sizes = [1usize, 4, 20, 64, 256, 1024];
-        let jobs = NonZeroUsize::new(4).unwrap();
-        assert_eq!(
-            message_size_sweep(&m, &sizes),
-            message_size_sweep_jobs(&m, &sizes, jobs)
-        );
-        let widths = [1usize, 2, 4, 8];
-        assert_eq!(
-            cascade_sweep(&m, &widths, 20),
-            cascade_sweep_jobs(&m, &widths, 20, jobs)
-        );
     }
 
     #[test]

@@ -18,7 +18,7 @@ struct Case {
     message: &'static str,
 }
 
-/// The load workload's fields of a `figure3_load` edit.
+/// The load workload's fields of a `figure3_load` or `hotspot_burst` edit.
 fn load(s: &mut Scenario) -> (&mut TrafficPattern, &mut ArrivalProcess, &mut RateMap) {
     match &mut s.workload {
         WorkloadSpec::Load {
@@ -27,11 +27,11 @@ fn load(s: &mut Scenario) -> (&mut TrafficPattern, &mut ArrivalProcess, &mut Rat
             rates,
             ..
         } => (pattern, arrival, rates),
-        WorkloadSpec::Sends { .. } => unreachable!("figure3_load is a load workload"),
+        WorkloadSpec::Sends { .. } => unreachable!("the base is a load workload"),
     }
 }
 
-const CASES: [Case; 10] = [
+const CASES: [Case; 13] = [
     Case {
         what: "a zero-width channel",
         base: "figure3_load",
@@ -118,6 +118,35 @@ const CASES: [Case; 10] = [
         },
         message: "scenario error at scenario.workload.measure: \
                   the measurement window must be at least 1 cycle",
+    },
+    Case {
+        what: "a negative offered load",
+        base: "figure3_load",
+        edit: |s| match &mut s.workload {
+            WorkloadSpec::Load { load, .. } => *load = -0.5,
+            WorkloadSpec::Sends { .. } => unreachable!("figure3_load is a load workload"),
+        },
+        message: "scenario error at scenario.workload.load: \
+                  offered load -0.5 (must be finite and >= 0)",
+    },
+    Case {
+        what: "a hotspot share above 100 percent",
+        base: "hotspot_burst",
+        edit: |s| {
+            *load(s).0 = TrafficPattern::Hotspot {
+                target: 9,
+                percent: 101,
+            };
+        },
+        message: "scenario error at scenario.workload.pattern: \
+                  hotspot percent 101 outside 0..=100",
+    },
+    Case {
+        what: "more transmit engines than endpoint ports",
+        base: "figure1",
+        edit: |s| s.sim.endpoint.max_concurrent = 5,
+        message: "scenario error at scenario.sim.endpoint.max_concurrent: \
+                  5 transmit engines outside 1..=2 (one per output port)",
     },
 ];
 

@@ -423,12 +423,6 @@ pub fn run_campaign(
             timeout: 240,
             ..crate::endpoint::EndpointConfig::default()
         },
-        // Chaos campaigns run for tens of thousands of cycles; a
-        // per-cycle telemetry series would dominate the sidecar.
-        // Coarse 64-cycle sampling keeps the artifact readable while
-        // the cumulative counters stay exact (they are synced, not
-        // sampled).
-        telemetry_every: 64,
         ..SimConfig::default()
     };
     let mut sim = NetworkSim::new(&campaign.spec, &config)?;

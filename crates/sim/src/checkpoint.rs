@@ -95,7 +95,12 @@ pub use crate::scenario::run::{resume_scenario, run_scenario_resumable, Checkpoi
 ///   outcomes kept one by one, which a scenario run does not keep (was
 ///   every outcome since cycle 0, at the end of `netstats`). Same
 ///   envelope; versions 1–5 are refused.
-pub const CHECKPOINT_SCHEMA: u64 = 6;
+/// * **7** — `telreg` is the sync interval and count and the reset
+///   baseline (the last-synced network total and the per-counter series
+///   are gone), and `netstats` ends at the retries (the failure counts
+///   by kind, the payload words and the blocks by stage are gone). Same
+///   envelope; versions 1–6 are refused.
+pub const CHECKPOINT_SCHEMA: u64 = 7;
 
 /// Characters at which a `"state"` array entry is cut: the word that
 /// takes a chunk to this length or past it is the chunk's last, so an

@@ -81,10 +81,8 @@ pub struct SimConfig {
     /// [`Reference`]: EngineKind::Reference
     pub engine: EngineKind,
     /// Cycles between telemetry syncs (clamped to ≥ 1): how often the
-    /// registry sums the router counters and extends the time series.
-    /// 1 = one series sample per cycle; larger values coarsen the
-    /// series for a cheaper steady-state tick. Counter totals do not
-    /// depend on it.
+    /// registry's sync count goes up. Counter values do not depend on
+    /// it: they live in the routers.
     pub telemetry_every: u64,
     /// Closes the fault loop online (paper §5.3): endpoints hand every
     /// failed attempt's reply evidence to the network, which localizes
@@ -152,8 +150,8 @@ pub struct NetworkSim {
     stats: NetworkStats,
     stats_from: u64,
     /// The telemetry spine: the routers' readings at the last stats
-    /// reset and the decimated network-total series. The counts
-    /// themselves live in the routers.
+    /// reset and the sync count. The counts themselves live in the
+    /// routers.
     registry: TelemetryRegistry,
     /// Links the self-healing layer has masked (both port ends
     /// disabled), diagnosis-driven — never read from the fault set.
@@ -242,9 +240,8 @@ impl NetworkSim {
         })
     }
 
-    /// The telemetry registry: sync cadence and decimated per-counter
-    /// series. Counter values are read through
-    /// [`NetworkSim::telemetry_snapshot`].
+    /// The telemetry registry: sync cadence and count. Counter values
+    /// are read through [`NetworkSim::telemetry_snapshot`].
     #[must_use]
     pub fn telemetry(&self) -> &TelemetryRegistry {
         &self.registry
@@ -408,7 +405,7 @@ impl NetworkSim {
     fn after_tick(&mut self) {
         let every = self.registry.interval();
         if every <= 1 || self.now.is_multiple_of(every) {
-            self.registry.sync(counter_cells(&self.routers));
+            self.registry.sync();
         }
         self.now += 1;
         // The marked NICs in ascending order: the order a scan of every
@@ -543,8 +540,8 @@ impl NetworkSim {
     /// Clears statistics; only messages *requested* from now on are
     /// counted (warmup exclusion). The telemetry registry is rebased on
     /// the routers' readings as of this call, at any sync interval:
-    /// snapshots and series measure post-reset activity only, while the
-    /// routers keep their cumulative counters.
+    /// snapshots measure post-reset activity only, while the routers
+    /// keep their cumulative counters.
     pub fn reset_stats(&mut self) {
         self.stats = NetworkStats::new();
         self.stats_from = self.now;
@@ -552,9 +549,8 @@ impl NetworkSim {
     }
 
     /// Freezes the current telemetry into a schema-versioned snapshot:
-    /// the live router counters since the last reset, the total-latency
-    /// summary, and the decimated series. The sync cadence is not
-    /// disturbed.
+    /// the live router counters since the last reset and the
+    /// total-latency summary. The sync cadence is not disturbed.
     #[must_use]
     pub fn telemetry_snapshot(&self, name: &str) -> TelemetrySnapshot {
         TelemetrySnapshot::from_registry(

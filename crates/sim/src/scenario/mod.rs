@@ -265,8 +265,8 @@ pub struct ScenarioResult {
     /// Whether the fabric was idle when the run ended.
     pub fabric_idle: bool,
     /// Telemetry sync interval the run used (from the scenario's
-    /// `sim.telemetry_every`, clamped to at least 1) — recorded so a
-    /// result names the cadence its trace/series data was observed at.
+    /// `sim.telemetry_every`, clamped to at least 1): how often the
+    /// registry counted a sync. No result value depends on it.
     pub telemetry_every: u64,
 }
 

@@ -7,7 +7,7 @@
 //! historical name: one sample type flows from the simulator through
 //! snapshots to `metro report`.
 
-use crate::message::{FailureKind, MessageOutcome};
+use crate::message::MessageOutcome;
 
 /// An online collector of latency samples with percentile queries —
 /// the telemetry histogram under its historical simulator name.
@@ -28,15 +28,6 @@ pub struct NetworkStats {
     pub abandoned: u64,
     /// Total retries of delivered and abandoned messages.
     pub retries: u64,
-    /// Failed attempts by kind: `(blocked, fast_reclaimed, corrupt,
-    /// no_ack, timeout)`.
-    pub failure_counts: [u64; 5],
-    /// Payload words carried by delivered messages.
-    pub payload_words: u64,
-    /// Blocked-attempt counts per stage (detailed-reclamation mode
-    /// reports the exact stage in the turn-time STATUS reply; fast
-    /// reclamation counts under `failure_counts` only).
-    pub blocked_by_stage: Vec<u64>,
 }
 
 impl NetworkStats {
@@ -52,23 +43,6 @@ impl NetworkStats {
         self.network_latency.record(outcome.network_latency());
         self.delivered += 1;
         self.retries += outcome.retries as u64;
-        self.payload_words += outcome.payload_words as u64;
-        for f in &outcome.failures {
-            if let FailureKind::Blocked { stage } = f {
-                if self.blocked_by_stage.len() <= *stage {
-                    self.blocked_by_stage.resize(stage + 1, 0);
-                }
-                self.blocked_by_stage[*stage] += 1;
-            }
-            let slot = match f {
-                FailureKind::Blocked { .. } => 0,
-                FailureKind::FastReclaimed => 1,
-                FailureKind::Corrupt => 2,
-                FailureKind::NoAck => 3,
-                FailureKind::Timeout => 4,
-            };
-            self.failure_counts[slot] += 1;
-        }
     }
 
     /// Records an abandoned message.
@@ -90,19 +64,13 @@ impl NetworkStats {
 
 metro_telemetry::state_walk! {
     impl State for NetworkStats => |this, s| {
-        let NetworkStats {
-            total_latency, network_latency, delivered, abandoned, retries, failure_counts,
-            payload_words, blocked_by_stage,
-        } = this;
+        let NetworkStats { total_latency, network_latency, delivered, abandoned, retries } = this;
         s.section("netstats")?;
         s.state(total_latency)?;
         s.state(network_latency)?;
         s.u64(delivered)?;
         s.u64(abandoned)?;
-        s.u64(retries)?;
-        s.lane(failure_counts, "failure counters", |s, n| s.u64(n))?;
-        s.u64(payload_words)?;
-        s.seq(blocked_by_stage, |s, n| s.u64(n))
+        s.u64(retries)
     }
 }
 
@@ -207,7 +175,7 @@ mod tests {
 
     #[test]
     fn network_stats_fold_outcomes() {
-        use crate::message::MessageOutcome;
+        use crate::message::{FailureKind, MessageOutcome};
         let mut n = NetworkStats::new();
         let o = MessageOutcome {
             src: 0,
@@ -228,10 +196,6 @@ mod tests {
         n.record(&o);
         assert_eq!(n.delivered, 1);
         assert_eq!(n.retries, 2);
-        assert_eq!(n.failure_counts[0], 1);
-        assert_eq!(n.failure_counts[1], 1);
-        assert_eq!(n.blocked_by_stage, vec![0, 1]);
-        assert_eq!(n.payload_words, 20);
         assert_eq!(n.retries_per_message(), 2.0);
     }
 }

@@ -416,21 +416,43 @@ fn conversation_under_congestion_retries_whole_exchange() {
     assert_eq!(sim.endpoint_mut(15).take_delivered().len(), 16);
 }
 
+/// The network total of one router counter, read from the routers'
+/// live cumulative cells.
+fn live_total(sim: &NetworkSim, c: RouterCounter) -> u64 {
+    let topo = sim.topology();
+    (0..topo.stages())
+        .flat_map(|s| (0..topo.routers_in_stage(s)).map(move |r| (s, r)))
+        .map(|(s, r)| sim.router(s, r).counters().get(c))
+        .sum()
+}
+
 #[test]
-fn the_series_record_the_connection_lifecycle() {
+fn the_routers_counters_record_the_connection_lifecycle() {
     let mut sim = fig1_sim();
-    sim.send_and_wait(0, 9, &[1, 2, 3], 400).expect("delivery");
-    // At the default interval of 1 a series sample is one cycle, so the
-    // cycles a counter moved in are the indices of its nonzero samples.
-    let cycles_of = |c: RouterCounter| -> Vec<usize> {
-        let series = sim.telemetry().series(c);
-        assert_eq!(series.stride(), 1);
-        let moved = series.samples().iter().enumerate().filter(|(_, &n)| n > 0);
-        moved.map(|(cycle, _)| cycle).collect()
-    };
-    let grants = cycles_of(RouterCounter::Grants);
-    let turns = cycles_of(RouterCounter::Turns);
-    let drops = cycles_of(RouterCounter::Drops);
+    sim.send(0, 9, &[1, 2, 3]);
+    // The cycles in which each counter's network total moved, read
+    // after every tick.
+    let watched = [
+        RouterCounter::Grants,
+        RouterCounter::Turns,
+        RouterCounter::Drops,
+    ];
+    let mut moved: [Vec<u64>; 3] = Default::default();
+    let mut last = [0; 3];
+    while !sim.is_quiescent() {
+        assert!(sim.now() < 400, "delivery");
+        let cycle = sim.now();
+        sim.tick();
+        for (i, &c) in watched.iter().enumerate() {
+            let now = live_total(&sim, c);
+            if now > last[i] {
+                moved[i].push(cycle);
+            }
+            last[i] = now;
+        }
+    }
+    assert_eq!(sim.drain_outcomes().len(), 1, "delivery");
+    let [grants, turns, drops] = moved;
     assert_eq!(grants.len(), 3, "one grant per stage");
     assert_eq!(turns.len(), 3, "one reversal per stage");
     assert_eq!(drops.len(), 3, "one release per stage");
@@ -504,7 +526,7 @@ fn reset_stats_zeroes_every_registry_slot() {
             "registry slot r{stage}.{router} not zeroed by reset_stats"
         );
     }
-    assert_eq!(sim.telemetry().syncs(), 0, "series history restarts");
+    assert_eq!(sim.telemetry().syncs(), 0, "the sync count restarts");
 
     // Routers keep cumulative counters — the registry rebases so
     // post-reset observation measures only post-reset traffic.
@@ -553,7 +575,7 @@ fn a_reset_excludes_abandoned_messages_requested_before_it() {
 /// the cycles between the last sync and the reset — and what the healer
 /// notes after a cycle's sync — is before the reset, not after it.
 #[test]
-fn a_reset_between_syncs_leaks_nothing_into_the_counters_or_the_series() {
+fn a_reset_between_syncs_leaks_nothing_into_the_counters() {
     let config = SimConfig {
         telemetry_every: 64,
         self_heal: true,
@@ -564,13 +586,6 @@ fn a_reset_between_syncs_leaks_nothing_into_the_counters_or_the_series() {
     let mut faults = FaultSet::new();
     faults.break_link(LinkId::new(0, r0, 0), FaultKind::CorruptData { xor: 0x04 });
     sim.apply_faults(faults);
-    let live = |sim: &NetworkSim, c: RouterCounter| -> u64 {
-        let topo = sim.topology();
-        (0..topo.stages())
-            .flat_map(|s| (0..topo.routers_in_stage(s)).map(move |r| (s, r)))
-            .map(|(s, r)| sim.router(s, r).counters().get(c))
-            .sum()
-    };
     let burst = |sim: &mut NetworkSim| {
         for src in 0..16 {
             sim.send(src, (src + 5) % 16, &[src as u16; 6]);
@@ -579,29 +594,27 @@ fn a_reset_between_syncs_leaks_nothing_into_the_counters_or_the_series() {
 
     burst(&mut sim);
     sim.run(65);
-    let at_last_sync = RouterCounter::ALL.map(|c| live(&sim, c));
+    let at_last_sync = RouterCounter::ALL.map(|c| live_total(&sim, c));
     burst(&mut sim);
     sim.run(35);
     // Cycle 100, mid-burst: the routers have counted since cycle 64.
-    let at_reset = RouterCounter::ALL.map(|c| live(&sim, c));
+    let at_reset = RouterCounter::ALL.map(|c| live_total(&sim, c));
     assert_ne!(at_reset, at_last_sync);
     sim.reset_stats();
     burst(&mut sim);
-    // Long enough to drain, and the last cycle run (640) is a sync.
+    // Long enough to drain.
     sim.run(541);
     assert!(sim.is_quiescent());
 
     let snap = sim.telemetry_snapshot("reset");
     for c in RouterCounter::ALL {
-        let since = live(&sim, c) - at_reset[c as usize];
+        let since = live_total(&sim, c) - at_reset[c as usize];
         assert_eq!(
             snap.counters.total(c),
             since,
             "{} in the snapshot",
             c.name()
         );
-        let series = sim.telemetry().series(c);
-        assert_eq!(series.total(), since, "{} in the series", c.name());
     }
     assert!(snap.counters.total(RouterCounter::Grants) > 0);
 }
@@ -628,8 +641,8 @@ fn telemetry_snapshot_leaves_registry_cadence_undisturbed() {
     let snap = sim.telemetry_snapshot("probe");
     assert_eq!(snap.cycles, sim.now());
     assert!(snap.counters.total(RouterCounter::Opens) > 0);
-    // Snapshotting reads the routers: the registry's sync count and
-    // series are untouched.
+    // Snapshotting reads the routers: the registry's sync count is
+    // untouched.
     assert_eq!(sim.telemetry().syncs(), syncs_before);
 }
 

@@ -53,17 +53,6 @@ impl CounterCell {
         &self.counts
     }
 
-    /// Element-wise `self + other`.
-    #[inline]
-    #[must_use]
-    pub fn plus(&self, other: &CounterCell) -> CounterCell {
-        let mut out = *self;
-        for i in 0..RouterCounter::COUNT {
-            out.counts[i] += other.counts[i];
-        }
-        out
-    }
-
     /// Element-wise saturating `self - other`; the delta between two
     /// cumulative readings of the same cell.
     #[inline]
@@ -227,9 +216,6 @@ mod tests {
         assert_eq!(d.get(RouterCounter::Grants), 1);
         assert_eq!(d.get(RouterCounter::Blocks), 3);
         assert_eq!(d.get(RouterCounter::WordsForwarded), 0);
-
-        let sum = a.plus(&d);
-        assert_eq!(sum, b);
 
         // Deltas saturate rather than wrapping when the earlier reading
         // is ahead (a rebased registry against a stale cell).

@@ -10,11 +10,9 @@
 //! * [`Histogram`] — latencies as a sorted `(value, count)` multiset
 //!   with exact nearest-rank percentiles (the simulator's former
 //!   `LatencyStats`, re-exported there).
-//! * [`TimeSeries`] — decimated ring buffers: bounded memory over
-//!   unbounded runs, conserving counter totals.
 //! * [`TelemetryRegistry`] — owned by the simulator; the reset
-//!   baseline and the per-counter series, read against the routers'
-//!   live cells.
+//!   baseline, read against the routers' live cells, and the sync
+//!   cadence and count.
 //! * [`TelemetrySnapshot`] + [`snapshot`] codec — schema-versioned,
 //!   byte-stable JSON on the harness [`metro_harness::Json`] model; the
 //!   `results/<name>.telemetry.json` sidecar format.
@@ -33,7 +31,6 @@ pub mod histogram;
 pub mod metric;
 pub mod registry;
 pub mod report;
-pub mod series;
 pub mod snapshot;
 pub mod state;
 
@@ -41,6 +38,5 @@ pub use counters::{CounterBlock, CounterCell};
 pub use histogram::{Histogram, HistogramSummary};
 pub use metric::RouterCounter;
 pub use registry::TelemetryRegistry;
-pub use series::TimeSeries;
 pub use snapshot::{telemetry_hash, TelemetrySnapshot, TELEMETRY_SCHEMA};
 pub use state::{State, StateError, StateReader, StateWithin, StateWriter};

@@ -4,36 +4,22 @@
 //! one cumulative [`CounterCell`] it increments. A
 //! [`TelemetryRegistry`], owned by the simulator, is only what turns
 //! those live cells into a report — the readings at the last stats
-//! reset (the *baseline*; a snapshot shows live − baseline), the
-//! network total at the last sync, and the decimated network-total
-//! series each sync extends by total − last total. Every method that
-//! reads counts takes the live cells, in slot order (stage-major,
-//! router-minor); the registry never keeps a copy of them.
+//! reset (the *baseline*; a snapshot shows live − baseline) — plus the
+//! sync cadence and count. Every method that reads counts takes the
+//! live cells, in slot order (stage-major, router-minor); the registry
+//! never keeps a copy of them.
 
 use crate::counters::{CounterBlock, CounterCell};
-use crate::metric::RouterCounter;
-use crate::series::TimeSeries;
 
-/// A reset baseline plus a per-counter time series.
+/// A reset baseline plus the sync cadence.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TelemetryRegistry {
     /// Raw router readings at the last stats reset.
     baseline: CounterBlock,
-    /// Raw network-total readings at the last sync (or reset).
-    synced: CounterCell,
-    /// Network-total delta series, one per [`RouterCounter`].
-    series: Vec<TimeSeries>,
     /// Cycles between syncs (≥ 1).
     interval: u64,
-    /// Number of syncs folded in since the last reset.
+    /// Number of syncs since the last reset.
     syncs: u64,
-}
-
-/// The network total of the live cells.
-fn total<'a>(cells: impl IntoIterator<Item = &'a CounterCell>) -> CounterCell {
-    cells
-        .into_iter()
-        .fold(CounterCell::new(), |sum, cell| sum.plus(cell))
 }
 
 impl TelemetryRegistry {
@@ -43,10 +29,6 @@ impl TelemetryRegistry {
     pub fn new(routers_per_stage: &[usize], interval: u64) -> Self {
         TelemetryRegistry {
             baseline: CounterBlock::new(routers_per_stage),
-            synced: CounterCell::new(),
-            series: (0..RouterCounter::COUNT)
-                .map(|_| TimeSeries::standard())
-                .collect(),
             interval: interval.max(1),
             syncs: 0,
         }
@@ -58,16 +40,8 @@ impl TelemetryRegistry {
         self.interval
     }
 
-    /// Extends every series by what the network counted since the last
-    /// sync. A restored `synced` above the live total reads as no
-    /// change (the delta saturates at zero).
-    pub fn sync<'a>(&mut self, cells: impl IntoIterator<Item = &'a CounterCell>) {
-        let now = total(cells);
-        let delta = now.saturating_delta(&self.synced);
-        for c in RouterCounter::ALL {
-            self.series[c as usize].push(delta.get(c));
-        }
-        self.synced = now;
+    /// Counts one sync.
+    pub fn sync(&mut self) {
         self.syncs += 1;
     }
 
@@ -81,12 +55,6 @@ impl TelemetryRegistry {
         since
     }
 
-    /// The network-total delta series for one counter.
-    #[must_use]
-    pub fn series(&self, c: RouterCounter) -> &TimeSeries {
-        &self.series[c as usize]
-    }
-
     /// Number of syncs since the last reset.
     #[must_use]
     pub fn syncs(&self) -> u64 {
@@ -94,40 +62,35 @@ impl TelemetryRegistry {
     }
 
     /// Reset means now: the live readings become the baseline and the
-    /// last-synced total, and the series start over. Routers keep their
-    /// cumulative counters; everything read afterwards measures
-    /// post-reset activity only, whatever the sync interval.
+    /// sync count starts over. Routers keep their cumulative counters;
+    /// everything read afterwards measures post-reset activity only,
+    /// whatever the sync interval.
     pub fn rebase<'a>(&mut self, cells: impl IntoIterator<Item = &'a CounterCell>) {
         for (slot, live) in self.baseline.cells_mut().iter_mut().zip(cells) {
             *slot = *live;
-        }
-        self.synced = total(self.baseline.cells());
-        for s in &mut self.series {
-            s.clear();
         }
         self.syncs = 0;
     }
 }
 
-// The sync bookkeeping, baseline and series, into a registry of the
-// network shape it was saved with. `new` clamps the interval to ≥ 1, so
-// a saved 0 is refused rather than repaired.
+// The sync bookkeeping and the baseline, into a registry of the network
+// shape it was saved with. `new` clamps the interval to ≥ 1, so a saved
+// 0 is refused rather than repaired.
 crate::state_walk! {
     impl State for TelemetryRegistry => |this, s| {
-        let TelemetryRegistry { baseline, synced, series, interval, syncs } = this;
+        let TelemetryRegistry { baseline, interval, syncs } = this;
         s.section("telreg")?;
         s.u64(interval)?;
         s.check(|| *interval >= 1, "a sync interval of 0 cycles")?;
         s.u64(syncs)?;
-        s.state(synced)?;
-        s.state(baseline)?;
-        s.lane(series, "series", |s, x| s.state(x))
+        s.state(baseline)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metric::RouterCounter;
 
     fn raw(grants: u64, blocks: u64) -> CounterCell {
         let mut c = CounterCell::new();
@@ -137,16 +100,12 @@ mod tests {
     }
 
     #[test]
-    fn sync_extends_the_series_by_the_network_total_delta() {
+    fn sync_counts_and_counters_read_live_cells() {
         let mut reg = TelemetryRegistry::new(&[1, 2], 4);
-        reg.sync(&[raw(3, 1), raw(2, 0), raw(0, 0)]);
-        assert_eq!(reg.series(RouterCounter::Grants).samples(), [5]);
-
-        let live = [raw(7, 1), raw(2, 2), raw(1, 0)];
-        reg.sync(&live);
-        assert_eq!(reg.series(RouterCounter::Grants).samples(), [5, 5]);
-        assert_eq!(reg.series(RouterCounter::Blocks).samples(), [1, 2]);
+        reg.sync();
+        reg.sync();
         assert_eq!(reg.syncs(), 2);
+        let live = [raw(7, 1), raw(2, 2), raw(1, 0)];
         let counters = reg.counters(&live);
         assert_eq!(counters.cell(0, 0).get(RouterCounter::Grants), 7);
         assert_eq!(counters.cell(1, 0).get(RouterCounter::Blocks), 2);
@@ -156,38 +115,20 @@ mod tests {
     fn rebase_zeroes_every_slot_but_keeps_measuring() {
         let mut reg = TelemetryRegistry::new(&[2], 1);
         let at_reset = [raw(10, 4), raw(6, 0)];
-        reg.sync(&at_reset);
+        reg.sync();
 
         reg.rebase(&at_reset);
         for cell in reg.counters(&at_reset).cells() {
             assert!(cell.is_zero(), "rebase must zero every registry slot");
         }
-        assert!(reg.series(RouterCounter::Grants).samples().is_empty());
         assert_eq!(reg.syncs(), 0);
 
         // Routers kept counting from 10/6; the registry sees only the
         // post-reset activity.
         let live = [raw(12, 4), raw(6, 1)];
-        reg.sync(&live);
         let counters = reg.counters(&live);
         assert_eq!(counters.cell(0, 0).get(RouterCounter::Grants), 2);
         assert_eq!(counters.cell(0, 1).get(RouterCounter::Blocks), 1);
-        assert_eq!(reg.series(RouterCounter::Grants).samples(), [2]);
-    }
-
-    #[test]
-    fn a_synced_total_above_the_live_one_reads_as_no_change() {
-        let mut reg = TelemetryRegistry::new(&[1], 1);
-        reg.sync(&[raw(9, 9)]);
-        // What a checkpoint whose `synced` words were raised restores to.
-        reg.sync(&[raw(4, 9)]);
-        assert_eq!(reg.series(RouterCounter::Grants).samples(), [9, 0]);
-        assert_eq!(
-            reg.counters(&[raw(4, 9)])
-                .cell(0, 0)
-                .get(RouterCounter::Grants),
-            4
-        );
     }
 
     #[test]

@@ -102,7 +102,7 @@ mod tests {
 
     #[test]
     fn report_pins_its_table_format() {
-        let mut reg = TelemetryRegistry::new(&[2, 1], 16);
+        let reg = TelemetryRegistry::new(&[2, 1], 16);
         let mut a = CounterCell::new();
         a.add(RouterCounter::Opens, 10);
         a.add(RouterCounter::Grants, 8);
@@ -116,7 +116,6 @@ mod tests {
         b.add(RouterCounter::FastReclaims, 1);
         b.add(RouterCounter::WordsForwarded, 100);
         let live = [a, CounterCell::new(), b];
-        reg.sync(&live);
         let snap = TelemetrySnapshot::from_registry(
             "unit",
             "flat",
@@ -163,12 +162,11 @@ mod tests {
 
     #[test]
     fn healing_line_appears_only_when_the_healer_acted() {
-        let mut reg = TelemetryRegistry::new(&[1], 1);
+        let reg = TelemetryRegistry::new(&[1], 1);
         let mut a = CounterCell::new();
         a.add(RouterCounter::ChecksumMismatches, 3);
         a.add(RouterCounter::MasksApplied, 2);
         a.add(RouterCounter::RetriesAfterMask, 5);
-        reg.sync(&[a]);
         let snap = TelemetrySnapshot::from_registry(
             "healed",
             "flat",

@@ -1,9 +1,9 @@
 //! Schema-versioned, byte-stable telemetry snapshots.
 //!
 //! A [`TelemetrySnapshot`] freezes one simulation's telemetry — per
-//! (stage, router) counter cells, a latency summary, and the decimated
-//! network-total series — into a value with a canonical JSON form on
-//! the harness [`Json`] model. The codec follows the scenario codec's
+//! (stage, router) counter cells since the last reset and a latency
+//! summary — into a value with a canonical JSON form on the harness
+//! [`Json`] model. The codec follows the scenario codec's
 //! rules (and reads through the same [`metro_harness::document`]
 //! cursor): `telemetry_schema` is checked before any field parsing,
 //! unknown fields are rejected at every object level with dotted
@@ -21,22 +21,11 @@ use metro_harness::Json;
 
 /// Telemetry schema version written into (and required of) every
 /// document.
-pub const TELEMETRY_SCHEMA: u64 = 1;
+pub const TELEMETRY_SCHEMA: u64 = 2;
 
 /// A telemetry decode failure: where in the document (paths start at
-/// the top-level key, e.g. `"series[2].stride"`) and what went wrong.
+/// the top-level key, e.g. `"latency.p50"`) and what went wrong.
 pub type SnapshotError = DecodeError;
-
-/// One counter's decimated network-total series.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SeriesSnapshot {
-    /// The [`RouterCounter::name`] this series tracks.
-    pub metric: String,
-    /// Syncs aggregated per bucket.
-    pub stride: u64,
-    /// Bucket sums, oldest first.
-    pub samples: Vec<u64>,
-}
 
 /// A frozen view of one simulation's telemetry.
 #[derive(Debug, Clone, PartialEq)]
@@ -54,8 +43,6 @@ pub struct TelemetrySnapshot {
     pub counters: CounterBlock,
     /// Total-latency distribution summary.
     pub latency: HistogramSummary,
-    /// Decimated network-total delta series, one per counter.
-    pub series: Vec<SeriesSnapshot>,
 }
 
 impl TelemetrySnapshot {
@@ -77,14 +64,6 @@ impl TelemetrySnapshot {
             interval: registry.interval(),
             counters: registry.counters(cells),
             latency,
-            series: RouterCounter::ALL
-                .into_iter()
-                .map(|c| SeriesSnapshot {
-                    metric: c.name().to_string(),
-                    stride: registry.series(c).stride(),
-                    samples: registry.series(c).samples().to_vec(),
-                })
-                .collect(),
         }
     }
 
@@ -161,19 +140,6 @@ pub fn encode(s: &TelemetrySnapshot) -> Json {
             })),
         ),
         ("latency", enc_latency(&s.latency)),
-        (
-            "series",
-            Json::arr(s.series.iter().map(|ser| {
-                Json::obj([
-                    ("metric", Json::from(ser.metric.as_str())),
-                    ("stride", Json::from(ser.stride)),
-                    (
-                        "samples",
-                        Json::arr(ser.samples.iter().map(|&v| Json::from(v))),
-                    ),
-                ])
-            })),
-        ),
     ])
 }
 
@@ -238,15 +204,6 @@ pub fn decode(doc: &Json) -> Result<TelemetrySnapshot, SnapshotError> {
             interval,
             counters,
             latency: dec_latency(&f.req("latency")?)?,
-            series: f.req("series")?.list(|s| {
-                s.object(|f| {
-                    Ok(SeriesSnapshot {
-                        metric: f.req("metric")?.str()?.to_string(),
-                        stride: f.req("stride")?.u64()?,
-                        samples: f.req("samples")?.list(|v| v.u64())?,
-                    })
-                })
-            })?,
         })
     })
 }
@@ -279,7 +236,7 @@ mod tests {
     use crate::registry::TelemetryRegistry;
 
     fn sample_snapshot() -> TelemetrySnapshot {
-        let mut reg = TelemetryRegistry::new(&[2, 1], 8);
+        let reg = TelemetryRegistry::new(&[2, 1], 8);
         let mut raw = CounterCell::new();
         raw.add(RouterCounter::Opens, 9);
         raw.add(RouterCounter::Grants, 7);
@@ -288,7 +245,6 @@ mod tests {
         let mut turned = raw;
         turned.add(RouterCounter::Turns, 3);
         let live = [raw, turned, CounterCell::new()];
-        reg.sync(&live);
         let latency = HistogramSummary {
             count: 12,
             mean: 55.25,
@@ -320,23 +276,12 @@ mod tests {
     #[test]
     fn wrong_schema_is_rejected_before_field_parsing() {
         let mut doc = encode(&sample_snapshot());
-        doc.set("telemetry_schema", Json::from(2u64));
+        doc.set("telemetry_schema", Json::from(1u64));
         // Also plant an unknown field: the schema error must win.
         doc.set("future_field", Json::from(1u64));
         let e = decode(&doc).unwrap_err();
         assert_eq!(e.path, "telemetry_schema");
-        assert!(e.message.contains("unsupported schema 2"));
-    }
-
-    fn arr_mut<'a>(doc: &'a mut Json, key: &str) -> &'a mut Vec<Json> {
-        let Json::Obj(pairs) = doc else {
-            panic!("expected an object")
-        };
-        pairs
-            .iter_mut()
-            .find(|(k, _)| k == key)
-            .and_then(|(_, v)| v.as_arr_mut())
-            .expect("array field")
+        assert!(e.message.contains("unsupported schema 1"));
     }
 
     #[test]
@@ -347,9 +292,11 @@ mod tests {
         assert!(e.message.contains("surprise"));
 
         let mut doc = encode(&sample_snapshot());
-        arr_mut(&mut doc, "series")[0].set("extra", Json::from(1u64));
+        let mut latency = doc.get("latency").expect("latency").clone();
+        latency.set("extra", Json::from(1u64));
+        doc.set("latency", latency);
         let e = decode(&doc).unwrap_err();
-        assert_eq!(e.path, "series[0]");
+        assert_eq!(e.path, "latency");
         assert!(e.message.contains("extra"));
     }
 

@@ -57,7 +57,9 @@ const CKPT_FIXTURE: &str = "tests/fixtures/figure1.ckpt.json";
 #[test]
 fn the_checkpoint_fixture_keeps_its_bytes_and_resumes_to_the_straight_run() {
     // Written at cycle 100 of scenarios/figure1.json — mid-traffic — by
-    // the build that introduced checkpoint schema 6.
+    // the build that introduced checkpoint schema 6, which kept the
+    // destinations' delivery log, then brought to schema 7 by deleting
+    // exactly the words schema 7 dropped.
     let text = read(CKPT_FIXTURE);
     let ckpt = Checkpoint::from_text(&text).unwrap();
     assert_eq!((ckpt.scenario.name.as_str(), ckpt.cycle), ("figure1", 100));
@@ -65,7 +67,7 @@ fn the_checkpoint_fixture_keeps_its_bytes_and_resumes_to_the_straight_run() {
     assert_eq!(doc.render(), text);
     assert_eq!(
         doc.get("checkpoint_hash").unwrap().as_str().unwrap(),
-        "0x9999f841aa9064cb"
+        "0xa4ca4b7e2d5395fa"
     );
     let (resumed, _sim) = resume_scenario(&ckpt).unwrap();
     let straight = run_scenario(&ckpt.scenario).unwrap();
@@ -175,10 +177,11 @@ fn port_queues_and_wire_words(state: &[u64]) -> (Vec<(Queue, usize, usize)>, usi
 /// The cross-version fixture: written at cycle 142 of
 /// `tests/fixtures/pipelined.json` (figure 1 at `dp = 2`, wire delays of
 /// 1–2 cycles) by the build that still held a router's pipes and reply
-/// queue and a wire's registers in growable queues. Router pipes, reply
-/// queues and wire registers all hold live words in it. Both cycle
-/// engines share those types, so the Flat == Reference differential
-/// cannot see a changed save order; this fixture does.
+/// queue and a wire's registers in growable queues, then brought to
+/// schema 7 by deleting exactly the words schema 7 dropped. Router
+/// pipes, reply queues and wire registers all hold live words in it.
+/// Both cycle engines share those types, so the Flat == Reference
+/// differential cannot see a changed save order; this fixture does.
 #[test]
 fn the_pipelined_fixture_keeps_its_bytes_and_resumes_to_its_writers_digest() {
     let text = read(PIPELINED_FIXTURE);
@@ -254,7 +257,8 @@ fn a_restore_refuses_pipes_and_reply_queues_no_tick_leaves() {
 /// Most state words are a counter at zero or an idle register, and the
 /// document spells a word at its own width: the fixture's `"state"`
 /// text — digits and separators — stays within 5 bytes a word (it was
-/// 16 when every word was written at full width).
+/// 16 when every word was written at full width) over all 2,592 of its
+/// words.
 #[test]
 fn the_fixtures_state_text_is_at_most_five_bytes_a_word() {
     let text = read(CKPT_FIXTURE);
@@ -263,7 +267,7 @@ fn the_fixtures_state_text_is_at_most_five_bytes_a_word() {
     let chunks = doc.get("state").unwrap().as_arr().unwrap();
     let bytes: usize = chunks.iter().map(|c| c.as_str().unwrap().len()).sum();
     assert!(
-        words > 3000 && bytes <= 5 * words,
+        words == 2592 && bytes <= 5 * words,
         "{bytes} bytes of state text for {words} words"
     );
 }
@@ -365,9 +369,9 @@ fn a_scenario_runs_whole_snapshot_stops_growing() {
 }
 
 /// A count lives once, in the routers: what a snapshot adds for
-/// telemetry is a reset baseline per router and ten bounded series, and
-/// a latency collector is its distinct values — neither grows with the
-/// cycles run or the messages delivered.
+/// telemetry is a reset baseline per router, and a latency collector is
+/// its distinct values — neither grows with the cycles run or the
+/// messages delivered.
 #[test]
 fn a_snapshots_telemetry_is_sized_by_routers_and_distinct_latencies() {
     let (_, taken) = figure3_load_snapshots();
@@ -378,15 +382,13 @@ fn a_snapshots_telemetry_is_sized_by_routers_and_distinct_latencies() {
         delivered.push(stats.delivered);
 
         // `telreg` is the stream's last section but for the driver's:
-        // tag, interval, syncs, the synced total, the counted baseline,
-        // and the counted series of (stride, pending ×2, counted samples).
+        // tag, interval, syncs, and the counted baseline.
         let telreg = section_at(c, "workload") - section_at(c, "telreg");
         let routers = sim.topology().total_routers();
-        let series =
-            RouterCounter::COUNT * (4 + sim.telemetry().series(RouterCounter::Opens).capacity());
-        assert!(
-            telreg <= RouterCounter::COUNT * (routers + 1) + series + 5,
-            "cycle {}: {telreg} telreg words for {routers} routers",
+        assert_eq!(
+            telreg,
+            4 + RouterCounter::COUNT * routers,
+            "cycle {}: telreg words for {routers} routers",
             c.cycle
         );
 
@@ -462,7 +464,7 @@ fn every_mutated_state_word_is_refused_or_runs_clean() {
     );
     assert_eq!(
         (refused, ran, digest),
-        (3416, 3886, 0x5a70_9732_a52e_7a25),
+        (3390, 1794, 0xf57a_ae3e_c9ca_b8af),
         "(refused, ran, digest of the refusals)"
     );
 }
@@ -632,7 +634,7 @@ fn every_structural_mutant_is_rejected_at_the_mutated_path() {
     for (kind, file, at_least) in [
         (&scenario, "scenarios/hotspot_burst.json", 100),
         (&scenario, "scenarios/chaos_smoke.json", 300),
-        (&telemetry, "results/chaos.telemetry.json", 400),
+        (&telemetry, "results/fig3.telemetry.json", 400),
         (&checkpoint, CKPT_FIXTURE, 400),
     ] {
         let doc = Json::parse(&read(file)).unwrap();

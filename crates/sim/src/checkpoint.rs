@@ -18,8 +18,10 @@
 //!    stream ([`NetworkSim`]'s [`State`] walk followed, for `Load` workloads, by
 //!    the [`WorkloadDriver`]'s stream positions), written into the JSON
 //!    document as chunks of space-separated hex words, each word at its
-//!    own width (`"0 1 6b726f7774656e 2f"`: most state words are one
-//!    digit, so the text is about 2.9 bytes a word).
+//!    own width and each run of zeros as one `*` token with its length
+//!    (`"0 1 6b726f7774656e *1f 2f"`: most state words are one digit and
+//!    most of those are zeros in runs, so the text is about 1.1 bytes a
+//!    word on a nearly idle metro1k and 2.8 on a busy figure 3).
 //!
 //! The envelope follows the scenario codec's conventions exactly (one
 //! cursor, [`metro_harness::document`], reads both): unknown fields
@@ -100,13 +102,18 @@ pub use crate::scenario::run::{resume_scenario, run_scenario_resumable, Checkpoi
 ///   are gone), and `netstats` ends at the retries (the failure counts
 ///   by kind, the payload words and the blocks by stage are gone). Same
 ///   envelope; versions 1–6 are refused.
-pub const CHECKPOINT_SCHEMA: u64 = 7;
+/// * **8** — the same state words, with each maximal run of two or more
+///   zeros spelled as one token, `*` and its length in hex (`*1f` for 31
+///   zeros; a lone zero stays `0`). Same envelope; versions 1–7 are
+///   refused.
+pub const CHECKPOINT_SCHEMA: u64 = 8;
 
-/// Characters at which a `"state"` array entry is cut: the word that
+/// Characters at which a `"state"` array entry is cut: the token that
 /// takes a chunk to this length or past it is the chunk's last, so an
-/// entry is under `HEX_CHUNK + 17` characters. Chunking keeps lines
-/// editor- and diff-friendly; the cuts are the encoder's and the decoder
-/// holds a file to them, like every other byte of the grammar.
+/// entry is under `HEX_CHUNK + 18` characters (a token is up to 17).
+/// Chunking keeps lines editor- and diff-friendly; the cuts are the
+/// encoder's and the decoder holds a file to them, like every other
+/// byte of the grammar.
 const HEX_CHUNK: usize = 4096;
 
 /// Which part of a run a checkpoint was taken in, as the envelope
@@ -327,26 +334,37 @@ fn dec_position(
 }
 
 /// Renders the state words as the document spells them: each word its
-/// shortest lower-case hex (`0` for zero, never a leading zero), one
-/// space between words, a new chunk after the word that takes one to
+/// shortest lower-case hex (`0` for zero, never a leading zero), except
+/// that a maximal run of two or more zeros is one token, `*` and the
+/// run's length spelled the same way (31 zeros are `*1f`); one space
+/// between tokens, a new chunk after the token that takes one to
 /// [`HEX_CHUNK`] characters. No words, no chunks.
 fn state_chunks(words: &[u64]) -> Vec<String> {
     let mut chunks = Vec::new();
     let mut chunk = String::new();
-    for &w in words {
+    let mut rest = words;
+    while let Some(&w) = rest.first() {
+        let zeros = rest.iter().take_while(|&&w| w == 0).count();
         if chunk.len() >= HEX_CHUNK {
             chunks.push(std::mem::take(&mut chunk));
         }
         if chunk.is_empty() {
-            chunk.reserve(HEX_CHUNK + 17);
+            chunk.reserve(HEX_CHUNK + 18);
         } else {
             chunk.push(' ');
         }
-        let digits = (64 - w.leading_zeros()).div_ceil(4).max(1);
+        let token = if zeros > 1 {
+            chunk.push('*');
+            zeros as u64
+        } else {
+            w
+        };
+        let digits = (64 - token.leading_zeros()).div_ceil(4).max(1);
         for shift in (0..digits).rev() {
-            let nibble = (w >> (4 * shift)).to_le_bytes()[0] & 0xF;
+            let nibble = (token >> (4 * shift)).to_le_bytes()[0] & 0xF;
             chunk.push(char::from(b"0123456789abcdef"[usize::from(nibble)]));
         }
+        rest = &rest[zeros.max(1)..];
     }
     if !chunk.is_empty() {
         chunks.push(chunk);
@@ -354,29 +372,115 @@ fn state_chunks(words: &[u64]) -> Vec<String> {
     chunks
 }
 
+/// Words a state may decode to per character of its text. A run token
+/// names up to 2^64 words in 17 characters, so this is what keeps a
+/// hostile count from allocating: the encoder's densest stream (a
+/// machine at cycle 1, nearly all zeros) is about 1.4.
+const WORDS_PER_CHAR: usize = 16;
+
+/// The three kinds of token the one-spelling rule tells apart.
+#[derive(Clone, Copy)]
+enum Token {
+    Word,
+    Zero,
+    Run,
+}
+
+/// The words a state text has decoded to so far, and what they may
+/// still become.
+struct Decoded {
+    words: Vec<u64>,
+    /// The kind of the token before the next one.
+    last: Token,
+    /// [`WORDS_PER_CHAR`] times the characters of the whole text.
+    limit: usize,
+}
+
+impl Decoded {
+    /// Appends one token's words — `word`, or `word` zeros if `run` — or
+    /// says why the spelling is not the encoder's. Inlined into the byte
+    /// loop: as a closure it made decoding a busy figure 3 snapshot's
+    /// state about 1.5 times slower.
+    #[inline(always)]
+    fn token(&mut self, word: u64, run: bool) -> Result<(), &'static str> {
+        let token = match (run, word) {
+            (true, _) => Token::Run,
+            (false, 0) => Token::Zero,
+            (false, _) => Token::Word,
+        };
+        match (self.last, token) {
+            (Token::Zero, Token::Zero) => return Err("two zeros in a row, not a run"),
+            (Token::Zero, Token::Run) | (Token::Run, Token::Zero) => {
+                return Err("a zero next to a run of zeros")
+            }
+            (Token::Run, Token::Run) => return Err("two runs of zeros side by side"),
+            _ => {}
+        }
+        self.last = token;
+        if !run {
+            self.words.push(word);
+            return Ok(());
+        }
+        if word < 2 {
+            return Err("a run of fewer than two zeros");
+        }
+        match usize::try_from(word) {
+            Ok(zeros) if zeros <= self.limit - self.words.len() => {
+                // Grow to a power of two, as pushing the zeros one by one
+                // would: a bare `resize` to an odd length leaves metro1k's
+                // 214,488 words in room for 294,912, not 262,144.
+                let len = self.words.len() + zeros;
+                self.words
+                    .reserve(len.next_power_of_two() - self.words.len());
+                self.words.resize(len, 0);
+                Ok(())
+            }
+            _ => Err("a run that takes the state past 16 words a character of its text"),
+        }
+    }
+}
+
 /// Reads the state words back, accepting exactly what [`state_chunks`]
 /// writes — so a checkpoint has one spelling, and the text re-encodes
 /// to its own bytes. Anything else (upper case, a leading zero, a 17th
-/// digit, a space that does not separate two words, an empty chunk, a
-/// chunk cut early or late) is an error at that chunk.
+/// digit, a space that does not separate two tokens, an empty chunk, a
+/// chunk cut early or late, a run of fewer than two zeros, two zeros or
+/// a zero and a run or two runs side by side, in one chunk or across a
+/// cut) is an error at that chunk, and so is a run that takes the state
+/// past [`WORDS_PER_CHAR`] words per character of its text.
 fn dec_state(node: &Node<'_>) -> Result<Vec<u64>, CodecError> {
-    let mut words = Vec::new();
+    let chars: usize = match node.json() {
+        Json::Arr(chunks) => chunks.iter().filter_map(Json::as_str).map(str::len).sum(),
+        _ => 0,
+    };
+    let mut decoded = Decoded {
+        words: Vec::new(),
+        last: Token::Word,
+        limit: chars.saturating_mul(WORDS_PER_CHAR),
+    };
     // Only the last chunk may stop short of the cut.
     let mut short = false;
     node.list(|chunk| {
         let text = chunk.str()?;
-        // `digits == 0` is "a word must start here".
-        let (mut word, mut digits, mut word_at) = (0u64, 0usize, 0usize);
+        // `digits == 0` is "a token's digits must start here"; `run`
+        // is "the token is a run's `*`".
+        let (mut word, mut digits, mut run, mut word_at) = (0u64, 0usize, false, 0usize);
         for (at, b) in text.bytes().enumerate() {
             let digit = match b {
                 b'0'..=b'9' => b - b'0',
                 b'a'..=b'f' => b - b'a' + 10,
                 b' ' if digits > 0 => {
-                    words.push(word);
-                    (word, digits, word_at) = (0, 0, at + 1);
+                    decoded.token(word, run).or_else(|why| chunk.err(why))?;
+                    (word, digits, run, word_at) = (0, 0, false, at + 1);
                     continue;
                 }
+                b'*' if digits == 0 && !run => {
+                    run = true;
+                    continue;
+                }
+                b' ' if run => return chunk.err("a `*` with no count"),
                 b' ' => return chunk.err("a space that does not separate two words"),
+                b'*' => return chunk.err("a `*` that does not start a run"),
                 _ => return chunk.err("expected lower-case hex words separated by single spaces"),
             };
             if digits == 1 && word == 0 {
@@ -389,7 +493,9 @@ fn dec_state(node: &Node<'_>) -> Result<Vec<u64>, CodecError> {
             digits += 1;
         }
         if digits == 0 {
-            return chunk.err(if text.is_empty() {
+            return chunk.err(if run {
+                "a `*` with no count"
+            } else if text.is_empty() {
                 "an empty chunk"
             } else {
                 "a space that does not separate two words"
@@ -406,10 +512,9 @@ fn dec_state(node: &Node<'_>) -> Result<Vec<u64>, CodecError> {
             ));
         }
         short = text.len() < HEX_CHUNK;
-        words.push(word);
-        Ok(())
+        decoded.token(word, run).or_else(|why| chunk.err(why))
     })?;
-    Ok(words)
+    Ok(decoded.words)
 }
 
 #[cfg(test)]
@@ -760,6 +865,99 @@ mod tests {
         assert_refused(&[&full, &ones(HEX_CHUNK / 2 + 2)], 1, "past its cut");
     }
 
+    /// `ones(HEX_CHUNK / 2)` and then `token`: a chunk that `token`
+    /// closes, so what follows it opens the next chunk.
+    fn closed_by(token: &str) -> String {
+        format!("{} {token}", ones(HEX_CHUNK / 2))
+    }
+
+    #[test]
+    fn a_run_of_zeros_is_one_token() {
+        let mut words = vec![0; 31];
+        words.extend([1, 0, 2, 0, 0]);
+        assert_eq!(state_chunks(&words), ["*1f 1 0 2 *2"]);
+        assert_eq!(decode_with_state(&["*1f 1 0 2 *2"]).unwrap().state, words);
+        assert_eq!(state_chunks(&[0]), ["0"]);
+        assert_eq!(state_chunks(&[0; 0x1_0000]), ["*10000"]);
+        // The run that closes a chunk is whole in it, however long.
+        let mut words = vec![1; HEX_CHUNK / 2];
+        words.resize(HEX_CHUNK / 2 + 20_480, 0);
+        words.push(7);
+        assert_eq!(state_chunks(&words), [&closed_by("*5000")[..], "7"]);
+        assert_eq!(
+            decode_with_state(&[&closed_by("*5000"), "7"])
+                .unwrap()
+                .state,
+            words
+        );
+    }
+
+    #[test]
+    fn two_zeros_in_a_row_are_refused() {
+        assert_refused(&["0 0"], 0, "two zeros in a row");
+        assert_refused(&["1 0 0 1"], 0, "two zeros in a row");
+        assert_refused(&[&closed_by("0"), "0"], 1, "two zeros in a row");
+    }
+
+    #[test]
+    fn a_zero_next_to_a_run_is_refused() {
+        assert_refused(&["0 *2"], 0, "a zero next to a run");
+        assert_refused(&["1 *2 0"], 0, "a zero next to a run");
+        assert_refused(&[&closed_by("0"), "*2"], 1, "a zero next to a run");
+        assert_refused(&[&closed_by("*2"), "0"], 1, "a zero next to a run");
+    }
+
+    #[test]
+    fn two_adjacent_runs_are_refused() {
+        assert_refused(&["*2 *3"], 0, "two runs of zeros side by side");
+        assert_refused(
+            &[&closed_by("*2"), "*2 1"],
+            1,
+            "two runs of zeros side by side",
+        );
+    }
+
+    #[test]
+    fn a_run_of_fewer_than_two_zeros_is_refused() {
+        assert_refused(&["*0"], 0, "fewer than two zeros");
+        assert_refused(&["1 *1 1"], 0, "fewer than two zeros");
+    }
+
+    #[test]
+    fn a_star_that_does_not_start_a_count_is_refused() {
+        assert_refused(&["*"], 0, "a `*` with no count");
+        assert_refused(&["1 * 1"], 0, "a `*` with no count");
+        assert_refused(&["**2"], 0, "a `*` that does not start a run");
+        assert_refused(&["1*2"], 0, "a `*` that does not start a run");
+    }
+
+    #[test]
+    fn a_run_count_with_a_leading_zero_is_refused() {
+        assert_refused(&["*02"], 0, "leading zero");
+        assert_refused(&["1 *00"], 0, "leading zero");
+        assert_refused(&[&format!("*1{}", "0".repeat(16))], 0, "more than 16");
+    }
+
+    #[test]
+    fn a_run_past_sixteen_words_a_character_is_refused_before_it_is_allocated() {
+        assert_refused(&["*ffffffffffffffff"], 0, "past 16 words a character");
+        // Three characters: 48 words and no more.
+        assert_eq!(decode_with_state(&["*30"]).unwrap().state, [0; 0x30]);
+        assert_refused(&["*31"], 0, "past 16 words a character");
+        // The limit counts every chunk's characters, and the words
+        // decoded before the run.
+        let first = closed_by("1");
+        let limit = 16 * (first.len() + "*ffff".len());
+        let room = limit - (HEX_CHUNK / 2 + 1);
+        let (fits, past) = (format!("*{room:x}"), format!("*{:x}", room + 1));
+        assert_eq!([fits.len(), past.len()], ["*ffff".len(); 2]);
+        assert_eq!(
+            decode_with_state(&[&first, &fits]).unwrap().state.len(),
+            limit
+        );
+        assert_refused(&[&first, &past], 1, "past 16 words");
+    }
+
     /// The nine section tags of a scenario run's stream, as words.
     fn section_tags() -> Vec<u64> {
         let mut w = StateWriter::new();
@@ -778,9 +976,9 @@ mod tests {
         let chunks = state_chunks(words);
         for (i, c) in chunks.iter().enumerate() {
             // Every chunk but the last reaches the cut; none passes it
-            // by more than one word.
+            // by more than one token.
             let least = if i + 1 < chunks.len() { HEX_CHUNK } else { 1 };
-            assert!((least..HEX_CHUNK + 17).contains(&c.len()), "{}", c.len());
+            assert!((least..HEX_CHUNK + 18).contains(&c.len()), "{}", c.len());
         }
         let doc = Json::arr(chunks.iter().cloned().map(Json::from));
         let back = dec_state(&Node::root("checkpoint", "checkpoint.state", &doc)).unwrap();
@@ -810,16 +1008,31 @@ mod tests {
 
         #[test]
         fn any_state_round_trips_through_its_text(
-            // Every width equally often: random bits, shifted down.
+            // One-digit words up to either side of the first cut, then a
+            // run of zeros: the run closes the first chunk or opens the
+            // second.
+            lead in (HEX_CHUNK / 2 - 4)..(HEX_CHUNK / 2 + 4),
+            run in 1usize..25_001,
+            // Every width equally often: random bits, shifted down; after
+            // one word in 128, a run of zeros of any length up to 25,000
+            // (rare enough to keep a state near 10 words a character, under
+            // the decoder's limit).
             body in proptest::collection::vec(
-                (proptest::prelude::any::<u64>(), 0u32..64),
+                (proptest::prelude::any::<u64>(), 0u32..64, 0u32..128, 1usize..25_001),
                 0..3000,
             ),
         ) {
+            let mut words = vec![1; lead];
+            words.resize(lead + run, 0);
             // The forced values: the width boundaries and the tags.
-            let mut words = vec![0, 1, 0xf, 0x10, u64::MAX];
+            words.extend([1, 0, 1, 0xf, 0x10, u64::MAX]);
             words.extend(section_tags());
-            words.extend(body.into_iter().map(|(bits, shift)| bits >> shift));
+            for (bits, shift, pick, zeros) in body {
+                words.push(bits >> shift);
+                if pick == 0 {
+                    words.resize(words.len() + zeros, 0);
+                }
+            }
             assert_state_round_trips(&words);
         }
     }

@@ -59,7 +59,7 @@ fn the_checkpoint_fixture_keeps_its_bytes_and_resumes_to_the_straight_run() {
     // Written at cycle 100 of scenarios/figure1.json — mid-traffic — by
     // the build that introduced checkpoint schema 6, which kept the
     // destinations' delivery log, then brought to schema 7 by deleting
-    // exactly the words schema 7 dropped.
+    // exactly the words schema 7 dropped, and respelled as schema 8.
     let text = read(CKPT_FIXTURE);
     let ckpt = Checkpoint::from_text(&text).unwrap();
     assert_eq!((ckpt.scenario.name.as_str(), ckpt.cycle), ("figure1", 100));
@@ -67,7 +67,7 @@ fn the_checkpoint_fixture_keeps_its_bytes_and_resumes_to_the_straight_run() {
     assert_eq!(doc.render(), text);
     assert_eq!(
         doc.get("checkpoint_hash").unwrap().as_str().unwrap(),
-        "0xa4ca4b7e2d5395fa"
+        "0x5e0c4cfc30bea1c2"
     );
     let (resumed, _sim) = resume_scenario(&ckpt).unwrap();
     let straight = run_scenario(&ckpt.scenario).unwrap();
@@ -75,6 +75,35 @@ fn the_checkpoint_fixture_keeps_its_bytes_and_resumes_to_the_straight_run() {
 }
 
 const PIPELINED_FIXTURE: &str = "tests/fixtures/pipelined.ckpt.json";
+
+/// FNV-1a over the words as little-endian bytes.
+fn words_digest(words: &[u64]) -> u64 {
+    words
+        .iter()
+        .flat_map(|w| w.to_le_bytes())
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+}
+
+/// Schema 8 changed how the state words are spelled, not the words: the
+/// fixtures were respelled from the words the schema-7 build decoded
+/// from them, and these are that build's count and digest of those
+/// words.
+#[test]
+fn the_fixtures_decode_to_the_words_their_schema_7_spelling_held() {
+    for (fixture, words, digest) in [
+        (CKPT_FIXTURE, 2592, 0x818c_3855_8ef9_c4dd),
+        (PIPELINED_FIXTURE, 3116, 0x12ba_d81f_d2c4_c473),
+    ] {
+        let state = Checkpoint::from_text(&read(fixture)).unwrap().state;
+        assert_eq!(
+            (state.len(), words_digest(&state)),
+            (words, digest),
+            "{fixture}"
+        );
+    }
+}
 
 /// The outcome digest of `tests/fixtures/pipelined.json` run straight,
 /// as the build that wrote the pipelined fixture reported it.
@@ -178,7 +207,8 @@ fn port_queues_and_wire_words(state: &[u64]) -> (Vec<(Queue, usize, usize)>, usi
 /// `tests/fixtures/pipelined.json` (figure 1 at `dp = 2`, wire delays of
 /// 1–2 cycles) by the build that still held a router's pipes and reply
 /// queue and a wire's registers in growable queues, then brought to
-/// schema 7 by deleting exactly the words schema 7 dropped. Router
+/// schema 7 by deleting exactly the words schema 7 dropped, and
+/// respelled as schema 8. Router
 /// pipes, reply queues and wire registers all hold live words in it.
 /// Both cycle engines share those types, so the Flat == Reference
 /// differential cannot see a changed save order; this fixture does.
@@ -194,7 +224,12 @@ fn the_pipelined_fixture_keeps_its_bytes_and_resumes_to_its_writers_digest() {
         codec::encode(&ckpt.scenario).render(),
         read("tests/fixtures/pipelined.json")
     );
-    assert_eq!(ckpt.to_json().render(), text);
+    let doc = ckpt.to_json();
+    assert_eq!(doc.render(), text);
+    assert_eq!(
+        doc.get("checkpoint_hash").unwrap().as_str().unwrap(),
+        "0xcb47e904cfa51671"
+    );
 
     let (queues, wire_words) = port_queues_and_wire_words(&ckpt.state);
     assert!(
@@ -255,19 +290,20 @@ fn a_restore_refuses_pipes_and_reply_queues_no_tick_leaves() {
 }
 
 /// Most state words are a counter at zero or an idle register, and the
-/// document spells a word at its own width: the fixture's `"state"`
-/// text — digits and separators — stays within 5 bytes a word (it was
-/// 16 when every word was written at full width) over all 2,592 of its
-/// words.
+/// document spells a word at its own width and a run of zeros as one
+/// token: the fixture's `"state"` text — digits, run tokens and
+/// separators — stays within 2 bytes a word (16 when every word was
+/// written at full width, 2.58 with every zero spelled on its own) over
+/// all 2,592 of its words.
 #[test]
-fn the_fixtures_state_text_is_at_most_five_bytes_a_word() {
+fn the_fixtures_state_text_is_at_most_two_bytes_a_word() {
     let text = read(CKPT_FIXTURE);
     let words = Checkpoint::from_text(&text).unwrap().state.len();
     let doc = Json::parse(&text).unwrap();
     let chunks = doc.get("state").unwrap().as_arr().unwrap();
     let bytes: usize = chunks.iter().map(|c| c.as_str().unwrap().len()).sum();
     assert!(
-        words == 2592 && bytes <= 5 * words,
+        words == 2592 && bytes <= 2 * words,
         "{bytes} bytes of state text for {words} words"
     );
 }

@@ -265,16 +265,6 @@ impl Allocator {
         self.owner[b] = None;
         self.in_use &= !(1u64 << b);
     }
-
-    /// Releases every port owned by forward port `fwd`.
-    pub fn release_owned_by(&mut self, fwd: usize) {
-        for (b, o) in self.owner.iter_mut().enumerate() {
-            if *o == Some(fwd) {
-                *o = None;
-                self.in_use &= !(1u64 << b);
-            }
-        }
-    }
 }
 
 // The allocation state — owners, IN-USE word, round-robin cursors — of
@@ -447,17 +437,6 @@ mod tests {
         let outs = a.arbitrate(&[(0, 1), (1, 1), (2, 1)], &cfg, &mut rng);
         let blocked = outs.iter().filter(|o| o.port().is_none()).count();
         assert_eq!(blocked, 1);
-    }
-
-    #[test]
-    fn release_owned_by_frees_everything() {
-        let (cfg, mut a, mut rng) = setup(2);
-        a.request_for(5, 0, &cfg, &mut rng);
-        a.request_for(5, 1, &cfg, &mut rng);
-        a.request_for(6, 2, &cfg, &mut rng);
-        assert_eq!(a.allocated_count(), 3);
-        a.release_owned_by(5);
-        assert_eq!(a.allocated_count(), 1);
     }
 
     #[test]

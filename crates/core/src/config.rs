@@ -288,12 +288,6 @@ impl RouterConfig {
         dir * self.dilation..(dir + 1) * self.dilation
     }
 
-    /// The logical direction that backward port `b` belongs to.
-    #[must_use]
-    pub fn direction_of_port(&self, b: usize) -> usize {
-        b / self.dilation
-    }
-
     /// Total configuration bits this router exposes through its scan
     /// registers, per the Table 2 accounting.
     #[must_use]
@@ -553,7 +547,6 @@ mod tests {
             for b in cfg.direction_group(dir) {
                 assert!(!seen[b], "port {b} in two groups");
                 seen[b] = true;
-                assert_eq!(cfg.direction_of_port(b), dir);
             }
         }
         assert!(seen.iter().all(|&s| s));

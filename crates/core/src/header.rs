@@ -17,7 +17,7 @@
 //!
 //! [`HeaderPlan`] computes, for a sequence of stage radices, how the
 //! header packs into words and which stages must be configured to
-//! swallow; [`RouteHeader`] packs a concrete digit sequence.
+//! swallow, and [`HeaderPlan::pack`] packs a concrete digit sequence.
 
 use crate::word::Word;
 
@@ -239,41 +239,6 @@ impl HeaderPlan {
     }
 }
 
-/// A packed route header plus the payload layout for one message — the
-/// complete word stream an endpoint feeds into the network.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RouteHeader {
-    words: Vec<u16>,
-}
-
-impl RouteHeader {
-    /// Packs the header for `dest` under `plan`.
-    #[must_use]
-    pub fn for_destination(plan: &HeaderPlan, dest: usize) -> Self {
-        Self {
-            words: plan.pack(&plan.digits_for(dest)),
-        }
-    }
-
-    /// The packed header words.
-    #[must_use]
-    pub fn words(&self) -> &[u16] {
-        &self.words
-    }
-
-    /// Number of header words.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.words.len()
-    }
-
-    /// Whether the header is empty (a zero-stage network).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.words.is_empty()
-    }
-}
-
 /// Simulates the head-word consumption a router at stage `s` performs,
 /// for testing and for the destination-side view: returns
 /// `(digit, forwarded_head)` where `forwarded_head` is `None` when the
@@ -392,15 +357,6 @@ mod tests {
                     .eq(packed.into_iter().map(Word::Data)));
             }
         }
-    }
-
-    #[test]
-    fn route_header_for_destination() {
-        let plan = HeaderPlan::new(&[2, 2, 2], 8, 0);
-        let h = RouteHeader::for_destination(&plan, 54);
-        assert_eq!(h.words(), &[0b1101_1000]);
-        assert_eq!(h.len(), 1);
-        assert!(!h.is_empty());
     }
 
     #[test]

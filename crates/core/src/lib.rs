@@ -77,7 +77,6 @@ pub use cascade::{CascadeError, CascadeGroup};
 pub use checksum::StreamChecksum;
 pub use config::{ConfigBuilder, PortMode, RouterConfig};
 pub use error::{ConfigError, ParamError};
-pub use header::RouteHeader;
 pub use params::ArchParams;
 pub use rng::RandomSource;
 pub use router::{BwdIn, FwdIn, PortStatus, Router, TickOutput};

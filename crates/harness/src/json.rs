@@ -131,14 +131,6 @@ impl Json {
         }
     }
 
-    /// The elements, mutably, if this is an array.
-    pub fn as_arr_mut(&mut self) -> Option<&mut Vec<Json>> {
-        match self {
-            Json::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-
     /// Renders the document with two-space indentation and a trailing
     /// newline — the format of every file under `results/`.
     #[must_use]

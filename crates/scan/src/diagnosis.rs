@@ -1,22 +1,14 @@
-//! On-line fault localization and masking.
+//! The transit-checksum model of on-line fault localization (paper
+//! §5.1).
 //!
-//! METRO's reliability story closes the loop between the routing
-//! protocol and the scan subsystem (paper §5.1):
-//!
-//! 1. At every connection reversal, each router injects its **transit
-//!    checksum** — a checksum over the words it received — into the
-//!    return stream. The source, knowing what it sent, can compute the
-//!    *expected* checksum at every stage and localize where corruption
-//!    entered the stream ([`expected_stage_checksums`],
-//!    [`localize_corruption`]).
-//! 2. The suspect region (a link and its two endpoint ports) is
-//!    **disabled** via scan; redundant paths keep the network in
-//!    service ([`MaskPlan`]).
-//! 3. Boundary-scan vectors are applied across the suspect wire while
-//!    the rest of the router carries traffic
-//!    ([`crate::boundary::test_wire`]).
-//! 4. Confirmed-faulty elements stay disabled (masked); healthy ones
-//!    are re-enabled.
+//! At every connection reversal each router injects its **transit
+//! checksum** — a checksum over the words it received — into the
+//! return stream. The source, knowing what it sent, computes what a
+//! clean stream reports at every stage ([`expected_stage_checksums`]);
+//! the first stage that disagrees marks the link into it. The verdict
+//! on a network's topology is `metro_sim::NetworkSim::diagnose`; the
+//! link it names is then disabled, tested across with boundary-scan
+//! vectors ([`crate::boundary::test_wire`]) and masked.
 
 use metro_core::header::{consume_digit, HeaderPlan};
 use metro_core::StreamChecksum;
@@ -73,151 +65,12 @@ pub fn expected_stage_checksums(
     expected
 }
 
-/// Where corruption entered a path, derived from the transit checksums
-/// the routers reported at turn time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CorruptionSite {
-    /// The first stage whose received-stream checksum mismatched. The
-    /// corrupting element lies on the link *into* this stage (or the
-    /// downstream datapath of stage `stage - 1`).
-    pub stage: usize,
-}
-
-/// Compares expected and reported per-stage checksums; `None` when they
-/// all match (corruption occurred after the last router, or nowhere).
-///
-/// Reported checksums arrive nearest-router-first, exactly as the
-/// source NIC's delivery record collects them (`metro-sim`'s
-/// `DeliveryRecord`).
-#[must_use]
-pub fn localize_corruption(expected: &[u16], reported: &[u16]) -> Option<CorruptionSite> {
-    expected
-        .iter()
-        .zip(reported)
-        .position(|(e, r)| e != r)
-        .map(|stage| CorruptionSite { stage })
-}
-
-/// The masking action for a localized fault: which ports to disable so
-/// the faulty element can no longer corrupt traffic (paper §5.1:
-/// "Disabled faults are masked").
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MaskPlan {
-    /// Stage of the router driving the suspect link (`stage` of the
-    /// corruption site minus one; `None` when the corruption entered on
-    /// the injection boundary).
-    pub upstream_stage: Option<usize>,
-    /// The backward port (on the upstream router) to disable.
-    pub upstream_backward_port: Option<usize>,
-    /// The stage whose forward port must be disabled.
-    pub downstream_stage: usize,
-    /// The forward port (on the downstream router) to disable.
-    pub downstream_forward_port: usize,
-}
-
-/// Builds the mask plan for a corruption site given the path the
-/// message took: `ports_taken[s]` is the backward port stage `s`
-/// switched the connection through (from the STATUS words), and
-/// `fwd_ports[s]` the forward port it entered stage `s` on (from the
-/// topology).
-#[must_use]
-pub fn mask_plan(site: CorruptionSite, ports_taken: &[usize], fwd_ports: &[usize]) -> MaskPlan {
-    if site.stage == 0 {
-        MaskPlan {
-            upstream_stage: None,
-            upstream_backward_port: None,
-            downstream_stage: 0,
-            downstream_forward_port: fwd_ports[0],
-        }
-    } else {
-        MaskPlan {
-            upstream_stage: Some(site.stage - 1),
-            upstream_backward_port: Some(ports_taken[site.stage - 1]),
-            downstream_stage: site.stage,
-            downstream_forward_port: fwd_ports[site.stage],
-        }
-    }
-}
-
-/// What one failed attempt's reply evidence says about the fabric —
-/// the online entry point the simulator's self-healing layer feeds
-/// each piece of delivery evidence through.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum AttemptDiagnosis {
-    /// Transit checksums localized corruption to a link: apply the
-    /// mask plan (disable both ends).
-    Corruption(MaskPlan),
-    /// Every reported transit checksum matched but the delivery itself
-    /// failed (corrupt ACK, no ACK, or the reply evidence simply
-    /// stopped): the fault sits past the last *reporting* router — on
-    /// the delivery boundary when every stage reported, or on the dead
-    /// link the trail went cold at. Mask that stage's backward port.
-    DeliveryBoundary {
-        /// The last stage that reported (the path's final stage when
-        /// the evidence is complete).
-        stage: usize,
-        /// The backward port the connection left that stage on.
-        backward_port: usize,
-    },
-    /// The attempt produced no reversal evidence at all (watchdog
-    /// expiry with an empty record): a dead element ate the stream
-    /// without replying. Localization needs a boundary-scan sweep.
-    NeedsSweep,
-    /// The evidence does not implicate a wire (e.g. an ordinary
-    /// blocked/reclaimed attempt): take no masking action.
-    Inconclusive,
-}
-
-/// Classifies one failed attempt from its reply evidence.
-///
-/// `expected` and `reported` are the per-stage transit checksums
-/// (nearest router first, as `expected_stage_checksums` produces and
-/// the NIC's delivery record collects); `ports_taken`/`fwd_ports`
-/// describe the path actually switched (from the STATUS words and the
-/// topology); `delivery_failed` is true when the destination NACKed or
-/// never ACKed despite a full reversal.
-#[must_use]
-pub fn diagnose_attempt(
-    expected: &[u16],
-    reported: &[u16],
-    ports_taken: &[usize],
-    fwd_ports: &[usize],
-    delivery_failed: bool,
-) -> AttemptDiagnosis {
-    if reported.is_empty() {
-        return AttemptDiagnosis::NeedsSweep;
-    }
-    if let Some(site) = localize_corruption(expected, reported) {
-        return AttemptDiagnosis::Corruption(mask_plan(site, ports_taken, fwd_ports));
-    }
-    // Clean-as-far-as-reported evidence with a failed delivery: the
-    // element after the last reporting router swallowed the stream (a
-    // dead inter-stage link kills the reply mid-path; a dead or
-    // corrupting delivery link leaves a full, clean report).
-    if delivery_failed && !ports_taken.is_empty() {
-        return AttemptDiagnosis::DeliveryBoundary {
-            stage: ports_taken.len() - 1,
-            backward_port: ports_taken[ports_taken.len() - 1],
-        };
-    }
-    AttemptDiagnosis::Inconclusive
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn plan3() -> HeaderPlan {
         HeaderPlan::new(&[2, 2, 2], 8, 0)
-    }
-
-    #[test]
-    fn clean_path_reports_no_site() {
-        let plan = plan3();
-        let digits = plan.digits_for(0b11_01_10);
-        let payload = [1u16, 2, 3];
-        let expected = expected_stage_checksums(&plan, &digits, &payload, 8, 0);
-        assert_eq!(localize_corruption(&expected, &expected), None);
     }
 
     #[test]
@@ -230,26 +83,6 @@ mod tests {
         let e = expected_stage_checksums(&plan, &digits, &payload, 8, 0);
         assert_eq!(e.len(), 3);
         assert_ne!(e[0], e[1]);
-    }
-
-    #[test]
-    fn corruption_at_stage_k_is_localized() {
-        let plan = plan3();
-        let digits = plan.digits_for(5);
-        let payload = [9u16, 8, 7];
-        let expected = expected_stage_checksums(&plan, &digits, &payload, 8, 0);
-        for bad_stage in 0..3 {
-            let mut reported = expected.clone();
-            // Corruption entering at stage k garbles the checksums of
-            // stage k and everything downstream.
-            for r in reported.iter_mut().skip(bad_stage) {
-                *r ^= 0x0101;
-            }
-            assert_eq!(
-                localize_corruption(&expected, &reported),
-                Some(CorruptionSite { stage: bad_stage })
-            );
-        }
     }
 
     #[test]
@@ -294,174 +127,5 @@ mod tests {
         ck1.absorb_value(header[1]);
         ck1.absorb_value(6);
         assert_eq!(e[1], ck1.value());
-    }
-
-    #[test]
-    fn mask_plan_names_both_ends_of_the_link() {
-        let site = CorruptionSite { stage: 2 };
-        let plan = mask_plan(site, &[3, 5, 1], &[0, 2, 4]);
-        assert_eq!(plan.upstream_stage, Some(1));
-        assert_eq!(plan.upstream_backward_port, Some(5));
-        assert_eq!(plan.downstream_stage, 2);
-        assert_eq!(plan.downstream_forward_port, 4);
-    }
-
-    #[test]
-    fn injection_boundary_corruption_has_no_upstream_router() {
-        let site = CorruptionSite { stage: 0 };
-        let plan = mask_plan(site, &[3, 5, 1], &[0, 2, 4]);
-        assert_eq!(plan.upstream_stage, None);
-        assert_eq!(plan.upstream_backward_port, None);
-        assert_eq!(plan.downstream_stage, 0);
-        assert_eq!(plan.downstream_forward_port, 0);
-    }
-
-    #[test]
-    fn final_stage_corruption_masks_the_last_link() {
-        // Corruption entering at the deepest stage: the suspect link is
-        // the one out of stage N-2, and the downstream port is the final
-        // stage's own entry port.
-        let ports_taken = [7usize, 6, 5, 4];
-        let fwd_ports = [0usize, 1, 2, 3];
-        let site = CorruptionSite { stage: 3 };
-        let plan = mask_plan(site, &ports_taken, &fwd_ports);
-        assert_eq!(plan.upstream_stage, Some(2));
-        assert_eq!(plan.upstream_backward_port, Some(ports_taken[2]));
-        assert_eq!(plan.downstream_stage, 3);
-        assert_eq!(plan.downstream_forward_port, fwd_ports[3]);
-    }
-
-    #[test]
-    fn zero_length_checksum_vectors_localize_nothing() {
-        // A zero-stage path (or a record that collected no STATUS
-        // words) can never name a corruption site.
-        assert_eq!(localize_corruption(&[], &[]), None);
-        // Expected side empty: nothing to compare against, even if the
-        // reported side carries stray words.
-        assert_eq!(localize_corruption(&[], &[0x1234]), None);
-        // Reported side empty: zip truncates, no mismatch observable.
-        assert_eq!(localize_corruption(&[0x1234], &[]), None);
-    }
-
-    #[test]
-    fn first_of_multiple_corrupting_stages_wins() {
-        // Two independently corrupting elements on one path: every
-        // checksum from the first bad stage onward mismatches, and the
-        // second fault adds *further* divergence downstream — the
-        // localizer must still name the first stage, because masking
-        // proceeds one link at a time (the next attempt re-localizes
-        // the survivor).
-        let plan = plan3();
-        let digits = plan.digits_for(0b10_01_11);
-        let payload = [2u16, 4, 6, 8];
-        let expected = expected_stage_checksums(&plan, &digits, &payload, 8, 0);
-        let mut reported = expected.clone();
-        for r in reported.iter_mut().skip(1) {
-            *r ^= 0x0040; // first corrupting link: into stage 1
-        }
-        for r in reported.iter_mut().skip(2) {
-            *r ^= 0x2000; // second corrupting link: into stage 2
-        }
-        assert_eq!(
-            localize_corruption(&expected, &reported),
-            Some(CorruptionSite { stage: 1 })
-        );
-        // Degenerate double fault: the second corruption exactly undoes
-        // the first at stage 2. The first mismatching stage still wins.
-        let mut cancel = expected.clone();
-        cancel[1] ^= 0x0040;
-        assert_eq!(
-            localize_corruption(&expected, &cancel),
-            Some(CorruptionSite { stage: 1 })
-        );
-    }
-
-    #[test]
-    fn mask_plan_on_dilated_ports_names_the_physical_port() {
-        // Dilation 2: each logical direction owns two physical backward
-        // ports, and the STATUS word names the *physical* port the
-        // connection switched through. ports_taken entries here are
-        // physical indices within dilated groups (dir*2 + lane), and
-        // the plan must carry them through untouched — masking the
-        // sibling lane instead would disable a healthy wire.
-        let ports_taken = [3usize, 5, 0]; // dirs 1,2,0 — lanes 1,1,0
-        let fwd_ports = [2usize, 6, 1];
-        let plan = mask_plan(CorruptionSite { stage: 1 }, &ports_taken, &fwd_ports);
-        assert_eq!(plan.upstream_stage, Some(0));
-        assert_eq!(
-            plan.upstream_backward_port,
-            Some(3),
-            "lane 1 of direction 1, not the direction's base port"
-        );
-        assert_eq!(plan.downstream_stage, 1);
-        assert_eq!(plan.downstream_forward_port, 6);
-
-        let plan = mask_plan(CorruptionSite { stage: 2 }, &ports_taken, &fwd_ports);
-        assert_eq!(plan.upstream_backward_port, Some(5));
-        assert_eq!(plan.downstream_forward_port, 1);
-    }
-
-    #[test]
-    fn diagnose_attempt_classifies_each_evidence_shape() {
-        let plan = plan3();
-        let digits = plan.digits_for(6);
-        let payload = [1u16, 2];
-        let expected = expected_stage_checksums(&plan, &digits, &payload, 8, 0);
-        let ports = [1usize, 2, 3];
-        let fwd = [0usize, 0, 0];
-
-        // Corruption mid-path → a mask plan naming the link.
-        let mut bad = expected.clone();
-        bad[2] ^= 0x10;
-        match diagnose_attempt(&expected, &bad, &ports, &fwd, true) {
-            AttemptDiagnosis::Corruption(p) => {
-                assert_eq!(p.upstream_backward_port, Some(2));
-                assert_eq!(p.downstream_stage, 2);
-            }
-            d => panic!("expected corruption, got {d:?}"),
-        }
-
-        // Clean checksums + failed delivery → the delivery boundary.
-        assert_eq!(
-            diagnose_attempt(&expected, &expected, &ports, &fwd, true),
-            AttemptDiagnosis::DeliveryBoundary {
-                stage: 2,
-                backward_port: 3
-            }
-        );
-
-        // Clean evidence that stops mid-path with a failed delivery:
-        // a dead link ate the stream right after the last reporting
-        // router — mask the port the trail went cold on.
-        assert_eq!(
-            diagnose_attempt(&expected, &expected[..1], &ports[..1], &fwd, true),
-            AttemptDiagnosis::DeliveryBoundary {
-                stage: 0,
-                backward_port: 1
-            }
-        );
-
-        // No reversal evidence at all → sweep.
-        assert_eq!(
-            diagnose_attempt(&expected, &[], &ports, &fwd, false),
-            AttemptDiagnosis::NeedsSweep
-        );
-
-        // Partial clean evidence without a delivery failure (an
-        // ordinary block) → no action.
-        assert_eq!(
-            diagnose_attempt(&expected, &expected[..1], &ports[..1], &fwd, false),
-            AttemptDiagnosis::Inconclusive
-        );
-    }
-
-    #[test]
-    fn all_matching_checksums_localize_nothing() {
-        // Every stage agrees — corruption happened after the last
-        // router, or not at all. This must hold for arbitrary lengths,
-        // including a single-stage path.
-        assert_eq!(localize_corruption(&[0xABCD], &[0xABCD]), None);
-        let clean = vec![0u16, 0xFFFF, 0x0F0F, 0x55AA, 0x1234];
-        assert_eq!(localize_corruption(&clean, &clean.clone()), None);
     }
 }

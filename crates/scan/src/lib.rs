@@ -14,9 +14,9 @@
 //! * [`multitap`] — redundant TAPs with survivor selection, METRO's
 //!   tolerance to faults in the scan paths themselves.
 //! * [`boundary`] — boundary-scan cells and port-pair wire tests.
-//! * [`diagnosis`] — on-line fault localization from the per-router
-//!   transit checksums the routers return at connection reversal, and
-//!   the disable→test→mask procedure of §5.1.
+//! * [`diagnosis`] — the transit-checksum model: what each router of a
+//!   clean stream returns at connection reversal, which on-line fault
+//!   localization (§5.1) compares the reported checksums against.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -10,7 +10,7 @@
 
 use crate::network::SimConfig;
 use crate::scenario::{Scenario, SendSpec, WorkloadSpec};
-use crate::workload::WorkloadError;
+use crate::workload::{ArrivalProcess, WorkloadError};
 use metro_core::header::HeaderPlan;
 use metro_core::{ArchParams, ParamError, RouterConfig};
 use metro_topo::multibutterfly::{Multibutterfly, MultibutterflySpec, TopologyError};
@@ -115,7 +115,8 @@ impl Scenario {
     /// Lowers the scenario to the machine it describes: [`Fabric::new`],
     /// then the workload against the endpoint count — pattern, arrival
     /// process, rate map, a load of at least 0, a non-empty measurement
-    /// window, every scripted send's endpoints.
+    /// window no message stream outlasts, every scripted send's
+    /// endpoints.
     ///
     /// # Errors
     ///
@@ -130,6 +131,7 @@ impl Scenario {
                 arrival,
                 rates,
                 load,
+                payload_words,
                 measure,
                 ..
             } => {
@@ -143,6 +145,26 @@ impl Scenario {
                 }
                 if *measure == 0 {
                     return Err(at("workload.measure")(WorkloadError::EmptyMeasureWindow));
+                }
+                // A message whose stream outlasts the window cannot be
+                // delivered inside it.
+                let past_measure = |payload_words: usize| {
+                    let stream_words = fabric.stream_words(0).saturating_add(payload_words);
+                    (stream_words as u64 > *measure).then_some(WorkloadError::StreamPastMeasure {
+                        stream_words,
+                        measure: *measure,
+                    })
+                };
+                if let Some(e) = past_measure(*payload_words) {
+                    return Err(at("workload.payload_words")(e));
+                }
+                if let ArrivalProcess::Trace(entries) = arrival {
+                    for (i, entry) in entries.iter().enumerate() {
+                        if let Some(e) = past_measure(entry.payload_words) {
+                            let field = format!("workload.arrival.entries[{i}].payload_words");
+                            return Err(ScenarioError::at(field, e));
+                        }
+                    }
                 }
             }
             WorkloadSpec::Sends { sends, .. } => {

@@ -3,23 +3,23 @@
 //!
 //! This is an orchestration concern layered on [`NetworkSim`]: the
 //! endpoints capture [`AttemptEvidence`] on failed deliveries,
-//! [`NetworkSim::diagnose`] runs an item through `metro-scan`
-//! diagnosis and names the [`Suspect`] on this network's topology, and
-//! the implicated ports are disabled — never by reading the injected
-//! fault set. Online ([`SimConfig::self_heal`](crate::SimConfig)) the
-//! network drains the evidence itself every tick and masks in the live
-//! router configurations; an offline scan master drains it, asks the
-//! same `diagnose`, and writes the same mask through the TAPs. Engine
-//! access is limited to
-//! [`Engine::probe_wire`](crate::engine::Engine::probe_wire) clones
-//! for the behavioral boundary-scan sweep.
+//! [`NetworkSim::diagnose`] compares its transit checksums with what a
+//! clean stream reports (`metro_scan::diagnosis`) and names the
+//! [`Suspect`] on this network's topology, and the implicated ports
+//! are disabled — never by reading the injected fault set. Online
+//! ([`SimConfig::self_heal`](crate::SimConfig)) the network drains the
+//! evidence itself every tick and masks in the live router
+//! configurations; an offline scan master drains it, asks the same
+//! `diagnose`, and writes the same mask through the TAPs. Engine access
+//! is limited to [`Engine::probe_wire`](crate::engine::Engine::probe_wire)
+//! clones for the behavioral boundary-scan sweep.
 
 use crate::endpoint::AttemptEvidence;
 use crate::message::FailureKind;
 use crate::network::NetworkSim;
 use metro_core::{PortMode, Word};
 use metro_scan::boundary::test_wire;
-use metro_scan::diagnosis::{diagnose_attempt, expected_stage_checksums, AttemptDiagnosis};
+use metro_scan::diagnosis::expected_stage_checksums;
 use metro_telemetry::RouterCounter;
 use metro_topo::graph::{LinkId, LinkTarget};
 
@@ -128,18 +128,21 @@ impl NetworkSim {
             }
         }
         let reported = &ev.record.checksums[..ev.record.checksums.len().min(ports_taken.len())];
-        let (entry, f0) = topo.injection(ev.src, ev.port);
+        if reported.is_empty() {
+            return Some(Diagnosis {
+                suspect: Suspect::Silent,
+                caught_at: None,
+            });
+        }
+        let (entry, _) = topo.injection(ev.src, ev.port);
         let mut routers_on_path = vec![entry];
-        let mut fwd_ports = vec![f0];
         for (s, &b) in ports_taken.iter().enumerate() {
             match topo.link(s, routers_on_path[s], b) {
-                LinkTarget::Router { router, port } => {
-                    routers_on_path.push(router);
-                    fwd_ports.push(port);
-                }
+                LinkTarget::Router { router, .. } => routers_on_path.push(router),
                 LinkTarget::Endpoint { .. } => break,
             }
         }
+        let on_path = |s: usize| routers_on_path.get(s).map(|&r| (s, r));
 
         // Expected transit checksums, recomputed from what the NIC
         // actually sent (the source knows its own stream).
@@ -154,44 +157,37 @@ impl NetworkSim {
             .collect();
         let expected =
             expected_stage_checksums(plan, &digits, &payload, config.width, config.header_words);
-        let delivery_failed = matches!(ev.kind, FailureKind::Corrupt | FailureKind::NoAck);
-        // Locate the verdict on the reconstructed path. The router that
-        // caught it is the first whose transit checksum mismatched —
-        // or, for a clean report, the last one before the
-        // destination's end-to-end checksum (ACK_CORRUPT) did.
-        let on_path = |s: usize| routers_on_path.get(s).map(|&r| (s, r));
-        let (suspect, caught_at) = match diagnose_attempt(
-            &expected,
-            reported,
-            &ports_taken,
-            &fwd_ports,
-            delivery_failed,
-        ) {
-            AttemptDiagnosis::Corruption(plan) => {
-                let caught_at = on_path(plan.downstream_stage)?;
-                let suspect = match (plan.upstream_stage, plan.upstream_backward_port) {
-                    (Some(us), Some(ub)) => Suspect::Link(LinkId::new(us, routers_on_path[us], ub)),
-                    _ => Suspect::Injection {
-                        endpoint: ev.src,
-                        port: ev.port,
-                    },
-                };
-                (suspect, Some(caught_at))
-            }
-            AttemptDiagnosis::DeliveryBoundary {
-                stage,
-                backward_port,
-            } => {
-                let (s, r) = on_path(stage)?;
-                (
-                    Suspect::Link(LinkId::new(s, r, backward_port)),
-                    Some((s, r)),
-                )
-            }
-            AttemptDiagnosis::NeedsSweep => (Suspect::Silent, None),
-            AttemptDiagnosis::Inconclusive => return None,
-        };
-        Some(Diagnosis { suspect, caught_at })
+
+        // The first stage whose transit checksum mismatched caught the
+        // corruption, which entered on the link into it: out of the
+        // previous stage's STATUS-named port, or off the injection wire.
+        if let Some(s) = expected.iter().zip(reported).position(|(e, r)| e != r) {
+            let caught_at = on_path(s)?;
+            let suspect = match s.checked_sub(1) {
+                Some(up) => Suspect::Link(LinkId::new(up, routers_on_path[up], ports_taken[up])),
+                None => Suspect::Injection {
+                    endpoint: ev.src,
+                    port: ev.port,
+                },
+            };
+            return Some(Diagnosis {
+                suspect,
+                caught_at: Some(caught_at),
+            });
+        }
+        // A clean trail with a failed delivery: the element past the
+        // last reporting router swallowed the stream (a dead
+        // inter-stage link leaves the trail cold mid-path; a dead or
+        // corrupting delivery link leaves a full, clean trail whose
+        // ACK_CORRUPT the destination's end-to-end checksum raised).
+        if matches!(ev.kind, FailureKind::Corrupt | FailureKind::NoAck) {
+            let (s, r) = on_path(ports_taken.len() - 1)?;
+            return Some(Diagnosis {
+                suspect: Suspect::Link(LinkId::new(s, r, ports_taken[s])),
+                caught_at: Some((s, r)),
+            });
+        }
+        None
     }
 
     /// Applies one piece of failed-attempt evidence: the accounting,

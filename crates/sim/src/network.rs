@@ -87,7 +87,7 @@ pub struct SimConfig {
     /// Closes the fault loop online (paper §5.3): endpoints hand every
     /// failed attempt's reply evidence to the network, which localizes
     /// corruption through the transit checksums
-    /// (`metro-scan::diagnosis`), confirms silent path losses with a
+    /// ([`NetworkSim::diagnose`]), confirms silent path losses with a
     /// behavioral boundary-scan wire sweep, and disables the implicated
     /// ports in the live router configurations — no oracle access to
     /// the injected fault set. Off by default: evidence capture clones

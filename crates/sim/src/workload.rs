@@ -464,6 +464,14 @@ pub enum WorkloadError {
     },
     /// A load workload measuring no cycles: its rates would be 0/0.
     EmptyMeasureWindow,
+    /// A message stream longer than the measurement window: it cannot
+    /// be delivered inside it.
+    StreamPastMeasure {
+        /// Words on the wire for one message.
+        stream_words: usize,
+        /// Measured cycles.
+        measure: u64,
+    },
     /// A scripted send naming an endpoint outside the topology.
     SendEndpoint {
         /// Its source endpoint.
@@ -534,6 +542,13 @@ impl std::fmt::Display for WorkloadError {
                 write!(f, "offered load {load} (must be finite and >= 0)")
             }
             Self::EmptyMeasureWindow => write!(f, "the measurement window must be at least 1 cycle"),
+            Self::StreamPastMeasure {
+                stream_words,
+                measure,
+            } => write!(
+                f,
+                "a {stream_words}-word message stream outlasts the {measure}-cycle measurement window"
+            ),
             Self::SendEndpoint {
                 src,
                 dest,

@@ -15,16 +15,17 @@ fn figure1(config: &SimConfig) -> NetworkSim {
     NetworkSim::new(&MultibutterflySpec::figure1(), config).unwrap()
 }
 
-/// The evidence an attempt from `src`'s port 0 along the first dilated
-/// copy at every stage would leave: a full STATUS trail and the
-/// transit checksums of a clean transmission, garbled from `bad_stage`
-/// on. Returns the routers the trail visits beside it.
+/// The evidence an attempt from `src`'s port 0 along dilated copy
+/// `lane` (modulo each stage's dilation) would leave: a full STATUS
+/// trail and the transit checksums of a clean transmission, garbled
+/// from `bad_stage` on. Returns the routers the trail visits beside it.
 fn evidence(
     sim: &NetworkSim,
     (src, dest): (usize, usize),
     payload: &[u16],
     kind: FailureKind,
     bad_stage: Option<usize>,
+    lane: usize,
 ) -> (AttemptEvidence, Vec<usize>) {
     let net = sim.topology();
     let digits = net.route_digits(dest);
@@ -32,7 +33,8 @@ fn evidence(
     let (mut router, _) = net.injection(src, 0);
     let mut routers = Vec::new();
     for (s, &digit) in digits.iter().enumerate() {
-        let taken = digit * net.stage_spec(s).dilation;
+        let dilation = net.stage_spec(s).dilation;
+        let taken = digit * dilation + lane % dilation;
         record.statuses.push(StatusWord::connected(taken));
         routers.push(router);
         if let LinkTarget::Router { router: next, .. } = net.link(s, router, taken) {
@@ -63,7 +65,7 @@ fn evidence(
 #[test]
 fn clean_record_blames_the_delivery_link_only_when_delivery_failed() {
     let sim = figure1(&SimConfig::default());
-    let (ev, routers) = evidence(&sim, (2, 13), &[1, 2, 3], FailureKind::NoAck, None);
+    let (ev, routers) = evidence(&sim, (2, 13), &[1, 2, 3], FailureKind::NoAck, None, 0);
     let taken = ev.record.statuses[2].port().unwrap();
     assert_eq!(
         sim.diagnose(&ev),
@@ -72,15 +74,35 @@ fn clean_record_blames_the_delivery_link_only_when_delivery_failed() {
             caught_at: Some((2, routers[2])),
         })
     );
-    // The same clean trail under a watchdog expiry implicates nothing.
-    let (ev, _) = evidence(&sim, (2, 13), &[1, 2, 3], FailureKind::Timeout, None);
+    // A clean trail that went cold after stage 0 blames the link out
+    // of the last STATUS-reporting stage, even when fewer checksums
+    // than STATUS words came back.
+    let cold = |statuses: usize, checksums: usize| {
+        let mut ev = ev.clone();
+        ev.record.statuses.truncate(statuses);
+        ev.record.checksums.truncate(checksums);
+        sim.diagnose(&ev)
+    };
+    let out_of_0 = ev.record.statuses[0].port().unwrap();
+    assert_eq!(
+        cold(1, 1),
+        Some(Diagnosis {
+            suspect: Suspect::Link(LinkId::new(0, routers[0], out_of_0)),
+            caught_at: Some((0, routers[0])),
+        })
+    );
+    assert_eq!(cold(3, 1), sim.diagnose(&ev));
+    // The same clean trails under a watchdog expiry implicate nothing.
+    let (mut ev, _) = evidence(&sim, (2, 13), &[1, 2, 3], FailureKind::Timeout, None, 0);
+    assert_eq!(sim.diagnose(&ev), None);
+    ev.record.statuses.truncate(1);
     assert_eq!(sim.diagnose(&ev), None);
 }
 
 #[test]
 fn corruption_at_stage_zero_blames_the_injection_wire() {
     let sim = figure1(&SimConfig::default());
-    let (ev, routers) = evidence(&sim, (4, 11), &[7], FailureKind::Corrupt, Some(0));
+    let (ev, routers) = evidence(&sim, (4, 11), &[7], FailureKind::Corrupt, Some(0), 0);
     assert_eq!(
         sim.diagnose(&ev),
         Some(Diagnosis {
@@ -96,31 +118,67 @@ fn corruption_at_stage_zero_blames_the_injection_wire() {
 #[test]
 fn mid_path_corruption_names_the_exact_link() {
     let sim = figure1(&SimConfig::default());
-    let (ev, routers) = evidence(&sim, (0, 15), &[9, 9], FailureKind::Corrupt, Some(2));
-    // Stage 2 caught it, so the link out of the port stage 1's STATUS
-    // word named is the suspect.
-    let taken = ev.record.statuses[1].port().unwrap();
-    assert_eq!(
-        sim.diagnose(&ev),
-        Some(Diagnosis {
-            suspect: Suspect::Link(LinkId::new(1, routers[1], taken)),
-            caught_at: Some((2, routers[2])),
-        })
-    );
+    // Lane 1 is the dilated sibling of `digit·d` wherever a stage has
+    // two copies: the suspect is the port the STATUS word named, not
+    // its direction's base port.
+    let (clean, routers) = evidence(&sim, (0, 15), &[9, 9], FailureKind::Corrupt, None, 1);
+    let taken: Vec<usize> = clean
+        .record
+        .statuses
+        .iter()
+        .map(|w| w.port().unwrap())
+        .collect();
+    assert!(taken[..2].iter().all(|p| p % 2 == 1), "{taken:?}");
+    // Stage `s` caught it, so the link out of the port stage `s - 1`'s
+    // STATUS word named is the suspect; stage 0 blames the injection.
+    let blamed = |s: usize| Diagnosis {
+        suspect: match s {
+            0 => Suspect::Injection {
+                endpoint: 0,
+                port: 0,
+            },
+            _ => Suspect::Link(LinkId::new(s - 1, routers[s - 1], taken[s - 1])),
+        },
+        caught_at: Some((s, routers[s])),
+    };
+    for bad in 0..3 {
+        let (ev, _) = evidence(&sim, (0, 15), &[9, 9], FailureKind::Corrupt, Some(bad), 1);
+        assert_eq!(sim.diagnose(&ev), Some(blamed(bad)), "bad from stage {bad}");
+    }
+    // Two corrupting links, into stages 1 and 2: the first mismatch
+    // wins, whether the second adds to the garbling or undoes it.
+    let (mut ev, _) = evidence(&sim, (0, 15), &[9, 9], FailureKind::Corrupt, Some(1), 1);
+    ev.record.checksums[2] ^= 0x2000;
+    assert_eq!(sim.diagnose(&ev), Some(blamed(1)));
+    ev.record.checksums[2] = clean.record.checksums[2];
+    assert_eq!(sim.diagnose(&ev), Some(blamed(1)));
 }
 
 #[test]
 fn an_empty_record_is_a_silent_suspect() {
     let sim = figure1(&SimConfig::default());
-    let (mut ev, _) = evidence(&sim, (0, 9), &[1], FailureKind::Timeout, None);
-    ev.record = DeliveryRecord::default();
-    assert_eq!(
-        sim.diagnose(&ev),
-        Some(Diagnosis {
-            suspect: Suspect::Silent,
-            caught_at: None,
-        })
-    );
+    let (full, _) = evidence(&sim, (0, 9), &[1], FailureKind::Timeout, None, 0);
+    // No record at all, STATUS words without checksums, checksums
+    // without STATUS words: nothing on the trail to compare.
+    for (statuses, checksums) in [
+        (Vec::new(), Vec::new()),
+        (full.record.statuses.clone(), Vec::new()),
+        (Vec::new(), full.record.checksums.clone()),
+    ] {
+        let mut ev = full.clone();
+        ev.record = DeliveryRecord {
+            statuses,
+            checksums,
+            ..DeliveryRecord::default()
+        };
+        assert_eq!(
+            sim.diagnose(&ev),
+            Some(Diagnosis {
+                suspect: Suspect::Silent,
+                caught_at: None,
+            })
+        );
+    }
 }
 
 #[test]
@@ -131,7 +189,7 @@ fn congestion_implicates_nothing() {
         FailureKind::FastReclaimed,
     ] {
         // Even with checksums that would otherwise read as corruption.
-        let (ev, _) = evidence(&sim, (0, 9), &[1], kind, Some(1));
+        let (ev, _) = evidence(&sim, (0, 9), &[1], kind, Some(1), 0);
         assert_eq!(sim.diagnose(&ev), None, "{kind:?}");
     }
 }
@@ -139,7 +197,7 @@ fn congestion_implicates_nothing() {
 #[test]
 fn hostile_evidence_is_a_diagnosis_or_none_never_a_panic() {
     let sim = figure1(&SimConfig::default());
-    let (clean, _) = evidence(&sim, (0, 3), &[1, 2], FailureKind::NoAck, None);
+    let (clean, _) = evidence(&sim, (0, 3), &[1, 2], FailureKind::NoAck, None, 0);
     let hostile = |statuses: Vec<StatusWord>, checksums: Vec<u16>| AttemptEvidence {
         record: DeliveryRecord {
             statuses,

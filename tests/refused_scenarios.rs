@@ -31,7 +31,7 @@ fn load(s: &mut Scenario) -> (&mut TrafficPattern, &mut ArrivalProcess, &mut Rat
     }
 }
 
-const CASES: [Case; 13] = [
+const CASES: [Case; 15] = [
     Case {
         what: "a zero-width channel",
         base: "figure3_load",
@@ -118,6 +118,38 @@ const CASES: [Case; 13] = [
         },
         message: "scenario error at scenario.workload.measure: \
                   the measurement window must be at least 1 cycle",
+    },
+    Case {
+        what: "a message stream longer than the measurement window",
+        base: "figure3_load",
+        edit: |s| match &mut s.workload {
+            WorkloadSpec::Load { payload_words, .. } => *payload_words = 1_000_000_000,
+            WorkloadSpec::Sends { .. } => unreachable!("figure3_load is a load workload"),
+        },
+        message: "scenario error at scenario.workload.payload_words: \
+                  a 1000000003-word message stream outlasts the 1200-cycle measurement window",
+    },
+    Case {
+        what: "a trace entry longer than the measurement window",
+        base: "figure3_load",
+        edit: |s| {
+            *load(s).1 = ArrivalProcess::Trace(vec![
+                TraceEntry {
+                    at: 0,
+                    src: 2,
+                    dest: 5,
+                    payload_words: 1,
+                },
+                TraceEntry {
+                    at: 3,
+                    src: 4,
+                    dest: 7,
+                    payload_words: 2_000,
+                },
+            ]);
+        },
+        message: "scenario error at scenario.workload.arrival.entries[1].payload_words: \
+                  a 2003-word message stream outlasts the 1200-cycle measurement window",
     },
     Case {
         what: "a negative offered load",

@@ -2,12 +2,13 @@
 //! serial configuration writes, MultiTAP failover, and the
 //! localize → disable → test → mask loop of §5.1.
 
-use metro::core::{ArchParams, PortMode, RouterConfig};
+use metro::core::{ArchParams, PortMode, RouterConfig, StatusWord};
 use metro::scan::boundary::test_wire;
-use metro::scan::diagnosis::{expected_stage_checksums, localize_corruption, mask_plan};
+use metro::scan::diagnosis::expected_stage_checksums;
 use metro::scan::multitap::MultiTap;
 use metro::scan::ScanDevice;
-use metro::sim::{NetworkSim, SimConfig};
+use metro::sim::{AttemptEvidence, DeliveryRecord, FailureKind, NetworkSim, SimConfig, Suspect};
+use metro::topo::graph::LinkTarget;
 use metro::topo::MultibutterflySpec;
 
 #[test]
@@ -58,24 +59,46 @@ fn multitap_failover_keeps_the_component_configurable() {
 
 #[test]
 fn full_localize_disable_test_mask_loop() {
-    // 1. Source-side localization from transit checksums.
+    // 1. Source-side localization from transit checksums: the record
+    // an attempt 0 -> 9 along each stage's first dilated copy leaves
+    // when corruption entered at stage 2's input.
     let mut sim = NetworkSim::new(&MultibutterflySpec::figure1(), &SimConfig::default()).unwrap();
     let plan = sim.header_plan().clone();
     let digits = sim.topology().route_digits(9);
     let payload = [4u16, 5, 6];
-    let expected = expected_stage_checksums(&plan, &digits, &payload, 8, 0);
-    // Simulated report: corruption entered at stage 2's input.
-    let mut reported = expected.clone();
-    reported[2] ^= 0xFF;
-    let site = localize_corruption(&expected, &reported).expect("found");
-    assert_eq!(site.stage, 2);
+    let mut record = DeliveryRecord::default();
+    let (mut router, _) = sim.topology().injection(0, 0);
+    let mut routers = Vec::new();
+    for (s, &digit) in digits.iter().enumerate() {
+        let taken = digit * sim.topology().stage_spec(s).dilation;
+        record.statuses.push(StatusWord::connected(taken));
+        routers.push(router);
+        if let LinkTarget::Router { router: next, .. } = sim.topology().link(s, router, taken) {
+            router = next;
+        }
+    }
+    record.checksums = expected_stage_checksums(&plan, &digits, &payload, 8, 0);
+    record.checksums[2] ^= 0xFF;
+    let ev = AttemptEvidence {
+        src: 0,
+        dest: 9,
+        port: 0,
+        kind: FailureKind::Corrupt,
+        record,
+        stream: sim.stream_for(9, &payload),
+        entry_alive: true,
+    };
+    let diagnosis = sim.diagnose(&ev).expect("found");
+    assert_eq!(diagnosis.caught_at, Some((2, routers[2])));
 
-    // 2. The mask plan names both ends of the suspect link. Suppose the
-    // connection ran through backward ports [2, 1, 3] and forward
-    // ports [0, 1, 2].
-    let plan2 = mask_plan(site, &[2, 1, 3], &[0, 1, 2]);
-    assert_eq!(plan2.upstream_stage, Some(1));
-    assert_eq!(plan2.upstream_backward_port, Some(1));
+    // 2. The suspect is the link out of the backward port stage 1's
+    // STATUS word named.
+    let Suspect::Link(link) = diagnosis.suspect else {
+        panic!("{diagnosis:?}");
+    };
+    assert_eq!(link.stage, 1);
+    assert_eq!(link.router, routers[1]);
+    assert_eq!(link.port, digits[1] * 2);
 
     // 3. Boundary-scan the suspect wire: a stuck-at fault fails the
     // vectors, confirming the hardware fault.
@@ -87,19 +110,21 @@ fn full_localize_disable_test_mask_loop() {
     assert!(!report.passed());
 
     // 4. Mask: disable the confirmed ports on the live routers.
-    let up_stage = plan2.upstream_stage.unwrap();
-    let up_port = plan2.upstream_backward_port.unwrap();
-    let params = *sim.router(up_stage, 0).params();
-    let live = sim.router(up_stage, 0).config().clone();
+    let (up_stage, up_router, up_port) = (link.stage, link.router, link.port);
+    let params = *sim.router(up_stage, up_router).params();
+    let live = sim.router(up_stage, up_router).config().clone();
     let mut rebuilt = RouterConfig::new(&params)
         .with_dilation(live.dilation())
         .with_backward_port_mode(up_port, PortMode::DisabledTristate);
     for f in 0..params.forward_ports() {
         rebuilt = rebuilt.with_swallow(f, live.swallow(f));
     }
-    sim.router_mut(up_stage, 0)
+    sim.router_mut(up_stage, up_router)
         .apply_config(rebuilt.build().unwrap());
-    assert!(!sim.router(up_stage, 0).config().backward_enabled(up_port));
+    assert!(!sim
+        .router(up_stage, up_router)
+        .config()
+        .backward_enabled(up_port));
 
     // The network still functions with the masked port.
     let o = sim.send_and_wait(0, 9, &payload, 20_000).expect("delivery");

@@ -83,7 +83,7 @@ const VERBS: [(&str, VerbFn, &str); 4] = [
 ];
 
 /// The `metro` binary: dispatches `args` (without the program name) to
-/// one of [`VERBS`] or to the harness, and returns the exit code.
+/// one of `VERBS` or to the harness, and returns the exit code.
 #[must_use]
 pub fn main(args: &[String]) -> i32 {
     let verb = args.first().map(String::as_str);

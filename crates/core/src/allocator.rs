@@ -15,6 +15,10 @@
 use crate::config::RouterConfig;
 use crate::rng::RandomSource;
 
+/// The most requests one arbitration serves: one per forward port, and
+/// a port bitplane holds 64.
+pub const MAX_REQUESTS: usize = 64;
+
 /// The `n`-th set bit of `mask` (0-indexed from the least significant
 /// end). The caller guarantees `n < mask.count_ones()`.
 #[inline]
@@ -100,9 +104,6 @@ pub struct Allocator {
     in_use: u64,
     policy: SelectionPolicy,
     rr_next: Vec<usize>,
-    /// Arbitration-order scratch, reused across ticks so the hot path
-    /// never touches the heap.
-    arb_order: Vec<usize>,
 }
 
 impl Allocator {
@@ -115,7 +116,6 @@ impl Allocator {
             in_use: 0,
             policy: SelectionPolicy::Random,
             rr_next: vec![0; config.radix()],
-            arb_order: Vec::new(),
         }
     }
 
@@ -221,43 +221,74 @@ impl Allocator {
 
     /// Arbitrates a batch of same-cycle requests `(fwd, dir)` in an
     /// order drawn from the shared random stream, returning one outcome
-    /// per request (in the original request order).
+    /// per request (in the original request order):
+    /// [`Allocator::arbitrate_into`] on the heap.
+    ///
+    /// # Panics
+    ///
+    /// Panics on more than [`MAX_REQUESTS`] requests, or a port or
+    /// direction above 255.
     pub fn arbitrate(
         &mut self,
         requests: &[(usize, usize)],
         config: &RouterConfig,
         rng: &mut RandomSource,
     ) -> Vec<AllocationOutcome> {
-        let mut outcomes = Vec::with_capacity(requests.len());
-        self.arbitrate_into(requests, config, rng, &mut outcomes);
-        outcomes
+        let narrow = |v: usize| u8::try_from(v).expect("a port or direction of a router");
+        let compact: Vec<(u8, u8)> = requests
+            .iter()
+            .map(|&(f, d)| (narrow(f), narrow(d)))
+            .collect();
+        let mut grants = vec![None; requests.len()];
+        self.arbitrate_into(&compact, config, rng, &mut grants);
+        let outcome = |g: Option<u8>| match g {
+            Some(b) => AllocationOutcome::Granted {
+                bwd: usize::from(b),
+            },
+            None => AllocationOutcome::Blocked,
+        };
+        grants.into_iter().map(outcome).collect()
     }
 
-    /// [`Allocator::arbitrate`] into a caller-provided buffer: `outcomes`
-    /// is cleared and refilled with one outcome per request (original
-    /// request order). Steady-state allocation-free — the arbitration
-    /// order lives in a scratch buffer reused across calls.
+    /// Arbitrates a router tick's requests `(fwd, dir)`, with no heap:
+    /// `grants[k]` becomes the backward port granted to `requests[k]`,
+    /// or `None` when it blocked. The two slices are equally long. The
+    /// requests are served in an order shuffled from the shared stream,
+    /// then each grant draws once.
+    ///
+    /// # Panics
+    ///
+    /// Panics on more than [`MAX_REQUESTS`] requests.
     pub fn arbitrate_into(
         &mut self,
-        requests: &[(usize, usize)],
+        requests: &[(u8, u8)],
         config: &RouterConfig,
         rng: &mut RandomSource,
-        outcomes: &mut Vec<AllocationOutcome>,
+        grants: &mut [Option<u8>],
     ) {
-        let mut order = std::mem::take(&mut self.arb_order);
-        order.clear();
-        order.extend(0..requests.len());
+        let n = requests.len();
+        assert!(n <= MAX_REQUESTS, "{n} requests exceed one per port");
         // Fisher-Yates from the shared stream: cascade-deterministic.
-        for k in (1..order.len()).rev() {
+        let mut order = [0u8; MAX_REQUESTS];
+        for (k, slot) in order[..n].iter_mut().enumerate() {
+            *slot = k as u8;
+        }
+        for k in (1..n).rev() {
             order.swap(k, rng.index(k + 1));
         }
-        outcomes.clear();
-        outcomes.resize(requests.len(), AllocationOutcome::Blocked);
-        for &idx in &order {
-            let (fwd, dir) = requests[idx];
-            outcomes[idx] = self.request_for(fwd, dir, config, rng);
+        for &k in &order[..n] {
+            let (fwd, dir) = requests[usize::from(k)];
+            let outcome = self.request_for(usize::from(fwd), usize::from(dir), config, rng);
+            // A granted port is one of at most 64.
+            grants[usize::from(k)] = outcome.port().map(|b| b as u8);
         }
-        self.arb_order = order;
+    }
+
+    /// The bytes the allocator holds on the heap.
+    #[cfg(test)]
+    pub(crate) fn heap_bytes(&self) -> usize {
+        let owners = self.owner.capacity() * std::mem::size_of::<Option<usize>>();
+        owners + self.rr_next.capacity() * std::mem::size_of::<usize>()
     }
 
     /// Releases backward port `b` (connection closed or torn down).
@@ -268,13 +299,13 @@ impl Allocator {
 }
 
 // The allocation state — owners, IN-USE word, round-robin cursors — of
-// a router with `forward` forward ports. The policy and the arbitration
-// scratch buffer are construction-derived and not written. Restore
-// refuses an owner that is not one of the router's forward ports and an
-// IN-USE word that disagrees with the owner table.
+// a router with `forward` forward ports. The policy is
+// construction-derived and not written. Restore refuses an owner that
+// is not one of the router's forward ports and an IN-USE word that
+// disagrees with the owner table.
 metro_telemetry::state_walk! {
     impl StateWithin<usize> for Allocator => |this, s, forward| {
-        let Allocator { owner, in_use, policy: _, rr_next, arb_order: _ } = this;
+        let Allocator { owner, in_use, policy: _, rr_next } = this;
         s.lane(owner.into_iter(), "backward ports", |s, o| {
             s.opt(o, |s, f| s.index(f, forward, "owning forward port"))
         })?;

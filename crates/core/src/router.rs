@@ -43,9 +43,10 @@
 //!   holds `dp − 1` words. A pipe is either empty — it passes its input
 //!   straight through — or holds exactly `dp − 1` words: a fill writes
 //!   all of them, an advance moves one in and one out, and a teardown
-//!   empties it. At `dp == 1` a pipe is always empty and the port has no
-//!   pipe storage; at `dp > 1` both pipes share one allocation, made at
-//!   the port's first fill and kept for its life.
+//!   empties it. At `dp == 1` a pipe is always empty and the router has
+//!   no pipe storage; at `dp > 1` every port's two pipes share one
+//!   router-level allocation, made at the router's first fill and kept
+//!   for its life.
 //! * **Reply queue.** A turn clears the queue and queues two words
 //!   (STATUS, checksum), or three when the port is blocked (plus DROP).
 //!   A `Reverse` tick queues at most one word and sends one. Between
@@ -53,9 +54,16 @@
 //!   within a tick, so it is an inline array of 4. A restore refuses a
 //!   longer queue, and a pipe of any other length than `0` or `dp − 1`.
 //!
-//! A port is 64 bytes, pinned by a unit test.
+//! * **Counters.** A state's backward port is a `u8` (a router has at
+//!   most 64) and its settle or setup count a `u32`: lowering refuses a
+//!   wire delay whose settle window `2·(delay + 1) + 1` would not fit.
+//!
+//! A port is 32 bytes, pinned by a unit test, and a router's only heap
+//! is its ports, its allocator's owners and cursors, and its pipes:
+//! the arbitration of one tick runs in stack arrays bounded by the 64
+//! ports a bitplane holds.
 
-use crate::allocator::{AllocationOutcome, Allocator, SelectionPolicy};
+use crate::allocator::{Allocator, SelectionPolicy, MAX_REQUESTS};
 use crate::checksum::StreamChecksum;
 use crate::config::{PortMode, RouterConfig};
 use crate::header::consume_digit;
@@ -192,8 +200,8 @@ pub enum PortStatus {
 enum State {
     Idle,
     Setup {
-        bwd: usize,
-        remaining: usize,
+        bwd: u8,
+        remaining: u32,
     },
     /// Connected, data flowing forward. `settle` is nonzero right after
     /// a reverse→forward turn: the upstream's forward data is still in
@@ -201,20 +209,20 @@ enum State {
     /// variable turn delay), so an undriven input is not yet a
     /// teardown (paper §5.1, Variable Turn Delay).
     Forward {
-        bwd: usize,
-        settle: usize,
+        bwd: u8,
+        settle: u32,
     },
     /// Connected, data flowing in reverse. `settle` covers the wire
     /// round trip after a forward→reverse turn, during which the
     /// downstream's hold has not yet arrived.
     Reverse {
-        bwd: usize,
-        settle: usize,
+        bwd: u8,
+        settle: u32,
     },
     BlockedDetailed,
     BlockedReply,
     ClosingFwd {
-        bwd: usize,
+        bwd: u8,
     },
     Draining,
 }
@@ -227,6 +235,22 @@ enum Pipe {
     Fwd = 1,
     /// Carries the reverse stream toward the source.
     Rev = 2,
+}
+
+/// Where port `f`'s `pipe` starts in its router's pipe buffer, for
+/// pipes `depth` words deep: each forward port holds its forward pipe
+/// then its reverse pipe, oldest word first.
+fn pipe_start(f: usize, pipe: Pipe, depth: usize) -> usize {
+    (2 * f + pipe as usize / 2) * depth
+}
+
+/// Allocates a router's pipe buffer if it has none yet: two pipes of
+/// `dp - 1` words per forward port.
+fn reserve_pipes(pipes: &mut Box<[Word]>, params: &ArchParams) {
+    if pipes.is_empty() {
+        let words = 2 * (params.pipestages() - 1) * params.forward_ports();
+        *pipes = vec![Word::Empty; words].into_boxed_slice();
+    }
 }
 
 /// The words a port injects toward the source ahead of the reverse
@@ -265,9 +289,6 @@ impl ReplyQueue {
 #[derive(Debug, Clone)]
 struct Port {
     state: State,
-    /// Both pipes' registers, forward then reverse, `dp - 1` each and
-    /// oldest first; empty — no heap — until the first fill.
-    pipes: Box<[Word]>,
     /// Which pipes hold their words (a [`Pipe`] per bit); a pipe whose
     /// bit is clear is empty whatever its registers read.
     full: u8,
@@ -279,7 +300,6 @@ impl Port {
     fn new() -> Self {
         Self {
             state: State::Idle,
-            pipes: Box::default(),
             full: 0,
             rq: ReplyQueue::default(),
             cksum: StreamChecksum::new(),
@@ -293,54 +313,52 @@ impl Port {
         self.cksum.reset();
     }
 
-    /// The registers of `pipe`, full or not.
-    fn regs(&mut self, pipe: Pipe) -> &mut [Word] {
-        let (fwd, rev) = self.pipes.split_at_mut(self.pipes.len() / 2);
-        match pipe {
-            Pipe::Fwd => fwd,
-            Pipe::Rev => rev,
-        }
-    }
-
-    /// The words `pipe` holds, oldest first: none when it is empty.
-    fn pipe_words(&self, pipe: Pipe) -> &[Word] {
-        let (fwd, rev) = self.pipes.split_at(self.pipes.len() / 2);
-        match pipe {
-            _ if self.full & pipe as u8 == 0 => &[],
-            Pipe::Fwd => fwd,
-            Pipe::Rev => rev,
-        }
-    }
-
-    /// (Re)fills `pipe` with `dp - 1` copies of `with`. The pipe holds
-    /// `dp - 1` words: the final pipeline stage is the output register,
-    /// whose one-cycle propagation to the neighboring component the
-    /// network model accounts for at the transfer boundary, so total
-    /// router transit is exactly `dp` cycles. At `dp == 1` there is
-    /// nothing to fill.
-    fn fill(&mut self, pipe: Pipe, dp: usize, with: Word) {
-        if dp == 1 {
+    /// (Re)fills `pipe` of this port — forward port `f` of a router
+    /// with `params` and pipe buffer `pipes` — with `dp - 1` copies of
+    /// `with`. The pipe holds `dp - 1` words: the final pipeline stage
+    /// is the output register, whose one-cycle propagation to the
+    /// neighboring component the network model accounts for at the
+    /// transfer boundary, so total router transit is exactly `dp`
+    /// cycles. At `dp == 1` there is nothing to fill.
+    fn fill(
+        &mut self,
+        pipes: &mut Box<[Word]>,
+        params: &ArchParams,
+        f: usize,
+        pipe: Pipe,
+        with: Word,
+    ) {
+        let depth = params.pipestages() - 1;
+        if depth == 0 {
             return;
         }
-        if self.pipes.is_empty() {
-            self.pipes = vec![Word::Empty; 2 * (dp - 1)].into_boxed_slice();
-        }
-        self.regs(pipe).fill(with);
+        reserve_pipes(pipes, params);
+        let at = pipe_start(f, pipe, depth);
+        pipes[at..at + depth].fill(with);
         self.full |= pipe as u8;
     }
 
-    /// Advances `pipe` by one word: pushes `word` in and returns the
-    /// word that falls out. An empty pipe — always, at `dp == 1` —
-    /// passes the input straight through.
+    /// Advances `pipe` of this port — forward port `f`, its pipes
+    /// `depth` words deep in `pipes` — by one word: pushes `word` in and
+    /// returns the word that falls out. An empty pipe — always, at
+    /// `dp == 1` — passes the input straight through.
     #[inline]
-    fn advance(&mut self, pipe: Pipe, word: Word) -> Word {
+    fn advance(
+        &mut self,
+        pipes: &mut [Word],
+        f: usize,
+        depth: usize,
+        pipe: Pipe,
+        word: Word,
+    ) -> Word {
         if self.full & pipe as u8 == 0 {
             return word;
         }
-        let regs = self.regs(pipe);
+        let at = pipe_start(f, pipe, depth);
+        let regs = &mut pipes[at..at + depth];
         let out = regs[0];
         regs.copy_within(1.., 0);
-        regs[regs.len() - 1] = word;
+        regs[depth - 1] = word;
         out
     }
 }
@@ -352,6 +370,15 @@ fn activity(ports: &[Port]) -> u64 {
     busy.fold(0, |m, (f, p)| {
         m | u64::from(!matches!(p.state, State::Idle)) << f
     })
+}
+
+/// The settle window of a wire `delay` cycles deep: its round trip,
+/// `2·(delay + 1)`, plus one cycle of turnaround at the far component.
+/// Lowering refuses a delay whose window exceeds `u32::MAX`; a router
+/// built around it saturates there, some four billion cycles on.
+fn settle_window(delay: usize) -> u32 {
+    let window = delay.saturating_add(1).saturating_mul(2).saturating_add(1);
+    u32::try_from(window).unwrap_or(u32::MAX)
 }
 
 /// Blank port FSM states, by checkpoint tag; the walk fills the fields.
@@ -380,7 +407,7 @@ const PORT_MODES: [PortMode; 3] = [
 // The router's complete mutable state: random stream, allocator,
 // activity bitplane, counters, the runtime-maskable port modes, and
 // each port's FSM, pipes, reply queue and checksum. Everything else
-// (`params`, the rest of the config, tick scratch) is
+// (`params` and the rest of the config) is
 // construction-derived and rebuilt on restore.
 //
 // A restored port mode differing from the current one is set through
@@ -392,7 +419,7 @@ const PORT_MODES: [PortMode; 3] = [
 // and an activity bitplane that disagrees with the FSM states.
 metro_telemetry::state_walk! {
     impl State for Router => |this, s| {
-        let Router { params, config, rng, alloc, ports, active, counters, scratch: _ } = this;
+        let Router { params, config, rng, alloc, ports, pipes, active, counters } = this;
         let (i, o, dp) = (params.forward_ports(), params.backward_ports(), params.pipestages());
         s.section("router")?;
         s.state(rng)?;
@@ -420,21 +447,27 @@ metro_telemetry::state_walk! {
                 }
             }
         });
-        s.lane(ports.into_iter(), "forward ports", |s, port| {
+        s.lane(ports.into_iter().enumerate(), "forward ports", |s, (f, port)| {
             let Port { state, .. } = port;
             s.tag(state, &PORT_STATES, "port FSM state")?;
             match state {
                 State::Setup { bwd, remaining: n }
                 | State::Forward { bwd, settle: n }
                 | State::Reverse { bwd, settle: n } => {
-                    s.index(bwd, o, "backward port")?;
-                    s.usize(n)?;
+                    let mut b = usize::from(*bwd);
+                    s.index(&mut b, o, "backward port")?;
+                    s.on_restore(bwd, |bwd| *bwd = b as u8);
+                    s.u32(n)?;
                 }
-                State::ClosingFwd { bwd } => s.index(bwd, o, "backward port")?,
+                State::ClosingFwd { bwd } => {
+                    let mut b = usize::from(*bwd);
+                    s.index(&mut b, o, "backward port")?;
+                    s.on_restore(bwd, |bwd| *bwd = b as u8);
+                }
                 _ => {}
             }
             for pipe in [Pipe::Fwd, Pipe::Rev] {
-                let mut n = port.pipe_words(pipe).len();
+                let mut n = if port.full & pipe as u8 == 0 { 0 } else { dp - 1 };
                 s.usize(&mut n)?;
                 s.check(
                     || n == 0 || n == dp - 1,
@@ -445,10 +478,14 @@ metro_telemetry::state_walk! {
                 )?;
                 s.on_restore(port, |p| match n {
                     0 => p.full &= !(pipe as u8),
-                    _ => p.fill(pipe, dp, Word::Empty),
+                    _ => p.full |= pipe as u8,
                 });
-                let Port { pipes, .. } = port;
-                let at = if matches!(pipe, Pipe::Fwd) { 0 } else { pipes.len() / 2 };
+                s.on_restore(pipes, |pipes| {
+                    if n > 0 {
+                        reserve_pipes(pipes, params);
+                    }
+                });
+                let at = pipe_start(f, pipe, dp - 1);
                 s.each(pipes.into_iter().skip(at).take(n), |s, w| s.state(w))?;
             }
             let Port { rq: ReplyQueue { words, len }, cksum, .. } = port;
@@ -472,14 +509,6 @@ metro_telemetry::state_walk! {
     }
 }
 
-/// Per-tick scratch buffers, reused across calls so the steady-state
-/// tick path never allocates.
-#[derive(Debug, Clone, Default)]
-struct TickScratch {
-    requests: Vec<(usize, usize)>,
-    outcomes: Vec<AllocationOutcome>,
-}
-
 /// A cycle-accurate METRO router.
 ///
 /// See the [module documentation](self) for the channel model. The
@@ -497,6 +526,8 @@ pub struct Router {
     rng: RandomSource,
     alloc: Allocator,
     ports: Vec<Port>,
+    /// Every port's pipe registers: see [`pipe_start`].
+    pipes: Box<[Word]>,
     /// Bitplane over forward ports: bit `f` set iff `ports[f]` is in any
     /// non-`Idle` state. Ports become active only through the `Idle` arm
     /// of `step_port` (or a forced teardown) and return to idle only
@@ -506,7 +537,6 @@ pub struct Router {
     /// ports — quiescent ports cost nothing.
     active: u64,
     counters: CounterCell,
-    scratch: TickScratch,
 }
 
 impl Router {
@@ -548,12 +578,12 @@ impl Router {
         Ok(Self {
             alloc: Allocator::with_policy(&config, params.backward_ports(), policy),
             ports: (0..params.forward_ports()).map(|_| Port::new()).collect(),
+            pipes: Box::default(),
             rng: RandomSource::new(seed),
             params,
             config,
             active: 0,
             counters: CounterCell::new(),
-            scratch: TickScratch::default(),
         })
     }
 
@@ -658,7 +688,7 @@ impl Router {
             State::Setup { bwd, .. }
             | State::Forward { bwd, .. }
             | State::Reverse { bwd, .. }
-            | State::ClosingFwd { bwd } => Some(bwd),
+            | State::ClosingFwd { bwd } => Some(usize::from(bwd)),
             _ => None,
         }
     }
@@ -667,14 +697,14 @@ impl Router {
     /// backward port `b`: one round trip across the attached wire's
     /// pipeline registers, plus one cycle of turnaround at the far
     /// component.
-    fn reverse_settle(&self, b: usize) -> usize {
-        2 * (self.config.backward_turn_delay(b) + 1) + 1
+    fn reverse_settle(&self, b: usize) -> u32 {
+        settle_window(self.config.backward_turn_delay(b))
     }
 
     /// The settle window after a reverse→forward turn on forward port
     /// `f` (the upstream wire's round trip).
-    fn forward_settle(&self, f: usize) -> usize {
-        2 * (self.config.forward_turn_delay(f) + 1) + 1
+    fn forward_settle(&self, f: usize) -> u32 {
+        settle_window(self.config.forward_turn_delay(f))
     }
 
     /// Forcibly shuts down the connection using backward port `b`, as
@@ -792,61 +822,41 @@ impl Router {
             }
         }
 
-        // Phase 1: collect new connection requests from idle, enabled
-        // ports — one AND over the activity and enabled bitplanes picks
-        // the candidates; the bit scan visits them in the same ascending
-        // port order as the historical full scan.
-        let digit_bits = self.config.digit_bits();
-        let w = self.params.width();
-        let mut requests = std::mem::take(&mut self.scratch.requests);
-        let mut outcomes = std::mem::take(&mut self.scratch.outcomes);
-        requests.clear();
+        // Phase 1: the new connection requests — idle, enabled ports
+        // with a header word arriving. One AND over the activity and
+        // enabled bitplanes picks the candidates.
         let mut req_mask = 0u64;
         let mut idle = !self.active & self.config.forward_enabled_mask();
         while idle != 0 {
             let f = idle.trailing_zeros() as usize;
             idle &= idle - 1;
-            if let Word::Data(v) = fwd_in[f] {
-                let dir = if digit_bits == 0 {
-                    0
-                } else {
-                    (v >> (w - digit_bits)) as usize & ((1 << digit_bits) - 1)
-                };
-                requests.push((f, dir));
+            if matches!(fwd_in[f], Word::Data(_)) {
                 req_mask |= 1u64 << f;
             }
         }
-        // All randomness for the tick is consumed here, in one batch:
-        // the arbitration shuffle plus one draw per granted request.
-        if requests.is_empty() {
-            outcomes.clear();
+        // Most ticks open nothing: the grant table exists only when one
+        // does.
+        let granted;
+        let grants: &[Option<u8>] = if req_mask == 0 {
+            &[]
         } else {
-            self.alloc
-                .arbitrate_into(&requests, &self.config, &mut self.rng, &mut outcomes);
-            // Opens/Grants/Blocks fall straight out of the arbitration
-            // batch — counted with batch adds instead of per-port
-            // increments (identical totals at every tick boundary).
-            let opens = requests.len() as u64;
-            let grants = outcomes.iter().filter(|o| o.port().is_some()).count() as u64;
-            self.counters.add(RouterCounter::Opens, opens);
-            self.counters.add(RouterCounter::Grants, grants);
-            self.counters.add(RouterCounter::Blocks, opens - grants);
-        }
+            granted = self.arbitrate(req_mask, fwd_in);
+            &granted
+        };
 
         // Phase 2: advance every active or newly requesting port one
         // step. Idle ports without a request are provable no-ops (their
         // outputs are pre-filled and `step_port` would return
-        // immediately), so the bit scan skips them. Requests were pushed
-        // in ascending port order in phase 1 and this scan ascends too,
-        // so a single cursor pairs each requesting port with its
-        // outcome — no per-tick grant table to clear and refill.
+        // immediately), so the bit scan skips them. Grants are in
+        // ascending port order and this scan ascends too, so a single
+        // cursor pairs each requesting port with its grant.
         let mut cursor = 0usize;
         let mut step = self.active | req_mask;
         while step != 0 {
             let f = step.trailing_zeros() as usize;
             step &= step - 1;
             let grant = if req_mask & (1u64 << f) != 0 {
-                let g = outcomes[cursor];
+                let g = grants[cursor];
                 cursor += 1;
                 Some(g)
             } else {
@@ -854,8 +864,50 @@ impl Router {
             };
             self.step_port(f, fwd_in[f], rev_in, grant, out_bwd, out_fwd, out_bcb);
         }
-        self.scratch.requests = requests;
-        self.scratch.outcomes = outcomes;
+    }
+
+    /// Arbitrates the tick's connection requests — the ports of
+    /// `req_mask`, each with a header word arriving — in one batch that
+    /// consumes all of the tick's randomness: the shuffle plus one draw
+    /// per grant. Returns each request's backward port, or `None` where
+    /// it blocked, in ascending port order.
+    fn arbitrate(&mut self, req_mask: u64, fwd_in: &[Word]) -> [Option<u8>; MAX_REQUESTS] {
+        let digit_bits = self.config.digit_bits();
+        let w = self.params.width();
+        let mut requests = [(0u8, 0u8); MAX_REQUESTS];
+        let mut n = 0;
+        let mut bits = req_mask;
+        while bits != 0 {
+            let f = bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            let Word::Data(v) = fwd_in[f] else {
+                unreachable!("a request is a data word")
+            };
+            // A digit names one of at most 64 directions.
+            let dir = if digit_bits == 0 {
+                0
+            } else {
+                (v >> (w - digit_bits)) as u8 & ((1 << digit_bits) - 1)
+            };
+            requests[n] = (f as u8, dir);
+            n += 1;
+        }
+        let mut grants = [None; MAX_REQUESTS];
+        self.alloc.arbitrate_into(
+            &requests[..n],
+            &self.config,
+            &mut self.rng,
+            &mut grants[..n],
+        );
+        // Opens/Grants/Blocks fall straight out of the arbitration
+        // batch — counted with batch adds instead of per-port
+        // increments (identical totals at every tick boundary).
+        let opens = n as u64;
+        let granted = grants[..n].iter().filter(|g| g.is_some()).count() as u64;
+        self.counters.add(RouterCounter::Opens, opens);
+        self.counters.add(RouterCounter::Grants, granted);
+        self.counters.add(RouterCounter::Blocks, opens - granted);
+        grants
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -864,18 +916,18 @@ impl Router {
         f: usize,
         in_w: Word,
         rev_in: &[Word],
-        open_outcome: Option<AllocationOutcome>,
+        grant: Option<Option<u8>>,
         out_bwd: &mut [Word],
         out_fwd: &mut [Word],
         out_bcb: &mut [bool],
     ) {
-        let dp = self.params.pipestages();
+        let depth = self.params.pipestages() - 1;
         let hw = self.params.header_words();
         let mask = self.params.word_mask();
         let state = self.ports[f].state;
         match state {
             State::Idle => {
-                let Some(outcome) = open_outcome else {
+                let Some(grant) = grant else {
                     // No request this cycle (input empty, disabled, or a
                     // stray control word after teardown) — stay idle.
                     return;
@@ -884,8 +936,8 @@ impl Router {
                 // every outcome below leaves the port non-idle.
                 self.active |= 1u64 << f;
                 let Word::Data(v) = in_w else { unreachable!() };
-                match outcome {
-                    AllocationOutcome::Granted { bwd } => {
+                match grant {
+                    Some(bwd) => {
                         let port = &mut self.ports[f];
                         port.cksum.reset();
                         port.cksum.absorb_value(v);
@@ -896,35 +948,34 @@ impl Router {
                                 self.params.width(),
                                 self.config.swallow(f),
                             );
-                            port.fill(Pipe::Fwd, dp, Word::Empty);
+                            port.fill(&mut self.pipes, &self.params, f, Pipe::Fwd, Word::Empty);
                             let push = match forwarded {
                                 Some(head) => Word::Data(head & mask),
                                 None => Word::Empty,
                             };
-                            let popped = port.advance(Pipe::Fwd, push);
+                            let popped = port.advance(&mut self.pipes, f, depth, Pipe::Fwd, push);
                             if matches!(push, Word::Data(_)) {
                                 self.counters.inc(RouterCounter::WordsForwarded);
                             }
                             port.state = State::Forward { bwd, settle: 0 };
-                            out_bwd[bwd] = popped;
+                            out_bwd[usize::from(bwd)] = popped;
                             out_fwd[f] = Word::DataIdle;
                         } else {
                             // Pipelined setup: this and the next hw-1
                             // words are consumed, not forwarded.
-                            let port = &mut self.ports[f];
-                            port.fill(Pipe::Fwd, dp, Word::Empty);
+                            port.fill(&mut self.pipes, &self.params, f, Pipe::Fwd, Word::Empty);
                             if hw == 1 {
                                 port.state = State::Forward { bwd, settle: 0 };
                             } else {
-                                port.state = State::Setup {
-                                    bwd,
-                                    remaining: hw - 1,
-                                };
+                                // A header of 2³² words would not fit
+                                // in memory as a stream to send.
+                                let remaining = u32::try_from(hw - 1).unwrap_or(u32::MAX);
+                                port.state = State::Setup { bwd, remaining };
                             }
                             out_fwd[f] = Word::DataIdle;
                         }
                     }
-                    AllocationOutcome::Blocked => {
+                    None => {
                         let port = &mut self.ports[f];
                         port.cksum.reset();
                         port.cksum.absorb_value(v);
@@ -957,7 +1008,7 @@ impl Router {
                     }
                     Word::Empty | Word::Drop => {
                         // Source released mid-setup.
-                        self.alloc.release(bwd);
+                        self.alloc.release(usize::from(bwd));
                         self.ports[f].reset();
                         self.ports[f].state = State::Draining;
                         out_fwd[f] = Word::Empty;
@@ -965,7 +1016,7 @@ impl Router {
                     _ => {
                         // Corrupt header stream: tear down; the
                         // source-responsible protocol will retry.
-                        self.alloc.release(bwd);
+                        self.alloc.release(usize::from(bwd));
                         self.ports[f].reset();
                         self.ports[f].state = State::Draining;
                         out_fwd[f] = Word::Empty;
@@ -975,7 +1026,7 @@ impl Router {
 
             State::Forward { bwd, settle } => {
                 out_fwd[f] = Word::DataIdle;
-                let rev_settle = self.reverse_settle(bwd);
+                let rev_settle = self.reverse_settle(usize::from(bwd));
                 let port = &mut self.ports[f];
                 let mut closing = false;
                 let mut settle = settle;
@@ -1003,8 +1054,8 @@ impl Router {
                         other
                     }
                 };
-                let popped = port.advance(Pipe::Fwd, push);
-                out_bwd[bwd] = popped;
+                let popped = port.advance(&mut self.pipes, f, depth, Pipe::Fwd, push);
+                out_bwd[usize::from(bwd)] = popped;
                 port.state = if closing {
                     State::ClosingFwd { bwd }
                 } else {
@@ -1017,9 +1068,10 @@ impl Router {
                         // queue our status report (paper §4, §5.1).
                         self.counters.inc(RouterCounter::Turns);
                         let cksum = port.cksum.value();
-                        port.fill(Pipe::Rev, dp, Word::DataIdle);
+                        port.fill(&mut self.pipes, &self.params, f, Pipe::Rev, Word::DataIdle);
                         port.rq.clear();
-                        port.rq.push(Word::Status(StatusWord::connected(bwd)));
+                        port.rq
+                            .push(Word::Status(StatusWord::connected(usize::from(bwd))));
                         port.rq.push(Word::Checksum(cksum));
                         port.state = State::Reverse {
                             bwd,
@@ -1029,7 +1081,7 @@ impl Router {
                     Word::Drop => {
                         // Drop fully propagated downstream; free the path.
                         self.counters.inc(RouterCounter::Drops);
-                        self.alloc.release(bwd);
+                        self.alloc.release(usize::from(bwd));
                         port.reset();
                         port.state = State::Draining;
                         out_fwd[f] = Word::Empty;
@@ -1039,11 +1091,11 @@ impl Router {
             }
 
             State::Reverse { bwd, settle } => {
-                out_bwd[bwd] = Word::DataIdle;
+                out_bwd[usize::from(bwd)] = Word::DataIdle;
                 let fwd_settle = self.forward_settle(f);
                 let port = &mut self.ports[f];
                 let mut settle = settle;
-                match rev_in[bwd] {
+                match rev_in[usize::from(bwd)] {
                     Word::Empty if settle > 0 => {
                         // The downstream's hold is still in flight
                         // across the wire pipeline (variable turn
@@ -1065,12 +1117,12 @@ impl Router {
                 }
                 port.state = State::Reverse { bwd, settle };
                 let inject = port.rq.pop().unwrap_or(Word::DataIdle);
-                let popped = port.advance(Pipe::Rev, inject);
+                let popped = port.advance(&mut self.pipes, f, depth, Pipe::Rev, inject);
                 out_fwd[f] = popped;
                 match popped {
                     Word::Turn => {
                         // Turned back toward the forward direction.
-                        port.fill(Pipe::Fwd, dp, Word::DataIdle);
+                        port.fill(&mut self.pipes, &self.params, f, Pipe::Fwd, Word::DataIdle);
                         port.state = State::Forward {
                             bwd,
                             settle: fwd_settle,
@@ -1078,7 +1130,7 @@ impl Router {
                     }
                     Word::Drop => {
                         self.counters.inc(RouterCounter::Drops);
-                        self.alloc.release(bwd);
+                        self.alloc.release(usize::from(bwd));
                         port.reset();
                         port.state = State::Draining;
                     }
@@ -1092,7 +1144,7 @@ impl Router {
                 match in_w {
                     Word::Turn => {
                         let cksum = port.cksum.value();
-                        port.fill(Pipe::Rev, dp, Word::DataIdle);
+                        port.fill(&mut self.pipes, &self.params, f, Pipe::Rev, Word::DataIdle);
                         port.rq.clear();
                         port.rq.push(Word::Status(StatusWord::blocked()));
                         port.rq.push(Word::Checksum(cksum));
@@ -1114,7 +1166,7 @@ impl Router {
             State::BlockedReply => {
                 let port = &mut self.ports[f];
                 let inject = port.rq.pop().unwrap_or(Word::DataIdle);
-                let popped = port.advance(Pipe::Rev, inject);
+                let popped = port.advance(&mut self.pipes, f, depth, Pipe::Rev, inject);
                 out_fwd[f] = popped;
                 if popped == Word::Drop {
                     port.reset();
@@ -1125,11 +1177,11 @@ impl Router {
             State::ClosingFwd { bwd } => {
                 // Drain the forward pipeline until the DROP exits.
                 let port = &mut self.ports[f];
-                let popped = port.advance(Pipe::Fwd, Word::Empty);
-                out_bwd[bwd] = popped;
+                let popped = port.advance(&mut self.pipes, f, depth, Pipe::Fwd, Word::Empty);
+                out_bwd[usize::from(bwd)] = popped;
                 if popped == Word::Drop {
                     self.counters.inc(RouterCounter::Drops);
-                    self.alloc.release(bwd);
+                    self.alloc.release(usize::from(bwd));
                     port.reset();
                     port.state = State::Draining;
                 }
@@ -1672,13 +1724,31 @@ mod tests {
     /// A field that regrows a port fails here rather than drifting the
     /// machine's resident size: metro1k holds 12,288 ports.
     #[test]
-    fn a_port_is_at_most_64_bytes() {
-        assert!(std::mem::size_of::<Port>() <= 64);
+    fn a_port_is_at_most_32_bytes() {
+        assert!(std::mem::size_of::<Port>() <= 32);
         let r = router(1);
-        assert!(
-            r.ports.iter().all(|p| p.pipes.is_empty()),
-            "no pipe storage at dp = 1"
-        );
+        assert!(r.pipes.is_empty(), "no pipe storage at dp = 1");
+    }
+
+    /// An 8×8 router — metro1k builds 1,536 — struct and heap: its
+    /// ports, its allocator's owners and cursors, and nothing a tick
+    /// grows. Pipes are one buffer, allocated at the first fill.
+    #[test]
+    fn an_8x8_router_holds_at_most_800_bytes() {
+        let held = |r: &Router| {
+            let ports = r.ports.capacity() * std::mem::size_of::<Port>();
+            let pipes = r.pipes.len() * std::mem::size_of::<Word>();
+            std::mem::size_of::<Router>() + ports + pipes + r.alloc.heap_bytes()
+        };
+        for dp in [1, 2] {
+            let mut r = router(dp);
+            let built = held(&r);
+            let stream = [Word::Data(0), Word::Data(1), Word::Turn];
+            drive(&mut r, &stream, 8, |_, _| idle8());
+            let pipes = 16 * (dp - 1) * std::mem::size_of::<Word>();
+            assert_eq!(held(&r), built + pipes, "dp {dp}: a tick grew the router");
+            assert!(built <= 800, "an 8x8 router holds {built} bytes");
+        }
     }
 
     #[test]

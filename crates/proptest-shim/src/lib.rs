@@ -372,7 +372,7 @@ impl_tuple_strategy!(A / 0, B / 1, C / 2, D / 3, E / 4, F / 5, G / 6, H / 7);
 pub mod collection {
     use super::{Strategy, TestRng};
 
-    /// An inclusive length window for [`vec`].
+    /// An inclusive length window for [`vec()`].
     #[derive(Debug, Clone, Copy)]
     pub struct SizeRange {
         lo: usize,
@@ -404,7 +404,7 @@ pub mod collection {
         }
     }
 
-    /// The vec strategy returned by [`vec`].
+    /// The vec strategy returned by [`vec()`].
     pub struct VecStrategy<S> {
         element: S,
         size: SizeRange,

@@ -4,7 +4,7 @@
 //! A [`ChaosCampaign`] is generated deterministically from a seed: a
 //! handful of storm events, each naming a link on the walked route of a
 //! source/destination pair, a fault behaviour
-//! ([`FaultKind`](metro_topo::fault::FaultKind)), and whether the
+//! ([`FaultKind`]), and whether the
 //! element is repaired once the self-healing layer has masked it. The
 //! runner ([`run_campaign`]) drives the network through three phases —
 //! clean baseline, storm (faults injected mid-run, traffic hammered

@@ -3,19 +3,19 @@
 //! active — on the calling thread, or by shard on a worker pool.
 //!
 //! It has the Reference engine's shape (a METRO channel is one pipeline
-//! register per wire stage, paper §5.1): the [`ChannelArena`] holds the
+//! register per wire stage, paper §5.1): the `ChannelArena` holds the
 //! value registered at every channel input, indexed by [`FlatLinks`]'s
-//! slot scheme; components read it and drive the [`DriveBus`]; only
+//! slot scheme; components read it and drive the `DriveBus`; only
 //! when every component has driven is the arena overwritten from the
 //! bus. The steady-state step performs no heap allocation, and fault
 //! state is resolved into flat tables in [`Engine::apply_faults`] so
 //! the hot path never queries the fault set.
 //!
 //! METRO routers are stateless between messages, so a step visits only
-//! the members of a [`HotSet`] — routers, endpoints, non-transparent
+//! the members of a `HotSet` — routers, endpoints, non-transparent
 //! wires — in three passes: *tick* (hot components read the arena and
 //! drive the bus), *carry* (the bus slots they may have driven land in
-//! the arena slots they feed, through [`Route`]), *wires* (hot
+//! the arena slots they feed, through `Route`), *wires* (hot
 //! non-transparent wires advance from the bus and overwrite what was
 //! carried into their slots). One invariant stands where a full walk
 //! would rewrite everything:

@@ -6,7 +6,7 @@
 //! delegates the per-cycle dataflow to an [`Engine`]: [`flat`] (the
 //! allocation-free arena engine, which steps only what is active, on
 //! one thread or by shard on [`shard`]'s worker pool), or
-//! [`reference`] (the scalar executable spec). The
+//! [`reference`](mod@reference) (the scalar executable spec). The
 //! third [`EngineKind`], [`analytic`], is not a cycle engine at all:
 //! it predicts latency distributions from per-stage models instead of
 //! ticking, so it is dispatched by

@@ -10,6 +10,7 @@
 
 use crate::network::SimConfig;
 use crate::scenario::{Scenario, SendSpec, WorkloadSpec};
+use crate::wire::REGISTER_BYTES;
 use crate::workload::{ArrivalProcess, WorkloadError};
 use metro_core::header::HeaderPlan;
 use metro_core::{ArchParams, ParamError, RouterConfig};
@@ -38,13 +39,14 @@ impl Fabric {
     /// # Errors
     ///
     /// A [`ScenarioError`]: a [`TopologyError`], [`TransmitEngines`],
-    /// a [`WireDelayCount`] or a stage's [`ParamError`].
+    /// a [`WireDelayCount`], [`WireRings`] or a stage's [`ParamError`].
     pub fn new(spec: &MultibutterflySpec, config: &SimConfig) -> Result<Self, ScenarioError> {
         let topo = Multibutterfly::build(spec).map_err(|e| {
             // The stage-shape refusals name their stage in the message.
             let field = match e {
                 TopologyError::NoEndpointPorts => "topology.endpoint_ports",
-                TopologyError::AddressSpaceMismatch { .. } => "topology.endpoints",
+                TopologyError::AddressSpaceMismatch { .. }
+                | TopologyError::TooManyWires { stage: 0, .. } => "topology.endpoints",
                 _ => "topology.stages",
             };
             ScenarioError::at(field, e)
@@ -64,6 +66,7 @@ impl Fabric {
                 return Err(ScenarioError::at("sim.stage_wire_delays", count));
             }
         };
+        check_wire_rings(&topo, &delays, config.stage_wire_delays.is_some())?;
         let (w, hw, dp) = (config.width, config.header_words, config.pipestages);
         let params = spec
             .stages
@@ -184,9 +187,52 @@ impl Scenario {
     }
 }
 
+/// The most bytes a machine's wires may hold in pipeline registers — a
+/// 10-byte register per wire per cycle of delay ([`Wire`]): 1 GiB. A
+/// port's settle window, `2·(delay + 1) + 1` cycles, is a `u32`; any
+/// delay under this ceiling keeps it one.
+///
+/// [`Wire`]: crate::wire::Wire
+pub const MAX_WIRE_RING_BYTES: u64 = 1 << 30;
+
+const _: () = assert!(MAX_WIRE_RING_BYTES / REGISTER_BYTES as u64 <= (u32::MAX as u64 - 3) / 2);
+
+/// Refuses wire delays whose rings would hold more than
+/// [`MAX_WIRE_RING_BYTES`], before any ring is allocated: at
+/// `sim.wire_delay`, or at the `sim.stage_wire_delays` entry whose
+/// boundary holds the most.
+fn check_wire_rings(
+    topo: &Multibutterfly,
+    delays: &[usize],
+    staged: bool,
+) -> Result<(), ScenarioError> {
+    // Boundary 0 is the endpoints' injection wires, boundary `s + 1`
+    // the wires out of stage `s`'s backward ports.
+    let wires = |k: usize| match k {
+        0 => topo.endpoints() * topo.endpoint_ports(),
+        _ => topo.routers_in_stage(k - 1) * topo.stage_spec(k - 1).backward_ports,
+    };
+    let bytes = |k: usize| wires(k) as u128 * delays[k] as u128 * REGISTER_BYTES as u128;
+    let total: u128 = (0..delays.len()).map(bytes).sum();
+    if total <= u128::from(MAX_WIRE_RING_BYTES) {
+        return Ok(());
+    }
+    let heaviest = (0..delays.len()).max_by_key(|&k| bytes(k)).unwrap_or(0);
+    let e = WireRings {
+        delay: delays[heaviest],
+        bytes: total,
+    };
+    Err(if staged {
+        ScenarioError::at(format!("sim.stage_wire_delays[{heaviest}]"), e)
+    } else {
+        ScenarioError::at("sim.wire_delay", e)
+    })
+}
+
 /// A scenario lowering refused: the refused field's dotted path, and a
 /// `source` that downcasts to the [`TopologyError`], [`TransmitEngines`],
-/// [`WireDelayCount`], [`ParamError`] or [`WorkloadError`] that refused it.
+/// [`WireDelayCount`], [`WireRings`], [`ParamError`] or
+/// [`WorkloadError`] that refused it.
 #[derive(Debug)]
 pub struct ScenarioError {
     /// Dotted path to the refused field (e.g. `"scenario.sim.width"`).
@@ -267,3 +313,26 @@ impl fmt::Display for WireDelayCount {
 }
 
 impl Error for WireDelayCount {}
+
+/// Wire delays whose pipeline rings would exceed
+/// [`MAX_WIRE_RING_BYTES`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct WireRings {
+    /// The refused delay, in cycles.
+    pub delay: usize,
+    /// Bytes every wire's ring would hold together.
+    pub bytes: u128,
+}
+
+impl fmt::Display for WireRings {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let (delay, bytes) = (self.delay, self.bytes);
+        write!(
+            f,
+            "wires {delay} cycles deep need {bytes} bytes of pipeline registers, \
+             over the {MAX_WIRE_RING_BYTES}-byte ceiling"
+        )
+    }
+}
+
+impl Error for WireRings {}

@@ -6,7 +6,7 @@
 //! advances everything synchronously from a central clock — pipelined
 //! circuit switching exactly as the paper's §3 describes. The
 //! per-cycle dataflow itself lives behind the sealed
-//! [`Engine`](crate::engine::Engine) seam ([`crate::engine`]); this
+//! [`Engine`] seam ([`crate::engine`]); this
 //! module owns orchestration only: construction, workload injection,
 //! the clock, telemetry sync, outcome harvest, and fault application.
 //! The self-healing loop is a sibling orchestration concern in

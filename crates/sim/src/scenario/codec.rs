@@ -34,7 +34,7 @@ use metro_topo::multibutterfly::{MultibutterflySpec, StageSpec, WiringStyle};
 
 /// The newest scenario schema version this build writes and reads.
 /// Decode accepts `1..=SCENARIO_SCHEMA`; encode emits the *oldest*
-/// version that can express the scenario ([`schema_for`]), so corpus
+/// version that can express the scenario (`schema_for`), so corpus
 /// files using only schema-1 features keep their canonical bytes — and
 /// their `scenario_hash` — across the bump.
 ///

@@ -33,6 +33,9 @@ type Register = (Word, Word, bool);
 /// A register holding nothing.
 const QUIET: Register = (Word::Empty, Word::Empty, false);
 
+/// Bytes a wire holds per cycle of delay: one register.
+pub(crate) const REGISTER_BYTES: usize = std::mem::size_of::<Register>();
+
 /// A bidirectional, pipelined link between two components.
 ///
 /// The *forward* lane carries words away from the sources (toward
@@ -274,6 +277,8 @@ mod tests {
             Wire::new(0).regs.is_empty(),
             "a combinational wire holds no heap"
         );
+        // The figure `fabric::MAX_WIRE_RING_BYTES` documents.
+        assert_eq!(REGISTER_BYTES, 10, "bytes per cycle of delay");
     }
 
     /// The stream spells each lane oldest register first wherever the

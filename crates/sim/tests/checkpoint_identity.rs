@@ -220,7 +220,9 @@ fn every_mutated_word_of_a_busy_machine_is_refused_or_runs_clean() {
         self_heal: true,
         ..SimConfig::default()
     };
-    sweep_a_busy_machine(&config, 9, (4451, 2219, 0x35c6_5ac0_34ef_5c54));
+    // 48 of the refusals are a settle count of 2⁴⁰, which a
+    // port's `u32` counter does not hold.
+    sweep_a_busy_machine(&config, 9, (4499, 2171, 0x9e9e_39a0_7b51_c15a));
 }
 
 /// The same sweep where the state holds words in router pipes, reply
@@ -234,7 +236,8 @@ fn every_mutated_word_of_a_busy_pipelined_machine_is_refused_or_runs_clean() {
         stage_wire_delays: Some(vec![1, 2, 1, 1]),
         ..SimConfig::default()
     };
-    sweep_a_busy_machine(&config, 10, (4963, 2475, 0xf07a_39f2_b9aa_5fc3));
+    // 48 of the refusals are a settle count of 2⁴⁰.
+    sweep_a_busy_machine(&config, 10, (5011, 2427, 0x83a1_dcdd_6e50_1dd7));
 }
 
 proptest! {

@@ -7,7 +7,7 @@
 use metro_sim::endpoint::{EndpointConfig, ReplyPolicy};
 use metro_sim::message::{DeliveryStatus, FailureKind, ACK_OK};
 use metro_sim::{resume_scenario, run_scenario, Checkpoint, RunPhase, Scenario};
-use metro_sim::{EngineKind, NetworkSim, ScenarioError, SimConfig};
+use metro_sim::{EngineKind, Fabric, NetworkSim, ScenarioError, SimConfig};
 use metro_telemetry::RouterCounter;
 use metro_topo::fault::{FaultKind, FaultSet};
 use metro_topo::graph::LinkId;
@@ -229,6 +229,66 @@ fn wrong_boundary_count_is_a_typed_error_on_every_build_path() {
             .expect("typed source");
         assert_eq!((typed.got, typed.expected), (1, 4));
     }
+}
+
+#[test]
+fn wire_rings_past_the_ceiling_are_a_typed_error_on_every_build_path() {
+    // `"wire_delay": 1e8` decodes and used to abort allocating 128
+    // rings of 10⁸ registers; figure1 has 4 boundaries of 32 wires.
+    // Lowering refuses it before a ring exists, so no value here
+    // allocates one.
+    let uniform = |delay| {
+        let mut s = Scenario::scripted("x", MultibutterflySpec::figure1(), vec![], 10);
+        s.sim.wire_delay = delay;
+        s
+    };
+    let mut staged = uniform(0);
+    staged.sim.stage_wire_delays = Some(vec![1, 0, 100_000_000, 2]);
+    let rows = [
+        (
+            uniform(100_000_000),
+            "scenario.sim.wire_delay",
+            128_000_000_000,
+        ),
+        (
+            uniform(usize::MAX),
+            "scenario.sim.wire_delay",
+            128 * 10 * u128::from(u64::MAX),
+        ),
+        (staged, "scenario.sim.stage_wire_delays[2]", 32_000_000_960),
+    ];
+    for (scenario, path, bytes) in rows {
+        let ckpt = Checkpoint {
+            scenario: scenario.clone(),
+            phase: RunPhase::Main,
+            cycle: 0,
+            state: Vec::new(),
+        };
+        let mut estimated = scenario.clone();
+        estimated.sim.engine = EngineKind::Analytic;
+        for err in [
+            NetworkSim::new(&scenario.topology, &scenario.sim).err(),
+            NetworkSim::from_scenario(&scenario).err(),
+            run_scenario(&scenario).err(),
+            run_scenario(&estimated).err(),
+            resume_scenario(&ckpt).err(),
+        ] {
+            let err = err.expect("an Err, not a panic and not a run");
+            let refusal = err.downcast_ref::<ScenarioError>().expect("typed error");
+            assert_eq!(refusal.path, path);
+            let typed = refusal
+                .source
+                .downcast_ref::<metro_sim::fabric::WireRings>()
+                .expect("typed source");
+            assert_eq!(typed.bytes, bytes, "{path}");
+        }
+    }
+    // The ceiling admits rings up to it: figure1 at delay 838,860 holds
+    // 128 × 838,860 × 10 = 1,073,740,800 bytes, one more cycle 1,280 more.
+    let at_ceiling = Fabric::new(&MultibutterflySpec::figure1(), &uniform(838_860).sim);
+    assert!(at_ceiling.is_ok(), "{:?}", at_ceiling.err());
+    let past = Fabric::new(&MultibutterflySpec::figure1(), &uniform(838_861).sim);
+    assert_eq!(past.unwrap_err().path, "scenario.sim.wire_delay");
 }
 
 #[test]

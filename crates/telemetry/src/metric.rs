@@ -31,7 +31,7 @@ pub enum RouterCounter {
     /// attributed to this router's downstream side.
     ChecksumMismatches = 7,
     /// Port-mask applications: enabled ports flipped to disabled by a
-    /// live reconfiguration ([`Router::apply_config`]-level diff).
+    /// live reconfiguration (`Router::apply_config`-level diff).
     MasksApplied = 8,
     /// Retries routed through this router's stage-0 entry after at
     /// least one mask was in effect for the sending endpoint.

@@ -105,6 +105,14 @@ pub enum TopologyError {
     /// `endpoint_ports` is zero: an endpoint needs a way into the
     /// network.
     NoEndpointPorts,
+    /// More wires cross a stage boundary than a wiring table indexes
+    /// (`u32::MAX`).
+    TooManyWires {
+        /// The boundary (stage count = endpoint delivery boundary).
+        stage: usize,
+        /// Wires crossing it.
+        wires: usize,
+    },
 }
 
 impl fmt::Display for TopologyError {
@@ -135,6 +143,11 @@ impl fmt::Display for TopologyError {
                 write!(f, "stage {stage} radix is not a power of two")
             }
             Self::NoEndpointPorts => write!(f, "endpoint_ports must be at least 1"),
+            Self::TooManyWires { stage, wires } => write!(
+                f,
+                "boundary into stage {stage} has {wires} wires, over {}",
+                u32::MAX
+            ),
         }
     }
 }
@@ -288,26 +301,64 @@ pub enum Feeder {
     },
 }
 
+/// One end of a wire in a wiring table: an element — a router or an
+/// endpoint, as the table's stage fixes — and a port on it, 8 bytes.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    node: u32,
+    port: u32,
+}
+
+impl Slot {
+    /// A slot no wire has set yet.
+    const UNSET: Self = Self {
+        node: u32::MAX,
+        port: u32::MAX,
+    };
+
+    /// The slot of `port` on element `node`; build checked that every
+    /// index on a boundary is below its wire count, which fits `u32`.
+    fn new(node: usize, port: usize) -> Self {
+        let narrow = |v: usize| u32::try_from(v).expect("build bounds wires by u32::MAX");
+        Self {
+            node: narrow(node),
+            port: narrow(port),
+        }
+    }
+
+    /// `(element, port)` as indices.
+    fn get(self) -> (usize, usize) {
+        (self.node as usize, self.port as usize)
+    }
+}
+
 /// A constructed multibutterfly network: routers arranged in stages with
 /// explicit port-level wiring, ready to be instantiated by the
 /// simulator or analyzed structurally.
+///
+/// Each wiring table entry is a `Slot` of 8 bytes: a stage's links
+/// all land on the next stage's routers, or past the last stage on
+/// endpoints, so the stage says which [`LinkTarget`] or [`Feeder`] the
+/// accessors return.
 #[derive(Debug, Clone)]
 pub struct Multibutterfly {
     spec: MultibutterflySpec,
     routers_per_stage: Vec<usize>,
     groups_per_stage: Vec<usize>,
     /// `links[s][r·o + b]` — where backward port `b` of router `r` in
-    /// stage `s` (of `o` backward ports) connects.
-    links: Vec<Vec<LinkTarget>>,
+    /// stage `s` (of `o` backward ports) connects: a router of stage
+    /// `s + 1`, or an endpoint after the last stage.
+    links: Vec<Vec<Slot>>,
     /// `feeders[s][r·i + f]` — what drives forward port `f` of router
-    /// `r` in stage `s` (of `i` forward ports).
-    feeders: Vec<Vec<Feeder>>,
+    /// `r` in stage `s` (of `i` forward ports): an endpoint in stage 0,
+    /// a router of stage `s - 1` after it.
+    feeders: Vec<Vec<Slot>>,
     /// `injections[e·ep + p]` — the stage-0 (router, forward port)
     /// endpoint `e`'s output port `p` connects to.
-    injections: Vec<(usize, usize)>,
+    injections: Vec<Slot>,
     /// `deliveries[e·ep + p]` — the last-stage (router, backward port)
     /// feeding endpoint `e`'s input port `p`.
-    deliveries: Vec<(usize, usize)>,
+    deliveries: Vec<Slot>,
 }
 
 impl Multibutterfly {
@@ -343,7 +394,16 @@ impl Multibutterfly {
             });
         }
 
-        let mut wires = spec.endpoints * spec.endpoint_ports;
+        // Every index a wiring table holds is below its boundary's wire
+        // count, so a count that fits `u32` keeps each entry 8 bytes.
+        let fits = |stage: usize, wires: Option<usize>| match wires {
+            Some(wires) if wires <= u32::MAX as usize => Ok(wires),
+            _ => Err(TopologyError::TooManyWires {
+                stage,
+                wires: wires.unwrap_or(usize::MAX),
+            }),
+        };
+        let mut wires = fits(0, spec.endpoints.checked_mul(spec.endpoint_ports))?;
         let mut groups = 1usize;
         let mut routers_per_stage = Vec::with_capacity(s_count);
         let mut groups_per_stage = Vec::with_capacity(s_count);
@@ -361,7 +421,7 @@ impl Multibutterfly {
             }
             routers_per_stage.push(routers);
             groups_per_stage.push(groups);
-            wires = routers * st.backward_ports;
+            wires = fits(s + 1, routers.checked_mul(st.backward_ports))?;
             groups *= st.radix();
         }
         // Delivery boundary: `wires` final wires over `endpoints`
@@ -375,26 +435,17 @@ impl Multibutterfly {
         }
 
         // --- storage: one flat table per stage ---
-        let unset = usize::MAX;
-        let no_link = LinkTarget::Endpoint {
-            endpoint: unset,
-            port: unset,
-        };
-        let no_feeder = Feeder::Endpoint {
-            endpoint: unset,
-            port: unset,
-        };
         let stage_sizes = spec.stages.iter().zip(&routers_per_stage);
-        let mut links: Vec<Vec<LinkTarget>> = stage_sizes
+        let mut links: Vec<Vec<Slot>> = stage_sizes
             .clone()
-            .map(|(st, &routers)| vec![no_link; routers * st.backward_ports])
+            .map(|(st, &routers)| vec![Slot::UNSET; routers * st.backward_ports])
             .collect();
-        let mut feeders: Vec<Vec<Feeder>> = stage_sizes
-            .map(|(st, &routers)| vec![no_feeder; routers * st.forward_ports])
+        let mut feeders: Vec<Vec<Slot>> = stage_sizes
+            .map(|(st, &routers)| vec![Slot::UNSET; routers * st.forward_ports])
             .collect();
         let ep = spec.endpoint_ports;
-        let mut injections = vec![(unset, unset); spec.endpoints * ep];
-        let mut deliveries = vec![(unset, unset); spec.endpoints * ep];
+        let mut injections = vec![Slot::UNSET; spec.endpoints * ep];
+        let mut deliveries = vec![Slot::UNSET; spec.endpoints * ep];
 
         // --- injection boundary: endpoints -> stage 0 ---
         {
@@ -419,11 +470,8 @@ impl Multibutterfly {
                     let slot = assignment[wiring::wire_index(e, p, spec.endpoints)];
                     let router = slot / st.forward_ports;
                     let port = slot % st.forward_ports;
-                    injections[row(e, p, ep)] = (router, port);
-                    feeders[0][row(router, port, st.forward_ports)] = Feeder::Endpoint {
-                        endpoint: e,
-                        port: p,
-                    };
+                    injections[row(e, p, ep)] = Slot::new(router, port);
+                    feeders[0][row(router, port, st.forward_ports)] = Slot::new(e, p);
                 }
             }
         }
@@ -463,15 +511,9 @@ impl Multibutterfly {
                                 let down_port = slot % nst.forward_ports;
                                 let down_router = down_group * down_rpg + down_local;
                                 links[s][row(up_router, bwd, st.backward_ports)] =
-                                    LinkTarget::Router {
-                                        router: down_router,
-                                        port: down_port,
-                                    };
+                                    Slot::new(down_router, down_port);
                                 feeders[s + 1][row(down_router, down_port, nst.forward_ports)] =
-                                    Feeder::Router {
-                                        router: up_router,
-                                        port: bwd,
-                                    };
+                                    Slot::new(up_router, bwd);
                             }
                         }
                     } else {
@@ -484,11 +526,8 @@ impl Multibutterfly {
                                 let bwd = j * st.dilation + c;
                                 let port = t * st.dilation + c;
                                 links[s][row(up_router, bwd, st.backward_ports)] =
-                                    LinkTarget::Endpoint {
-                                        endpoint: dest,
-                                        port,
-                                    };
-                                deliveries[row(dest, port, ep)] = (up_router, bwd);
+                                    Slot::new(dest, port);
+                                deliveries[row(dest, port, ep)] = Slot::new(up_router, bwd);
                             }
                         }
                     }
@@ -558,27 +597,43 @@ impl Multibutterfly {
     /// Where backward port `b` of router `r` in stage `s` connects.
     #[must_use]
     pub fn link(&self, s: usize, r: usize, b: usize) -> LinkTarget {
-        self.links[s][row(r, b, self.spec.stages[s].backward_ports)]
+        let (node, port) = self.links[s][row(r, b, self.spec.stages[s].backward_ports)].get();
+        if s + 1 < self.stages() {
+            LinkTarget::Router { router: node, port }
+        } else {
+            LinkTarget::Endpoint {
+                endpoint: node,
+                port,
+            }
+        }
     }
 
     /// What feeds forward port `f` of router `r` in stage `s`.
     #[must_use]
     pub fn feeder(&self, s: usize, r: usize, f: usize) -> Feeder {
-        self.feeders[s][row(r, f, self.spec.stages[s].forward_ports)]
+        let (node, port) = self.feeders[s][row(r, f, self.spec.stages[s].forward_ports)].get();
+        if s == 0 {
+            Feeder::Endpoint {
+                endpoint: node,
+                port,
+            }
+        } else {
+            Feeder::Router { router: node, port }
+        }
     }
 
     /// The stage-0 (router, forward port) endpoint `e`'s output port `p`
     /// drives.
     #[must_use]
     pub fn injection(&self, e: usize, p: usize) -> (usize, usize) {
-        self.injections[row(e, p, self.spec.endpoint_ports)]
+        self.injections[row(e, p, self.spec.endpoint_ports)].get()
     }
 
     /// The last-stage (router, backward port) feeding endpoint `e`'s
     /// input port `p`.
     #[must_use]
     pub fn delivery(&self, e: usize, p: usize) -> (usize, usize) {
-        self.deliveries[row(e, p, self.spec.endpoint_ports)]
+        self.deliveries[row(e, p, self.spec.endpoint_ports)].get()
     }
 
     /// Per-stage route digit widths (bits), injection side first.
@@ -805,6 +860,33 @@ mod tests {
         assert_eq!(net.groups_at_stage(0), 1);
         assert_eq!(net.groups_at_stage(1), 1);
         assert_eq!(net.groups_at_stage(2), 4);
+    }
+
+    /// metro1k's tables hold some 30,000 entries: a field that regrows
+    /// one fails here.
+    #[test]
+    fn a_wiring_table_entry_is_at_most_8_bytes() {
+        assert!(std::mem::size_of::<Slot>() <= 8);
+    }
+
+    #[test]
+    fn rejects_more_wires_than_a_table_indexes() {
+        // Six radix-64 stages address 2³⁶ endpoints: refused before a
+        // table is allocated.
+        let spec = MultibutterflySpec {
+            endpoints: 1 << 36,
+            endpoint_ports: 1,
+            stages: vec![StageSpec::new(64, 64, 1); 6],
+            wiring: WiringStyle::Deterministic,
+            seed: 0,
+        };
+        assert_eq!(
+            Multibutterfly::build(&spec).err(),
+            Some(TopologyError::TooManyWires {
+                stage: 0,
+                wires: 1 << 36
+            })
+        );
     }
 
     #[test]

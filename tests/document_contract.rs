@@ -498,9 +498,11 @@ fn every_mutated_state_word_is_refused_or_runs_clean() {
         "{} mutants restored, then broke the run: (word, value) {broke:?}",
         broke.len()
     );
+    // Six of the refusals are a settle count of 2⁴⁰ (words 53, 65, 488,
+    // 867, 1036 and 1189), which a port's `u32` counter does not hold.
     assert_eq!(
         (refused, ran, digest),
-        (3390, 1794, 0xf57a_ae3e_c9ca_b8af),
+        (3396, 1788, 0xa0dc_47f1_6f7e_9d4f),
         "(refused, ran, digest of the refusals)"
     );
 }

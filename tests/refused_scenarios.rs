@@ -31,7 +31,7 @@ fn load(s: &mut Scenario) -> (&mut TrafficPattern, &mut ArrivalProcess, &mut Rat
     }
 }
 
-const CASES: [Case; 15] = [
+const CASES: [Case; 17] = [
     Case {
         what: "a zero-width channel",
         base: "figure3_load",
@@ -172,6 +172,22 @@ const CASES: [Case; 15] = [
         },
         message: "scenario error at scenario.workload.pattern: \
                   hotspot percent 101 outside 0..=100",
+    },
+    Case {
+        what: "wire rings past the ceiling",
+        base: "figure1",
+        edit: |s| s.sim.wire_delay = 100_000_000,
+        message: "scenario error at scenario.sim.wire_delay: \
+                  wires 100000000 cycles deep need 128000000000 bytes of pipeline registers, \
+                  over the 1073741824-byte ceiling",
+    },
+    Case {
+        what: "one boundary's wire rings past the ceiling",
+        base: "figure3_load",
+        edit: |s| s.sim.stage_wire_delays = Some(vec![0, 0, 0, 10_000_000]),
+        message: "scenario error at scenario.sim.stage_wire_delays[3]: \
+                  wires 10000000 cycles deep need 12800000000 bytes of pipeline registers, \
+                  over the 1073741824-byte ceiling",
     },
     Case {
         what: "more transmit engines than endpoint ports",

@@ -4,8 +4,9 @@
 //!
 //! It has the Reference engine's shape (a METRO channel is one pipeline
 //! register per wire stage, paper §5.1): the `ChannelArena` holds the
-//! value registered at every channel input, indexed by [`FlatLinks`]'s
-//! slot scheme; components read it and drive the `DriveBus`; only
+//! value registered at every channel input, indexed by the topology's
+//! [slot numbering](metro_topo::multibutterfly#slot-numbering);
+//! components read it and drive the `DriveBus`; only
 //! when every component has driven is the arena overwritten from the
 //! bus. The steady-state step performs no heap allocation, and fault
 //! state is resolved into flat tables in [`Engine::apply_faults`] so
@@ -58,8 +59,7 @@ use crate::shard::ShardPlan;
 use crate::wire::Wire;
 use metro_core::Word;
 use metro_topo::fault::FaultSet;
-use metro_topo::flatlinks::{FlatLinks, FlatTarget};
-use metro_topo::graph::LinkId;
+use metro_topo::graph::{LinkId, LinkTarget};
 use metro_topo::multibutterfly::Multibutterfly;
 
 /// The most shards a step runs on, whatever a scenario file asks for:
@@ -67,7 +67,7 @@ use metro_topo::multibutterfly::Multibutterfly;
 pub(crate) const MAX_SHARDS: usize = 64;
 
 /// The value registered at every channel input in the network, indexed
-/// by the flat slot scheme of [`FlatLinks`].
+/// by the topology's slot numbering.
 #[derive(Debug, Clone)]
 struct ChannelArena {
     /// Forward-lane word arriving at each router forward port (fslot).
@@ -86,21 +86,21 @@ struct ChannelArena {
 }
 
 impl ChannelArena {
-    fn idle(links: &FlatLinks) -> Self {
+    fn idle(topo: &Multibutterfly) -> Self {
         Self {
-            fwd_in: vec![Word::Empty; links.n_fwd_slots()],
-            rev_in: vec![Word::Empty; links.n_bwd_slots()],
-            bcb_in: vec![false; links.n_bwd_slots()],
-            ep_out_rev: vec![Word::Empty; links.n_ep_slots()],
-            ep_out_bcb: vec![false; links.n_ep_slots()],
-            ep_in_fwd: vec![Word::Empty; links.n_ep_slots()],
+            fwd_in: vec![Word::Empty; topo.forward_slots()],
+            rev_in: vec![Word::Empty; topo.backward_slots()],
+            bcb_in: vec![false; topo.backward_slots()],
+            ep_out_rev: vec![Word::Empty; topo.endpoint_slots()],
+            ep_out_bcb: vec![false; topo.endpoint_slots()],
+            ep_in_fwd: vec![Word::Empty; topo.endpoint_slots()],
         }
     }
 
     /// The arrays each carry lane writes, split at the last stage's
     /// first backward slot: only NIC replies land there.
-    fn lanes(&mut self, links: &FlatLinks) -> (FwdLane<'_>, RevLane<'_>) {
-        let last = links.bslot(links.stages() - 1, 0, 0);
+    fn lanes(&mut self, topo: &Multibutterfly) -> (FwdLane<'_>, RevLane<'_>) {
+        let last = topo.bslot(topo.stages() - 1, 0, 0);
         let (rev_in, replies) = self.rev_in.split_at_mut(last);
         let fwd = FwdLane {
             fwd_in: &mut self.fwd_in,
@@ -160,13 +160,13 @@ pub(crate) struct DriveBus {
 }
 
 impl DriveBus {
-    fn idle(links: &FlatLinks) -> Self {
+    fn idle(topo: &Multibutterfly) -> Self {
         Self {
-            out_bwd: vec![Word::Empty; links.n_bwd_slots()],
-            out_fwd: vec![Word::Empty; links.n_fwd_slots()],
-            out_bcb: vec![false; links.n_fwd_slots()],
-            ep_out_fwd: vec![Word::Empty; links.n_ep_slots()],
-            ep_in_rev: vec![Word::Empty; links.n_ep_slots()],
+            out_bwd: vec![Word::Empty; topo.backward_slots()],
+            out_fwd: vec![Word::Empty; topo.forward_slots()],
+            out_bcb: vec![false; topo.forward_slots()],
+            ep_out_fwd: vec![Word::Empty; topo.endpoint_slots()],
+            ep_in_rev: vec![Word::Empty; topo.endpoint_slots()],
         }
     }
 }
@@ -222,9 +222,9 @@ pub(crate) struct CarryMask {
 
 /// First hot-set member of the endpoints, the injection wires and the
 /// stage wires; routers come first, in flat numbering.
-fn member_bases(links: &FlatLinks) -> (usize, usize, usize) {
-    let inj = links.n_routers() + links.endpoints();
-    (links.n_routers(), inj, inj + links.n_ep_slots())
+fn member_bases(topo: &Multibutterfly) -> (usize, usize, usize) {
+    let inj = topo.total_routers() + topo.endpoints();
+    (topo.total_routers(), inj, inj + topo.endpoint_slots())
 }
 
 /// Sets `member`'s bit if `live`.
@@ -294,7 +294,7 @@ struct HotSet {
 #[derive(Debug)]
 pub(crate) struct Tick<'a> {
     now: u64,
-    links: &'a FlatLinks,
+    topo: &'a Multibutterfly,
     arena: &'a ChannelArena,
     router_dead: &'a [bool],
     hot: &'a [u64],
@@ -319,9 +319,9 @@ impl Tick<'_> {
             out_fwd,
             out_bcb,
         } = part;
-        let (links, arena) = (self.links, self.arena);
-        let ep = links.ep_ports();
-        let e0 = links.n_routers() + first.endpoint;
+        let (topo, arena) = (self.topo, self.arena);
+        let ep = topo.endpoint_ports();
+        let e0 = topo.total_routers() + first.endpoint;
         let mut visited = sweep(self.hot, wake, e0..e0 + endpoints.len(), false, |i, _| {
             let e = first.endpoint + i;
             let (lo, hi) = (e * ep, (e + 1) * ep);
@@ -339,10 +339,16 @@ impl Tick<'_> {
             !endpoint.is_quiescent()
         });
         for (s, at, stage) in routers.segments() {
-            let (nf, nb) = (links.forward_ports(s), links.backward_ports(s));
-            let r0 = links.router_index(s, at);
+            let st = topo.stage_spec(s);
+            let (nf, nb) = (st.forward_ports, st.backward_ports);
+            // A stage's routers hold consecutive slots, `nf` / `nb` apiece.
+            let (r0, fat, bat) = (
+                topo.router_index(s, at),
+                topo.fslot(s, at, 0),
+                topo.bslot(s, at, 0),
+            );
             visited += sweep(self.hot, wake, r0..r0 + stage.len(), false, |i, _| {
-                let (f0, b0) = (links.fslot(s, at + i, 0), links.bslot(s, at + i, 0));
+                let (f0, b0) = (fat + i * nf, bat + i * nb);
                 let (f, b) = (f0 - first.fslot, b0 - first.bslot);
                 let (out_bwd, out_fwd) = (&mut out_bwd[b..b + nb], &mut out_fwd[f..f + nf]);
                 let out_bcb = &mut out_bcb[f..f + nf];
@@ -378,7 +384,7 @@ impl Tick<'_> {
 /// What the carry pass reads.
 #[derive(Debug)]
 pub(crate) struct Carry<'a> {
-    links: &'a FlatLinks,
+    topo: &'a Multibutterfly,
     bus: &'a DriveBus,
     routes: &'a Routes,
     masks: &'a [CarryMask],
@@ -397,9 +403,9 @@ impl Carry<'_> {
         mut fwd: Option<FwdLane<'_>>,
         mut rev: Option<RevLane<'_>>,
     ) {
-        let (links, bus, routes) = (self.links, self.bus, self.routes);
-        let (ep_base, inj_base, _) = member_bases(links);
-        let ep = links.ep_ports();
+        let (topo, bus, routes) = (self.topo, self.bus, self.routes);
+        let (ep_base, inj_base, _) = member_bases(topo);
+        let ep = topo.endpoint_ports();
         if let Some(lane) = &mut fwd {
             sweep(self.hot, wake, ep_base..inj_base, false, |e, wake| {
                 let (lo, hi) = (e * ep, (e + 1) * ep);
@@ -413,7 +419,7 @@ impl Carry<'_> {
                 live
             });
         }
-        let stages = links.stages();
+        let stages = topo.stages();
         for s in 0..stages {
             let mut down = fwd.as_mut().map(|lane| {
                 if s + 1 == stages {
@@ -429,10 +435,15 @@ impl Carry<'_> {
                     (&mut *lane.rev_in, &mut *lane.bcb_in)
                 }
             });
-            let r0 = links.router_index(s, 0);
-            let routers = r0..r0 + links.routers_in_stage(s);
+            let st = topo.stage_spec(s);
+            let (r0, fs, bs) = (
+                topo.router_index(s, 0),
+                topo.fslot(s, 0, 0),
+                topo.bslot(s, 0, 0),
+            );
+            let routers = r0..r0 + topo.routers_in_stage(s);
             sweep(self.hot, wake, routers, false, |r, wake| {
-                let (f0, b0) = (links.fslot(s, r, 0), links.bslot(s, r, 0));
+                let (f0, b0) = (fs + r * st.forward_ports, bs + r * st.backward_ports);
                 let (fwd, bwd) = self.masks[r0 + r].carry;
                 let mut live = false;
                 if let Some(down) = &mut down {
@@ -456,7 +467,6 @@ impl Carry<'_> {
 /// The allocation-free tick engine: flat arena + precomputed slots.
 #[derive(Debug, Clone)]
 pub struct FlatEngine {
-    links: FlatLinks,
     arena: ChannelArena,
     bus: DriveBus,
     /// Injection wires, one per endpoint slot.
@@ -486,17 +496,16 @@ impl FlatEngine {
     #[must_use]
     pub(crate) fn build(fabric: &Fabric) -> Self {
         let (topo, delays) = (&fabric.topo, &fabric.delays);
-        let links = FlatLinks::build(topo);
-        let inj_wires: Vec<Wire> = (0..links.n_ep_slots())
+        let inj_wires: Vec<Wire> = (0..topo.endpoint_slots())
             .map(|_| Wire::new(delays[0]))
             .collect();
-        let stage_wires: Vec<Wire> = (0..topo.stages())
-            .flat_map(|s| {
-                let n = topo.routers_in_stage(s) * topo.stage_spec(s).backward_ports;
-                std::iter::repeat_n(delays[s + 1], n)
-            })
-            .map(Wire::new)
-            .collect();
+        // Filled stage by stage into one exact-size allocation: a
+        // `flat_map` has no exact size hint, and collecting it doubles.
+        let mut stage_wires = Vec::with_capacity(topo.backward_slots());
+        for s in 0..topo.stages() {
+            let n = topo.routers_in_stage(s) * topo.stage_spec(s).backward_ports;
+            stage_wires.extend(std::iter::repeat_n(delays[s + 1], n).map(Wire::new));
+        }
         // Resolve the shard knob: 0 = host parallelism, then cap at
         // the router count (a shard without routers is pure overhead)
         // and at MAX_SHARDS; one effective shard steps inline.
@@ -504,35 +513,34 @@ impl FlatEngine {
             0 => metro_harness::default_jobs().get(),
             n => n,
         };
-        let effective = requested.min(links.n_routers()).clamp(1, MAX_SHARDS);
-        let members = member_bases(&links).2 + links.n_bwd_slots();
+        let effective = requested.min(topo.total_routers()).clamp(1, MAX_SHARDS);
+        let members = member_bases(topo).2 + topo.backward_slots();
         let shard = (effective > 1)
-            .then(|| Box::new(ShardState::new(effective, members, links.endpoints())));
+            .then(|| Box::new(ShardState::new(effective, members, topo.endpoints())));
         let words = vec![0; members.div_ceil(64)];
         let routes = |n: usize| vec![Route::default(); n];
         let mut engine = Self {
-            arena: ChannelArena::idle(&links),
-            bus: DriveBus::idle(&links),
+            arena: ChannelArena::idle(topo),
+            bus: DriveBus::idle(topo),
             inj_wires,
             stage_wires,
-            router_dead: vec![false; links.n_routers()],
-            plan: ShardPlan::build(&links, effective),
+            router_dead: vec![false; topo.total_routers()],
+            plan: ShardPlan::build(topo, effective),
             shard,
             hot: HotSet {
                 hot: words.clone(),
                 wake: words,
                 visited: 0,
             },
-            masks: vec![CarryMask::default(); links.n_routers()],
+            masks: vec![CarryMask::default(); topo.total_routers()],
             routes: Routes {
-                inj: routes(links.n_ep_slots()),
-                reply: routes(links.n_ep_slots()),
-                bwd: routes(links.n_bwd_slots()),
-                fwd: routes(links.n_fwd_slots()),
+                inj: routes(topo.endpoint_slots()),
+                reply: routes(topo.endpoint_slots()),
+                bwd: routes(topo.backward_slots()),
+                fwd: routes(topo.forward_slots()),
             },
-            links,
         };
-        engine.rebuild_routes();
+        engine.rebuild_routes(topo);
         engine
     }
 
@@ -542,35 +550,42 @@ impl FlatEngine {
     /// that reader — or the wire itself when it is not transparent (a
     /// transparent wire, zero delay and no fault, is an identity
     /// function and its `Wire` state is never touched).
-    fn rebuild_routes(&mut self) {
-        let (links, routes) = (&self.links, &mut self.routes);
+    fn rebuild_routes(&mut self, topo: &Multibutterfly) {
+        let routes = &mut self.routes;
         let (inj_wires, stage_wires) = (&self.inj_wires, &self.stage_wires);
-        let (ep_base, inj_base, stage_base) = member_bases(links);
-        let replies_from = links.bslot(links.stages() - 1, 0, 0);
-        let router = |(s, r): (usize, usize)| links.router_index(s, r);
-        let endpoint = |slot: usize| ep_base + slot / links.ep_ports();
+        let (ep_base, inj_base, stage_base) = member_bases(topo);
+        let replies_from = topo.bslot(topo.stages() - 1, 0, 0);
         let route = |dest: usize, reader: usize, wire: usize, transparent: bool| Route {
             dest: dest as u32,
             wake: if transparent { reader } else { wire } as u32,
         };
-        for (i, w) in inj_wires.iter().enumerate() {
-            let (t, wire, clear) = (links.inj_target(i), inj_base + i, w.is_transparent());
-            routes.inj[i] = route(t, router(links.fwd_router(t)), wire, clear);
-            routes.fwd[t] = route(i, endpoint(i), wire, clear);
+        for e in 0..topo.endpoints() {
+            for p in 0..topo.endpoint_ports() {
+                let (i, (r0, f0)) = (topo.ep_slot(e, p), topo.injection(e, p));
+                let (t, wire) = (topo.fslot(0, r0, f0), inj_base + i);
+                let clear = inj_wires[i].is_transparent();
+                routes.inj[i] = route(t, topo.router_index(0, r0), wire, clear);
+                routes.fwd[t] = route(i, ep_base + e, wire, clear);
+            }
         }
-        for (j, w) in stage_wires.iter().enumerate() {
-            let (wire, clear) = (stage_base + j, w.is_transparent());
-            let reader = router(links.bwd_router(j));
-            match links.bwd_target(j) {
-                FlatTarget::Fwd(t) => {
-                    let t = t as usize;
-                    routes.bwd[j] = route(t, router(links.fwd_router(t)), wire, clear);
-                    routes.fwd[t] = route(j, reader, wire, clear);
-                }
-                FlatTarget::Endpoint(i) => {
-                    let i = i as usize;
-                    routes.bwd[j] = route(i, endpoint(i), wire, clear);
-                    routes.reply[i] = route(j - replies_from, reader, wire, clear);
+        for s in 0..topo.stages() {
+            for r in 0..topo.routers_in_stage(s) {
+                let reader = topo.router_index(s, r);
+                for b in 0..topo.stage_spec(s).backward_ports {
+                    let j = topo.bslot(s, r, b);
+                    let (wire, clear) = (stage_base + j, stage_wires[j].is_transparent());
+                    match topo.link(s, r, b) {
+                        LinkTarget::Router { router, port } => {
+                            let t = topo.fslot(s + 1, router, port);
+                            routes.bwd[j] = route(t, topo.router_index(s + 1, router), wire, clear);
+                            routes.fwd[t] = route(j, reader, wire, clear);
+                        }
+                        LinkTarget::Endpoint { endpoint, port } => {
+                            let i = topo.ep_slot(endpoint, port);
+                            routes.bwd[j] = route(i, ep_base + endpoint, wire, clear);
+                            routes.reply[i] = route(j - replies_from, reader, wire, clear);
+                        }
+                    }
                 }
             }
         }
@@ -588,16 +603,15 @@ impl FlatEngine {
 /// advance from the bus and overwrite what was carried into their
 /// slots, waking whoever reads a live result. Returns the visits.
 fn advance_wires(
-    links: &FlatLinks,
+    topo: &Multibutterfly,
     bus: &DriveBus,
     arena: &mut ChannelArena,
     inj_wires: &mut [Wire],
     stage_wires: &mut [Wire],
     hot: &mut HotSet,
 ) -> u64 {
-    let (ep_base, inj_base, stage_base) = member_bases(links);
-    let ep = links.ep_ports();
-    let router = |(s, r): (usize, usize)| links.router_index(s, r);
+    let (ep_base, inj_base, stage_base) = member_bases(topo);
+    let ep = topo.endpoint_ports();
     let landed = |wake: &mut [u64], wire: &Wire, f: (Word, usize), r: (Word, bool, usize)| {
         let (f_live, r_live) = (f.0 != Word::Empty, r.0 != Word::Empty || r.1);
         mark(wake, f.1, f_live);
@@ -606,32 +620,40 @@ fn advance_wires(
     };
     let (hot, wake) = (&hot.hot, &mut hot.wake);
     let mut visited = sweep(hot, wake, inj_base..stage_base, true, |i, wake| {
-        let (t, wire) = (links.inj_target(i), &mut inj_wires[i]);
+        let e = i / ep;
+        let (r0, f0) = topo.injection(e, i - e * ep);
+        let (t, wire) = (topo.fslot(0, r0, f0), &mut inj_wires[i]);
         let (f, r, b) = wire.advance(bus.ep_out_fwd[i], bus.out_fwd[t], bus.out_bcb[t]);
         (arena.fwd_in[t], arena.ep_out_rev[i], arena.ep_out_bcb[i]) = (f, r, b);
-        let reader = router(links.fwd_router(t));
-        landed(wake, wire, (f, reader), (r, b, ep_base + i / ep))
+        let reader = topo.router_index(0, r0);
+        landed(wake, wire, (f, reader), (r, b, ep_base + e))
     });
-    let stage_members = stage_base..stage_base + stage_wires.len();
-    visited += sweep(hot, wake, stage_members, true, |j, wake| {
-        let wire = &mut stage_wires[j];
-        let (f, r, b) = match links.bwd_target(j) {
-            FlatTarget::Fwd(t) => {
-                let t = t as usize;
-                let (f, r, b) = wire.advance(bus.out_bwd[j], bus.out_fwd[t], bus.out_bcb[t]);
-                arena.fwd_in[t] = f;
-                ((f, router(links.fwd_router(t))), r, b)
-            }
-            FlatTarget::Endpoint(i) => {
-                let i = i as usize;
-                let (f, r, _) = wire.advance(bus.out_bwd[j], bus.ep_in_rev[i], false);
-                arena.ep_in_fwd[i] = f;
-                ((f, ep_base + i / ep), r, false)
-            }
-        };
-        (arena.rev_in[j], arena.bcb_in[j]) = (r, b);
-        landed(wake, wire, f, (r, b, router(links.bwd_router(j))))
-    });
+    // Stage by stage, so each wire's stage is known without a lookup.
+    for s in 0..topo.stages() {
+        let (j0, o) = (topo.bslot(s, 0, 0), topo.stage_spec(s).backward_ports);
+        let first = stage_base + j0;
+        let members = first..first + topo.routers_in_stage(s) * o;
+        visited += sweep(hot, wake, members, true, |k, wake| {
+            let (j, router, port) = (j0 + k, k / o, k % o);
+            let wire = &mut stage_wires[j];
+            let (f, r, b) = match topo.link(s, router, port) {
+                LinkTarget::Router { router, port } => {
+                    let t = topo.fslot(s + 1, router, port);
+                    let (f, r, b) = wire.advance(bus.out_bwd[j], bus.out_fwd[t], bus.out_bcb[t]);
+                    arena.fwd_in[t] = f;
+                    ((f, topo.router_index(s + 1, router)), r, b)
+                }
+                LinkTarget::Endpoint { endpoint, port } => {
+                    let i = topo.ep_slot(endpoint, port);
+                    let (f, r, _) = wire.advance(bus.out_bwd[j], bus.ep_in_rev[i], false);
+                    arena.ep_in_fwd[i] = f;
+                    ((f, ep_base + endpoint), r, false)
+                }
+            };
+            (arena.rev_in[j], arena.bcb_in[j]) = (r, b);
+            landed(wake, wire, f, (r, b, topo.router_index(s, router)))
+        });
+    }
     visited
 }
 
@@ -642,8 +664,8 @@ impl Engine for FlatEngine {
     /// first two are pool rounds whose private marks are merged before
     /// the wires. Nothing here allocates.
     fn step(&mut self, ctx: StepCtx<'_>) {
+        let topo = ctx.topo;
         let Self {
-            links,
             arena,
             bus,
             inj_wires,
@@ -657,7 +679,7 @@ impl Engine for FlatEngine {
         } = self;
         let tick = Tick {
             now: ctx.now,
-            links,
+            topo,
             arena,
             router_dead,
             hot: &hot.hot,
@@ -671,13 +693,13 @@ impl Engine for FlatEngine {
             }
         };
         let carry = Carry {
-            links,
+            topo,
             bus,
             routes,
             masks,
             hot: &hot.hot,
         };
-        let (fwd, rev) = arena.lanes(links);
+        let (fwd, rev) = arena.lanes(topo);
         match shard.as_deref_mut() {
             None => carry.run(&mut hot.wake, Some(fwd), Some(rev)),
             Some(shard) => {
@@ -685,7 +707,7 @@ impl Engine for FlatEngine {
                 visited += shard.merge(&mut hot.wake, ctx.finished);
             }
         }
-        visited += advance_wires(links, bus, arena, inj_wires, stage_wires, hot);
+        visited += advance_wires(topo, bus, arena, inj_wires, stage_wires, hot);
         hot.visited += visited;
         std::mem::swap(&mut hot.hot, &mut hot.wake);
         hot.wake.fill(0);
@@ -698,8 +720,8 @@ impl Engine for FlatEngine {
             .all(Wire::is_quiet)
     }
 
-    fn probe_wire(&self, stage: usize, router: usize, b: usize) -> Wire {
-        self.stage_wires[self.links.bslot(stage, router, b)].clone()
+    fn probe_wire(&self, topo: &Multibutterfly, stage: usize, router: usize, b: usize) -> Wire {
+        self.stage_wires[topo.bslot(stage, router, b)].clone()
     }
 
     fn apply_faults(&mut self, topo: &Multibutterfly, faults: &FaultSet) {
@@ -707,9 +729,9 @@ impl Engine for FlatEngine {
         // of querying it every step.
         for s in 0..topo.stages() {
             for r in 0..topo.routers_in_stage(s) {
-                self.router_dead[self.links.router_index(s, r)] = faults.router_dead(s, r);
+                self.router_dead[topo.router_index(s, r)] = faults.router_dead(s, r);
                 for b in 0..topo.stage_spec(s).backward_ports {
-                    self.stage_wires[self.links.bslot(s, r, b)]
+                    self.stage_wires[topo.bslot(s, r, b)]
                         .set_fault(faults.link_fault(LinkId::new(s, r, b)));
                 }
             }
@@ -717,17 +739,16 @@ impl Engine for FlatEngine {
         // Transparency follows the fault set; refresh the routes built
         // on it. Rather than work out who a kill, break or repair
         // touches, step everything once.
-        self.rebuild_routes();
+        self.rebuild_routes(topo);
         self.mark_all();
     }
 
-    fn wake_endpoint(&mut self, e: usize) {
-        mark(&mut self.hot.hot, self.links.n_routers() + e, true);
+    fn wake_endpoint(&mut self, topo: &Multibutterfly, e: usize) {
+        mark(&mut self.hot.hot, topo.total_routers() + e, true);
     }
 
-    fn wake_router(&mut self, stage: usize, router: usize) {
-        let member = self.links.router_index(stage, router);
-        mark(&mut self.hot.hot, member, true);
+    fn wake_router(&mut self, topo: &Multibutterfly, stage: usize, router: usize) {
+        mark(&mut self.hot.hot, topo.router_index(stage, router), true);
     }
 
     fn visits(&self) -> u64 {

@@ -35,9 +35,9 @@ use metro_topo::multibutterfly::Multibutterfly;
 /// Which engine drives (or estimates) the fabric.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EngineKind {
-    /// One flat channel arena walked with precomputed slot indices
-    /// ([`metro_topo::flatlinks`]); the steady-state tick path performs
-    /// no heap allocation. The default.
+    /// One flat channel arena indexed by the topology's [slot
+    /// numbering](metro_topo::multibutterfly#slot-numbering); the
+    /// steady-state tick path performs no heap allocation. The default.
     #[default]
     Flat,
     /// The original nested-`Vec` engine, rebuilt buffers each tick.
@@ -155,8 +155,8 @@ pub struct StepCtx<'a> {
 /// Its [`State`] is the machine's channel state, one `channels`
 /// section: the six channel-input lanes (`fwd_in`, `rev_in`, `bcb_in`,
 /// `ep_out_rev`, `ep_out_bcb`, `ep_in_fwd`), then the injection and the
-/// stage wires, each one lane in
-/// [`FlatLinks`](metro_topo::flatlinks::FlatLinks) slot order. At a
+/// stage wires, each one lane in the topology's [slot
+/// order](metro_topo::multibutterfly#slot-numbering). At a
 /// tick boundary every cycle engine writes the same words at any shard
 /// count, so a checkpoint does not name the engine that took it, and
 /// restores one written by any. Scratch that is rewritten before it is
@@ -178,7 +178,7 @@ pub trait Engine: sealed::Sealed + State + std::fmt::Debug + Send {
     /// A clone of the inter-stage wire out of `(stage, router)`'s
     /// backward port `b`, for behavioral boundary-scan probing. The
     /// clone leaves live traffic untouched.
-    fn probe_wire(&self, stage: usize, router: usize, b: usize) -> Wire;
+    fn probe_wire(&self, topo: &Multibutterfly, stage: usize, router: usize, b: usize) -> Wire;
 
     /// Resolves a newly applied fault set into engine state (the flat
     /// engine refreshes its dead-router table, wire faults, and
@@ -189,10 +189,10 @@ pub trait Engine: sealed::Sealed + State + std::fmt::Debug + Send {
     /// Endpoint `e` may have been changed from outside a step (a
     /// message enqueued): an engine that skips quiescent components
     /// steps it next cycle. Waking a quiescent one is harmless.
-    fn wake_endpoint(&mut self, _e: usize) {}
+    fn wake_endpoint(&mut self, _topo: &Multibutterfly, _e: usize) {}
 
     /// [`Engine::wake_endpoint`] for router `(stage, router)`.
-    fn wake_router(&mut self, _stage: usize, _router: usize) {}
+    fn wake_router(&mut self, _topo: &Multibutterfly, _stage: usize, _router: usize) {}
 
     /// Components and wires the step visited so far, at any shard
     /// count, for tests of the skip; 0 from the Reference engine, which

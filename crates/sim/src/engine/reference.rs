@@ -170,7 +170,7 @@ impl Engine for ReferenceEngine {
             .all(Wire::is_quiet)
     }
 
-    fn probe_wire(&self, stage: usize, router: usize, b: usize) -> Wire {
+    fn probe_wire(&self, _topo: &Multibutterfly, stage: usize, router: usize, b: usize) -> Wire {
         self.stage_wires[stage][router][b].clone()
     }
 

@@ -13,7 +13,7 @@ use crate::scenario::{Scenario, SendSpec, WorkloadSpec};
 use crate::wire::REGISTER_BYTES;
 use crate::workload::{ArrivalProcess, WorkloadError};
 use metro_core::header::HeaderPlan;
-use metro_core::{ArchParams, ParamError, RouterConfig};
+use metro_core::{ArchParams, ParamError, RouterConfig, Word};
 use metro_topo::multibutterfly::{Multibutterfly, MultibutterflySpec, TopologyError};
 use std::error::Error;
 use std::fmt;
@@ -39,7 +39,8 @@ impl Fabric {
     /// # Errors
     ///
     /// A [`ScenarioError`]: a [`TopologyError`], [`TransmitEngines`],
-    /// a [`WireDelayCount`], [`WireRings`] or a stage's [`ParamError`].
+    /// a [`WireDelayCount`], [`WireRings`], [`PipeBuffers`],
+    /// [`HeaderStream`] or a stage's [`ParamError`].
     pub fn new(spec: &MultibutterflySpec, config: &SimConfig) -> Result<Self, ScenarioError> {
         let topo = Multibutterfly::build(spec).map_err(|e| {
             // The stage-shape refusals name their stage in the message.
@@ -68,6 +69,7 @@ impl Fabric {
         };
         check_wire_rings(&topo, &delays, config.stage_wire_delays.is_some())?;
         let (w, hw, dp) = (config.width, config.header_words, config.pipestages);
+        check_pipes_and_header(&topo, dp, hw)?;
         let params = spec
             .stages
             .iter()
@@ -229,10 +231,51 @@ fn check_wire_rings(
     })
 }
 
+/// The most bytes a machine's routers may hold in pipe buffers — two
+/// pipes of `dp − 1` words per forward port ([`Router`]): 1 GiB.
+///
+/// [`Router`]: metro_core::Router
+pub const MAX_PIPE_BYTES: u64 = 1 << 30;
+
+/// The most words a message's route header may take — `hw` words for
+/// each stage: 65,536 (256 KiB of stream per message, where the paper
+/// has `hw` of 0 to 2).
+pub const MAX_HEADER_WORDS: u64 = 1 << 16;
+
+/// Refuses, before a router fills a pipe or an endpoint builds a
+/// stream, `pipestages` whose pipe buffers would hold more than
+/// [`MAX_PIPE_BYTES`] and `header_words` whose route header would take
+/// more than [`MAX_HEADER_WORDS`].
+fn check_pipes_and_header(
+    topo: &Multibutterfly,
+    dp: usize,
+    hw: usize,
+) -> Result<(), ScenarioError> {
+    // Two pipes of `dp − 1` words per forward port.
+    let words = 2 * topo.forward_slots() as u128 * dp.saturating_sub(1) as u128;
+    let bytes = words * std::mem::size_of::<Word>() as u128;
+    if bytes > u128::from(MAX_PIPE_BYTES) {
+        let e = PipeBuffers {
+            pipestages: dp,
+            bytes,
+        };
+        return Err(ScenarioError::at("sim.pipestages", e));
+    }
+    let words = topo.stages() as u128 * hw as u128;
+    if words > u128::from(MAX_HEADER_WORDS) {
+        let e = HeaderStream {
+            header_words: hw,
+            words,
+        };
+        return Err(ScenarioError::at("sim.header_words", e));
+    }
+    Ok(())
+}
+
 /// A scenario lowering refused: the refused field's dotted path, and a
 /// `source` that downcasts to the [`TopologyError`], [`TransmitEngines`],
-/// [`WireDelayCount`], [`WireRings`], [`ParamError`] or
-/// [`WorkloadError`] that refused it.
+/// [`WireDelayCount`], [`WireRings`], [`PipeBuffers`], [`HeaderStream`],
+/// [`ParamError`] or [`WorkloadError`] that refused it.
 #[derive(Debug)]
 pub struct ScenarioError {
     /// Dotted path to the refused field (e.g. `"scenario.sim.width"`).
@@ -336,3 +379,48 @@ impl fmt::Display for WireRings {
 }
 
 impl Error for WireRings {}
+
+/// Pipestages whose pipe buffers would exceed [`MAX_PIPE_BYTES`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PipeBuffers {
+    /// The refused pipestage count, `dp`.
+    pub pipestages: usize,
+    /// Bytes every router's pipes would hold together.
+    pub bytes: u128,
+}
+
+impl fmt::Display for PipeBuffers {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let (dp, bytes) = (self.pipestages, self.bytes);
+        write!(
+            f,
+            "routers {dp} pipestages deep need {bytes} bytes of pipe buffers, \
+             over the {MAX_PIPE_BYTES}-byte ceiling"
+        )
+    }
+}
+
+impl Error for PipeBuffers {}
+
+/// Header words per router whose route header would exceed
+/// [`MAX_HEADER_WORDS`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct HeaderStream {
+    /// The refused header words per router, `hw`.
+    pub header_words: usize,
+    /// Words the route header of every message would take.
+    pub words: u128,
+}
+
+impl fmt::Display for HeaderStream {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let (hw, words) = (self.header_words, self.words);
+        write!(
+            f,
+            "{hw} header words per router make a {words}-word route header, \
+             over the {MAX_HEADER_WORDS}-word ceiling"
+        )
+    }
+}
+
+impl Error for HeaderStream {}

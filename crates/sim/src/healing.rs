@@ -306,7 +306,7 @@ impl NetworkSim {
     /// the test. No oracle: the verdict comes from the wire's observed
     /// behavior, not the fault set.
     fn probe_wire_passes(&self, s: usize, r: usize, b: usize) -> bool {
-        let mut probe = self.engine.probe_wire(s, r, b);
+        let mut probe = self.engine.probe_wire(&self.fabric.topo, s, r, b);
         probe.flush();
         let w = self.fabric.config.width.min(16);
         test_wire(w, |bits| {

@@ -324,7 +324,7 @@ impl NetworkSim {
             segments.push(self.segment_for(p));
         }
         let payload_words = payloads.iter().map(|p| p.len()).sum();
-        self.engine.wake_endpoint(src);
+        self.engine.wake_endpoint(&self.fabric.topo, src);
         self.endpoints[src].enqueue_conversation(dest, segments, payload_words, self.now);
     }
 
@@ -478,14 +478,14 @@ impl NetworkSim {
     /// delivery inspection). Handing out `&mut` tells the engine the
     /// endpoint may stop being quiescent (a direct `enqueue`).
     pub fn endpoint_mut(&mut self, e: usize) -> &mut Endpoint {
-        self.engine.wake_endpoint(e);
+        self.engine.wake_endpoint(&self.fabric.topo, e);
         &mut self.endpoints[e]
     }
 
     /// Direct access to a router (for scan operations and fault
     /// experiments); wakes it like [`NetworkSim::endpoint_mut`].
     pub fn router_mut(&mut self, stage: usize, index: usize) -> &mut Router {
-        self.engine.wake_router(stage, index);
+        self.engine.wake_router(&self.fabric.topo, stage, index);
         &mut self.routers[stage][index]
     }
 

@@ -2,7 +2,8 @@
 //!
 //! The flat engine's tick pass (`engine::flat`) visits the hot routers
 //! and NICs of one shard at a time, each driving only its own regions
-//! of the drive bus. Because the slot scheme of [`FlatLinks`] is
+//! of the drive bus. Because the topology's [slot
+//! numbering](metro_topo::multibutterfly#slot-numbering) is
 //! stage-major and contiguous per router, a partition of the flat
 //! *router* order induces contiguous cuts of the forward-slot,
 //! backward-slot, and endpoint-slot arrays — so each shard owns plain
@@ -10,13 +11,14 @@
 //! the hot path.
 //!
 //! A [`ShardPlan`] is pure topology: built once per simulation from
-//! the link table, never consulted per-slot during a tick. Cuts are
+//! the per-stage router and port counts, never consulted per-slot
+//! during a tick. Cuts are
 //! placed by cumulative port weight (a router costs `fports + bports`
 //! channel slots of work), each boundary landing on the prefix-weight
 //! point nearest its ideal `k·W/N` target, which bounds every shard's
 //! weight within one maximum router weight of the ideal share.
 
-use metro_topo::flatlinks::FlatLinks;
+use metro_topo::multibutterfly::Multibutterfly;
 
 /// A deterministic assignment of routers and endpoints, with their
 /// slots, to `N` shards. Built by [`ShardPlan::build`]; identical
@@ -81,41 +83,44 @@ fn weighted_cuts(prefix: &[u64], n: usize) -> Vec<usize> {
 }
 
 impl ShardPlan {
-    /// Builds the partition of `links` into `shards` shards.
+    /// Builds the partition of `topo` into `shards` shards.
     ///
     /// Any `shards ≥ 1` is accepted — shards beyond the router count
     /// simply own empty ranges (callers that want useful parallelism
     /// cap the count themselves). The plan is a pure function of
-    /// `(links, shards)`.
+    /// `(topo, shards)`.
     ///
     /// # Panics
     ///
     /// Panics if `shards == 0`.
     #[must_use]
-    pub fn build(links: &FlatLinks, shards: usize) -> Self {
+    pub fn build(topo: &Multibutterfly, shards: usize) -> Self {
         assert!(shards >= 1, "a shard plan needs at least one shard");
-        // Prefix sums over the flat router order of port weight, forward
-        // slots and backward slots: slots are stage-major and contiguous
-        // per router, so a router cut is a slot cut too.
-        let mut prefix = vec![(0u64, 0usize, 0usize)];
-        for s in 0..links.stages() {
-            let (f, b) = (links.forward_ports(s), links.backward_ports(s));
-            for _ in 0..links.routers_in_stage(s) {
-                let (w, fs, bs) = *prefix.last().expect("prefix never empty");
-                prefix.push((w + (f + b) as u64, fs + f, bs + b));
+        // Prefix sums of port weight over the flat router order, with
+        // each router's first forward and backward slot: slots are
+        // stage-major and contiguous per router, so a router cut is a
+        // slot cut too.
+        let mut prefix = Vec::with_capacity(topo.total_routers() + 1);
+        let mut weight = 0u64;
+        for s in 0..topo.stages() {
+            let st = topo.stage_spec(s);
+            for r in 0..topo.routers_in_stage(s) {
+                prefix.push((weight, topo.fslot(s, r, 0), topo.bslot(s, r, 0)));
+                weight += (st.forward_ports + st.backward_ports) as u64;
             }
         }
+        prefix.push((weight, topo.forward_slots(), topo.backward_slots()));
         let weights: Vec<u64> = prefix.iter().map(|p| p.0).collect();
         let router_cut = weighted_cuts(&weights, shards);
         // Endpoints carry uniform weight: plain even cuts.
-        let ep_prefix: Vec<u64> = (0..=links.endpoints() as u64).collect();
+        let ep_prefix: Vec<u64> = (0..=topo.endpoints() as u64).collect();
         let ep_cut = weighted_cuts(&ep_prefix, shards);
         let starts = router_cut
             .iter()
             .zip(&ep_cut)
             .map(|(&router, &endpoint)| ShardBase {
                 endpoint,
-                ep_slot: endpoint * links.ep_ports(),
+                ep_slot: topo.ep_slot(endpoint, 0),
                 router,
                 fslot: prefix[router].1,
                 bslot: prefix[router].2,
@@ -142,17 +147,8 @@ mod tests {
     use super::*;
     use metro_topo::{Multibutterfly, MultibutterflySpec, StageSpec, WiringStyle};
 
-    fn links_for(spec: &MultibutterflySpec) -> FlatLinks {
-        FlatLinks::build(&Multibutterfly::build(spec).expect("valid spec"))
-    }
-
-    /// Builds links for a generated spec, or `None` when the walk
-    /// produced an invalid topology (the generator favours but cannot
-    /// guarantee validity; the property holds over valid fabrics).
-    fn try_links_for(spec: &MultibutterflySpec) -> Option<FlatLinks> {
-        Multibutterfly::build(spec)
-            .ok()
-            .map(|t| FlatLinks::build(&t))
+    fn topo_for(spec: &MultibutterflySpec) -> Multibutterfly {
+        Multibutterfly::build(spec).expect("valid spec")
     }
 
     /// Shard `k`'s routers.
@@ -161,27 +157,33 @@ mod tests {
     }
 
     /// Shard `k`'s router port weight (`Σ fports + bports`).
-    fn weight(links: &FlatLinks, plan: &ShardPlan, k: usize) -> u64 {
-        (0..links.stages())
-            .flat_map(|s| (0..links.routers_in_stage(s)).map(move |r| (s, r)))
-            .filter(|&(s, r)| routers(plan, k).contains(&links.router_index(s, r)))
-            .map(|(s, _)| (links.forward_ports(s) + links.backward_ports(s)) as u64)
+    fn weight(topo: &Multibutterfly, plan: &ShardPlan, k: usize) -> u64 {
+        (0..topo.stages())
+            .flat_map(|s| (0..topo.routers_in_stage(s)).map(move |r| (s, r)))
+            .filter(|&(s, r)| routers(plan, k).contains(&topo.router_index(s, r)))
+            .map(|(s, _)| ports(topo, s))
             .sum()
+    }
+
+    /// A stage-`s` router's port weight.
+    fn ports(topo: &Multibutterfly, s: usize) -> u64 {
+        let st = topo.stage_spec(s);
+        (st.forward_ports + st.backward_ports) as u64
     }
 
     /// The invariants every plan must satisfy regardless of balance:
     /// cuts cover and tile the index spaces, and each slot cut is the
     /// first slot of the router or endpoint at its cut — a shard's bus
     /// regions are exactly its members'.
-    fn check_plan_invariants(links: &FlatLinks, plan: &ShardPlan) {
+    fn check_plan_invariants(topo: &Multibutterfly, plan: &ShardPlan) {
         let n = plan.shards();
         assert_eq!(plan.base(0), ShardBase::default());
         let total = ShardBase {
-            endpoint: links.endpoints(),
-            ep_slot: links.n_ep_slots(),
-            router: links.n_routers(),
-            fslot: links.n_fwd_slots(),
-            bslot: links.n_bwd_slots(),
+            endpoint: topo.endpoints(),
+            ep_slot: topo.endpoint_slots(),
+            router: topo.total_routers(),
+            fslot: topo.forward_slots(),
+            bslot: topo.backward_slots(),
         };
         assert_eq!(plan.base(n), total);
         for k in 0..n {
@@ -192,15 +194,15 @@ mod tests {
         for k in 0..=n {
             assert_eq!(
                 plan.base(k).ep_slot,
-                plan.base(k).endpoint * links.ep_ports()
+                plan.base(k).endpoint * topo.endpoint_ports()
             );
         }
-        for s in 0..links.stages() {
-            for r in 0..links.routers_in_stage(s) {
-                let flat = links.router_index(s, r);
+        for s in 0..topo.stages() {
+            for r in 0..topo.routers_in_stage(s) {
+                let flat = topo.router_index(s, r);
                 for k in (0..=n).filter(|&k| plan.base(k).router == flat) {
-                    assert_eq!(plan.base(k).fslot, links.fslot(s, r, 0));
-                    assert_eq!(plan.base(k).bslot, links.bslot(s, r, 0));
+                    assert_eq!(plan.base(k).fslot, topo.fslot(s, r, 0));
+                    assert_eq!(plan.base(k).bslot, topo.bslot(s, r, 0));
                 }
             }
         }
@@ -246,13 +248,13 @@ mod tests {
         let mut valid = 0usize;
         for seed in 0..60u64 {
             let spec = spec_from_seed(seed);
-            let Some(links) = try_links_for(&spec) else {
+            let Ok(topo) = Multibutterfly::build(&spec) else {
                 continue;
             };
             valid += 1;
             for shards in [1usize, 2, 3, 4, 7] {
-                let plan = ShardPlan::build(&links, shards);
-                check_plan_invariants(&links, &plan);
+                let plan = ShardPlan::build(&topo, shards);
+                check_plan_invariants(&topo, &plan);
             }
         }
         assert!(valid >= 10, "generator exercised only {valid} valid specs");
@@ -261,10 +263,10 @@ mod tests {
     #[test]
     fn shards_beyond_router_count_leave_trailing_shards_empty_but_valid() {
         // figure1: three stages of 8 routers each = 24 routers total.
-        let links = links_for(&MultibutterflySpec::figure1());
-        let n = links.n_routers();
-        let plan = ShardPlan::build(&links, n + 5);
-        check_plan_invariants(&links, &plan);
+        let topo = topo_for(&MultibutterflySpec::figure1());
+        let n = topo.total_routers();
+        let plan = ShardPlan::build(&topo, n + 5);
+        check_plan_invariants(&topo, &plan);
         let empty = (0..plan.shards())
             .filter(|&k| routers(&plan, k).is_empty())
             .count();
@@ -286,12 +288,12 @@ mod tests {
             wiring: WiringStyle::Randomized,
             seed: 0x5151,
         };
-        let links = links_for(&spec);
+        let topo = topo_for(&spec);
         for shards in [1usize, 2, 3, 4] {
-            let plan = ShardPlan::build(&links, shards);
-            check_plan_invariants(&links, &plan);
+            let plan = ShardPlan::build(&topo, shards);
+            check_plan_invariants(&topo, &plan);
         }
-        let plan = ShardPlan::build(&links, 2);
+        let plan = ShardPlan::build(&topo, 2);
         assert_eq!(routers(&plan, 0), 0..1);
         assert_eq!(routers(&plan, 1), 1..2);
     }
@@ -306,25 +308,22 @@ mod tests {
         // (3+1)/(3−1) = 2.)
         for seed in 0..60u64 {
             let spec = spec_from_seed(seed);
-            let Some(links) = try_links_for(&spec) else {
+            let Ok(topo) = Multibutterfly::build(&spec) else {
                 continue;
             };
-            let max_w = (0..links.stages())
-                .map(|s| (links.forward_ports(s) + links.backward_ports(s)) as u64)
+            let max_w = (0..topo.stages())
+                .map(|s| ports(&topo, s))
                 .max()
                 .expect("at least one stage");
-            let total: u64 = (0..links.stages())
-                .map(|s| {
-                    (links.routers_in_stage(s) * (links.forward_ports(s) + links.backward_ports(s)))
-                        as u64
-                })
+            let total: u64 = (0..topo.stages())
+                .map(|s| topo.routers_in_stage(s) as u64 * ports(&topo, s))
                 .sum();
             for shards in 2..=4usize {
                 if total / (shards as u64) < 3 * max_w {
                     continue; // bound only claimed when shares dominate routers
                 }
-                let plan = ShardPlan::build(&links, shards);
-                let weights: Vec<u64> = (0..shards).map(|k| weight(&links, &plan, k)).collect();
+                let plan = ShardPlan::build(&topo, shards);
+                let weights: Vec<u64> = (0..shards).map(|k| weight(&topo, &plan, k)).collect();
                 assert_eq!(weights.iter().sum::<u64>(), total);
                 let max = *weights.iter().max().expect("nonempty");
                 let min = *weights.iter().min().expect("nonempty");
@@ -340,9 +339,9 @@ mod tests {
 
     #[test]
     fn plans_are_deterministic() {
-        let links = links_for(&MultibutterflySpec::figure3());
-        let a = ShardPlan::build(&links, 4);
-        let b = ShardPlan::build(&links, 4);
+        let topo = topo_for(&MultibutterflySpec::figure3());
+        let a = ShardPlan::build(&topo, 4);
+        let b = ShardPlan::build(&topo, 4);
         assert_eq!(a.starts, b.starts);
     }
 }

@@ -6,11 +6,11 @@
 //! parameters, analyzes their multipath structure, and models faults.
 //!
 //! * [`multibutterfly`] — the paper's primary network class: per-stage
-//!   dilation, deterministic or randomized inter-stage wiring.
+//!   dilation, deterministic or randomized inter-stage wiring, and the
+//!   dense channel-slot numbering simulators index their arrays by.
 //! * [`fattree`] — fat-tree construction and capacity/path analysis.
 //! * [`paths`] — path enumeration and counting between endpoints.
 //! * [`fault`] — static and dynamic fault sets (routers, links, ports).
-//! * [`flatlinks`] — dense channel-slot indexing for simulator hot paths.
 //! * [`analysis`] — connectivity and fault-tolerance analysis.
 //!
 //! ```
@@ -30,13 +30,11 @@ pub mod analysis;
 pub mod dot;
 pub mod fattree;
 pub mod fault;
-pub mod flatlinks;
 pub mod graph;
 pub mod multibutterfly;
 pub mod paths;
 pub mod wiring;
 
 pub use fault::{FaultKind, FaultSet};
-pub use flatlinks::{FlatLinks, FlatTarget};
 pub use graph::{LinkTarget, RouterId};
 pub use multibutterfly::{Multibutterfly, MultibutterflySpec, StageSpec, WiringStyle};

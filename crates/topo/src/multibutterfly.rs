@@ -11,6 +11,24 @@
 //! enforces the counting identities that make the construction close:
 //! the product of stage radices must equal the endpoint count, and wire
 //! counts must balance at every stage boundary.
+//!
+//! # Slot numbering
+//!
+//! The network numbers every channel end once, densely, and a simulator
+//! indexes flat arrays with these numbers instead of resolving a
+//! `(stage, router, port)` triple per access:
+//!
+//! * **routers**, stage-major: `router_index(s, r) = R[s] + r`;
+//! * **forward slots**, one per router forward (input-side) port:
+//!   `fslot(s, r, f) = F[s] + r·i + f`;
+//! * **backward slots**, one per router backward (output-side) port:
+//!   `bslot(s, r, b) = B[s] + r·o + b`;
+//! * **endpoint slots**, one per endpoint port: `ep_slot(e, p) = e·ep + p`,
+//!
+//! where `R[s]`, `F[s]` and `B[s]` count the routers, forward and
+//! backward ports of the stages before `s`. The wiring is stored in the
+//! same order: the link out of backward slot `j` and the injection wire
+//! out of endpoint slot `k` are one table entry each.
 
 use crate::graph::LinkTarget;
 use crate::wiring;
@@ -282,25 +300,6 @@ impl MultibutterflySpec {
     }
 }
 
-/// Where a router's forward port is fed from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Feeder {
-    /// An endpoint's output port.
-    Endpoint {
-        /// Endpoint index.
-        endpoint: usize,
-        /// Output port on the endpoint.
-        port: usize,
-    },
-    /// A previous-stage router's backward port.
-    Router {
-        /// Router index within the previous stage.
-        router: usize,
-        /// Backward port on that router.
-        port: usize,
-    },
-}
-
 /// One end of a wire in a wiring table: an element — a router or an
 /// endpoint, as the table's stage fixes — and a port on it, 8 bytes.
 #[derive(Debug, Clone, Copy)]
@@ -332,32 +331,39 @@ impl Slot {
     }
 }
 
+/// Where a stage's routers and ports start in the [slot
+/// numbering](self#slot-numbering).
+#[derive(Debug, Clone, Copy, Default)]
+struct StageBase {
+    router: usize,
+    fslot: usize,
+    bslot: usize,
+}
+
 /// A constructed multibutterfly network: routers arranged in stages with
 /// explicit port-level wiring, ready to be instantiated by the
 /// simulator or analyzed structurally.
 ///
 /// Each wiring table entry is a `Slot` of 8 bytes: a stage's links
 /// all land on the next stage's routers, or past the last stage on
-/// endpoints, so the stage says which [`LinkTarget`] or [`Feeder`] the
-/// accessors return.
+/// endpoints, so the stage says which [`LinkTarget`] the accessors
+/// return.
 #[derive(Debug, Clone)]
 pub struct Multibutterfly {
     spec: MultibutterflySpec,
-    routers_per_stage: Vec<usize>,
     groups_per_stage: Vec<usize>,
-    /// `links[s][r·o + b]` — where backward port `b` of router `r` in
-    /// stage `s` (of `o` backward ports) connects: a router of stage
-    /// `s + 1`, or an endpoint after the last stage.
-    links: Vec<Vec<Slot>>,
-    /// `feeders[s][r·i + f]` — what drives forward port `f` of router
-    /// `r` in stage `s` (of `i` forward ports): an endpoint in stage 0,
-    /// a router of stage `s - 1` after it.
-    feeders: Vec<Vec<Slot>>,
-    /// `injections[e·ep + p]` — the stage-0 (router, forward port)
+    /// `bases[s]` — where stage `s` starts; `bases[stages]` holds the
+    /// totals.
+    bases: Vec<StageBase>,
+    /// `links[bslot(s, r, b)]` — where backward port `b` of router `r`
+    /// in stage `s` connects: a router of stage `s + 1`, or an endpoint
+    /// after the last stage.
+    links: Vec<Slot>,
+    /// `injections[ep_slot(e, p)]` — the stage-0 (router, forward port)
     /// endpoint `e`'s output port `p` connects to.
     injections: Vec<Slot>,
-    /// `deliveries[e·ep + p]` — the last-stage (router, backward port)
-    /// feeding endpoint `e`'s input port `p`.
+    /// `deliveries[ep_slot(e, p)]` — the last-stage (router, backward
+    /// port) feeding endpoint `e`'s input port `p`.
     deliveries: Vec<Slot>,
 }
 
@@ -405,8 +411,8 @@ impl Multibutterfly {
         };
         let mut wires = fits(0, spec.endpoints.checked_mul(spec.endpoint_ports))?;
         let mut groups = 1usize;
-        let mut routers_per_stage = Vec::with_capacity(s_count);
         let mut groups_per_stage = Vec::with_capacity(s_count);
+        let mut bases = vec![StageBase::default()];
         for (s, st) in spec.stages.iter().enumerate() {
             if !wires.is_multiple_of(st.forward_ports) {
                 return Err(TopologyError::UnbalancedBoundary {
@@ -419,9 +425,15 @@ impl Multibutterfly {
             if !routers.is_multiple_of(groups) {
                 return Err(TopologyError::IndivisibleGroups { stage: s });
             }
-            routers_per_stage.push(routers);
             groups_per_stage.push(groups);
+            let fslots = wires;
             wires = fits(s + 1, routers.checked_mul(st.backward_ports))?;
+            let at = bases[s];
+            bases.push(StageBase {
+                router: at.router + routers,
+                fslot: at.fslot + fslots,
+                bslot: at.bslot + wires,
+            });
             groups *= st.radix();
         }
         // Delivery boundary: `wires` final wires over `endpoints`
@@ -434,18 +446,16 @@ impl Multibutterfly {
             });
         }
 
-        // --- storage: one flat table per stage ---
-        let stage_sizes = spec.stages.iter().zip(&routers_per_stage);
-        let mut links: Vec<Vec<Slot>> = stage_sizes
-            .clone()
-            .map(|(st, &routers)| vec![Slot::UNSET; routers * st.backward_ports])
-            .collect();
-        let mut feeders: Vec<Vec<Slot>> = stage_sizes
-            .map(|(st, &routers)| vec![Slot::UNSET; routers * st.forward_ports])
-            .collect();
-        let ep = spec.endpoint_ports;
-        let mut injections = vec![Slot::UNSET; spec.endpoints * ep];
-        let mut deliveries = vec![Slot::UNSET; spec.endpoints * ep];
+        // --- storage: one table per boundary, in slot order ---
+        let ep_slots = spec.endpoints * spec.endpoint_ports;
+        let mut net = Self {
+            spec: spec.clone(),
+            links: vec![Slot::UNSET; bases[s_count].bslot],
+            groups_per_stage,
+            bases,
+            injections: vec![Slot::UNSET; ep_slots],
+            deliveries: vec![Slot::UNSET; ep_slots],
+        };
 
         // --- injection boundary: endpoints -> stage 0 ---
         {
@@ -454,13 +464,13 @@ impl Multibutterfly {
                 WiringStyle::Deterministic => wiring::deterministic(
                     spec.endpoints,
                     spec.endpoint_ports,
-                    routers_per_stage[0],
+                    net.routers_in_stage(0),
                     st.forward_ports,
                 ),
                 WiringStyle::Randomized => wiring::randomized(
                     spec.endpoints,
                     spec.endpoint_ports,
-                    routers_per_stage[0],
+                    net.routers_in_stage(0),
                     st.forward_ports,
                     &mut rng,
                 ),
@@ -470,8 +480,8 @@ impl Multibutterfly {
                     let slot = assignment[wiring::wire_index(e, p, spec.endpoints)];
                     let router = slot / st.forward_ports;
                     let port = slot % st.forward_ports;
-                    injections[row(e, p, ep)] = Slot::new(router, port);
-                    feeders[0][row(router, port, st.forward_ports)] = Slot::new(e, p);
+                    let k = net.ep_slot(e, p);
+                    net.injections[k] = Slot::new(router, port);
                 }
             }
         }
@@ -479,16 +489,15 @@ impl Multibutterfly {
         // --- inter-stage and delivery boundaries ---
         for s in 0..s_count {
             let st = spec.stages[s];
-            let rpg = routers_per_stage[s] / groups_per_stage[s];
+            let rpg = net.routers_in_stage(s) / net.groups_at_stage(s);
             let radix = st.radix();
-            for g in 0..groups_per_stage[s] {
+            for g in 0..net.groups_at_stage(s) {
                 for j in 0..radix {
                     // Subgroup (s, g, j): rpg routers × dilation wires.
                     let subgroup_wires = rpg * st.dilation;
                     if s + 1 < s_count {
                         let nst = spec.stages[s + 1];
-                        let down_groups = groups_per_stage[s + 1];
-                        let down_rpg = routers_per_stage[s + 1] / down_groups;
+                        let down_rpg = net.routers_in_stage(s + 1) / net.groups_at_stage(s + 1);
                         let down_group = g * radix + j;
                         let assignment = match spec.wiring {
                             WiringStyle::Deterministic => {
@@ -510,10 +519,8 @@ impl Multibutterfly {
                                 let down_local = slot / nst.forward_ports;
                                 let down_port = slot % nst.forward_ports;
                                 let down_router = down_group * down_rpg + down_local;
-                                links[s][row(up_router, bwd, st.backward_ports)] =
-                                    Slot::new(down_router, down_port);
-                                feeders[s + 1][row(down_router, down_port, nst.forward_ports)] =
-                                    Slot::new(up_router, bwd);
+                                let k = net.bslot(s, up_router, bwd);
+                                net.links[k] = Slot::new(down_router, down_port);
                             }
                         }
                     } else {
@@ -525,25 +532,17 @@ impl Multibutterfly {
                                 let up_router = g * rpg + t;
                                 let bwd = j * st.dilation + c;
                                 let port = t * st.dilation + c;
-                                links[s][row(up_router, bwd, st.backward_ports)] =
-                                    Slot::new(dest, port);
-                                deliveries[row(dest, port, ep)] = Slot::new(up_router, bwd);
+                                let k = net.bslot(s, up_router, bwd);
+                                net.links[k] = Slot::new(dest, port);
+                                let k = net.ep_slot(dest, port);
+                                net.deliveries[k] = Slot::new(up_router, bwd);
                             }
                         }
                     }
                 }
             }
         }
-
-        Ok(Self {
-            spec: spec.clone(),
-            routers_per_stage,
-            groups_per_stage,
-            links,
-            feeders,
-            injections,
-            deliveries,
-        })
+        Ok(net)
     }
 
     /// The specification the network was built from.
@@ -579,13 +578,71 @@ impl Multibutterfly {
     /// Number of routers in stage `s`.
     #[must_use]
     pub fn routers_in_stage(&self, s: usize) -> usize {
-        self.routers_per_stage[s]
+        self.bases[s + 1].router - self.bases[s].router
     }
 
     /// Total routers across all stages.
     #[must_use]
     pub fn total_routers(&self) -> usize {
-        self.routers_per_stage.iter().sum()
+        self.totals().router
+    }
+
+    /// Total forward slots across all stages.
+    #[must_use]
+    pub fn forward_slots(&self) -> usize {
+        self.totals().fslot
+    }
+
+    /// Total backward slots across all stages.
+    #[must_use]
+    pub fn backward_slots(&self) -> usize {
+        self.totals().bslot
+    }
+
+    /// Total endpoint slots (`endpoints × endpoint_ports`).
+    #[must_use]
+    pub fn endpoint_slots(&self) -> usize {
+        self.injections.len()
+    }
+
+    fn totals(&self) -> StageBase {
+        self.bases[self.stages()]
+    }
+
+    /// Flat index of router `r` in stage `s` (stage-major).
+    #[must_use]
+    pub fn router_index(&self, s: usize, r: usize) -> usize {
+        self.bases[s].router + r
+    }
+
+    /// Forward slot of port `f` of router `r` in stage `s`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if stage `s` has no forward port `f`.
+    #[must_use]
+    pub fn fslot(&self, s: usize, r: usize, f: usize) -> usize {
+        self.bases[s].fslot + row(r, f, self.spec.stages[s].forward_ports)
+    }
+
+    /// Backward slot of port `b` of router `r` in stage `s`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if stage `s` has no backward port `b`.
+    #[must_use]
+    pub fn bslot(&self, s: usize, r: usize, b: usize) -> usize {
+        self.bases[s].bslot + row(r, b, self.spec.stages[s].backward_ports)
+    }
+
+    /// Slot of port `p` of endpoint `e`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an endpoint has no port `p`.
+    #[must_use]
+    pub fn ep_slot(&self, e: usize, p: usize) -> usize {
+        row(e, p, self.spec.endpoint_ports)
     }
 
     /// Number of destination groups at the *input* of stage `s`.
@@ -597,7 +654,7 @@ impl Multibutterfly {
     /// Where backward port `b` of router `r` in stage `s` connects.
     #[must_use]
     pub fn link(&self, s: usize, r: usize, b: usize) -> LinkTarget {
-        let (node, port) = self.links[s][row(r, b, self.spec.stages[s].backward_ports)].get();
+        let (node, port) = self.links[self.bslot(s, r, b)].get();
         if s + 1 < self.stages() {
             LinkTarget::Router { router: node, port }
         } else {
@@ -608,32 +665,18 @@ impl Multibutterfly {
         }
     }
 
-    /// What feeds forward port `f` of router `r` in stage `s`.
-    #[must_use]
-    pub fn feeder(&self, s: usize, r: usize, f: usize) -> Feeder {
-        let (node, port) = self.feeders[s][row(r, f, self.spec.stages[s].forward_ports)].get();
-        if s == 0 {
-            Feeder::Endpoint {
-                endpoint: node,
-                port,
-            }
-        } else {
-            Feeder::Router { router: node, port }
-        }
-    }
-
     /// The stage-0 (router, forward port) endpoint `e`'s output port `p`
     /// drives.
     #[must_use]
     pub fn injection(&self, e: usize, p: usize) -> (usize, usize) {
-        self.injections[row(e, p, self.spec.endpoint_ports)].get()
+        self.injections[self.ep_slot(e, p)].get()
     }
 
     /// The last-stage (router, backward port) feeding endpoint `e`'s
     /// input port `p`.
     #[must_use]
     pub fn delivery(&self, e: usize, p: usize) -> (usize, usize) {
-        self.deliveries[row(e, p, self.spec.endpoint_ports)].get()
+        self.deliveries[self.ep_slot(e, p)].get()
     }
 
     /// Per-stage route digit widths (bits), injection side first.
@@ -707,64 +750,86 @@ mod tests {
         assert_eq!(net.stage_digit_bits(), vec![2, 2, 2]);
     }
 
-    #[test]
-    fn every_wire_lands_exactly_once() {
-        for spec in [
+    /// The shapes the wiring tests run over: figure 1, figure 3 with and
+    /// without its randomizing stage, the 8-endpoint net, and one
+    /// deterministic wiring.
+    fn specs() -> [MultibutterflySpec; 5] {
+        [
             MultibutterflySpec::figure1(),
             MultibutterflySpec::figure3(),
+            MultibutterflySpec::figure3_extra_stage(),
             MultibutterflySpec::small8(),
             MultibutterflySpec::figure1().with_wiring(WiringStyle::Deterministic),
-        ] {
+        ]
+    }
+
+    #[test]
+    fn every_wire_lands_exactly_once() {
+        for spec in specs() {
             let net = Multibutterfly::build(&spec).unwrap();
-            // Every forward port of every stage has a well-defined feeder.
+            let last = net.stages() - 1;
+            // Every forward port is fed by exactly one injection or link,
+            // every endpoint input port by exactly one last-stage link.
+            let mut fed = vec![0; net.forward_slots()];
+            let mut delivered = vec![0; net.endpoint_slots()];
+            for e in 0..net.endpoints() {
+                for p in 0..net.endpoint_ports() {
+                    let (r, f) = net.injection(e, p);
+                    fed[net.fslot(0, r, f)] += 1;
+                }
+            }
             for s in 0..net.stages() {
                 for r in 0..net.routers_in_stage(s) {
-                    for f in 0..net.stage_spec(s).forward_ports {
-                        match net.feeder(s, r, f) {
-                            Feeder::Endpoint { endpoint, .. } => {
-                                assert_eq!(s, 0);
-                                assert!(endpoint < net.endpoints());
+                    for b in 0..net.stage_spec(s).backward_ports {
+                        match net.link(s, r, b) {
+                            LinkTarget::Router { router, port } => {
+                                assert!(s < last);
+                                fed[net.fslot(s + 1, router, port)] += 1;
                             }
-                            Feeder::Router { router, .. } => {
-                                assert!(s > 0);
-                                assert!(router < net.routers_in_stage(s - 1));
+                            LinkTarget::Endpoint { endpoint, port } => {
+                                assert_eq!(s, last);
+                                delivered[net.ep_slot(endpoint, port)] += 1;
+                                assert_eq!(net.delivery(endpoint, port), (r, b));
                             }
                         }
                     }
                 }
             }
-            // Every endpoint input port has a delivery wire.
-            for e in 0..net.endpoints() {
-                for p in 0..net.endpoint_ports() {
-                    let (r, b) = net.delivery(e, p);
-                    assert_eq!(
-                        net.link(net.stages() - 1, r, b),
-                        LinkTarget::Endpoint {
-                            endpoint: e,
-                            port: p
-                        }
-                    );
-                }
-            }
+            assert!(fed.iter().all(|&n| n == 1), "{spec:?}: {fed:?}");
+            assert!(delivered.iter().all(|&n| n == 1), "{spec:?}: {delivered:?}");
         }
     }
 
     #[test]
-    fn links_and_feeders_are_inverse() {
-        let net = Multibutterfly::build(&MultibutterflySpec::figure1()).unwrap();
-        for s in 0..net.stages() - 1 {
-            for r in 0..net.routers_in_stage(s) {
-                for b in 0..net.stage_spec(s).backward_ports {
-                    if let LinkTarget::Router { router, port } = net.link(s, r, b) {
-                        assert_eq!(
-                            net.feeder(s + 1, router, port),
-                            Feeder::Router { router: r, port: b }
-                        );
-                    } else {
-                        panic!("inter-stage link must target a router");
+    fn slots_are_dense_and_stage_major() {
+        for spec in specs() {
+            let net = Multibutterfly::build(&spec).unwrap();
+            let (mut router, mut fslot, mut bslot) = (0, 0, 0);
+            for s in 0..net.stages() {
+                let st = net.stage_spec(s);
+                for r in 0..net.routers_in_stage(s) {
+                    assert_eq!(net.router_index(s, r), router);
+                    router += 1;
+                    for f in 0..st.forward_ports {
+                        assert_eq!(net.fslot(s, r, f), fslot);
+                        fslot += 1;
+                    }
+                    for b in 0..st.backward_ports {
+                        assert_eq!(net.bslot(s, r, b), bslot);
+                        bslot += 1;
                     }
                 }
             }
+            // The totals are the port sums.
+            assert_eq!(net.total_routers(), router);
+            assert_eq!(net.forward_slots(), fslot);
+            assert_eq!(net.backward_slots(), bslot);
+            assert_eq!(net.endpoint_slots(), net.endpoints() * net.endpoint_ports());
+            let last = net.endpoints() - 1;
+            assert_eq!(
+                net.ep_slot(last, net.endpoint_ports() - 1),
+                net.endpoint_slots() - 1
+            );
         }
     }
 

@@ -31,7 +31,7 @@ fn load(s: &mut Scenario) -> (&mut TrafficPattern, &mut ArrivalProcess, &mut Rat
     }
 }
 
-const CASES: [Case; 17] = [
+const CASES: [Case; 19] = [
     Case {
         what: "a zero-width channel",
         base: "figure3_load",
@@ -188,6 +188,22 @@ const CASES: [Case; 17] = [
         message: "scenario error at scenario.sim.stage_wire_delays[3]: \
                   wires 10000000 cycles deep need 12800000000 bytes of pipeline registers, \
                   over the 1073741824-byte ceiling",
+    },
+    Case {
+        what: "pipe buffers past the ceiling",
+        base: "figure1",
+        edit: |s| s.sim.pipestages = 1_000_000_000,
+        message: "scenario error at scenario.sim.pipestages: \
+                  routers 1000000000 pipestages deep need 767999999232 bytes of pipe buffers, \
+                  over the 1073741824-byte ceiling",
+    },
+    Case {
+        what: "a route header past the ceiling",
+        base: "figure1",
+        edit: |s| s.sim.header_words = 1_000_000_000,
+        message: "scenario error at scenario.sim.header_words: \
+                  1000000000 header words per router make a 3000000000-word route header, \
+                  over the 65536-word ceiling",
     },
     Case {
         what: "more transmit engines than endpoint ports",

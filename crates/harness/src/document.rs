@@ -19,6 +19,7 @@
 #![deny(clippy::cast_possible_truncation)]
 
 use crate::json::{self, Json};
+use std::fmt::Write as _;
 
 /// A decode failure: which kind of document, where in it, and what
 /// went wrong.
@@ -297,18 +298,23 @@ impl<'a> Fields<'_, 'a> {
     pub fn verify_seal(&mut self, key: &str) -> Result<(), DecodeError> {
         let sealed = self.req(key)?;
         let declared = sealed.str()?;
-        // The compact rendering minus `key`, without cloning the tree.
-        let mut text = String::from("{");
-        for (k, v) in self.pairs.iter().filter(|(k, _)| k != key) {
-            if text.len() > 1 {
-                text.push(',');
+        // The digest of the compact rendering minus `key`, written
+        // straight into the hash: no clone of the tree, no text.
+        let mut h = json::Fnv1a::new();
+        let mut write = || {
+            h.write_char('{')?;
+            for (i, (k, v)) in self.pairs.iter().filter(|(k, _)| k != key).enumerate() {
+                if i > 0 {
+                    h.write_char(',')?;
+                }
+                json::write_string(&mut h, k)?;
+                h.write_char(':')?;
+                v.write_compact(&mut h)?;
             }
-            json::write_string(&mut text, k);
-            text.push(':');
-            v.write_compact(&mut text);
-        }
-        text.push('}');
-        let actual = hex64(json::fnv1a(&text));
+            h.write_char('}')
+        };
+        write().expect("a digest takes every write");
+        let actual = hex64(h.finish());
         if declared != actual {
             return sealed.err(format!(
                 "digest mismatch: document hashes to {actual}, header says {declared}"

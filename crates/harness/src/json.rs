@@ -10,8 +10,19 @@
 //! Numbers are carried as `f64`. Integral values with magnitude below
 //! 2^53 render without a fractional part; non-finite values (which
 //! JSON cannot represent) render as `null`.
+//!
+//! Checkpoint state is hundreds of kilobytes of string, so both string
+//! scans step over eight bytes at a time, with one carry trick: the
+//! writer over windows that hold nothing to escape, the parser over
+//! windows that hold no `"` and no `\`. Each falls back to one byte at
+//! a time only in the window that holds what it looks for. The writer
+//! is generic over [`fmt::Write`], and a digest is the compact
+//! rendering written into a sink that folds each byte into FNV-1a and
+//! keeps no text: [`Json::canonical_hash`] and a document's seal
+//! ([`crate::document::seal`], [`crate::document::Fields::verify_seal`])
+//! never build the compact string.
 
-use std::fmt::Write as _;
+use std::fmt;
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -136,7 +147,7 @@ impl Json {
     #[must_use]
     pub fn render(&self) -> String {
         let mut out = String::new();
-        self.write(&mut out, 0);
+        self.write(&mut out, 0).expect("a String takes every write");
         out.push('\n');
         out
     }
@@ -145,68 +156,69 @@ impl Json {
     #[must_use]
     pub fn render_compact(&self) -> String {
         let mut out = String::new();
-        self.write_compact(&mut out);
+        self.write_compact(&mut out)
+            .expect("a String takes every write");
         out
     }
 
-    fn write(&self, out: &mut String, depth: usize) {
+    fn write<W: fmt::Write>(&self, out: &mut W, depth: usize) -> fmt::Result {
         match self {
             Json::Arr(items) if !items.is_empty() => {
-                out.push('[');
+                out.write_char('[')?;
                 for (i, v) in items.iter().enumerate() {
-                    out.push_str(if i == 0 { "\n" } else { ",\n" });
-                    indent(out, depth + 1);
-                    v.write(out, depth + 1);
+                    out.write_str(if i == 0 { "\n" } else { ",\n" })?;
+                    indent(out, depth + 1)?;
+                    v.write(out, depth + 1)?;
                 }
-                out.push('\n');
-                indent(out, depth);
-                out.push(']');
+                out.write_char('\n')?;
+                indent(out, depth)?;
+                out.write_char(']')
             }
             Json::Obj(pairs) if !pairs.is_empty() => {
-                out.push('{');
+                out.write_char('{')?;
                 for (i, (k, v)) in pairs.iter().enumerate() {
-                    out.push_str(if i == 0 { "\n" } else { ",\n" });
-                    indent(out, depth + 1);
-                    write_string(out, k);
-                    out.push_str(": ");
-                    v.write(out, depth + 1);
+                    out.write_str(if i == 0 { "\n" } else { ",\n" })?;
+                    indent(out, depth + 1)?;
+                    write_string(out, k)?;
+                    out.write_str(": ")?;
+                    v.write(out, depth + 1)?;
                 }
-                out.push('\n');
-                indent(out, depth);
-                out.push('}');
+                out.write_char('\n')?;
+                indent(out, depth)?;
+                out.write_char('}')
             }
             _ => self.write_compact(out),
         }
     }
 
-    pub(crate) fn write_compact(&self, out: &mut String) {
+    pub(crate) fn write_compact<W: fmt::Write>(&self, out: &mut W) -> fmt::Result {
         match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(true) => out.push_str("true"),
-            Json::Bool(false) => out.push_str("false"),
+            Json::Null => out.write_str("null"),
+            Json::Bool(true) => out.write_str("true"),
+            Json::Bool(false) => out.write_str("false"),
             Json::Num(v) => write_number(out, *v),
             Json::Str(s) => write_string(out, s),
             Json::Arr(items) => {
-                out.push('[');
+                out.write_char('[')?;
                 for (i, v) in items.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        out.write_char(',')?;
                     }
-                    v.write_compact(out);
+                    v.write_compact(out)?;
                 }
-                out.push(']');
+                out.write_char(']')
             }
             Json::Obj(pairs) => {
-                out.push('{');
+                out.write_char('{')?;
                 for (i, (k, v)) in pairs.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        out.write_char(',')?;
                     }
-                    write_string(out, k);
-                    out.push(':');
-                    v.write_compact(out);
+                    write_string(out, k)?;
+                    out.write_char(':')?;
+                    v.write_compact(out)?;
                 }
-                out.push('}');
+                out.write_char('}')
             }
         }
     }
@@ -218,7 +230,10 @@ impl Json {
     /// or result document).
     #[must_use]
     pub fn canonical_hash(&self) -> u64 {
-        fnv1a(&self.render_compact())
+        let mut h = Fnv1a::new();
+        self.write_compact(&mut h)
+            .expect("a digest takes every write");
+        h.finish()
     }
 
     /// Parses a JSON document.
@@ -229,6 +244,7 @@ impl Json {
     /// trailing garbage after the document).
     pub fn parse(text: &str) -> Result<Json, ParseError> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
         };
@@ -242,35 +258,52 @@ impl Json {
     }
 }
 
-/// 64-bit FNV-1a — the digest behind every hash a document carries.
-pub(crate) fn fnv1a(text: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in text.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
+/// 64-bit FNV-1a — the digest behind every hash a document carries —
+/// as a [`fmt::Write`] sink: it folds in each byte written to it, one
+/// after another, and keeps no text.
+pub(crate) struct Fnv1a(u64);
+
+impl Fnv1a {
+    pub(crate) fn new() -> Self {
+        Self(0xcbf2_9ce4_8422_2325)
     }
-    h
+
+    /// The digest of everything written so far.
+    pub(crate) fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
-fn indent(out: &mut String, depth: usize) {
+impl fmt::Write for Fnv1a {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        for b in s.bytes() {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
+        }
+        Ok(())
+    }
+}
+
+fn indent<W: fmt::Write>(out: &mut W, depth: usize) -> fmt::Result {
     for _ in 0..depth {
-        out.push_str("  ");
+        out.write_str("  ")?;
     }
+    Ok(())
 }
 
-fn write_number(out: &mut String, v: f64) {
+fn write_number<W: fmt::Write>(out: &mut W, v: f64) -> fmt::Result {
     if !v.is_finite() {
-        out.push_str("null");
+        out.write_str("null")
     } else if v.fract() == 0.0 && v.abs() < 9.0e15 {
-        let _ = write!(out, "{}", v as i64);
+        write!(out, "{}", v as i64)
     } else {
         // `{}` on f64 is the shortest representation that round-trips.
-        let _ = write!(out, "{v}");
+        write!(out, "{v}")
     }
 }
 
-pub(crate) fn write_string(out: &mut String, s: &str) {
-    out.push('"');
+pub(crate) fn write_string<W: fmt::Write>(out: &mut W, s: &str) -> fmt::Result {
+    out.write_char('"')?;
     // Every byte that needs an escape is ASCII, so the clean runs
     // between them start and end on char boundaries and are copied
     // whole.
@@ -278,11 +311,10 @@ pub(crate) fn write_string(out: &mut String, s: &str) {
     let (mut clean, mut at) = (0, 0);
     while at < bytes.len() {
         // A window of eight bytes with nothing to escape is stepped
-        // over whole: multi-megabyte checkpoint state is all such
-        // windows, and every seal renders it twice.
+        // over whole: checkpoint state is all such windows, and every
+        // save renders it twice (the seal's digest, then the file).
         if let Some(window) = bytes.get(at..at + 8) {
-            let window = u64::from_le_bytes(window.try_into().expect("eight bytes"));
-            if !has_escape(window) {
+            if !has_escape(u64::from_le_bytes(window.try_into().expect("eight bytes"))) {
                 at += 8;
                 continue;
             }
@@ -298,30 +330,45 @@ pub(crate) fn write_string(out: &mut String, s: &str) {
             0x20.. => continue,
             _ => "",
         };
-        out.push_str(&s[clean..at - 1]);
-        out.push_str(escape);
+        out.write_str(&s[clean..at - 1])?;
+        out.write_str(escape)?;
         if escape.is_empty() {
-            let _ = write!(out, "\\u{b:04x}");
+            write!(out, "\\u{b:04x}")?;
         }
         clean = at;
     }
-    out.push_str(&s[clean..]);
-    out.push('"');
+    out.write_str(&s[clean..])?;
+    out.write_char('"')
+}
+
+const ONES: u64 = 0x0101_0101_0101_0101;
+const HIGH: u64 = 0x8080_8080_8080_8080;
+
+/// The high bit of a lane of `window` is set if it borrowed when
+/// `below` was subtracted from every byte: the carry trick, exact as a
+/// yes/no over the window (a lane above a borrowing one may be marked
+/// too, but only if some lane truly is below), and a byte ≥ `0x80`
+/// never answers yes.
+fn lanes_below(window: u64, below: u8) -> u64 {
+    window.wrapping_sub(ONES * u64::from(below)) & !window & HIGH
+}
+
+/// [`lanes_below`]`(·, 1)` of `window` with `b` cleared out of it: a
+/// lane is marked if some byte of the window equals `b`.
+fn lanes_equal(window: u64, b: u8) -> u64 {
+    lanes_below(window ^ (ONES * u64::from(b)), 1)
 }
 
 /// Whether any of the eight bytes packed in `window` is one
-/// [`write_string`] escapes: below `0x20`, `"` or `\`. Each test is the
-/// carry trick "subtract, and see which bytes borrowed": exact as a
-/// yes/no over the window, and bytes ≥ `0x80` (UTF-8 continuation and
-/// lead bytes) never answer yes.
+/// [`write_string`] escapes: below `0x20`, `"` or `\`.
 fn has_escape(window: u64) -> bool {
-    const ONES: u64 = 0x0101_0101_0101_0101;
-    const HIGH: u64 = 0x8080_8080_8080_8080;
-    let below_space = window.wrapping_sub(ONES * 0x20) & !window;
-    let has_zero = |x: u64| x.wrapping_sub(ONES) & !x;
-    let quote = has_zero(window ^ (ONES * u64::from(b'"')));
-    let backslash = has_zero(window ^ (ONES * u64::from(b'\\')));
-    (below_space | quote | backslash) & HIGH != 0
+    (lanes_below(window, 0x20) | lanes_equal(window, b'"') | lanes_equal(window, b'\\')) != 0
+}
+
+/// Whether any of the eight bytes packed in `window` ends a parsed
+/// string's run of plain bytes: `"` or `\`.
+fn ends_run(window: u64) -> bool {
+    (lanes_equal(window, b'"') | lanes_equal(window, b'\\')) != 0
 }
 
 /// A parse failure: byte offset and message.
@@ -342,6 +389,7 @@ impl std::fmt::Display for ParseError {
 impl std::error::Error for ParseError {}
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -491,18 +539,23 @@ impl Parser<'_> {
                 }
                 Some(_) => {
                     // Consume the whole run of plain bytes up to the
-                    // next quote or escape and append it as one slice.
-                    // Validating only the run keeps parsing linear:
-                    // multi-megabyte strings (checkpoint state blocks)
-                    // would otherwise re-validate the entire remaining
-                    // input per character.
+                    // next quote or escape and append it as one slice:
+                    // eight bytes a step while a window holds neither,
+                    // then one at a time inside the window that does.
                     let start = self.pos;
+                    while let Some(window) = self.bytes.get(self.pos..self.pos + 8) {
+                        if ends_run(u64::from_le_bytes(window.try_into().expect("eight bytes"))) {
+                            break;
+                        }
+                        self.pos += 8;
+                    }
                     while matches!(self.peek(), Some(b) if b != b'"' && b != b'\\') {
                         self.pos += 1;
                     }
-                    let run = std::str::from_utf8(&self.bytes[start..self.pos])
-                        .map_err(|_| self.err("invalid UTF-8 in string"))?;
-                    out.push_str(run);
+                    // The input is a `str`, and the run starts after and
+                    // ends at an ASCII byte or the end: char boundaries,
+                    // so the run is UTF-8 already.
+                    out.push_str(&self.text[start..self.pos]);
                 }
             }
         }
@@ -554,6 +607,7 @@ impl Parser<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::fmt::Write as _;
 
     fn sample() -> Json {
         Json::obj([
@@ -622,7 +676,7 @@ mod tests {
     #[track_caller]
     fn assert_writes_like_the_per_byte_writer(s: &str) {
         let (mut windowed, mut per_byte) = (String::new(), String::new());
-        write_string(&mut windowed, s);
+        write_string(&mut windowed, s).unwrap();
         write_string_per_byte(&mut per_byte, s);
         assert_eq!(windowed, per_byte, "{s:?}");
         assert_eq!(Json::parse(&windowed).unwrap(), Json::from(s));
@@ -683,6 +737,50 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    #[test]
+    fn the_windowed_string_scan_stops_at_every_offset() {
+        // Each of these at every offset 0..24 of a string whose length
+        // straddles a multiple of 8, so it sits in the first window, a
+        // later one or the byte-at-a-time tail, and the closing quote
+        // does too. `(spelled, value)`: the raw bytes in the document
+        // and what they parse to.
+        let specials = [
+            ("\\\"", "\""),
+            ("\\\\", "\\"),
+            ("\\n", "\n"),
+            ("\\u0001", "\u{1}"),
+            ("\u{1}", "\u{1}"),
+            ("\u{1f}", "\u{1f}"),
+            ("é", "é"),
+            ("€", "€"),
+            ("😀", "😀"),
+        ];
+        for len in [0, 1, 7, 8, 9, 15, 16, 17, 23, 24, 25, 31, 32, 33] {
+            for at in 0..24.min(len + 1) {
+                for (spelled, value) in specials {
+                    let (head, tail) = ("a".repeat(at), "z".repeat(len - at));
+                    let want = format!("{head}{value}{tail}");
+                    // A value after the string: the scan stopped at
+                    // its quote, not at the end of the input.
+                    let doc = format!("[\"{head}{spelled}{tail}\",7]");
+                    assert_eq!(
+                        Json::parse(&doc),
+                        Ok(Json::arr([Json::from(want.as_str()), Json::from(7u64)])),
+                        "{doc:?}"
+                    );
+                }
+            }
+            // No special at all, and the quote never comes.
+            let plain = "p".repeat(len);
+            assert_eq!(
+                Json::parse(&format!("\"{plain}\"")),
+                Ok(Json::from(plain.as_str()))
+            );
+            let e = Json::parse(&format!("\"{plain}")).unwrap_err();
+            assert_eq!((e.offset, &e.message[..]), (len + 1, "unterminated string"));
         }
     }
 

@@ -83,8 +83,29 @@ fn arbitrary_string(state: &mut u64) -> String {
         .collect()
 }
 
+/// 64-bit FNV-1a one byte after another, over a finished text: the
+/// oracle for the digest the writer streams.
+fn fnv1a_bytewise(text: &str) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for b in text.bytes() {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01B3);
+    }
+    h
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The canonical hash, streamed through the writer, is FNV-1a over
+    /// the compact rendering: the digest every seal and pinned hash in
+    /// the workspace was written with.
+    #[test]
+    fn canonical_hash_is_fnv1a_of_the_compact_rendering(seed in any::<u64>()) {
+        let mut s = seed;
+        let doc = build_json(&mut s, 4);
+        prop_assert_eq!(doc.canonical_hash(), fnv1a_bytewise(&doc.render_compact()));
+    }
 
     /// Any generated document survives pretty and compact round-trips.
     #[test]

@@ -30,6 +30,31 @@
 //! the document — a corrupt or truncated file fails loudly at decode,
 //! never as a silently divergent resume.
 //!
+//! [`Checkpoint::from_text`] reads the state text three times, once for
+//! each thing it must do, and the seal comes before the words:
+//!
+//! 1. **parse** — [`Json::parse`] finds each chunk's closing quote eight
+//!    bytes at a time and copies the chunk once;
+//! 2. **seal** — [`Fields::verify_seal`] writes the document's compact
+//!    rendering straight into FNV-1a, with no copy of the text;
+//! 3. **state decode** — `dec_state` reads the chunks a token at a time:
+//!    an optional `*`, the digits through a 256-entry table, then the
+//!    byte that ends them, where the one-spelling grammar is checked.
+//!
+//! Best of 300 of each step on the benchmark's seed-1 snapshots (2-core
+//! Xeon, release build), before the windowed parse, the streamed seal
+//! and the token loop, and after:
+//!
+//! | step | `metro1k_sparse` (232,636 B) | `metro1k_shard2` (326,866 B) |
+//! |------|-----------------------------:|-----------------------------:|
+//! | parse | 0.135 → 0.049 ms | 0.195 → 0.069 ms |
+//! | seal | 0.353 → 0.352 ms | 0.505 → 0.494 ms |
+//! | state decode | 0.648 → 0.420 ms | 0.990 → 0.713 ms |
+//! | `from_text` | 1.178 → 0.835 ms | 1.719 → 1.292 ms |
+//!
+//! The seal is FNV-1a's chain of one dependent multiply a byte, about
+//! 1.5 ns a byte here; the copy it no longer makes was not its cost.
+//!
 //! That cursor stops at the `state` array. The words inside are read
 //! by the second cursor, [`metro_telemetry::state`], and a valid seal
 //! is one FNV-1a away, so they are outside input too:
@@ -398,7 +423,7 @@ struct Decoded {
 
 impl Decoded {
     /// Appends one token's words — `word`, or `word` zeros if `run` — or
-    /// says why the spelling is not the encoder's. Inlined into the byte
+    /// says why the spelling is not the encoder's. Inlined into the token
     /// loop: as a closure it made decoding a busy figure 3 snapshot's
     /// state about 1.5 times slower.
     #[inline(always)]
@@ -440,6 +465,21 @@ impl Decoded {
     }
 }
 
+/// A byte's value as a lower-case hex digit, or [`NOT_HEX`]: the one
+/// lookup the state decoder's digit scan makes per byte.
+const HEX_DIGIT: [u8; 256] = {
+    let mut table = [NOT_HEX; 256];
+    let mut d = 0u8;
+    while d < 16 {
+        table[b"0123456789abcdef"[d as usize] as usize] = d;
+        d += 1;
+    }
+    table
+};
+
+/// [`HEX_DIGIT`]'s entry for every byte that is not a digit.
+const NOT_HEX: u8 = 0xFF;
+
 /// Reads the state words back, accepting exactly what [`state_chunks`]
 /// writes — so a checkpoint has one spelling, and the text re-encodes
 /// to its own bytes. Anything else (upper case, a leading zero, a 17th
@@ -448,6 +488,12 @@ impl Decoded {
 /// a zero and a run or two runs side by side, in one chunk or across a
 /// cut) is an error at that chunk, and so is a run that takes the state
 /// past [`WORDS_PER_CHAR`] words per character of its text.
+///
+/// The text is read a token at a time: an optional `*`, the digits (a
+/// [`HEX_DIGIT`] lookup and a shift each), then the byte that ends
+/// them. The token's spelling is checked there, once. A refusal is the
+/// first one in the text, as a reading one byte after another would
+/// meet it.
 fn dec_state(node: &Node<'_>) -> Result<Vec<u64>, CodecError> {
     let chars: usize = match node.json() {
         Json::Arr(chunks) => chunks.iter().filter_map(Json::as_str).map(str::len).sum(),
@@ -461,58 +507,61 @@ fn dec_state(node: &Node<'_>) -> Result<Vec<u64>, CodecError> {
     // Only the last chunk may stop short of the cut.
     let mut short = false;
     node.list(|chunk| {
-        let text = chunk.str()?;
-        // `digits == 0` is "a token's digits must start here"; `run`
-        // is "the token is a run's `*`".
-        let (mut word, mut digits, mut run, mut word_at) = (0u64, 0usize, false, 0usize);
-        for (at, b) in text.bytes().enumerate() {
-            let digit = match b {
-                b'0'..=b'9' => b - b'0',
-                b'a'..=b'f' => b - b'a' + 10,
-                b' ' if digits > 0 => {
-                    decoded.token(word, run).or_else(|why| chunk.err(why))?;
-                    (word, digits, run, word_at) = (0, 0, false, at + 1);
-                    continue;
+        let text = chunk.str()?.as_bytes();
+        if text.is_empty() {
+            return chunk.err("an empty chunk");
+        }
+        let mut at = 0;
+        loop {
+            let token_at = at;
+            let run = text.get(at) == Some(&b'*');
+            at += usize::from(run);
+            let digits_at = at;
+            let mut word = 0u64;
+            while let Some(&b) = text.get(at) {
+                let digit = HEX_DIGIT[usize::from(b)];
+                if digit == NOT_HEX {
+                    break;
                 }
-                b'*' if digits == 0 && !run => {
-                    run = true;
-                    continue;
-                }
-                b' ' if run => return chunk.err("a `*` with no count"),
-                b' ' => return chunk.err("a space that does not separate two words"),
-                b'*' => return chunk.err("a `*` that does not start a run"),
-                _ => return chunk.err("expected lower-case hex words separated by single spaces"),
-            };
-            if digits == 1 && word == 0 {
+                word = word << 4 | u64::from(digit);
+                at += 1;
+            }
+            let digits = at - digits_at;
+            if digits > 1 && text[digits_at] == b'0' {
                 return chunk.err("a word with a leading zero");
             }
-            if digits == 16 {
+            if digits > 16 {
                 return chunk.err("a word of more than 16 hex digits");
             }
-            word = word << 4 | u64::from(digit);
-            digits += 1;
+            match text.get(at) {
+                Some(b' ') if digits > 0 => {
+                    decoded.token(word, run).or_else(|why| chunk.err(why))?;
+                    at += 1;
+                }
+                Some(b' ') | None if run && digits == 0 => return chunk.err("a `*` with no count"),
+                Some(b' ') | None if digits == 0 => {
+                    return chunk.err("a space that does not separate two words")
+                }
+                Some(b'*') => return chunk.err("a `*` that does not start a run"),
+                Some(_) => {
+                    return chunk.err("expected lower-case hex words separated by single spaces")
+                }
+                None => {
+                    if token_at > HEX_CHUNK {
+                        return chunk.err(format!(
+                            "the chunk runs on past its cut at {HEX_CHUNK} characters"
+                        ));
+                    }
+                    if short {
+                        return chunk.err(format!(
+                            "the chunk before this one was cut short of {HEX_CHUNK} characters"
+                        ));
+                    }
+                    short = text.len() < HEX_CHUNK;
+                    return decoded.token(word, run).or_else(|why| chunk.err(why));
+                }
+            }
         }
-        if digits == 0 {
-            return chunk.err(if run {
-                "a `*` with no count"
-            } else if text.is_empty() {
-                "an empty chunk"
-            } else {
-                "a space that does not separate two words"
-            });
-        }
-        if word_at > HEX_CHUNK {
-            return chunk.err(format!(
-                "the chunk runs on past its cut at {HEX_CHUNK} characters"
-            ));
-        }
-        if short {
-            return chunk.err(format!(
-                "the chunk before this one was cut short of {HEX_CHUNK} characters"
-            ));
-        }
-        short = text.len() < HEX_CHUNK;
-        decoded.token(word, run).or_else(|why| chunk.err(why))
     })?;
     Ok(decoded.words)
 }
@@ -1000,6 +1049,70 @@ mod tests {
                 words.extend([u64::MAX, 0, first]);
                 assert_state_round_trips(&words);
             }
+        }
+    }
+
+    /// Every single-byte substitution from `0 9 a f g A * space` and
+    /// every single-byte deletion of `chunks[at]` at the byte offsets
+    /// `offsets`: each mutant is refused at a chunk, or decodes to words
+    /// whose text is exactly the mutant. Returns (refused, accepted).
+    fn sweep_mutants(chunks: &[String], at: usize, offsets: std::ops::Range<usize>) -> [usize; 2] {
+        let mut seen = [0; 2];
+        for i in offsets {
+            let text = chunks[at].as_bytes();
+            let substitutions = b"09afgA* ".iter().filter(|&&b| b != text[i]).map(|&b| {
+                let mut m = text.to_vec();
+                m[i] = b;
+                m
+            });
+            let deletion = [text[..i].iter().chain(&text[i + 1..]).copied().collect()];
+            for mutant in substitutions.chain(deletion) {
+                let mut mutated = chunks.to_vec();
+                mutated[at] = String::from_utf8(mutant).expect("ASCII");
+                let doc = Json::arr(mutated.iter().map(|c| Json::from(c.as_str())));
+                match dec_state(&Node::root("checkpoint", "checkpoint.state", &doc)) {
+                    Ok(words) => {
+                        assert_eq!(state_chunks(&words), mutated, "{words:?}");
+                        seen[1] += 1;
+                    }
+                    Err(e) => {
+                        assert!(e.path.starts_with("checkpoint.state["), "{e}");
+                        seen[0] += 1;
+                    }
+                }
+            }
+        }
+        seen
+    }
+
+    #[test]
+    fn every_one_byte_mutant_of_a_state_text_is_refused_or_its_own_spelling() {
+        // A run, a zero, and words of 1 and 16 digits, each next to
+        // each kind (a deleted space after a 16-digit word is a 17th
+        // digit).
+        let text = "*1f 1 0 ffffffffffffffff 7 *2 2a 1000000000000000 0 f *10".to_string();
+        assert!(decode_with_state(&[&text]).is_ok());
+        let [refused, accepted] = sweep_mutants(std::slice::from_ref(&text), 0, 0..text.len());
+        // Eight substitutions and a deletion a byte, less the
+        // substitution that would keep the byte as it is.
+        let mutants = text
+            .bytes()
+            .map(|b| 9 - usize::from(b"09afgA* ".contains(&b)));
+        assert_eq!(refused + accepted, mutants.sum());
+        assert!(
+            refused > 0 && accepted > 0,
+            "{refused} refused, {accepted} accepted"
+        );
+        // The same across a cut: the bytes either side of it, and the
+        // next chunk's first tokens.
+        let chunks = [closed_by("*2"), "1 ffffffffffffffff 0".to_string()];
+        assert!(decode_with_state(&[&chunks[0], &chunks[1]]).is_ok());
+        for (at, offsets) in [(0, HEX_CHUNK - 8..chunks[0].len()), (1, 0..6)] {
+            let [refused, accepted] = sweep_mutants(&chunks, at, offsets);
+            assert!(
+                refused > 0 && accepted > 0,
+                "{refused} refused, {accepted} accepted"
+            );
         }
     }
 

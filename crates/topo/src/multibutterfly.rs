@@ -123,6 +123,9 @@ pub enum TopologyError {
     /// `endpoint_ports` is zero: an endpoint needs a way into the
     /// network.
     NoEndpointPorts,
+    /// The stage list is empty: the endpoints' wires need a first stage
+    /// to enter and a last one to leave by.
+    NoStages,
     /// More wires cross a stage boundary than a wiring table indexes
     /// (`u32::MAX`).
     TooManyWires {
@@ -161,6 +164,7 @@ impl fmt::Display for TopologyError {
                 write!(f, "stage {stage} radix is not a power of two")
             }
             Self::NoEndpointPorts => write!(f, "endpoint_ports must be at least 1"),
+            Self::NoStages => write!(f, "a network needs at least one stage"),
             Self::TooManyWires { stage, wires } => write!(
                 f,
                 "boundary into stage {stage} has {wires} wires, over {}",
@@ -381,6 +385,9 @@ impl Multibutterfly {
         // --- validation ---
         if spec.endpoint_ports == 0 {
             return Err(TopologyError::NoEndpointPorts);
+        }
+        if s_count == 0 {
+            return Err(TopologyError::NoStages);
         }
         let mut radix_product = 1usize;
         for (s, st) in spec.stages.iter().enumerate() {
@@ -971,6 +978,31 @@ mod tests {
         assert_eq!(
             Multibutterfly::build(&spec).err(),
             Some(TopologyError::NoEndpointPorts)
+        );
+    }
+
+    #[test]
+    fn rejects_an_empty_stage_list() {
+        // One endpoint is what no stages address (the empty radix
+        // product), so only this check stands before the wiring.
+        let spec = MultibutterflySpec {
+            endpoints: 1,
+            endpoint_ports: 1,
+            stages: Vec::new(),
+            wiring: WiringStyle::Deterministic,
+            seed: 0,
+        };
+        assert_eq!(
+            Multibutterfly::build(&spec).err(),
+            Some(TopologyError::NoStages)
+        );
+        let spec = MultibutterflySpec {
+            endpoints: 16,
+            ..spec
+        };
+        assert_eq!(
+            Multibutterfly::build(&spec).err(),
+            Some(TopologyError::NoStages)
         );
     }
 

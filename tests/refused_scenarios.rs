@@ -31,7 +31,7 @@ fn load(s: &mut Scenario) -> (&mut TrafficPattern, &mut ArrivalProcess, &mut Rat
     }
 }
 
-const CASES: [Case; 19] = [
+const CASES: [Case; 20] = [
     Case {
         what: "a zero-width channel",
         base: "figure3_load",
@@ -45,6 +45,17 @@ const CASES: [Case; 19] = [
         edit: |s| s.topology.endpoint_ports = 0,
         message: "scenario error at scenario.topology.endpoint_ports: \
                   endpoint_ports must be at least 1",
+    },
+    Case {
+        what: "no stages",
+        base: "figure1",
+        edit: |s| {
+            // One endpoint is the product of no radices.
+            s.topology.stages.clear();
+            s.topology.endpoints = 1;
+        },
+        message: "scenario error at scenario.topology.stages: \
+                  a network needs at least one stage",
     },
     Case {
         what: "endpoints the radices do not address",

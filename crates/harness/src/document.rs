@@ -10,7 +10,12 @@
 //!   key list is written once, by reading the keys;
 //! * one [`DecodeError`], labelled with the document kind;
 //! * one seal: [`hex64`] spells a hash, [`seal`] appends the digest of
-//!   a document to it, [`Fields::verify_seal`] checks it.
+//!   a document to it, [`Fields::verify_seal`] checks it. Each is its
+//!   streamed form ([`seal_streamed`], [`Fields::verify_seal_streamed`])
+//!   with no field handed out; a codec whose field is a long text (a
+//!   checkpoint's state) takes the digest with its field and folds the
+//!   bytes in as it encodes or decodes them, so the seal costs no pass
+//!   of its own over that text.
 //!
 //! Errors surface in decoder order: a decoder that gates on its schema
 //! version reads that field first, then its fields in declaration
@@ -18,8 +23,7 @@
 
 #![deny(clippy::cast_possible_truncation)]
 
-use crate::json::{self, Json};
-use std::fmt::Write as _;
+use crate::json::{self, Fnv1a, Json};
 
 /// A decode failure: which kind of document, where in it, and what
 /// went wrong.
@@ -296,24 +300,44 @@ impl<'a> Fields<'_, 'a> {
     ///
     /// The key is missing, not a string, or not the digest.
     pub fn verify_seal(&mut self, key: &str) -> Result<(), DecodeError> {
+        self.verify_seal_streamed(key, None)
+    }
+
+    /// [`Fields::verify_seal`], with the value of one field handed out:
+    /// `read` gets the digest and the node of the first `field` pair,
+    /// marked read, when the digest reaches it. `read` must fold in
+    /// exactly that value's compact rendering ([`Fnv1a::json`] does),
+    /// and may decode it on the way: the field's bytes are then crossed
+    /// once, for the decode and the seal together. Whatever `read`
+    /// concludes, the seal's verdict comes first; the caller holds its
+    /// own until this returns.
+    ///
+    /// # Errors
+    ///
+    /// The key is missing, not a string, or not the digest.
+    pub fn verify_seal_streamed(
+        &mut self,
+        key: &str,
+        mut field: Option<(&str, SealReader<'_, 'a>)>,
+    ) -> Result<(), DecodeError> {
         let sealed = self.req(key)?;
         let declared = sealed.str()?;
         // The digest of the compact rendering minus `key`, written
         // straight into the hash: no clone of the tree, no text.
-        let mut h = json::Fnv1a::new();
-        let mut write = || {
-            h.write_char('{')?;
-            for (i, (k, v)) in self.pairs.iter().filter(|(k, _)| k != key).enumerate() {
-                if i > 0 {
-                    h.write_char(',')?;
+        let mut h = Fnv1a::new();
+        h.byte(b'{');
+        let pairs = self.pairs;
+        for (i, (k, v)) in pairs.iter().filter(|(k, _)| k != key).enumerate() {
+            member(&mut h, i, k);
+            match field.take_if(|(name, _)| name == k) {
+                Some((name, read)) => {
+                    let node = self.opt(name).expect("the pair is in the object");
+                    read(&mut h, node);
                 }
-                json::write_string(&mut h, k)?;
-                h.write_char(':')?;
-                v.write_compact(&mut h)?;
+                None => h.json(v),
             }
-            h.write_char('}')
-        };
-        write().expect("a digest takes every write");
+        }
+        h.byte(b'}');
         let actual = hex64(h.finish());
         if declared != actual {
             return sealed.err(format!(
@@ -322,6 +346,27 @@ impl<'a> Fields<'_, 'a> {
         }
         Ok(())
     }
+}
+
+/// What [`Fields::verify_seal_streamed`] hands one field's value to:
+/// it folds that value's compact rendering into the digest, and may
+/// decode it on the way.
+pub type SealReader<'f, 'a> = &'f mut dyn FnMut(&mut Fnv1a, Node<'a>);
+
+/// What writes the field [`seal_streamed`] appends: it folds the
+/// compact rendering of the value it returns into the digest, and may
+/// build that value on the way.
+pub type SealWriter<'f> = &'f mut dyn FnMut(&mut Fnv1a) -> Json;
+
+/// Folds in the start of an object's `i`-th member as the compact
+/// rendering spells it: the comma before all but the first, the key,
+/// the colon.
+fn member(h: &mut Fnv1a, i: usize, key: &str) {
+    if i > 0 {
+        h.byte(b',');
+    }
+    json::write_string(h, key).expect("a digest takes every write");
+    h.byte(b':');
 }
 
 /// How every hash in a document is spelled: `"0x"` + 16 hex digits.
@@ -337,7 +382,40 @@ pub fn hex64(hash: u64) -> String {
 ///
 /// Panics if `doc` is not an object.
 pub fn seal(doc: &mut Json, key: &str) {
-    doc.set(key, Json::from(hex64(doc.canonical_hash())));
+    seal_streamed(doc, key, None);
+}
+
+/// [`seal`], with one more field appended first, its value written by
+/// `write`: it gets the digest when the digest reaches the field, must
+/// fold in the compact rendering of the value it returns, and may build
+/// that value on the way, so the field's bytes are crossed once, for
+/// the encode and the seal together. `doc` must not hold the field
+/// already.
+///
+/// # Panics
+///
+/// Panics if `doc` is not an object.
+pub fn seal_streamed(
+    doc: &mut Json,
+    key: &str,
+    last: Option<(&str, SealWriter<'_>)>,
+) {
+    let Json::Obj(pairs) = doc else {
+        panic!("seal on a non-object");
+    };
+    let mut h = Fnv1a::new();
+    h.byte(b'{');
+    for (i, (k, v)) in pairs.iter().enumerate() {
+        member(&mut h, i, k);
+        h.json(v);
+    }
+    if let Some((field, write)) = last {
+        member(&mut h, pairs.len(), field);
+        let value = write(&mut h);
+        pairs.push((field.to_string(), value));
+    }
+    h.byte(b'}');
+    doc.set(key, Json::from(hex64(h.finish())));
 }
 
 #[cfg(test)]

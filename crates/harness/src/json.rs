@@ -17,10 +17,16 @@
 //! windows that hold no `"` and no `\`. Each falls back to one byte at
 //! a time only in the window that holds what it looks for. The writer
 //! is generic over [`fmt::Write`], and a digest is the compact
-//! rendering written into a sink that folds each byte into FNV-1a and
-//! keeps no text: [`Json::canonical_hash`] and a document's seal
-//! ([`crate::document::seal`], [`crate::document::Fields::verify_seal`])
-//! never build the compact string.
+//! rendering written into a sink, [`Fnv1a`], that folds each byte into
+//! FNV-1a and keeps no text: [`Json::canonical_hash`] and a document's
+//! seal ([`crate::document::seal`], [`crate::document::Fields::verify_seal`])
+//! never build the compact string. The sink's one step,
+//! [`Fnv1a::byte`], is public: a streamed seal
+//! ([`crate::document::seal_streamed`],
+//! [`crate::document::Fields::verify_seal_streamed`]) hands the sink to
+//! the codec of one field, which folds that field's bytes in as its own
+//! loop writes or reads them, so a checkpoint's state text is crossed
+//! once on save and once on load, not once more for the seal.
 
 use std::fmt;
 
@@ -231,8 +237,7 @@ impl Json {
     #[must_use]
     pub fn canonical_hash(&self) -> u64 {
         let mut h = Fnv1a::new();
-        self.write_compact(&mut h)
-            .expect("a digest takes every write");
+        h.json(self);
         h.finish()
     }
 
@@ -261,15 +266,53 @@ impl Json {
 /// 64-bit FNV-1a — the digest behind every hash a document carries —
 /// as a [`fmt::Write`] sink: it folds in each byte written to it, one
 /// after another, and keeps no text.
-pub(crate) struct Fnv1a(u64);
+///
+/// [`Fnv1a::byte`] is the one step every digest in the workspace is
+/// made of. A codec that writes or reads a long string itself (the
+/// checkpoint state text) folds each byte in as it goes, inside its own
+/// loop, and a streamed seal ([`crate::document::seal_streamed`]) hands
+/// it the digest to do so. The value is a `u64`, so a copy is a saved
+/// position: a caller that must take back what it folded in restores
+/// the copy.
+#[derive(Debug, Clone, Copy)]
+pub struct Fnv1a(u64);
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Self::new()
+    }
+}
 
 impl Fnv1a {
-    pub(crate) fn new() -> Self {
+    /// The digest of nothing: FNV-1a's offset basis.
+    #[must_use]
+    pub const fn new() -> Self {
         Self(0xcbf2_9ce4_8422_2325)
     }
 
-    /// The digest of everything written so far.
-    pub(crate) fn finish(&self) -> u64 {
+    /// The sink whose digest so far is `digest`: folding on from it
+    /// continues the stream that `digest` is the digest of.
+    #[must_use]
+    pub const fn resume(digest: u64) -> Self {
+        Self(digest)
+    }
+
+    /// Folds in one byte.
+    #[inline(always)]
+    pub fn byte(&mut self, b: u8) {
+        self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3);
+    }
+
+    /// Folds in `value`'s compact rendering.
+    pub fn json(&mut self, value: &Json) {
+        value
+            .write_compact(self)
+            .expect("a digest takes every write");
+    }
+
+    /// The digest of everything folded in so far.
+    #[must_use]
+    pub const fn finish(&self) -> u64 {
         self.0
     }
 }
@@ -277,8 +320,7 @@ impl Fnv1a {
 impl fmt::Write for Fnv1a {
     fn write_str(&mut self, s: &str) -> fmt::Result {
         for b in s.bytes() {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
+            self.byte(b);
         }
         Ok(())
     }
@@ -312,7 +354,7 @@ pub(crate) fn write_string<W: fmt::Write>(out: &mut W, s: &str) -> fmt::Result {
     while at < bytes.len() {
         // A window of eight bytes with nothing to escape is stepped
         // over whole: checkpoint state is all such windows, and every
-        // save renders it twice (the seal's digest, then the file).
+        // save renders it into the file.
         if let Some(window) = bytes.get(at..at + 8) {
             if !has_escape(u64::from_le_bytes(window.try_into().expect("eight bytes"))) {
                 at += 8;

@@ -6,6 +6,8 @@
 //! whole value space: escapes (including surrogate pairs), deep
 //! nesting, and numeric edge cases.
 
+use metro_harness::document::{seal, seal_streamed, DecodeError, Node};
+use metro_harness::json::Fnv1a;
 use metro_harness::Json;
 use proptest::prelude::*;
 
@@ -173,6 +175,99 @@ proptest! {
         }
         prop_assert_eq!(&Json::parse(&doc.render()).unwrap(), &doc);
         prop_assert_eq!(&Json::parse(&doc.render_compact()).unwrap(), &doc);
+    }
+}
+
+/// An object of up to five generated members, keys `k0…` with hostile
+/// tails (a key may repeat), and one of its keys: the field a streamed
+/// seal hands out.
+fn sealable(seed: u64) -> (Json, String) {
+    let mut s = seed;
+    let members = 1 + (seed % 5) as usize;
+    let pairs: Vec<(String, Json)> = (0..members)
+        .map(|k| {
+            let key = match seed >> 8 & 7 {
+                0 => "k0".to_string(),
+                _ => format!("k{k}{}", arbitrary_string(&mut s)),
+            };
+            (key, build_json(&mut s, 3))
+        })
+        .collect();
+    let field = pairs[(seed >> 16) as usize % members].0.clone();
+    (Json::Obj(pairs), field)
+}
+
+/// The seal checked by the plain verifier and by the streamed one with
+/// `field` handed out; both must agree, and the streamed reader must be
+/// handed the first `field` pair's value, once.
+fn verify_both_ways(doc: &Json, field: &str) -> Result<(), DecodeError> {
+    let read_all = |f: &mut metro_harness::document::Fields<'_, '_>| {
+        let Json::Obj(pairs) = doc else {
+            unreachable!("a sealable document is an object")
+        };
+        for (k, _) in pairs {
+            f.opt(k);
+        }
+    };
+    let plain = Node::root("demo", "demo", doc).object(|f| {
+        f.verify_seal("seal")?;
+        read_all(f);
+        Ok(())
+    });
+    let mut handed = Vec::new();
+    let streamed = Node::root("demo", "demo", doc).object(|f| {
+        let mut read = |h: &mut Fnv1a, node: Node<'_>| {
+            handed.push(node.json().clone());
+            h.json(node.json());
+        };
+        f.verify_seal_streamed("seal", Some((field, &mut read)))?;
+        read_all(f);
+        Ok(())
+    });
+    assert_eq!(plain, streamed, "{field:?}");
+    assert_eq!(
+        handed,
+        doc.get(field).into_iter().cloned().collect::<Vec<_>>()
+    );
+    plain
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The streamed seal is the plain seal: verifying with a field
+    /// handed out gives the plain verifier's verdict on a sealed
+    /// document and on one with a member changed, and sealing with the
+    /// last field written by the caller stamps the digest `seal` does.
+    #[test]
+    fn the_streamed_seal_agrees_with_the_plain_one(seed in any::<u64>()) {
+        let (mut doc, field) = sealable(seed);
+        seal(&mut doc, "seal");
+        prop_assert!(verify_both_ways(&doc, &field).is_ok());
+        let Json::Obj(pairs) = &mut doc else { unreachable!() };
+        let at = (seed >> 24) as usize % (pairs.len() - 1);
+        let mut s = seed ^ 0x5EA1;
+        let other = build_json(&mut s, 2);
+        if pairs[at].1 != other {
+            pairs[at].1 = other;
+            let e = verify_both_ways(&doc, &field).unwrap_err();
+            prop_assert!(e.message.starts_with("digest mismatch"), "{}", e);
+        }
+
+        let (mut bare, field) = sealable(seed.rotate_left(17));
+        let Json::Obj(pairs) = &mut bare else { unreachable!() };
+        pairs.retain(|(k, _)| *k != field);
+        let mut s = seed;
+        let value = build_json(&mut s, 3);
+        let mut whole = bare.clone();
+        whole.set(&field, value.clone());
+        seal(&mut whole, "seal");
+        let mut write = |h: &mut Fnv1a| {
+            h.json(&value);
+            value.clone()
+        };
+        seal_streamed(&mut bare, "seal", Some((&field, &mut write)));
+        prop_assert_eq!(bare.render(), whole.render());
     }
 }
 

@@ -30,34 +30,44 @@
 //! the document — a corrupt or truncated file fails loudly at decode,
 //! never as a silently divergent resume.
 //!
-//! [`Checkpoint::from_text`] reads the state text three times, once for
-//! each thing it must do, and the seal comes before the words:
+//! Each side crosses the state text once, and the seal rides along:
 //!
-//! 1. **parse** — [`Json::parse`] finds each chunk's closing quote eight
-//!    bytes at a time and copies the chunk once;
-//! 2. **seal** — [`Fields::verify_seal`] writes the document's compact
-//!    rendering straight into FNV-1a, with no copy of the text;
-//! 3. **state decode** — `dec_state` reads the chunks a token at a time:
-//!    an optional `*`, the digits through a 256-entry table, then the
-//!    byte that ends them, where the one-spelling grammar is checked.
+//! * **save** — [`Checkpoint::to_json`] seals with
+//!   [`seal_streamed`]: the digest covers the fields before the state,
+//!   then `state_chunks` folds each byte of the text into FNV-1a as it
+//!   writes it;
+//! * **load** — [`Json::parse`] finds each chunk's closing quote eight
+//!   bytes at a time and copies the chunk once; then
+//!   [`Fields::verify_seal_streamed`] hands the state to `dec_state`,
+//!   which reads it a token at a time (an optional `*`, the digits
+//!   through a 256-entry table, then the byte that ends them, where the
+//!   one-spelling grammar is checked) and folds each byte in as it
+//!   reads it. A chunk it refuses, and every one after it, is folded in
+//!   whole through the string writer, so the digest is always over the
+//!   real compact rendering.
 //!
-//! Best of 300 of each step on the benchmark's seed-1 snapshots (2-core
-//! Xeon, release build), before the windowed parse, the streamed seal
-//! and the token loop, and after:
+//! The verdicts keep their order: the seal's first, then the scenario,
+//! its hash and the runner position, then the state's, which the
+//! decoder holds until the seal is known. The seal is FNV-1a's chain of
+//! one dependent multiply a byte; in the decoder's loop it runs
+//! alongside the decode instead of after it. Best of five runs of
+//! 200–300 calls on the benchmark's seed-1 snapshots (2-vCPU host,
+//! release build), parent → this layout:
 //!
-//! | step | `metro1k_sparse` (232,636 B) | `metro1k_shard2` (326,866 B) |
-//! |------|-----------------------------:|-----------------------------:|
-//! | parse | 0.135 → 0.049 ms | 0.195 → 0.069 ms |
-//! | seal | 0.353 → 0.352 ms | 0.505 → 0.494 ms |
-//! | state decode | 0.648 → 0.420 ms | 0.990 → 0.713 ms |
-//! | `from_text` | 1.178 → 0.835 ms | 1.719 → 1.292 ms |
+//! | call | `metro1k_sparse` (232,636 B) | `metro1k_shard2` (326,866 B) | `fig3_busy` (42,645 B) |
+//! |------|-----------------------------:|-----------------------------:|-----------------------:|
+//! | `to_json` | 0.776 → 0.445 ms | 1.197 → 0.768 ms | 0.134 → 0.080 ms |
+//! | `from_json` | 0.761 → 0.456 ms | 1.179 → 0.725 ms | 0.137 → 0.080 ms |
+//! | `from_text` | 0.800 → 0.523 ms | 1.291 → 0.794 ms | 0.151 → 0.098 ms |
 //!
-//! The seal is FNV-1a's chain of one dependent multiply a byte, about
-//! 1.5 ns a byte here; the copy it no longer makes was not its cost.
+//! Decoding before the seal is known loosens no allocation bound: a
+//! state may decode to at most `WORDS_PER_CHAR` (16) words a character
+//! of its text, which already bounded what a sealed hostile file could
+//! ask for, and a valid seal is one FNV-1a away.
 //!
-//! That cursor stops at the `state` array. The words inside are read
-//! by the second cursor, [`metro_telemetry::state`], and a valid seal
-//! is one FNV-1a away, so they are outside input too:
+//! The document cursor stops at the `state` array. The words inside are read
+//! by the second cursor, [`metro_telemetry::state`], and they are
+//! outside input too:
 //! [`Checkpoint::restore_into`] returns a [`StateError`] — naming the
 //! section and the word — for any word that does not fit the machine
 //! the scenario builds, including every index a later tick would use
@@ -84,7 +94,8 @@ use crate::network::NetworkSim;
 use crate::scenario::codec::{self, dec_schema, CodecError};
 use crate::scenario::{Scenario, WorkloadSpec};
 use crate::workload::WorkloadDriver;
-use metro_harness::document::{seal, Fields, Node};
+use metro_harness::document::{seal_streamed, Fields, Node};
+use metro_harness::json::Fnv1a;
 use metro_harness::Json;
 use metro_telemetry::{State, StateError, StateReader, StateWriter};
 
@@ -254,14 +265,13 @@ impl Checkpoint {
                     ("cycle", Json::from(self.cycle)),
                 ]),
             ),
-            (
-                "state",
-                Json::arr(state_chunks(&self.state).into_iter().map(Json::from)),
-            ),
         ]);
-        // The digest covers everything above it; appending it last
-        // keeps "hash the document minus this field" well-defined.
-        seal(&mut doc, "checkpoint_hash");
+        // The digest covers everything above it and the state, which
+        // the encoder folds in as it writes it; appending the digest
+        // last keeps "hash the document minus this field" well-defined.
+        let mut state =
+            |h: &mut Fnv1a| Json::arr(state_chunks(&self.state, h).into_iter().map(Json::from));
+        seal_streamed(&mut doc, "checkpoint_hash", Some(("state", &mut state)));
         doc
     }
 
@@ -281,8 +291,12 @@ impl Checkpoint {
             )?;
             // Integrity first: a flipped bit anywhere in the document
             // is a digest mismatch, not a subtly different restored
-            // machine.
-            f.verify_seal("checkpoint_hash")?;
+            // machine. The state is decoded as the digest reads it, and
+            // its verdict held until the seal's and the fields' before
+            // it are known.
+            let mut state = None;
+            let mut read = |h: &mut Fnv1a, node: Node<'_>| state = Some(dec_state(&node, h));
+            f.verify_seal_streamed("checkpoint_hash", Some(("state", &mut read)))?;
             let scenario = codec::decode_node(&f.req("scenario")?)?;
             let header = f.req("scenario_hash")?;
             let (declared, actual) = (header.str()?, codec::scenario_hash(&scenario));
@@ -292,11 +306,16 @@ impl Checkpoint {
                 ));
             }
             let (phase, cycle) = f.req("runner")?.object(|f| dec_position(&scenario, f))?;
+            let Some(state) = state else {
+                // No `state` to hand out: refused here, in its place.
+                f.req("state")?;
+                unreachable!("the seal hands out a present state");
+            };
             Ok(Self {
                 scenario,
                 phase,
                 cycle,
-                state: dec_state(&f.req("state")?)?,
+                state: state?,
             })
         })
     }
@@ -363,8 +382,19 @@ fn dec_position(
 /// that a maximal run of two or more zeros is one token, `*` and the
 /// run's length spelled the same way (31 zeros are `*1f`); one space
 /// between tokens, a new chunk after the token that takes one to
-/// [`HEX_CHUNK`] characters. No words, no chunks.
-fn state_chunks(words: &[u64]) -> Vec<String> {
+/// [`HEX_CHUNK`] characters. No words, no chunks. Folds the chunks'
+/// compact rendering (`["…","…"]`: no byte of the text needs an
+/// escape) into `h` as it writes them.
+fn state_chunks(words: &[u64], h: &mut Fnv1a) -> Vec<String> {
+    /// Writes `b` into the chunk and folds it into the digest.
+    #[inline(always)]
+    fn put(chunk: &mut String, d: &mut Fnv1a, b: u8) {
+        chunk.push(char::from(b));
+        d.byte(b);
+    }
+    // A local copy, so the digest stays in a register.
+    let mut d = *h;
+    d.byte(b'[');
     let mut chunks = Vec::new();
     let mut chunk = String::new();
     let mut rest = words;
@@ -372,14 +402,17 @@ fn state_chunks(words: &[u64]) -> Vec<String> {
         let zeros = rest.iter().take_while(|&&w| w == 0).count();
         if chunk.len() >= HEX_CHUNK {
             chunks.push(std::mem::take(&mut chunk));
+            d.byte(b'"');
+            d.byte(b',');
         }
         if chunk.is_empty() {
             chunk.reserve(HEX_CHUNK + 18);
+            d.byte(b'"');
         } else {
-            chunk.push(' ');
+            put(&mut chunk, &mut d, b' ');
         }
         let token = if zeros > 1 {
-            chunk.push('*');
+            put(&mut chunk, &mut d, b'*');
             zeros as u64
         } else {
             w
@@ -387,13 +420,16 @@ fn state_chunks(words: &[u64]) -> Vec<String> {
         let digits = (64 - token.leading_zeros()).div_ceil(4).max(1);
         for shift in (0..digits).rev() {
             let nibble = (token >> (4 * shift)).to_le_bytes()[0] & 0xF;
-            chunk.push(char::from(b"0123456789abcdef"[usize::from(nibble)]));
+            put(&mut chunk, &mut d, b"0123456789abcdef"[usize::from(nibble)]);
         }
         rest = &rest[zeros.max(1)..];
     }
     if !chunk.is_empty() {
         chunks.push(chunk);
+        d.byte(b'"');
     }
+    d.byte(b']');
+    *h = d;
     chunks
 }
 
@@ -494,11 +530,17 @@ const NOT_HEX: u8 = 0xFF;
 /// them. The token's spelling is checked there, once. A refusal is the
 /// first one in the text, as a reading one byte after another would
 /// meet it.
-fn dec_state(node: &Node<'_>) -> Result<Vec<u64>, CodecError> {
-    let chars: usize = match node.json() {
-        Json::Arr(chunks) => chunks.iter().filter_map(Json::as_str).map(str::len).sum(),
-        _ => 0,
+///
+/// Folds the value's compact rendering into `h` whatever the verdict:
+/// each byte of an accepted chunk as the token loop reads it, and a
+/// refused chunk and every one after it whole, through the string
+/// writer, escapes and all.
+fn dec_state(node: &Node<'_>, h: &mut Fnv1a) -> Result<Vec<u64>, CodecError> {
+    let Json::Arr(chunks) = node.json() else {
+        h.json(node.json());
+        return node.err("expected an array");
     };
+    let chars: usize = chunks.iter().filter_map(Json::as_str).map(str::len).sum();
     let mut decoded = Decoded {
         words: Vec::new(),
         last: Token::Word,
@@ -506,64 +548,101 @@ fn dec_state(node: &Node<'_>) -> Result<Vec<u64>, CodecError> {
     };
     // Only the last chunk may stop short of the cut.
     let mut short = false;
+    let mut verdict = Ok(());
+    h.byte(b'[');
+    let mut first = true;
     node.list(|chunk| {
-        let text = chunk.str()?.as_bytes();
-        if text.is_empty() {
-            return chunk.err("an empty chunk");
+        if !std::mem::take(&mut first) {
+            h.byte(b',');
         }
-        let mut at = 0;
-        loop {
-            let token_at = at;
-            let run = text.get(at) == Some(&b'*');
-            at += usize::from(run);
-            let digits_at = at;
-            let mut word = 0u64;
-            while let Some(&b) = text.get(at) {
-                let digit = HEX_DIGIT[usize::from(b)];
-                if digit == NOT_HEX {
-                    break;
-                }
-                word = word << 4 | u64::from(digit);
+        if verdict.is_ok() {
+            verdict = dec_chunk(&chunk, &mut decoded, &mut short, h);
+            if verdict.is_ok() {
+                return Ok(());
+            }
+        }
+        h.json(chunk.json());
+        Ok(())
+    })?;
+    h.byte(b']');
+    verdict.map(|()| decoded.words)
+}
+
+/// [`dec_state`]'s token loop over one chunk. Folds the chunk, quoted,
+/// into `h` only if it accepts it; a refused chunk leaves `h` as it
+/// was.
+fn dec_chunk(
+    chunk: &Node<'_>,
+    decoded: &mut Decoded,
+    short: &mut bool,
+    h: &mut Fnv1a,
+) -> Result<(), CodecError> {
+    let text = chunk.str()?.as_bytes();
+    if text.is_empty() {
+        return chunk.err("an empty chunk");
+    }
+    // A local copy, so the digest stays in a register.
+    let mut d = *h;
+    d.byte(b'"');
+    let mut at = 0;
+    loop {
+        let token_at = at;
+        let run = text.get(at) == Some(&b'*');
+        if run {
+            d.byte(b'*');
+            at += 1;
+        }
+        let digits_at = at;
+        let mut word = 0u64;
+        while let Some(&b) = text.get(at) {
+            let digit = HEX_DIGIT[usize::from(b)];
+            if digit == NOT_HEX {
+                break;
+            }
+            word = word << 4 | u64::from(digit);
+            d.byte(b);
+            at += 1;
+        }
+        let digits = at - digits_at;
+        if digits > 1 && text[digits_at] == b'0' {
+            return chunk.err("a word with a leading zero");
+        }
+        if digits > 16 {
+            return chunk.err("a word of more than 16 hex digits");
+        }
+        match text.get(at) {
+            Some(b' ') if digits > 0 => {
+                decoded.token(word, run).or_else(|why| chunk.err(why))?;
+                d.byte(b' ');
                 at += 1;
             }
-            let digits = at - digits_at;
-            if digits > 1 && text[digits_at] == b'0' {
-                return chunk.err("a word with a leading zero");
+            Some(b' ') | None if run && digits == 0 => return chunk.err("a `*` with no count"),
+            Some(b' ') | None if digits == 0 => {
+                return chunk.err("a space that does not separate two words")
             }
-            if digits > 16 {
-                return chunk.err("a word of more than 16 hex digits");
+            Some(b'*') => return chunk.err("a `*` that does not start a run"),
+            Some(_) => {
+                return chunk.err("expected lower-case hex words separated by single spaces")
             }
-            match text.get(at) {
-                Some(b' ') if digits > 0 => {
-                    decoded.token(word, run).or_else(|why| chunk.err(why))?;
-                    at += 1;
+            None => {
+                if token_at > HEX_CHUNK {
+                    return chunk.err(format!(
+                        "the chunk runs on past its cut at {HEX_CHUNK} characters"
+                    ));
                 }
-                Some(b' ') | None if run && digits == 0 => return chunk.err("a `*` with no count"),
-                Some(b' ') | None if digits == 0 => {
-                    return chunk.err("a space that does not separate two words")
+                if *short {
+                    return chunk.err(format!(
+                        "the chunk before this one was cut short of {HEX_CHUNK} characters"
+                    ));
                 }
-                Some(b'*') => return chunk.err("a `*` that does not start a run"),
-                Some(_) => {
-                    return chunk.err("expected lower-case hex words separated by single spaces")
-                }
-                None => {
-                    if token_at > HEX_CHUNK {
-                        return chunk.err(format!(
-                            "the chunk runs on past its cut at {HEX_CHUNK} characters"
-                        ));
-                    }
-                    if short {
-                        return chunk.err(format!(
-                            "the chunk before this one was cut short of {HEX_CHUNK} characters"
-                        ));
-                    }
-                    short = text.len() < HEX_CHUNK;
-                    return decoded.token(word, run).or_else(|why| chunk.err(why));
-                }
+                *short = text.len() < HEX_CHUNK;
+                decoded.token(word, run).or_else(|why| chunk.err(why))?;
+                d.byte(b'"');
+                *h = d;
+                return Ok(());
             }
         }
-    })?;
-    Ok(decoded.words)
+    }
 }
 
 #[cfg(test)]
@@ -572,9 +651,29 @@ mod tests {
     use crate::network::EngineKind;
     use crate::scenario::{run_scenario, FaultInjection, RepairSet, Run, ScenarioResult, SendSpec};
     use crate::workload::{ArrivalProcess, RateMap, TrafficPattern};
+    use metro_harness::document::{hex64, seal};
     use metro_topo::fault::{FaultKind, FaultSet};
     use metro_topo::graph::LinkId;
     use metro_topo::multibutterfly::MultibutterflySpec;
+
+    /// [`super::state_chunks`] with a fresh digest, which must come out
+    /// as the canonical hash of the chunks' compact rendering.
+    fn state_chunks(words: &[u64]) -> Vec<String> {
+        let mut h = Fnv1a::new();
+        let chunks = super::state_chunks(words, &mut h);
+        let doc = Json::arr(chunks.iter().map(|c| Json::from(c.as_str())));
+        assert_eq!(h.finish(), doc.canonical_hash(), "{} chunks", chunks.len());
+        chunks
+    }
+
+    /// [`super::dec_state`] with a fresh digest, which must come out as
+    /// the canonical hash of the value, whether it is accepted or not.
+    fn dec_state(node: &Node<'_>) -> Result<Vec<u64>, CodecError> {
+        let mut h = Fnv1a::new();
+        let decoded = super::dec_state(node, &mut h);
+        assert_eq!(h.finish(), node.json().canonical_hash(), "{decoded:?}");
+        decoded
+    }
 
     fn loaded_scenario() -> Scenario {
         let mut faults = FaultSet::new();
@@ -790,6 +889,11 @@ mod tests {
     /// Decodes a re-sealed checkpoint document whose `"state"` is
     /// `chunks`, so the state text is what refuses or is accepted.
     fn decode_with_state(chunks: &[&str]) -> Result<Checkpoint, CodecError> {
+        Checkpoint::from_json(&decode_doc(chunks))
+    }
+
+    /// The re-sealed document [`decode_with_state`] decodes.
+    fn decode_doc(chunks: &[&str]) -> Json {
         let empty = Checkpoint {
             scenario: loaded_scenario(),
             phase: RunPhase::Main,
@@ -799,7 +903,7 @@ mod tests {
         let mut doc = empty.to_json();
         doc.set("state", Json::arr(chunks.iter().copied().map(Json::from)));
         reseal(&mut doc);
-        Checkpoint::from_json(&doc)
+        doc
     }
 
     /// Re-stamps the digest after an edit, so the edit itself is what
@@ -1148,6 +1252,164 @@ mod tests {
             }
             assert_state_round_trips(&words);
         }
+    }
+
+    /// The seal in two passes — the document with its state text, then
+    /// its canonical hash — which the one pass of `to_json` must match
+    /// byte for byte.
+    fn sealed_in_two_passes(c: &Checkpoint) -> Json {
+        let mut doc = c.to_json();
+        if let Json::Obj(pairs) = &mut doc {
+            pairs.retain(|(k, _)| k != "checkpoint_hash" && k != "state");
+        }
+        let chunks = state_chunks(&c.state);
+        doc.set("state", Json::arr(chunks.into_iter().map(Json::from)));
+        let hash = doc.canonical_hash();
+        doc.set("checkpoint_hash", Json::from(hex64(hash)));
+        doc
+    }
+
+    #[track_caller]
+    fn assert_sealed_in_one_pass(words: Vec<u64>) {
+        let c = Checkpoint {
+            scenario: loaded_scenario(),
+            phase: RunPhase::Main,
+            cycle: 0,
+            state: words,
+        };
+        let text = c.to_json().render();
+        assert_eq!(text, sealed_in_two_passes(&c).render());
+        assert_eq!(Checkpoint::from_text(&text).unwrap(), c);
+    }
+
+    #[test]
+    fn the_one_pass_seal_holds_on_each_side_of_every_chunk_cut() {
+        assert_sealed_in_one_pass(Vec::new());
+        for first in [1, u64::MAX] {
+            for tail in (HEX_CHUNK / 2 - 12)..(HEX_CHUNK / 2 + 4) {
+                let mut words = vec![first];
+                words.resize(tail, 1);
+                words.extend([u64::MAX, 0, 0, 0, first, 0]);
+                assert_sealed_in_one_pass(words);
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn the_one_pass_seal_is_the_two_pass_one(
+            // One-digit words up to anywhere in the first chunk, then
+            // lone zeros, runs, and words of 1, 16 and any digits.
+            lead in 0usize..(HEX_CHUNK / 2 + 8),
+            body in proptest::collection::vec(
+                (0u32..5, proptest::prelude::any::<u64>(), 2usize..40),
+                0..2500,
+            ),
+        ) {
+            let mut words = vec![1; lead];
+            for (kind, bits, run) in body {
+                match kind {
+                    0 => words.push(0),
+                    1 => words.resize(words.len() + run, 0),
+                    2 => words.push(1 + bits % 15),
+                    3 => words.push(bits | 1 << 63),
+                    _ => words.push(bits >> (bits % 64)),
+                }
+            }
+            assert_sealed_in_one_pass(words);
+        }
+    }
+
+    #[test]
+    fn the_seal_is_judged_first_and_the_state_last() {
+        let empty = Checkpoint {
+            scenario: loaded_scenario(),
+            phase: RunPhase::Main,
+            cycle: 0,
+            state: Vec::new(),
+        };
+        let with_bad_state = || {
+            let mut doc = empty.to_json();
+            doc.set("state", Json::arr([Json::from("01")]));
+            doc
+        };
+        // A bad state under a bad seal: the seal.
+        let e = Checkpoint::from_json(&with_bad_state()).unwrap_err();
+        assert_eq!(e.path, "checkpoint.checkpoint_hash");
+        assert!(e.message.starts_with("digest mismatch"), "{e}");
+        // A valid seal, and a bad state after a bad field: the field.
+        let bad_fields = [
+            ("scenario", Json::from(7u64), "checkpoint.scenario"),
+            (
+                "scenario_hash",
+                Json::from(hex64(1)),
+                "checkpoint.scenario_hash",
+            ),
+            (
+                "runner",
+                Json::obj([
+                    ("phase", Json::from("main")),
+                    ("cycle", Json::from(1u64 << 40)),
+                ]),
+                "checkpoint.runner.cycle",
+            ),
+        ];
+        for (key, value, path) in bad_fields {
+            let mut doc = with_bad_state();
+            doc.set(key, value);
+            reseal(&mut doc);
+            assert_eq!(Checkpoint::from_json(&doc).unwrap_err().path, path);
+        }
+        // And with nothing else wrong, the state.
+        let mut doc = with_bad_state();
+        reseal(&mut doc);
+        let e = Checkpoint::from_json(&doc).unwrap_err();
+        assert_eq!(
+            (e.path.as_str(), e.message.as_str()),
+            ("checkpoint.state[0]", "a word with a leading zero")
+        );
+        // A missing state is refused in its place, after the runner.
+        let Json::Obj(pairs) = &mut doc else {
+            unreachable!()
+        };
+        pairs.retain(|(k, _)| k != "state");
+        reseal(&mut doc);
+        let e = Checkpoint::from_json(&doc).unwrap_err();
+        assert_eq!(
+            (e.path.as_str(), e.message.as_str()),
+            ("checkpoint", "missing field \"state\"")
+        );
+    }
+
+    #[test]
+    fn a_chunk_that_needs_an_escape_is_refused_under_a_valid_seal() {
+        // Never valid state, but hashed as the compact rendering spells
+        // it, escapes and all: the seal holds and the text refuses.
+        let escaped = ["1 \"2", "1 \\ 2", "1\n2", "\u{1}", "12 \u{1f}", "1 é", "😀"];
+        for bad in escaped {
+            assert_refused(&[bad], 0, "expected lower-case hex");
+            assert_refused(&[&closed_by("1"), bad, "3"], 1, "expected lower-case hex");
+            // A chunk after the refused one is sealed whole too.
+            assert_refused(&["1 g", bad], 0, "expected lower-case hex");
+        }
+        // Through the text as well, where the parser undoes the escapes.
+        let mut doc = decode_doc(&["1 \"2\\"]);
+        let text = doc.render();
+        assert!(text.contains(r#""1 \"2\\""#), "{text}");
+        let e = Checkpoint::from_text(&text).unwrap_err();
+        assert!(
+            e.ends_with(
+                "checkpoint.state[0]: expected lower-case hex words separated by single spaces"
+            ),
+            "{e}"
+        );
+        doc.set("state", Json::arr([Json::from("1 2")]));
+        assert!(
+            Checkpoint::from_text(&doc.render()).is_err(),
+            "the edit unseals it"
+        );
     }
 
     #[test]

@@ -281,7 +281,7 @@ fn unit(rng: &mut RandomSource) -> f64 {
 /// (the estimate describes what a cycle-accurate engine would do). The
 /// result keeps every estimated outcome, so a percentile the
 /// [`LoadPoint`] does not carry (p99 and beyond) is a query over the
-/// outcomes completed from the warmup on.
+/// outcomes requested from the warmup on.
 ///
 /// # Errors
 ///
@@ -416,9 +416,9 @@ fn estimate_load(scenario: &Scenario, fabric: &Fabric, faults: usize) -> Scenari
 /// request order — through `model`: per-source FIFO serialization is
 /// exact (one outstanding message per NIC), each message's service time
 /// the deterministic base plus a sampled penalty. Completions after
-/// `horizon` are in flight; those from `warmup` on are recorded into
-/// the measured window's [`NetworkStats`]. Returns the result without a
-/// load point, and those statistics.
+/// `horizon` are in flight; those requested from `warmup` on are
+/// recorded into the measured window's [`NetworkStats`]. Returns the
+/// result without a load point, and those statistics.
 fn replay(
     scenario: &Scenario,
     model: &FabricModel,
@@ -459,7 +459,8 @@ fn replay(
             reply_received: Vec::new(),
             status: DeliveryStatus::Delivered,
         };
-        if completed_at >= warmup {
+        // `NetworkSim`'s window: what was requested from the warmup on.
+        if requested_at >= warmup {
             stats.record(&outcome);
         }
         outcomes.push(outcome);

@@ -47,6 +47,13 @@
 //! A dead router drives nothing and carries nothing; the marked step
 //! that killed it landed `Empty` in every slot it feeds.
 //!
+//! A transparent wire's member bit is set only by a marked step and by
+//! the wire pass itself, for a wire that stays hot: the carry wakes the
+//! reader behind it. So on a fabric whose wires are all transparent
+//! (no delay, no faulted link) the wire pass runs only from a marked
+//! step until no wire it visited stays hot, and is skipped after that:
+//! it would visit nothing.
+//!
 //! With `SimConfig::shards > 1` the tick pass runs by shard and the
 //! carry by lane on [`super::shard`]'s pool; the wires, and every pass
 //! at one shard, run on the calling thread. The passes are the same
@@ -487,6 +494,14 @@ pub struct FlatEngine {
     /// Per router, flat numbering: what its carry moves.
     masks: Vec<CarryMask>,
     routes: Routes,
+    /// Wires that are not transparent (delay > 0 or faulted), counted
+    /// when the routes are rebuilt. With none, the wire pass runs only
+    /// while a wire may be hot (`wires_hot`).
+    opaque: usize,
+    /// Whether a wire's member bit may be set: a transparent wire's
+    /// bit is set only by [`FlatEngine::mark_all`] and by the wire
+    /// pass, for a wire that stays hot.
+    wires_hot: bool,
 }
 
 impl FlatEngine {
@@ -539,6 +554,8 @@ impl FlatEngine {
                 bwd: routes(topo.backward_slots()),
                 fwd: routes(topo.forward_slots()),
             },
+            opaque: 0,
+            wires_hot: false,
         };
         engine.rebuild_routes(topo);
         engine
@@ -553,6 +570,11 @@ impl FlatEngine {
     fn rebuild_routes(&mut self, topo: &Multibutterfly) {
         let routes = &mut self.routes;
         let (inj_wires, stage_wires) = (&self.inj_wires, &self.stage_wires);
+        self.opaque = inj_wires
+            .iter()
+            .chain(stage_wires)
+            .filter(|w| !w.is_transparent())
+            .count();
         let (ep_base, inj_base, stage_base) = member_bases(topo);
         let replies_from = topo.bslot(topo.stages() - 1, 0, 0);
         let route = |dest: usize, reader: usize, wire: usize, transparent: bool| Route {
@@ -595,13 +617,15 @@ impl FlatEngine {
     /// arena in full. (Padding bits are never swept.)
     fn mark_all(&mut self) {
         self.hot.hot.fill(!0);
+        self.wires_hot = true;
     }
 }
 
 /// The wire pass: non-transparent wires (delay > 0 or faulty) that hold
 /// words, were driven just now, or produced a live value last cycle
 /// advance from the bus and overwrite what was carried into their
-/// slots, waking whoever reads a live result. Returns the visits.
+/// slots, waking whoever reads a live result. Returns the visits, and
+/// whether any wire stays hot.
 fn advance_wires(
     topo: &Multibutterfly,
     bus: &DriveBus,
@@ -609,7 +633,7 @@ fn advance_wires(
     inj_wires: &mut [Wire],
     stage_wires: &mut [Wire],
     hot: &mut HotSet,
-) -> u64 {
+) -> (u64, bool) {
     let (ep_base, inj_base, stage_base) = member_bases(topo);
     let ep = topo.endpoint_ports();
     let landed = |wake: &mut [u64], wire: &Wire, f: (Word, usize), r: (Word, bool, usize)| {
@@ -619,6 +643,7 @@ fn advance_wires(
         f_live || r_live || !wire.is_quiet()
     };
     let (hot, wake) = (&hot.hot, &mut hot.wake);
+    let mut stayed = false;
     let mut visited = sweep(hot, wake, inj_base..stage_base, true, |i, wake| {
         let e = i / ep;
         let (r0, f0) = topo.injection(e, i - e * ep);
@@ -626,7 +651,9 @@ fn advance_wires(
         let (f, r, b) = wire.advance(bus.ep_out_fwd[i], bus.out_fwd[t], bus.out_bcb[t]);
         (arena.fwd_in[t], arena.ep_out_rev[i], arena.ep_out_bcb[i]) = (f, r, b);
         let reader = topo.router_index(0, r0);
-        landed(wake, wire, (f, reader), (r, b, ep_base + e))
+        let stay = landed(wake, wire, (f, reader), (r, b, ep_base + e));
+        stayed |= stay;
+        stay
     });
     // Stage by stage, so each wire's stage is known without a lookup.
     for s in 0..topo.stages() {
@@ -651,10 +678,12 @@ fn advance_wires(
                 }
             };
             (arena.rev_in[j], arena.bcb_in[j]) = (r, b);
-            landed(wake, wire, f, (r, b, topo.router_index(s, router)))
+            let stay = landed(wake, wire, f, (r, b, topo.router_index(s, router)));
+            stayed |= stay;
+            stay
         });
     }
-    visited
+    (visited, stayed)
 }
 
 impl Engine for FlatEngine {
@@ -676,6 +705,8 @@ impl Engine for FlatEngine {
             hot,
             masks,
             routes,
+            opaque,
+            wires_hot,
         } = self;
         let tick = Tick {
             now: ctx.now,
@@ -707,7 +738,15 @@ impl Engine for FlatEngine {
                 visited += shard.merge(&mut hot.wake, ctx.finished);
             }
         }
-        visited += advance_wires(topo, bus, arena, inj_wires, stage_wires, hot);
+        // Only an opaque wire is woken by the carry; a transparent one
+        // is hot only from a marked step on, while it stays hot. On an
+        // all-transparent fabric with no wire hot the pass would visit
+        // nothing, so it is skipped.
+        if *opaque > 0 || *wires_hot {
+            let (wires, stayed) = advance_wires(topo, bus, arena, inj_wires, stage_wires, hot);
+            visited += wires;
+            *wires_hot = stayed;
+        }
         hot.visited += visited;
         std::mem::swap(&mut hot.hot, &mut hot.wake);
         hot.wake.fill(0);

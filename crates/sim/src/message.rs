@@ -3,6 +3,7 @@
 //! `AttemptEvidence` (`crate::endpoint`), the one per-attempt capture.
 
 use metro_core::StatusWord;
+use metro_harness::json::Fnv1a;
 
 /// The acknowledgment code a destination returns for an intact message.
 pub const ACK_OK: u16 = 0x5A;
@@ -176,7 +177,7 @@ metro_telemetry::state_walk! {
 }
 
 /// The FNV-1a offset basis: the digest of no outcomes.
-const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_BASIS: u64 = Fnv1a::new().finish();
 
 /// The most payload words one message can name: every word of its
 /// streams is in memory at once.
@@ -208,11 +209,10 @@ impl OutcomeFold {
 
     /// Folds in the stream's next outcome.
     pub(crate) fn absorb(&mut self, o: &MessageOutcome) {
-        let mut h = self.digest;
+        let mut h = Fnv1a::resume(self.digest);
         let mut put = |v: u64| {
             for b in v.to_le_bytes() {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x0000_0100_0000_01B3);
+                h.byte(b);
             }
         };
         put(o.src as u64);
@@ -230,7 +230,7 @@ impl OutcomeFold {
         for &w in &o.payload_delivered {
             put(u64::from(w));
         }
-        self.digest = h;
+        self.digest = h.finish();
         self.count += 1;
         self.payload_words += o.payload_words as u64;
     }

@@ -301,3 +301,70 @@ fn restoring_into_a_used_engine_resumes_bit_identically() {
         assert!(origin.is_quiescent() && origin.fabric_idle());
     }
 }
+
+#[test]
+fn a_wire_that_turns_opaque_and_back_keeps_the_step_exact() {
+    // Zero-delay wires are transparent, so the wire pass runs only
+    // after a marked step; a broken link makes one wire opaque (the
+    // pass runs every step), and its repair makes every wire transparent
+    // again. Compared every cycle through both changes.
+    let spec = MultibutterflySpec::figure3();
+    let config = |engine, shards| SimConfig {
+        wire_delay: 0,
+        engine,
+        shards,
+        ..SimConfig::default()
+    };
+    let mut broken = FaultSet::new();
+    broken.break_link(LinkId::new(0, 2, 1), FaultKind::Dead);
+    let mut sims: Vec<NetworkSim> = [
+        (EngineKind::Reference, 1),
+        (EngineKind::Flat, 1),
+        (EngineKind::Flat, 2),
+    ]
+    .into_iter()
+    .map(|(engine, shards)| NetworkSim::new(&spec, &config(engine, shards)).unwrap())
+    .collect();
+    for cycle in 0..400usize {
+        for sim in &mut sims {
+            match cycle {
+                30 => sim.apply_faults(broken.clone()),
+                110 => sim.apply_faults(FaultSet::new()),
+                _ => {}
+            }
+            if cycle < 200 {
+                sim.send(cycle % 64, (cycle * 13 + 5) % 64, &[cycle as u16; 6]);
+            }
+            sim.tick();
+        }
+        let expected = state_words(&sims[0]);
+        for sim in &sims[1..] {
+            assert!(
+                state_words(sim) == expected,
+                "cycle {cycle}: {} shards diverged from the Reference engine",
+                sim.shards()
+            );
+        }
+    }
+    let outcomes: Vec<_> = sims.iter_mut().map(|s| s.drain_outcomes()).collect();
+    assert!(
+        outcomes[0].iter().any(|o| o.retries > 0),
+        "the dead link was met"
+    );
+    assert!(outcomes.iter().all(|o| *o == outcomes[0]));
+    // Repaired and drained: the skipped wire pass leaves nothing hot,
+    // and a marked step still visits every member, transparent wires
+    // included.
+    for sim in &mut sims[1..] {
+        assert!(sim.is_quiescent() && sim.fabric_idle());
+        let before = sim.engine_visits();
+        sim.run(100);
+        assert_eq!(sim.engine_visits(), before);
+        let topo = sim.topology();
+        let members =
+            topo.total_routers() + topo.endpoints() + topo.endpoint_slots() + topo.backward_slots();
+        sim.apply_faults(FaultSet::new());
+        sim.tick();
+        assert_eq!(sim.engine_visits() - before, members as u64);
+    }
+}

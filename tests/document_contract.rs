@@ -4,7 +4,7 @@
 //! error that names the mutated place.
 
 use metro_core::Word;
-use metro_harness::document::{seal, DecodeError};
+use metro_harness::document::{hex64, seal, DecodeError};
 use metro_harness::Json;
 use metro_sim::checkpoint::{resume_scenario, run_scenario_resumable, Checkpoint, CheckpointSink};
 use metro_sim::scenario::{codec, run_scenario, Run, ScenarioResult, WorkloadSpec};
@@ -50,6 +50,37 @@ fn committed_scenarios_and_sidecars_re_encode_to_their_bytes() {
         let snap = snapshot::from_text(&text).unwrap_or_else(|e| panic!("{file}: {e}"));
         assert_eq!(snapshot::encode(&snap).render(), text, "{file}");
     }
+}
+
+#[test]
+fn each_artifacts_last_manifest_record_names_its_committed_sidecars() {
+    // An artifact run writes its sidecars and appends a record with
+    // their canonical hashes: a sidecar rewritten without a run (or a
+    // run whose files were not committed) leaves the record stale.
+    let manifest = Json::parse(&read("results/manifest.json")).unwrap();
+    let runs = manifest.get("runs").and_then(Json::as_arr).expect("a runs list");
+    let mut checked = 0;
+    for (key, suffix) in [
+        ("scenario_hash", ".scenario.json"),
+        ("telemetry_hash", ".telemetry.json"),
+    ] {
+        for file in files("results", suffix) {
+            let artifact = &file["results/".len()..file.len() - suffix.len()];
+            let last = runs
+                .iter()
+                .rev()
+                .find(|r| r.get("artifact").and_then(Json::as_str) == Some(artifact))
+                .unwrap_or_else(|| panic!("{file}: no manifest record of {artifact}"));
+            let hash = hex64(Json::parse(&read(&file)).unwrap().canonical_hash());
+            assert_eq!(
+                last.get(key).and_then(Json::as_str),
+                Some(hash.as_str()),
+                "{file}: the last {artifact} record's {key}"
+            );
+            checked += 1;
+        }
+    }
+    assert_eq!(checked, 14, "sidecars");
 }
 
 const CKPT_FIXTURE: &str = "tests/fixtures/figure1.ckpt.json";
